@@ -9,15 +9,14 @@ use rand::SeedableRng;
 use bpush_broadcast::Bcast;
 use bpush_core::instrument::{Instrumented, ProtocolStats};
 use bpush_core::validator::ReadRecord;
-use bpush_core::{
-    AbortReason, ReadCandidate, ReadDirective, ReadOnlyProtocol, ReadOutcome, Source,
-};
+use bpush_core::{AbortReason, ReadOnlyProtocol, ReadOutcome};
 use bpush_obs::{Actor, EventKind, Obs};
 use bpush_types::config::ReadOrder;
 use bpush_types::zipf::AccessPattern;
 use bpush_types::{BpushError, ClientConfig, ClientId, Cycle, ItemId, QueryId, Slot};
 
 use crate::cache::ClientCache;
+use crate::core::{ClientCore, ReadPlan};
 
 /// The fate of one query, with everything the experiments need.
 #[derive(Debug, Clone)]
@@ -113,7 +112,6 @@ struct ActiveQuery {
     cache_reads: u32,
     broadcast_reads: u32,
     tuning_slots: u64,
-    reads: Vec<ReadRecord>,
 }
 
 /// Drives one simulated client: starts queries, performs their reads
@@ -128,12 +126,9 @@ struct ActiveQuery {
 pub struct QueryExecutor {
     client: ClientId,
     config: ClientConfig,
-    protocol: Box<dyn ReadOnlyProtocol>,
-    cache: Option<ClientCache>,
-    cache_decider: Option<Box<dyn CacheDecision>>,
+    core: ClientCore,
     pattern: AccessPattern,
     rng: StdRng,
-    next_query: QueryId,
     active: Option<ActiveQuery>,
     /// Absolute next-action time.
     cursor: Slot,
@@ -171,12 +166,9 @@ impl QueryExecutor {
         Ok(QueryExecutor {
             client,
             config,
-            protocol,
-            cache,
-            cache_decider: None,
+            core: ClientCore::new(protocol, cache),
             pattern,
             rng: StdRng::seed_from_u64(seed),
-            next_query: QueryId::new(0),
             active: None,
             cursor: Slot::ZERO,
             queries_budget,
@@ -192,11 +184,9 @@ impl QueryExecutor {
     #[must_use]
     pub fn with_obs(mut self, obs: Obs) -> Self {
         let actor = Actor::Client(self.client.index());
-        // Briefly park a throwaway protocol so the real one can be
-        // moved into the decorator.
-        let placeholder = bpush_core::Method::InvalidationOnly.build_protocol();
-        let inner = std::mem::replace(&mut self.protocol, placeholder);
-        self.protocol = Box::new(Instrumented::with_obs(inner, obs.clone(), actor));
+        self.core = self
+            .core
+            .wrap(|p| Box::new(Instrumented::with_obs(p, obs.clone(), actor)));
         self.obs = obs;
         self
     }
@@ -211,9 +201,9 @@ impl QueryExecutor {
     /// decoded reports.
     #[must_use]
     pub fn with_wire_feed(mut self, params: bpush_broadcast::wire::WireParams) -> Self {
-        let placeholder = bpush_core::Method::InvalidationOnly.build_protocol();
-        let inner = std::mem::replace(&mut self.protocol, placeholder);
-        self.protocol = Box::new(bpush_core::wirefed::WireFed::new(inner, params));
+        self.core = self
+            .core
+            .wrap(|p| Box::new(bpush_core::wirefed::WireFed::new(p, params)));
         self
     }
 
@@ -224,20 +214,20 @@ impl QueryExecutor {
     /// replacement.
     #[must_use]
     pub fn with_protocol(mut self, protocol: Box<dyn ReadOnlyProtocol>) -> Self {
-        self.protocol = protocol;
+        self.core = self.core.wrap(|_| protocol);
         self
     }
 
     /// The inner protocol's opaque state snapshot — the input to the
     /// flight recorder's client-state fingerprint.
     pub fn debug_snapshot(&self) -> String {
-        self.protocol.debug_snapshot()
+        self.core.protocol().debug_snapshot()
     }
 
     /// The wrapped protocol's operation counters, when this executor
     /// was instrumented via [`QueryExecutor::with_obs`].
     pub fn protocol_stats(&self) -> Option<ProtocolStats> {
-        self.protocol.protocol_stats()
+        self.core.protocol().protocol_stats()
     }
 
     /// The client this executor simulates.
@@ -249,7 +239,7 @@ impl QueryExecutor {
     /// lookup. Without one, every lookup is allowed.
     #[must_use]
     pub fn with_cache_decider(mut self, decider: Box<dyn CacheDecision>) -> Self {
-        self.cache_decider = Some(decider);
+        self.core.set_decider(decider);
         self
     }
 
@@ -260,14 +250,14 @@ impl QueryExecutor {
 
     /// Cache statistics, if a cache is configured.
     pub fn cache_stats(&self) -> Option<crate::cache::CacheStats> {
-        self.cache.as_ref().map(|c| c.stats())
+        self.core.cache().map(ClientCache::stats)
     }
 
     /// The protocol's current validation-structure size (`(nodes,
     /// edges)` of the SGT graph), if it maintains one — sampled by the
     /// simulator to track the peak space overhead.
     pub fn space_metrics(&self) -> Option<(usize, usize)> {
-        self.protocol.space_metrics()
+        self.core.protocol().space_metrics()
     }
 
     /// Whether the client is disconnected for the coming cycle.
@@ -275,9 +265,7 @@ impl QueryExecutor {
         self.config.disconnect_prob > 0.0 && self.rng.gen::<f64>() < self.config.disconnect_prob
     }
 
-    fn start_query(&mut self, bcast: &Bcast, now: Slot) -> ActiveQuery {
-        let id = self.next_query;
-        self.next_query = id.next();
+    fn start_query(&mut self, bcast: &Bcast) -> ActiveQuery {
         self.queries_budget -= 1;
         let mut items = self
             .pattern
@@ -285,28 +273,31 @@ impl QueryExecutor {
         if self.config.read_order == ReadOrder::BroadcastOrder {
             items.sort_by_key(|&x| bcast.slot_of_current(x).unwrap_or(u64::MAX));
         }
-        self.protocol.begin_query(id, bcast.cycle());
         ActiveQuery {
-            id,
+            id: self.core.begin(),
             items,
             next: 0,
-            started: now,
+            started: self.cursor,
             cycles_read: std::collections::BTreeSet::new(),
             cache_reads: 0,
             broadcast_reads: 0,
             tuning_slots: 0,
-            reads: Vec::new(),
         }
     }
 
-    fn finish(
+    /// Ends the active query at the cursor — commit when `aborted` is
+    /// `None` — and moves on after a minimal regrouping pause.
+    fn conclude(
         &mut self,
-        aq: ActiveQuery,
         aborted: Option<AbortReason>,
-        now: Slot,
         cycle: Cycle,
-    ) -> QueryOutcome {
-        self.protocol.finish_query(aq.id);
+    ) -> Result<QueryOutcome, BpushError> {
+        let Some(aq) = self.active.take() else {
+            return Err(BpushError::internal("no active query to conclude"));
+        };
+        let now = self.cursor;
+        self.cursor = now.plus(1);
+        let reads = self.core.end(aq.id);
         if self.obs.is_enabled() {
             let actor = Actor::Client(self.client.index());
             match aborted {
@@ -329,7 +320,7 @@ impl QueryExecutor {
             }
             self.obs.record("query.tuning.slots", aq.tuning_slots);
         }
-        QueryOutcome {
+        Ok(QueryOutcome {
             client: self.client,
             id: aq.id,
             aborted,
@@ -341,50 +332,8 @@ impl QueryExecutor {
             cache_reads: aq.cache_reads,
             broadcast_reads: aq.broadcast_reads,
             tuning_slots: aq.tuning_slots,
-            reads: aq.reads,
-        }
-    }
-
-    /// A broadcast candidate for `item` current at `state`, with the slot
-    /// (within the bcast) that carries it. For current-version reads the
-    /// slot is the next occurrence at or after `not_before` — under the
-    /// broadcast-disk organization an item airs several times per cycle,
-    /// and a read issued after the first repetition must still catch a
-    /// later one. Falls back to the first occurrence (caller waits a
-    /// cycle) when all repetitions have passed.
-    fn broadcast_candidate(
-        bcast: &Bcast,
-        item: ItemId,
-        state: Cycle,
-        not_before: u64,
-    ) -> Option<(u64, ReadCandidate)> {
-        let record = bcast.current(item)?;
-        if record.value().version() <= state {
-            let slot = bcast
-                .next_slot_of_current(item, not_before)
-                .or_else(|| bcast.slot_of_current(item))?;
-            return Some((slot, ReadCandidate::from_broadcast(record)));
-        }
-        // walk the old-version chain; it is in reverse chronological
-        // order, so the successor of each entry is the previous one
-        let chain = bcast.old_versions_of(item);
-        let mut successor = record.value().version();
-        for &(slot, value) in chain {
-            if value.version() <= state {
-                let cand = ReadCandidate {
-                    value,
-                    last_writer_tag: value.writer(),
-                    valid_from: value.version(),
-                    valid_until: Some(successor),
-                    source: Source::BroadcastOld,
-                };
-                // a retention gap would make the candidate invalid; treat
-                // it as off-air rather than serve a wrong version
-                return cand.current_at(state).then_some((slot, cand));
-            }
-            successor = value.version();
-        }
-        None
+            reads,
+        })
     }
 
     /// Runs the client over one broadcast cycle. `cycle_start` is the
@@ -404,24 +353,17 @@ impl QueryExecutor {
         cycle_start: Slot,
         connected: bool,
     ) -> Result<Vec<QueryOutcome>, BpushError> {
+        let cycle = bcast.cycle();
         let cycle_end = cycle_start.plus(bcast.total_slots());
         let mut out = Vec::new();
 
         if !connected {
-            self.protocol.on_missed_cycle(bcast.cycle());
-            if let Some(cache) = &mut self.cache {
-                cache.on_missed_cycle(bcast.cycle());
-            }
+            self.core.missed(cycle);
             self.cursor = self.cursor.max(cycle_end);
             return Ok(out);
         }
 
-        // Hear the control segment, keep the cache coherent.
-        self.protocol.on_control(bcast.control());
-        if let Some(cache) = &mut self.cache {
-            cache.on_report(bcast.control().invalidation());
-            cache.autoprefetch(bcast);
-        }
+        self.core.hear(bcast);
         // Reading the control segment occupies its slots; a query alive
         // across the boundary pays that listening cost (§2.1).
         if let Some(aq) = &mut self.active {
@@ -435,192 +377,99 @@ impl QueryExecutor {
                 if self.queries_budget == 0 {
                     break;
                 }
-                let now = self.cursor;
-                let aq = self.start_query(bcast, now);
-                self.active = Some(aq);
+                self.active = Some(self.start_query(bcast));
             }
             let Some(aq) = self.active.as_mut() else {
                 return Err(BpushError::internal("no active query after ensuring one"));
             };
             let item = aq.items[aq.next];
 
-            match self.protocol.read_directive(aq.id, item, bcast.cycle()) {
-                ReadDirective::Doom(reason) => {
-                    let Some(aq) = self.active.take() else {
-                        return Err(BpushError::internal("active query vanished mid-doom"));
-                    };
-                    let now = self.cursor;
-                    out.push(self.finish(aq, Some(reason), now, bcast.cycle()));
-                    // move on after a minimal regrouping pause
-                    self.cursor = self.cursor.plus(1);
+            let plan = self.core.plan(aq.id, item);
+            if self.obs.is_enabled() {
+                let kind = match plan {
+                    ReadPlan::Cached(_) => Some(EventKind::CacheHit { item: item.index() }),
+                    ReadPlan::Air { probed: true, .. } => {
+                        Some(EventKind::CacheMiss { item: item.index() })
+                    }
+                    ReadPlan::Doom(_) | ReadPlan::Air { probed: false, .. } => None,
+                };
+                if let Some(kind) = kind {
+                    self.obs
+                        .emit(cycle, Actor::Client(self.client.index()), kind);
                 }
-                ReadDirective::Read(constraint) => {
-                    // 1. Try the cache (unless the injected decision
-                    //    point routes this read to the broadcast).
-                    let cache_allowed = match &mut self.cache_decider {
-                        Some(d) => d.allow_cache(item, constraint.state),
-                        None => true,
-                    };
-                    let cached = if cache_allowed {
-                        self.cache
-                            .as_mut()
-                            .and_then(|c| c.lookup(item, constraint.state))
+            }
+            let (candidate, read_slot) = match plan {
+                ReadPlan::Doom(reason) => {
+                    out.push(self.conclude(Some(reason), cycle)?);
+                    continue;
+                }
+                ReadPlan::Cached(c) => (Some(c), None),
+                ReadPlan::Air { constraint, .. } if constraint.cache_only => (None, None),
+                ReadPlan::Air { constraint, .. } => {
+                    // Without a locally stored directory (§2.1), the
+                    // client must first locate the item: via the next
+                    // on-air index copy when one exists, or by scanning
+                    // the channel otherwise.
+                    let mut in_cycle = self.cursor.since(cycle_start);
+                    let mut probe_tuning = 0u64;
+                    let mut scanning = false;
+                    if !self.config.has_directory {
+                        if bcast.index_slots().is_empty() {
+                            scanning = true;
+                        } else if let Some(i) = bcast.next_index_slot(in_cycle) {
+                            // doze to the index copy, probe it
+                            in_cycle = i + 1;
+                            probe_tuning = 1;
+                        } else {
+                            // no index copy left this cycle
+                            self.cursor = cycle_end;
+                            break;
+                        }
+                    }
+                    match self.core.locate(bcast, item, constraint.state, in_cycle) {
+                        // not provably part of the required snapshot
+                        None => (None, None),
+                        Some((slot, _)) if slot < in_cycle => {
+                            // already passed: wait for the next bcast
+                            self.cursor = cycle_end;
+                            break;
+                        }
+                        Some((slot, cand)) => {
+                            if scanning {
+                                // listened to everything from the current
+                                // position to the item (§2.1 energy cost)
+                                probe_tuning = slot - in_cycle;
+                            }
+                            aq.tuning_slots += probe_tuning;
+                            (Some(cand), Some(slot))
+                        }
+                    }
+                }
+            };
+            let Some(candidate) = candidate else {
+                out.push(self.conclude(Some(AbortReason::VersionUnavailable), cycle)?);
+                continue;
+            };
+
+            // Account the tuning time for a broadcast read.
+            if let Some(slot) = read_slot {
+                self.cursor = cycle_start.plus(slot + 1).min(cycle_end);
+            }
+            match self.core.apply(aq.id, item, &candidate, Some(bcast)) {
+                ReadOutcome::Rejected(reason) => out.push(self.conclude(Some(reason), cycle)?),
+                ReadOutcome::Accepted => {
+                    if candidate.source.is_cache() {
+                        aq.cache_reads += 1;
                     } else {
-                        None
-                    };
-                    if self.obs.is_enabled() && self.cache.is_some() && cache_allowed {
-                        let kind = match cached {
-                            Some(_) => EventKind::CacheHit { item: item.index() },
-                            None => EventKind::CacheMiss { item: item.index() },
-                        };
-                        self.obs
-                            .emit(bcast.cycle(), Actor::Client(self.client.index()), kind);
+                        aq.broadcast_reads += 1;
+                        aq.tuning_slots += 1; // the data bucket itself
+                        aq.cycles_read.insert(cycle);
                     }
-                    let (candidate, read_slot) = match cached {
-                        Some(c) => (Some(c), None),
-                        None if constraint.cache_only => (None, None),
-                        None => {
-                            // 2. Fall back to the broadcast. Without a
-                            // locally stored directory (§2.1), the client
-                            // must first locate the item: via the next
-                            // on-air index copy when one exists, or by
-                            // scanning the channel otherwise.
-                            let mut in_cycle = self.cursor.since(cycle_start);
-                            let mut probe_tuning = 0u64;
-                            let mut scanning = false;
-                            if !self.config.has_directory {
-                                if bcast.index_slots().is_empty() {
-                                    scanning = true;
-                                } else {
-                                    match bcast.next_index_slot(in_cycle) {
-                                        Some(i) => {
-                                            // doze to the index copy, probe it
-                                            in_cycle = i + 1;
-                                            probe_tuning = 1;
-                                        }
-                                        None => {
-                                            // no index copy left this cycle
-                                            self.cursor = cycle_end;
-                                            break;
-                                        }
-                                    }
-                                }
-                            }
-                            match Self::broadcast_candidate(bcast, item, constraint.state, in_cycle)
-                            {
-                                None => (None, None),
-                                Some((slot, mut cand)) => {
-                                    // Without versions on air (plain and
-                                    // versioned cache modes), the client
-                                    // only knows what its report stream
-                                    // proves: clamp the candidate's
-                                    // validity to the provable floor.
-                                    if cand.source == Source::BroadcastCurrent {
-                                        if let Some(cache) = &self.cache {
-                                            if cache.params().mode
-                                                != bpush_core::CacheMode::Multiversion
-                                            {
-                                                cand.valid_from = cache
-                                                    .provable_floor(item)
-                                                    .unwrap_or(bcast.cycle());
-                                            }
-                                        }
-                                    }
-                                    if !cand.current_at(constraint.state) {
-                                        // on air, but not provably part of
-                                        // the required snapshot
-                                        (None, None)
-                                    } else if slot < in_cycle {
-                                        // already passed: wait for the
-                                        // next bcast
-                                        self.cursor = cycle_end;
-                                        break;
-                                    } else {
-                                        if scanning {
-                                            // listened to everything from
-                                            // the current position to the
-                                            // item (§2.1 energy cost)
-                                            probe_tuning = slot - in_cycle;
-                                        }
-                                        aq.tuning_slots += probe_tuning;
-                                        (Some(cand), Some(slot))
-                                    }
-                                }
-                            }
-                        }
-                    };
-
-                    let Some(candidate) = candidate else {
-                        let Some(aq) = self.active.take() else {
-                            return Err(BpushError::internal(
-                                "active query vanished on an unavailable version",
-                            ));
-                        };
-                        let now = self.cursor;
-                        out.push(self.finish(
-                            aq,
-                            Some(AbortReason::VersionUnavailable),
-                            now,
-                            bcast.cycle(),
-                        ));
-                        self.cursor = self.cursor.plus(1);
-                        continue;
-                    };
-
-                    // Account the tuning time for a broadcast read.
-                    if let Some(slot) = read_slot {
-                        self.cursor = cycle_start.plus(slot + 1);
-                    }
-                    if self.cursor > cycle_end {
-                        self.cursor = cycle_end;
-                    }
-
-                    match self
-                        .protocol
-                        .apply_read(aq.id, item, &candidate, bcast.cycle())
-                    {
-                        ReadOutcome::Rejected(reason) => {
-                            let Some(aq) = self.active.take() else {
-                                return Err(BpushError::internal(
-                                    "active query vanished on a rejected read",
-                                ));
-                            };
-                            let now = self.cursor;
-                            out.push(self.finish(aq, Some(reason), now, bcast.cycle()));
-                            self.cursor = self.cursor.plus(1);
-                        }
-                        ReadOutcome::Accepted => {
-                            if candidate.source.is_cache() {
-                                aq.cache_reads += 1;
-                            } else {
-                                aq.broadcast_reads += 1;
-                                aq.tuning_slots += 1; // the data bucket itself
-                                aq.cycles_read.insert(bcast.cycle());
-                                // demand-cache current values
-                                if candidate.source == Source::BroadcastCurrent {
-                                    if let (Some(cache), Some(rec)) =
-                                        (&mut self.cache, bcast.current(item))
-                                    {
-                                        cache.insert_from_broadcast(rec, bcast.cycle());
-                                    }
-                                }
-                            }
-                            aq.reads.push(ReadRecord::new(item, candidate.value));
-                            aq.next += 1;
-                            if aq.next == aq.items.len() {
-                                let Some(aq) = self.active.take() else {
-                                    return Err(BpushError::internal(
-                                        "active query vanished on commit",
-                                    ));
-                                };
-                                let now = self.cursor;
-                                out.push(self.finish(aq, None, now, bcast.cycle()));
-                                self.cursor = self.cursor.plus(1);
-                            } else {
-                                self.cursor =
-                                    self.cursor.plus(u64::from(self.config.think_time).max(1));
-                            }
-                        }
+                    aq.next += 1;
+                    if aq.next == aq.items.len() {
+                        out.push(self.conclude(None, cycle)?);
+                    } else {
+                        self.cursor = self.cursor.plus(u64::from(self.config.think_time).max(1));
                     }
                 }
             }

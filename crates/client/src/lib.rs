@@ -10,7 +10,23 @@
 //!   Zipf-skewed readsets, waits for items' slots, thinks between reads,
 //!   tracks spans and latency, injects disconnections, and reports a
 //!   [`QueryOutcome`] per query,
+//! * [`BroadcastSession`] — the embeddable client: the application owns
+//!   the radio loop and asks the session where to tune,
+//! * [`WireClient`] — the sans-IO client: framed broadcast bytes in,
+//!   directives and values out,
 //! * [`lru::LruMap`] — the replacement policy building block.
+//!
+//! One core, three drivers: the paper's client (§2.1, §3–§4) is a single
+//! automaton — hear the control segment, ask the method for a directive,
+//! serve the read from cache or air, commit or abort — and it is written
+//! once, in the crate-private `core` module, which owns the protocol,
+//! the cache, the cache decision point and the in-flight transaction
+//! table. The three public clients differ only in how the broadcast
+//! reaches them and in what they account for: the executor adds the slot
+//! clock, tuning cost and events of a simulated client, the session
+//! answers with [`ReadStep`]s, the wire client decodes segments. A
+//! behaviour of the automaton is therefore the same under the simulator,
+//! in an embedding application and behind a byte transport.
 //!
 //! # Example
 //!
@@ -45,6 +61,7 @@
 #![warn(missing_debug_implementations)]
 
 mod cache;
+mod core;
 mod executor;
 pub mod lru;
 pub mod session;
@@ -53,4 +70,4 @@ pub mod wire;
 pub use cache::{CacheParams, CacheStats, ClientCache};
 pub use executor::{CacheDecision, QueryExecutor, QueryOutcome, ScriptedCacheDecision};
 pub use session::{BroadcastSession, ReadStep, TxnHandle};
-pub use wire::{WireClient, WireTxn};
+pub use wire::WireClient;

@@ -21,11 +21,12 @@
 use bpush_broadcast::Bcast;
 use bpush_core::validator::ReadRecord;
 use bpush_core::{
-    AbortReason, CacheMode, ReadCandidate, ReadDirective, ReadOnlyProtocol, ReadOutcome, Source,
+    AbortReason, CacheMode, ReadCandidate, ReadDirective, ReadOnlyProtocol, ReadOutcome,
 };
-use bpush_types::{Cycle, ItemId, QueryId};
+use bpush_types::{Cycle, ItemId, ItemValue, QueryId};
 
 use crate::cache::ClientCache;
+use crate::core::{ClientCore, ReadPlan};
 
 /// Where the next read of a transaction will come from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,15 +45,10 @@ pub enum ReadStep {
     NextCycle,
 }
 
-/// Handle to an in-flight read-only transaction.
+/// Handle to an in-flight read-only transaction (of a
+/// [`BroadcastSession`] or a [`WireClient`](crate::WireClient)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TxnHandle(QueryId);
-
-#[derive(Debug)]
-struct ActiveTxn {
-    id: QueryId,
-    reads: Vec<ReadRecord>,
-}
+pub struct TxnHandle(pub(crate) QueryId);
 
 /// An embeddable broadcast-push client: protocol + cache, application-
 /// driven.
@@ -84,11 +80,7 @@ struct ActiveTxn {
 /// ```
 #[derive(Debug)]
 pub struct BroadcastSession {
-    protocol: Box<dyn ReadOnlyProtocol>,
-    cache: Option<ClientCache>,
-    now: Option<Cycle>,
-    next_id: QueryId,
-    active: Vec<ActiveTxn>,
+    core: ClientCore,
 }
 
 impl BroadcastSession {
@@ -104,41 +96,29 @@ impl BroadcastSession {
             );
         }
         BroadcastSession {
-            protocol,
-            cache,
-            now: None,
-            next_id: QueryId::new(0),
-            active: Vec::new(),
+            core: ClientCore::new(protocol, cache),
         }
     }
 
     /// The protocol's reporting name.
     pub fn protocol_name(&self) -> &'static str {
-        self.protocol.name()
+        self.core.protocol().name()
     }
 
     /// Number of transactions currently in flight.
     pub fn active_transactions(&self) -> usize {
-        self.active.len()
+        self.core.in_flight()
     }
 
     /// Processes the control segment of a freshly heard bcast. Call once
     /// per cycle, before any read of that cycle.
     pub fn on_bcast(&mut self, bcast: &Bcast) {
-        self.protocol.on_control(bcast.control());
-        if let Some(cache) = &mut self.cache {
-            cache.on_report(bcast.control().invalidation());
-            cache.autoprefetch(bcast);
-        }
-        self.now = Some(bcast.cycle());
+        self.core.hear(bcast);
     }
 
     /// Tells the session the client missed `cycle` entirely.
     pub fn on_missed_cycle(&mut self, cycle: Cycle) {
-        self.protocol.on_missed_cycle(cycle);
-        if let Some(cache) = &mut self.cache {
-            cache.on_missed_cycle(cycle);
-        }
+        self.core.missed(cycle);
     }
 
     /// Starts a read-only transaction.
@@ -146,31 +126,15 @@ impl BroadcastSession {
     /// # Panics
     /// Panics if no bcast has been heard yet ([`BroadcastSession::on_bcast`]).
     pub fn begin(&mut self) -> TxnHandle {
-        // lint: allow(panic) — documented panic: callers must hear a bcast first
-        let now = self.now.expect("hear a bcast before starting transactions");
-        let id = self.next_id;
-        self.next_id = id.next();
-        self.protocol.begin_query(id, now);
-        self.active.push(ActiveTxn {
-            id,
-            reads: Vec::new(),
-        });
-        TxnHandle(id)
-    }
-
-    fn txn_index(&self, handle: TxnHandle) -> usize {
-        self.active
-            .iter()
-            .position(|t| t.id == handle.0)
-            // lint: allow(panic) — documented panic: stale handles are a caller bug
-            .expect("unknown or finished transaction handle")
+        TxnHandle(self.core.begin())
     }
 
     /// Attempts to read `item`, given the slot the application is
     /// currently listening at within this bcast. Either completes from
     /// the cache ([`ReadStep::Done`]), tells the application where to
-    /// tune, or reports that the needed bucket has already passed this
-    /// cycle ([`ReadStep::NextCycle`]: retry after the next
+    /// tune (the item's next repetition at or after `position`), or
+    /// reports that the needed bucket has already passed this cycle
+    /// ([`ReadStep::NextCycle`]: retry after the next
     /// [`BroadcastSession::on_bcast`]).
     ///
     /// Call [`BroadcastSession::read`] for the common
@@ -189,33 +153,20 @@ impl BroadcastSession {
         bcast: &Bcast,
         position: u64,
     ) -> Result<ReadStep, AbortReason> {
-        let idx = self.txn_index(handle);
-        let now = bcast.cycle();
-        let constraint = match self.protocol.read_directive(handle.0, item, now) {
-            ReadDirective::Doom(reason) => {
-                self.drop_txn(idx);
-                return Err(reason);
+        let located = match self.core.plan(handle.0, item) {
+            ReadPlan::Doom(reason) => return self.fail(handle, reason),
+            ReadPlan::Cached(cand) => {
+                return self
+                    .apply(handle, item, &cand, bcast)
+                    .map(|_| ReadStep::Done)
             }
-            ReadDirective::Read(c) => c,
+            ReadPlan::Air { constraint, .. } if constraint.cache_only => None,
+            ReadPlan::Air { constraint, .. } => {
+                self.core.locate(bcast, item, constraint.state, position)
+            }
         };
-        // 1. cache
-        if let Some(cand) = self
-            .cache
-            .as_mut()
-            .and_then(|c| c.lookup(item, constraint.state))
-        {
-            return self.apply(idx, item, &cand, now).map(|()| ReadStep::Done);
-        }
-        if constraint.cache_only {
-            self.drop_txn(idx);
-            return Err(AbortReason::VersionUnavailable);
-        }
-        // 2. broadcast: where is the value?
-        match Self::locate(bcast, item, constraint.state, self.cache.as_ref()) {
-            None => {
-                self.drop_txn(idx);
-                Err(AbortReason::VersionUnavailable)
-            }
+        match located {
+            None => self.fail(handle, AbortReason::VersionUnavailable),
             Some((slot, _)) if slot < position => Ok(ReadStep::NextCycle),
             Some((slot, _)) => Ok(ReadStep::Tune { slot }),
         }
@@ -251,93 +202,34 @@ impl BroadcastSession {
         handle: TxnHandle,
         item: ItemId,
         bcast: &Bcast,
-    ) -> Result<bpush_types::ItemValue, AbortReason> {
-        let idx = self.txn_index(handle);
-        let now = bcast.cycle();
-        let constraint = match self.protocol.read_directive(handle.0, item, now) {
-            ReadDirective::Doom(reason) => {
-                self.drop_txn(idx);
-                return Err(reason);
-            }
-            ReadDirective::Read(c) => c,
+    ) -> Result<ItemValue, AbortReason> {
+        let state = match self.core.directive(handle.0, item) {
+            ReadDirective::Doom(reason) => return self.fail(handle, reason),
+            ReadDirective::Read(constraint) => constraint.state,
         };
-        let Some((_, cand)) = Self::locate(bcast, item, constraint.state, self.cache.as_ref())
-        else {
-            self.drop_txn(idx);
-            return Err(AbortReason::VersionUnavailable);
-        };
-        let value = cand.value;
-        self.apply(idx, item, &cand, now)?;
-        // demand-cache current values, as a real client would
-        if cand.source == Source::BroadcastCurrent {
-            if let (Some(cache), Some(rec)) = (&mut self.cache, bcast.current(item)) {
-                cache.insert_from_broadcast(rec, now);
-            }
+        match self.core.locate(bcast, item, state, 0) {
+            None => self.fail(handle, AbortReason::VersionUnavailable),
+            Some((_, cand)) => self.apply(handle, item, &cand, bcast),
         }
-        Ok(value)
     }
 
     fn apply(
         &mut self,
-        idx: usize,
+        handle: TxnHandle,
         item: ItemId,
         cand: &ReadCandidate,
-        now: Cycle,
-    ) -> Result<(), AbortReason> {
-        let id = self.active[idx].id;
-        match self.protocol.apply_read(id, item, cand, now) {
-            ReadOutcome::Accepted => {
-                self.active[idx]
-                    .reads
-                    .push(ReadRecord::new(item, cand.value));
-                Ok(())
-            }
-            ReadOutcome::Rejected(reason) => {
-                self.drop_txn(idx);
-                Err(reason)
-            }
-        }
-    }
-
-    fn locate(
         bcast: &Bcast,
-        item: ItemId,
-        state: Cycle,
-        cache: Option<&ClientCache>,
-    ) -> Option<(u64, ReadCandidate)> {
-        let record = bcast.current(item)?;
-        if record.value().version() <= state {
-            let slot = bcast.slot_of_current(item)?;
-            let mut cand = ReadCandidate::from_broadcast(record);
-            // without versions on air, clamp validity to report knowledge
-            if let Some(cache) = cache {
-                if cache.params().mode != CacheMode::Multiversion {
-                    cand.valid_from = cache.provable_floor(item).unwrap_or(bcast.cycle());
-                }
-            }
-            return cand.current_at(state).then_some((slot, cand));
+    ) -> Result<ItemValue, AbortReason> {
+        match self.core.apply(handle.0, item, cand, Some(bcast)) {
+            ReadOutcome::Accepted => Ok(cand.value),
+            ReadOutcome::Rejected(reason) => self.fail(handle, reason),
         }
-        let chain = bcast.old_versions_of(item);
-        let mut successor = record.value().version();
-        for &(slot, value) in chain {
-            if value.version() <= state {
-                let cand = ReadCandidate {
-                    value,
-                    last_writer_tag: value.writer(),
-                    valid_from: value.version(),
-                    valid_until: Some(successor),
-                    source: Source::BroadcastOld,
-                };
-                return cand.current_at(state).then_some((slot, cand));
-            }
-            successor = value.version();
-        }
-        None
     }
 
-    fn drop_txn(&mut self, idx: usize) {
-        let txn = self.active.remove(idx);
-        self.protocol.finish_query(txn.id);
+    /// Drops the transaction and reports why.
+    fn fail<T>(&mut self, handle: TxnHandle, reason: AbortReason) -> Result<T, AbortReason> {
+        self.abort(handle);
+        Err(reason)
     }
 
     /// Commits the transaction, returning its (consistent) readset.
@@ -350,10 +242,7 @@ impl BroadcastSession {
     /// # Panics
     /// Panics if the handle is unknown.
     pub fn commit(&mut self, handle: TxnHandle) -> Result<Vec<ReadRecord>, AbortReason> {
-        let idx = self.txn_index(handle);
-        let txn = self.active.remove(idx);
-        self.protocol.finish_query(txn.id);
-        Ok(txn.reads)
+        Ok(self.core.end(handle.0))
     }
 
     /// Abandons the transaction.
@@ -361,8 +250,7 @@ impl BroadcastSession {
     /// # Panics
     /// Panics if the handle is unknown.
     pub fn abort(&mut self, handle: TxnHandle) {
-        let idx = self.txn_index(handle);
-        self.drop_txn(idx);
+        self.core.end(handle.0);
     }
 }
 
@@ -375,6 +263,10 @@ mod tests {
     use bpush_types::ServerConfig;
 
     fn server() -> BroadcastServer {
+        server_with(ServerOptions::plain())
+    }
+
+    fn server_with(options: ServerOptions) -> BroadcastServer {
         BroadcastServer::new(
             ServerConfig {
                 broadcast_size: 40,
@@ -385,7 +277,7 @@ mod tests {
                 offset: 0,
                 ..ServerConfig::default()
             },
-            ServerOptions::plain(),
+            options,
             9,
         )
         .unwrap()
@@ -540,6 +432,46 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+        assert_eq!(s.commit(t).unwrap().len(), 1);
+    }
+
+    /// Under broadcast disks an item airs several times per cycle: a
+    /// read issued after the first repetition tunes to a later one, and
+    /// only waits a cycle once every repetition has passed.
+    #[test]
+    fn read_at_tunes_to_a_later_disk_repetition() {
+        use bpush_broadcast::organization::DiskSpec;
+        let disks = vec![
+            DiskSpec {
+                items: 10,
+                rel_freq: 2,
+            },
+            DiskSpec {
+                items: 30,
+                rel_freq: 1,
+            },
+        ];
+        let mut srv = server_with(ServerOptions {
+            mode: bpush_server::BroadcastMode::Disks(disks),
+            sgt_info: false,
+        });
+        let mut s = BroadcastSession::new(Method::InvalidationOnly.build_protocol(), None);
+        let b = srv.run_cycle();
+        s.on_bcast(&b);
+        let hot = ItemId::new(3);
+        let &[first, later] = b.occurrences_of(hot) else {
+            panic!("a frequency-2 item airs twice: {:?}", b.occurrences_of(hot));
+        };
+        let t = s.begin();
+        assert_eq!(
+            s.read_at(t, hot, &b, first + 1).unwrap(),
+            ReadStep::Tune { slot: later }
+        );
+        assert_eq!(
+            s.read_at(t, hot, &b, later + 1).unwrap(),
+            ReadStep::NextCycle
+        );
+        s.deliver(t, hot, &b).unwrap();
         assert_eq!(s.commit(t).unwrap().len(), 1);
     }
 

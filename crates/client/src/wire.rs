@@ -28,11 +28,10 @@ use bpush_broadcast::wire::WireParams;
 use bpush_broadcast::{Directory, ItemRecord};
 use bpush_core::validator::ReadRecord;
 use bpush_core::{AbortReason, ReadCandidate, ReadDirective, ReadOnlyProtocol, ReadOutcome};
-use bpush_types::{BpushError, Cycle, ItemId, ItemValue, QueryId};
+use bpush_types::{BpushError, Cycle, ItemId, ItemValue};
 
-/// Handle to an in-flight read-only transaction on a [`WireClient`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireTxn(QueryId);
+use crate::core::{ClientCore, ReadPlan};
+use crate::session::TxnHandle;
 
 /// A client fed by the broadcast byte stream instead of in-memory
 /// structs.
@@ -63,14 +62,13 @@ pub struct WireTxn(QueryId);
 /// ```
 #[derive(Debug)]
 pub struct WireClient {
-    protocol: Box<dyn ReadOnlyProtocol>,
+    core: ClientCore,
     params: WireParams,
     feed: WireFeed,
-    now: Option<Cycle>,
+    /// The last heard data segment. The wire carries neither slots nor
+    /// old versions, so the air lookup is a probe of this table.
     records: BTreeMap<ItemId, ItemRecord>,
     directory: Option<Directory>,
-    next_id: QueryId,
-    active: Vec<(QueryId, Vec<ReadRecord>)>,
 }
 
 impl WireClient {
@@ -78,30 +76,27 @@ impl WireClient {
     /// deployment's agreed wire widths (both ends must use the same).
     pub fn new(protocol: Box<dyn ReadOnlyProtocol>, params: WireParams) -> Self {
         WireClient {
-            protocol,
+            core: ClientCore::new(protocol, None),
             params,
             feed: WireFeed::new(),
-            now: None,
             records: BTreeMap::new(),
             directory: None,
-            next_id: QueryId::new(0),
-            active: Vec::new(),
         }
     }
 
     /// The protocol's reporting name.
     pub fn protocol_name(&self) -> &'static str {
-        self.protocol.name()
+        self.core.protocol().name()
     }
 
     /// The wrapped protocol (e.g. to snapshot or read its counters).
     pub fn protocol(&self) -> &dyn ReadOnlyProtocol {
-        &*self.protocol
+        self.core.protocol()
     }
 
     /// The cycle of the last control segment heard, if any.
     pub fn now(&self) -> Option<Cycle> {
-        self.now
+        self.core.heard()
     }
 
     /// The most recent directory segment heard, if any.
@@ -124,10 +119,7 @@ impl WireClient {
                 return Ok(());
             };
             match decode_segment(seg, self.params)? {
-                DecodedSegment::Control(ctrl) => {
-                    self.protocol.on_control(&ctrl);
-                    self.now = Some(ctrl.cycle());
-                }
+                DecodedSegment::Control(ctrl) => self.core.hear_control(&ctrl),
                 DecodedSegment::Data(_, records) => {
                     self.records = records.into_iter().map(|r| (r.item(), r)).collect();
                 }
@@ -140,21 +132,15 @@ impl WireClient {
 
     /// Tells the client it missed `cycle` entirely (disconnection).
     pub fn missed_cycle(&mut self, cycle: Cycle) {
-        self.protocol.on_missed_cycle(cycle);
+        self.core.missed(cycle);
     }
 
     /// Starts a read-only transaction.
     ///
     /// # Panics
     /// Panics if no control segment has been heard yet.
-    pub fn begin(&mut self) -> WireTxn {
-        // lint: allow(panic) — documented panic: callers must hear a cycle first
-        let now = self.now.expect("hear a control segment before beginning");
-        let id = self.next_id;
-        self.next_id = id.next();
-        self.protocol.begin_query(id, now);
-        self.active.push((id, Vec::new()));
-        WireTxn(id)
+    pub fn begin(&mut self) -> TxnHandle {
+        TxnHandle(self.core.begin())
     }
 
     /// The protocol's directive for reading `item` now — the raw
@@ -162,19 +148,9 @@ impl WireClient {
     /// convenience that also resolves the value.
     ///
     /// # Panics
-    /// Panics if no control segment has been heard yet.
-    pub fn directive(&self, txn: WireTxn, item: ItemId) -> ReadDirective {
-        // lint: allow(panic) — documented panic: callers must hear a cycle first
-        let now = self.now.expect("hear a control segment before reading");
-        self.protocol.read_directive(txn.0, item, now)
-    }
-
-    fn txn_index(&self, txn: WireTxn) -> usize {
-        self.active
-            .iter()
-            .position(|(id, _)| *id == txn.0)
-            // lint: allow(panic) — documented panic: stale handles are a caller bug
-            .expect("unknown or finished wire transaction")
+    /// Panics if the handle is unknown.
+    pub fn directive(&self, txn: TxnHandle, item: ItemId) -> ReadDirective {
+        self.core.directive(txn.0, item)
     }
 
     /// Reads `item` from the last heard data segment, subject to the
@@ -186,67 +162,42 @@ impl WireClient {
     /// the transaction is dropped and its handle becomes invalid.
     ///
     /// # Panics
-    /// Panics if the handle is unknown or no cycle has been heard.
-    pub fn read(&mut self, txn: WireTxn, item: ItemId) -> Result<ItemValue, AbortReason> {
-        let idx = self.txn_index(txn);
-        // lint: allow(panic) — documented panic: callers must hear a cycle first
-        let now = self.now.expect("hear a control segment before reading");
-        let constraint = match self.protocol.read_directive(txn.0, item, now) {
-            ReadDirective::Doom(reason) => {
-                self.drop_txn(idx);
-                return Err(reason);
-            }
-            ReadDirective::Read(c) => c,
+    /// Panics if the handle is unknown.
+    pub fn read(&mut self, txn: TxnHandle, item: ItemId) -> Result<ItemValue, AbortReason> {
+        let candidate = match self.core.plan(txn.0, item) {
+            ReadPlan::Doom(reason) => Err(reason),
+            ReadPlan::Cached(cand) => Ok(cand),
+            ReadPlan::Air { constraint, .. } => self
+                .records
+                .get(&item)
+                .map(ReadCandidate::from_broadcast)
+                .filter(|c| !constraint.cache_only && c.current_at(constraint.state))
+                .ok_or(AbortReason::VersionUnavailable),
         };
-        let candidate = match self.records.get(&item) {
-            Some(rec) => ReadCandidate::from_broadcast(rec),
-            None => {
-                self.drop_txn(idx);
-                return Err(AbortReason::VersionUnavailable);
-            }
-        };
-        if !candidate.current_at(constraint.state) {
-            self.drop_txn(idx);
-            return Err(AbortReason::VersionUnavailable);
+        let outcome = candidate.and_then(|cand| match self.core.apply(txn.0, item, &cand, None) {
+            ReadOutcome::Accepted => Ok(cand.value),
+            ReadOutcome::Rejected(reason) => Err(reason),
+        });
+        if outcome.is_err() {
+            self.abort(txn);
         }
-        match self.protocol.apply_read(txn.0, item, &candidate, now) {
-            ReadOutcome::Accepted => {
-                let value = candidate.value;
-                if let Some((_, reads)) = self.active.get_mut(idx) {
-                    reads.push(ReadRecord::new(item, value));
-                }
-                Ok(value)
-            }
-            ReadOutcome::Rejected(reason) => {
-                self.drop_txn(idx);
-                Err(reason)
-            }
-        }
-    }
-
-    fn drop_txn(&mut self, idx: usize) {
-        let (id, _) = self.active.remove(idx);
-        self.protocol.finish_query(id);
+        outcome
     }
 
     /// Commits the transaction, returning its (consistent) readset.
     ///
     /// # Panics
     /// Panics if the handle is unknown.
-    pub fn commit(&mut self, txn: WireTxn) -> Vec<ReadRecord> {
-        let idx = self.txn_index(txn);
-        let (id, reads) = self.active.remove(idx);
-        self.protocol.finish_query(id);
-        reads
+    pub fn commit(&mut self, txn: TxnHandle) -> Vec<ReadRecord> {
+        self.core.end(txn.0)
     }
 
     /// Abandons the transaction.
     ///
     /// # Panics
     /// Panics if the handle is unknown.
-    pub fn abort(&mut self, txn: WireTxn) {
-        let idx = self.txn_index(txn);
-        self.drop_txn(idx);
+    pub fn abort(&mut self, txn: TxnHandle) {
+        self.core.end(txn.0);
     }
 }
 

@@ -51,53 +51,33 @@ impl McReport {
     }
 }
 
-/// Exhaustively checks one protocol at the given scope: every commit
-/// script × every client choice, validating each committed readset with
-/// [`SerializabilityValidator::check_serializable`]. Stops at (and
-/// minimizes) the first violation.
+/// Exhaustively checks one protocol at the given scope, struct-fed and
+/// untraced: [`check_spec_with`] at its defaults.
 ///
 /// # Errors
 /// Returns [`BpushError`] if the scope implies an invalid server
 /// configuration.
 pub fn check_spec(spec: ProtocolSpec, scope: &Scope) -> Result<McReport, BpushError> {
-    check_spec_traced(spec, scope, &bpush_obs::Obs::off())
+    check_spec_with(spec, scope, &bpush_obs::Obs::off(), FeedMode::Struct)
 }
 
-/// [`check_spec`] with an explicit [`FeedMode`]: `FeedMode::Wire` runs
-/// every bounded execution with the protocol hearing wire-decoded
-/// control reports instead of in-memory structs. With a faithful codec
-/// the returned report — executions, committed/aborted split, distinct
-/// canonical states — is bit-identical to the struct-fed check.
+/// Exhaustively checks one protocol at the given scope: every commit
+/// script × every client choice, validating each committed readset with
+/// [`SerializabilityValidator::check_serializable`]. Stops at (and
+/// minimizes) the first violation.
+///
+/// An enabled `obs` receives every bounded execution's per-operation
+/// events (the protocol runs wrapped in the instrumentation decorator,
+/// whose snapshots delegate); `FeedMode::Wire` has the protocol hear
+/// wire-decoded control reports instead of in-memory structs. With a
+/// faithful codec the report — executions, committed/aborted split,
+/// distinct canonical states — is bit-identical across all four
+/// combinations.
 ///
 /// # Errors
 /// Returns [`BpushError`] if the scope implies an invalid server
 /// configuration.
-pub fn check_spec_fed(
-    spec: ProtocolSpec,
-    scope: &Scope,
-    feed: FeedMode,
-) -> Result<McReport, BpushError> {
-    check_spec_impl(spec, scope, &bpush_obs::Obs::off(), feed)
-}
-
-/// [`check_spec`] with an observability sink attached: every bounded
-/// execution streams its per-operation events into `obs` (the protocol
-/// runs wrapped in the instrumentation decorator, whose snapshots
-/// delegate, so the report — executions, committed/aborted split,
-/// distinct states — is bit-identical to the untraced check).
-///
-/// # Errors
-/// Returns [`BpushError`] if the scope implies an invalid server
-/// configuration.
-pub fn check_spec_traced(
-    spec: ProtocolSpec,
-    scope: &Scope,
-    obs: &bpush_obs::Obs,
-) -> Result<McReport, BpushError> {
-    check_spec_impl(spec, scope, obs, FeedMode::Struct)
-}
-
-fn check_spec_impl(
+pub fn check_spec_with(
     spec: ProtocolSpec,
     scope: &Scope,
     obs: &bpush_obs::Obs,
@@ -463,7 +443,7 @@ mod tests {
         ] {
             let bare = check_spec(spec, &Scope::ci()).unwrap();
             let obs = bpush_obs::Obs::recording(1 << 12);
-            let traced = check_spec_traced(spec, &Scope::ci(), &obs).unwrap();
+            let traced = check_spec_with(spec, &Scope::ci(), &obs, FeedMode::Struct).unwrap();
 
             assert_eq!(bare.executions, traced.executions, "{spec}");
             assert_eq!(bare.committed, traced.committed, "{spec}");

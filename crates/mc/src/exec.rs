@@ -237,65 +237,60 @@ fn candidate_for(
     })
 }
 
-/// Replays a complete serialized [`Schedule`]: rebuilds the ground truth,
-/// runs the client, and — when the query commits — checks the readset
-/// with [`SerializabilityValidator::check_serializable`], recording any
-/// violation on the returned [`Execution`].
+/// Replays a complete serialized [`Schedule`] struct-fed and untraced:
+/// [`run_schedule_with`] at its defaults.
 ///
 /// # Errors
 /// Returns [`BpushError`] when the schedule fails validation or the
 /// server configuration it implies is rejected.
 pub fn run_schedule(spec: ProtocolSpec, schedule: &Schedule) -> Result<Execution, BpushError> {
-    run_schedule_traced(spec, schedule, &Obs::off())
+    run_schedule_with(spec, schedule, &Obs::off(), FeedMode::Struct)
 }
 
-/// [`run_schedule`] with an explicit [`FeedMode`]: `FeedMode::Wire`
-/// replays the same schedule with every control report roundtripped
-/// through the wire codec before the protocol hears it.
+/// Replays a complete serialized [`Schedule`]: rebuilds the ground truth,
+/// runs the client, and — when the query commits — checks the readset
+/// with [`SerializabilityValidator::check_serializable`], recording any
+/// violation on the returned [`Execution`].
+///
+/// An enabled `obs` receives the replay's per-operation events (control
+/// processing, read accepts and rejects, the query's fate), from which a
+/// chrome-trace or NDJSON export of the counterexample can be rendered;
+/// `FeedMode::Wire` roundtrips every control report through the wire
+/// codec before the protocol hears it. Neither perturbs the replay: the
+/// returned [`Execution`] is bit-identical across all four combinations.
 ///
 /// # Errors
 /// Returns [`BpushError`] when the schedule fails validation or the
 /// server configuration it implies is rejected.
-pub fn run_schedule_fed(
-    spec: ProtocolSpec,
-    schedule: &Schedule,
-    feed: FeedMode,
-) -> Result<Execution, BpushError> {
-    run_schedule_impl(spec, schedule, &Obs::off(), feed)
-}
-
-/// [`run_schedule_fed`] with an observability sink attached: the replay
-/// streams per-operation events into `obs` exactly as
-/// [`run_schedule_traced`] does, with the protocol additionally hearing
-/// its control reports through the chosen [`FeedMode`].
-///
-/// # Errors
-/// Returns [`BpushError`] when the schedule fails validation or the
-/// server configuration it implies is rejected.
-pub fn run_schedule_traced_fed(
+pub fn run_schedule_with(
     spec: ProtocolSpec,
     schedule: &Schedule,
     obs: &Obs,
     feed: FeedMode,
 ) -> Result<Execution, BpushError> {
-    run_schedule_impl(spec, schedule, obs, feed)
-}
-
-/// [`run_schedule`] with an observability sink attached: the replay
-/// streams per-operation events (control processing, read accepts and
-/// rejects, the query's fate) into `obs`, from which a chrome-trace or
-/// NDJSON export of the counterexample can be rendered. The returned
-/// [`Execution`] is bit-identical to the untraced replay.
-///
-/// # Errors
-/// Returns [`BpushError`] when the schedule fails validation or the
-/// server configuration it implies is rejected.
-pub fn run_schedule_traced(
-    spec: ProtocolSpec,
-    schedule: &Schedule,
-    obs: &Obs,
-) -> Result<Execution, BpushError> {
-    run_schedule_impl(spec, schedule, obs, FeedMode::Struct)
+    schedule
+        .validate()
+        .map_err(|e| BpushError::invalid_config(e.to_string()))?;
+    let gt = GroundTruth::build(
+        spec,
+        schedule.items,
+        schedule.versions,
+        schedule.cycles,
+        &schedule.commits,
+    )?;
+    let choices = ClientChoices {
+        begin: schedule.begin,
+        missed: schedule.missed.clone(),
+        reads: schedule.reads.clone(),
+    };
+    let mut exec = run_client_obs(spec, &choices, &gt, obs, feed);
+    if exec.committed {
+        let validator = SerializabilityValidator::new(gt.server.history());
+        exec.violation = validator
+            .check_serializable(gt.server.conflict_graph(), &exec.reads)
+            .err();
+    }
+    Ok(exec)
 }
 
 /// Single-lane online monitors matched to `spec`'s published invariant
@@ -328,39 +323,8 @@ pub fn run_schedule_monitored(
 ) -> Result<(Execution, MonitorVerdict), BpushError> {
     let monitors = monitors_for_spec(spec, schedule.reads.len());
     let obs = Obs::off().with_monitors(monitors.clone());
-    let exec = run_schedule_traced(spec, schedule, &obs)?;
+    let exec = run_schedule_with(spec, schedule, &obs, FeedMode::Struct)?;
     Ok((exec, monitors.verdict()))
-}
-
-fn run_schedule_impl(
-    spec: ProtocolSpec,
-    schedule: &Schedule,
-    obs: &Obs,
-    feed: FeedMode,
-) -> Result<Execution, BpushError> {
-    schedule
-        .validate()
-        .map_err(|e| BpushError::invalid_config(e.to_string()))?;
-    let gt = GroundTruth::build(
-        spec,
-        schedule.items,
-        schedule.versions,
-        schedule.cycles,
-        &schedule.commits,
-    )?;
-    let choices = ClientChoices {
-        begin: schedule.begin,
-        missed: schedule.missed.clone(),
-        reads: schedule.reads.clone(),
-    };
-    let mut exec = run_client_obs(spec, &choices, &gt, obs, feed);
-    if exec.committed {
-        let validator = SerializabilityValidator::new(gt.server.history());
-        exec.violation = validator
-            .check_serializable(gt.server.conflict_graph(), &exec.reads)
-            .err();
-    }
-    Ok(exec)
 }
 
 #[cfg(test)]
@@ -431,7 +395,8 @@ mod tests {
         for spec in ProtocolSpec::genuine() {
             let bare = run_schedule(spec, &boundary_schedule()).unwrap();
             let obs = Obs::recording(1 << 12);
-            let traced = run_schedule_traced(spec, &boundary_schedule(), &obs).unwrap();
+            let traced =
+                run_schedule_with(spec, &boundary_schedule(), &obs, FeedMode::Struct).unwrap();
 
             assert_eq!(bare.committed, traced.committed, "{spec}");
             assert_eq!(bare.abort, traced.abort, "{spec}");

@@ -39,12 +39,10 @@ mod spec;
 
 pub use broken::BrokenInvalidation;
 pub use checker::{
-    audit_monitors, check_all, check_spec, check_spec_fed, check_spec_traced, McReport,
-    McViolation, MonitorAudit,
+    audit_monitors, check_all, check_spec, check_spec_with, McReport, McViolation, MonitorAudit,
 };
 pub use exec::{
-    monitors_for_spec, run_schedule, run_schedule_fed, run_schedule_monitored, run_schedule_traced,
-    run_schedule_traced_fed, Execution, FeedMode,
+    monitors_for_spec, run_schedule, run_schedule_monitored, run_schedule_with, Execution, FeedMode,
 };
 pub use minimize::minimize;
 pub use report::{render_json, render_text};

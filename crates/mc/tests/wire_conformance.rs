@@ -7,8 +7,8 @@
 //! in the wire codec shows up here as a mismatch.
 
 use bpush_mc::{
-    check_spec, check_spec_fed, run_schedule, run_schedule_fed, run_schedule_traced,
-    run_schedule_traced_fed, FeedMode, ProtocolSpec, ReadSpec, Schedule, Scope,
+    check_spec, check_spec_with, run_schedule, run_schedule_with, FeedMode, ProtocolSpec, ReadSpec,
+    Schedule, Scope,
 };
 use bpush_obs::Obs;
 use bpush_types::{Cycle, ItemId};
@@ -72,7 +72,7 @@ fn wire_fed_replays_are_bit_identical_raw() {
     for schedule in [boundary_schedule(), doze_schedule()] {
         for spec in ProtocolSpec::genuine() {
             let struct_fed = run_schedule(spec, &schedule).unwrap();
-            let wire_fed = run_schedule_fed(spec, &schedule, FeedMode::Wire).unwrap();
+            let wire_fed = run_schedule_with(spec, &schedule, &Obs::off(), FeedMode::Wire).unwrap();
             assert_eq!(struct_fed.committed, wire_fed.committed, "{spec}");
             assert_eq!(struct_fed.abort, wire_fed.abort, "{spec}");
             assert_eq!(struct_fed.reads, wire_fed.reads, "{spec}");
@@ -93,9 +93,8 @@ fn wire_fed_replays_are_bit_identical_instrumented() {
         for spec in ProtocolSpec::genuine() {
             let obs_a = Obs::recording(1 << 12);
             let obs_b = Obs::recording(1 << 12);
-            let struct_fed = run_schedule_traced(spec, &schedule, &obs_a).unwrap();
-            let wire_fed =
-                run_schedule_traced_fed(spec, &schedule, &obs_b, FeedMode::Wire).unwrap();
+            let struct_fed = run_schedule_with(spec, &schedule, &obs_a, FeedMode::Struct).unwrap();
+            let wire_fed = run_schedule_with(spec, &schedule, &obs_b, FeedMode::Wire).unwrap();
             assert_eq!(struct_fed.committed, wire_fed.committed, "{spec}");
             assert_eq!(struct_fed.abort, wire_fed.abort, "{spec}");
             assert_eq!(struct_fed.state_hashes, wire_fed.state_hashes, "{spec}");
@@ -118,7 +117,7 @@ fn wire_fed_replays_are_bit_identical_instrumented() {
 fn ci_scope_exhaustive_check_is_feed_invariant() {
     for spec in ProtocolSpec::genuine() {
         let struct_fed = check_spec(spec, &Scope::ci()).unwrap();
-        let wire_fed = check_spec_fed(spec, &Scope::ci(), FeedMode::Wire).unwrap();
+        let wire_fed = check_spec_with(spec, &Scope::ci(), &Obs::off(), FeedMode::Wire).unwrap();
         assert_eq!(struct_fed.executions, wire_fed.executions, "{spec}");
         assert_eq!(struct_fed.committed, wire_fed.committed, "{spec}");
         assert_eq!(struct_fed.aborted, wire_fed.aborted, "{spec}");
@@ -138,9 +137,10 @@ fn ci_scope_exhaustive_check_is_feed_invariant() {
 /// the wire must not mask genuine protocol defects.
 #[test]
 fn wire_fed_checker_still_catches_the_broken_fixture() {
-    let report = check_spec_fed(
+    let report = check_spec_with(
         ProtocolSpec::BrokenInvalidation,
         &Scope::ci(),
+        &Obs::off(),
         FeedMode::Wire,
     )
     .unwrap();

@@ -1,9 +1,10 @@
 //! The sharded-runner extension study: one large simulation's client
-//! population split across worker threads ([`crate::runner::run_sharded`]),
-//! exercising the PR-8 determinism contract — a single shard reproduces
-//! the unsharded run bit for bit, and a fixed shard layout reproduces
-//! the *same* merged metrics at every worker-thread count (the merge is
-//! in shard order, never completion order).
+//! population split across worker threads
+//! ([`crate::runner::run_sharded_with_workers`]), exercising the PR-8
+//! determinism contract — a single shard reproduces the unsharded run
+//! bit for bit, and a fixed shard layout reproduces the *same* merged
+//! metrics at every worker-thread count (the merge is in shard order,
+//! never completion order).
 
 use bpush_core::Method;
 use bpush_types::BpushError;

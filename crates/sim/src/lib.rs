@@ -42,8 +42,8 @@ mod simulation;
 mod table;
 
 pub use runner::{
-    run_jobs, run_replicated, run_sharded, run_sharded_monitored,
-    run_sharded_monitored_with_workers, run_sharded_with_workers, Job, MonitoredRun,
+    run_jobs, run_replicated, run_sharded_monitored_with_workers, run_sharded_with_workers, Job,
+    MonitoredRun,
 };
 pub use simulation::{monitors_for, CaptureSlot, MethodMetrics, Simulation};
 pub use table::{fnum, Table};

@@ -175,17 +175,47 @@ fn shard_bounds(n_clients: u32, shards: u32) -> Vec<std::ops::Range<u32>> {
         .collect()
 }
 
-/// Runs ONE large simulation with its clients sharded across the
-/// machine's cores, merging the shards deterministically. See
-/// [`run_sharded_with_workers`] for the determinism contract.
-///
-/// # Errors
-/// Propagates the first configuration or budget error from any shard.
-pub fn run_sharded(job: &Job, shards: u32) -> Result<MethodMetrics, BpushError> {
-    run_sharded_with_workers(job, shards, default_workers())
+/// The one shard loop: the client population is split into `shards`
+/// fixed, near-equal ranges (clamped to `1..=n_clients`), `run_shard`
+/// runs each range's [`Simulation::with_client_range`] on one of
+/// `workers` threads, and the results are folded with `merge` in shard
+/// order. The partition and the merge order depend only on `shards` —
+/// never on `workers` or thread scheduling.
+fn run_shards<T: Send>(
+    job: &Job,
+    shards: u32,
+    workers: usize,
+    run_shard: impl Fn(Simulation) -> Result<T, BpushError> + Sync,
+    merge: impl Fn(&mut T, T),
+) -> Result<T, BpushError> {
+    job.config.validate()?;
+    let shards = shards.clamp(1, job.config.n_clients.max(1));
+    let bounds = shard_bounds(job.config.n_clients, shards);
+    let results = run_indexed(bounds.len(), workers, |idx| {
+        let range = bounds
+            .get(idx)
+            .cloned()
+            .ok_or_else(|| BpushError::invalid_config("internal: shard index out of range"))?;
+        run_shard(Simulation::with_client_range(
+            job.config.clone(),
+            job.method,
+            job.layout,
+            range,
+        )?)
+    });
+    let mut merged: Option<T> = None;
+    for result in results {
+        let shard = result?;
+        match &mut merged {
+            None => merged = Some(shard),
+            Some(acc) => merge(acc, shard),
+        }
+    }
+    merged.ok_or_else(|| BpushError::invalid_config("internal: no shard produced metrics"))
 }
 
-/// [`run_sharded`] with an explicit worker-thread count.
+/// Runs ONE large simulation with its clients sharded across `workers`
+/// threads, merging the shards deterministically.
 ///
 /// The client population is split into `shards` fixed, near-equal
 /// ranges (clamped to `1..=n_clients`); each shard replays the same
@@ -203,26 +233,9 @@ pub fn run_sharded_with_workers(
     shards: u32,
     workers: usize,
 ) -> Result<MethodMetrics, BpushError> {
-    job.config.validate()?;
-    let shards = shards.clamp(1, job.config.n_clients.max(1));
-    let bounds = shard_bounds(job.config.n_clients, shards);
-    let results = run_indexed(bounds.len(), workers, |idx| {
-        let range = bounds
-            .get(idx)
-            .cloned()
-            .ok_or_else(|| BpushError::invalid_config("internal: shard index out of range"))?;
-        Simulation::with_client_range(job.config.clone(), job.method, job.layout, range)
-            .and_then(Simulation::run)
-    });
-    let mut merged: Option<MethodMetrics> = None;
-    for result in results {
-        let shard = result?;
-        match &mut merged {
-            None => merged = Some(shard),
-            Some(acc) => acc.merge(&shard),
-        }
-    }
-    merged.ok_or_else(|| BpushError::invalid_config("internal: no shard produced metrics"))
+    run_shards(job, shards, workers, Simulation::run, |acc, shard| {
+        acc.merge(&shard);
+    })
 }
 
 /// A monitored sharded run: the merged metrics, the canonical merged
@@ -230,26 +243,14 @@ pub fn run_sharded_with_workers(
 /// monitor fired).
 #[derive(Debug)]
 pub struct MonitoredRun {
-    /// Shard-merged metrics, exactly as [`run_sharded`] produces them.
+    /// Shard-merged metrics, exactly as [`run_sharded_with_workers`]
+    /// produces them.
     pub metrics: MethodMetrics,
     /// Per-shard monitor verdicts merged in shard order — the canonical
     /// merge: byte-identical across worker counts.
     pub verdict: MonitorVerdict,
     /// The first capture in shard order, if any shard's monitors fired.
     pub capture: Option<Capture>,
-}
-
-/// [`run_sharded`] with online invariant monitors and a flight recorder
-/// attached to every shard. See [`run_sharded_monitored_with_workers`].
-///
-/// # Errors
-/// Propagates the first configuration or budget error from any shard.
-pub fn run_sharded_monitored(
-    job: &Job,
-    shards: u32,
-    flight_frames: usize,
-) -> Result<MonitoredRun, BpushError> {
-    run_sharded_monitored_with_workers(job, shards, default_workers(), flight_frames)
 }
 
 /// [`run_sharded_with_workers`] with per-shard monitors: each shard gets
@@ -270,44 +271,26 @@ pub fn run_sharded_monitored_with_workers(
     workers: usize,
     flight_frames: usize,
 ) -> Result<MonitoredRun, BpushError> {
-    job.config.validate()?;
-    let shards = shards.clamp(1, job.config.n_clients.max(1));
-    let bounds = shard_bounds(job.config.n_clients, shards);
-    let results = run_indexed(bounds.len(), workers, |idx| {
-        let range = bounds
-            .get(idx)
-            .cloned()
-            .ok_or_else(|| BpushError::invalid_config("internal: shard index out of range"))?;
+    let run_shard = |shard: Simulation| {
         let monitors = monitors_for(&job.config, job.method);
         let slot = CaptureSlot::new();
-        let metrics =
-            Simulation::with_client_range(job.config.clone(), job.method, job.layout, range)?
-                .with_monitors(monitors.clone())
-                .with_flight_recorder(flight_frames, slot.clone())
-                .run()?;
-        Ok((metrics, monitors.verdict(), slot.take()))
-    });
-    let mut merged: Option<MonitoredRun> = None;
-    for result in results {
-        let (metrics, verdict, capture) = result?;
-        match &mut merged {
-            None => {
-                merged = Some(MonitoredRun {
-                    metrics,
-                    verdict,
-                    capture,
-                });
-            }
-            Some(acc) => {
-                acc.metrics.merge(&metrics);
-                acc.verdict.merge(&verdict);
-                if acc.capture.is_none() {
-                    acc.capture = capture;
-                }
-            }
+        let metrics = shard
+            .with_monitors(monitors.clone())
+            .with_flight_recorder(flight_frames, slot.clone())
+            .run()?;
+        Ok(MonitoredRun {
+            metrics,
+            verdict: monitors.verdict(),
+            capture: slot.take(),
+        })
+    };
+    run_shards(job, shards, workers, run_shard, |acc, shard| {
+        acc.metrics.merge(&shard.metrics);
+        acc.verdict.merge(&shard.verdict);
+        if acc.capture.is_none() {
+            acc.capture = shard.capture;
         }
-    }
-    merged.ok_or_else(|| BpushError::invalid_config("internal: no shard produced metrics"))
+    })
 }
 
 #[cfg(test)]
@@ -440,7 +423,7 @@ mod tests {
             .unwrap()
             .run()
             .unwrap();
-        let sharded = run_sharded(&job, 1).unwrap();
+        let sharded = run_sharded_with_workers(&job, 1, 2).unwrap();
         assert_eq!(
             sharded.deterministic_snapshot(),
             plain.deterministic_snapshot()
@@ -528,7 +511,7 @@ mod tests {
         cfg.n_clients = 2;
         let job = Job::new(Method::InvalidationOnly, cfg);
         // more shards than clients: clamped, still correct
-        let m = run_sharded(&job, 64).unwrap();
+        let m = run_sharded_with_workers(&job, 64, 2).unwrap();
         assert!(m.queries > 0);
         assert_eq!(m.violations, 0);
     }

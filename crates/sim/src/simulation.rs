@@ -275,8 +275,9 @@ impl Simulation {
     /// into it), so every shard replays the identical broadcast prefix,
     /// and each client's seed comes from its *global* index — a client
     /// behaves bit-identically whether it runs in a shard or in the full
-    /// simulation. [`crate::run_sharded`] builds on this to spread one
-    /// large simulation's clients across threads deterministically.
+    /// simulation. [`crate::run_sharded_with_workers`] builds on this to
+    /// spread one large simulation's clients across threads
+    /// deterministically.
     ///
     /// # Errors
     /// Returns [`BpushError::InvalidConfig`] for inconsistent
@@ -542,15 +543,9 @@ impl Simulation {
                             self.method.name(),
                             self.config.seed,
                             self.config.n_clients,
-                            // The WireParams::derive quadruple, so
-                            // `cargo xtask explain` can decode the
-                            // frames from the capture alone.
-                            [
-                                self.config.server.broadcast_size,
-                                self.config.server.report_window,
-                                self.config.server.txns_per_cycle,
-                                u32::try_from(self.config.max_cycles).unwrap_or(u32::MAX),
-                            ],
+                            // so `cargo xtask explain` can decode the
+                            // frames from the capture alone
+                            wire_quadruple(&self.config),
                             trigger,
                             fingerprint,
                         );
@@ -669,18 +664,25 @@ impl Simulation {
     }
 }
 
-/// Wire widths sized for a simulation's configured universe: keys span
-/// the broadcast set and sequence numbers span one cycle's update
-/// transactions (both exact bounds), while the two age fields are
-/// escape-coded, so `window` and `span` only size the common case and
-/// out-of-range ages still round-trip exactly.
-fn wire_params_for(config: &SimConfig) -> bpush_broadcast::wire::WireParams {
-    bpush_broadcast::wire::WireParams::derive(
+/// The `WireParams::derive` arguments for a simulation's configured
+/// universe — the one spelling both the encoder and a flight capture's
+/// header take them from, so a capture can never disagree with the
+/// frames it holds. Keys span the broadcast set and sequence numbers
+/// span one cycle's update transactions (both exact bounds), while the
+/// two age fields are escape-coded, so `window` and `span` only size the
+/// common case and out-of-range ages still round-trip exactly.
+fn wire_quadruple(config: &SimConfig) -> [u32; 4] {
+    [
         config.server.broadcast_size,
         config.server.report_window,
         config.server.txns_per_cycle,
         u32::try_from(config.max_cycles).unwrap_or(u32::MAX),
-    )
+    ]
+}
+
+fn wire_params_for(config: &SimConfig) -> bpush_broadcast::wire::WireParams {
+    let [d_items, window, n_txns, span] = wire_quadruple(config);
+    bpush_broadcast::wire::WireParams::derive(d_items, window, n_txns, span)
 }
 
 #[cfg(test)]

@@ -314,9 +314,10 @@ fn mc(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     } else {
         bpush_mc::FeedMode::Struct
     };
+    let off = bpush_obs::Obs::off();
     let reports = protocols
         .iter()
-        .map(|spec| bpush_mc::check_spec_fed(*spec, &scope, feed))
+        .map(|spec| bpush_mc::check_spec_with(*spec, &scope, &off, feed))
         .collect::<Result<Vec<_>, _>>()?;
     let mut passed = reports.iter().all(bpush_mc::McReport::passed);
     if json {
@@ -336,7 +337,7 @@ fn mc(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
             .iter()
             .find(|r| r.spec == spec)
             .ok_or("ci cross-check lost its struct-fed report")?;
-        let wire_report = bpush_mc::check_spec_fed(spec, &scope, bpush_mc::FeedMode::Wire)?;
+        let wire_report = bpush_mc::check_spec_with(spec, &scope, &off, bpush_mc::FeedMode::Wire)?;
         let identical = wire_report.executions == struct_report.executions
             && wire_report.committed == struct_report.committed
             && wire_report.aborted == struct_report.aborted
@@ -379,7 +380,7 @@ fn mc_replay(
     } else {
         bpush_obs::Obs::off()
     };
-    let exec = bpush_mc::run_schedule_traced(spec, &schedule, &obs)?;
+    let exec = bpush_mc::run_schedule_with(spec, &schedule, &obs, bpush_mc::FeedMode::Struct)?;
     if let (Some(out), Some(snapshot)) = (trace_out, obs.snapshot()) {
         std::fs::write(out, bpush_obs::export::chrome_trace(&snapshot))?;
         println!("wrote {}", out.display());
