@@ -24,11 +24,16 @@ pub struct Bcast {
     control_slots: u64,
     data_slots: u64,
     overflow_slots: u64,
-    /// Current value of every item on air.
-    records: BTreeMap<ItemId, ItemRecord>,
-    /// Sorted slots at which each item's current version is transmitted
-    /// (more than one under the broadcast-disk organization).
-    occurrences: BTreeMap<ItemId, Vec<u64>>,
+    /// Current value of every item on air, sorted by item. Under the
+    /// usual dense numbering `records[i]` is item `i`, so a lookup is one
+    /// index; sparse item ids fall back to a binary search.
+    records: Vec<ItemRecord>,
+    /// CSR rows over `occ_slots`, one per record plus the end sentinel:
+    /// `occ_slots[occ_start[i]..occ_start[i + 1]]` are the sorted slots
+    /// at which `records[i]`'s current version is transmitted (one slot
+    /// per item, several under the broadcast-disk organization).
+    occ_start: Vec<u32>,
+    occ_slots: Vec<u64>,
     /// Old versions per item, most recent first, with the slot carrying
     /// each (§3.2). Empty outside multiversion organizations.
     old_versions: BTreeMap<ItemId, Vec<(u64, ItemValue)>>,
@@ -50,19 +55,26 @@ impl Bcast {
         control_slots: u64,
         data_slots: u64,
         overflow_slots: u64,
-        records: BTreeMap<ItemId, ItemRecord>,
-        occurrences: BTreeMap<ItemId, Vec<u64>>,
+        occ_start: Vec<u32>,
+        occ_slots: Vec<u64>,
+        records: Vec<ItemRecord>,
         old_versions: BTreeMap<ItemId, Vec<(u64, ItemValue)>>,
         directory: Option<Directory>,
     ) -> Self {
-        debug_assert!(occurrences
-            .values()
-            .all(|s| s.windows(2).all(|w| w[0] < w[1])));
+        assert_eq!(occ_start.len(), records.len() + 1, "one row per record");
+        assert_eq!(
+            occ_start.last().map(|&end| end as usize),
+            Some(occ_slots.len()),
+            "rows must tile the occurrence slots"
+        );
+        debug_assert!(occ_start.windows(2).all(|w| {
+            let row = &occ_slots[w[0] as usize..w[1] as usize];
+            row.windows(2).all(|s| s[0] < s[1])
+        }));
         let total = control_slots + data_slots + overflow_slots;
         debug_assert!(
-            occurrences
-                .values()
-                .flatten()
+            occ_slots
+                .iter()
                 .all(|&s| s >= control_slots && s < control_slots + data_slots),
             "current versions live in the data segment"
         );
@@ -77,7 +89,8 @@ impl Bcast {
             data_slots,
             overflow_slots,
             records,
-            occurrences,
+            occ_start,
+            occ_slots,
             old_versions,
             directory,
             index_slots: Vec::new(),
@@ -135,33 +148,55 @@ impl Bcast {
         self.records.len()
     }
 
+    /// Where `item` sits in `records`: its own index under dense item
+    /// numbering, a binary search otherwise.
+    fn position(&self, item: ItemId) -> Option<usize> {
+        let guess = usize::try_from(item.index()).ok()?;
+        match self.records.get(guess) {
+            Some(rec) if rec.item() == item => Some(guess),
+            _ => self
+                .records
+                .binary_search_by_key(&item, ItemRecord::item)
+                .ok(),
+        }
+    }
+
     /// The current-version record of `item`, if the item is on air.
+    // bpush-lint: hot_path — per-read record lookup on every client's read loop
     pub fn current(&self, item: ItemId) -> Option<&ItemRecord> {
-        self.records.get(&item)
+        self.records.get(self.position(item)?)
     }
 
     /// The first slot at which `item`'s current version is transmitted.
     pub fn slot_of_current(&self, item: ItemId) -> Option<u64> {
-        self.occurrences.get(&item).and_then(|s| s.first().copied())
+        self.occurrences_of(item).first().copied()
     }
 
     /// The first slot `>= not_before` at which `item`'s current version is
     /// transmitted in *this* bcast; `None` if it has already passed (the
     /// client must wait for the next bcast).
+    // bpush-lint: hot_path — per-read slot lookup on every client's read loop
     pub fn next_slot_of_current(&self, item: ItemId, not_before: u64) -> Option<u64> {
-        let slots = self.occurrences.get(&item)?;
+        let slots = self.occurrences_of(item);
         let idx = slots.partition_point(|&s| s < not_before);
         slots.get(idx).copied()
     }
 
     /// All slots at which `item`'s current version appears (one for flat
     /// organizations, several under broadcast disks).
+    // bpush-lint: hot_path — per-read occurrence lookup on every client's read loop
     pub fn occurrences_of(&self, item: ItemId) -> &[u64] {
-        self.occurrences.get(&item).map_or(&[], Vec::as_slice)
+        let row = self.position(item).and_then(|i| {
+            let lo = *self.occ_start.get(i)? as usize;
+            let hi = *self.occ_start.get(i.checked_add(1)?)? as usize;
+            self.occ_slots.get(lo..hi)
+        });
+        row.unwrap_or(&[])
     }
 
     /// The old versions of `item` on air, most recent first, each with the
     /// slot that carries it.
+    // bpush-lint: hot_path — per-read old-version lookup of the multiversion methods
     pub fn old_versions_of(&self, item: ItemId) -> &[(u64, ItemValue)] {
         self.old_versions.get(&item).map_or(&[], Vec::as_slice)
     }
@@ -170,7 +205,7 @@ impl Bcast {
     /// largest version `<= bound`, searching the current version first and
     /// then the old-version chain. Returns the slot carrying the value.
     pub fn best_version_at_most(&self, item: ItemId, bound: Cycle) -> Option<(u64, ItemValue)> {
-        let rec = self.records.get(&item)?;
+        let rec = self.current(item)?;
         if rec.value().version() <= bound {
             return self.slot_of_current(item).map(|s| (s, rec.value()));
         }
@@ -207,9 +242,15 @@ impl Bcast {
         BucketHeader::new(self.cycle, slot, self.total_slots())
     }
 
-    /// Iterates over all current-version records in unspecified order.
+    /// Iterates over all current-version records in item order.
     pub fn records(&self) -> impl Iterator<Item = &ItemRecord> {
-        self.records.values()
+        self.records.iter()
+    }
+
+    /// The current-version records as one slice, in item order — what the
+    /// data-segment encoder reads.
+    pub(crate) fn record_slice(&self) -> &[ItemRecord] {
+        &self.records
     }
 }
 

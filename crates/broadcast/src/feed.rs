@@ -302,8 +302,11 @@ pub fn encode_bcast_segments(bcast: &Bcast, params: WireParams) -> Vec<u8> {
         out.extend_from_slice(&encode_directory_segment(dir, params));
     }
     out.extend_from_slice(&encode_control_segment(bcast.control(), params));
-    let records: Vec<ItemRecord> = bcast.records().copied().collect();
-    out.extend_from_slice(&encode_data_segment(bcast.cycle(), &records, params));
+    out.extend_from_slice(&encode_data_segment(
+        bcast.cycle(),
+        bcast.record_slice(),
+        params,
+    ));
     out
 }
 

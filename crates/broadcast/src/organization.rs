@@ -27,17 +27,11 @@ use crate::size_model::SizeParams;
 /// Old versions of one item, most recent first.
 pub type OldVersions = (ItemId, Vec<ItemValue>);
 
-fn occurrence_map(
-    records: &[ItemRecord],
-    slot_of_index: impl Fn(usize) -> u64,
-) -> (BTreeMap<ItemId, ItemRecord>, BTreeMap<ItemId, Vec<u64>>) {
-    let mut map = BTreeMap::new();
-    let mut occ = BTreeMap::new();
-    for (idx, rec) in records.iter().enumerate() {
-        map.insert(rec.item(), *rec);
-        occ.insert(rec.item(), vec![slot_of_index(idx)]);
-    }
-    (map, occ)
+/// CSR row starts (see [`Bcast`]) of a layout airing each of `records`
+/// records exactly once: row `i` is occurrence slot `i`.
+fn one_slot_each(records: usize) -> Vec<u32> {
+    // stops short past 2^32 records, which `Bcast::from_parts` rejects
+    (0..=records).map_while(|i| u32::try_from(i).ok()).collect()
 }
 
 /// The flat organization: each item once per cycle at a fixed position.
@@ -94,15 +88,16 @@ impl Flat {
         let control_slots = control.slots(self.sizes.bucket, self.sizes.key, self.sizes.tid);
         let ipb = u64::from(self.items_per_bucket);
         let data_slots = (records.len() as u64).div_ceil(ipb);
-        let (map, occ) = occurrence_map(&records, |idx| control_slots + idx as u64 / ipb);
+        let occ_slots = (0..records.len() as u64).map(|idx| control_slots + idx / ipb);
         Bcast::from_parts(
             cycle,
             control,
             control_slots,
             data_slots,
             0,
-            map,
-            occ,
+            one_slot_each(records.len()),
+            occ_slots.collect(),
+            records,
             BTreeMap::new(),
             None,
         )
@@ -183,17 +178,12 @@ impl IndexedFlat {
         let chunk_items = (records.len() as u64).div_ceil(m);
 
         let mut index_slots = Vec::with_capacity(self.segments as usize);
-        let mut map = BTreeMap::new();
-        let mut occ = BTreeMap::new();
+        let mut occ_slots = Vec::with_capacity(records.len());
         let mut slot = control_slots;
-        for (chunk_idx, chunk) in records.chunks(chunk_items.max(1) as usize).enumerate() {
-            let _ = chunk_idx;
+        for chunk in records.chunks(chunk_items.max(1) as usize) {
             index_slots.push(slot);
             slot += idx_slots;
-            for (i, rec) in chunk.iter().enumerate() {
-                map.insert(rec.item(), *rec);
-                occ.insert(rec.item(), vec![slot + i as u64 / ipb]);
-            }
+            occ_slots.extend((0..chunk.len() as u64).map(|i| slot + i / ipb));
             slot += (chunk.len() as u64).div_ceil(ipb);
         }
         let data_slots = slot - control_slots;
@@ -203,8 +193,9 @@ impl IndexedFlat {
             control_slots,
             data_slots,
             0,
-            map,
-            occ,
+            one_slot_each(records.len()),
+            occ_slots,
+            records,
             BTreeMap::new(),
             None,
         )
@@ -266,11 +257,6 @@ impl MultiversionOverflow {
 
         // Lay out the overflow area and attach pointers.
         let mut old_map: BTreeMap<ItemId, Vec<(u64, ItemValue)>> = BTreeMap::new();
-        let mut index_of: BTreeMap<ItemId, usize> = records
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (r.item(), i))
-            .collect();
         let mut next_entry = 0u64;
         for (item, versions) in &old_versions {
             assert!(
@@ -280,7 +266,7 @@ impl MultiversionOverflow {
             if versions.is_empty() {
                 continue;
             }
-            if let Some(&idx) = index_of.get(item) {
+            if let Ok(idx) = records.binary_search_by_key(item, ItemRecord::item) {
                 records[idx] = records[idx].with_overflow_ptr(next_entry);
             }
             let chain = old_map.entry(*item).or_default();
@@ -289,17 +275,17 @@ impl MultiversionOverflow {
                 next_entry += 1;
             }
         }
-        index_of.clear();
         let overflow_slots = next_entry.div_ceil(ipb);
-        let (map, occ) = occurrence_map(&records, |idx| control_slots + idx as u64 / ipb);
+        let occ_slots = (0..records.len() as u64).map(|idx| control_slots + idx / ipb);
         Bcast::from_parts(
             cycle,
             control,
             control_slots,
             data_slots,
             overflow_slots,
-            map,
-            occ,
+            one_slot_each(records.len()),
+            occ_slots.collect(),
+            records,
             old_map,
             None,
         )
@@ -359,17 +345,18 @@ impl MultiversionClustered {
             );
         }
 
-        // First pass: positions relative to the start of the data segment.
+        // Positions relative to the start of the data segment first: where
+        // that starts depends on the directory these positions fill.
         let mut rel = 0u64;
         let mut dir_entries = Vec::with_capacity(records.len());
-        let mut rel_old: BTreeMap<ItemId, Vec<(u64, ItemValue)>> = BTreeMap::new();
-        let mut rel_occ: BTreeMap<ItemId, u64> = BTreeMap::new();
+        let mut old_map: BTreeMap<ItemId, Vec<(u64, ItemValue)>> = BTreeMap::new();
+        let mut occ_slots = Vec::with_capacity(records.len());
         for rec in &records {
             dir_entries.push((rec.item(), rel));
-            rel_occ.insert(rec.item(), rel);
+            occ_slots.push(rel);
             rel += 1;
             if let Some(vs) = old_by_item.get(&rec.item()) {
-                let chain = rel_old.entry(rec.item()).or_default();
+                let chain = old_map.entry(rec.item()).or_default();
                 for v in vs.iter() {
                     chain.push((rel, *v));
                     rel += 1;
@@ -385,32 +372,19 @@ impl MultiversionClustered {
         let control_slots = control.slots(self.sizes.bucket, self.sizes.key, self.sizes.tid)
             + directory.slots_on_air(self.sizes.bucket, self.sizes.key, self.sizes.ptr);
 
-        let mut map = BTreeMap::new();
-        let mut occ = BTreeMap::new();
-        for rec in &records {
-            map.insert(rec.item(), *rec);
-            occ.insert(rec.item(), vec![control_slots + rel_occ[&rec.item()]]);
+        let old_slots = old_map.values_mut().flatten().map(|(slot, _)| slot);
+        for slot in occ_slots.iter_mut().chain(old_slots) {
+            *slot += control_slots;
         }
-        let old_map = rel_old
-            .into_iter()
-            .map(|(x, chain)| {
-                (
-                    x,
-                    chain
-                        .into_iter()
-                        .map(|(r, v)| (control_slots + r, v))
-                        .collect(),
-                )
-            })
-            .collect();
         Bcast::from_parts(
             cycle,
             control,
             control_slots,
             data_slots,
             0,
-            map,
-            occ,
+            one_slot_each(records.len()),
+            occ_slots,
+            records,
             old_map,
             Some(directory),
         )
@@ -511,53 +485,40 @@ impl BroadcastDisks {
             .iter()
             .map(|d| u64::from(d.rel_freq))
             .fold(1u64, lcm);
-        // Split each disk into chunks.
-        struct DiskLayout<'a> {
-            records: &'a [ItemRecord],
-            num_chunks: u64,
-            chunk_size: u64,
-        }
-        let mut layouts = Vec::with_capacity(self.disks.len());
-        let mut start = 0usize;
-        for d in &self.disks {
-            let slice = &records[start..start + d.items as usize];
-            start += d.items as usize;
+        // Disk `i` is split into `l / rel_freq_i` chunks of `chunk_size_i`
+        // slots (a short final chunk is padded), and every minor cycle
+        // airs one chunk of each disk, so it is `minor_len` slots long.
+        let chunking = |d: &DiskSpec| {
             let num_chunks = l / u64::from(d.rel_freq);
-            let chunk_size = (slice.len() as u64).div_ceil(num_chunks);
-            layouts.push(DiskLayout {
-                records: slice,
-                num_chunks,
-                chunk_size,
-            });
-        }
+            (num_chunks, u64::from(d.items).div_ceil(num_chunks))
+        };
+        let minor_len: u64 = self.disks.iter().map(|d| chunking(d).1).sum();
 
-        let mut occ: BTreeMap<ItemId, Vec<u64>> = BTreeMap::new();
-        let mut slot = control_slots;
-        for minor in 0..l {
-            for layout in &layouts {
-                let chunk = minor % layout.num_chunks;
-                let len = layout.records.len() as u64;
-                let lo = (chunk * layout.chunk_size).min(len) as usize;
-                let hi = ((chunk + 1) * layout.chunk_size).min(len) as usize;
-                for rec in &layout.records[lo..hi] {
-                    occ.entry(rec.item()).or_default().push(slot);
-                    slot += 1;
-                }
-                // a short final chunk still occupies full chunk_size slots
-                // (padding), matching the fixed-chunk schedule
-                slot += layout.chunk_size - (hi - lo) as u64;
+        // The item at position `p` of its disk sits at offset
+        // `p % chunk_size` of chunk `p / chunk_size`, which airs in the
+        // minor cycles congruent to it modulo `num_chunks`.
+        let mut occ_start = Vec::with_capacity(records.len() + 1);
+        let mut occ_slots = Vec::with_capacity(records.len());
+        let mut disk_offset = control_slots;
+        for d in &self.disks {
+            let (num_chunks, chunk_size) = chunking(d);
+            for p in 0..u64::from(d.items) {
+                occ_start.push(u32::try_from(occ_slots.len()).unwrap_or(u32::MAX));
+                let minors = (0..u64::from(d.rel_freq)).map(|k| p / chunk_size + k * num_chunks);
+                occ_slots.extend(minors.map(|m| disk_offset + m * minor_len + p % chunk_size));
             }
+            disk_offset += chunk_size;
         }
-        let data_slots = slot - control_slots;
-        let map: BTreeMap<ItemId, ItemRecord> = records.iter().map(|r| (r.item(), *r)).collect();
+        occ_start.push(u32::try_from(occ_slots.len()).unwrap_or(u32::MAX));
         Bcast::from_parts(
             cycle,
             control,
             control_slots,
-            data_slots,
+            l * minor_len,
             0,
-            map,
-            occ,
+            occ_start,
+            occ_slots,
+            records,
             BTreeMap::new(),
             None,
         )

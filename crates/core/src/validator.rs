@@ -186,58 +186,55 @@ impl<'a> SerializabilityValidator<'a> {
 
 /// Batch form of [`SerializabilityValidator::check_serializable`] for
 /// validating many committed readsets against one (final) conflict
-/// graph: the transactions reachable from each overwriter are computed
-/// once, memoized as a sorted list, and every readset's check becomes a
-/// merge intersection of two sorted sequences instead of a fresh DFS.
+/// graph, in time bounded by each readset's own dependency window rather
+/// than by the length of the history.
+///
+/// The server commits update transactions serially, so every conflict
+/// edge it records runs from an older to a newer transaction, and
+/// everything reachable from an overwriter `o` is `>= o`. Hence an
+/// overwriter newer than the readset's newest writer can reach no writer
+/// at all — the readsets the interval [`SerializabilityValidator::check`]
+/// accepts have only such overwriters and cost O(|reads|) with no
+/// traversal — and a traversal from an older overwriter never needs to
+/// expand a transaction past the newest writer. [`SerializabilityBatch::new`]
+/// verifies that order on the graph it is handed; for a graph with a
+/// back edge the bound is simply absent and the same traversal runs
+/// unbounded.
 ///
 /// Verdicts are identical to the per-readset check (the differential
 /// proptests pin this); the *witness pair* inside a violation may
-/// differ, because the DFS reports the first hit in traversal order
-/// while the merge reports the smallest.
+/// differ, because one visited set is shared by all overwriters of a
+/// readset.
 #[derive(Debug)]
 pub struct SerializabilityBatch<'a> {
     history: &'a WriteHistory,
     graph: &'a bpush_sgraph::SerializationGraph,
-    /// Overwriter -> sorted transactions reachable from it (including
-    /// itself when it lies on a cycle). Borrowing the graph for the
-    /// batch's whole lifetime is what makes the memo sound.
-    reach: std::collections::BTreeMap<TxnId, Vec<TxnId>>,
-    /// Scratch for the per-readset sorted writer list, reused across
-    /// checks.
+    /// Whether every edge of `graph` runs from a smaller node to a larger
+    /// one, i.e. respects the serial commit order.
+    commit_ordered: bool,
+    /// Scratch reused across checks: the readset's sorted writers, and
+    /// the traversal's stack and sorted visited set.
     writers: Vec<TxnId>,
+    stack: Vec<bpush_sgraph::Node>,
+    seen: Vec<bpush_sgraph::Node>,
 }
 
 impl<'a> SerializabilityBatch<'a> {
-    /// Creates a batch over the final `history` and conflict `graph`.
+    /// Creates a batch over the final `history` and conflict `graph`,
+    /// checking once (one pass over the edges) whether the graph is
+    /// commit-ordered.
     pub fn new(history: &'a WriteHistory, graph: &'a bpush_sgraph::SerializationGraph) -> Self {
+        let commit_ordered = graph
+            .nodes()
+            .all(|from| graph.successors(from).iter().all(|&to| from < to));
         SerializabilityBatch {
             history,
             graph,
-            reach: std::collections::BTreeMap::new(),
+            commit_ordered,
             writers: Vec::new(),
+            stack: Vec::new(),
+            seen: Vec::new(),
         }
-    }
-
-    /// The sorted transactions reachable from `o` in the conflict graph,
-    /// computed on first use.
-    fn reachable(&mut self, o: TxnId) -> &[TxnId] {
-        let graph = self.graph;
-        self.reach.entry(o).or_insert_with(|| {
-            use bpush_sgraph::Node;
-            let mut txns = std::collections::BTreeSet::new();
-            let mut stack = vec![Node::Txn(o)];
-            let mut seen = std::collections::BTreeSet::new();
-            while let Some(n) = stack.pop() {
-                if !seen.insert(n) {
-                    continue;
-                }
-                if let Some(t) = n.as_txn() {
-                    txns.insert(t);
-                }
-                stack.extend_from_slice(graph.successors(n));
-            }
-            txns.into_iter().collect()
-        })
     }
 
     /// Batch equivalent of
@@ -247,63 +244,51 @@ impl<'a> SerializabilityBatch<'a> {
     /// Returns [`ConsistencyViolation`] with a witnessing pair when a
     /// cycle through the query exists.
     pub fn check(&mut self, reads: &[ReadRecord]) -> Result<(), ConsistencyViolation> {
+        use bpush_sgraph::Node;
         self.writers.clear();
         self.writers
             .extend(reads.iter().filter_map(|r| r.value.writer()));
         self.writers.sort_unstable();
         self.writers.dedup();
+        // a cycle needs a writer to come back to
+        let Some(&newest) = self.writers.last() else {
+            return Ok(());
+        };
+        // in a commit-ordered graph nothing past the newest writer can
+        // lead back to a writer
+        let beyond = |n: Node| self.commit_ordered && n > Node::Txn(newest);
+        self.seen.clear();
         for r in reads {
-            let Some(over) = self.history.next_overwrite(r.item, r.value) else {
-                continue;
-            };
             // committed overwrites always carry a writer; a tagless one
             // would be a substrate bug the per-readset oracle panics on
-            let Some(o) = over.writer() else { continue };
-            if self.writers.binary_search(&o).is_ok() {
-                return Err(ConsistencyViolation {
-                    fresh_writer: o,
-                    stale_overwrite: o,
-                });
-            }
-            // writers is borrowed around the reachable() call below, so
-            // swap it out of self for the merge
-            let writers = std::mem::take(&mut self.writers);
-            let hit = merge_hit(self.reachable(o), &writers, o);
-            self.writers = writers;
-            if let Some(t) = hit {
-                return Err(ConsistencyViolation {
-                    fresh_writer: t,
-                    stale_overwrite: o,
-                });
+            let over = self.history.next_overwrite(r.item, r.value);
+            let Some(o) = over.and_then(|v| v.writer()) else {
+                continue;
+            };
+            self.stack.clear();
+            self.stack.push(Node::Txn(o));
+            while let Some(n) = self.stack.pop() {
+                if beyond(n) {
+                    continue;
+                }
+                // nodes seen from an earlier overwriter led to no writer
+                let Err(at) = self.seen.binary_search(&n) else {
+                    continue;
+                };
+                self.seen.insert(at, n);
+                if let Some(t) = n.as_txn() {
+                    if self.writers.binary_search(&t).is_ok() {
+                        return Err(ConsistencyViolation {
+                            fresh_writer: t,
+                            stale_overwrite: o,
+                        });
+                    }
+                }
+                self.stack.extend_from_slice(self.graph.successors(n));
             }
         }
         Ok(())
     }
-}
-
-/// First transaction (in id order) present in both sorted sequences,
-/// ignoring `skip` — the merge-intersection core of the batch check.
-fn merge_hit(reach: &[TxnId], writers: &[TxnId], skip: TxnId) -> Option<TxnId> {
-    let mut ri = reach.iter().peekable();
-    let mut wi = writers.iter().peekable();
-    while let (Some(&&r), Some(&&w)) = (ri.peek(), wi.peek()) {
-        match r.cmp(&w) {
-            std::cmp::Ordering::Less => {
-                ri.next();
-            }
-            std::cmp::Ordering::Greater => {
-                wi.next();
-            }
-            std::cmp::Ordering::Equal => {
-                if r != skip {
-                    return Some(r);
-                }
-                ri.next();
-                wi.next();
-            }
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -446,7 +431,7 @@ mod tests {
                 oracle,
                 "verdicts must agree on {reads:?}"
             );
-            // memoization must not change later verdicts: re-check
+            // reused scratch must not change later verdicts: re-check
             assert_eq!(batch.check(reads).is_ok(), oracle);
         }
     }

@@ -8,8 +8,9 @@
 use proptest::prelude::*;
 use std::collections::HashMap;
 
-use bpush_core::validator::{ReadRecord, SerializabilityValidator};
+use bpush_core::validator::{ReadRecord, SerializabilityBatch, SerializabilityValidator};
 use bpush_server::WriteHistory;
+use bpush_sgraph::{Node, SerializationGraph};
 use bpush_types::{Cycle, ItemId, ItemValue, TxnId};
 
 const N_ITEMS: u32 = 6;
@@ -31,6 +32,12 @@ fn build_history(writes: &[(u32, u32)]) -> (WriteHistory, HashMap<ItemId, Vec<It
         chains.get_mut(&item).expect("known").push(value);
     }
     (h, chains)
+}
+
+/// The conflict-graph node of the transaction `build_history` commits at
+/// serial position `pos`.
+fn txn_node(pos: u64) -> Node {
+    Node::Txn(TxnId::new(Cycle::new(pos), 0))
 }
 
 /// Brute-force oracle: a readset is prefix-consistent iff there is a
@@ -61,8 +68,110 @@ fn oracle_prefix_consistent(
     false
 }
 
+/// Readsets over `chains`: per pick, one version of one (distinct) item.
+fn build_readsets(
+    chains: &HashMap<ItemId, Vec<ItemValue>>,
+    picks: &[Vec<(u32, usize)>],
+) -> Vec<Vec<ReadRecord>> {
+    picks
+        .iter()
+        .map(|picks| {
+            let mut used = std::collections::HashSet::new();
+            picks
+                .iter()
+                .map(|&(raw, vidx)| (ItemId::new(raw % N_ITEMS), vidx))
+                .filter(|&(item, _)| used.insert(item))
+                .map(|(item, vidx)| {
+                    ReadRecord::new(item, chains[&item][vidx % chains[&item].len()])
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// The differential at the heart of the audit: one batch, every readset
+/// checked twice in a row and then again in a shuffled order, each
+/// verdict equal to the per-readset DFS oracle's. Scratch reused across
+/// calls must not leak from one readset into the next.
+fn assert_batch_matches_dfs(
+    h: &WriteHistory,
+    graph: &SerializationGraph,
+    readsets: &[Vec<ReadRecord>],
+    shuffle: &[usize],
+) -> Result<(), TestCaseError> {
+    let oracle = SerializabilityValidator::new(h);
+    let mut batch = SerializabilityBatch::new(h, graph);
+    for reads in readsets {
+        let want = oracle.check_serializable(graph, reads).is_ok();
+        prop_assert_eq!(
+            batch.check(reads).is_ok(),
+            want,
+            "first check of {:?}",
+            reads
+        );
+        prop_assert_eq!(batch.check(reads).is_ok(), want, "re-check of {:?}", reads);
+    }
+    for &i in shuffle {
+        let reads = &readsets[i % readsets.len()];
+        let want = oracle.check_serializable(graph, reads).is_ok();
+        prop_assert_eq!(
+            batch.check(reads).is_ok(),
+            want,
+            "shuffled check of {:?}",
+            reads
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+    /// Batch vs DFS on commit-ordered graphs — every edge old → new, the
+    /// only shape the server's conflict tracker emits, where the batch
+    /// cuts its traversal at the readset's newest writer.
+    #[test]
+    fn batch_matches_dfs_on_commit_ordered_graphs(
+        writes in proptest::collection::vec((0u32..N_ITEMS, 0u32..1), 1..24),
+        edges in proptest::collection::vec((0u64..24, 0u64..24), 0..40),
+        picks in proptest::collection::vec(
+            proptest::collection::vec((0u32..N_ITEMS, 0usize..32), 0..5), 1..8),
+        shuffle in proptest::collection::vec(0usize..64, 0..16),
+    ) {
+        let (h, chains) = build_history(&writes);
+        let n = writes.len() as u64;
+        let mut graph = SerializationGraph::new();
+        for &(a, b) in &edges {
+            let (a, b) = (a % n, b % n);
+            if a != b {
+                graph.add_edge(txn_node(a.min(b)), txn_node(a.max(b)));
+            }
+        }
+        let readsets = build_readsets(&chains, &picks);
+        assert_batch_matches_dfs(&h, &graph, &readsets, &shuffle)?;
+    }
+
+    /// Batch vs DFS on arbitrary graphs — back edges, cycles and
+    /// transactions the history never mentions included — for which the
+    /// batch has no order to lean on and must traverse unbounded.
+    #[test]
+    fn batch_matches_dfs_on_arbitrary_graphs(
+        writes in proptest::collection::vec((0u32..N_ITEMS, 0u32..1), 1..24),
+        edges in proptest::collection::vec((0u64..30, 0u64..30), 0..40),
+        picks in proptest::collection::vec(
+            proptest::collection::vec((0u32..N_ITEMS, 0usize..32), 0..5), 1..8),
+        shuffle in proptest::collection::vec(0usize..64, 0..16),
+    ) {
+        let (h, chains) = build_history(&writes);
+        let mut graph = SerializationGraph::new();
+        for &(a, b) in &edges {
+            if a != b {
+                graph.add_edge(txn_node(a), txn_node(b));
+            }
+        }
+        let readsets = build_readsets(&chains, &picks);
+        assert_batch_matches_dfs(&h, &graph, &readsets, &shuffle)?;
+    }
 
     /// The interval check agrees with the brute-force prefix oracle for
     /// arbitrary histories and arbitrary (possibly torn) readsets.
@@ -73,17 +182,8 @@ proptest! {
     ) {
         let (h, chains) = build_history(&writes);
         let validator = SerializabilityValidator::new(&h);
-        // build a readset by picking, per chosen item, some version index
-        let mut reads = Vec::new();
-        let mut used = std::collections::HashSet::new();
-        for &(raw, vidx) in &picks {
-            let item = ItemId::new(raw % N_ITEMS);
-            if !used.insert(item) {
-                continue;
-            }
-            let chain = &chains[&item];
-            reads.push(ReadRecord::new(item, chain[vidx % chain.len()]));
-        }
+        // a readset picking, per chosen item, some version index
+        let reads = build_readsets(&chains, std::slice::from_ref(&picks)).remove(0);
         let got = validator.check(&reads).is_ok();
         let want = oracle_prefix_consistent(&chains, writes.len(), &reads);
         prop_assert_eq!(got, want, "reads {:?}", reads);

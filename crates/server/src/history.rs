@@ -66,16 +66,21 @@ impl WriteHistory {
     /// The value that superseded `value` on `item`, or `None` if `value`
     /// is still current (or was never recorded — an initial load with no
     /// writes).
+    ///
+    /// # Panics
+    /// Panics if `value` carries a writer that never wrote `item`.
     pub fn next_overwrite(&self, item: ItemId, value: ItemValue) -> Option<ItemValue> {
         let log = self.writes_of(item);
         match value.writer() {
             None => log.first().copied(),
             Some(w) => {
-                let idx = log
-                    .iter()
-                    .position(|v| v.writer() == Some(w))
-                    // lint: allow(panic) — the surrounding branch proved the writer is in this log
-                    .expect("read value must have been committed");
+                // the log is in serial order, so the writer is found by
+                // bisection rather than a scan of the item's whole past
+                let idx = log.partition_point(|v| v.writer() < Some(w));
+                assert!(
+                    log.get(idx).is_some_and(|v| v.writer() == Some(w)),
+                    "read value must have been committed"
+                );
                 log.get(idx + 1).copied()
             }
         }

@@ -589,8 +589,9 @@ impl Simulation {
         let _validator_span =
             self.obs
                 .span("validator.check", Cycle::new(cycles), Actor::Validator);
-        // The batch checker memoizes per-overwriter reachability across
-        // the whole outcome set; the per-readset DFS form
+        // The batch checker bounds each readset's work by its own
+        // dependency window (conflict edges respect commit order); the
+        // per-readset DFS form
         // (`SerializabilityValidator::check_serializable`) remains the
         // differential oracle in the test suites.
         let mut batch =

@@ -306,6 +306,11 @@ fn hot_path_set_covers_the_pr3_hot_functions() {
         "core::is_disjoint_from_augmented",
         // PR-10 monitor feed: every simulation event funnels through here.
         "obs::on_event",
+        // Per-read `Bcast` lookups over the dense record / CSR layout.
+        "broadcast::current",
+        "broadcast::next_slot_of_current",
+        "broadcast::occurrences_of",
+        "broadcast::old_versions_of",
     ];
     for name in REQUIRED {
         assert!(

@@ -68,6 +68,59 @@ fn all_methods_default_config() {
     }
 }
 
+/// The end-of-run audit against its oracle, on real runs: for one method
+/// of each family at quick scale, every committed readset gets the same
+/// verdict from [`SerializabilityBatch`] (what `Simulation` runs) and
+/// from the per-readset DFS, over the history and conflict graph of a
+/// server replayed from the same seed for the same number of cycles —
+/// and the run itself reports no violation.
+#[test]
+fn audit_verdicts_match_the_dfs_oracle() {
+    use bpush_core::validator::{SerializabilityBatch, SerializabilityValidator};
+    for method in [
+        Method::InvalidationOnly,
+        Method::MultiversionBroadcast,
+        Method::Sgt,
+        Method::MultiversionCaching,
+    ] {
+        let config =
+            bpush_sim::experiments::config_for(method, bpush_sim::experiments::quick_defaults());
+        let mut committed = Vec::new();
+        let metrics = Simulation::new(config.clone(), method)
+            .unwrap()
+            .run_with_observer(|o| {
+                if o.committed() {
+                    committed.push(o.reads.clone());
+                }
+            })
+            .unwrap();
+        assert_eq!(metrics.violations, 0, "{method}");
+        assert!(!committed.is_empty(), "{method}: nothing to audit");
+
+        // the server is a pure function of its seed: replay it
+        let mut server = bpush_server::BroadcastServer::new(
+            config.server.clone(),
+            method.server_options(MultiversionLayout::Overflow),
+            bpush_types::seed::SeedSequence::new(config.seed).derive(&["server"]),
+        )
+        .unwrap();
+        for _ in 0..metrics.cycles {
+            server.run_cycle();
+        }
+        let oracle = SerializabilityValidator::new(server.history());
+        let mut batch = SerializabilityBatch::new(server.history(), server.conflict_graph());
+        for reads in &committed {
+            let want = oracle.check_serializable(server.conflict_graph(), reads);
+            assert_eq!(
+                batch.check(reads).is_ok(),
+                want.is_ok(),
+                "{method}: {reads:?}"
+            );
+            assert!(want.is_ok(), "{method}: {reads:?}");
+        }
+    }
+}
+
 #[test]
 fn multiversion_clustered_layout() {
     assert_clean(
