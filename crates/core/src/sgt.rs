@@ -102,66 +102,13 @@ impl Sgt {
         (self.graph.node_count(), self.graph.edge_count())
     }
 
-    /// Lemma-1 pruning: drop all server subgraphs older than the earliest
-    /// `c_o` of any active query, or everything if no query has been
-    /// invalidated ("if no items are updated, there is no space or
-    /// processing overhead at the client").
-    fn prune(&mut self) {
-        if self.queries.is_empty() {
-            self.graph.clear();
-            return;
-        }
-        let min_co = self
-            .queries
-            .values()
-            .filter(|q| q.doomed.is_none())
-            .filter_map(|q| q.c_o)
-            .min();
-        match min_co {
-            Some(bound) => self.graph.prune_before(bound),
-            None => {
-                // No invalidated query: queries may still hold dependency
-                // edges T_l -> R, but with no precedence edge R -> T_f no
-                // cycle through R is possible yet; dropping server-only
-                // state is safe because future cycles only need subgraphs
-                // from the (future) first-invalidation cycle onward.
-                let heard = self.last_heard;
-                if let Some(h) = heard {
-                    self.graph.prune_before(h);
-                }
-            }
-        }
-    }
-}
-
-impl ReadOnlyProtocol for Sgt {
-    fn name(&self) -> &'static str {
-        if self.config.use_cache {
-            "sgt+cache"
-        } else {
-            "sgt"
-        }
-    }
-
-    fn cache_mode(&self) -> CacheMode {
-        if self.config.use_cache {
-            CacheMode::Plain
-        } else {
-            CacheMode::None
-        }
-    }
-
-    fn on_control(&mut self, ctrl: &ControlInfo) {
-        let n = ctrl.cycle();
-        // 1. Integrate the server graph difference (commits of cycle n−1).
-        if let Some(diff) = ctrl.graph_diff() {
-            self.graph.apply_diff(diff);
-        }
-        // 2. Precedence edges for invalidated readset items, to the first
-        //    writer named by the augmented report. Only items in the
-        //    augmented report represent *new* information (re-reports in
-        //    windowed invalidation lists have no first-writer entry and
-        //    were processed when first announced).
+    /// Adds a precedence edge `R → T_f` for every readset item the
+    /// augmented report names, to the first writer it names, and lowers
+    /// the query's `c_o` to that writer's cycle. Only items in the
+    /// augmented report represent *new* information (re-reports in
+    /// windowed invalidation lists have no first-writer entry and were
+    /// processed when first announced).
+    fn match_report(&mut self, ctrl: &ControlInfo) {
         // Batch fast path: when the cohort's union bitmap is disjoint
         // from the report, no query can match and the per-query loops
         // are skipped wholesale.
@@ -195,8 +142,73 @@ impl ReadOnlyProtocol for Sgt {
                 }
             }
         }
-        self.last_heard = Some(n);
-        // 3. Space optimization.
+    }
+
+    /// The first commit cycle Lemma 1 keeps: the earliest `c_o` of any
+    /// live query, else the last cycle heard — with no invalidated query
+    /// no precedence edge `R → T_f` exists, so no cycle through a query is
+    /// possible yet and future ones only need subgraphs from the (future)
+    /// first-invalidation cycle onward, even though queries may still hold
+    /// dependency edges `T_l → R`. `None` when no query is active:
+    /// nothing is kept at all.
+    fn window_start(&self) -> Option<Cycle> {
+        if self.queries.is_empty() {
+            return None;
+        }
+        let min_co = self
+            .queries
+            .values()
+            .filter(|q| q.doomed.is_none())
+            .filter_map(|q| q.c_o)
+            .min();
+        Some(min_co.or(self.last_heard).unwrap_or(Cycle::ZERO))
+    }
+
+    /// Lemma-1 pruning: drop the server subgraphs of cycles before
+    /// [`Sgt::window_start`] that are still in the graph — commits heard
+    /// while the window started earlier, and the last writers `T_l` that
+    /// accepted reads interned — or everything if no query is active
+    /// ("if no items are updated, there is no space or processing
+    /// overhead at the client"). A broadcast diff's own stale part never
+    /// gets here: `on_control` does not intern it.
+    fn prune(&mut self) {
+        match self.window_start() {
+            Some(bound) => self.graph.prune_before(bound),
+            None => self.graph.clear(),
+        }
+    }
+}
+
+impl ReadOnlyProtocol for Sgt {
+    fn name(&self) -> &'static str {
+        if self.config.use_cache {
+            "sgt+cache"
+        } else {
+            "sgt"
+        }
+    }
+
+    fn cache_mode(&self) -> CacheMode {
+        if self.config.use_cache {
+            CacheMode::Plain
+        } else {
+            CacheMode::None
+        }
+    }
+
+    fn on_control(&mut self, ctrl: &ControlInfo) {
+        // 1. Precedence edges and `c_o` from the report. Matching asks no
+        //    path question and only appends to query nodes' successor
+        //    lists, which step 2 never touches, so it can run first — and
+        //    must: it lowers the `c_o` that bounds step 2.
+        self.match_report(ctrl);
+        self.last_heard = Some(ctrl.cycle());
+        // 2. Integrate the server graph difference (commits of cycle n−1),
+        //    window first: only the subgraphs Lemma 1 keeps are interned.
+        if let (Some(diff), Some(bound)) = (ctrl.graph_diff(), self.window_start()) {
+            self.graph.apply_diff_from(diff, bound);
+        }
+        // 3. Space optimization: retire what the window left behind.
         self.prune();
     }
 
@@ -628,5 +640,176 @@ mod tests {
         );
         p.finish_query(q);
         assert_eq!(p.graph_size().0, 0, "graph fully pruned after last query");
+    }
+
+    #[test]
+    fn no_active_query_means_no_graph_at_all() {
+        // Lemma 1: "no space or processing overhead" for an idle client.
+        let mut p = Sgt::new(SgtConfig::default());
+        for n in 1..6 {
+            p.on_control(&ctrl(
+                n,
+                &[(7, txn(n - 1, 0))],
+                &[txn(n - 1, 0), txn(n - 1, 1)],
+                &[(txn(n - 1, 0), txn(n - 1, 1))],
+            ));
+            assert_eq!(p.graph_size(), (0, 0), "cycle {n}");
+        }
+    }
+
+    #[test]
+    fn uninvalidated_queries_keep_the_graph_at_their_own_nodes() {
+        let mut p = Sgt::new(SgtConfig::default());
+        for q in 0..2 {
+            p.begin_query(QueryId::new(q), Cycle::new(1));
+            p.apply_read(
+                QueryId::new(q),
+                ItemId::new(7),
+                &candidate_from(Some(txn(0, 0))),
+                Cycle::new(1),
+            );
+        }
+        // two query nodes, the writer they read from, a dependency edge each
+        assert_eq!(p.graph_size(), (3, 2));
+        // the first report retires the writer (cycle 0 < last heard); from
+        // then on nothing the server commits reaches the graph
+        for n in 2..8 {
+            p.on_control(&ctrl(
+                n,
+                &[(9, txn(n - 1, 0))],
+                &[txn(n - 1, 0), txn(n - 1, 1)],
+                &[
+                    (txn(n - 2, 0), txn(n - 1, 0)),
+                    (txn(n - 1, 0), txn(n - 1, 1)),
+                ],
+            ));
+            assert_eq!(p.graph_size(), (2, 0), "cycle {n}");
+        }
+    }
+
+    impl Sgt {
+        /// `on_control` as it was before window-first integration: intern
+        /// the whole diff, then match the report, then prune. The
+        /// reference the differential test below holds `on_control` to.
+        fn on_control_apply_then_prune(&mut self, ctrl: &ControlInfo) {
+            if let Some(diff) = ctrl.graph_diff() {
+                self.graph.apply_diff(diff);
+            }
+            self.match_report(ctrl);
+            self.last_heard = Some(ctrl.cycle());
+            self.prune();
+        }
+    }
+
+    /// What happens in one cycle of a generated run: whether the control
+    /// segment is heard and carries SGT information, the client's
+    /// `(operation, query slot, item)` steps after it, and the server
+    /// transactions `(reads, write mask)` committed during the cycle.
+    type CycleScript = ((bool, bool), Vec<(u8, usize, u32)>, Vec<(Vec<u32>, u8)>);
+
+    proptest::proptest! {
+        /// Differential test: over generated control / read / finish /
+        /// missed-cycle streams — real tracker diffs, doomed queries,
+        /// reports without SGT information, with and without
+        /// `versioned_items` — window-first `on_control` leaves the
+        /// session exactly where apply-then-prune leaves it, after every
+        /// step, and answers every read alike.
+        #[test]
+        fn window_first_on_control_matches_apply_then_prune(
+            versioned_items in proptest::bool::ANY,
+            script in proptest::collection::vec(
+                (
+                    (proptest::bool::weighted(0.85), proptest::bool::weighted(0.9)),
+                    proptest::collection::vec((0u8..5, 0usize..3, 0u32..8), 0..6),
+                    proptest::collection::vec(
+                        (proptest::collection::vec(0u32..8, 1..4), 0u8..8),
+                        0..3,
+                    ),
+                ),
+                1..16,
+            ),
+        ) {
+            let script: Vec<CycleScript> = script;
+            let config = SgtConfig { versioned_items, ..SgtConfig::default() };
+            let mut windowed = Sgt::new(config);
+            let mut reference = Sgt::new(config);
+            let mut server = bpush_server::ConflictTracker::new(16);
+            let mut pending = server.end_cycle(Cycle::ZERO);
+            let mut slots: [Option<QueryId>; 3] = [None; 3];
+            let mut next_query = 0;
+            for (n, ((heard, sgt_info), steps, txns)) in (1u64..).zip(&script) {
+                let now = Cycle::new(n);
+                if *heard {
+                    let (diff, first_writers) = &pending;
+                    let report = InvalidationReport::new(
+                        now,
+                        1,
+                        first_writers.iter().map(|&(x, _)| x),
+                        Granularity::Item,
+                        1,
+                    );
+                    let ctrl = if *sgt_info {
+                        let aug = AugmentedReport::new(now.prev(), first_writers.iter().copied());
+                        ControlInfo::new(now, report, Some(aug), Some(diff.clone()))
+                    } else {
+                        ControlInfo::new(now, report, None, None)
+                    };
+                    windowed.on_control(&ctrl);
+                    reference.on_control_apply_then_prune(&ctrl);
+                } else {
+                    windowed.on_missed_cycle(now);
+                    reference.on_missed_cycle(now);
+                }
+                proptest::prop_assert_eq!(windowed.debug_snapshot(), reference.debug_snapshot());
+                for &(op, slot, item) in steps {
+                    let item = ItemId::new(item);
+                    match (op, slots[slot]) {
+                        (0, None) => {
+                            let q = QueryId::new(next_query);
+                            next_query += 1;
+                            slots[slot] = Some(q);
+                            windowed.begin_query(q, now);
+                            reference.begin_query(q, now);
+                        }
+                        (1..=3, Some(q)) => {
+                            proptest::prop_assert_eq!(
+                                windowed.read_directive(q, item, now),
+                                reference.read_directive(q, item, now)
+                            );
+                            let candidate = candidate_from(server.last_writer(item));
+                            proptest::prop_assert_eq!(
+                                windowed.apply_read(q, item, &candidate, now),
+                                reference.apply_read(q, item, &candidate, now)
+                            );
+                        }
+                        (4, Some(q)) => {
+                            slots[slot] = None;
+                            windowed.finish_query(q);
+                            reference.finish_query(q);
+                        }
+                        _ => {}
+                    }
+                    proptest::prop_assert_eq!(
+                        windowed.debug_snapshot(),
+                        reference.debug_snapshot()
+                    );
+                }
+                for (seq, (reads, mask)) in (0u32..).zip(txns) {
+                    let reads: Vec<ItemId> = reads.iter().map(|&i| ItemId::new(i)).collect();
+                    let writes = reads
+                        .iter()
+                        .enumerate()
+                        .filter(|&(at, _)| mask >> at & 1 == 1)
+                        .map(|(_, &x)| x)
+                        .collect();
+                    server.commit(&bpush_server::ServerTxn::new(
+                        TxnId::new(now, seq),
+                        reads,
+                        writes,
+                    ));
+                }
+                pending = server.end_cycle(now);
+            }
+        }
     }
 }

@@ -16,28 +16,66 @@
 //! * precedence (anti-dependency): `R' → T` for every transaction `R'`
 //!   that read `x` since its last write, when `T` writes `x`.
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use bpush_sgraph::GraphDiff;
 use bpush_types::{Cycle, ItemId, TxnId};
 
 use crate::txn::ServerTxn;
 
+/// What is tracked for an item some transaction has touched.
+#[derive(Debug, Clone, Default)]
+struct Touched {
+    last_writer: Option<TxnId>,
+    /// Readers since the last write (the writer first), in commit order.
+    readers: Vec<TxnId>,
+}
+
 /// Derives per-cycle SGT control information from the serial commit
 /// stream.
+///
+/// Transactions read over the whole database but touch little of it in a
+/// run, so an item costs a 4-byte slot and only a touched one an entry.
+/// Nothing sweeps the entries: a reader that committed before `floor`
+/// induces no edge, so it is skipped when a write walks its list and
+/// dropped when the next read extends it — a cycle costs its own
+/// operations whatever the database size.
 #[derive(Debug, Clone)]
 pub struct ConflictTracker {
-    last_writer: BTreeMap<ItemId, TxnId>,
-    readers_since_write: BTreeMap<ItemId, BTreeSet<TxnId>>,
-    /// Readers older than this many cycles are pruned at cycle end; any
-    /// precedence edge they could still induce would be pruned at the
-    /// client anyway (Lemma 1 keeps only the last `S` subgraphs).
+    /// `slot_of[x]` indexes `touched`, `u32::MAX` while `x` is untouched.
+    slot_of: Vec<u32>,
+    touched: Vec<Touched>,
+    /// Closing cycle `c` raises `floor` to `c − reader_horizon`; any
+    /// precedence edge an older reader could still induce would be pruned
+    /// at the client anyway (Lemma 1 keeps only the last `S` subgraphs).
     reader_horizon: u32,
+    floor: Cycle,
     // per-cycle accumulation
     cycle_edges: Vec<(TxnId, TxnId)>,
-    cycle_edge_set: BTreeSet<(TxnId, TxnId)>,
     cycle_committed: Vec<TxnId>,
-    cycle_first_writers: BTreeMap<ItemId, TxnId>,
+    cycle_first_writers: Vec<(ItemId, TxnId)>,
+}
+
+/// The entry of `x`, made on first touch.
+fn entry<'a>(slot_of: &mut Vec<u32>, touched: &'a mut Vec<Touched>, x: ItemId) -> &'a mut Touched {
+    if x.as_usize() >= slot_of.len() {
+        slot_of.resize(x.as_usize() + 1, u32::MAX);
+    }
+    let slot = &mut slot_of[x.as_usize()];
+    if *slot == u32::MAX {
+        // one entry per item at most, and item ids are u32
+        *slot = u32::try_from(touched.len()).unwrap_or(u32::MAX);
+        touched.push(Touched::default());
+    }
+    &mut touched[*slot as usize]
+}
+
+/// Records `from → to` among the edges of the commit that start at
+/// `first`: every edge of a commit ends at the committing transaction, so
+/// those are all a duplicate can hide among.
+fn push_edge(edges: &mut Vec<(TxnId, TxnId)>, first: usize, from: TxnId, to: TxnId) {
+    debug_assert!(from <= to, "a serial history's edges run old -> new");
+    if from != to && !edges[first..].iter().any(|&(f, _)| f == from) {
+        edges.push((from, to));
+    }
 }
 
 impl ConflictTracker {
@@ -50,26 +88,13 @@ impl ConflictTracker {
     pub fn new(reader_horizon: u32) -> Self {
         assert!(reader_horizon > 0, "reader horizon must be positive");
         ConflictTracker {
-            last_writer: BTreeMap::new(),
-            readers_since_write: BTreeMap::new(),
+            slot_of: Vec::new(),
+            touched: Vec::new(),
             reader_horizon,
+            floor: Cycle::ZERO,
             cycle_edges: Vec::new(),
-            cycle_edge_set: BTreeSet::new(),
             cycle_committed: Vec::new(),
-            cycle_first_writers: BTreeMap::new(),
-        }
-    }
-
-    fn push_edge(&mut self, from: TxnId, to: TxnId) {
-        if from == to {
-            return;
-        }
-        debug_assert!(
-            from < to,
-            "conflict edges run old -> new in a serial history"
-        );
-        if self.cycle_edge_set.insert((from, to)) {
-            self.cycle_edges.push((from, to));
+            cycle_first_writers: Vec::new(),
         }
     }
 
@@ -78,61 +103,65 @@ impl ConflictTracker {
     /// before [`ConflictTracker::end_cycle`] is called for it.
     pub fn commit(&mut self, txn: &ServerTxn) {
         let id = txn.id();
+        let first = self.cycle_edges.len();
         self.cycle_committed.push(id);
         for &x in txn.reads() {
-            if let Some(&w) = self.last_writer.get(&x) {
-                self.push_edge(w, id);
+            let e = entry(&mut self.slot_of, &mut self.touched, x);
+            if let Some(w) = e.last_writer {
+                push_edge(&mut self.cycle_edges, first, w, id);
             }
-            self.readers_since_write.entry(x).or_default().insert(id);
+            // The stream is serial, so a list is sorted and a repeated
+            // read can only repeat its last entry.
+            if e.readers.last() != Some(&id) {
+                let retired = e.readers.partition_point(|r| r.cycle() < self.floor);
+                e.readers.drain(..retired);
+                if e.readers.capacity() == 0 {
+                    // most items see one reader a horizon: room for one
+                    // id, not `Vec`'s first four
+                    e.readers.reserve_exact(1);
+                }
+                e.readers.push(id);
+            }
         }
         for &x in txn.writes() {
-            if let Some(readers) = self.readers_since_write.get(&x) {
-                let edges: Vec<TxnId> = readers.iter().copied().filter(|&r| r != id).collect();
-                for r in edges {
-                    self.push_edge(r, id);
-                }
+            let e = entry(&mut self.slot_of, &mut self.touched, x);
+            for &r in e.readers.iter().filter(|r| r.cycle() >= self.floor) {
+                push_edge(&mut self.cycle_edges, first, r, id);
             }
-            if let Some(&w) = self.last_writer.get(&x) {
-                self.push_edge(w, id);
+            if let Some(w) = e.last_writer.replace(id) {
+                push_edge(&mut self.cycle_edges, first, w, id);
             }
-            self.last_writer.insert(x, id);
-            self.readers_since_write.insert(x, BTreeSet::from([id]));
-            self.cycle_first_writers.entry(x).or_insert(id);
+            e.readers.clear();
+            e.readers.push(id);
+            self.cycle_first_writers.push((x, id));
         }
     }
 
     /// Closes `cycle`, returning the graph difference and the
-    /// `(item → first writer)` entries for the augmented report. Both are
-    /// broadcast at the beginning of cycle `cycle + 1`.
+    /// `(item → first writer)` entries for the augmented report, in item
+    /// order. Both are broadcast at the beginning of cycle `cycle + 1`.
     pub fn end_cycle(&mut self, cycle: Cycle) -> (GraphDiff, Vec<(ItemId, TxnId)>) {
-        debug_assert!(
-            self.cycle_committed.iter().all(|t| t.cycle() == cycle),
-            "all buffered commits must belong to the closing cycle"
-        );
+        // `GraphDiff::new` checks (in debug builds) that every buffered
+        // commit belongs to the closing cycle.
         let diff = GraphDiff::new(
             cycle,
             std::mem::take(&mut self.cycle_committed),
             std::mem::take(&mut self.cycle_edges),
         );
-        self.cycle_edge_set.clear();
-        let mut first_writers: Vec<(ItemId, TxnId)> = std::mem::take(&mut self.cycle_first_writers)
-            .into_iter()
-            .collect();
-        first_writers.sort();
-
-        // prune stale readers
+        // a stable sort: of an item's writers, the first to commit stays first
+        let mut first_writers = std::mem::take(&mut self.cycle_first_writers);
+        first_writers.sort_by_key(|&(x, _)| x);
+        first_writers.dedup_by_key(|&mut (x, _)| x);
         if let Some(horizon_start) = cycle.checked_sub(u64::from(self.reader_horizon)) {
-            for readers in self.readers_since_write.values_mut() {
-                readers.retain(|t| t.cycle() >= horizon_start);
-            }
-            self.readers_since_write.retain(|_, r| !r.is_empty());
+            self.floor = self.floor.max(horizon_start);
         }
         (diff, first_writers)
     }
 
     /// The last committed writer of `item`, if any.
     pub fn last_writer(&self, item: ItemId) -> Option<TxnId> {
-        self.last_writer.get(&item).copied()
+        let slot = *self.slot_of.get(item.as_usize())?;
+        self.touched.get(slot as usize)?.last_writer
     }
 }
 
@@ -248,8 +277,184 @@ mod tests {
     }
 
     #[test]
+    fn reader_at_the_horizon_still_precedes_one_cycle_beyond_does_not() {
+        // Closing cycle c retires the readers of cycles before c − H, so
+        // a cycle-0 reader is last seen by a write of cycle H + 1.
+        const H: u32 = 3;
+        for (write_cycle, expect_edge) in [(u64::from(H) + 1, true), (u64::from(H) + 2, false)] {
+            let mut tr = ConflictTracker::new(H);
+            tr.commit(&ServerTxn::new(id(0, 0), vec![x(9)], vec![]));
+            for c in 0..write_cycle {
+                tr.end_cycle(Cycle::new(c));
+            }
+            tr.commit(&ServerTxn::new(id(write_cycle, 0), vec![x(9)], vec![x(9)]));
+            let (d, _) = tr.end_cycle(Cycle::new(write_cycle));
+            let want: &[(TxnId, TxnId)] = if expect_edge {
+                &[(id(0, 0), id(write_cycle, 0))]
+            } else {
+                &[]
+            };
+            assert_eq!(d.edges(), want, "write in cycle {write_cycle}");
+        }
+    }
+
+    #[test]
+    fn retired_readers_are_dropped_by_the_next_read() {
+        // a hot item that is read every cycle (twice by each reader) and
+        // never written keeps one horizon of readers, not the whole run
+        let mut tr = ConflictTracker::new(2);
+        for c in 0..50u64 {
+            tr.commit(&ServerTxn::new(id(c, 0), vec![x(3), x(3)], vec![]));
+            tr.end_cycle(Cycle::new(c));
+        }
+        assert_eq!(tr.touched.len(), 1);
+        assert_eq!(tr.touched[0].readers, [46, 47, 48, 49].map(|c| id(c, 0)));
+    }
+
+    #[test]
     #[should_panic(expected = "positive")]
     fn zero_horizon_rejected() {
         let _ = ConflictTracker::new(0);
+    }
+
+    /// The tracker this module shipped before the flat one — ordered maps
+    /// and sets, a per-cycle pair set, a sweep of every reader set at
+    /// cycle end — kept as the model the differential test below holds
+    /// the flat tracker to.
+    mod model {
+        use std::collections::{BTreeMap, BTreeSet};
+
+        use super::*;
+
+        #[derive(Debug, Clone)]
+        pub(super) struct ModelTracker {
+            last_writer: BTreeMap<ItemId, TxnId>,
+            readers_since_write: BTreeMap<ItemId, BTreeSet<TxnId>>,
+            reader_horizon: u32,
+            cycle_edges: Vec<(TxnId, TxnId)>,
+            cycle_edge_set: BTreeSet<(TxnId, TxnId)>,
+            cycle_committed: Vec<TxnId>,
+            cycle_first_writers: BTreeMap<ItemId, TxnId>,
+        }
+
+        impl ModelTracker {
+            pub(super) fn new(reader_horizon: u32) -> Self {
+                ModelTracker {
+                    last_writer: BTreeMap::new(),
+                    readers_since_write: BTreeMap::new(),
+                    reader_horizon,
+                    cycle_edges: Vec::new(),
+                    cycle_edge_set: BTreeSet::new(),
+                    cycle_committed: Vec::new(),
+                    cycle_first_writers: BTreeMap::new(),
+                }
+            }
+
+            fn push_edge(&mut self, from: TxnId, to: TxnId) {
+                if from == to {
+                    return;
+                }
+                if self.cycle_edge_set.insert((from, to)) {
+                    self.cycle_edges.push((from, to));
+                }
+            }
+
+            pub(super) fn commit(&mut self, txn: &ServerTxn) {
+                let id = txn.id();
+                self.cycle_committed.push(id);
+                for &x in txn.reads() {
+                    if let Some(&w) = self.last_writer.get(&x) {
+                        self.push_edge(w, id);
+                    }
+                    self.readers_since_write.entry(x).or_default().insert(id);
+                }
+                for &x in txn.writes() {
+                    if let Some(readers) = self.readers_since_write.get(&x) {
+                        let edges: Vec<TxnId> =
+                            readers.iter().copied().filter(|&r| r != id).collect();
+                        for r in edges {
+                            self.push_edge(r, id);
+                        }
+                    }
+                    if let Some(&w) = self.last_writer.get(&x) {
+                        self.push_edge(w, id);
+                    }
+                    self.last_writer.insert(x, id);
+                    self.readers_since_write.insert(x, BTreeSet::from([id]));
+                    self.cycle_first_writers.entry(x).or_insert(id);
+                }
+            }
+
+            pub(super) fn end_cycle(&mut self, cycle: Cycle) -> (GraphDiff, Vec<(ItemId, TxnId)>) {
+                let diff = GraphDiff::new(
+                    cycle,
+                    std::mem::take(&mut self.cycle_committed),
+                    std::mem::take(&mut self.cycle_edges),
+                );
+                self.cycle_edge_set.clear();
+                let mut first_writers: Vec<(ItemId, TxnId)> =
+                    std::mem::take(&mut self.cycle_first_writers)
+                        .into_iter()
+                        .collect();
+                first_writers.sort();
+                if let Some(horizon_start) = cycle.checked_sub(u64::from(self.reader_horizon)) {
+                    for readers in self.readers_since_write.values_mut() {
+                        readers.retain(|t| t.cycle() >= horizon_start);
+                    }
+                    self.readers_since_write.retain(|_, r| !r.is_empty());
+                }
+                (diff, first_writers)
+            }
+
+            pub(super) fn last_writer(&self, item: ItemId) -> Option<TxnId> {
+                self.last_writer.get(&item).copied()
+            }
+        }
+    }
+
+    /// One transaction: the items it reads (repeats allowed) and a mask
+    /// choosing which of those reads it also writes.
+    type TxnScript = (Vec<u32>, u8);
+
+    proptest::proptest! {
+        /// Differential test: over random serial streams — duplicate
+        /// reads, items rewritten within a cycle, idle cycles, runs much
+        /// longer than the horizon — the flat tracker emits the model's
+        /// diffs (edge order included), first writers and last writers.
+        #[test]
+        fn flat_tracker_matches_the_ordered_map_model(
+            horizon in 1u32..5,
+            cycles in proptest::collection::vec(
+                proptest::collection::vec(
+                    (proptest::collection::vec(0u32..10, 1..7), 0u8..64),
+                    0..4,
+                ),
+                1..40,
+            ),
+        ) {
+            let cycles: Vec<Vec<TxnScript>> = cycles;
+            let mut flat = ConflictTracker::new(horizon);
+            let mut model = model::ModelTracker::new(horizon);
+            for (c, txns) in (0u64..).zip(&cycles) {
+                for (seq, (reads, mask)) in (0u32..).zip(txns) {
+                    let reads: Vec<ItemId> = reads.iter().map(|&i| x(i)).collect();
+                    let writes: Vec<ItemId> = reads
+                        .iter()
+                        .enumerate()
+                        .filter(|&(at, _)| mask >> at & 1 == 1)
+                        .map(|(_, &item)| item)
+                        .collect();
+                    let txn = ServerTxn::new(id(c, seq), reads, writes);
+                    flat.commit(&txn);
+                    model.commit(&txn);
+                }
+                let got = flat.end_cycle(Cycle::new(c));
+                let want = model.end_cycle(Cycle::new(c));
+                proptest::prop_assert_eq!(got, want, "cycle {}", c);
+                for i in 0..10 {
+                    proptest::prop_assert_eq!(flat.last_writer(x(i)), model.last_writer(x(i)));
+                }
+            }
+        }
     }
 }

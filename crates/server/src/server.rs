@@ -10,7 +10,7 @@ use bpush_broadcast::{AugmentedReport, Bcast, ControlInfo, InvalidationReport, I
 use bpush_obs::{Actor, Obs};
 use bpush_sgraph::GraphDiff;
 use bpush_types::config::MultiversionLayout;
-use bpush_types::{BpushError, Cycle, ItemId, ServerConfig, TxnId};
+use bpush_types::{BpushError, Cycle, ItemId, ItemValue, ServerConfig, TxnId};
 
 use crate::conflicts::ConflictTracker;
 use crate::database::MultiversionStore;
@@ -299,29 +299,25 @@ impl BroadcastServer {
 
         // Commit this cycle's update transactions.
         let txns = self.workload.generate_cycle(cycle);
-        let mut updated = Vec::new();
         for txn in &txns {
             self.conflicts.commit(txn);
             for &x in txn.writes() {
                 self.db.apply_write(x, txn.id());
             }
         }
+        let (diff, first_writers) = self.conflicts.end_cycle(cycle);
         // Record history once per item per cycle (the bcast only ever
         // carries cycle-final values; intermediate same-cycle values are
-        // invisible to clients, matching MultiversionStore semantics).
-        let mut final_writer: std::collections::BTreeMap<ItemId, TxnId> =
-            std::collections::BTreeMap::new();
-        for txn in &txns {
-            for &x in txn.writes() {
-                final_writer.insert(x, txn.id());
+        // invisible to clients, matching MultiversionStore semantics):
+        // the first writers name the updated items in item order, and the
+        // tracker's last writer of each is now its cycle-final one.
+        let mut updated = Vec::with_capacity(first_writers.len());
+        for &(x, _) in &first_writers {
+            if let Some(w) = self.conflicts.last_writer(x) {
+                self.history.record(x, ItemValue::written_by(w));
+                updated.push(x);
             }
         }
-        for (&x, &w) in &final_writer {
-            self.history
-                .record(x, bpush_types::ItemValue::written_by(w));
-            updated.push(x);
-        }
-        let (diff, first_writers) = self.conflicts.end_cycle(cycle);
         self.validation_graph.apply_diff(&diff);
         self.pending_sgt = Some((diff, first_writers));
 

@@ -4,7 +4,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 
-use bpush_types::{Cycle, QueryId};
+use bpush_types::{Cycle, QueryId, TxnId};
 
 use crate::diff::GraphDiff;
 use crate::node::Node;
@@ -254,13 +254,19 @@ impl SerializationGraph {
     pub fn add_edge(&mut self, from: Node, to: Node) -> bool {
         let f = self.intern(from);
         let t = self.intern(to);
-        // bpush-lint: allow(panic-reach) — f was just interned, so f < nodes.len()
+        self.link(f, t, to)
+    }
+
+    /// Appends the edge between two interned ids (`t` is `to`'s id)
+    /// unless it exists. Returns `true` if the edge is new.
+    fn link(&mut self, f: u32, t: u32, to: Node) -> bool {
+        // bpush-lint: allow(panic-reach) — f is an interned id, so f < nodes.len()
         if self.out_ids[f as usize].contains(&t) {
             return false;
         }
-        self.out_ids[f as usize].push(t); // bpush-lint: allow(panic-reach) — f was just interned, so f < nodes.len()
-        self.out[f as usize].push(to); // bpush-lint: allow(panic-reach) — f was just interned, so f < nodes.len()
-        self.in_ids[t as usize].push(f); // bpush-lint: allow(panic-reach) — t was just interned, so t < nodes.len()
+        self.out_ids[f as usize].push(t); // bpush-lint: allow(panic-reach) — f is an interned id, so f < nodes.len()
+        self.out[f as usize].push(to); // bpush-lint: allow(panic-reach) — f is an interned id, so f < nodes.len()
+        self.in_ids[t as usize].push(f); // bpush-lint: allow(panic-reach) — t is an interned id, so t < nodes.len()
         self.edge_count += 1;
         true
     }
@@ -364,11 +370,38 @@ impl SerializationGraph {
     /// Applies a broadcast [`GraphDiff`]: inserts the newly committed
     /// transactions and their conflict edges.
     pub fn apply_diff(&mut self, diff: &GraphDiff) {
+        self.apply_diff_from(diff, Cycle::ZERO);
+    }
+
+    /// Applies the part of `diff` inside the Lemma-1 window that starts
+    /// at commit cycle `bound`: what [`SerializationGraph::apply_diff`]
+    /// followed by [`SerializationGraph::prune_before`]`(bound)` would
+    /// leave of it, without interning the transactions and edges that
+    /// prune would unlink again. Nodes already in the graph are not
+    /// touched; pruning them stays the caller's
+    /// [`SerializationGraph::prune_before`].
+    pub fn apply_diff_from(&mut self, diff: &GraphDiff, bound: Cycle) {
         for &t in diff.committed() {
-            self.add_node(Node::Txn(t));
+            if t.cycle() >= bound {
+                self.add_node(Node::Txn(t));
+            }
         }
+        // The server emits a commit's edges contiguously, so the target
+        // is looked up once per run of equal `to`, not once per edge.
+        let mut run: Option<(TxnId, u32)> = None;
         for &(from, to) in diff.edges() {
-            self.add_edge(Node::Txn(from), Node::Txn(to));
+            let f = (from.cycle() >= bound).then(|| self.intern(Node::Txn(from)));
+            if to.cycle() < bound {
+                continue;
+            }
+            let t = match run {
+                Some((txn, id)) if txn == to => id,
+                _ => self.intern(Node::Txn(to)),
+            };
+            run = Some((to, t));
+            if let Some(f) = f {
+                self.link(f, t, Node::Txn(to));
+            }
         }
     }
 
@@ -524,7 +557,6 @@ impl std::error::Error for CycleDetected {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bpush_types::TxnId;
 
     fn t(cycle: u64, seq: u32) -> TxnId {
         TxnId::new(Cycle::new(cycle), seq)
@@ -696,6 +728,31 @@ mod tests {
         // re-applying is idempotent
         g.apply_diff(&diff);
         assert_eq!(g.edge_count(), 2);
+    }
+
+    #[test]
+    fn apply_diff_from_interns_only_the_window() {
+        let diff = GraphDiff::new(
+            Cycle::new(3),
+            vec![t(3, 0), t(3, 1)],
+            vec![
+                (t(1, 0), t(3, 0)),
+                (t(2, 0), t(3, 0)),
+                (t(3, 0), t(3, 1)),
+                (t(2, 1), t(3, 1)),
+            ],
+        );
+        let mut g = SerializationGraph::new();
+        g.apply_diff_from(&diff, Cycle::new(2));
+        assert!(!g.contains(nt(1, 0)), "cycle 1 is before the window");
+        assert_eq!(g.node_count(), 4);
+        assert_eq!(g.edge_count(), 3);
+        assert_eq!(g.successors(nt(2, 0)), &[nt(3, 0)]);
+        assert_eq!(g.earliest_cycle(), Some(Cycle::new(2)));
+        // a window that starts after the diff's cycle takes nothing of it
+        let mut h = SerializationGraph::new();
+        h.apply_diff_from(&diff, Cycle::new(4));
+        assert!(h.is_empty());
     }
 
     #[test]

@@ -12,8 +12,10 @@
 //! * [`SerializationGraph`] — the graph itself on a dense `u32` node
 //!   interner with forward and reverse adjacency, with incremental edge
 //!   insertion, allocation-free cycle/path queries, per-cycle subgraph
-//!   bookkeeping (`SG^i` in the paper), and the Lemma-1 pruning rule
-//!   ([`SerializationGraph::prune_before`]),
+//!   bookkeeping (`SG^i` in the paper), and the Lemma-1 window both ways:
+//!   pruning what fell out of it ([`SerializationGraph::prune_before`])
+//!   and integrating only the part of a broadcast diff inside it
+//!   ([`SerializationGraph::apply_diff_from`]),
 //! * [`baseline::BaselineGraph`] — the original `BTreeMap`
 //!   implementation, kept as differential-test oracle and benchmark
 //!   baseline,

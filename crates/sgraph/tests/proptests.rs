@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 
 use bpush_sgraph::baseline::BaselineGraph;
-use bpush_sgraph::{Node, SerializationGraph};
+use bpush_sgraph::{GraphDiff, Node, SerializationGraph};
 use bpush_types::{Cycle, QueryId, TxnId};
 
 /// Strategy: a random "server history" of edges that always point from an
@@ -184,6 +184,83 @@ proptest! {
                     n
                 );
                 prop_assert_eq!(fast.path_exists(n, txn), slow.path_exists(n, txn));
+            }
+        }
+    }
+
+    /// Window-first integration is apply-then-prune: for random diffs,
+    /// query edges added and removed in between, and bounds that move
+    /// both ways, `apply_diff_from(d, b); prune_before(b)` leaves the
+    /// graph `apply_diff(d); prune_before(b)` leaves — same canonical
+    /// rendering (node set and successor order), same counts — and both
+    /// agree with the [`BaselineGraph`] doing the latter.
+    #[test]
+    fn windowed_diff_equals_apply_then_prune(
+        steps in proptest::collection::vec(
+            (
+                // the diff: its cycle, committed seqs, (from cycle, from seq, to seq) edges
+                (1u64..8, proptest::collection::vec(0u32..4, 0..4)),
+                proptest::collection::vec((0u64..8, 0u32..4, 0u32..4), 0..10),
+                // the bound, and a query-edge operation in between
+                0u64..9,
+                (0u8..4, 0u64..3, 0u64..8, 0u32..4),
+            ),
+            0..24,
+        ),
+    ) {
+        let mut windowed = SerializationGraph::new();
+        let mut reference = SerializationGraph::new();
+        let mut baseline = BaselineGraph::new();
+        for ((cycle, seqs), raw_edges, bound, (op, q, c, s)) in steps {
+            let cycle = Cycle::new(cycle);
+            let committed: Vec<TxnId> = seqs.into_iter().map(|s| TxnId::new(cycle, s)).collect();
+            let edges: Vec<(TxnId, TxnId)> = raw_edges
+                .into_iter()
+                .map(|(fc, fs, ts)| (TxnId::new(Cycle::new(fc), fs), TxnId::new(cycle, ts)))
+                .filter(|(from, to)| from < to)
+                .collect();
+            let diff = GraphDiff::new(cycle, committed, edges);
+            let bound = Cycle::new(bound);
+
+            let query = Node::Query(QueryId::new(q));
+            let txn = Node::Txn(TxnId::new(Cycle::new(c), s));
+            match op {
+                0 => {
+                    windowed.add_edge(query, txn);
+                    reference.add_edge(query, txn);
+                    baseline.add_edge(query, txn);
+                }
+                1 => {
+                    windowed.add_edge(txn, query);
+                    reference.add_edge(txn, query);
+                    baseline.add_edge(txn, query);
+                }
+                2 => {
+                    windowed.remove_query(QueryId::new(q));
+                    reference.remove_query(QueryId::new(q));
+                    baseline.remove_query(QueryId::new(q));
+                }
+                _ => {}
+            }
+
+            windowed.apply_diff_from(&diff, bound);
+            windowed.prune_before(bound);
+            reference.apply_diff(&diff);
+            reference.prune_before(bound);
+            baseline.apply_diff(&diff);
+            baseline.prune_before(bound);
+
+            prop_assert_eq!(format!("{windowed:?}"), format!("{reference:?}"));
+            prop_assert_eq!(windowed.node_count(), reference.node_count());
+            prop_assert_eq!(windowed.edge_count(), reference.edge_count());
+            prop_assert_eq!(windowed.earliest_cycle(), reference.earliest_cycle());
+            prop_assert_eq!(windowed.node_count(), baseline.node_count());
+            prop_assert_eq!(windowed.edge_count(), baseline.edge_count());
+            prop_assert_eq!(windowed.earliest_cycle(), baseline.earliest_cycle());
+            let nodes: Vec<Node> = windowed.nodes().collect();
+            prop_assert_eq!(&nodes, &baseline.nodes().collect::<Vec<Node>>());
+            for n in nodes {
+                prop_assert_eq!(windowed.successors(n), baseline.successors(n));
             }
         }
     }

@@ -945,6 +945,12 @@ mod tests {
             "SGT under an updating workload must retain graph nodes"
         );
         assert!(sgt.peak_graph_edges > 0);
+        // Pinned at the commit before window-first diff integration: what
+        // a client retains is Lemma 1's window, however it gets there.
+        assert_eq!(
+            (sgt.peak_graph_nodes, sgt.peak_graph_edges, sgt.cycles),
+            (12, 19, 45)
+        );
         assert_eq!(
             sgt.validation_ns.count(),
             sgt.cycles,
