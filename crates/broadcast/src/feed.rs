@@ -171,6 +171,32 @@ pub fn decode_control_payload(
     ControlInfo::try_new(cycle, invalidation, augmented, graph_diff)
 }
 
+/// What a wire-fed client hears of `ctrl`: the report encoded as a
+/// framed control segment, scanned out of a [`WireFeed`] and decoded
+/// back. A faithful codec returns a report equal to `ctrl`.
+///
+/// # Errors
+/// Returns [`BpushError::Internal`] if the self-encoded bytes do not
+/// frame and decode as one control segment of `ctrl`'s cycle — a codec
+/// bug, never bad input.
+pub fn roundtrip_control(
+    ctrl: &ControlInfo,
+    params: WireParams,
+) -> Result<ControlInfo, BpushError> {
+    let mut feed = WireFeed::new();
+    feed.push(&encode_control_segment(ctrl, params));
+    let seg = feed
+        .pop()
+        .ok()
+        .flatten()
+        .filter(|seg| seg.kind == SegmentKind::Control && seg.cycle == ctrl.cycle())
+        .ok_or(BpushError::internal(
+            "a self-encoded control segment did not frame",
+        ))?;
+    decode_control_payload(seg.payload, params, seg.cycle)
+        .map_err(|_| BpushError::internal("a self-encoded control segment did not decode"))
+}
+
 /// Reads a 32-bit header field out of a payload stream.
 // bpush-lint: hot_path — per-field decode primitive on the broadcast feed path
 fn take_u32_field(r: &mut BitReader<'_>) -> Result<u32, BpushError> {
@@ -476,6 +502,12 @@ mod tests {
         assert_eq!(seg.cycle, Cycle::new(20));
         let decoded = decode_control_payload(seg.payload, params(), seg.cycle).unwrap();
         assert_eq!(decoded, ctrl);
+    }
+
+    #[test]
+    fn roundtrip_control_hears_what_was_sent() {
+        let ctrl = sgt_control(20);
+        assert_eq!(roundtrip_control(&ctrl, params()).unwrap(), ctrl);
     }
 
     #[test]

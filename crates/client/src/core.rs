@@ -3,15 +3,19 @@
 //! commit or abort. [`QueryExecutor`](crate::QueryExecutor),
 //! [`BroadcastSession`](crate::BroadcastSession) and
 //! [`WireClient`](crate::WireClient) are drivers over this core and hold
-//! nothing of the protocol lifecycle themselves.
+//! nothing of the protocol lifecycle themselves. The byte path is a step
+//! of the same automaton: a core with a wire link hears its control
+//! segments out of a [`WireFeed`], whoever produced the bytes.
 
+use bpush_broadcast::feed::{decode_segment, encode_control_segment, DecodedSegment, WireFeed};
+use bpush_broadcast::wire::WireParams;
 use bpush_broadcast::{Bcast, ControlInfo};
 use bpush_core::validator::ReadRecord;
 use bpush_core::{
     AbortReason, CacheMode, ReadCandidate, ReadConstraint, ReadDirective, ReadOnlyProtocol,
     ReadOutcome, Source,
 };
-use bpush_types::{Cycle, ItemId, QueryId};
+use bpush_types::{BpushError, Cycle, ItemId, QueryId};
 
 use crate::cache::ClientCache;
 use crate::executor::CacheDecision;
@@ -39,6 +43,9 @@ pub(crate) struct ClientCore {
     protocol: Box<dyn ReadOnlyProtocol>,
     cache: Option<ClientCache>,
     decider: Option<Box<dyn CacheDecision>>,
+    /// The wire link: the deployment's widths and the one byte buffer
+    /// every segment this client hears is framed out of.
+    wire: Option<(WireParams, WireFeed)>,
     /// Cycle of the last control segment heard.
     heard: Option<Cycle>,
     next_id: QueryId,
@@ -52,6 +59,7 @@ impl ClientCore {
             protocol,
             cache,
             decider: None,
+            wire: None,
             heard: None,
             next_id: QueryId::new(0),
             active: Vec::new(),
@@ -72,6 +80,12 @@ impl ClientCore {
 
     pub(crate) fn set_decider(&mut self, decider: Box<dyn CacheDecision>) {
         self.decider = Some(decider);
+    }
+
+    /// From here on control segments are heard off the wire, decoded
+    /// with `params`.
+    pub(crate) fn set_wire(&mut self, params: WireParams) {
+        self.wire = Some((params, WireFeed::new()));
     }
 
     pub(crate) fn protocol(&self) -> &dyn ReadOnlyProtocol {
@@ -105,7 +119,7 @@ impl ClientCore {
 
     /// Hears a control segment: the method validates its queries, the
     /// cache invalidates.
-    pub(crate) fn hear_control(&mut self, ctrl: &ControlInfo) {
+    fn hear_control(&mut self, ctrl: &ControlInfo) {
         self.protocol.on_control(ctrl);
         if let Some(cache) = &mut self.cache {
             cache.on_report(ctrl.invalidation());
@@ -113,13 +127,58 @@ impl ClientCore {
         self.heard = Some(ctrl.cycle());
     }
 
-    /// Hears the start of a whole bcast: [`ClientCore::hear_control`],
-    /// then the cache autoprefetches what the report invalidated.
-    pub(crate) fn hear(&mut self, bcast: &Bcast) {
-        self.hear_control(bcast.control());
+    /// Appends transport bytes (any chunking) to the wire link; a core
+    /// without one drops them.
+    pub(crate) fn push(&mut self, chunk: &[u8]) {
+        if let Some((_, feed)) = &mut self.wire {
+            feed.push(chunk);
+        }
+    }
+
+    /// Consumes the next complete segment off the wire link, or `None`
+    /// when more bytes are needed. A control segment is heard here
+    /// ([`ClientCore::hear_control`]); every segment is handed back
+    /// decoded so the driver can keep what the core has no use for.
+    pub(crate) fn next_segment(&mut self) -> Result<Option<DecodedSegment>, BpushError> {
+        let Some((params, feed)) = &mut self.wire else {
+            return Ok(None);
+        };
+        let Some(seg) = feed.pop()? else {
+            return Ok(None);
+        };
+        let decoded = decode_segment(seg, *params)?;
+        if let DecodedSegment::Control(ctrl) = &decoded {
+            self.hear_control(ctrl);
+        }
+        Ok(Some(decoded))
+    }
+
+    /// Hears the start of a whole bcast, then the cache autoprefetches
+    /// what the report invalidated. With a wire link the control
+    /// information takes the byte path — this client's own encode →
+    /// frame → decode — and only the decoded report is heard.
+    ///
+    /// # Errors
+    /// Returns [`BpushError::Internal`] if the self-encoded bytes do not
+    /// come back as this cycle's control segment: a codec bug.
+    pub(crate) fn hear(&mut self, bcast: &Bcast) -> Result<(), BpushError> {
+        let ctrl = bcast.control();
+        match &mut self.wire {
+            None => self.hear_control(ctrl),
+            Some((params, feed)) => {
+                feed.push(&encode_control_segment(ctrl, *params));
+                let Ok(Some(DecodedSegment::Control(decoded))) = self.next_segment() else {
+                    return Err(BpushError::internal(
+                        "a self-encoded control segment did not frame and decode",
+                    ));
+                };
+                debug_assert_eq!(&decoded, ctrl, "wire roundtrip changed the control report");
+            }
+        }
         if let Some(cache) = &mut self.cache {
             cache.autoprefetch(bcast);
         }
+        Ok(())
     }
 
     /// The client missed `cycle` entirely.
@@ -421,11 +480,37 @@ mod tests {
             (CacheMode::Multiversion, true, 0),
         ] {
             let mut core = core_with(mode);
-            core.hear(&flat);
+            core.hear(&flat).unwrap();
             let pinned = core.locate(&flat, ItemId::new(0), at(5), 0);
             assert_eq!(pinned.is_some(), at5, "{mode:?} at state 5");
             let (_, cand) = core.locate(&flat, ItemId::new(0), at(6), 0).unwrap();
             assert_eq!(cand.valid_from, at(floor), "{mode:?} floor");
         }
+    }
+
+    /// A core with a wire link hears a bcast only through its byte
+    /// buffer: the self-encoded control segment frames out of it, and
+    /// when it cannot — here the transport left a partial segment in
+    /// front — hearing fails as an internal error instead of falling
+    /// back to the struct or panicking.
+    #[test]
+    fn a_wire_link_hears_through_the_byte_buffer() {
+        let bcast = |c: u64| {
+            Flat::new(1).assemble(
+                Cycle::new(c),
+                ControlInfo::empty(Cycle::new(c)),
+                records(4, &[]),
+                Vec::new(),
+            )
+        };
+        let mut core = core_with(CacheMode::None);
+        core.set_wire(WireParams::derive(4, 1, 1, 1));
+        core.hear(&bcast(6)).unwrap();
+        assert_eq!(core.heard(), Some(Cycle::new(6)));
+        assert!(matches!(core.next_segment(), Ok(None)), "buffer drained");
+
+        core.push(&[2]); // a directory kind byte and nothing else
+        assert!(matches!(core.hear(&bcast(7)), Err(BpushError::Internal(_))));
+        assert_eq!(core.heard(), Some(Cycle::new(6)), "cycle 7 was not heard");
     }
 }

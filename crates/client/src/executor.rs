@@ -191,27 +191,22 @@ impl QueryExecutor {
         self
     }
 
-    /// Feeds this client's control reports through the wire codec: the
-    /// protocol is wrapped in a [`bpush_core::wirefed::WireFed`]
-    /// decorator that encodes every report to framed broadcast segments
-    /// and decodes it back before the protocol hears it. The run must
-    /// stay bit-identical to the struct-fed run — any difference is a
-    /// wire/in-memory divergence in the codec. Call before
-    /// [`QueryExecutor::with_obs`] so instrumentation counts the
-    /// decoded reports.
+    /// Feeds this client's control reports through the wire codec:
+    /// every cycle the client encodes the report to a framed broadcast
+    /// segment, scans it out of its byte buffer and decodes it back, and
+    /// the protocol hears only the decoded report. The run must stay
+    /// bit-identical to the struct-fed run — any difference is a
+    /// wire/in-memory divergence in the codec.
     #[must_use]
     pub fn with_wire_feed(mut self, params: bpush_broadcast::wire::WireParams) -> Self {
-        self.core = self
-            .core
-            .wrap(|p| Box::new(bpush_core::wirefed::WireFed::new(p, params)));
+        self.core.set_wire(params);
         self
     }
 
     /// Replaces the inner protocol — the fault-injection seam the
     /// monitor-layer tests use to run a broken mutant under an otherwise
-    /// identical workload. Call before [`QueryExecutor::with_wire_feed`]
-    /// / [`QueryExecutor::with_obs`] so the decorators wrap the
-    /// replacement.
+    /// identical workload. Call before [`QueryExecutor::with_obs`] so
+    /// the instrumentation wraps the replacement.
     #[must_use]
     pub fn with_protocol(mut self, protocol: Box<dyn ReadOnlyProtocol>) -> Self {
         self.core = self.core.wrap(|_| protocol);
@@ -344,9 +339,10 @@ impl QueryExecutor {
     ///
     /// # Errors
     /// Returns [`BpushError::Internal`] if the executor's own state
-    /// machine loses track of the active query — a bug, not a user
-    /// error; surfaced as a `Result` so long simulations fail with
-    /// context instead of a panic.
+    /// machine loses track of the active query, or if a wire-fed
+    /// client's self-encoded control segment does not decode back — a
+    /// bug, not a user error; surfaced as a `Result` so long simulations
+    /// fail with context instead of a panic.
     pub fn run_cycle(
         &mut self,
         bcast: &Bcast,
@@ -363,7 +359,7 @@ impl QueryExecutor {
             return Ok(out);
         }
 
-        self.core.hear(bcast);
+        self.core.hear(bcast)?;
         // Reading the control segment occupies its slots; a query alive
         // across the boundary pays that listening cost (§2.1).
         if let Some(aq) = &mut self.active {

@@ -16,17 +16,23 @@
 //!   directives and values out,
 //! * [`lru::LruMap`] — the replacement policy building block.
 //!
-//! One core, three drivers: the paper's client (§2.1, §3–§4) is a single
-//! automaton — hear the control segment, ask the method for a directive,
-//! serve the read from cache or air, commit or abort — and it is written
-//! once, in the crate-private `core` module, which owns the protocol,
-//! the cache, the cache decision point and the in-flight transaction
-//! table. The three public clients differ only in how the broadcast
-//! reaches them and in what they account for: the executor adds the slot
-//! clock, tuning cost and events of a simulated client, the session
-//! answers with [`ReadStep`]s, the wire client decodes segments. A
-//! behaviour of the automaton is therefore the same under the simulator,
-//! in an embedding application and behind a byte transport.
+//! One core, three drivers, one wire step: the paper's client (§2.1,
+//! §3–§4) is a single automaton — hear the control segment, ask the
+//! method for a directive, serve the read from cache or air, commit or
+//! abort — and it is written once, in the crate-private `core` module,
+//! which owns the protocol, the cache, the cache decision point, the
+//! in-flight transaction table and the optional wire link (the byte
+//! buffer control segments are framed out of and decoded from). The
+//! three public clients differ only in how the broadcast reaches them
+//! and in what they account for: the executor adds the slot clock,
+//! tuning cost and events of a simulated client, the session answers
+//! with [`ReadStep`]s, the wire client pushes transport bytes into the
+//! link and keeps the data and directory segments. A wire-fed executor
+//! ([`QueryExecutor::with_wire_feed`]) pushes its own encoding of each
+//! report into the same link, so there is one place a control segment
+//! is heard off the wire. A behaviour of the automaton is therefore the
+//! same under the simulator, in an embedding application and behind a
+//! byte transport.
 //!
 //! # Example
 //!

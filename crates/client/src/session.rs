@@ -113,7 +113,9 @@ impl BroadcastSession {
     /// Processes the control segment of a freshly heard bcast. Call once
     /// per cycle, before any read of that cycle.
     pub fn on_bcast(&mut self, bcast: &Bcast) {
-        self.core.hear(bcast);
+        // only a wire link can fail to hear, and a session has none
+        let heard = self.core.hear(bcast);
+        debug_assert!(heard.is_ok());
     }
 
     /// Tells the session the client missed `cycle` entirely.

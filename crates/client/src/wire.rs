@@ -23,7 +23,7 @@
 
 use std::collections::BTreeMap;
 
-use bpush_broadcast::feed::{decode_segment, DecodedSegment, WireFeed};
+use bpush_broadcast::feed::DecodedSegment;
 use bpush_broadcast::wire::WireParams;
 use bpush_broadcast::{Directory, ItemRecord};
 use bpush_core::validator::ReadRecord;
@@ -63,8 +63,6 @@ use crate::session::TxnHandle;
 #[derive(Debug)]
 pub struct WireClient {
     core: ClientCore,
-    params: WireParams,
-    feed: WireFeed,
     /// The last heard data segment. The wire carries neither slots nor
     /// old versions, so the air lookup is a probe of this table.
     records: BTreeMap<ItemId, ItemRecord>,
@@ -75,10 +73,10 @@ impl WireClient {
     /// Creates a wire client around any protocol. `params` are the
     /// deployment's agreed wire widths (both ends must use the same).
     pub fn new(protocol: Box<dyn ReadOnlyProtocol>, params: WireParams) -> Self {
+        let mut core = ClientCore::new(protocol, None);
+        core.set_wire(params);
         WireClient {
-            core: ClientCore::new(protocol, None),
-            params,
-            feed: WireFeed::new(),
+            core,
             records: BTreeMap::new(),
             directory: None,
         }
@@ -113,13 +111,11 @@ impl WireClient {
     /// Returns [`BpushError::InvalidConfig`] on a malformed stream; the
     /// transport must resynchronize before feeding more bytes.
     pub fn push(&mut self, chunk: &[u8]) -> Result<(), BpushError> {
-        self.feed.push(chunk);
-        loop {
-            let Some(seg) = self.feed.pop()? else {
-                return Ok(());
-            };
-            match decode_segment(seg, self.params)? {
-                DecodedSegment::Control(ctrl) => self.core.hear_control(&ctrl),
+        self.core.push(chunk);
+        while let Some(seg) = self.core.next_segment()? {
+            match seg {
+                // heard by the core
+                DecodedSegment::Control(_) => {}
                 DecodedSegment::Data(_, records) => {
                     self.records = records.into_iter().map(|r| (r.item(), r)).collect();
                 }
@@ -128,6 +124,7 @@ impl WireClient {
                 }
             }
         }
+        Ok(())
     }
 
     /// Tells the client it missed `cycle` entirely (disconnection).

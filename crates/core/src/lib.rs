@@ -62,7 +62,6 @@ mod protocol;
 mod readset;
 mod sgt;
 pub mod validator;
-pub mod wirefed;
 
 pub use batch::CohortScreen;
 pub use invalidation::InvalidationOnly;

@@ -5,18 +5,16 @@
 //! This file is also the evidence `cargo xtask lint` (rule
 //! `L4/conformance`) scans for: it names each implementing type —
 //! `InvalidationOnly`, `MultiversionBroadcast`, `Sgt`,
-//! `MultiversionCaching`, `Instrumented`, `WireFed` — next to the
-//! battery that exercises it.
+//! `MultiversionCaching`, `Instrumented` — next to the battery that
+//! exercises it.
 
 // Integration tests are exempt from the panic-freedom policy
 // (mirrors `allow-unwrap-in-tests` in clippy.toml and the `#[cfg(test)]`
 // carve-out in `cargo xtask lint`).
 #![allow(clippy::unwrap_used)]
-use bpush_broadcast::wire::WireParams;
 use bpush_broadcast::{ControlInfo, InvalidationReport};
 use bpush_core::conformance;
 use bpush_core::instrument::Instrumented;
-use bpush_core::wirefed::WireFed;
 use bpush_core::{
     InvalidationOnly, Method, MultiversionBroadcast, MultiversionCaching, ReadCandidate,
     ReadDirective, ReadOnlyProtocol, Sgt, SgtConfig, Source,
@@ -96,23 +94,6 @@ fn every_method_conforms_under_instrumentation() {
     for method in Method::ALL {
         assert_conformant(&format!("Instrumented<{}>", method.name()), &|| {
             Box::new(Instrumented::new(method.build_protocol()))
-        });
-    }
-}
-
-/// Wire widths generous enough for every id/cycle the battery and the
-/// drive script use (item ids < 1000, short cycle spans).
-fn wire_params() -> WireParams {
-    WireParams::derive(1000, 8, 32, 16)
-}
-
-/// Feeding control input through the wire codec must be behaviorally
-/// invisible: every method still conforms wrapped in `WireFed`.
-#[test]
-fn every_method_conforms_wire_fed() {
-    for method in Method::ALL {
-        assert_conformant(&format!("WireFed<{}>", method.name()), &|| {
-            Box::new(WireFed::new(method.build_protocol(), wire_params()))
         });
     }
 }
@@ -205,26 +186,6 @@ fn instrumentation_is_transparent() {
             raw_log,
             wrapped_log,
             "Instrumented changed observable behavior of {}",
-            method.name()
-        );
-    }
-}
-
-/// The wire decorator must be indistinguishable from the raw protocol on
-/// the scripted drive (the same transparency bar `Instrumented` clears).
-#[test]
-fn wire_feeding_is_transparent() {
-    for method in Method::ALL {
-        let mut raw = method.build_protocol();
-        let raw_log = drive(raw.as_mut());
-
-        let mut wired = WireFed::new(method.build_protocol(), wire_params());
-        let wired_log = drive(&mut wired);
-
-        assert_eq!(
-            raw_log,
-            wired_log,
-            "WireFed changed observable behavior of {}",
             method.name()
         );
     }

@@ -1,9 +1,9 @@
 //! Deterministic execution of one bounded schedule against the real
 //! protocol implementations.
 
+use bpush_broadcast::feed::roundtrip_control;
 use bpush_core::instrument::Instrumented;
 use bpush_core::validator::{ConsistencyViolation, ReadRecord, SerializabilityValidator};
-use bpush_core::wirefed::WireFed;
 use bpush_core::{
     AbortReason, Method, ProtocolStep, ReadCandidate, ReadConstraint, ReadDirective,
     ReadOnlyProtocol, ReadOutcome, Source,
@@ -25,10 +25,10 @@ pub enum FeedMode {
     Struct,
     /// Wire-format segments: every control report is encoded, framed,
     /// byte-buffered and decoded before the protocol sees it
-    /// ([`bpush_core::wirefed::WireFed`]). A faithful codec makes this
-    /// mode bit-identical to [`FeedMode::Struct`] — same fates, same
-    /// readsets, same canonical state hashes — which the conformance
-    /// battery asserts for every method.
+    /// ([`bpush_broadcast::feed::roundtrip_control`]). A faithful codec
+    /// makes this mode bit-identical to [`FeedMode::Struct`] — same
+    /// fates, same readsets, same canonical state hashes — which the
+    /// conformance battery asserts for every method.
     Wire,
 }
 
@@ -76,14 +76,14 @@ pub(crate) fn run_client_obs(
     obs: &Obs,
     feed: FeedMode,
 ) -> Execution {
-    let base: Box<dyn ReadOnlyProtocol> = match feed {
-        FeedMode::Struct => spec.build(),
-        FeedMode::Wire => Box::new(WireFed::new(spec.build(), gt.wire_params)),
-    };
     let mut protocol: Box<dyn ReadOnlyProtocol> = if obs.is_enabled() {
-        Box::new(Instrumented::with_obs(base, obs.clone(), Actor::Client(0)))
+        Box::new(Instrumented::with_obs(
+            spec.build(),
+            obs.clone(),
+            Actor::Client(0),
+        ))
     } else {
-        base
+        spec.build()
     };
     let q = QueryId::new(0);
     let mut begun = false;
@@ -98,7 +98,17 @@ pub(crate) fn run_client_obs(
         if choices.missed.contains(&now) {
             protocol.step(&ProtocolStep::MissedCycle(now));
         } else {
-            protocol.step(&ProtocolStep::Control(bcast.control().clone()));
+            let ctrl = match feed {
+                FeedMode::Struct => bcast.control().clone(),
+                FeedMode::Wire => {
+                    let heard = roundtrip_control(bcast.control(), gt.wire_params)
+                        // lint: allow(panic) — divergence detector by design
+                        .expect("a wire-encoded control report must decode");
+                    debug_assert_eq!(&heard, bcast.control(), "the wire changed the report");
+                    heard
+                }
+            };
+            protocol.step(&ProtocolStep::Control(ctrl));
         }
         if now == choices.begin {
             protocol.step(&ProtocolStep::BeginQuery(q, now));

@@ -991,9 +991,8 @@ impl Lane {
     }
 }
 
-/// The all-integer verdict of a monitored run. Canonically renderable
-/// ([`MonitorVerdict::render`]) and mergeable across shards in shard
-/// order ([`MonitorVerdict::merge`]).
+/// The all-integer verdict of a monitored run, canonically renderable
+/// ([`MonitorVerdict::render`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MonitorVerdict {
     /// Events streamed through the engine.
@@ -1064,24 +1063,6 @@ impl MonitorVerdict {
             );
         }
         out
-    }
-
-    /// Folds `other` into `self` (canonical shard-order merge).
-    pub fn merge(&mut self, other: &MonitorVerdict) {
-        self.events = self.events.saturating_add(other.events);
-        self.controls = self.controls.saturating_add(other.controls);
-        self.commits = self.commits.saturating_add(other.commits);
-        self.aborts = self.aborts.saturating_add(other.aborts);
-        self.checks = self.checks.saturating_add(other.checks);
-        self.graph_edges = self.graph_edges.saturating_add(other.graph_edges);
-        self.overflows = self.overflows.saturating_add(other.overflows);
-        self.unknown_actors = self.unknown_actors.saturating_add(other.unknown_actors);
-        self.violations.extend_from_slice(&other.violations);
-        self.violations_dropped = self
-            .violations_dropped
-            .saturating_add(other.violations_dropped);
-        self.watch_hits.extend_from_slice(&other.watch_hits);
-        self.watch_dropped = self.watch_dropped.saturating_add(other.watch_dropped);
     }
 }
 
@@ -1549,24 +1530,6 @@ mod tests {
         accept_read(&mut e2, 0, 1, 8, 1);
         commit(&mut e2, 0, 1, 1);
         assert_eq!(text, e2.mon_verdict().render());
-    }
-
-    #[test]
-    fn verdict_merge_concatenates_in_call_order() {
-        let mut a = engine(MonitorPolicy::Current, CoverageRule::WindowGap).mon_verdict();
-        let mut e = engine(MonitorPolicy::Current, CoverageRule::WindowGap);
-        begin(&mut e, 0, 1, 0);
-        accept_read(&mut e, 0, 1, 7, 0);
-        e.mon_control_begin(0, Cycle::new(1), 1);
-        e.mon_report_entry(0, ItemId::new(7), Cycle::ZERO);
-        e.mon_control_done(0, Cycle::new(1));
-        accept_read(&mut e, 0, 1, 8, 1);
-        commit(&mut e, 0, 1, 1);
-        let b = e.mon_verdict();
-        a.merge(&b);
-        assert_eq!(a.violations.len(), 1);
-        assert_eq!(a.commits, 1);
-        assert!(!a.pass());
     }
 
     #[test]

@@ -1,15 +1,10 @@
 //! The pre-interning `BTreeMap`-based serialization graph.
 //!
 //! This is the original implementation of [`crate::SerializationGraph`],
-//! kept verbatim (modulo the rename) for two jobs:
-//!
-//! * **differential oracle** — the property tests in
-//!   `crates/sgraph/tests/proptests.rs` replay random operation
-//!   sequences against both graphs and require identical answers;
-//! * **benchmark baseline** — `cargo xtask bench` and
-//!   `crates/bench/benches/substrate.rs` time the interned graph
-//!   against this one in the same process, so the recorded speedup is
-//!   measured, not remembered.
+//! kept verbatim (modulo the rename) as the **differential oracle**: the
+//! property tests in `crates/sgraph/tests/proptests.rs` replay random
+//! operation sequences against both graphs and require identical
+//! answers.
 //!
 //! It is *not* used by any protocol; production code always goes through
 //! the interned graph.

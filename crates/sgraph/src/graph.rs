@@ -75,8 +75,7 @@ impl DfsScratch {
 /// checking (`cargo xtask mc`) exact.
 ///
 /// The pre-interning `BTreeMap` implementation survives as
-/// [`crate::baseline::BaselineGraph`], the differential-testing oracle
-/// and benchmark baseline.
+/// [`crate::baseline::BaselineGraph`], the differential-testing oracle.
 ///
 /// # Thread safety
 ///

@@ -17,8 +17,7 @@
 //!   and integrating only the part of a broadcast diff inside it
 //!   ([`SerializationGraph::apply_diff_from`]),
 //! * [`baseline::BaselineGraph`] — the original `BTreeMap`
-//!   implementation, kept as differential-test oracle and benchmark
-//!   baseline,
+//!   implementation, kept as the differential-test oracle,
 //! * [`GraphDiff`] — the per-cycle difference the server broadcasts,
 //! * [`Node`] — graph nodes: committed server transactions or local
 //!   read-only queries.

@@ -26,8 +26,7 @@ pub enum Scale {
     /// Reduced database and query budget; seconds per experiment. Used by
     /// the test suite.
     Quick,
-    /// The paper's Figure-4 parameters; the default for `reproduce` and
-    /// the benches.
+    /// The paper's Figure-4 parameters; the default for `reproduce`.
     #[default]
     Paper,
 }

@@ -41,9 +41,6 @@ pub mod runner;
 mod simulation;
 mod table;
 
-pub use runner::{
-    run_jobs, run_replicated, run_sharded_monitored_with_workers, run_sharded_with_workers, Job,
-    MonitoredRun,
-};
+pub use runner::{run_jobs, run_replicated, run_sharded_with_workers, Job};
 pub use simulation::{monitors_for, CaptureSlot, MethodMetrics, Simulation};
 pub use table::{fnum, Table};

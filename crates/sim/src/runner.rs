@@ -4,11 +4,10 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use bpush_core::Method;
-use bpush_obs::{Capture, MonitorVerdict};
 use bpush_types::config::MultiversionLayout;
 use bpush_types::{BpushError, SimConfig};
 
-use crate::simulation::{monitors_for, CaptureSlot, MethodMetrics, Simulation};
+use crate::simulation::{MethodMetrics, Simulation};
 
 /// One simulation to run: a method under a configuration.
 #[derive(Debug, Clone)]
@@ -175,56 +174,18 @@ fn shard_bounds(n_clients: u32, shards: u32) -> Vec<std::ops::Range<u32>> {
         .collect()
 }
 
-/// The one shard loop: the client population is split into `shards`
-/// fixed, near-equal ranges (clamped to `1..=n_clients`), `run_shard`
-/// runs each range's [`Simulation::with_client_range`] on one of
-/// `workers` threads, and the results are folded with `merge` in shard
-/// order. The partition and the merge order depend only on `shards` —
-/// never on `workers` or thread scheduling.
-fn run_shards<T: Send>(
-    job: &Job,
-    shards: u32,
-    workers: usize,
-    run_shard: impl Fn(Simulation) -> Result<T, BpushError> + Sync,
-    merge: impl Fn(&mut T, T),
-) -> Result<T, BpushError> {
-    job.config.validate()?;
-    let shards = shards.clamp(1, job.config.n_clients.max(1));
-    let bounds = shard_bounds(job.config.n_clients, shards);
-    let results = run_indexed(bounds.len(), workers, |idx| {
-        let range = bounds
-            .get(idx)
-            .cloned()
-            .ok_or_else(|| BpushError::invalid_config("internal: shard index out of range"))?;
-        run_shard(Simulation::with_client_range(
-            job.config.clone(),
-            job.method,
-            job.layout,
-            range,
-        )?)
-    });
-    let mut merged: Option<T> = None;
-    for result in results {
-        let shard = result?;
-        match &mut merged {
-            None => merged = Some(shard),
-            Some(acc) => merge(acc, shard),
-        }
-    }
-    merged.ok_or_else(|| BpushError::invalid_config("internal: no shard produced metrics"))
-}
-
 /// Runs ONE large simulation with its clients sharded across `workers`
 /// threads, merging the shards deterministically.
 ///
 /// The client population is split into `shards` fixed, near-equal
 /// ranges (clamped to `1..=n_clients`); each shard replays the same
 /// deterministic server stream against its own clients
-/// ([`Simulation::with_client_range`]), and shard metrics are merged in
-/// shard order. The partition and the merge order depend only on
-/// `shards` — never on `workers` or thread scheduling — so the merged
-/// metrics are byte-identical at any worker count, and `shards == 1`
-/// is bit-identical to an unsharded [`Simulation::run`].
+/// ([`Simulation::with_client_range`]) on one of `workers` threads, and
+/// shard metrics are merged in shard order. The partition and the merge
+/// order depend only on `shards` — never on `workers` or thread
+/// scheduling — so the merged metrics are byte-identical at any worker
+/// count, and `shards == 1` is bit-identical to an unsharded
+/// [`Simulation::run`].
 ///
 /// # Errors
 /// Propagates the first configuration or budget error from any shard.
@@ -233,64 +194,25 @@ pub fn run_sharded_with_workers(
     shards: u32,
     workers: usize,
 ) -> Result<MethodMetrics, BpushError> {
-    run_shards(job, shards, workers, Simulation::run, |acc, shard| {
-        acc.merge(&shard);
-    })
-}
-
-/// A monitored sharded run: the merged metrics, the canonical merged
-/// monitor verdict, and the first flight-recorder capture (if any
-/// monitor fired).
-#[derive(Debug)]
-pub struct MonitoredRun {
-    /// Shard-merged metrics, exactly as [`run_sharded_with_workers`]
-    /// produces them.
-    pub metrics: MethodMetrics,
-    /// Per-shard monitor verdicts merged in shard order — the canonical
-    /// merge: byte-identical across worker counts.
-    pub verdict: MonitorVerdict,
-    /// The first capture in shard order, if any shard's monitors fired.
-    pub capture: Option<Capture>,
-}
-
-/// [`run_sharded_with_workers`] with per-shard monitors: each shard gets
-/// its own [`bpush_obs::Monitors`] handle sized for the *global* client
-/// population ([`monitors_for`]) plus a `flight_frames`-deep flight
-/// recorder, and the shard verdicts are merged in shard order. Because
-/// the partition and merge order depend only on `shards`, the merged
-/// verdict — like the metrics — is byte-identical at any worker count.
-/// (Shard verdicts double-count server-side stream events relative to
-/// an unsharded run, since every shard replays the same server stream;
-/// the per-client invariant checks are partition-invariant.)
-///
-/// # Errors
-/// Propagates the first configuration or budget error from any shard.
-pub fn run_sharded_monitored_with_workers(
-    job: &Job,
-    shards: u32,
-    workers: usize,
-    flight_frames: usize,
-) -> Result<MonitoredRun, BpushError> {
-    let run_shard = |shard: Simulation| {
-        let monitors = monitors_for(&job.config, job.method);
-        let slot = CaptureSlot::new();
-        let metrics = shard
-            .with_monitors(monitors.clone())
-            .with_flight_recorder(flight_frames, slot.clone())
-            .run()?;
-        Ok(MonitoredRun {
-            metrics,
-            verdict: monitors.verdict(),
-            capture: slot.take(),
-        })
-    };
-    run_shards(job, shards, workers, run_shard, |acc, shard| {
-        acc.metrics.merge(&shard.metrics);
-        acc.verdict.merge(&shard.verdict);
-        if acc.capture.is_none() {
-            acc.capture = shard.capture;
+    job.config.validate()?;
+    let shards = shards.clamp(1, job.config.n_clients.max(1));
+    let bounds = shard_bounds(job.config.n_clients, shards);
+    let results = run_indexed(bounds.len(), workers, |idx| {
+        let range = bounds
+            .get(idx)
+            .cloned()
+            .ok_or_else(|| BpushError::invalid_config("internal: shard index out of range"))?;
+        Simulation::with_client_range(job.config.clone(), job.method, job.layout, range)?.run()
+    });
+    let mut merged: Option<MethodMetrics> = None;
+    for result in results {
+        let shard = result?;
+        match &mut merged {
+            None => merged = Some(shard),
+            Some(acc) => acc.merge(&shard),
         }
-    })
+    }
+    merged.ok_or_else(|| BpushError::invalid_config("internal: no shard produced metrics"))
 }
 
 #[cfg(test)]
@@ -514,64 +436,6 @@ mod tests {
         let m = run_sharded_with_workers(&job, 64, 2).unwrap();
         assert!(m.queries > 0);
         assert_eq!(m.violations, 0);
-    }
-
-    /// The monitored sharded runner upholds the same determinism
-    /// contract as the plain one: per-shard verdicts merged in shard
-    /// order are byte-identical across worker counts, genuine methods
-    /// pass at every shard count, and the merged metrics match the
-    /// unmonitored sharded run exactly.
-    #[test]
-    fn monitored_sharded_runs_merge_canonically() {
-        let mut cfg = tiny_config(5);
-        cfg.n_clients = 4;
-        for method in [Method::InvalidationOnly, Method::Sgt] {
-            let job = Job::new(method, cfg.clone());
-            let base = run_sharded_monitored_with_workers(&job, 4, 1, 8).unwrap();
-            assert!(base.verdict.pass(), "{method}: sharded run flagged");
-            assert!(base.capture.is_none(), "{method}: spurious capture");
-            assert!(base.verdict.commits > 0, "{method}");
-            for workers in [2usize, 3, 8] {
-                let again = run_sharded_monitored_with_workers(&job, 4, workers, 8).unwrap();
-                assert_eq!(
-                    again.verdict.render(),
-                    base.verdict.render(),
-                    "{method} at {workers} workers: verdict not canonical"
-                );
-                assert_eq!(
-                    again.metrics.deterministic_snapshot(),
-                    base.metrics.deterministic_snapshot(),
-                    "{method} at {workers} workers"
-                );
-            }
-            let plain = run_sharded_with_workers(&job, 4, 2).unwrap();
-            assert_eq!(
-                base.metrics.deterministic_snapshot(),
-                plain.deterministic_snapshot(),
-                "{method}: monitors perturbed the sharded metrics"
-            );
-        }
-    }
-
-    /// Per-client query fates are partition-invariant: the commit and
-    /// abort tallies pooled across any shard count equal the single
-    /// shard's. (Control and check tallies legitimately vary with the
-    /// partition — each shard runs only as many cycles as its own
-    /// clients need — so they are excluded by design, like the
-    /// cycle-normalized metrics fields.)
-    #[test]
-    fn monitored_shard_counts_pool_query_fates() {
-        let mut cfg = tiny_config(13);
-        cfg.n_clients = 4;
-        let job = Job::new(Method::InvalidationOnly, cfg);
-        let one = run_sharded_monitored_with_workers(&job, 1, 2, 8).unwrap();
-        assert!(one.verdict.commits > 0);
-        for shards in [2u32, 4] {
-            let many = run_sharded_monitored_with_workers(&job, shards, 2, 8).unwrap();
-            assert_eq!(many.verdict.commits, one.verdict.commits, "{shards}");
-            assert_eq!(many.verdict.aborts, one.verdict.aborts, "{shards}");
-            assert!(many.verdict.pass(), "{shards}");
-        }
     }
 
     #[test]

@@ -424,14 +424,12 @@ impl Simulation {
     }
 
     /// Feeds every client's control reports through the wire codec:
-    /// each client's protocol is wrapped in a
-    /// [`bpush_core::wirefed::WireFed`] decorator that encodes the
-    /// report to framed broadcast segments and decodes it back before
-    /// the protocol hears it. A wire-fed run must produce bit-identical
+    /// each client encodes the report to a framed broadcast segment and
+    /// decodes it back before its protocol hears it
+    /// ([`bpush_client::QueryExecutor::with_wire_feed`]). A wire-fed run
+    /// must produce bit-identical
     /// [`MethodMetrics::deterministic_snapshot`]s to the struct-fed
-    /// run — any difference is a wire/in-memory divergence. Call before
-    /// [`Simulation::with_obs`] so instrumentation counts the decoded
-    /// reports.
+    /// run — any difference is a wire/in-memory divergence.
     #[must_use]
     pub fn with_wire_feed(mut self) -> Self {
         let params = wire_params_for(&self.config);
@@ -842,6 +840,49 @@ mod tests {
             snap_a.counters, snap_b.counters,
             "wire-fed counters diverged from struct-fed"
         );
+    }
+
+    /// The wire round trip is a step of the client, not a wrapper around
+    /// its protocol, so where `with_wire_feed` sits among the builders
+    /// changes nothing: not the trace, not the metrics, and not which
+    /// protocol a factory installed.
+    #[test]
+    fn builder_order_does_not_matter_for_the_wire() {
+        let traced = |wire_first: bool| {
+            let obs = Obs::recording(1 << 14);
+            let sim = Simulation::new(quick_config(), Method::Sgt).unwrap();
+            let sim = if wire_first {
+                sim.with_wire_feed().with_obs(obs.clone())
+            } else {
+                sim.with_obs(obs.clone()).with_wire_feed()
+            };
+            let metrics = sim.run().unwrap();
+            let snap = obs.snapshot().expect("recording");
+            (
+                bpush_obs::export::ndjson(&snap),
+                metrics.deterministic_snapshot(),
+            )
+        };
+        assert_eq!(traced(true), traced(false));
+
+        let seeded = |wire_first: bool| {
+            let broken =
+                || -> Box<dyn ReadOnlyProtocol> { Box::new(bpush_mc::BrokenInvalidation::new()) };
+            let sim = Simulation::new(quick_config(), Method::InvalidationOnly).unwrap();
+            let sim = if wire_first {
+                sim.with_wire_feed().with_protocol_factory(broken)
+            } else {
+                sim.with_protocol_factory(broken).with_wire_feed()
+            };
+            sim.run().unwrap().deterministic_snapshot()
+        };
+        let genuine = Simulation::new(quick_config(), Method::InvalidationOnly)
+            .unwrap()
+            .run()
+            .unwrap()
+            .deterministic_snapshot();
+        assert_eq!(seeded(true), seeded(false));
+        assert_ne!(seeded(true), genuine, "the factory's protocol must run");
     }
 
     #[test]

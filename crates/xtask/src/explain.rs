@@ -599,6 +599,6 @@ mod tests {
     #[test]
     fn explain_rejects_unknown_input() {
         assert!(explain("neither a capture nor json").is_err());
-        assert!(explain("{\"schema\":\"bpush-bench-v1\"}").is_err());
+        assert!(explain("{\"schema\":\"acme-report-v7\"}").is_err());
     }
 }

@@ -1,9 +1,9 @@
 //! A minimal strict JSON reader for the subset every bpush emitter
 //! produces (objects, arrays, strings, unsigned integers, booleans,
-//! null). Used by the bench-trajectory loader to validate checked-in
-//! `BENCH_*.json` reports without external dependencies; the schema
-//! tests in `tests/json_schema.rs` keep their own independent copy on
-//! purpose, so a parser bug cannot vouch for itself.
+//! null). Used by `explain` to read a traced run's `metrics.json`
+//! without external dependencies; the schema tests in
+//! `tests/json_schema.rs` keep their own independent copy on purpose,
+//! so a parser bug cannot vouch for itself.
 
 /// One parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -232,11 +232,11 @@ mod tests {
 
     #[test]
     fn round_trip_of_the_bench_shape() {
-        let doc = r#"{"schema":"bpush-bench-v1","seed":7,"quick":false,"substrate":[{"name":"a","iters":3}],"methods":[]}"#;
+        let doc = r#"{"schema":"acme-report-v7","seed":7,"quick":false,"substrate":[{"name":"a","iters":3}],"methods":[]}"#;
         let v = parse(doc).unwrap();
         assert_eq!(
             v.get("schema").and_then(Json::as_str),
-            Some("bpush-bench-v1")
+            Some("acme-report-v7")
         );
         assert_eq!(v.get("seed").and_then(Json::as_u64), Some(7));
         assert_eq!(v.get("quick").and_then(Json::as_bool), Some(false));

@@ -70,7 +70,6 @@
 #![deny(missing_docs)]
 
 pub mod analysis;
-pub mod bench;
 pub mod callgraph;
 pub mod explain;
 pub mod items;

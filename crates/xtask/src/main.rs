@@ -1,5 +1,5 @@
-//! Command-line entry point for the workspace's static-analysis pass and
-//! model checker.
+//! Command-line entry point for the workspace's static-analysis pass,
+//! model checker, traced run and abort forensics.
 //!
 //! Usage (via the repo's cargo alias):
 //!
@@ -8,10 +8,6 @@
 //! * `cargo xtask mc [--scope ci|default] [--protocol <name>] [--json]`
 //!   — exhaustively model-check the protocols at a small scope; exits
 //!   non-zero when any protocol commits a non-serializable readset.
-//! * `cargo xtask bench [--quick] [--json] [--out <path>]` — run the
-//!   fixed-seed substrate and per-method benchmarks and write the
-//!   `bpush-bench-v1` report (default `BENCH_3.json` at the workspace
-//!   root).
 //! * `cargo xtask trace [--method <name>] [--quick] [--json]
 //!   [--out-dir <dir>]` — run one fixed-seed traced simulation and
 //!   write `trace.json` (chrome `trace_event`, Perfetto-loadable),
@@ -58,13 +54,6 @@ commands:
       not bit-identical to the struct-fed one. With --replay, re-runs
       one serialized mc-schedule file instead; --trace additionally
       writes the replay's chrome trace_event JSON.
-  bench [--quick] [--json] [--out <path>]
-      Runs the SGT-substrate microbench (dense interned graph vs the
-      BTree baseline, same fixed workload) and a per-method end-to-end
-      simulator pass, then writes the all-integer `bpush-bench-v1`
-      report to <path> (default: BENCH_3.json at the workspace root).
-      `--quick` shrinks both passes; `--json` prints the report to
-      stdout instead of the text summary.
   trace [--method <name>] [--quick] [--json] [--out-dir <dir>]
       Runs one fixed-seed traced simulation of <name> (default: sgt)
       and writes trace.json (chrome trace_event format — load it in
@@ -97,7 +86,6 @@ fn run(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     match args.first().map(String::as_str) {
         Some("lint") => lint(&args[1..]),
         Some("mc") => mc(&args[1..]),
-        Some("bench") => bench(&args[1..]),
         Some("trace") => trace(&args[1..]),
         Some("explain") => explain(&args[1..]),
         Some("help") | Some("--help") | None => {
@@ -456,41 +444,6 @@ fn trace(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
         dir.join("trace.ndjson").display(),
         dir.join("metrics.json").display()
     );
-    Ok(ExitCode::SUCCESS)
-}
-
-fn bench(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
-    let mut quick = false;
-    let mut json = false;
-    let mut out: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--json" => json = true,
-            "--out" => match it.next() {
-                Some(path) => out = Some(PathBuf::from(path)),
-                None => return Err("--out needs a file argument".into()),
-            },
-            other => return Err(format!("unknown bench option `{other}`\n{USAGE}").into()),
-        }
-    }
-    let path = match out {
-        Some(p) => p,
-        None => find_workspace_root()?.join("BENCH_3.json"),
-    };
-
-    let report = xtask::bench::run_bench(quick)?;
-    let rendered = xtask::bench::render_json(&report);
-    std::fs::write(&path, format!("{rendered}\n"))?;
-    if json {
-        println!("{rendered}");
-    } else {
-        print!("{}", xtask::bench::render_text(&report));
-        let trajectory = xtask::bench::load_trajectory(&find_workspace_root()?)?;
-        print!("\n{}", xtask::bench::render_trajectory(&trajectory));
-        println!("\nwrote {}", path.display());
-    }
     Ok(ExitCode::SUCCESS)
 }
 

@@ -1,10 +1,9 @@
-//! Schema tests for the three machine-readable outputs: `cargo xtask
-//! lint --json` ([`xtask::diagnostics_to_json`]), `cargo xtask mc
-//! --json` ([`bpush_mc::render_json`]), and `cargo xtask bench`
-//! ([`xtask::bench::render_json`]). All emitters hand-roll their JSON,
+//! Schema tests for the machine-readable outputs: `cargo xtask lint
+//! --json` ([`xtask::diagnostics_to_json`]), `cargo xtask mc --json`
+//! ([`bpush_mc::render_json`]), `cargo xtask trace`'s `metrics.json`
+//! and `cargo xtask explain --json`. All emitters hand-roll their JSON,
 //! so this file parses their output with an independent minimal JSON
-//! reader and checks every documented key and type — including the
-//! checked-in `BENCH_3.json` performance-trajectory report.
+//! reader and checks every documented key and type.
 
 // Integration tests are exempt from the panic-freedom policy
 // (mirrors `allow-unwrap-in-tests` in clippy.toml and the `#[cfg(test)]`
@@ -404,174 +403,6 @@ fn mc_json_matches_the_documented_schema() {
 }
 
 // ---------------------------------------------------------------------
-// `cargo xtask bench`
-// ---------------------------------------------------------------------
-
-/// Checks one parsed `bpush-bench-v1` document against the documented
-/// schema: `{"schema", "seed", "quick", "substrate": [{"name", "iters",
-/// "total_ns", "ns_per_iter"}], "sgt_speedup_pct", "methods":
-/// [{"method", "wall_ns", "queries", "committed"}]}`, all numbers
-/// unsigned integers, keys in that order.
-fn assert_bench_schema(root: &Json) {
-    assert_eq!(
-        root.keys(),
-        [
-            "schema",
-            "seed",
-            "quick",
-            "substrate",
-            "sgt_speedup_pct",
-            "methods"
-        ]
-    );
-    assert_eq!(root.get("schema").as_str(), "bpush-bench-v1");
-    let _ = root.get("seed").as_u64();
-    let _ = root.get("quick").as_bool();
-    let _ = root.get("sgt_speedup_pct").as_u64();
-    for s in root.get("substrate").as_arr() {
-        assert_eq!(s.keys(), ["name", "iters", "total_ns", "ns_per_iter"]);
-        assert!(!s.get("name").as_str().is_empty());
-        assert!(s.get("iters").as_u64() > 0);
-        let _ = s.get("total_ns").as_u64();
-        let _ = s.get("ns_per_iter").as_u64();
-    }
-    for m in root.get("methods").as_arr() {
-        assert_eq!(m.keys(), ["method", "wall_ns", "queries", "committed"]);
-        assert!(!m.get("method").as_str().is_empty());
-        let _ = m.get("wall_ns").as_u64();
-        assert!(m.get("committed").as_u64() <= m.get("queries").as_u64());
-    }
-}
-
-/// The renderer pins the documented key order for a synthetic report.
-#[test]
-fn bench_json_matches_the_documented_schema() {
-    let report = xtask::bench::BenchReport {
-        seed: 0x1999_1cdc,
-        quick: false,
-        substrate: vec![
-            xtask::bench::SubstrateBench {
-                name: "sgt-substrate-interned".to_owned(),
-                iters: 10,
-                total_ns: 1_000,
-                ns_per_iter: 100,
-            },
-            xtask::bench::SubstrateBench {
-                name: "sgt-substrate-baseline".to_owned(),
-                iters: 10,
-                total_ns: 5_000,
-                ns_per_iter: 500,
-            },
-        ],
-        sgt_speedup_pct: 500,
-        methods: vec![xtask::bench::MethodBench {
-            method: "sgt".to_owned(),
-            wall_ns: 123,
-            queries: 40,
-            committed: 37,
-        }],
-    };
-    let root = parse_json(&xtask::bench::render_json(&report));
-    assert_bench_schema(&root);
-    assert_eq!(root.get("seed").as_u64(), 0x1999_1cdc);
-    assert!(!root.get("quick").as_bool());
-    assert_eq!(root.get("sgt_speedup_pct").as_u64(), 500);
-    let methods = root.get("methods").as_arr();
-    assert_eq!(methods[0].get("method").as_str(), "sgt");
-    assert_eq!(methods[0].get("committed").as_u64(), 37);
-}
-
-/// The checked-in `BENCH_3.json` parses, satisfies the schema, covers
-/// every method, and records the interned graph at or above the 2x
-/// target over the BTree baseline.
-#[test]
-fn checked_in_bench_report_holds_the_speedup_target() {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_3.json");
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
-    let root = parse_json(text.trim_end());
-    assert_bench_schema(&root);
-    assert!(!root.get("quick").as_bool(), "check in a full-scale report");
-
-    let names: Vec<&str> = root
-        .get("substrate")
-        .as_arr()
-        .iter()
-        .map(|s| s.get("name").as_str())
-        .collect();
-    assert_eq!(names, ["sgt-substrate-interned", "sgt-substrate-baseline"]);
-
-    let speedup = root.get("sgt_speedup_pct").as_u64();
-    assert!(
-        speedup >= 200,
-        "interned graph must stay >= 2x the baseline, got {speedup}% \
-         (the ratio is wall-clock and machine-dependent: regenerate \
-         BENCH_3.json with `cargo xtask bench` on a quiet machine at \
-         full scale — see EXPERIMENTS.md)"
-    );
-
-    let methods: Vec<&str> = root
-        .get("methods")
-        .as_arr()
-        .iter()
-        .map(|m| m.get("method").as_str())
-        .collect();
-    let expected: Vec<&str> = bpush_core::Method::ALL.iter().map(|m| m.name()).collect();
-    assert_eq!(methods, expected);
-}
-
-/// The checked-in `BENCH_8.json` parses, satisfies the schema, carries
-/// the PR-8 word-parallel substrate pairs with the word-AND paths at or
-/// above the 150% floor over the PR-3 galloping paths, and records the
-/// sharded-runner scaling entries at 1/2/4 worker threads.
-#[test]
-fn checked_in_pr8_report_holds_the_word_parallel_floor() {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_8.json");
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
-    let root = parse_json(text.trim_end());
-    assert_bench_schema(&root);
-    assert!(!root.get("quick").as_bool(), "check in a full-scale report");
-
-    let substrate = root.get("substrate").as_arr();
-    let total_ns_of = |name: &str| -> u64 {
-        substrate
-            .iter()
-            .find(|s| s.get("name").as_str() == name)
-            .unwrap_or_else(|| panic!("BENCH_8.json is missing substrate entry `{name}`"))
-            .get("total_ns")
-            .as_u64()
-    };
-    for (words, gallop) in [
-        ("report-membership-words", "report-membership-gallop"),
-        ("batch-validation-words", "batch-validation-gallop"),
-    ] {
-        let words_ns = total_ns_of(words);
-        let gallop_ns = total_ns_of(gallop);
-        let speedup_pct = gallop_ns.saturating_mul(100) / words_ns.max(1);
-        assert!(
-            speedup_pct >= 150,
-            "{words} must stay >= 150% of {gallop}, got {speedup_pct}% \
-             (the ratio is wall-clock and machine-dependent: regenerate \
-             BENCH_8.json with `cargo xtask bench --json --out BENCH_8.json` \
-             on a quiet machine at full scale — see EXPERIMENTS.md)"
-        );
-    }
-    for workers in ["1w", "2w", "4w"] {
-        let _ = total_ns_of(&format!("sharded-runner-{workers}"));
-    }
-
-    let methods: Vec<&str> = root
-        .get("methods")
-        .as_arr()
-        .iter()
-        .map(|m| m.get("method").as_str())
-        .collect();
-    let expected: Vec<&str> = bpush_core::Method::ALL.iter().map(|m| m.name()).collect();
-    assert_eq!(methods, expected);
-}
-
-// ---------------------------------------------------------------------
 // `cargo xtask trace` (`metrics.json`)
 // ---------------------------------------------------------------------
 
@@ -824,37 +655,4 @@ fn explain_trace_json_matches_the_documented_schema() {
         breakdown += entry.get("count").as_u64();
     }
     assert_eq!(breakdown, aborted, "abort reasons partition the aborts");
-}
-
-/// The checked-in `BENCH_10.json` parses, satisfies the schema, and
-/// holds the PR-10 monitor-overhead ceiling: the monitors-on substrate
-/// run must retain at least 90% of the monitors-off throughput.
-#[test]
-fn checked_in_pr10_report_holds_the_monitor_overhead_floor() {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_10.json");
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
-    let root = parse_json(text.trim_end());
-    assert_bench_schema(&root);
-    assert!(!root.get("quick").as_bool(), "check in a full-scale report");
-
-    let substrate = root.get("substrate").as_arr();
-    let total_ns_of = |name: &str| -> u64 {
-        substrate
-            .iter()
-            .find(|s| s.get("name").as_str() == name)
-            .unwrap_or_else(|| panic!("BENCH_10.json is missing substrate entry `{name}`"))
-            .get("total_ns")
-            .as_u64()
-    };
-    let off_ns = total_ns_of("monitors-off");
-    let on_ns = total_ns_of("monitors-on");
-    let retained_pct = off_ns.saturating_mul(100) / on_ns.max(1);
-    assert!(
-        retained_pct >= 90,
-        "the monitored run must retain >= 90% of unmonitored throughput, \
-         got {retained_pct}% (wall-clock and machine-dependent: regenerate \
-         BENCH_10.json with `cargo xtask bench --json --out BENCH_10.json` \
-         on a quiet machine at full scale — see EXPERIMENTS.md)"
-    );
 }
