@@ -1,12 +1,16 @@
 //! A fully assembled broadcast program for one cycle.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use bpush_types::{Cycle, ItemId, ItemValue};
 
 use crate::bucket::{BucketHeader, ItemRecord};
 use crate::control::ControlInfo;
 use crate::directory::Directory;
+use crate::feed::encode_control_segment;
+use crate::wire::WireParams;
 
 /// One cycle's broadcast program ("bcast", §2): the control segment
 /// followed by the data segment (and, under the multiversion overflow
@@ -21,6 +25,10 @@ use crate::directory::Directory;
 pub struct Bcast {
     cycle: Cycle,
     control: ControlInfo,
+    /// The control segment as the server puts it on air, encoded by the
+    /// first listener to ask and heard by all of them: the widths it was
+    /// encoded under, and the framed bytes.
+    control_wire: OnceLock<(WireParams, Vec<u8>)>,
     control_slots: u64,
     data_slots: u64,
     overflow_slots: u64,
@@ -85,6 +93,7 @@ impl Bcast {
         Bcast {
             cycle,
             control,
+            control_wire: OnceLock::new(),
             control_slots,
             data_slots,
             overflow_slots,
@@ -114,6 +123,23 @@ impl Bcast {
     /// augmented report and graph diff).
     pub fn control(&self) -> &ControlInfo {
         &self.control
+    }
+
+    /// The control segment framed for the wire under `params`
+    /// ([`encode_control_segment`]). The server broadcasts those bytes
+    /// once whatever the audience, so they are encoded once per bcast
+    /// and every listener borrows the same buffer; a caller with other
+    /// widths than the first one's gets its own encoding, never bytes of
+    /// another deployment.
+    pub fn control_segment(&self, params: WireParams) -> Cow<'_, [u8]> {
+        let (encoded_for, bytes) = self
+            .control_wire
+            .get_or_init(|| (params, encode_control_segment(&self.control, params)));
+        if *encoded_for == params {
+            Cow::Borrowed(bytes)
+        } else {
+            Cow::Owned(encode_control_segment(&self.control, params))
+        }
     }
 
     /// Slots occupied by the control segment (including the on-air
@@ -333,6 +359,54 @@ mod tests {
         assert!(b
             .best_version_at_most(ItemId::new(9), Cycle::new(9))
             .is_none());
+    }
+
+    /// The control segment is encoded once per bcast and shared: the
+    /// same buffer for every asker with the same widths (clones
+    /// included), a fresh encoding — never the cached bytes — for any
+    /// other widths.
+    #[test]
+    fn control_segment_is_encoded_once_and_never_for_other_widths() {
+        use crate::feed::{decode_segment, DecodedSegment, WireFeed};
+        use crate::{AugmentedReport, InvalidationReport};
+        use bpush_types::Granularity;
+
+        let c = Cycle::new(5);
+        let prev = c.prev();
+        let inv =
+            InvalidationReport::new(c, 1, [ItemId::new(2), ItemId::new(7)], Granularity::Item, 1);
+        let aug = AugmentedReport::new(prev, [(ItemId::new(2), TxnId::new(prev, 1))]);
+        let ctrl = ControlInfo::new(c, inv, Some(aug), None);
+        let records: Vec<ItemRecord> = (0..8)
+            .map(|i| ItemRecord::new(ItemId::new(i), ItemValue::initial(), None))
+            .collect();
+        let b = Flat::new(1).assemble(c, ctrl, records, Vec::new());
+
+        let narrow = WireParams::derive(8, 1, 4, 1);
+        let wide = WireParams::derive(1 << 20, 9, 300, 40);
+        let first = b.control_segment(narrow);
+        let again = b.control_segment(narrow);
+        assert!(matches!(first, Cow::Borrowed(_)) && std::ptr::eq(&*first, &*again));
+        assert_eq!(*first, *encode_control_segment(b.control(), narrow));
+
+        let other = b.control_segment(wide);
+        assert_eq!(*other, *encode_control_segment(b.control(), wide));
+        assert_ne!(*other, *first);
+        for (bytes, params) in [(&first, narrow), (&other, wide)] {
+            let mut feed = WireFeed::new();
+            feed.push(bytes);
+            let seg = feed.pop().unwrap().expect("one whole segment");
+            let decoded = decode_segment(seg, params).unwrap();
+            assert_eq!(decoded, DecodedSegment::Control(b.control().clone()));
+        }
+
+        let clone = b.clone();
+        assert_eq!(*clone.control_segment(narrow), *first);
+        assert_eq!(*clone.control_segment(wide), *other);
+
+        // sharded runs hand bcasts to worker threads
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<Bcast>();
     }
 
     #[test]

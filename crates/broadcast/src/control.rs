@@ -24,8 +24,8 @@ const DENSE_SPAN_WORDS: usize = 1024;
 
 /// Dense 64-bit bitmap over a report's item-id range: bit `b` of
 /// `words[w]` stands for item `(base_word + w) * 64 + b`. Built once per
-/// cycle on the (cold) construction path; probed with word ANDs on the
-/// per-cycle client hot path.
+/// report at construction (the server's, and each wire client's decode);
+/// probed with word ANDs on the per-cycle client hot path.
 #[derive(Clone)]
 struct DenseBits {
     base_word: u32,
@@ -35,7 +35,7 @@ struct DenseBits {
 impl DenseBits {
     /// Builds the bitmap over the (sorted, deduplicated) ids keying
     /// `entries`; `None` when there are no entries or the id span
-    /// exceeds [`DENSE_SPAN_WORDS`]. Cold path: construction only.
+    /// exceeds [`DENSE_SPAN_WORDS`]. Construction only.
     fn from_entries<T>(entries: &[(ItemId, T)]) -> Option<DenseBits> {
         let first = entries.first()?.0;
         let last = entries.last()?.0;
@@ -84,6 +84,15 @@ fn gallop_to<T, K: Ord + Copy>(xs: &[T], start: usize, key: K, key_of: impl Fn(&
     }
     let hi = hi.min(n);
     lo + xs[lo..hi].partition_point(|x| key_of(x) < key) // bpush-lint: allow(panic-reach) — lo ≤ hi ≤ n by construction of the probe bracket
+}
+
+/// Whether the keys of `entries` strictly ascend — sorted and free of
+/// duplicates, the form the report vectors are stored in.
+fn strictly_ascending<K: Ord, V>(entries: &[(K, V)]) -> bool {
+    entries
+        .iter()
+        .zip(entries.iter().skip(1))
+        .all(|(a, b)| a.0 < b.0)
 }
 
 /// Binary-search lookup in a sorted `(key, value)` slice.
@@ -292,16 +301,22 @@ impl InvalidationReport {
                 "items_per_bucket must be positive",
             ));
         }
-        // Construction is the cold path (server side, once per cycle);
-        // dedup through an ordered map, then flatten to the sorted
-        // vectors the clients probe.
-        let mut dedup: BTreeMap<ItemId, Cycle> = BTreeMap::new();
-        for (x, c) in updated {
-            let slot = dedup.entry(x).or_insert(c);
-            *slot = (*slot).max(c);
+        // Construction runs once per cycle at the server and once per
+        // client per cycle on the wire-decode path. An honest stream (and
+        // the server's window-1 report) arrives strictly ascending by
+        // item and is kept as is; anything else is deduplicated through
+        // an ordered map, the latest date of an item winning.
+        let mut items: Vec<(ItemId, Cycle)> = updated.into_iter().collect();
+        if !strictly_ascending(&items) {
+            let mut dedup: BTreeMap<ItemId, Cycle> = BTreeMap::new();
+            for (x, c) in items {
+                let slot = dedup.entry(x).or_insert(c);
+                *slot = (*slot).max(c);
+            }
+            items = dedup.into_iter().collect();
         }
         let mut buckets: Vec<(BucketId, Cycle)> = Vec::new();
-        for (x, &c) in &dedup {
+        for &(x, c) in &items {
             let b = BucketId::new(x.index() / items_per_bucket); // bpush-lint: allow(panic-reach) — items_per_bucket is validated nonzero above
             match buckets.last_mut() {
                 // items are sorted, so bucket ids arrive nondecreasing
@@ -309,7 +324,6 @@ impl InvalidationReport {
                 _ => buckets.push((b, c)),
             }
         }
-        let items: Vec<(ItemId, Cycle)> = dedup.into_iter().collect();
         let item_bits = DenseBits::from_entries(&items);
         let min_update = items.iter().map(|&(_, c)| c).min().unwrap_or(Cycle::ZERO);
         Ok(InvalidationReport {
@@ -486,7 +500,7 @@ impl InvalidationReport {
     }
 
     /// Updated items with their latest update cycle.
-    pub fn dated_items(&self) -> impl Iterator<Item = (ItemId, Cycle)> + '_ {
+    pub fn dated_items(&self) -> impl ExactSizeIterator<Item = (ItemId, Cycle)> + '_ {
         self.items.iter().copied()
     }
 
@@ -565,12 +579,15 @@ impl AugmentedReport {
     /// Builds the report for updates committed during `cycle` (broadcast
     /// at the beginning of the following cycle).
     pub fn new(cycle: Cycle, entries: impl IntoIterator<Item = (ItemId, TxnId)>) -> Self {
-        let dedup: BTreeMap<ItemId, TxnId> = entries.into_iter().collect();
+        let mut first_writers: Vec<(ItemId, TxnId)> = entries.into_iter().collect();
+        if !strictly_ascending(&first_writers) {
+            let dedup: BTreeMap<ItemId, TxnId> = first_writers.into_iter().collect();
+            first_writers = dedup.into_iter().collect();
+        }
         debug_assert!(
-            dedup.values().all(|t| t.cycle() == cycle),
+            first_writers.iter().all(|(_, t)| t.cycle() == cycle),
             "first writers must have committed during the covered cycle"
         );
-        let first_writers: Vec<(ItemId, TxnId)> = dedup.into_iter().collect();
         let item_bits = DenseBits::from_entries(&first_writers);
         AugmentedReport {
             cycle,

@@ -87,9 +87,9 @@ pub struct SegmentView<'a> {
 /// A decoded segment, ready for the protocol layer.
 #[derive(Debug, Clone, PartialEq)]
 // bpush-lint: protocol_enum — decoded form of the segment vocabulary
-// Boxing the inline ControlInfo would trade 240 stack bytes for a heap
-// allocation on every decoded control segment — the per-cycle decode
-// path stays allocation-free instead.
+// Boxing the inline ControlInfo would trade 240 stack bytes for one more
+// heap allocation on every decoded control segment, on top of the report
+// vectors a decode builds (what is allocation-free is the scan).
 #[allow(clippy::large_enum_variant)]
 pub enum DecodedSegment {
     /// A decoded control segment.
@@ -100,14 +100,28 @@ pub enum DecodedSegment {
     Directory(Directory),
 }
 
-/// Frames `payload` as a segment of `kind` for `cycle`.
-fn frame(kind: SegmentKind, cycle: Cycle, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(SEGMENT_HEADER_BYTES + payload.len());
+/// Appends one framed segment of `kind` for `cycle` to `out`: the header,
+/// then whatever `body` writes as the bit-packed payload, whose byte
+/// length is patched into the header once it is known.
+fn append_segment(
+    mut out: Vec<u8>,
+    kind: SegmentKind,
+    cycle: Cycle,
+    body: impl FnOnce(&mut BitWriter),
+) -> Vec<u8> {
     out.push(kind.to_byte());
     out.extend_from_slice(&cycle.number().to_be_bytes());
+    let len_at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    let mut w = BitWriter::onto(out);
+    body(&mut w);
+    let mut out = w.into_bytes();
+    let payload_at = len_at + 4;
     // lint: allow(casts) — the length field is u32 by wire-format definition; single-cycle payloads sit far below 4 GiB
-    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    out.extend_from_slice(payload);
+    let len = (out.len() - payload_at) as u32;
+    if let Some(field) = out.get_mut(len_at..payload_at) {
+        field.copy_from_slice(&len.to_be_bytes());
+    }
     out
 }
 
@@ -117,21 +131,25 @@ fn frame(kind: SegmentKind, cycle: Cycle, payload: &[u8]) -> Vec<u8> {
 /// and the SGT presence flags precede the report bodies, so the decoder
 /// needs nothing beyond the fixed [`WireParams`] widths.
 pub fn encode_control_segment(ctrl: &ControlInfo, params: WireParams) -> Vec<u8> {
-    let mut w = BitWriter::new();
-    let inv = ctrl.invalidation();
-    w.put(u64::from(inv.window()), 32);
-    w.put(u64::from(inv.granularity() == Granularity::Bucket), 1);
-    w.put(u64::from(inv.items_per_bucket()), 32);
-    w.put(u64::from(ctrl.augmented().is_some()), 1);
-    w.put(u64::from(ctrl.graph_diff().is_some()), 1);
-    encode_invalidation_into(&mut w, inv, params);
-    if let Some(aug) = ctrl.augmented() {
-        encode_augmented_into(&mut w, aug, ctrl.cycle(), params);
-    }
-    if let Some(diff) = ctrl.graph_diff() {
-        encode_diff_into(&mut w, diff, ctrl.cycle(), params);
-    }
-    frame(SegmentKind::Control, ctrl.cycle(), &w.into_bytes())
+    append_control_segment(Vec::new(), ctrl, params)
+}
+
+fn append_control_segment(out: Vec<u8>, ctrl: &ControlInfo, params: WireParams) -> Vec<u8> {
+    append_segment(out, SegmentKind::Control, ctrl.cycle(), |w| {
+        let inv = ctrl.invalidation();
+        w.put(u64::from(inv.window()), 32);
+        w.put(u64::from(inv.granularity() == Granularity::Bucket), 1);
+        w.put(u64::from(inv.items_per_bucket()), 32);
+        w.put(u64::from(ctrl.augmented().is_some()), 1);
+        w.put(u64::from(ctrl.graph_diff().is_some()), 1);
+        encode_invalidation_into(w, inv, params);
+        if let Some(aug) = ctrl.augmented() {
+            encode_augmented_into(w, aug, ctrl.cycle(), params);
+        }
+        if let Some(diff) = ctrl.graph_diff() {
+            encode_diff_into(w, diff, ctrl.cycle(), params);
+        }
+    })
 }
 
 /// Decodes a control-segment payload for `cycle`.
@@ -210,21 +228,30 @@ fn take_u32_field(r: &mut BitReader<'_>) -> Result<u32, BpushError> {
 /// so a record transmits the item key, the value's writer, the optional
 /// last-writer tag and the optional overflow pointer.
 pub fn encode_data_segment(cycle: Cycle, records: &[ItemRecord], params: WireParams) -> Vec<u8> {
-    let mut w = BitWriter::new();
-    w.put(records.len() as u64, 32);
-    for rec in records {
-        w.put(u64::from(rec.item().index()), params.key_bits);
-        put_opt_txn(&mut w, rec.value().writer(), cycle, params);
-        put_opt_txn(&mut w, rec.last_writer(), cycle, params);
-        match rec.overflow_ptr() {
-            Some(ptr) => {
-                w.put(1, 1);
-                w.put(ptr, 64);
+    append_data_segment(Vec::new(), cycle, records, params)
+}
+
+fn append_data_segment(
+    out: Vec<u8>,
+    cycle: Cycle,
+    records: &[ItemRecord],
+    params: WireParams,
+) -> Vec<u8> {
+    append_segment(out, SegmentKind::Data, cycle, |w| {
+        w.put(records.len() as u64, 32);
+        for rec in records {
+            w.put(u64::from(rec.item().index()), params.key_bits);
+            put_opt_txn(w, rec.value().writer(), cycle, params);
+            put_opt_txn(w, rec.last_writer(), cycle, params);
+            match rec.overflow_ptr() {
+                Some(ptr) => {
+                    w.put(1, 1);
+                    w.put(ptr, 64);
+                }
+                None => w.put(0, 1),
             }
-            None => w.put(0, 1),
         }
-    }
-    frame(SegmentKind::Data, cycle, &w.into_bytes())
+    })
 }
 
 /// Decodes a data-segment payload for `cycle`.
@@ -290,13 +317,17 @@ fn take_opt_txn(
 /// Encodes a directory as a complete framed segment: one key and one
 /// 64-bit slot offset per entry.
 pub fn encode_directory_segment(dir: &Directory, params: WireParams) -> Vec<u8> {
-    let mut w = BitWriter::new();
-    w.put(dir.len() as u64, 32);
-    for (item, slot) in dir.entries() {
-        w.put(u64::from(item.index()), params.key_bits);
-        w.put(slot, 64);
-    }
-    frame(SegmentKind::Directory, dir.cycle(), &w.into_bytes())
+    append_directory_segment(Vec::new(), dir, params)
+}
+
+fn append_directory_segment(out: Vec<u8>, dir: &Directory, params: WireParams) -> Vec<u8> {
+    append_segment(out, SegmentKind::Directory, dir.cycle(), |w| {
+        w.put(dir.len() as u64, 32);
+        for (item, slot) in dir.entries() {
+            w.put(u64::from(item.index()), params.key_bits);
+            w.put(slot, 64);
+        }
+    })
 }
 
 /// Decodes a directory payload for `cycle`.
@@ -325,15 +356,10 @@ pub fn decode_directory_payload(
 pub fn encode_bcast_segments(bcast: &Bcast, params: WireParams) -> Vec<u8> {
     let mut out = Vec::new();
     if let Some(dir) = bcast.directory() {
-        out.extend_from_slice(&encode_directory_segment(dir, params));
+        out = append_directory_segment(out, dir, params);
     }
-    out.extend_from_slice(&encode_control_segment(bcast.control(), params));
-    out.extend_from_slice(&encode_data_segment(
-        bcast.cycle(),
-        bcast.record_slice(),
-        params,
-    ));
-    out
+    out = append_control_segment(out, bcast.control(), params);
+    append_data_segment(out, bcast.cycle(), bcast.record_slice(), params)
 }
 
 /// Decodes any complete segment into its in-memory form.
@@ -400,10 +426,12 @@ impl WireFeed {
     /// Appends a chunk of transport bytes. Consumed buffer space is
     /// reclaimed here, outside the scan path.
     pub fn push(&mut self, chunk: &[u8]) {
-        if self.read > 0 {
+        if self.read == self.buf.len() {
+            self.buf.clear();
+        } else {
             self.buf.drain(..self.read);
-            self.read = 0;
         }
+        self.read = 0;
         self.buf.extend_from_slice(chunk);
     }
 
@@ -422,37 +450,27 @@ impl WireFeed {
     /// self-description) before feeding more bytes.
     // bpush-lint: hot_path — the segment-boundary scan of the broadcast feed path
     pub fn pop(&mut self) -> Result<Option<SegmentView<'_>>, BpushError> {
-        let mut header = self.buf.iter().skip(self.read).copied();
-        let Some(kind_byte) = header.next() else {
+        let Some((&kind_byte, rest)) = self.buf.get(self.read..).and_then(<[u8]>::split_first)
+        else {
             return Ok(None);
         };
         let kind = SegmentKind::from_byte(kind_byte)?;
-        let mut cycle: u64 = 0;
-        let mut len: u64 = 0;
-        let mut have = 0usize;
-        for b in header.by_ref().take(8) {
-            cycle = (cycle << 8) | u64::from(b);
-            have += 1;
-        }
-        for b in header.take(4) {
-            len = (len << 8) | u64::from(b);
-            have += 1;
-        }
-        if have < 12 {
-            return Ok(None);
-        }
-        let start = self.read + SEGMENT_HEADER_BYTES;
-        let end = start + len as usize;
-        if end > self.buf.len() {
-            return Ok(None);
-        }
-        let Some(payload) = self.buf.get(start..end) else {
+        let (Some(Ok(cycle)), Some(Ok(len))) = (
+            rest.get(..8).map(<[u8; 8]>::try_from),
+            rest.get(8..12).map(<[u8; 4]>::try_from),
+        ) else {
             return Ok(None);
         };
-        self.read = end;
+        let Some(payload) = usize::try_from(u32::from_be_bytes(len))
+            .ok()
+            .and_then(|len| rest.get(12..)?.get(..len))
+        else {
+            return Ok(None);
+        };
+        self.read += SEGMENT_HEADER_BYTES + payload.len();
         Ok(Some(SegmentView {
             kind,
-            cycle: Cycle::new(cycle),
+            cycle: Cycle::new(u64::from_be_bytes(cycle)),
             payload,
         }))
     }
@@ -502,6 +520,19 @@ mod tests {
         assert_eq!(seg.cycle, Cycle::new(20));
         let decoded = decode_control_payload(seg.payload, params(), seg.cycle).unwrap();
         assert_eq!(decoded, ctrl);
+    }
+
+    /// The bytes on air are pinned: this literal is what the parent of
+    /// the word-level codec (the bit-at-a-time writer) emitted for the
+    /// same report — header, in-band fields, a direct and an escaped age,
+    /// an escaped diff endpoint, the zero-padded last byte.
+    #[test]
+    fn control_segment_bytes_are_golden() {
+        let golden = "0000000000000000140000002d0000000400000002600000401918f80000\
+                      000000000058000008062400000224000003e0000000000000000224";
+        let bytes = encode_control_segment(&sgt_control(20), params());
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, golden);
     }
 
     #[test]

@@ -107,17 +107,39 @@ fn capped_capacity(count: u64, entry_bits: u32, r: &BitReader<'_>) -> usize {
 }
 
 /// An append-only bit stream.
+///
+/// Fields accumulate in a 64-bit word and leave it a whole byte at a
+/// time, so a `put` costs a shift and at most one slice append rather
+/// than a loop over its bits. The stream is MSB-first: the first bit put
+/// is the high bit of the first byte.
 #[derive(Debug, Default, Clone)]
 pub struct BitWriter {
     bytes: Vec<u8>,
-    /// Bits used in the last byte (0 = byte boundary).
-    partial: u32,
+    /// Where this stream began in `bytes` (a framed segment's payload
+    /// follows its header in the same buffer).
+    start: usize,
+    /// The bits not yet in `bytes` are the low `pending` bits of `acc`
+    /// (fewer than eight between calls); what lies above them has been
+    /// written and is shifted out, never read.
+    acc: u64,
+    pending: u32,
 }
 
 impl BitWriter {
     /// An empty stream.
     pub fn new() -> Self {
         BitWriter::default()
+    }
+
+    /// A stream appended to `bytes`: what is already there stays, and
+    /// [`BitWriter::bit_len`] counts from its end.
+    pub(crate) fn onto(bytes: Vec<u8>) -> Self {
+        BitWriter {
+            start: bytes.len(),
+            bytes,
+            acc: 0,
+            pending: 0,
+        }
     }
 
     /// Appends the low `width` bits of `value`, most significant first.
@@ -130,25 +152,41 @@ impl BitWriter {
             width == 64 || value < (1u64 << width),
             "value {value} does not fit in {width} bits"
         );
-        for i in (0..width).rev() {
-            let bit = (value >> i) & 1;
-            if self.partial == 0 {
-                self.bytes.push(0);
-            }
-            // lint: allow(panic) — a byte was pushed on the line above when partial == 0
-            let last = self.bytes.last_mut().expect("just ensured");
-            *last |= u8::from(bit == 1) << (7 - self.partial);
-            self.partial = (self.partial + 1) % 8;
+        // Up to seven bits are pending, so a field wider than 56 could
+        // overflow the accumulator: it goes in as two halves.
+        if width > 56 {
+            self.put_short(value >> 32, width - 32);
+            self.put_short(value & 0xFFFF_FFFF, 32);
+        } else {
+            self.put_short(value, width);
         }
+    }
+
+    /// `put` for `width <= 56`: shift the field in under the pending
+    /// bits, then move every whole byte out.
+    fn put_short(&mut self, value: u64, width: u32) {
+        self.acc = (self.acc << width) | value;
+        let bits = self.pending + width;
+        // left-aligned, the whole bytes come first: append all eight
+        // (one fixed-size copy) and keep those
+        let aligned = self.acc << (64 - bits);
+        let whole = self.bytes.len() + (bits / 8) as usize;
+        self.bytes.extend_from_slice(&aligned.to_be_bytes());
+        self.bytes.truncate(whole);
+        self.pending = bits % 8;
     }
 
     /// Total bits written.
     pub fn bit_len(&self) -> u64 {
-        self.bytes.len() as u64 * 8 - u64::from((8 - self.partial) % 8)
+        (self.bytes.len() - self.start) as u64 * 8 + u64::from(self.pending)
     }
 
-    /// Finishes the stream, returning the packed bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
+    /// Finishes the stream, returning the packed bytes (the last byte
+    /// zero-padded on the right).
+    pub fn into_bytes(mut self) -> Vec<u8> {
+        if self.pending > 0 {
+            self.put_short(0, 8 - self.pending);
+        }
         self.bytes
     }
 }
@@ -166,27 +204,49 @@ impl<'a> BitReader<'a> {
         BitReader { bytes, pos: 0 }
     }
 
-    /// Reads `width` bits, most significant first.
+    /// Reads `width` bits, most significant first: one big-endian load
+    /// of the (up to) eight bytes from the one holding the first bit,
+    /// shifted into place. A field that starts `offset` bits into its
+    /// byte with `offset + width > 64` straddles into a ninth byte, whose
+    /// top bits complete it. `take(0)` is `Ok(0)` and consumes nothing.
     ///
     /// # Errors
-    /// Returns [`BpushError::InvalidConfig`] on stream underflow.
+    /// Returns [`BpushError::InvalidConfig`] on stream underflow, or
+    /// when `width` exceeds 64.
     // bpush-lint: hot_path — per-field decode primitive on the broadcast feed path
     pub fn take(&mut self, width: u32) -> Result<u64, BpushError> {
+        if width > 64 {
+            return Err(BpushError::invalid_config("bit field wider than 64 bits"));
+        }
+        let underflow = || BpushError::invalid_config("bit stream underflow");
         if self.pos + u64::from(width) > self.bytes.len() as u64 * 8 {
-            return Err(BpushError::invalid_config("bit stream underflow"));
+            return Err(underflow());
         }
-        let mut out = 0u64;
-        for _ in 0..width {
-            let byte = match self.bytes.get((self.pos / 8) as usize) {
-                Some(&b) => b,
-                // unreachable given the width check above; kept as a
-                // checked read so truncation can never panic
-                None => return Err(BpushError::invalid_config("bit stream underflow")),
-            };
-            let bit = (byte >> (7 - (self.pos % 8))) & 1;
-            out = (out << 1) | u64::from(bit);
-            self.pos += 1;
+        if width == 0 {
+            return Ok(0);
         }
+        let first = (self.pos / 8) as usize;
+        let offset = self.pos % 8;
+        let end = offset + u64::from(width);
+        let window = match self.bytes.get(first..first + 8).map(<[u8; 8]>::try_from) {
+            Some(Ok(full)) => full,
+            // fewer than eight bytes left: zero-fill past the end
+            _ => {
+                let mut short = [0u8; 8];
+                for (w, b) in short.iter_mut().zip(self.bytes.iter().skip(first)) {
+                    *w = *b;
+                }
+                short
+            }
+        };
+        let mut out = (u64::from_be_bytes(window) << offset) >> (64 - width);
+        if end > 64 {
+            // unreachable `None` given the width check above; kept as a
+            // checked read so truncation can never panic
+            let ninth = *self.bytes.get(first + 8).ok_or_else(underflow)?;
+            out |= u64::from(ninth >> (72 - end));
+        }
+        self.pos += u64::from(width);
         Ok(out)
     }
 
@@ -217,9 +277,8 @@ pub(crate) fn encode_invalidation_into(
     report: &InvalidationReport,
     params: WireParams,
 ) {
-    let entries: Vec<(ItemId, Cycle)> = report.dated_items().collect();
-    w.put(entries.len() as u64, params.count_bits);
-    for (item, update_cycle) in entries {
+    w.put(report.dated_items().len() as u64, params.count_bits);
+    for (item, update_cycle) in report.dated_items() {
         w.put(u64::from(item.index()), params.key_bits);
         put_cycle_rel(w, report.cycle(), update_cycle, params.age_bits);
     }
@@ -303,9 +362,8 @@ pub(crate) fn encode_augmented_into(
     now: Cycle,
     params: WireParams,
 ) {
-    let entries: Vec<(ItemId, TxnId)> = report.entries().collect();
-    w.put(entries.len() as u64, params.count_bits);
-    for (item, txn) in entries {
+    w.put(report.len() as u64, params.count_bits);
+    for (item, txn) in report.entries() {
         w.put(u64::from(item.index()), params.key_bits);
         put_txn(w, txn, now, params);
     }
@@ -494,6 +552,74 @@ mod tests {
         assert_eq!(r.position(), pos);
         // Out of bounds is the only divergence: an error, not a panic.
         assert!(r.take(64).is_err());
+    }
+
+    /// `take`'s contract at the edges: nothing wider than the `u64` it
+    /// returns, and a zero-width field is no field.
+    #[test]
+    fn take_rejects_over_wide_fields_and_ignores_empty_ones() {
+        let bytes = [0xAB; 16];
+        let mut r = BitReader::new(&bytes);
+        assert_eq!(r.take(3).unwrap(), 0b101);
+        assert!(r.take(65).is_err(), "no 65-bit field fits a u64");
+        assert!(r.take(u32::MAX).is_err());
+        assert_eq!(r.position(), 3, "a rejected take consumes nothing");
+        assert_eq!(r.take(0).unwrap(), 0);
+        assert_eq!(r.position(), 3, "an empty take consumes nothing");
+        assert_eq!(r.take(64).unwrap(), 0x5D5D_5D5D_5D5D_5D5D);
+        // an empty take is fine even where a real one would underflow
+        let mut end = BitReader::new(&[]);
+        assert_eq!(end.take(0).unwrap(), 0);
+        assert!(end.take(1).is_err());
+    }
+
+    /// A 64-bit field (escaped cycles, overflow pointers, directory
+    /// slots) starting at each bit offset of a byte: offsets 1..=7 need
+    /// the ninth byte, on both sides of the codec.
+    #[test]
+    fn full_width_fields_roundtrip_at_every_bit_offset() {
+        let value = 0x8123_4567_89AB_CDEF_u64;
+        for offset in 0..8u32 {
+            let mut w = BitWriter::new();
+            if offset > 0 {
+                w.put((1 << offset) - 1, offset);
+            }
+            w.put(value, 64);
+            w.put(!value, 64);
+            w.put(1, 1);
+            assert_eq!(w.bit_len(), u64::from(offset) + 129);
+            let bytes = w.into_bytes();
+            assert_eq!(bytes.len(), (offset as usize + 129).div_ceil(8));
+            let mut r = BitReader::new(&bytes);
+            assert_eq!(
+                r.take(offset).unwrap(),
+                (1 << offset) - 1,
+                "offset {offset}"
+            );
+            assert_eq!(r.take(64).unwrap(), value, "offset {offset}");
+            assert_eq!(r.take(64).unwrap(), !value, "offset {offset}");
+            assert_eq!(r.take(1).unwrap(), 1, "offset {offset}");
+            // the straddling field is refused when its ninth byte is cut
+            let mut cut = BitReader::new(bytes.get(..8).unwrap());
+            cut.take(offset).unwrap();
+            assert_eq!(cut.take(64).is_err(), offset > 0, "offset {offset}");
+            assert_eq!(
+                cut.position(),
+                u64::from(offset) + if offset > 0 { 0 } else { 64 }
+            );
+        }
+    }
+
+    /// A stream appended to a buffer leaves what was there alone and
+    /// counts its own bits only (segment payloads follow their header).
+    #[test]
+    fn a_writer_appends_onto_an_existing_buffer() {
+        let mut w = BitWriter::onto(vec![0xEE, 0xFF]);
+        assert_eq!(w.bit_len(), 0);
+        w.put(0b101, 3);
+        w.put(0x1FF, 9);
+        assert_eq!(w.bit_len(), 12);
+        assert_eq!(w.into_bytes(), vec![0xEE, 0xFF, 0b1011_1111, 0b1111_0000]);
     }
 
     fn params() -> WireParams {

@@ -7,7 +7,7 @@
 //! of the same automaton: a core with a wire link hears its control
 //! segments out of a [`WireFeed`], whoever produced the bytes.
 
-use bpush_broadcast::feed::{decode_segment, encode_control_segment, DecodedSegment, WireFeed};
+use bpush_broadcast::feed::{decode_segment, DecodedSegment, WireFeed};
 use bpush_broadcast::wire::WireParams;
 use bpush_broadcast::{Bcast, ControlInfo};
 use bpush_core::validator::ReadRecord;
@@ -155,21 +155,22 @@ impl ClientCore {
 
     /// Hears the start of a whole bcast, then the cache autoprefetches
     /// what the report invalidated. With a wire link the control
-    /// information takes the byte path — this client's own encode →
-    /// frame → decode — and only the decoded report is heard.
+    /// information takes the byte path — the bcast's one encoding of
+    /// it, framed and decoded by this client for itself — and only the
+    /// decoded report is heard.
     ///
     /// # Errors
-    /// Returns [`BpushError::Internal`] if the self-encoded bytes do not
+    /// Returns [`BpushError::Internal`] if the bcast's own bytes do not
     /// come back as this cycle's control segment: a codec bug.
     pub(crate) fn hear(&mut self, bcast: &Bcast) -> Result<(), BpushError> {
         let ctrl = bcast.control();
         match &mut self.wire {
             None => self.hear_control(ctrl),
             Some((params, feed)) => {
-                feed.push(&encode_control_segment(ctrl, *params));
+                feed.push(&bcast.control_segment(*params));
                 let Ok(Some(DecodedSegment::Control(decoded))) = self.next_segment() else {
                     return Err(BpushError::internal(
-                        "a self-encoded control segment did not frame and decode",
+                        "the bcast's own control segment did not frame and decode",
                     ));
                 };
                 debug_assert_eq!(&decoded, ctrl, "wire roundtrip changed the control report");
