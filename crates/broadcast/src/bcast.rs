@@ -2,7 +2,7 @@
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use bpush_types::{Cycle, ItemId, ItemValue};
 
@@ -11,6 +11,172 @@ use crate::control::ControlInfo;
 use crate::directory::Directory;
 use crate::feed::encode_control_segment;
 use crate::wire::WireParams;
+
+/// The current-version records of a broadcast set, sorted by item with
+/// unique ids — the invariant every organization's positions rest on,
+/// checked once, when the column is made from a `Vec`.
+///
+/// The storage is shared: each [`Bcast`] holds the column it was
+/// assembled from (`RecordColumn::from(&bcast)` hands it back), and a
+/// server keeps one column for the run and [`RecordColumn::patch`]es
+/// only the records that changed. A patch writes in place while nobody
+/// else holds the column and copies it first otherwise, so a `Bcast` a
+/// caller keeps stays an immutable snapshot.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RecordColumn(Arc<Vec<ItemRecord>>);
+
+impl RecordColumn {
+    /// Overwrites, for each of `records`, the record of its item: in
+    /// place while nobody else holds the column, on a copy otherwise.
+    ///
+    /// # Panics
+    /// Panics if an item is not on the column.
+    pub fn patch(&mut self, records: impl IntoIterator<Item = ItemRecord>) {
+        let records = records.into_iter().map(|record| (record.item(), record));
+        self.rewrite(records, |slot, item, record| {
+            assert!(slot.is_some(), "{item} is not on the record column");
+            if let Some(slot) = slot {
+                *slot = record;
+            }
+        });
+    }
+
+    /// Points the record of each item of `ptrs` at its offset in the
+    /// overflow area; items not on the column are skipped. In place
+    /// while nobody else holds the column, on a copy otherwise.
+    pub(crate) fn set_overflow_ptrs(&mut self, ptrs: impl IntoIterator<Item = (ItemId, u64)>) {
+        self.rewrite(ptrs, |slot, _, ptr| {
+            if let Some(rec) = slot {
+                *rec = rec.with_overflow_ptr(ptr);
+            }
+        });
+    }
+
+    /// Hands `write` the record of each item of `changes` (`None` when
+    /// the item is not on the column) with its change, behind one
+    /// copy-on-write check for the lot; no check when there is nothing
+    /// to change.
+    fn rewrite<T>(
+        &mut self,
+        changes: impl IntoIterator<Item = (ItemId, T)>,
+        mut write: impl FnMut(Option<&mut ItemRecord>, ItemId, T),
+    ) {
+        let mut changes = changes.into_iter().peekable();
+        if changes.peek().is_none() {
+            return;
+        }
+        let column = Arc::make_mut(&mut self.0);
+        for (item, change) in changes {
+            let slot = position(column, item).and_then(|at| column.get_mut(at));
+            write(slot, item, change);
+        }
+    }
+
+    /// Number of records.
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Where `item` sits on the column.
+    pub(crate) fn position(&self, item: ItemId) -> Option<usize> {
+        position(&self.0, item)
+    }
+
+    /// The record of `item`, if it is on the column.
+    pub(crate) fn record_of(&self, item: ItemId) -> Option<&ItemRecord> {
+        self.0.get(self.position(item)?)
+    }
+
+    /// The records, in item order.
+    pub(crate) fn as_slice(&self) -> &[ItemRecord] {
+        &self.0
+    }
+}
+
+/// Where `item` sits in `records` (sorted by item): its own index under
+/// dense item numbering, a binary search otherwise.
+fn position(records: &[ItemRecord], item: ItemId) -> Option<usize> {
+    let guess = usize::try_from(item.index()).ok()?;
+    match records.get(guess) {
+        Some(rec) if rec.item() == item => Some(guess),
+        _ => records.binary_search_by_key(&item, ItemRecord::item).ok(),
+    }
+}
+
+impl From<Vec<ItemRecord>> for RecordColumn {
+    /// # Panics
+    /// Panics if `records` is not sorted by item id with unique ids.
+    fn from(records: Vec<ItemRecord>) -> Self {
+        assert!(
+            records
+                .windows(2)
+                .all(|w| matches!(w, [a, b] if a.item() < b.item())),
+            "records must be sorted by item id"
+        );
+        RecordColumn(Arc::new(records))
+    }
+}
+
+impl From<&Bcast> for RecordColumn {
+    /// The column `bcast` was assembled from, shared, not copied.
+    fn from(bcast: &Bcast) -> Self {
+        bcast.records.clone()
+    }
+}
+
+/// CSR rows of the slots at which each record's current version is
+/// transmitted: `slots[start[i]..start[i + 1]]` are record `i`'s, sorted
+/// (one slot per item, several under the broadcast-disk organization).
+/// The slots are absolute; `base` is the control-segment length they
+/// were laid out after, so a fixed-position organization can keep its
+/// rows across cycles and [`Occurrences::rebase`] them when the control
+/// segment changes length.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Occurrences {
+    base: u64,
+    start: Vec<u32>,
+    slots: Vec<u64>,
+}
+
+impl Occurrences {
+    /// Rows `start` over `slots`, laid out after `base` control slots.
+    ///
+    /// # Panics
+    /// Panics if the rows do not tile `slots`.
+    pub(crate) fn new(base: u64, start: Vec<u32>, slots: Vec<u64>) -> Self {
+        assert_eq!(
+            start.last().map(|&end| end as usize),
+            Some(slots.len()),
+            "rows must tile the occurrence slots"
+        );
+        Occurrences { base, start, slots }
+    }
+
+    /// The control-segment length the slots are laid out after.
+    pub(crate) fn base(&self) -> u64 {
+        self.base
+    }
+
+    /// Number of rows.
+    pub(crate) fn rows(&self) -> usize {
+        self.start.len().saturating_sub(1)
+    }
+
+    /// Moves every slot by the change of control-segment length.
+    pub(crate) fn rebase(&mut self, base: u64) {
+        for slot in &mut self.slots {
+            *slot = *slot - self.base + base;
+        }
+        self.base = base;
+    }
+
+    /// Row `i`, or `None` past the last row.
+    fn row(&self, i: usize) -> Option<&[u64]> {
+        let lo = *self.start.get(i)? as usize;
+        let hi = *self.start.get(i.checked_add(1)?)? as usize;
+        self.slots.get(lo..hi)
+    }
+}
 
 /// One cycle's broadcast program ("bcast", §2): the control segment
 /// followed by the data segment (and, under the multiversion overflow
@@ -21,6 +187,12 @@ use crate::wire::WireParams;
 /// *where* (at which slot) an item appears so the simulation can account
 /// for tuning latency. Slot 0 is the first control bucket; the data
 /// segment starts at [`Bcast::data_start`].
+///
+/// The record column and (under the fixed-position organizations) the
+/// occurrence rows are shared with whoever assembled the bcast — the
+/// server patches them for the next cycle in place once this bcast is
+/// dropped, and copies them first while it is alive — so cloning or
+/// keeping a `Bcast` costs no copy of the data segment.
 #[derive(Debug, Clone)]
 pub struct Bcast {
     cycle: Cycle,
@@ -33,15 +205,11 @@ pub struct Bcast {
     data_slots: u64,
     overflow_slots: u64,
     /// Current value of every item on air, sorted by item. Under the
-    /// usual dense numbering `records[i]` is item `i`, so a lookup is one
+    /// usual dense numbering record `i` is item `i`, so a lookup is one
     /// index; sparse item ids fall back to a binary search.
-    records: Vec<ItemRecord>,
-    /// CSR rows over `occ_slots`, one per record plus the end sentinel:
-    /// `occ_slots[occ_start[i]..occ_start[i + 1]]` are the sorted slots
-    /// at which `records[i]`'s current version is transmitted (one slot
-    /// per item, several under the broadcast-disk organization).
-    occ_start: Vec<u32>,
-    occ_slots: Vec<u64>,
+    records: RecordColumn,
+    /// One row per record: where its current version is transmitted.
+    occurrences: Arc<Occurrences>,
     /// Old versions per item, most recent first, with the slot carrying
     /// each (§3.2). Empty outside multiversion organizations.
     old_versions: BTreeMap<ItemId, Vec<(u64, ItemValue)>>,
@@ -63,25 +231,26 @@ impl Bcast {
         control_slots: u64,
         data_slots: u64,
         overflow_slots: u64,
-        occ_start: Vec<u32>,
-        occ_slots: Vec<u64>,
-        records: Vec<ItemRecord>,
+        occurrences: Arc<Occurrences>,
+        records: RecordColumn,
         old_versions: BTreeMap<ItemId, Vec<(u64, ItemValue)>>,
         directory: Option<Directory>,
     ) -> Self {
-        assert_eq!(occ_start.len(), records.len() + 1, "one row per record");
+        assert_eq!(occurrences.rows(), records.len(), "one row per record");
         assert_eq!(
-            occ_start.last().map(|&end| end as usize),
-            Some(occ_slots.len()),
-            "rows must tile the occurrence slots"
+            occurrences.base(),
+            control_slots,
+            "rows laid out after this control segment"
         );
-        debug_assert!(occ_start.windows(2).all(|w| {
-            let row = &occ_slots[w[0] as usize..w[1] as usize];
-            row.windows(2).all(|s| s[0] < s[1])
+        debug_assert!((0..records.len()).all(|i| {
+            occurrences
+                .row(i)
+                .is_some_and(|row| row.windows(2).all(|s| s[0] < s[1]))
         }));
         let total = control_slots + data_slots + overflow_slots;
         debug_assert!(
-            occ_slots
+            occurrences
+                .slots
                 .iter()
                 .all(|&s| s >= control_slots && s < control_slots + data_slots),
             "current versions live in the data segment"
@@ -98,8 +267,7 @@ impl Bcast {
             data_slots,
             overflow_slots,
             records,
-            occ_start,
-            occ_slots,
+            occurrences,
             old_versions,
             directory,
             index_slots: Vec::new(),
@@ -174,23 +342,10 @@ impl Bcast {
         self.records.len()
     }
 
-    /// Where `item` sits in `records`: its own index under dense item
-    /// numbering, a binary search otherwise.
-    fn position(&self, item: ItemId) -> Option<usize> {
-        let guess = usize::try_from(item.index()).ok()?;
-        match self.records.get(guess) {
-            Some(rec) if rec.item() == item => Some(guess),
-            _ => self
-                .records
-                .binary_search_by_key(&item, ItemRecord::item)
-                .ok(),
-        }
-    }
-
     /// The current-version record of `item`, if the item is on air.
     // bpush-lint: hot_path — per-read record lookup on every client's read loop
     pub fn current(&self, item: ItemId) -> Option<&ItemRecord> {
-        self.records.get(self.position(item)?)
+        self.records.record_of(item)
     }
 
     /// The first slot at which `item`'s current version is transmitted.
@@ -212,11 +367,10 @@ impl Bcast {
     /// organizations, several under broadcast disks).
     // bpush-lint: hot_path — per-read occurrence lookup on every client's read loop
     pub fn occurrences_of(&self, item: ItemId) -> &[u64] {
-        let row = self.position(item).and_then(|i| {
-            let lo = *self.occ_start.get(i)? as usize;
-            let hi = *self.occ_start.get(i.checked_add(1)?)? as usize;
-            self.occ_slots.get(lo..hi)
-        });
+        let row = self
+            .records
+            .position(item)
+            .and_then(|i| self.occurrences.row(i));
         row.unwrap_or(&[])
     }
 
@@ -270,13 +424,13 @@ impl Bcast {
 
     /// Iterates over all current-version records in item order.
     pub fn records(&self) -> impl Iterator<Item = &ItemRecord> {
-        self.records.iter()
+        self.records.as_slice().iter()
     }
 
     /// The current-version records as one slice, in item order — what the
     /// data-segment encoder reads.
     pub(crate) fn record_slice(&self) -> &[ItemRecord] {
-        &self.records
+        self.records.as_slice()
     }
 }
 

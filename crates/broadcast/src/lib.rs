@@ -58,7 +58,7 @@ pub mod organization;
 pub mod size_model;
 pub mod wire;
 
-pub use bcast::Bcast;
+pub use bcast::{Bcast, RecordColumn};
 pub use bucket::{Bucket, BucketHeader, ItemRecord, OldVersion};
 pub use control::{AugmentedReport, ControlInfo, InvalidationReport};
 pub use directory::Directory;

@@ -1,25 +1,38 @@
 //! Broadcast organizations: how a cycle's content is laid out on air.
 //!
-//! Four organizations are provided:
+//! Five organizations are provided:
 //!
 //! * [`Flat`] — §5.1's default: every item exactly once per cycle, in item
-//!   order, at positions that never change across cycles.
-//! * [`MultiversionOverflow`] — Figure 2(b): current versions at fixed
-//!   positions carrying pointers into trailing overflow buckets that hold
-//!   the old versions in reverse chronological order.
+//!   order, at positions fixed relative to the start of the data segment
+//!   (its absolute slot moves with the length of the control segment).
+//! * [`IndexedFlat`] — the flat layout with replicated on-air index
+//!   copies ((1, m) indexing, §2.1).
+//! * [`MultiversionOverflow`] — Figure 2(b): current versions at the same
+//!   fixed positions, carrying pointers into trailing overflow buckets
+//!   that hold the old versions in reverse chronological order.
 //! * [`MultiversionClustered`] — Figure 2(a): all retained versions of an
 //!   item broadcast successively; positions shift, so a rebuilt
 //!   [`Directory`] is broadcast with the control segment every cycle.
 //! * [`BroadcastDisks`] — the §7 extension: items partitioned onto virtual
 //!   "disks" spinning at different speeds, so hot items appear several
 //!   times per (major) cycle.
+//!
+//! Every `assemble` takes the records as a [`RecordColumn`] (a sorted
+//! `Vec<ItemRecord>` converts, checked once) and stores the column in the
+//! bcast without copying it. The four fixed-position organizations also
+//! keep the occurrence rows they laid out last: an organization used for
+//! many cycles — the server keeps its own for the run — hands every bcast
+//! the same rows and only shifts them, in place, when the control segment
+//! changes length. Clustered multiversion lays its rows out every cycle.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
+use std::fmt;
+use std::sync::Arc;
 
 use bpush_types::{Cycle, ItemId, ItemValue};
 
-use crate::bcast::Bcast;
-use crate::bucket::ItemRecord;
+use crate::bcast::{Bcast, Occurrences, RecordColumn};
 use crate::control::ControlInfo;
 use crate::directory::Directory;
 use crate::size_model::SizeParams;
@@ -34,11 +47,69 @@ fn one_slot_each(records: usize) -> Vec<u32> {
     (0..=records).map_while(|i| u32::try_from(i).ok()).collect()
 }
 
-/// The flat organization: each item once per cycle at a fixed position.
+/// Rows of a layout airing `records` records once each in item order,
+/// `per_bucket` to a bucket, from slot `base` on.
+fn packed(records: usize, per_bucket: u64, base: u64) -> Occurrences {
+    let slots = (0..records as u64).map(|idx| base + idx / per_bucket);
+    Occurrences::new(base, one_slot_each(records), slots.collect())
+}
+
+/// The occurrence rows a fixed-position organization laid out last, kept
+/// for its next `assemble`. Not part of the organization's value: a
+/// clone starts empty and any two caches compare equal.
+#[derive(Default)]
+struct RowCache(Cell<Option<Arc<Occurrences>>>);
+
+impl RowCache {
+    /// The rows of `records` records after `control_slots` control
+    /// slots: the kept ones when they have as many rows — shifted first
+    /// if the control segment changed length, in place unless a live
+    /// bcast still shares them — else `lay_out(control_slots)`.
+    fn rows(
+        &self,
+        records: usize,
+        control_slots: u64,
+        lay_out: impl FnOnce(u64) -> Occurrences,
+    ) -> Arc<Occurrences> {
+        let rows = match self.0.take() {
+            Some(mut kept) if kept.rows() == records => {
+                if kept.base() != control_slots {
+                    Arc::make_mut(&mut kept).rebase(control_slots);
+                }
+                kept
+            }
+            _ => Arc::new(lay_out(control_slots)),
+        };
+        self.0.set(Some(Arc::clone(&rows)));
+        rows
+    }
+}
+
+impl Clone for RowCache {
+    fn clone(&self) -> Self {
+        RowCache::default()
+    }
+}
+
+impl PartialEq for RowCache {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for RowCache {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("RowCache")
+    }
+}
+
+/// The flat organization: each item once per cycle, at a position fixed
+/// relative to the start of the data segment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Flat {
     items_per_bucket: u32,
     sizes: SizeParams,
+    rows: RowCache,
 }
 
 impl Flat {
@@ -52,6 +123,7 @@ impl Flat {
         Flat {
             items_per_bucket,
             sizes: SizeParams::default(),
+            rows: RowCache::default(),
         }
     }
 
@@ -68,35 +140,33 @@ impl Flat {
     /// the flat organization carries no old versions.
     ///
     /// # Panics
-    /// Panics if `records` is not sorted by item id, or if old versions
-    /// are supplied.
+    /// Panics if `records` is a `Vec` not sorted by item id, or if old
+    /// versions are supplied.
     pub fn assemble(
         &self,
         cycle: Cycle,
         control: ControlInfo,
-        records: Vec<ItemRecord>,
+        records: impl Into<RecordColumn>,
         old_versions: Vec<OldVersions>,
     ) -> Bcast {
         assert!(
             old_versions.is_empty(),
             "flat organization cannot carry old versions"
         );
-        assert!(
-            records.windows(2).all(|w| w[0].item() < w[1].item()),
-            "records must be sorted by item id"
-        );
+        let records = records.into();
         let control_slots = control.slots(self.sizes.bucket, self.sizes.key, self.sizes.tid);
         let ipb = u64::from(self.items_per_bucket);
-        let data_slots = (records.len() as u64).div_ceil(ipb);
-        let occ_slots = (0..records.len() as u64).map(|idx| control_slots + idx / ipb);
+        let n = records.len();
+        let rows = self
+            .rows
+            .rows(n, control_slots, |base| packed(n, ipb, base));
         Bcast::from_parts(
             cycle,
             control,
             control_slots,
-            data_slots,
+            (n as u64).div_ceil(ipb),
             0,
-            one_slot_each(records.len()),
-            occ_slots.collect(),
+            rows,
             records,
             BTreeMap::new(),
             None,
@@ -115,6 +185,7 @@ pub struct IndexedFlat {
     segments: u32,
     items_per_bucket: u32,
     sizes: SizeParams,
+    rows: RowCache,
 }
 
 impl IndexedFlat {
@@ -129,6 +200,7 @@ impl IndexedFlat {
             segments,
             items_per_bucket,
             sizes: SizeParams::default(),
+            rows: RowCache::default(),
         }
     }
 
@@ -136,6 +208,8 @@ impl IndexedFlat {
     #[must_use]
     pub fn with_sizes(mut self, sizes: SizeParams) -> Self {
         self.sizes = sizes;
+        // the index copies' length, and so every row, depends on them
+        self.rows = RowCache::default();
         self
     }
 
@@ -150,51 +224,62 @@ impl IndexedFlat {
             .div_ceil(u64::from(self.sizes.bucket))
     }
 
+    /// The (index copy, data chunk) pairs of a bcast of `n` items, as
+    /// where the copy begins — counted from the start of the data
+    /// segment — and how many items the chunk after it holds: `⌈n / m⌉`,
+    /// the last chunk fewer. Also the data segment's length.
+    fn chunks(&self, n: usize) -> (Vec<(u64, u64)>, u64) {
+        let ipb = u64::from(self.items_per_bucket);
+        let idx_slots = self.index_copy_slots(n);
+        let per_chunk = (n as u64).div_ceil(u64::from(self.segments)).max(1);
+        let mut chunks = Vec::with_capacity(self.segments as usize);
+        let mut rel = 0;
+        for first in (0..n as u64).step_by(per_chunk as usize) {
+            let items = per_chunk.min(n as u64 - first);
+            chunks.push((rel, items));
+            rel += idx_slots + items.div_ceil(ipb);
+        }
+        (chunks, rel)
+    }
+
     /// Assembles the bcast: control, then `m` repetitions of
     /// (index copy, data chunk). `records` must be sorted by item id;
     /// old versions are not supported.
     ///
     /// # Panics
-    /// Panics if `records` is unsorted or old versions are supplied.
+    /// Panics if `records` is an unsorted `Vec` or old versions are
+    /// supplied.
     pub fn assemble(
         &self,
         cycle: Cycle,
         control: ControlInfo,
-        records: Vec<ItemRecord>,
+        records: impl Into<RecordColumn>,
         old_versions: Vec<OldVersions>,
     ) -> Bcast {
         assert!(
             old_versions.is_empty(),
             "indexed flat organization cannot carry old versions"
         );
-        assert!(
-            records.windows(2).all(|w| w[0].item() < w[1].item()),
-            "records must be sorted by item id"
-        );
+        let records = records.into();
         let control_slots = control.slots(self.sizes.bucket, self.sizes.key, self.sizes.tid);
-        let ipb = u64::from(self.items_per_bucket);
-        let idx_slots = self.index_copy_slots(records.len());
-        let m = u64::from(self.segments);
-        let chunk_items = (records.len() as u64).div_ceil(m);
-
-        let mut index_slots = Vec::with_capacity(self.segments as usize);
-        let mut occ_slots = Vec::with_capacity(records.len());
-        let mut slot = control_slots;
-        for chunk in records.chunks(chunk_items.max(1) as usize) {
-            index_slots.push(slot);
-            slot += idx_slots;
-            occ_slots.extend((0..chunk.len() as u64).map(|i| slot + i / ipb));
-            slot += (chunk.len() as u64).div_ceil(ipb);
-        }
-        let data_slots = slot - control_slots;
+        let n = records.len();
+        let (chunks, data_slots) = self.chunks(n);
+        let rows = self.rows.rows(n, control_slots, |base| {
+            let ipb = u64::from(self.items_per_bucket);
+            let data_at = base + self.index_copy_slots(n);
+            let slots = chunks
+                .iter()
+                .flat_map(|&(at, items)| (0..items).map(move |i| data_at + at + i / ipb));
+            Occurrences::new(base, one_slot_each(n), slots.collect())
+        });
+        let index_slots = chunks.iter().map(|&(at, _)| control_slots + at).collect();
         Bcast::from_parts(
             cycle,
             control,
             control_slots,
             data_slots,
             0,
-            one_slot_each(records.len()),
-            occ_slots,
+            rows,
             records,
             BTreeMap::new(),
             None,
@@ -208,6 +293,7 @@ impl IndexedFlat {
 pub struct MultiversionOverflow {
     items_per_bucket: u32,
     sizes: SizeParams,
+    rows: RowCache,
 }
 
 impl MultiversionOverflow {
@@ -222,6 +308,7 @@ impl MultiversionOverflow {
         MultiversionOverflow {
             items_per_bucket,
             sizes: SizeParams::default(),
+            rows: RowCache::default(),
         }
     }
 
@@ -234,28 +321,30 @@ impl MultiversionOverflow {
 
     /// Assembles the bcast: fixed-position data segment followed by
     /// overflow buckets holding `old_versions` (each inner vector most
-    /// recent first). Records gain overflow pointers.
+    /// recent first), chain after chain in the order given. The records
+    /// of items with old versions gain overflow pointers; no other record
+    /// is touched, so a caller reusing a column clears last cycle's
+    /// pointers itself.
     ///
     /// # Panics
-    /// Panics if `records` is not sorted by item id or an old-version
-    /// chain is not in reverse chronological order.
+    /// Panics if `records` is a `Vec` not sorted by item id or an
+    /// old-version chain is not in reverse chronological order.
     pub fn assemble(
         &self,
         cycle: Cycle,
         control: ControlInfo,
-        mut records: Vec<ItemRecord>,
+        records: impl Into<RecordColumn>,
         old_versions: Vec<OldVersions>,
     ) -> Bcast {
-        assert!(
-            records.windows(2).all(|w| w[0].item() < w[1].item()),
-            "records must be sorted by item id"
-        );
+        let mut records = records.into();
         let control_slots = control.slots(self.sizes.bucket, self.sizes.key, self.sizes.tid);
         let ipb = u64::from(self.items_per_bucket);
-        let data_slots = (records.len() as u64).div_ceil(ipb);
+        let n = records.len();
+        let data_slots = (n as u64).div_ceil(ipb);
         let overflow_start = control_slots + data_slots;
 
-        // Lay out the overflow area and attach pointers.
+        // Lay out the overflow area, then point every record with old
+        // versions at its chain's first entry.
         let mut old_map: BTreeMap<ItemId, Vec<(u64, ItemValue)>> = BTreeMap::new();
         let mut next_entry = 0u64;
         for (item, versions) in &old_versions {
@@ -266,25 +355,28 @@ impl MultiversionOverflow {
             if versions.is_empty() {
                 continue;
             }
-            if let Ok(idx) = records.binary_search_by_key(item, ItemRecord::item) {
-                records[idx] = records[idx].with_overflow_ptr(next_entry);
-            }
             let chain = old_map.entry(*item).or_default();
             for v in versions {
                 chain.push((overflow_start + next_entry / ipb, *v));
                 next_entry += 1;
             }
         }
-        let overflow_slots = next_entry.div_ceil(ipb);
-        let occ_slots = (0..records.len() as u64).map(|idx| control_slots + idx / ipb);
+        let chains = old_versions.iter().filter(|(_, vs)| !vs.is_empty());
+        records.set_overflow_ptrs(chains.scan(0u64, |next, (item, vs)| {
+            let first = *next;
+            *next += vs.len() as u64;
+            Some((*item, first))
+        }));
+        let rows = self
+            .rows
+            .rows(n, control_slots, |base| packed(n, ipb, base));
         Bcast::from_parts(
             cycle,
             control,
             control_slots,
             data_slots,
-            overflow_slots,
-            one_slot_each(records.len()),
-            occ_slots.collect(),
+            next_entry.div_ceil(ipb),
+            rows,
             records,
             old_map,
             None,
@@ -323,19 +415,16 @@ impl MultiversionClustered {
     /// to the control segment.
     ///
     /// # Panics
-    /// Panics if `records` is not sorted by item id or an old-version
-    /// chain is out of order.
+    /// Panics if `records` is a `Vec` not sorted by item id or an
+    /// old-version chain is out of order.
     pub fn assemble(
         &self,
         cycle: Cycle,
         control: ControlInfo,
-        records: Vec<ItemRecord>,
+        records: impl Into<RecordColumn>,
         old_versions: Vec<OldVersions>,
     ) -> Bcast {
-        assert!(
-            records.windows(2).all(|w| w[0].item() < w[1].item()),
-            "records must be sorted by item id"
-        );
+        let records = records.into();
         let old_by_item: BTreeMap<ItemId, &Vec<ItemValue>> =
             old_versions.iter().map(|(x, vs)| (*x, vs)).collect();
         for vs in old_by_item.values() {
@@ -351,7 +440,7 @@ impl MultiversionClustered {
         let mut dir_entries = Vec::with_capacity(records.len());
         let mut old_map: BTreeMap<ItemId, Vec<(u64, ItemValue)>> = BTreeMap::new();
         let mut occ_slots = Vec::with_capacity(records.len());
-        for rec in &records {
+        for rec in records.as_slice() {
             dir_entries.push((rec.item(), rel));
             occ_slots.push(rel);
             rel += 1;
@@ -376,14 +465,14 @@ impl MultiversionClustered {
         for slot in occ_slots.iter_mut().chain(old_slots) {
             *slot += control_slots;
         }
+        let rows = Occurrences::new(control_slots, one_slot_each(records.len()), occ_slots);
         Bcast::from_parts(
             cycle,
             control,
             control_slots,
             data_slots,
             0,
-            one_slot_each(records.len()),
-            occ_slots,
+            Arc::new(rows),
             records,
             old_map,
             Some(directory),
@@ -416,6 +505,7 @@ pub struct DiskSpec {
 pub struct BroadcastDisks {
     disks: Vec<DiskSpec>,
     sizes: SizeParams,
+    rows: RowCache,
 }
 
 impl BroadcastDisks {
@@ -434,6 +524,7 @@ impl BroadcastDisks {
         BroadcastDisks {
             disks,
             sizes: SizeParams::default(),
+            rows: RowCache::default(),
         }
     }
 
@@ -455,24 +546,21 @@ impl BroadcastDisks {
     /// every disk.
     ///
     /// # Panics
-    /// Panics if `records` is not sorted by item id, does not match
-    /// [`BroadcastDisks::expected_items`], or old versions are supplied
-    /// (the disk organization carries current versions only).
+    /// Panics if `records` is a `Vec` not sorted by item id, does not
+    /// match [`BroadcastDisks::expected_items`], or old versions are
+    /// supplied (the disk organization carries current versions only).
     pub fn assemble(
         &self,
         cycle: Cycle,
         control: ControlInfo,
-        records: Vec<ItemRecord>,
+        records: impl Into<RecordColumn>,
         old_versions: Vec<OldVersions>,
     ) -> Bcast {
         assert!(
             old_versions.is_empty(),
             "broadcast disks carry current versions only"
         );
-        assert!(
-            records.windows(2).all(|w| w[0].item() < w[1].item()),
-            "records must be sorted by item id"
-        );
+        let records = records.into();
         assert_eq!(
             records.len(),
             self.expected_items() as usize,
@@ -497,27 +585,30 @@ impl BroadcastDisks {
         // The item at position `p` of its disk sits at offset
         // `p % chunk_size` of chunk `p / chunk_size`, which airs in the
         // minor cycles congruent to it modulo `num_chunks`.
-        let mut occ_start = Vec::with_capacity(records.len() + 1);
-        let mut occ_slots = Vec::with_capacity(records.len());
-        let mut disk_offset = control_slots;
-        for d in &self.disks {
-            let (num_chunks, chunk_size) = chunking(d);
-            for p in 0..u64::from(d.items) {
-                occ_start.push(u32::try_from(occ_slots.len()).unwrap_or(u32::MAX));
-                let minors = (0..u64::from(d.rel_freq)).map(|k| p / chunk_size + k * num_chunks);
-                occ_slots.extend(minors.map(|m| disk_offset + m * minor_len + p % chunk_size));
+        let rows = self.rows.rows(records.len(), control_slots, |base| {
+            let mut occ_start = Vec::with_capacity(records.len() + 1);
+            let mut occ_slots = Vec::with_capacity(records.len());
+            let mut disk_offset = base;
+            for d in &self.disks {
+                let (num_chunks, chunk_size) = chunking(d);
+                for p in 0..u64::from(d.items) {
+                    occ_start.push(u32::try_from(occ_slots.len()).unwrap_or(u32::MAX));
+                    let minors =
+                        (0..u64::from(d.rel_freq)).map(|k| p / chunk_size + k * num_chunks);
+                    occ_slots.extend(minors.map(|m| disk_offset + m * minor_len + p % chunk_size));
+                }
+                disk_offset += chunk_size;
             }
-            disk_offset += chunk_size;
-        }
-        occ_start.push(u32::try_from(occ_slots.len()).unwrap_or(u32::MAX));
+            occ_start.push(u32::try_from(occ_slots.len()).unwrap_or(u32::MAX));
+            Occurrences::new(base, occ_start, occ_slots)
+        });
         Bcast::from_parts(
             cycle,
             control,
             control_slots,
             l * minor_len,
             0,
-            occ_start,
-            occ_slots,
+            rows,
             records,
             BTreeMap::new(),
             None,
@@ -540,6 +631,7 @@ fn lcm(a: u64, b: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bucket::ItemRecord;
     use bpush_types::TxnId;
 
     fn records(n: u32) -> Vec<ItemRecord> {

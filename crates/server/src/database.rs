@@ -8,7 +8,8 @@ use bpush_types::{Cycle, ItemId, ItemValue, TxnId};
 /// multiversion operation (§3.2) the store retains enough superseded
 /// values to broadcast the previous `V` cycles' worth, and
 /// [`MultiversionStore::gc`] discards the rest (the paper's "at each
-/// cycle `k`, the server discards the `k − S` version").
+/// cycle `k`, the server discards the `k − S` version") from the chains
+/// the server names — the items written `S` cycles back.
 ///
 /// # On-air retention rule
 ///
@@ -127,32 +128,31 @@ impl MultiversionStore {
         out
     }
 
-    /// Garbage-collects values no longer needed at cycle `now` by a server
-    /// retaining `retain` old cycles. The current value always survives.
-    pub fn gc(&mut self, now: Cycle, retain: u32) {
+    /// Garbage-collects, in the chains of `items`, the values no longer
+    /// needed at cycle `now` by a server retaining `retain` old cycles
+    /// (`retain` ≤ 1 keeps no old value). The current value always
+    /// survives.
+    ///
+    /// A value superseded in cycle `w` goes off air at cycle
+    /// `w + max(retain, 1)`, so a caller collecting once per cycle
+    /// passes the items written in cycle `now − max(retain, 1)` — the
+    /// only chains with a value that left the air at `now` — and keeps
+    /// the store exactly as a sweep of every chain would.
+    ///
+    /// # Panics
+    /// Panics if an item is out of range.
+    pub fn gc(&mut self, now: Cycle, retain: u32, items: impl IntoIterator<Item = ItemId>) {
+        for item in items {
+            gc_chain(&mut self.versions[item.as_usize()], now, retain);
+        }
+    }
+
+    /// [`MultiversionStore::gc`] over every chain: the oracle the
+    /// incremental collection is tested against.
+    #[cfg(test)]
+    pub(crate) fn gc_sweep(&mut self, now: Cycle, retain: u32) {
         for chain in &mut self.versions {
-            if chain.len() <= 1 {
-                continue;
-            }
-            // keep index i (non-current) iff chain[i+1].version + retain > now + 1
-            let cutoff = chain.len() - 1;
-            let mut first_kept = cutoff;
-            for i in (0..cutoff).rev() {
-                let needed = u64::from(retain) > 1
-                    && chain[i + 1]
-                        .version()
-                        .number()
-                        .saturating_add(u64::from(retain))
-                        > now.number().saturating_add(1);
-                if needed {
-                    first_kept = i;
-                } else {
-                    break;
-                }
-            }
-            if first_kept > 0 {
-                chain.drain(..first_kept);
-            }
+            gc_chain(chain, now, retain);
         }
     }
 
@@ -169,6 +169,33 @@ impl MultiversionStore {
     /// accounting tests).
     pub fn total_retained(&self) -> usize {
         self.versions.iter().map(Vec::len).sum()
+    }
+}
+
+/// Drops the values of `chain` (ascending, current last) no longer needed
+/// at cycle `now` by a server retaining `retain` old cycles.
+fn gc_chain(chain: &mut Vec<ItemValue>, now: Cycle, retain: u32) {
+    if chain.len() <= 1 {
+        return;
+    }
+    // keep index i (non-current) iff chain[i+1].version + retain > now + 1
+    let cutoff = chain.len() - 1;
+    let mut first_kept = cutoff;
+    for i in (0..cutoff).rev() {
+        let needed = u64::from(retain) > 1
+            && chain[i + 1]
+                .version()
+                .number()
+                .saturating_add(u64::from(retain))
+                > now.number().saturating_add(1);
+        if needed {
+            first_kept = i;
+        } else {
+            break;
+        }
+    }
+    if first_kept > 0 {
+        chain.drain(..first_kept);
     }
 }
 
@@ -246,15 +273,15 @@ mod tests {
         db.apply_write(x, txn(0, 0));
         db.apply_write(x, txn(3, 0));
         db.apply_write(x, txn(5, 0));
-        db.gc(Cycle::new(6), 3);
+        db.gc(Cycle::new(6), 3, [x]);
         // only v4 (still on air) and the current v6 remain
         assert_eq!(db.retained(x).len(), 2);
         assert_eq!(db.retained(x)[0].version(), Cycle::new(4));
         // gc is idempotent
-        db.gc(Cycle::new(6), 3);
+        db.gc(Cycle::new(6), 3, [x]);
         assert_eq!(db.retained(x).len(), 2);
         // advancing time eventually drops v4 too
-        db.gc(Cycle::new(9), 3);
+        db.gc(Cycle::new(9), 3, [x]);
         assert_eq!(db.retained(x).len(), 1);
     }
 
@@ -264,7 +291,7 @@ mod tests {
         let x = ItemId::new(0);
         db.apply_write(x, txn(0, 0));
         db.apply_write(x, txn(1, 0));
-        db.gc(Cycle::new(2), 1);
+        db.gc(Cycle::new(2), 1, [x]);
         assert_eq!(db.retained(x).len(), 1);
         assert_eq!(db.current(x).writer(), Some(txn(1, 0)));
     }

@@ -69,7 +69,8 @@ pub struct ServerConfig {
     /// Default 50 (swept 50–500 in Figure 6). Server reads are 4× this.
     pub updates_per_cycle: u32,
     /// `V`, how many *old* versions the server retains and broadcasts in
-    /// multiversion mode. Default 3 (the paper's span-3 examples).
+    /// multiversion mode. Default 3 (the paper's span-3 examples). `0`
+    /// is accepted and, like `1`, retains and broadcasts no old version.
     pub versions_retained: u32,
     /// Items per bucket. Default 1 (the paper's size model has `b = d`,
     /// one record per bucket).

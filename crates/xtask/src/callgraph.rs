@@ -7,8 +7,10 @@
 //! `Cargo.toml`), with two precision refinements:
 //!
 //! * `Type::name(…)` calls only bind to functions in an `impl Type`
-//!   block (a capitalized qualifier that matches nothing binds to
-//!   nothing — it names a std or external type);
+//!   block (a capitalized or primitive-type qualifier that matches
+//!   nothing binds to nothing — it names a std or external type, so
+//!   `u64::from(…)` reaches an `impl From<…> for u64` and no other
+//!   `from`);
 //! * `self.name(…)` calls prefer functions sharing the caller's impl
 //!   type, which keeps same-named methods of sibling implementations
 //!   (e.g. an interned graph and its baseline twin) apart.
@@ -22,6 +24,13 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::items::{CallSite, FileIndex, FnItem};
 use crate::{read_file, LintError};
+
+/// Primitive type names: as a call qualifier they name a type, not a
+/// module, so they resolve like a capitalized one.
+const PRIMITIVES: &[&str] = &[
+    "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize", "f32",
+    "f64", "bool", "char", "str",
+];
 
 /// Transitive workspace-dependency map: crate directory name → the set
 /// of crate directory names its sources may call into (itself included).
@@ -250,9 +259,11 @@ impl<'a> CallGraph<'a> {
             if q == "Self" {
                 return self.prefer_impl(&in_scope, caller.impl_type.as_deref(), true);
             }
-            if q.chars().next().is_some_and(char::is_uppercase) {
-                // A type-qualified call binds only to that type's impl;
-                // no match means a std/external type we cannot see.
+            if q.chars().next().is_some_and(char::is_uppercase) || PRIMITIVES.contains(&q.as_str())
+            {
+                // A type-qualified call (`Known::make`, `u64::from`)
+                // binds only to that type's impl; no match means a
+                // std/external type we cannot see.
                 return self.prefer_impl(&in_scope, Some(q.as_str()), true);
             }
             // Module-qualified (`wire::decode(…)`): name scoping only.
@@ -376,6 +387,23 @@ mod tests {
         let b = 2; // fn b
         assert_eq!(graph.callees(a), &[0]);
         assert!(graph.callees(b).is_empty(), "External::make binds nothing");
+    }
+
+    #[test]
+    fn primitive_qualified_calls_require_a_matching_impl() {
+        let files = vec![index(
+            "g",
+            "impl From<u8> for Wide {\n    fn from(x: u8) -> Self { grow() }\n}\nimpl From<Wide> for u64 {\n    fn from(w: Wide) -> u64 { 0 }\n}\nfn grow() {}\nfn a() { u64::from(Wide); }\nfn b() { u32::from(1u8); }\n",
+        )];
+        let deps = dep_map(&[("g", &[])]);
+        let graph = CallGraph::build(&files, &deps);
+        let (a, b) = (3, 4); // fn a, fn b
+        assert_eq!(
+            graph.callees(a),
+            &[1],
+            "u64::from binds the impl for u64 only"
+        );
+        assert!(graph.callees(b).is_empty(), "u32::from binds nothing");
     }
 
     #[test]
