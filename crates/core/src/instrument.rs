@@ -160,7 +160,7 @@ impl ReadOnlyProtocol for Instrumented {
                 mon.report_entry(c, item, wc);
             }
             if let Some(diff) = ctrl.graph_diff() {
-                mon.graph_diff(c, diff);
+                mon.graph_diff(diff);
             }
             if let Some(aug) = ctrl.augmented() {
                 for (item, writer) in aug.entries() {

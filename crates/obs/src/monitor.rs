@@ -15,10 +15,14 @@
 //!   query; a read *accepted* past that point is a violation. An
 //!   optional staleness bound caps commit-time currency distance.
 //! * **Serializability** ([`MonitorKind::Serializability`]) — for
-//!   [`MonitorPolicy::Graph`] methods, an incremental shadow
-//!   serialization graph (reusing `bpush_sgraph`) replays the §3.3 edge
-//!   discipline; an accepted read whose dependency edge closes a cycle,
-//!   or a commit while the query sits on a cycle, is a violation. For
+//!   [`MonitorPolicy::Graph`] methods, one windowed graph of server
+//!   transactions per engine (a `bpush_sgraph` graph, fed each broadcast
+//!   diff once and pruned at the least Lemma-1 bound over the active
+//!   lanes). Each lane keeps its query's §3.3 edges as plain data, so
+//!   both checks are reachability questions on the shared graph: an
+//!   accepted read whose writer a recorded first overwriter is or
+//!   reaches, or a commit after a first overwriter that is or reaches a
+//!   writer the query read, is a violation. For
 //!   [`MonitorPolicy::Snapshot`] methods, the committed readset's
 //!   validity intervals must share a database state.
 //! * **Coverage** ([`MonitorKind::Coverage`]) — every committed readset
@@ -39,7 +43,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use bpush_sgraph::{GraphDiff, Node, SerializationGraph};
-use bpush_types::{AbortReason, Cycle, ItemId, QueryId, TxnId};
+use bpush_types::{AbortReason, Cycle, ItemId, TxnId};
 
 use crate::event::{Actor, EventKind};
 
@@ -311,11 +315,12 @@ struct Lane {
     reads: Box<[ReadSlot]>,
     nreads: u32,
     overflow: bool,
-    /// Finished query ids whose shadow-graph node awaits removal (graph
-    /// mutation is deferred off the event hot path).
-    pending_remove: [u64; 4],
-    npending: u32,
-    pending_spill: bool,
+    /// Graph policy: the distinct writers of the query's accepted reads
+    /// (its dependency edges `T → R`).
+    writers: Vec<TxnId>,
+    /// Graph policy: the distinct first overwriters of items the query
+    /// holds (its precedence edges `R → T_f`).
+    overwriters: Vec<TxnId>,
 }
 
 impl Lane {
@@ -333,9 +338,8 @@ impl Lane {
             reads: vec![ReadSlot::EMPTY; slots].into_boxed_slice(),
             nreads: 0,
             overflow: false,
-            pending_remove: [0; 4],
-            npending: 0,
-            pending_spill: false,
+            writers: Vec::new(),
+            overwriters: Vec::new(),
         }
     }
 
@@ -355,26 +359,28 @@ impl Lane {
         self.c_o = NO_CYCLE;
         self.nreads = 0;
         self.overflow = false;
+        self.writers.clear();
+        self.overwriters.clear();
     }
 
-    /// Ends the active query, queueing its graph node for removal.
-    fn retire(&mut self, graph_policy: bool) {
-        if !self.active {
-            return;
-        }
+    /// Ends the active query.
+    fn retire(&mut self) {
         self.active = false;
         self.doom = None;
         self.doom_reported = false;
         self.pending_cycle = None;
-        if graph_policy {
-            match self.pending_remove.get_mut(self.npending as usize) {
-                Some(slot) => {
-                    *slot = self.query;
-                    self.npending = self.npending.saturating_add(1);
-                }
-                None => self.pending_spill = true,
-            }
-        }
+    }
+}
+
+/// Whether `from` is, or reaches, `to` in the transaction graph.
+fn reaches(graph: &SerializationGraph, from: TxnId, to: TxnId) -> bool {
+    from == to || graph.path_exists(Node::Txn(from), Node::Txn(to))
+}
+
+/// Appends `txn` unless it is already listed.
+fn note_once(list: &mut Vec<TxnId>, txn: TxnId) {
+    if !list.contains(&txn) {
+        list.push(txn);
     }
 }
 
@@ -398,7 +404,11 @@ pub struct MonitorEngine {
     config: MonitorConfig,
     lanes: Box<[Lane]>,
     streams: Box<[StreamLane]>,
-    graphs: Vec<SerializationGraph>,
+    /// Graph policy: the server transactions of every heard diff inside
+    /// the least Lemma-1 window over the active lanes.
+    graph: SerializationGraph,
+    /// Commit cycle of the newest diff applied to `graph`.
+    graph_cycle: Option<Cycle>,
     violations: Box<[Violation]>,
     nviol: u32,
     violations_dropped: u64,
@@ -421,11 +431,6 @@ impl MonitorEngine {
     pub fn new(config: MonitorConfig) -> Self {
         let clients = config.clients as usize;
         let slots = config.reads_per_query as usize;
-        let graphs = if config.policy == MonitorPolicy::Graph {
-            (0..clients).map(|_| SerializationGraph::new()).collect()
-        } else {
-            Vec::new()
-        };
         MonitorEngine {
             config,
             lanes: (0..clients)
@@ -433,7 +438,8 @@ impl MonitorEngine {
                 .collect::<Vec<_>>()
                 .into_boxed_slice(),
             streams: vec![StreamLane::EMPTY; clients.saturating_add(2)].into_boxed_slice(),
-            graphs,
+            graph: SerializationGraph::new(),
+            graph_cycle: None,
             violations: vec![Violation::EMPTY; config.max_violations as usize].into_boxed_slice(),
             nviol: 0,
             violations_dropped: 0,
@@ -481,7 +487,7 @@ impl MonitorEngine {
 
     /// Streams one event through every monitor. This is the per-event
     /// hot path: pure integer state-machine updates, no allocation, no
-    /// graph mutation (graph work is deferred to the typed feed).
+    /// graph work (that belongs to the typed feed).
     // bpush-lint: hot_path — monitor feed: runs once per emitted event on every instrumented run
     pub fn on_event(&mut self, cycle: Cycle, actor: Actor, kind: EventKind) {
         self.events = self.events.saturating_add(1);
@@ -542,7 +548,6 @@ impl MonitorEngine {
             Actor::Client(i) => i,
             _ => return,
         };
-        let graph_policy = self.config.policy == MonitorPolicy::Graph;
         let strict_gap = self.config.coverage == CoverageRule::StrictGap;
         let policy = self.config.policy;
         let staleness_bound = self.config.staleness_bound;
@@ -552,7 +557,6 @@ impl MonitorEngine {
         if let Some(lane) = self.lanes.get_mut(client as usize) {
             match kind {
                 EventKind::QueryBegun { query } => {
-                    lane.retire(graph_policy);
                     lane.begin(query, n);
                 }
                 EventKind::MissedCycle if strict_gap && lane.active && lane.doom.is_none() => {
@@ -567,7 +571,7 @@ impl MonitorEngine {
                     self.commits = self.commits.saturating_add(1);
                     if lane.active && lane.query == query {
                         fire = Lane::commit_verdict(lane, policy, staleness_bound, client, n);
-                        lane.retire(graph_policy);
+                        lane.retire();
                     }
                 }
                 EventKind::QueryAborted { query, reason } => {
@@ -581,7 +585,7 @@ impl MonitorEngine {
                         });
                     }
                     if lane.active && lane.query == query {
-                        lane.retire(graph_policy);
+                        lane.retire();
                     }
                 }
                 _ => {}
@@ -599,7 +603,6 @@ impl MonitorEngine {
     /// the invalidation report) into the client's lane.
     pub fn mon_control_begin(&mut self, client: u32, cycle: Cycle, window: u32) {
         self.controls = self.controls.saturating_add(1);
-        self.mon_flush_graph(client);
         let n = cycle.number();
         let window_gap = self.config.coverage == CoverageRule::WindowGap;
         if let Some(lane) = self.lanes.get_mut(client as usize) {
@@ -664,60 +667,64 @@ impl MonitorEngine {
         if self.config.policy != MonitorPolicy::Graph {
             return;
         }
-        self.mon_flush_graph(client);
         let idx = item.index();
         let wc = writer.cycle().number();
-        let mut edge = None;
-        if let Some(lane) = self.lanes.get_mut(client as usize) {
-            if lane.active && lane.holds(idx) {
-                if wc < lane.c_o {
-                    lane.c_o = wc;
-                }
-                edge = Some(QueryId::new(lane.query));
-            }
-        }
-        let Some(q) = edge else { return };
-        let Some(graph) = self.graphs.get_mut(client as usize) else {
+        let Some(lane) = self.lanes.get_mut(client as usize) else {
             return;
         };
-        // Claim 2: one precedence edge to the first writer suffices. The
-        // genuine method adds it unconditionally; if it closes a cycle
-        // the query must abort before committing.
-        let closes = graph.would_close_cycle(Node::Query(q), Node::Txn(writer));
-        graph.add_edge(Node::Query(q), Node::Txn(writer));
-        self.graph_edges = self.graph_edges.saturating_add(1);
-        if closes {
-            if let Some(lane) = self.lanes.get_mut(client as usize) {
-                if lane.pending_cycle.is_none() {
-                    lane.pending_cycle = Some(DoomExpect {
-                        kind: MonitorKind::Serializability,
-                        item: idx,
-                        write_cycle: wc,
-                        detail: u64::from(writer.seq()),
-                    });
-                }
-            }
-        }
-    }
-
-    /// Integrates a broadcast serialization-graph diff into the client's
-    /// shadow graph.
-    pub fn mon_graph_diff(&mut self, client: u32, diff: &GraphDiff) {
-        if self.config.policy != MonitorPolicy::Graph {
+        if !lane.active || !lane.holds(idx) {
             return;
         }
-        self.mon_flush_graph(client);
-        if let Some(graph) = self.graphs.get_mut(client as usize) {
-            graph.apply_diff(diff);
+        if wc < lane.c_o {
+            lane.c_o = wc;
+        }
+        // Claim 2: one precedence edge `R → T_f` to the first writer
+        // suffices. It closes a cycle iff `T_f` is, or reaches, a writer
+        // the query read; the query must then abort before committing.
+        let closes = lane
+            .writers
+            .iter()
+            .any(|&w| reaches(&self.graph, writer, w));
+        note_once(&mut lane.overwriters, writer);
+        self.graph_edges = self.graph_edges.saturating_add(1);
+        if closes && lane.pending_cycle.is_none() {
+            lane.pending_cycle = Some(DoomExpect {
+                kind: MonitorKind::Serializability,
+                item: idx,
+                write_cycle: wc,
+                detail: u64::from(writer.seq()),
+            });
         }
     }
 
-    /// Ends the control feed for `cycle`: advances watermarks and prunes
-    /// the shadow graph (Lemma 1 discipline).
+    /// Integrates a broadcast serialization-graph diff into the shared
+    /// transaction graph. The first lane fed a cycle's diff applies it;
+    /// the graph is first pruned at the least Lemma-1 bound over the
+    /// active lanes (each lane's `c_o`, else its last heard cycle), or
+    /// cleared when no lane is active.
+    pub fn mon_graph_diff(&mut self, diff: &GraphDiff) {
+        if self.config.policy != MonitorPolicy::Graph || self.graph_cycle >= Some(diff.cycle()) {
+            return;
+        }
+        self.graph_cycle = Some(diff.cycle());
+        let bound = self
+            .lanes
+            .iter()
+            .filter(|lane| lane.active)
+            .map(|lane| lane.c_o.min(lane.heard))
+            .min()
+            .unwrap_or(NO_CYCLE);
+        if bound == NO_CYCLE {
+            self.graph.clear();
+        } else {
+            self.graph.prune_before(Cycle::new(bound));
+        }
+        self.graph.apply_diff(diff);
+    }
+
+    /// Ends the control feed for `cycle`: advances the lane's watermarks.
     pub fn mon_control_done(&mut self, client: u32, cycle: Cycle) {
         let n = cycle.number();
-        let graph_policy = self.config.policy == MonitorPolicy::Graph;
-        let mut prune = None;
         if let Some(lane) = self.lanes.get_mut(client as usize) {
             if lane.active && lane.doom.is_none() {
                 // Whole readset screened clean through this report: the
@@ -726,29 +733,11 @@ impl MonitorEngine {
             }
             lane.heard = n;
             lane.feeding = NO_CYCLE;
-            if graph_policy {
-                prune = Some(if !lane.active {
-                    NO_CYCLE // clear
-                } else if lane.c_o != NO_CYCLE {
-                    lane.c_o
-                } else {
-                    n
-                });
-            }
-        }
-        if let Some(bound) = prune {
-            if let Some(graph) = self.graphs.get_mut(client as usize) {
-                if bound == NO_CYCLE {
-                    graph.clear();
-                } else {
-                    graph.prune_before(Cycle::new(bound));
-                }
-            }
         }
     }
 
     /// Feeds one *accepted* read: the mirrored readset gains a slot and,
-    /// under the graph policy, the §3.3 dependency edge is replayed. An
+    /// under the graph policy, the §3.3 dependency edge is judged. An
     /// accepted read while the method's own rule requires the query to
     /// be doomed is the online divergence signal.
     // The argument list mirrors the client's version-read metadata tuple
@@ -765,12 +754,11 @@ impl MonitorEngine {
         valid_until: Option<Cycle>,
         writer: Option<TxnId>,
     ) {
-        self.mon_flush_graph(client);
         let idx = item.index();
         let n = now.number();
         let graph_policy = self.config.policy == MonitorPolicy::Graph;
         let mut fire = None;
-        let mut dep = None;
+        let mut cyclic = None;
         if let Some(lane) = self.lanes.get_mut(client as usize) {
             if !lane.active || lane.query != query {
                 return;
@@ -806,24 +794,27 @@ impl MonitorEngine {
                     }
                 }
             }
-            if graph_policy {
-                dep = writer.map(|t| (QueryId::new(lane.query), t));
+            if let (true, Some(t)) = (graph_policy, writer) {
+                // Claim 3: one dependency edge `T → R` from the last
+                // writer suffices. It closes a cycle iff a recorded first
+                // overwriter is, or reaches, `T`; the genuine method
+                // *rejects* such a read, so an accepted one is an online
+                // serializability violation.
+                if lane
+                    .overwriters
+                    .iter()
+                    .any(|&tf| reaches(&self.graph, tf, t))
+                {
+                    cyclic = Some(t);
+                }
+                note_once(&mut lane.writers, t);
+                self.graph_edges = self.graph_edges.saturating_add(1);
             }
         }
         if let Some(v) = fire {
             self.mon_note_violation(v);
         }
-        let Some((q, t)) = dep else { return };
-        let Some(graph) = self.graphs.get_mut(client as usize) else {
-            return;
-        };
-        // Claim 3: one dependency edge from the last writer suffices.
-        // The genuine method *rejects* a read that would close a cycle,
-        // so an accepted one is an online serializability violation.
-        let closes = graph.would_close_cycle(Node::Txn(t), Node::Query(q));
-        graph.add_edge(Node::Txn(t), Node::Query(q));
-        self.graph_edges = self.graph_edges.saturating_add(1);
-        if closes {
+        if let Some(t) = cyclic {
             self.mon_note_violation(Violation {
                 kind: MonitorKind::Serializability,
                 client,
@@ -833,35 +824,6 @@ impl MonitorEngine {
                 write_cycle: t.cycle().number(),
                 detail: u64::from(t.seq()),
             });
-        }
-    }
-
-    /// Applies deferred shadow-graph node removals for finished queries.
-    fn mon_flush_graph(&mut self, client: u32) {
-        if self.config.policy != MonitorPolicy::Graph {
-            return;
-        }
-        let mut drain: ([u64; 4], u32, bool) = ([0; 4], 0, false);
-        if let Some(lane) = self.lanes.get_mut(client as usize) {
-            if lane.npending == 0 && !lane.pending_spill {
-                return;
-            }
-            drain = (lane.pending_remove, lane.npending, lane.pending_spill);
-            lane.npending = 0;
-            lane.pending_spill = false;
-        }
-        let (ids, count, spill) = drain;
-        if let Some(graph) = self.graphs.get_mut(client as usize) {
-            if spill {
-                // More retirements than slots between feed calls: drop
-                // the shadow graph rather than guess (misses are
-                // possible, false positives are not).
-                graph.clear();
-                return;
-            }
-            for id in ids.iter().take(count as usize) {
-                graph.remove_query(QueryId::new(*id));
-            }
         }
     }
 
@@ -1005,7 +967,8 @@ pub struct MonitorVerdict {
     pub aborts: u64,
     /// Report entries screened.
     pub checks: u64,
-    /// Shadow-graph edges added.
+    /// Query edges judged under the graph policy: one per accepted read
+    /// with a known writer, one per augmented entry on a held item.
     pub graph_edges: u64,
     /// Queries whose readset overflowed the mirror capacity.
     pub overflows: u64,
@@ -1107,8 +1070,8 @@ impl Monitors {
     }
 
     /// Typed feed: a broadcast serialization-graph diff.
-    pub fn graph_diff(&self, client: u32, diff: &GraphDiff) {
-        self.inner.lock().mon_graph_diff(client, diff);
+    pub fn graph_diff(&self, diff: &GraphDiff) {
+        self.inner.lock().mon_graph_diff(diff);
     }
 
     /// Typed feed: the control feed for `cycle` is complete.
@@ -1326,11 +1289,11 @@ mod tests {
             Some(t0),
         );
         e.mon_control_begin(0, Cycle::new(2), 1);
-        e.mon_graph_diff(0, &GraphDiff::new(Cycle::new(1), vec![t1], vec![]));
+        e.mon_graph_diff(&GraphDiff::new(Cycle::new(1), vec![t1], vec![]));
         e.mon_augmented_entry(0, ItemId::new(7), t1);
         e.mon_control_done(0, Cycle::new(2));
         e.mon_control_begin(0, Cycle::new(3), 1);
-        e.mon_graph_diff(0, &GraphDiff::new(Cycle::new(2), vec![t2], vec![(t1, t2)]));
+        e.mon_graph_diff(&GraphDiff::new(Cycle::new(2), vec![t2], vec![(t1, t2)]));
         e.mon_control_done(0, Cycle::new(3));
         // the genuine method rejects this read; accepting it diverges
         e.mon_read_meta(
@@ -1354,6 +1317,8 @@ mod tests {
     fn acyclic_graph_run_passes_and_prunes() {
         let mut e = engine(MonitorPolicy::Graph, CoverageRule::StrictGap);
         let t0 = TxnId::new(Cycle::ZERO, 0);
+        let t1 = TxnId::new(Cycle::new(1), 0);
+        let t2 = TxnId::new(Cycle::new(2), 0);
         begin(&mut e, 0, 1, 1);
         e.mon_read_meta(
             0,
@@ -1365,12 +1330,163 @@ mod tests {
             Some(t0),
         );
         commit(&mut e, 0, 1, 1);
-        // the deferred node removal flushes at the next feed call
+        // no lane is active: the graph is cleared before the diff lands
         e.mon_control_begin(0, Cycle::new(2), 1);
+        e.mon_graph_diff(&GraphDiff::new(Cycle::new(1), vec![t1], vec![(t0, t1)]));
         e.mon_control_done(0, Cycle::new(2));
+        assert_eq!(e.graph.node_count(), 2);
+        // an active lane with no `c_o` keeps only what it last heard on
+        begin(&mut e, 0, 2, 2);
+        e.mon_control_begin(0, Cycle::new(3), 1);
+        e.mon_graph_diff(&GraphDiff::new(Cycle::new(2), vec![t2], vec![(t1, t2)]));
+        e.mon_control_done(0, Cycle::new(3));
+        assert_eq!(e.graph.earliest_cycle(), Some(Cycle::new(1)));
         let v = e.mon_verdict();
         assert!(v.pass(), "{}", v.render());
         assert_eq!(v.graph_edges, 1);
+    }
+
+    #[test]
+    fn one_diff_serves_every_lane_even_one_that_missed_it() {
+        // Figure 3 on lane 1, which misses the cycle-3 control that
+        // carries `T1.0 → T2.0`: lane 0 hears it, so the shared graph
+        // holds the edge and lane 1's accepted read is still judged.
+        let mut e = engine(MonitorPolicy::Graph, CoverageRule::Ignore);
+        let t0 = TxnId::new(Cycle::ZERO, 0);
+        let t1 = TxnId::new(Cycle::new(1), 0);
+        let t2 = TxnId::new(Cycle::new(2), 0);
+        let d1 = GraphDiff::new(Cycle::new(1), vec![t1], vec![]);
+        let d2 = GraphDiff::new(Cycle::new(2), vec![t2], vec![(t1, t2)]);
+        for lane in 0..2 {
+            begin(&mut e, lane, 1, 1);
+            e.mon_read_meta(
+                lane,
+                1,
+                ItemId::new(7),
+                Cycle::new(1),
+                Cycle::ZERO,
+                None,
+                Some(t0),
+            );
+        }
+        for lane in 0..2 {
+            e.mon_control_begin(lane, Cycle::new(2), 1);
+            e.mon_graph_diff(&d1);
+            e.mon_augmented_entry(lane, ItemId::new(7), t1);
+            e.mon_control_done(lane, Cycle::new(2));
+        }
+        e.mon_control_begin(0, Cycle::new(3), 1);
+        e.mon_graph_diff(&d2);
+        e.mon_control_done(0, Cycle::new(3));
+        e.on_event(Cycle::new(3), Actor::Client(1), EventKind::MissedCycle);
+        e.mon_read_meta(
+            1,
+            1,
+            ItemId::new(9),
+            Cycle::new(3),
+            Cycle::ZERO,
+            None,
+            Some(t2),
+        );
+        let v = e.mon_verdict();
+        let viol = v.violations.first().expect("violation");
+        assert_eq!(viol.kind, MonitorKind::Serializability);
+        assert_eq!(viol.client, 1);
+        assert_eq!(viol.item, 9);
+    }
+
+    #[test]
+    fn reading_the_first_overwriter_itself_closes_a_cycle() {
+        // `R → T1.0` (T1.0 overwrote x) and `T1.0 → R` (R reads y from
+        // T1.0) form a cycle with no transaction edge at all.
+        let mut e = engine(MonitorPolicy::Graph, CoverageRule::StrictGap);
+        let t0 = TxnId::new(Cycle::ZERO, 0);
+        let t1 = TxnId::new(Cycle::new(1), 0);
+        begin(&mut e, 0, 1, 1);
+        e.mon_read_meta(
+            0,
+            1,
+            ItemId::new(7),
+            Cycle::new(1),
+            Cycle::ZERO,
+            None,
+            Some(t0),
+        );
+        e.mon_control_begin(0, Cycle::new(2), 1);
+        e.mon_graph_diff(&GraphDiff::new(Cycle::new(1), vec![t1], vec![]));
+        e.mon_augmented_entry(0, ItemId::new(7), t1);
+        e.mon_control_done(0, Cycle::new(2));
+        e.mon_read_meta(
+            0,
+            1,
+            ItemId::new(8),
+            Cycle::new(2),
+            Cycle::new(1),
+            None,
+            Some(t1),
+        );
+        let v = e.mon_verdict();
+        let viol = v.violations.first().expect("violation");
+        assert_eq!(viol.kind, MonitorKind::Serializability);
+        assert_eq!((viol.item, viol.write_cycle), (8, 1));
+        assert_eq!(v.graph_edges, 3);
+        // the same two edges added the other way round arm the commit
+        // check instead
+        let mut e = engine(MonitorPolicy::Graph, CoverageRule::StrictGap);
+        begin(&mut e, 0, 1, 2);
+        for (item, writer) in [(7, t0), (8, t1)] {
+            e.mon_read_meta(
+                0,
+                1,
+                ItemId::new(item),
+                Cycle::new(2),
+                Cycle::ZERO,
+                None,
+                Some(writer),
+            );
+        }
+        e.mon_augmented_entry(0, ItemId::new(7), t1);
+        commit(&mut e, 0, 1, 2);
+        let v = e.mon_verdict();
+        let viol = v.violations.first().expect("violation");
+        assert_eq!(viol.kind, MonitorKind::Serializability);
+        assert_eq!((viol.item, viol.write_cycle), (7, 1));
+    }
+
+    #[test]
+    fn a_finished_querys_edges_do_not_carry_over() {
+        // `T1.0 → T2.0` is in the graph. Query 1 read from T2.0, query 2
+        // has an item first overwritten by T1.0, query 3 reads from
+        // T2.0: no query closes a cycle of its own.
+        let mut e = engine(MonitorPolicy::Graph, CoverageRule::StrictGap);
+        let t0 = TxnId::new(Cycle::ZERO, 0);
+        let t1 = TxnId::new(Cycle::new(1), 0);
+        let t2 = TxnId::new(Cycle::new(2), 0);
+        e.mon_graph_diff(&GraphDiff::new(Cycle::new(2), vec![t2], vec![(t1, t2)]));
+        let read = |e: &mut MonitorEngine, query, item, writer| {
+            e.mon_read_meta(
+                0,
+                query,
+                ItemId::new(item),
+                Cycle::new(3),
+                Cycle::ZERO,
+                None,
+                Some(writer),
+            );
+        };
+        begin(&mut e, 0, 1, 3);
+        read(&mut e, 1, 1, t2);
+        commit(&mut e, 0, 1, 3);
+        begin(&mut e, 0, 2, 3);
+        read(&mut e, 2, 2, t0);
+        e.mon_augmented_entry(0, ItemId::new(2), t1);
+        commit(&mut e, 0, 2, 3);
+        begin(&mut e, 0, 3, 3);
+        read(&mut e, 3, 3, t2);
+        commit(&mut e, 0, 3, 3);
+        let v = e.mon_verdict();
+        assert!(v.pass(), "{}", v.render());
+        assert_eq!(v.graph_edges, 4);
     }
 
     #[test]

@@ -7,7 +7,13 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use bpush_obs::{Log2Histogram, RingBuffer};
+use bpush_obs::monitor::{MonitorEngine, MonitorKind, NO_CYCLE, NO_ITEM};
+use bpush_obs::{
+    Actor, CoverageRule, EventKind, Log2Histogram, MonitorConfig, MonitorPolicy, MonitorVerdict,
+    RingBuffer, Violation,
+};
+use bpush_sgraph::{GraphDiff, Node, SerializationGraph};
+use bpush_types::{Cycle, ItemId, QueryId, TxnId};
 
 proptest! {
     /// Merging two histograms is indistinguishable from recording the
@@ -65,5 +71,500 @@ proptest! {
         let start = values.len().saturating_sub(capacity);
         prop_assert_eq!(&kept[..], &values[start..]);
         prop_assert_eq!(r.dropped(), start as u64);
+    }
+}
+
+/// One step of a monitored run's feed, as the instrumentation decorator
+/// drives it.
+#[derive(Debug, Clone)]
+enum Op {
+    Begin {
+        lane: u32,
+        query: u64,
+        cycle: u64,
+    },
+    Missed {
+        lane: u32,
+        cycle: u64,
+    },
+    Commit {
+        lane: u32,
+        query: u64,
+        cycle: u64,
+    },
+    Abort {
+        lane: u32,
+        query: u64,
+        cycle: u64,
+    },
+    ControlBegin {
+        lane: u32,
+        cycle: u64,
+    },
+    ReportEntry {
+        lane: u32,
+        item: u32,
+        write_cycle: u64,
+    },
+    Diff {
+        lane: u32,
+        diff: GraphDiff,
+    },
+    Augmented {
+        lane: u32,
+        item: u32,
+        writer: TxnId,
+    },
+    ControlDone {
+        lane: u32,
+        cycle: u64,
+    },
+    Read {
+        lane: u32,
+        query: u64,
+        item: u32,
+        now: u64,
+        writer: Option<TxnId>,
+    },
+}
+
+fn drive(engine: &mut MonitorEngine, op: &Op) {
+    let event = |engine: &mut MonitorEngine, lane: u32, cycle: u64, kind: EventKind| {
+        engine.on_event(Cycle::new(cycle), Actor::Client(lane), kind);
+    };
+    match *op {
+        Op::Begin { lane, query, cycle } => {
+            event(engine, lane, cycle, EventKind::QueryBegun { query });
+        }
+        Op::Missed { lane, cycle } => event(engine, lane, cycle, EventKind::MissedCycle),
+        Op::Commit { lane, query, cycle } => event(
+            engine,
+            lane,
+            cycle,
+            EventKind::QueryCommitted {
+                query,
+                latency_slots: 1,
+            },
+        ),
+        Op::Abort { lane, query, cycle } => event(
+            engine,
+            lane,
+            cycle,
+            EventKind::QueryAborted {
+                query,
+                reason: bpush_types::AbortReason::CycleDetected,
+            },
+        ),
+        Op::ControlBegin { lane, cycle } => engine.mon_control_begin(lane, Cycle::new(cycle), 1),
+        Op::ReportEntry {
+            lane,
+            item,
+            write_cycle,
+        } => engine.mon_report_entry(lane, ItemId::new(item), Cycle::new(write_cycle)),
+        Op::Diff { ref diff, .. } => engine.mon_graph_diff(diff),
+        Op::Augmented { lane, item, writer } => {
+            engine.mon_augmented_entry(lane, ItemId::new(item), writer);
+        }
+        Op::ControlDone { lane, cycle } => engine.mon_control_done(lane, Cycle::new(cycle)),
+        Op::Read {
+            lane,
+            query,
+            item,
+            now,
+            writer,
+        } => engine.mon_read_meta(
+            lane,
+            query,
+            ItemId::new(item),
+            Cycle::new(now),
+            Cycle::ZERO,
+            None,
+            writer,
+        ),
+    }
+}
+
+/// One lane of [`MirrorModel`]: the query's state plus its own mirrored
+/// serialization graph.
+#[derive(Debug, Default)]
+struct MirrorLane {
+    graph: SerializationGraph,
+    active: bool,
+    query: u64,
+    /// StrictGap doom: the missed cycle that doomed the query.
+    doom: Option<u64>,
+    doom_reported: bool,
+    /// A closing augmented entry: `(item, write cycle, writer seq)`.
+    pending: Option<(u32, u64, u64)>,
+    c_o: Option<u64>,
+    held: Vec<u32>,
+    overflow: bool,
+}
+
+impl MirrorLane {
+    fn retire(&mut self) {
+        if self.active {
+            self.graph.remove_query(QueryId::new(self.query));
+        }
+        self.active = false;
+        self.doom = None;
+        self.doom_reported = false;
+        self.pending = None;
+    }
+}
+
+/// The graph-policy monitor as it stood with one mirrored graph per
+/// lane: every lane applies each diff it hears, prunes at its own
+/// Lemma-1 bound, and keeps its query as a node of its graph.
+#[derive(Debug)]
+struct MirrorModel {
+    strict_gap: bool,
+    cap: usize,
+    lanes: Vec<MirrorLane>,
+    verdict: MonitorVerdict,
+}
+
+impl MirrorModel {
+    fn new(lanes: u32, strict_gap: bool, cap: usize) -> Self {
+        MirrorModel {
+            strict_gap,
+            cap,
+            lanes: (0..lanes).map(|_| MirrorLane::default()).collect(),
+            verdict: MonitorVerdict {
+                events: 0,
+                controls: 0,
+                commits: 0,
+                aborts: 0,
+                checks: 0,
+                graph_edges: 0,
+                overflows: 0,
+                unknown_actors: 0,
+                violations: Vec::new(),
+                violations_dropped: 0,
+                watch_hits: Vec::new(),
+                watch_dropped: 0,
+            },
+        }
+    }
+
+    fn apply(&mut self, op: &Op) {
+        let v = &mut self.verdict;
+        match *op {
+            Op::Begin { lane, query, .. } => {
+                v.events += 1;
+                let l = &mut self.lanes[lane as usize];
+                l.retire();
+                l.active = true;
+                l.query = query;
+                l.c_o = None;
+                l.held.clear();
+                l.overflow = false;
+            }
+            Op::Missed { lane, cycle } => {
+                v.events += 1;
+                let l = &mut self.lanes[lane as usize];
+                if self.strict_gap && l.active && l.doom.is_none() {
+                    l.doom = Some(cycle);
+                }
+            }
+            Op::Commit { lane, query, cycle } => {
+                v.events += 1;
+                v.commits += 1;
+                let l = &mut self.lanes[lane as usize];
+                if l.active && l.query == query {
+                    if let Some((item, write_cycle, detail)) = l.pending {
+                        v.violations.push(Violation {
+                            kind: MonitorKind::Serializability,
+                            client: lane,
+                            query,
+                            cycle,
+                            item,
+                            write_cycle,
+                            detail,
+                        });
+                    }
+                    l.retire();
+                }
+            }
+            Op::Abort { lane, query, .. } => {
+                v.events += 1;
+                v.aborts += 1;
+                let l = &mut self.lanes[lane as usize];
+                if l.active && l.query == query {
+                    l.retire();
+                }
+            }
+            Op::ControlBegin { .. } => v.controls += 1,
+            Op::ReportEntry { .. } => v.checks += 1,
+            Op::Diff { lane, ref diff } => self.lanes[lane as usize].graph.apply_diff(diff),
+            Op::Augmented { lane, item, writer } => {
+                let l = &mut self.lanes[lane as usize];
+                if !l.active || !l.held.contains(&item) {
+                    return;
+                }
+                let wc = writer.cycle().number();
+                l.c_o = Some(l.c_o.map_or(wc, |c| c.min(wc)));
+                let q = Node::Query(QueryId::new(l.query));
+                let closes = l.graph.would_close_cycle(q, Node::Txn(writer));
+                l.graph.add_edge(q, Node::Txn(writer));
+                v.graph_edges += 1;
+                if closes && l.pending.is_none() {
+                    l.pending = Some((item, wc, u64::from(writer.seq())));
+                }
+            }
+            Op::ControlDone { lane, cycle } => {
+                let l = &mut self.lanes[lane as usize];
+                if !l.active {
+                    l.graph.clear();
+                } else {
+                    l.graph.prune_before(Cycle::new(l.c_o.unwrap_or(cycle)));
+                }
+            }
+            Op::Read {
+                lane,
+                query,
+                item,
+                now,
+                writer,
+            } => {
+                let l = &mut self.lanes[lane as usize];
+                if !l.active || l.query != query {
+                    return;
+                }
+                if let (Some(missed), false) = (l.doom, l.doom_reported) {
+                    l.doom_reported = true;
+                    v.violations.push(Violation {
+                        kind: MonitorKind::Coverage,
+                        client: lane,
+                        query,
+                        cycle: now,
+                        item: NO_ITEM,
+                        write_cycle: NO_CYCLE,
+                        detail: missed,
+                    });
+                }
+                if l.held.len() < self.cap {
+                    l.held.push(item);
+                } else if !l.overflow {
+                    l.overflow = true;
+                    v.overflows += 1;
+                }
+                let Some(t) = writer else { return };
+                let q = Node::Query(QueryId::new(query));
+                let closes = l.graph.would_close_cycle(Node::Txn(t), q);
+                l.graph.add_edge(Node::Txn(t), q);
+                v.graph_edges += 1;
+                if closes {
+                    v.violations.push(Violation {
+                        kind: MonitorKind::Serializability,
+                        client: lane,
+                        query,
+                        cycle: now,
+                        item,
+                        write_cycle: t.cycle().number(),
+                        detail: u64::from(t.seq()),
+                    });
+                }
+            }
+        }
+    }
+}
+
+/// SplitMix64: the feed generator's own deterministic stream.
+struct Gen(u64);
+
+impl Gen {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n.max(1)
+    }
+
+    fn chance(&mut self, pct: u64) -> bool {
+        self.below(100) < pct
+    }
+}
+
+/// A random commit-ordered feed: each cycle a few server transactions
+/// commit, each conflicting with the previous writer of every item it
+/// writes and sometimes with an older transaction (so every edge runs
+/// old → new); every lane hears each control (or, with `miss_pct`,
+/// misses it) in lane order, then begins, reads, commits or aborts.
+fn feed(seed: u64, lanes: u32, cycles: u64, items: u32, miss_pct: u64) -> Vec<Op> {
+    let mut g = Gen(seed);
+    let mut ops = Vec::new();
+    let mut writer_of: Vec<Option<TxnId>> = vec![None; items as usize];
+    let mut committed: Vec<TxnId> = Vec::new();
+    let mut active: Vec<Option<u64>> = vec![None; lanes as usize];
+    let mut next_query = 0u64;
+    let mut last: Option<(GraphDiff, Vec<(u32, TxnId)>)> = None;
+    for n in 0..cycles {
+        for lane in 0..lanes {
+            if n > 0 && g.chance(miss_pct) {
+                ops.push(Op::Missed { lane, cycle: n });
+            } else {
+                ops.push(Op::ControlBegin { lane, cycle: n });
+                if let Some((diff, first_writers)) = &last {
+                    for &(item, _) in first_writers {
+                        ops.push(Op::ReportEntry {
+                            lane,
+                            item,
+                            write_cycle: n - 1,
+                        });
+                    }
+                    ops.push(Op::Diff {
+                        lane,
+                        diff: diff.clone(),
+                    });
+                    for &(item, writer) in first_writers {
+                        ops.push(Op::Augmented { lane, item, writer });
+                    }
+                }
+                ops.push(Op::ControlDone { lane, cycle: n });
+            }
+            let slot = &mut active[lane as usize];
+            if (slot.is_none() || g.chance(10)) && g.chance(60) {
+                next_query += 1;
+                *slot = Some(next_query);
+                ops.push(Op::Begin {
+                    lane,
+                    query: next_query,
+                    cycle: n,
+                });
+            }
+            let Some(query) = *slot else { continue };
+            for _ in 0..g.below(4) {
+                let item = g.below(u64::from(items)) as u32;
+                let writer = match g.below(10) {
+                    0 => None,
+                    1 if !committed.is_empty() => {
+                        Some(committed[g.below(committed.len() as u64) as usize])
+                    }
+                    _ => writer_of[item as usize],
+                };
+                ops.push(Op::Read {
+                    lane,
+                    query,
+                    item,
+                    now: n,
+                    writer,
+                });
+            }
+            if g.chance(25) {
+                ops.push(Op::Commit {
+                    lane,
+                    query,
+                    cycle: n,
+                });
+                *slot = None;
+            } else if g.chance(10) {
+                ops.push(Op::Abort {
+                    lane,
+                    query,
+                    cycle: n,
+                });
+                *slot = None;
+            }
+        }
+        let mut txns = Vec::new();
+        let mut edges = Vec::new();
+        let mut first_writers: Vec<(u32, TxnId)> = Vec::new();
+        for seq in 0..g.below(4) as u32 {
+            let t = TxnId::new(Cycle::new(n), seq);
+            for _ in 0..=g.below(2) {
+                let item = g.below(u64::from(items)) as u32;
+                if let Some(prev) = writer_of[item as usize].filter(|&p| p != t) {
+                    edges.push((prev, t));
+                }
+                writer_of[item as usize] = Some(t);
+                if !first_writers.iter().any(|&(i, _)| i == item) {
+                    first_writers.push((item, t));
+                }
+            }
+            if !committed.is_empty() && g.chance(30) {
+                edges.push((committed[g.below(committed.len() as u64) as usize], t));
+            }
+            txns.push(t);
+            committed.push(t);
+        }
+        first_writers.sort_unstable();
+        last = Some((GraphDiff::new(Cycle::new(n), txns, edges), first_writers));
+    }
+    ops
+}
+
+fn run_both(
+    ops: &[Op],
+    lanes: u32,
+    coverage: CoverageRule,
+    cap: u32,
+) -> (MonitorVerdict, MonitorVerdict) {
+    let mut config = MonitorConfig::new(lanes, MonitorPolicy::Graph, coverage);
+    config.reads_per_query = cap;
+    config.max_violations = 4096;
+    let mut engine = MonitorEngine::new(config);
+    let mut model = MirrorModel::new(lanes, coverage == CoverageRule::StrictGap, cap as usize);
+    for op in ops {
+        drive(&mut engine, op);
+        model.apply(op);
+    }
+    (engine.mon_verdict(), model.verdict)
+}
+
+fn coverage_of(strict: bool) -> CoverageRule {
+    if strict {
+        CoverageRule::StrictGap
+    } else {
+        CoverageRule::Ignore
+    }
+}
+
+proptest! {
+    /// When every lane hears every cycle, judging each lane against the
+    /// one shared transaction graph renders exactly the verdict of one
+    /// mirrored graph per lane, edge count and violations included.
+    #[test]
+    fn shared_graph_equals_the_per_lane_mirror_when_every_lane_hears(
+        seed in 0u64..u64::MAX,
+        lanes in 1u32..4,
+        cycles in 2u64..12,
+        items in 2u32..8,
+        strict in proptest::bool::ANY,
+        cap in 2u32..8,
+    ) {
+        let ops = feed(seed, lanes, cycles, items, 0);
+        let (engine, model) = run_both(&ops, lanes, coverage_of(strict), cap);
+        prop_assert_eq!(engine.render(), model.render(), "feed {:?}", ops);
+    }
+
+    /// A lane that missed diffs has less in its mirror than the shared
+    /// graph holds: the engine may flag more, never less.
+    #[test]
+    fn shared_graph_flags_all_the_mirror_flags_when_lanes_miss_cycles(
+        seed in 0u64..u64::MAX,
+        lanes in 1u32..4,
+        cycles in 2u64..12,
+        items in 2u32..8,
+        strict in proptest::bool::ANY,
+        cap in 2u32..8,
+    ) {
+        let ops = feed(seed, lanes, cycles, items, 30);
+        let (engine, model) = run_both(&ops, lanes, coverage_of(strict), cap);
+        let key = |v: &Violation| (v.kind.label(), v.client, v.query, v.cycle);
+        for v in &model.violations {
+            prop_assert!(
+                engine.violations.iter().any(|e| key(e) == key(v)),
+                "mirror flagged {} but the engine did not\nengine: {}\nfeed {:?}",
+                v.render(),
+                engine.render(),
+                ops
+            );
+        }
     }
 }

@@ -3,12 +3,12 @@
 //! is ever inconsistent. Complements the bounded proptest suites.
 //!
 //! ```text
-//! soak [ITERATIONS] [--monitors] [--capture-dir DIR]   # default 50
+//! soak [ITERATIONS] [--capture-dir DIR]   # default 50
 //! ```
 //!
-//! With `--monitors`, every run also carries the online invariant
-//! monitors and a flight recorder: a monitor trip fails the soak and
-//! writes the `bpush-capture-v1` capture under `--capture-dir` (default
+//! Every run also carries the online invariant monitors and a flight
+//! recorder: a monitor trip fails the soak and writes the
+//! `bpush-capture-v1` capture under `--capture-dir` (default
 //! `monitor-captures/`) for `cargo xtask explain`.
 //!
 //! Exits non-zero on the first violation, printing the offending
@@ -74,12 +74,10 @@ fn random_config(rng: &mut StdRng) -> SimConfig {
 
 fn main() -> ExitCode {
     let mut iterations: u64 = 50;
-    let mut with_monitors = false;
     let mut capture_dir = String::from("monitor-captures");
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--monitors" => with_monitors = true,
             "--capture-dir" => match args.next() {
                 Some(dir) => capture_dir = dir,
                 None => {
@@ -106,25 +104,16 @@ fn main() -> ExitCode {
     for i in 0..iterations {
         let config = random_config(&mut rng);
         for method in Method::ALL {
+            let monitors = monitors_for(&config, method);
+            let slot = CaptureSlot::new();
             let sim = match Simulation::new(config.clone(), method) {
-                Ok(sim) => sim,
+                Ok(sim) => sim
+                    .with_monitors(monitors.clone())
+                    .with_flight_recorder(8, slot.clone()),
                 Err(e) => {
                     eprintln!("iteration {i} {method}: rejected config ({e}); skipping");
                     continue;
                 }
-            };
-            let watch = if with_monitors {
-                let monitors = monitors_for(&config, method);
-                let slot = CaptureSlot::new();
-                Some((monitors, slot))
-            } else {
-                None
-            };
-            let sim = match &watch {
-                Some((monitors, slot)) => sim
-                    .with_monitors(monitors.clone())
-                    .with_flight_recorder(8, slot.clone()),
-                None => sim,
             };
             match sim.run() {
                 Ok(metrics) => {
@@ -142,27 +131,23 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             }
-            if let Some((monitors, slot)) = watch {
-                let verdict = monitors.verdict();
-                if !verdict.pass() {
-                    eprintln!(
-                        "iteration {i}: {method} tripped its online monitors\n{}\n{config:#?}",
-                        verdict.render()
-                    );
-                    if let Some(capture) = slot.take() {
-                        let path = format!("{capture_dir}/soak-{i}-{}.capture", method.name());
-                        if let Err(e) = std::fs::create_dir_all(&capture_dir)
-                            .and_then(|()| std::fs::write(&path, capture.render()))
-                        {
-                            eprintln!("soak: writing {path}: {e}");
-                        } else {
-                            eprintln!(
-                                "soak: capture written to {path} (see `cargo xtask explain`)"
-                            );
-                        }
+            let verdict = monitors.verdict();
+            if !verdict.pass() {
+                eprintln!(
+                    "iteration {i}: {method} tripped its online monitors\n{}\n{config:#?}",
+                    verdict.render()
+                );
+                if let Some(capture) = slot.take() {
+                    let path = format!("{capture_dir}/soak-{i}-{}.capture", method.name());
+                    if let Err(e) = std::fs::create_dir_all(&capture_dir)
+                        .and_then(|()| std::fs::write(&path, capture.render()))
+                    {
+                        eprintln!("soak: writing {path}: {e}");
+                    } else {
+                        eprintln!("soak: capture written to {path} (see `cargo xtask explain`)");
                     }
-                    return ExitCode::FAILURE;
                 }
+                return ExitCode::FAILURE;
             }
         }
         if (i + 1) % 10 == 0 {

@@ -1060,16 +1060,27 @@ mod tests {
     /// the monitors attached through the plain [`Obs`] handle (no
     /// recording sink needed), and attaching them does not perturb the
     /// simulation (bit-identical deterministic metrics).
+    ///
+    /// The last run is `SgtVersionedItems` with disconnections: the one
+    /// graph-policy method whose lanes may commit after missing a diff
+    /// (its coverage rule is `Ignore`), so the only case where the
+    /// shared graph knows more than a lane heard.
     #[test]
     fn every_genuine_method_passes_its_monitors() {
-        for method in Method::ALL {
-            let bare = Simulation::new(quick_config(), method)
+        let mut dozing = quick_config();
+        dozing.client.disconnect_prob = 0.3;
+        let runs = Method::ALL
+            .map(|method| (method, quick_config()))
+            .into_iter()
+            .chain([(Method::SgtVersionedItems, dozing)]);
+        for (method, config) in runs {
+            let bare = Simulation::new(config.clone(), method)
                 .unwrap()
                 .run()
                 .unwrap();
-            let monitors = monitors_for(&quick_config(), method);
+            let monitors = monitors_for(&config, method);
             let slot = CaptureSlot::new();
-            let watched = Simulation::new(quick_config(), method)
+            let watched = Simulation::new(config, method)
                 .unwrap()
                 .with_monitors(monitors.clone())
                 .with_flight_recorder(8, slot.clone())
