@@ -574,6 +574,10 @@ mod tests {
                 start = start.plus(bcast.total_slots());
             }
             let validator = bpush_core::validator::SerializabilityValidator::new(server.history());
+            let mut batch = bpush_core::validator::SerializabilityBatch::new(
+                server.history(),
+                server.conflict_graph(),
+            );
             let sgt_like = matches!(method, Method::Sgt | Method::SgtCache);
             let mut committed = 0;
             for o in &outcomes {
@@ -582,11 +586,9 @@ mod tests {
                     if sgt_like {
                         // SGT guarantees the paper's criterion (§2.2):
                         // a state of *some* serializable execution
-                        validator
-                            .check_serializable(server.conflict_graph(), &o.reads)
-                            .unwrap_or_else(|e| {
-                                panic!("{method}: query {} inconsistent: {e}", o.id)
-                            });
+                        batch.check(&o.reads).unwrap_or_else(|e| {
+                            panic!("{method}: query {} inconsistent: {e}", o.id)
+                        });
                     } else {
                         // snapshot methods satisfy the stronger
                         // prefix-snapshot property

@@ -118,93 +118,37 @@ impl<'a> SerializabilityValidator<'a> {
             _ => Ok(ValidInterval { after, before }),
         }
     }
-
-    /// Convenience: `check` but a plain boolean.
-    pub fn is_consistent(&self, reads: &[ReadRecord]) -> bool {
-        self.check(reads).is_ok()
-    }
-
-    /// The paper's exact correctness criterion (§2.2): the readset must
-    /// correspond to a state produced by *some serializable execution* of
-    /// server transactions — not necessarily a prefix of the actual
-    /// commit order. This is weaker than [`SerializabilityValidator::check`]:
-    /// the SGT method (§3.3) commits readsets that pass this test but can
-    /// fail the prefix-snapshot test, because non-conflicting server
-    /// transactions may be reordered around the query.
-    ///
-    /// Given the server's conflict graph, the query closes a cycle iff
-    /// some transaction that *overwrote* a value it read reaches (or is)
-    /// some transaction whose value it read.
-    ///
-    /// # Errors
-    /// Returns [`ConsistencyViolation`] with a witnessing pair when a
-    /// cycle through the query exists.
-    pub fn check_serializable(
-        &self,
-        graph: &bpush_sgraph::SerializationGraph,
-        reads: &[ReadRecord],
-    ) -> Result<(), ConsistencyViolation> {
-        use bpush_sgraph::Node;
-        // in-edges to the query: writers of values read
-        let writers: std::collections::BTreeSet<TxnId> =
-            reads.iter().filter_map(|r| r.value.writer()).collect();
-        // out-edges from the query: the first overwrite of each value read
-        let overwriters: Vec<TxnId> = reads
-            .iter()
-            .filter_map(|r| self.history.next_overwrite(r.item, r.value))
-            // lint: allow(panic) — history stores committed writes, which always carry a writer
-            .map(|v| v.writer().expect("overwrites are committed writes"))
-            .collect();
-        for &o in &overwriters {
-            if writers.contains(&o) {
-                return Err(ConsistencyViolation {
-                    fresh_writer: o,
-                    stale_overwrite: o,
-                });
-            }
-            // DFS from the overwriter through the server conflict graph
-            let mut stack = vec![Node::Txn(o)];
-            let mut seen = std::collections::BTreeSet::new();
-            while let Some(n) = stack.pop() {
-                if !seen.insert(n) {
-                    continue;
-                }
-                if let Some(t) = n.as_txn() {
-                    if t != o && writers.contains(&t) {
-                        return Err(ConsistencyViolation {
-                            fresh_writer: t,
-                            stale_overwrite: o,
-                        });
-                    }
-                }
-                stack.extend_from_slice(graph.successors(n));
-            }
-        }
-        Ok(())
-    }
 }
 
-/// Batch form of [`SerializabilityValidator::check_serializable`] for
-/// validating many committed readsets against one (final) conflict
-/// graph, in time bounded by each readset's own dependency window rather
-/// than by the length of the history.
+/// The paper's exact correctness criterion (§2.2), for many committed
+/// readsets against one (final) conflict graph.
 ///
-/// The server commits update transactions serially, so every conflict
-/// edge it records runs from an older to a newer transaction, and
-/// everything reachable from an overwriter `o` is `>= o`. Hence an
-/// overwriter newer than the readset's newest writer can reach no writer
-/// at all — the readsets the interval [`SerializabilityValidator::check`]
-/// accepts have only such overwriters and cost O(|reads|) with no
-/// traversal — and a traversal from an older overwriter never needs to
-/// expand a transaction past the newest writer. [`SerializabilityBatch::new`]
-/// verifies that order on the graph it is handed; for a graph with a
-/// back edge the bound is simply absent and the same traversal runs
-/// unbounded.
+/// A readset must correspond to a state produced by *some serializable
+/// execution* of server transactions — not necessarily a prefix of the
+/// actual commit order. This is weaker than
+/// [`SerializabilityValidator::check`]: the SGT method (§3.3) commits
+/// readsets that pass this test but can fail the prefix-snapshot test,
+/// because non-conflicting server transactions may be reordered around
+/// the query. Given the server's conflict graph, the query closes a cycle
+/// iff some transaction that *overwrote* a value it read is, or reaches,
+/// some transaction whose value it read.
 ///
-/// Verdicts are identical to the per-readset check (the differential
-/// proptests pin this); the *witness pair* inside a violation may
-/// differ, because one visited set is shared by all overwriters of a
-/// readset.
+/// Each check costs time bounded by the readset's own dependency window
+/// rather than by the length of the history. The server commits update
+/// transactions serially, so every conflict edge it records runs from an
+/// older to a newer transaction, and everything reachable from an
+/// overwriter `o` is `>= o`. Hence an overwriter newer than the readset's
+/// newest writer can reach no writer at all — the readsets the interval
+/// [`SerializabilityValidator::check`] accepts have only such overwriters
+/// and cost O(|reads|) with no traversal — and a traversal from an older
+/// overwriter never needs to expand a transaction past the newest
+/// writer. [`SerializabilityBatch::new`] verifies that order on the graph
+/// it is handed; for a graph with a back edge the bound is simply absent
+/// and the same traversal runs unbounded.
+///
+/// The differential proptests hold the verdicts to the criterion written
+/// out over [`bpush_sgraph::SerializationGraph::path_exists`]. One
+/// visited set is shared by all overwriters of a readset.
 #[derive(Debug)]
 pub struct SerializabilityBatch<'a> {
     history: &'a WriteHistory,
@@ -226,7 +170,7 @@ impl<'a> SerializabilityBatch<'a> {
     pub fn new(history: &'a WriteHistory, graph: &'a bpush_sgraph::SerializationGraph) -> Self {
         let commit_ordered = graph
             .nodes()
-            .all(|from| graph.successors(from).iter().all(|&to| from < to));
+            .all(|from| graph.successors(from).all(|to| from < to));
         SerializabilityBatch {
             history,
             graph,
@@ -237,8 +181,7 @@ impl<'a> SerializabilityBatch<'a> {
         }
     }
 
-    /// Batch equivalent of
-    /// [`SerializabilityValidator::check_serializable`] for one readset.
+    /// Checks one readset against the criterion.
     ///
     /// # Errors
     /// Returns [`ConsistencyViolation`] with a witnessing pair when a
@@ -259,8 +202,7 @@ impl<'a> SerializabilityBatch<'a> {
         let beyond = |n: Node| self.commit_ordered && n > Node::Txn(newest);
         self.seen.clear();
         for r in reads {
-            // committed overwrites always carry a writer; a tagless one
-            // would be a substrate bug the per-readset oracle panics on
+            // committed overwrites always carry a writer
             let over = self.history.next_overwrite(r.item, r.value);
             let Some(o) = over.and_then(|v| v.writer()) else {
                 continue;
@@ -284,7 +226,7 @@ impl<'a> SerializabilityBatch<'a> {
                         });
                     }
                 }
-                self.stack.extend_from_slice(self.graph.successors(n));
+                self.stack.extend(self.graph.successors(n));
             }
         }
         Ok(())
@@ -360,7 +302,6 @@ mod tests {
         let interval = val.check(&reads).unwrap();
         assert_eq!(interval.after, Some(t(2, 0)));
         assert_eq!(interval.before, Some(t(3, 0)));
-        assert!(val.is_consistent(&reads));
     }
 
     #[test]
@@ -369,7 +310,7 @@ mod tests {
         let val = SerializabilityValidator::new(&h);
         // x0's *old* value (overwritten by T3.0)... fine so far
         // combined with nothing newer: consistent
-        assert!(val.is_consistent(&[ReadRecord::new(x(0), v(t(1, 0)))]));
+        assert!(val.check(&[ReadRecord::new(x(0), v(t(1, 0)))]).is_ok());
         // but initial x0 (overwritten by T1.0) + x1 from T2.0 is torn:
         // x1's value requires being after T2.0, x0's initial value
         // requires being before T1.0.
@@ -396,11 +337,13 @@ mod tests {
         assert_eq!(interval.before, None);
     }
 
+    /// The batch against the criterion worked out by hand: a readset
+    /// closes a cycle iff some first overwriter of a value read is, or
+    /// reaches, the writer of a value read.
     #[test]
-    fn batch_check_agrees_with_per_readset_dfs() {
+    fn batch_check_agrees_with_the_criterion() {
         use bpush_sgraph::{Node, SerializationGraph};
         let h = history();
-        let val = SerializabilityValidator::new(&h);
         let mut graph = SerializationGraph::new();
         // conflict chain T1.0 -> T2.0 -> T3.0 plus a back edge forming a
         // cycle T2.0 -> T3.0 -> T2.0
@@ -408,32 +351,60 @@ mod tests {
         graph.add_edge(Node::Txn(t(2, 0)), Node::Txn(t(3, 0)));
         graph.add_edge(Node::Txn(t(3, 0)), Node::Txn(t(2, 0)));
         let mut batch = SerializabilityBatch::new(&h, &graph);
-        let readsets: Vec<Vec<ReadRecord>> = vec![
-            vec![],
-            vec![ReadRecord::new(x(0), v(t(1, 0)))],
-            vec![
-                ReadRecord::new(x(0), v(t(1, 0))),
-                ReadRecord::new(x(1), v(t(2, 0))),
-            ],
-            vec![
-                ReadRecord::new(x(0), ItemValue::initial()),
-                ReadRecord::new(x(1), v(t(2, 0))),
-            ],
-            vec![
-                ReadRecord::new(x(0), v(t(3, 0))),
-                ReadRecord::new(x(1), v(t(2, 0))),
-            ],
+        let readsets: Vec<(Vec<ReadRecord>, bool)> = vec![
+            // no writer to come back to
+            (vec![], true),
+            // T3.0 overwrote x0 and reaches only T2.0 and itself
+            (vec![ReadRecord::new(x(0), v(t(1, 0)))], true),
+            // T3.0 overwrote x0 and reaches T2.0, the writer of x1
+            (
+                vec![
+                    ReadRecord::new(x(0), v(t(1, 0))),
+                    ReadRecord::new(x(1), v(t(2, 0))),
+                ],
+                false,
+            ),
+            // T1.0 overwrote x0 and reaches T2.0, the writer of x1
+            (
+                vec![
+                    ReadRecord::new(x(0), ItemValue::initial()),
+                    ReadRecord::new(x(1), v(t(2, 0))),
+                ],
+                false,
+            ),
+            // nothing read was overwritten
+            (
+                vec![
+                    ReadRecord::new(x(0), v(t(3, 0))),
+                    ReadRecord::new(x(1), v(t(2, 0))),
+                ],
+                true,
+            ),
         ];
-        for reads in &readsets {
-            let oracle = val.check_serializable(&graph, reads).is_ok();
+        for (reads, want) in &readsets {
+            let want = *want;
             assert_eq!(
                 batch.check(reads).is_ok(),
-                oracle,
+                want,
                 "verdicts must agree on {reads:?}"
             );
             // reused scratch must not change later verdicts: re-check
-            assert_eq!(batch.check(reads).is_ok(), oracle);
+            assert_eq!(batch.check(reads).is_ok(), want);
         }
+
+        // the overwriter is itself a writer: a cycle with no edge at all
+        let mut h = WriteHistory::new();
+        h.record(x(0), v(t(1, 0)));
+        h.record(x(1), v(t(1, 0)));
+        let graph = SerializationGraph::new();
+        let torn = [
+            ReadRecord::new(x(0), ItemValue::initial()),
+            ReadRecord::new(x(1), v(t(1, 0))),
+        ];
+        let err = SerializabilityBatch::new(&h, &graph)
+            .check(&torn)
+            .unwrap_err();
+        assert_eq!((err.fresh_writer, err.stale_overwrite), (t(1, 0), t(1, 0)));
     }
 
     #[test]
@@ -448,6 +419,6 @@ mod tests {
             ReadRecord::new(x(0), ItemValue::initial()),
             ReadRecord::new(x(1), v(t(1, 0))),
         ];
-        assert!(!val.is_consistent(&torn));
+        assert!(val.check(&torn).is_err());
     }
 }

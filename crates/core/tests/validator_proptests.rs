@@ -1,5 +1,6 @@
-//! Property tests for the serializability validator, checked against a
-//! brute-force oracle over random serial histories.
+//! Property tests for the serializability validators over random serial
+//! histories: the interval check against a brute-force prefix oracle,
+//! the conflict-graph batch against the §2.2 criterion written out.
 
 // Integration tests are exempt from the panic-freedom policy
 // (mirrors `allow-unwrap-in-tests` in clippy.toml and the `#[cfg(test)]`
@@ -15,19 +16,28 @@ use bpush_types::{Cycle, ItemId, ItemValue, TxnId};
 
 const N_ITEMS: u32 = 6;
 
-/// A random serial history: a sequence of writes `(item, txn position)`.
-/// Returns the history plus, per item, the full version chain (initial
-/// value first).
+/// A random serial history: a sequence of writes `(item, join)`, each by
+/// a new transaction unless `join` is 1 and the previous write's
+/// transaction has not written the item yet — so one transaction can
+/// both overwrite one value a readset holds and write another. Returns
+/// the history plus, per item, the full version chain (initial value
+/// first).
 fn build_history(writes: &[(u32, u32)]) -> (WriteHistory, HashMap<ItemId, Vec<ItemValue>>) {
     let mut h = WriteHistory::new();
     let mut chains: HashMap<ItemId, Vec<ItemValue>> = (0..N_ITEMS)
         .map(|i| (ItemId::new(i), vec![ItemValue::initial()]))
         .collect();
-    for (pos, &(raw, _)) in writes.iter().enumerate() {
+    let mut pos = 0u64;
+    let mut written: Vec<ItemId> = Vec::new();
+    for (i, &(raw, join)) in writes.iter().enumerate() {
         let item = ItemId::new(raw % N_ITEMS);
-        // one transaction per write, strictly increasing serial order
-        let txn = TxnId::new(Cycle::new(pos as u64), 0);
-        let value = ItemValue::written_by(txn);
+        if i > 0 && (join == 0 || written.contains(&item)) {
+            // strictly increasing serial order
+            pos += 1;
+            written.clear();
+        }
+        written.push(item);
+        let value = ItemValue::written_by(TxnId::new(Cycle::new(pos), 0));
         h.record(item, value);
         chains.get_mut(&item).expect("known").push(value);
     }
@@ -89,20 +99,30 @@ fn build_readsets(
         .collect()
 }
 
+/// The criterion of §2.2 written out: a readset closes a cycle through
+/// the query iff some first overwriter of a value read is, or reaches,
+/// the writer of a value read.
+fn satisfies_criterion(h: &WriteHistory, graph: &SerializationGraph, reads: &[ReadRecord]) -> bool {
+    let writers = || reads.iter().filter_map(|r| r.value.writer());
+    !reads
+        .iter()
+        .filter_map(|r| h.next_overwrite(r.item, r.value)?.writer())
+        .any(|o| writers().any(|w| o == w || graph.path_exists(Node::Txn(o), Node::Txn(w))))
+}
+
 /// The differential at the heart of the audit: one batch, every readset
 /// checked twice in a row and then again in a shuffled order, each
-/// verdict equal to the per-readset DFS oracle's. Scratch reused across
-/// calls must not leak from one readset into the next.
-fn assert_batch_matches_dfs(
+/// verdict equal to the criterion's. Scratch reused across calls must
+/// not leak from one readset into the next.
+fn assert_batch_matches_criterion(
     h: &WriteHistory,
     graph: &SerializationGraph,
     readsets: &[Vec<ReadRecord>],
     shuffle: &[usize],
 ) -> Result<(), TestCaseError> {
-    let oracle = SerializabilityValidator::new(h);
     let mut batch = SerializabilityBatch::new(h, graph);
     for reads in readsets {
-        let want = oracle.check_serializable(graph, reads).is_ok();
+        let want = satisfies_criterion(h, graph, reads);
         prop_assert_eq!(
             batch.check(reads).is_ok(),
             want,
@@ -113,7 +133,7 @@ fn assert_batch_matches_dfs(
     }
     for &i in shuffle {
         let reads = &readsets[i % readsets.len()];
-        let want = oracle.check_serializable(graph, reads).is_ok();
+        let want = satisfies_criterion(h, graph, reads);
         prop_assert_eq!(
             batch.check(reads).is_ok(),
             want,
@@ -127,12 +147,12 @@ fn assert_batch_matches_dfs(
 proptest! {
     #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
 
-    /// Batch vs DFS on commit-ordered graphs — every edge old → new, the
-    /// only shape the server's conflict tracker emits, where the batch
-    /// cuts its traversal at the readset's newest writer.
+    /// Batch vs criterion on commit-ordered graphs — every edge old →
+    /// new, the only shape the server's conflict tracker emits, where the
+    /// batch cuts its traversal at the readset's newest writer.
     #[test]
-    fn batch_matches_dfs_on_commit_ordered_graphs(
-        writes in proptest::collection::vec((0u32..N_ITEMS, 0u32..1), 1..24),
+    fn batch_matches_criterion_on_commit_ordered_graphs(
+        writes in proptest::collection::vec((0u32..N_ITEMS, 0u32..2), 1..24),
         edges in proptest::collection::vec((0u64..24, 0u64..24), 0..40),
         picks in proptest::collection::vec(
             proptest::collection::vec((0u32..N_ITEMS, 0usize..32), 0..5), 1..8),
@@ -148,15 +168,15 @@ proptest! {
             }
         }
         let readsets = build_readsets(&chains, &picks);
-        assert_batch_matches_dfs(&h, &graph, &readsets, &shuffle)?;
+        assert_batch_matches_criterion(&h, &graph, &readsets, &shuffle)?;
     }
 
-    /// Batch vs DFS on arbitrary graphs — back edges, cycles and
+    /// Batch vs criterion on arbitrary graphs — back edges, cycles and
     /// transactions the history never mentions included — for which the
     /// batch has no order to lean on and must traverse unbounded.
     #[test]
-    fn batch_matches_dfs_on_arbitrary_graphs(
-        writes in proptest::collection::vec((0u32..N_ITEMS, 0u32..1), 1..24),
+    fn batch_matches_criterion_on_arbitrary_graphs(
+        writes in proptest::collection::vec((0u32..N_ITEMS, 0u32..2), 1..24),
         edges in proptest::collection::vec((0u64..30, 0u64..30), 0..40),
         picks in proptest::collection::vec(
             proptest::collection::vec((0u32..N_ITEMS, 0usize..32), 0..5), 1..8),
@@ -170,14 +190,14 @@ proptest! {
             }
         }
         let readsets = build_readsets(&chains, &picks);
-        assert_batch_matches_dfs(&h, &graph, &readsets, &shuffle)?;
+        assert_batch_matches_criterion(&h, &graph, &readsets, &shuffle)?;
     }
 
     /// The interval check agrees with the brute-force prefix oracle for
     /// arbitrary histories and arbitrary (possibly torn) readsets.
     #[test]
     fn interval_check_matches_prefix_oracle(
-        writes in proptest::collection::vec((0u32..N_ITEMS, 0u32..1), 0..24),
+        writes in proptest::collection::vec((0u32..N_ITEMS, 0u32..2), 0..24),
         picks in proptest::collection::vec((0u32..N_ITEMS, 0usize..32), 0..5),
     ) {
         let (h, chains) = build_history(&writes);
@@ -190,10 +210,10 @@ proptest! {
     }
 
     /// Snapshot readsets (all values as of one prefix point) always pass
-    /// both the interval check and the graph check.
+    /// the interval check, the criterion and the batch.
     #[test]
     fn snapshots_always_pass(
-        writes in proptest::collection::vec((0u32..N_ITEMS, 0u32..1), 0..24),
+        writes in proptest::collection::vec((0u32..N_ITEMS, 0u32..2), 0..24),
         point_frac in 0.0f64..1.0,
         subset in proptest::collection::vec(0u32..N_ITEMS, 1..4),
     ) {
@@ -222,16 +242,18 @@ proptest! {
         // the graph check is weaker, so it must pass too (empty graph:
         // with no conflict edges, only direct writer==overwriter pairs
         // could fail, which a snapshot never contains)
-        let graph = bpush_sgraph::SerializationGraph::new();
-        prop_assert!(validator.check_serializable(&graph, &reads).is_ok());
+        let graph = SerializationGraph::new();
+        prop_assert!(satisfies_criterion(&h, &graph, &reads));
+        prop_assert!(SerializabilityBatch::new(&h, &graph).check(&reads).is_ok());
     }
 
-    /// The graph check is never *stricter* than the interval check: any
-    /// prefix-consistent readset passes it, whatever edges the graph has
-    /// (completeness of the weaker criterion).
+    /// The graph criterion is never *stricter* than the interval check:
+    /// any prefix-consistent readset satisfies it, and passes the batch,
+    /// over the full serial-order conflict graph (completeness of the
+    /// weaker criterion).
     #[test]
     fn graph_check_is_weaker(
-        writes in proptest::collection::vec((0u32..N_ITEMS, 0u32..1), 1..24),
+        writes in proptest::collection::vec((0u32..N_ITEMS, 0u32..2), 1..24),
         point_frac in 0.0f64..1.0,
     ) {
         let (h, chains) = build_history(&writes);
@@ -254,15 +276,16 @@ proptest! {
             .collect();
         // build the *full* serial-order conflict graph: an edge between
         // consecutive writers of the same item
-        let mut graph = bpush_sgraph::SerializationGraph::new();
+        let mut graph = SerializationGraph::new();
         for chain in chains.values() {
             for w in chain.windows(2) {
                 if let (Some(a), Some(b)) = (w[0].writer(), w[1].writer()) {
-                    graph.add_edge(bpush_sgraph::Node::Txn(a), bpush_sgraph::Node::Txn(b));
+                    graph.add_edge(Node::Txn(a), Node::Txn(b));
                 }
             }
         }
         prop_assert!(validator.check(&reads).is_ok());
-        prop_assert!(validator.check_serializable(&graph, &reads).is_ok());
+        prop_assert!(satisfies_criterion(&h, &graph, &reads));
+        prop_assert!(SerializabilityBatch::new(&h, &graph).check(&reads).is_ok());
     }
 }

@@ -2,7 +2,7 @@
 
 use std::collections::BTreeSet;
 
-use bpush_core::validator::{ConsistencyViolation, SerializabilityValidator};
+use bpush_core::validator::{ConsistencyViolation, SerializabilityBatch};
 use bpush_types::{BpushError, Cycle, ItemId};
 
 use crate::exec::{monitors_for_spec, run_client_obs, run_schedule, ClientChoices, FeedMode};
@@ -62,9 +62,9 @@ pub fn check_spec(spec: ProtocolSpec, scope: &Scope) -> Result<McReport, BpushEr
 }
 
 /// Exhaustively checks one protocol at the given scope: every commit
-/// script × every client choice, validating each committed readset with
-/// [`SerializabilityValidator::check_serializable`]. Stops at (and
-/// minimizes) the first violation.
+/// script × every client choice, validating each committed readset
+/// against the conflict-graph criterion with one [`SerializabilityBatch`]
+/// per commit script. Stops at (and minimizes) the first violation.
 ///
 /// An enabled `obs` receives every bounded execution's per-operation
 /// events (the protocol runs wrapped in the instrumentation decorator,
@@ -104,7 +104,7 @@ pub fn check_spec_with(
             scope.cycles,
             script,
         )?;
-        let validator = SerializabilityValidator::new(gt.server.history());
+        let mut batch = SerializabilityBatch::new(gt.server.history(), gt.server.conflict_graph());
         for choice in &choices {
             let exec = run_client_obs(spec, choice, &gt, obs, feed);
             report.executions += 1;
@@ -119,9 +119,7 @@ pub fn check_spec_with(
                 report.deduped_validations += 1;
                 continue;
             }
-            if let Err(found) =
-                validator.check_serializable(gt.server.conflict_graph(), &exec.reads)
-            {
+            if let Err(found) = batch.check(&exec.reads) {
                 let schedule = Schedule {
                     items: scope.items,
                     versions: scope.versions_retained,
@@ -191,7 +189,7 @@ pub fn audit_monitors(spec: ProtocolSpec, scope: &Scope) -> Result<MonitorAudit,
             scope.cycles,
             script,
         )?;
-        let validator = SerializabilityValidator::new(gt.server.history());
+        let mut batch = SerializabilityBatch::new(gt.server.history(), gt.server.conflict_graph());
         for choice in &choices {
             let bare = run_client_obs(spec, choice, &gt, &bpush_obs::Obs::off(), FeedMode::Struct);
             let monitors = monitors_for_spec(spec, scope.reads_per_query);
@@ -211,10 +209,7 @@ pub fn audit_monitors(spec: ProtocolSpec, scope: &Scope) -> Result<MonitorAudit,
             }
             if watched.committed {
                 audit.committed += 1;
-                if validator
-                    .check_serializable(gt.server.conflict_graph(), &watched.reads)
-                    .is_err()
-                {
+                if batch.check(&watched.reads).is_err() {
                     audit.invalid += 1;
                     if !flagged {
                         audit.invalid_unflagged += 1;

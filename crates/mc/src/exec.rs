@@ -3,7 +3,7 @@
 
 use bpush_broadcast::feed::roundtrip_control;
 use bpush_core::instrument::Instrumented;
-use bpush_core::validator::{ConsistencyViolation, ReadRecord, SerializabilityValidator};
+use bpush_core::validator::{ConsistencyViolation, ReadRecord, SerializabilityBatch};
 use bpush_core::{
     AbortReason, Method, ProtocolStep, ReadCandidate, ReadConstraint, ReadDirective,
     ReadOnlyProtocol, ReadOutcome, Source,
@@ -259,8 +259,8 @@ pub fn run_schedule(spec: ProtocolSpec, schedule: &Schedule) -> Result<Execution
 
 /// Replays a complete serialized [`Schedule`]: rebuilds the ground truth,
 /// runs the client, and — when the query commits — checks the readset
-/// with [`SerializabilityValidator::check_serializable`], recording any
-/// violation on the returned [`Execution`].
+/// against the conflict-graph criterion with a [`SerializabilityBatch`],
+/// recording any violation on the returned [`Execution`].
 ///
 /// An enabled `obs` receives the replay's per-operation events (control
 /// processing, read accepts and rejects, the query's fate), from which a
@@ -295,9 +295,8 @@ pub fn run_schedule_with(
     };
     let mut exec = run_client_obs(spec, &choices, &gt, obs, feed);
     if exec.committed {
-        let validator = SerializabilityValidator::new(gt.server.history());
-        exec.violation = validator
-            .check_serializable(gt.server.conflict_graph(), &exec.reads)
+        exec.violation = SerializabilityBatch::new(gt.server.history(), gt.server.conflict_graph())
+            .check(&exec.reads)
             .err();
     }
     Ok(exec)

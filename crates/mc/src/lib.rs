@@ -6,7 +6,7 @@
 //! broadcast-cycle boundaries, per-item read positions, client doze
 //! intervals, and cache hit/miss choices — and validates each committed
 //! query's readset against the serialization-graph criterion of §2.2
-//! ([`bpush_core::validator::SerializabilityValidator::check_serializable`]).
+//! ([`bpush_core::validator::SerializabilityBatch`]).
 //! Violations are shrunk by greedy delta-debugging ([`minimize`]) into
 //! deterministic counterexamples serialized in the `mc-schedule v1`
 //! text format ([`Schedule::render`]) and replayed by

@@ -9,7 +9,7 @@
 // carve-out in `cargo xtask lint`).
 #![allow(clippy::unwrap_used)]
 
-use bpush_core::validator::SerializabilityValidator;
+use bpush_core::validator::{SerializabilityBatch, SerializabilityValidator};
 use bpush_mc::{run_schedule, run_schedule_monitored, ProtocolSpec, ReadSpec, Schedule};
 use bpush_server::{BroadcastServer, ScriptedWorkload};
 use bpush_types::{Cycle, ItemId, ServerConfig};
@@ -126,9 +126,8 @@ proptest! {
         prop_assert_eq!(exec.reads.len(), schedule.reads.len());
 
         let server = independent_server(spec, &schedule);
-        let validator = SerializabilityValidator::new(server.history());
-        let graph_verdict = validator
-            .check_serializable(server.conflict_graph(), &exec.reads)
+        let graph_verdict = SerializabilityBatch::new(server.history(), server.conflict_graph())
+            .check(&exec.reads)
             .err();
         prop_assert_eq!(
             exec.violation.is_none(),
@@ -137,7 +136,7 @@ proptest! {
             &exec.violation, &graph_verdict, &schedule
         );
         prop_assert_eq!(
-            validator.is_consistent(&exec.reads),
+            SerializabilityValidator::new(server.history()).check(&exec.reads).is_ok(),
             graph_verdict.is_none(),
             "interval and graph checks split on {:?}",
             &exec.reads

@@ -862,6 +862,42 @@ mod tests {
         }
     }
 
+    /// Every conflict graph the server builds is commit-ordered — each
+    /// edge runs from an older to a newer transaction — for every
+    /// organization, with and without SGT information, report windows 1
+    /// and 3. The end-of-run audit cuts its traversal at a readset's
+    /// newest writer only on such a graph.
+    #[test]
+    fn conflict_graph_is_commit_ordered() {
+        let d = small_config().broadcast_size;
+        for mode in every_mode(d) {
+            for sgt_info in [false, true] {
+                for report_window in [1u32, 3] {
+                    let label = format!("{mode:?} sgt={sgt_info} window={report_window}");
+                    let config = ServerConfig {
+                        report_window,
+                        ..small_config()
+                    };
+                    let options = ServerOptions {
+                        mode: mode.clone(),
+                        sgt_info,
+                    };
+                    let mut s = BroadcastServer::new(config, options, 13).unwrap();
+                    for _ in 0..24 {
+                        s.run_cycle();
+                    }
+                    let g = s.conflict_graph();
+                    assert!(g.edge_count() > 0, "{label}: no conflict edges");
+                    for from in g.nodes() {
+                        for to in g.successors(from) {
+                            assert!(from < to, "{label}: back edge {from} -> {to}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// `versions_retained = 0` passes validation and retains nothing old:
     /// a multiversion server airs no old version and keeps only current
     /// values, exactly as with `V = 1`.

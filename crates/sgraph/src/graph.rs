@@ -55,8 +55,8 @@ impl DfsScratch {
 /// # Representation
 ///
 /// Nodes are interned to dense `u32` ids; forward *and* reverse adjacency
-/// are `Vec`-indexed by id, so the validation hot paths run on integer
-/// arrays rather than tree lookups:
+/// are `Vec`-indexed by id and hold ids only, so the validation hot paths
+/// run on integer arrays rather than tree lookups:
 ///
 /// * [`SerializationGraph::path_exists`] /
 ///   [`SerializationGraph::would_close_cycle`] walk id-based successor
@@ -74,9 +74,6 @@ impl DfsScratch {
 /// is a pure function of the operation sequence, which keeps replay-based
 /// checking (`cargo xtask mc`) exact.
 ///
-/// The pre-interning `BTreeMap` implementation survives as
-/// [`crate::baseline::BaselineGraph`], the differential-testing oracle.
-///
 /// # Thread safety
 ///
 /// The interior-mutable search scratch makes this type [`Send`] but
@@ -92,10 +89,7 @@ pub struct SerializationGraph {
     nodes: Vec<Node>,
     /// Node → dense id, for the live nodes only.
     index: BTreeMap<Node, u32>,
-    /// Forward adjacency by id, as nodes — lets
-    /// [`SerializationGraph::successors`] hand out a slice directly.
-    out: Vec<Vec<Node>>,
-    /// Forward adjacency by id, as ids, kept position-aligned with `out`.
+    /// Forward adjacency by id (successor ids, in insertion order).
     out_ids: Vec<Vec<u32>>,
     /// Reverse adjacency by id (predecessor ids).
     in_ids: Vec<Vec<u32>>,
@@ -120,7 +114,6 @@ impl Clone for SerializationGraph {
         SerializationGraph {
             nodes: self.nodes.clone(),
             index: self.index.clone(),
-            out: self.out.clone(),
             out_ids: self.out_ids.clone(),
             in_ids: self.in_ids.clone(),
             free: self.free.clone(),
@@ -140,10 +133,20 @@ impl fmt::Debug for SerializationGraph {
     /// deduplicates states by this text.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut map = f.debug_map();
-        for (&node, &id) in &self.index {
-            map.entry(&node, &self.out[id as usize]);
+        for &node in self.index.keys() {
+            map.entry(&node, &SuccessorList(self, node));
         }
         map.finish()
+    }
+}
+
+/// One node's successors, printed as the `[a, b]` list a `Vec<Node>`
+/// prints.
+struct SuccessorList<'a>(&'a SerializationGraph, Node);
+
+impl fmt::Debug for SuccessorList<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.0.successors(self.1)).finish()
     }
 }
 
@@ -153,7 +156,6 @@ impl SerializationGraph {
         SerializationGraph {
             nodes: Vec::new(),
             index: BTreeMap::new(),
-            out: Vec::new(),
             out_ids: Vec::new(),
             in_ids: Vec::new(),
             free: Vec::new(),
@@ -198,7 +200,6 @@ impl SerializationGraph {
                     // lint: allow(panic) — a graph of 2^32 live nodes exceeds any Lemma-1 window
                     .expect("node interner overflow");
                 self.nodes.push(node);
-                self.out.push(Vec::new());
                 self.out_ids.push(Vec::new());
                 self.in_ids.push(Vec::new());
                 id
@@ -219,7 +220,6 @@ impl SerializationGraph {
     fn unlink(&mut self, id: u32) {
         let node = self.nodes[id as usize]; // bpush-lint: allow(panic-reach) — id is a live arena slot < nodes.len() by the free-list invariant
         let outs = std::mem::take(&mut self.out_ids[id as usize]); // bpush-lint: allow(panic-reach) — id is a live arena slot < nodes.len() by the free-list invariant
-        self.out[id as usize].clear(); // bpush-lint: allow(panic-reach) — id is a live arena slot < nodes.len() by the free-list invariant
         self.edge_count -= outs.len();
         for s in outs {
             if s != id {
@@ -234,7 +234,6 @@ impl SerializationGraph {
             let succ_ids = &mut self.out_ids[p as usize]; // bpush-lint: allow(panic-reach) — p is a recorded neighbor id, always a live arena slot
             if let Some(pos) = succ_ids.iter().position(|&s| s == id) {
                 succ_ids.remove(pos);
-                self.out[p as usize].remove(pos); // bpush-lint: allow(panic-reach) — p is a recorded neighbor id, always a live arena slot
                 self.edge_count -= 1;
             }
         }
@@ -253,29 +252,32 @@ impl SerializationGraph {
     pub fn add_edge(&mut self, from: Node, to: Node) -> bool {
         let f = self.intern(from);
         let t = self.intern(to);
-        self.link(f, t, to)
+        self.link(f, t)
     }
 
-    /// Appends the edge between two interned ids (`t` is `to`'s id)
-    /// unless it exists. Returns `true` if the edge is new.
-    fn link(&mut self, f: u32, t: u32, to: Node) -> bool {
+    /// Appends the edge between two interned ids unless it exists.
+    /// Returns `true` if the edge is new.
+    fn link(&mut self, f: u32, t: u32) -> bool {
         // bpush-lint: allow(panic-reach) — f is an interned id, so f < nodes.len()
         if self.out_ids[f as usize].contains(&t) {
             return false;
         }
         self.out_ids[f as usize].push(t); // bpush-lint: allow(panic-reach) — f is an interned id, so f < nodes.len()
-        self.out[f as usize].push(to); // bpush-lint: allow(panic-reach) — f is an interned id, so f < nodes.len()
         self.in_ids[t as usize].push(f); // bpush-lint: allow(panic-reach) — t is an interned id, so t < nodes.len()
         self.edge_count += 1;
         true
     }
 
-    /// The successors of `node`, or an empty slice for unknown nodes.
-    pub fn successors(&self, node: Node) -> &[Node] {
-        match self.index.get(&node) {
-            Some(&id) => &self.out[id as usize],
-            None => &[],
-        }
+    /// The successors of `node` in insertion order; none for unknown
+    /// nodes.
+    pub fn successors(&self, node: Node) -> impl Iterator<Item = Node> + '_ {
+        let ids = self
+            .index
+            .get(&node)
+            .and_then(|&id| self.out_ids.get(id as usize));
+        ids.into_iter()
+            .flatten()
+            .filter_map(|&s| self.nodes.get(s as usize).copied())
     }
 
     /// Whether a directed path `from →* to` exists (including the trivial
@@ -315,18 +317,6 @@ impl SerializationGraph {
             return true;
         }
         self.path_exists(to, from)
-    }
-
-    /// Inserts `from → to` only if it closes no cycle.
-    ///
-    /// Returns `Ok(inserted)` where `inserted` is false for a duplicate
-    /// edge, or `Err(CycleDetected)` if the edge would create a cycle (the
-    /// graph is left unchanged).
-    pub fn try_add_edge(&mut self, from: Node, to: Node) -> Result<bool, CycleDetected> {
-        if self.would_close_cycle(from, to) {
-            return Err(CycleDetected { from, to });
-        }
-        Ok(self.add_edge(from, to))
     }
 
     /// Whether the whole graph is acyclic (serialization theorem check).
@@ -399,7 +389,7 @@ impl SerializationGraph {
             };
             run = Some((to, t));
             if let Some(f) = f {
-                self.link(f, t, Node::Txn(to));
+                self.link(f, t);
             }
         }
     }
@@ -460,98 +450,7 @@ impl SerializationGraph {
     pub fn earliest_cycle(&self) -> Option<Cycle> {
         self.by_cycle.keys().next().copied()
     }
-
-    /// The strongly connected components with more than one node — i.e.
-    /// the actual cycles. Empty iff the graph is acyclic (up to
-    /// self-loops, which [`SerializationGraph::add_edge`] cannot create).
-    /// Useful for diagnosing validator failures.
-    pub fn cycles(&self) -> Vec<Vec<Node>> {
-        // Iterative Tarjan SCC over ids; diagnostic path, allocates
-        // freely. Roots iterate in sorted node order for deterministic
-        // component order.
-        const UNSEEN: u32 = u32::MAX;
-        let n = self.nodes.len();
-        let mut order = vec![UNSEEN; n];
-        let mut lowlink = vec![0u32; n];
-        let mut on_stack = vec![false; n];
-        let mut stack: Vec<u32> = Vec::new();
-        let mut next_index = 0u32;
-        let mut out = Vec::new();
-
-        for &root in self.index.values() {
-            if order[root as usize] != UNSEEN {
-                continue;
-            }
-            // call stack: (node id, successor cursor)
-            let mut call: Vec<(u32, usize)> = vec![(root, 0)];
-            order[root as usize] = next_index;
-            lowlink[root as usize] = next_index;
-            on_stack[root as usize] = true;
-            stack.push(root);
-            next_index += 1;
-            while let Some(&mut (v, ref mut cursor)) = call.last_mut() {
-                let succ = &self.out_ids[v as usize];
-                if *cursor < succ.len() {
-                    let w = succ[*cursor];
-                    *cursor += 1;
-                    if order[w as usize] == UNSEEN {
-                        order[w as usize] = next_index;
-                        lowlink[w as usize] = next_index;
-                        on_stack[w as usize] = true;
-                        stack.push(w);
-                        next_index += 1;
-                        call.push((w, 0));
-                    } else if on_stack[w as usize] {
-                        lowlink[v as usize] = lowlink[v as usize].min(order[w as usize]);
-                    }
-                } else {
-                    call.pop();
-                    if let Some(&(parent, _)) = call.last() {
-                        lowlink[parent as usize] =
-                            lowlink[parent as usize].min(lowlink[v as usize]);
-                    }
-                    if lowlink[v as usize] == order[v as usize] {
-                        let mut component = Vec::new();
-                        while let Some(w) = stack.pop() {
-                            on_stack[w as usize] = false;
-                            component.push(self.nodes[w as usize]);
-                            if w == v {
-                                break;
-                            }
-                        }
-                        if component.len() > 1 {
-                            out.push(component);
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
 }
-
-/// Error returned by [`SerializationGraph::try_add_edge`] when the edge
-/// would make the graph cyclic — i.e. the corresponding read must be
-/// rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CycleDetected {
-    /// Source of the offending edge.
-    pub from: Node,
-    /// Target of the offending edge.
-    pub to: Node,
-}
-
-impl fmt::Display for CycleDetected {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "edge {} -> {} would close a serialization cycle",
-            self.from, self.to
-        )
-    }
-}
-
-impl std::error::Error for CycleDetected {}
 
 #[cfg(test)]
 mod tests {
@@ -587,7 +486,7 @@ mod tests {
         assert!(!g.add_edge(nt(0, 0), nt(1, 0)));
         assert_eq!(g.edge_count(), 1);
         assert_eq!(g.node_count(), 2);
-        assert_eq!(g.successors(nt(0, 0)), &[nt(1, 0)]);
+        assert!(g.successors(nt(0, 0)).eq([nt(1, 0)]));
     }
 
     #[test]
@@ -631,16 +530,14 @@ mod tests {
     }
 
     #[test]
-    fn try_add_edge_rejects_and_preserves() {
+    fn would_close_cycle_rejects_and_preserves() {
         let mut g = SerializationGraph::new();
         g.add_edge(nt(0, 0), nt(1, 0));
-        let err = g.try_add_edge(nt(1, 0), nt(0, 0)).unwrap_err();
-        assert_eq!(err.from, nt(1, 0));
-        assert_eq!(err.to, nt(0, 0));
-        assert_eq!(g.edge_count(), 1, "graph unchanged after rejection");
+        assert!(g.would_close_cycle(nt(1, 0), nt(0, 0)));
+        assert_eq!(g.edge_count(), 1);
+        assert!(!g.would_close_cycle(nt(0, 0), nt(2, 0)));
+        assert!(g.add_edge(nt(0, 0), nt(2, 0)));
         assert!(g.is_acyclic());
-        assert!(err.to_string().contains("serialization cycle"));
-        assert!(g.try_add_edge(nt(0, 0), nt(2, 0)).unwrap());
     }
 
     #[test]
@@ -746,48 +643,12 @@ mod tests {
         assert!(!g.contains(nt(1, 0)), "cycle 1 is before the window");
         assert_eq!(g.node_count(), 4);
         assert_eq!(g.edge_count(), 3);
-        assert_eq!(g.successors(nt(2, 0)), &[nt(3, 0)]);
+        assert!(g.successors(nt(2, 0)).eq([nt(3, 0)]));
         assert_eq!(g.earliest_cycle(), Some(Cycle::new(2)));
         // a window that starts after the diff's cycle takes nothing of it
         let mut h = SerializationGraph::new();
         h.apply_diff_from(&diff, Cycle::new(4));
         assert!(h.is_empty());
-    }
-
-    #[test]
-    fn cycles_reports_sccs() {
-        let mut g = SerializationGraph::new();
-        // acyclic graph: no cycles
-        g.add_edge(nt(0, 0), nt(1, 0));
-        g.add_edge(nt(1, 0), nt(2, 0));
-        assert!(g.cycles().is_empty());
-        // close a 3-cycle through a query node
-        g.add_edge(nt(2, 0), nq(0));
-        g.add_edge(nq(0), nt(0, 0));
-        let cycles = g.cycles();
-        assert_eq!(cycles.len(), 1);
-        let mut comp = cycles[0].clone();
-        comp.sort();
-        assert_eq!(comp, vec![nt(0, 0), nt(1, 0), nt(2, 0), nq(0)]);
-        // two disjoint cycles
-        let mut g2 = SerializationGraph::new();
-        g2.add_edge(nt(0, 0), nt(0, 1));
-        g2.add_edge(nt(0, 1), nt(0, 0));
-        g2.add_edge(nt(5, 0), nt(5, 1));
-        g2.add_edge(nt(5, 1), nt(5, 0));
-        assert_eq!(g2.cycles().len(), 2);
-    }
-
-    #[test]
-    fn cycles_agrees_with_is_acyclic() {
-        let mut g = SerializationGraph::new();
-        for i in 0..6u32 {
-            g.add_edge(nt(0, i), nt(1, (i + 1) % 6));
-            g.add_edge(nt(1, i), nt(2, (i * 2) % 6));
-        }
-        assert_eq!(g.cycles().is_empty(), g.is_acyclic());
-        g.add_edge(nt(2, 0), nt(0, 0)); // may close a cycle
-        assert_eq!(g.cycles().is_empty(), g.is_acyclic());
     }
 
     #[test]
@@ -832,6 +693,26 @@ mod tests {
         // b now holds exactly a's content (T5.5 pruned, query removed)
         let _ = b.path_exists(nt(0, 0), nt(1, 0)); // dirty the scratch
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    }
+
+    #[test]
+    fn debug_output_is_the_sorted_map_of_successor_lists() {
+        // nodes print sorted, successors in insertion order, in exactly
+        // the text a `BTreeMap<Node, Vec<Node>>` prints: mc's state
+        // hashes are taken over it
+        let mut g = SerializationGraph::new();
+        g.add_edge(nt(1, 0), nt(3, 0));
+        g.add_edge(nt(1, 0), nt(2, 0));
+        g.add_edge(nq(4), nt(1, 0));
+        let model: BTreeMap<Node, Vec<Node>> = [
+            (nt(1, 0), vec![nt(3, 0), nt(2, 0)]),
+            (nt(2, 0), vec![]),
+            (nt(3, 0), vec![]),
+            (nq(4), vec![nt(1, 0)]),
+        ]
+        .into();
+        assert_eq!(format!("{g:?}"), format!("{model:?}"));
+        assert_eq!(format!("{g:#?}"), format!("{model:#?}"));
     }
 
     #[test]

@@ -10,14 +10,13 @@
 //! This crate provides:
 //!
 //! * [`SerializationGraph`] — the graph itself on a dense `u32` node
-//!   interner with forward and reverse adjacency, with incremental edge
-//!   insertion, allocation-free cycle/path queries, per-cycle subgraph
-//!   bookkeeping (`SG^i` in the paper), and the Lemma-1 window both ways:
-//!   pruning what fell out of it ([`SerializationGraph::prune_before`])
-//!   and integrating only the part of a broadcast diff inside it
+//!   interner with one forward and one reverse adjacency list of ids per
+//!   node, with incremental edge insertion, allocation-free cycle/path
+//!   queries, per-cycle subgraph bookkeeping (`SG^i` in the paper), and
+//!   the Lemma-1 window both ways: pruning what fell out of it
+//!   ([`SerializationGraph::prune_before`]) and integrating only the part
+//!   of a broadcast diff inside it
 //!   ([`SerializationGraph::apply_diff_from`]),
-//! * [`baseline::BaselineGraph`] — the original `BTreeMap`
-//!   implementation, kept as the differential-test oracle,
 //! * [`GraphDiff`] — the per-cycle difference the server broadcasts,
 //! * [`Node`] — graph nodes: committed server transactions or local
 //!   read-only queries.
@@ -47,11 +46,10 @@
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod baseline;
 mod diff;
 mod graph;
 mod node;
 
 pub use diff::GraphDiff;
-pub use graph::{CycleDetected, SerializationGraph};
+pub use graph::SerializationGraph;
 pub use node::Node;

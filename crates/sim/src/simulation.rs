@@ -589,9 +589,8 @@ impl Simulation {
                 .span("validator.check", Cycle::new(cycles), Actor::Validator);
         // The batch checker bounds each readset's work by its own
         // dependency window (conflict edges respect commit order); the
-        // per-readset DFS form
-        // (`SerializabilityValidator::check_serializable`) remains the
-        // differential oracle in the test suites.
+        // test suites hold its verdicts to the criterion written out over
+        // `SerializationGraph::path_exists`.
         let mut batch =
             SerializabilityBatch::new(self.server.history(), self.server.conflict_graph());
         let mut violations = 0;

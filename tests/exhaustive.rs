@@ -9,7 +9,7 @@
 // carve-out in `cargo xtask lint`).
 #![allow(clippy::unwrap_used)]
 use bpush_client::{CacheParams, ClientCache, QueryExecutor};
-use bpush_core::validator::SerializabilityValidator;
+use bpush_core::validator::SerializabilityBatch;
 use bpush_core::{CacheMode, Method};
 use bpush_server::{BroadcastServer, ServerOptions, ServerTxn};
 use bpush_types::config::MultiversionLayout;
@@ -102,12 +102,12 @@ fn run_pattern(method: Method, pattern: u32, seed: u64) -> (usize, usize) {
             break;
         }
     }
-    let validator = SerializabilityValidator::new(server.history());
+    let mut batch = SerializabilityBatch::new(server.history(), server.conflict_graph());
     let mut committed = 0;
     for o in outcomes.iter().filter(|o| o.committed()) {
         committed += 1;
-        validator
-            .check_serializable(server.conflict_graph(), &o.reads)
+        batch
+            .check(&o.reads)
             .unwrap_or_else(|e| panic!("{method} pattern {pattern:b} seed {seed}: {e}"));
     }
     (committed, outcomes.len())

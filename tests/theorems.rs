@@ -7,7 +7,7 @@
 // carve-out in `cargo xtask lint`).
 #![allow(clippy::unwrap_used)]
 use bpush_client::{CacheParams, ClientCache, QueryExecutor, QueryOutcome};
-use bpush_core::validator::SerializabilityValidator;
+use bpush_core::validator::{SerializabilityBatch, SerializabilityValidator};
 use bpush_core::{CacheMode, Method};
 use bpush_server::{BroadcastServer, ServerOptions};
 use bpush_types::config::MultiversionLayout;
@@ -145,10 +145,10 @@ fn theorem3_sgt_serializable() {
     let (outcomes, server) = run_method(Method::Sgt, 40, 33);
     let committed: Vec<_> = outcomes.iter().filter(|o| o.committed()).collect();
     assert!(!committed.is_empty());
-    let validator = SerializabilityValidator::new(server.history());
+    let mut batch = SerializabilityBatch::new(server.history(), server.conflict_graph());
     for o in &committed {
-        validator
-            .check_serializable(server.conflict_graph(), &o.reads)
+        batch
+            .check(&o.reads)
             .unwrap_or_else(|e| panic!("query {}: {e}", o.id));
     }
 }
