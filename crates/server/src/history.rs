@@ -1,21 +1,30 @@
-//! The ground-truth write log used for after-the-fact serializability
-//! checking.
+//! The server's write log: the one store of committed values.
 //!
-//! The simulation's correctness tests verify the paper's theorems: every
+//! The server airs each item's current value and the old versions still
+//! on air (§3.2) from [`WriteHistory`]. The simulation's correctness
+//! tests verify the paper's theorems against the same log: every
 //! committed read-only transaction must have read a subset of *some*
 //! consistent database state — equivalently, there must exist a point in
 //! the server's (serial) history at which all values it read were
-//! simultaneously current. [`WriteHistory`] records every committed write
-//! forever (it is test infrastructure, never broadcast) and answers the
-//! question that check needs: *which write superseded this value, and
-//! when?*
+//! simultaneously current. The log keeps every cycle-final write forever
+//! and answers the question that check needs: *which write superseded
+//! this value, and when?*
 
-use std::collections::BTreeMap;
-
-use bpush_types::{ItemId, ItemValue};
+use bpush_types::{Cycle, ItemId, ItemValue};
 
 /// Complete write log: for every item, all committed values in serial
-/// order (the initial load first).
+/// order, after an implicit initial load.
+///
+/// # On-air retention rule
+///
+/// A superseded value must stay on air at cycle `n` while a transaction
+/// with span ≤ V could still need it. A value is needed by a transaction
+/// whose first read happened at some cycle `c_0 ≥ n − V + 1` and that is
+/// the largest version `≤ c_0`; that is exactly the case when the value
+/// was superseded during one of the last `V − 1` cycles, i.e. its
+/// successor's version exceeds `n − V + 1`. Older values stay in the log
+/// for the audit but leave the air (the paper's "at each cycle `k`, the
+/// server discards the `k − S` version").
 ///
 /// # Example
 /// ```
@@ -26,12 +35,14 @@ use bpush_types::{ItemId, ItemValue};
 /// let x = ItemId::new(0);
 /// let t = TxnId::new(Cycle::new(1), 0);
 /// h.record(x, ItemValue::written_by(t));
+/// assert_eq!(h.current(x), ItemValue::written_by(t));
 /// assert_eq!(h.next_overwrite(x, ItemValue::initial()), Some(ItemValue::written_by(t)));
 /// assert_eq!(h.next_overwrite(x, ItemValue::written_by(t)), None);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct WriteHistory {
-    writes: BTreeMap<ItemId, Vec<ItemValue>>,
+    /// `writes[item]`, in serial order; an item past the end has none.
+    writes: Vec<Vec<ItemValue>>,
 }
 
 impl WriteHistory {
@@ -48,7 +59,11 @@ impl WriteHistory {
     /// In debug builds, panics if `value` is not newer than the last
     /// recorded write of `item`.
     pub fn record(&mut self, item: ItemId, value: ItemValue) {
-        let log = self.writes.entry(item).or_default();
+        let i = item.as_usize();
+        if i >= self.writes.len() {
+            self.writes.resize_with(i + 1, Vec::new);
+        }
+        let log = &mut self.writes[i];
         debug_assert!(
             log.last()
                 .map_or(true, |last| last.writer() < value.writer()),
@@ -60,7 +75,48 @@ impl WriteHistory {
     /// All recorded writes of `item` in serial order (excluding the
     /// implicit initial load).
     pub fn writes_of(&self, item: ItemId) -> &[ItemValue] {
-        self.writes.get(&item).map_or(&[], Vec::as_slice)
+        self.writes.get(item.as_usize()).map_or(&[], Vec::as_slice)
+    }
+
+    /// The current value of `item`: its last write, else its initial
+    /// load.
+    pub fn current(&self, item: ItemId) -> ItemValue {
+        self.writes_of(item)
+            .last()
+            .copied()
+            .unwrap_or(ItemValue::initial())
+    }
+
+    /// The superseded values of `item` that must be broadcast at cycle
+    /// `now` by a server retaining `retain` old cycles (see the type-level
+    /// retention rule), most recent first; `retain` ≤ 1 airs none.
+    pub fn on_air_old_versions(&self, item: ItemId, now: Cycle, retain: u32) -> Vec<ItemValue> {
+        let writes = self.writes_of(item);
+        // `[initial] ++ writes` newest first, each value beside the one
+        // that superseded it
+        let superseded = writes
+            .iter()
+            .rev()
+            .skip(1)
+            .copied()
+            .chain([ItemValue::initial()]);
+        writes
+            .iter()
+            .rev()
+            .zip(superseded)
+            // still needed iff superseded within the last `retain - 1`
+            // cycles: successor.version > now - retain + 1; older values
+            // were superseded even earlier
+            .take_while(|(successor, _)| {
+                retain > 1
+                    && successor
+                        .version()
+                        .number()
+                        .saturating_add(u64::from(retain))
+                        > now.number().saturating_add(1)
+            })
+            .map(|(_, value)| value)
+            .collect()
     }
 
     /// The value that superseded `value` on `item`, or `None` if `value`
@@ -86,21 +142,16 @@ impl WriteHistory {
         }
     }
 
-    /// Number of items with at least one write.
-    pub fn touched_items(&self) -> usize {
-        self.writes.len()
-    }
-
     /// Total recorded writes.
     pub fn total_writes(&self) -> usize {
-        self.writes.values().map(Vec::len).sum()
+        self.writes.iter().map(Vec::len).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bpush_types::{Cycle, TxnId};
+    use bpush_types::TxnId;
 
     fn val(cycle: u64, seq: u32) -> ItemValue {
         ItemValue::written_by(TxnId::new(Cycle::new(cycle), seq))
@@ -112,7 +163,6 @@ mod tests {
         let x = ItemId::new(0);
         assert_eq!(h.writes_of(x), &[]);
         assert_eq!(h.next_overwrite(x, ItemValue::initial()), None);
-        assert_eq!(h.touched_items(), 0);
         assert_eq!(h.total_writes(), 0);
     }
 
@@ -127,9 +177,56 @@ mod tests {
         assert_eq!(h.next_overwrite(x, val(1, 0)), Some(val(1, 2)));
         assert_eq!(h.next_overwrite(x, val(1, 2)), Some(val(4, 0)));
         assert_eq!(h.next_overwrite(x, val(4, 0)), None);
-        assert_eq!(h.touched_items(), 1);
         assert_eq!(h.total_writes(), 3);
         assert_eq!(h.writes_of(x).len(), 3);
+    }
+
+    /// An item's current value is its last write; an untouched item, one
+    /// below the log's grown length or past it, is at its initial load.
+    #[test]
+    fn current_is_the_last_write_else_the_initial_load() {
+        let mut h = WriteHistory::new();
+        let x = ItemId::new(2);
+        assert_eq!(h.current(x), ItemValue::initial());
+        h.record(x, val(0, 0));
+        h.record(x, val(2, 1));
+        assert_eq!(h.current(x), val(2, 1));
+        assert_eq!(h.current(ItemId::new(0)), ItemValue::initial());
+        assert_eq!(h.current(ItemId::new(3)), ItemValue::initial());
+        assert_eq!(h.writes_of(ItemId::new(3)), &[]);
+    }
+
+    #[test]
+    fn on_air_old_versions_window() {
+        let mut h = WriteHistory::new();
+        let x = ItemId::new(0);
+        h.record(x, val(0, 0)); // version 1, supersedes initial at cycle 1
+        h.record(x, val(3, 0)); // version 4, supersedes v1 at cycle 4
+        h.record(x, val(5, 0)); // version 6 (current)
+
+        // At cycle 6 with retain = 3: a value is on air iff its successor's
+        // version > 6 - 3 + 1 = 4. v4's successor is v6 (> 4): on air.
+        // v1's successor is v4 (not > 4): off air, and so is v0.
+        assert_eq!(h.on_air_old_versions(x, Cycle::new(6), 3), [val(3, 0)]);
+
+        // With a wide window everything is on air, most recent first,
+        // down to the initial load.
+        assert_eq!(
+            h.on_air_old_versions(x, Cycle::new(6), 100),
+            [val(3, 0), val(0, 0), ItemValue::initial()]
+        );
+
+        // retain ≤ 1 keeps nothing old on air, whatever the cycle.
+        for now in [4, 6] {
+            for retain in [0, 1] {
+                assert!(h.on_air_old_versions(x, Cycle::new(now), retain).is_empty());
+            }
+        }
+
+        // an untouched item has no old version
+        assert!(h
+            .on_air_old_versions(ItemId::new(7), Cycle::new(6), 100)
+            .is_empty());
     }
 
     #[test]

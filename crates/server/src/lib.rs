@@ -6,11 +6,10 @@
 //! the database as of the beginning of the cycle. This crate builds that
 //! server from scratch:
 //!
-//! * [`MultiversionStore`] — the database, retaining the old versions the
-//!   multiversion broadcast method needs (§3.2) and garbage-collecting
-//!   the rest,
-//! * [`WriteHistory`] — the complete ground-truth write log used by the
-//!   serializability validator in `bpush-core`,
+//! * [`WriteHistory`] — the database: every committed value in serial
+//!   order, from which the server airs current values and the old
+//!   versions the multiversion broadcast method needs (§3.2), and against
+//!   which the serializability validator in `bpush-core` judges,
 //! * [`ServerTxn`] / [`WorkloadGenerator`] — the update-transaction
 //!   workload of §5.1 (N transactions per cycle, reads four times more
 //!   frequent than writes, Zipf-skewed with an offset against the client
@@ -43,14 +42,12 @@
 #![warn(missing_debug_implementations)]
 
 mod conflicts;
-mod database;
 mod history;
 mod server;
 mod txn;
 mod workload;
 
 pub use conflicts::ConflictTracker;
-pub use database::MultiversionStore;
 pub use history::WriteHistory;
 pub use server::{BroadcastMode, BroadcastServer, ServerOptions};
 pub use txn::ServerTxn;

@@ -15,7 +15,6 @@ use bpush_types::config::MultiversionLayout;
 use bpush_types::{BpushError, Cycle, ItemId, ItemValue, ServerConfig, TxnId};
 
 use crate::conflicts::ConflictTracker;
-use crate::database::MultiversionStore;
 use crate::history::WriteHistory;
 use crate::workload::{WorkloadGenerator, WorkloadSource};
 
@@ -126,22 +125,22 @@ impl Organization {
 ///
 /// A cycle costs what changed, not what exists: the snapshot is one
 /// record column kept for the run and patched from the update log, the
-/// organization keeps its occurrence rows, and old versions and garbage
-/// collection visit only the items the log shows written.
+/// organization keeps its occurrence rows, and old versions visit only
+/// the items the log shows written. Every committed value is kept once,
+/// in the [`WriteHistory`].
 #[derive(Debug)]
 pub struct BroadcastServer {
     config: ServerConfig,
     options: ServerOptions,
-    db: MultiversionStore,
     history: WriteHistory,
     workload: Box<dyn WorkloadSource>,
     conflicts: ConflictTracker,
     next_cycle: Cycle,
     /// The update log: the items each recent cycle wrote, in item order,
     /// oldest cycle first. Windowed invalidation reports (§5.2.2) read
-    /// the last `report_window` entries; the record patch, the old-version
-    /// candidates and gc read the last one and the one `S` cycles back
-    /// (see [`BroadcastServer::span_supported`]), so it holds
+    /// the last `report_window` entries; the record patch and the
+    /// old-version candidates read the last one and the one `S` cycles
+    /// back (see [`BroadcastServer::span_supported`]), so it holds
     /// `max(report_window, S)` entries.
     recent_updates: VecDeque<(Cycle, Vec<ItemId>)>,
     /// The current-version record of every item, tags included, as the
@@ -153,7 +152,8 @@ pub struct BroadcastServer {
     /// Multiversion mode: the items with old versions on air in the last
     /// bcast, ascending, each with the cycle that last wrote it.
     on_air: Vec<(ItemId, Cycle)>,
-    /// SGT control info produced by the previous cycle's commits.
+    /// SGT control info produced by the previous cycle's commits, kept
+    /// only when the server broadcasts it.
     pending_sgt: Option<(GraphDiff, Vec<(ItemId, TxnId)>)>,
     /// The full conflict serialization graph of all committed server
     /// transactions — ground truth for the serializability validator
@@ -194,13 +194,10 @@ impl BroadcastServer {
         }
         let workload = WorkloadGenerator::new(&config, seed)?;
         let horizon = config.versions_retained.max(8) * 2;
-        let db = MultiversionStore::new(config.broadcast_size);
-        let records: Vec<ItemRecord> = db
-            .iter_current()
-            .map(|(item, value)| on_air(item, value, options.sgt_info))
+        let records: Vec<ItemRecord> = (0..config.broadcast_size)
+            .map(|i| on_air(ItemId::new(i), ItemValue::initial(), options.sgt_info))
             .collect();
         Ok(BroadcastServer {
-            db,
             history: WriteHistory::new(),
             workload: Box::new(workload),
             conflicts: ConflictTracker::new(horizon),
@@ -260,7 +257,9 @@ impl BroadcastServer {
         self.next_cycle
     }
 
-    /// The ground-truth write history (for validation; never broadcast).
+    /// The write history: every value the server has committed, in
+    /// serial order. The bcasts air from it, and the validators judge
+    /// against it.
     pub fn history(&self) -> &WriteHistory {
         &self.history
     }
@@ -272,11 +271,6 @@ impl BroadcastServer {
         &self.validation_graph
     }
 
-    /// Read access to the database (tests and validators).
-    pub fn database(&self) -> &MultiversionStore {
-        &self.db
-    }
-
     /// The span bound the server's version retention supports: `S` in
     /// multiversion mode, 1 otherwise.
     pub fn span_supported(&self) -> u32 {
@@ -286,7 +280,7 @@ impl BroadcastServer {
         }
     }
 
-    fn build_control(&self, cycle: Cycle) -> ControlInfo {
+    fn build_control(&mut self, cycle: Cycle) -> ControlInfo {
         let window = self.config.report_window;
         let horizon = cycle.checked_sub(u64::from(window));
         let updated = self
@@ -301,22 +295,15 @@ impl BroadcastServer {
             self.config.granularity,
             self.config.items_per_bucket,
         );
-        let (augmented, diff) = if self.options.sgt_info {
-            match &self.pending_sgt {
-                Some((diff, fw)) => (
-                    Some(AugmentedReport::new(cycle.prev(), fw.iter().copied())),
-                    Some(diff.clone()),
-                ),
-                None => (None, None),
-            }
-        } else {
-            (None, None)
+        let (augmented, diff) = match self.pending_sgt.take() {
+            Some((diff, fw)) => (Some(AugmentedReport::new(cycle.prev(), fw)), Some(diff)),
+            None => (None, None),
         };
         ControlInfo::new(cycle, invalidation, augmented, diff)
     }
 
     /// Brings the record column from the previous bcast's snapshot to
-    /// `cycle`'s by rewriting, from the store, the items the log shows
+    /// `cycle`'s by rewriting, from the history, the items the log shows
     /// written in cycle `c − 1`, whose values changed, and in cycle
     /// `c − S` (`S` as in [`BroadcastServer::span_supported`]), whose old
     /// versions leave the air with this cycle: that clears the overflow
@@ -332,9 +319,9 @@ impl BroadcastServer {
             .iter()
             .filter(|(c, _)| changed.contains(&Some(*c)))
             .flat_map(|(_, items)| items);
-        let (db, sgt_info) = (&self.db, self.options.sgt_info);
+        let (history, sgt_info) = (&self.history, self.options.sgt_info);
         self.records
-            .patch(items.map(|&x| on_air(x, db.current(x), sgt_info)));
+            .patch(items.map(|&x| on_air(x, history.current(x), sgt_info)));
     }
 
     /// The old versions on air at `cycle` in multiversion mode, in item
@@ -369,7 +356,7 @@ impl BroadcastServer {
         self.on_air
             .iter()
             .filter_map(|&(item, _)| {
-                let chain = self.db.on_air_old_versions(item, cycle, span);
+                let chain = self.history.on_air_old_versions(item, cycle, span);
                 (!chain.is_empty()).then_some((item, chain))
             })
             .collect()
@@ -393,16 +380,13 @@ impl BroadcastServer {
         let txns = self.workload.generate_cycle(cycle);
         for txn in &txns {
             self.conflicts.commit(txn);
-            for &x in txn.writes() {
-                self.db.apply_write(x, txn.id());
-            }
         }
         let (diff, first_writers) = self.conflicts.end_cycle(cycle);
         // Record history once per item per cycle (the bcast only ever
-        // carries cycle-final values; intermediate same-cycle values are
-        // invisible to clients, matching MultiversionStore semantics):
-        // the first writers name the updated items in item order, and the
-        // tracker's last writer of each is now its cycle-final one.
+        // carries cycle-final values; of two writes in one cycle only the
+        // later is ever aired or read): the first writers name the
+        // updated items in item order, and the tracker's last writer of
+        // each is now its cycle-final one.
         let mut updated = Vec::with_capacity(first_writers.len());
         for &(x, _) in &first_writers {
             if let Some(w) = self.conflicts.last_writer(x) {
@@ -411,22 +395,17 @@ impl BroadcastServer {
             }
         }
         self.validation_graph.apply_diff(&diff);
-        self.pending_sgt = Some((diff, first_writers));
+        if self.options.sgt_info {
+            self.pending_sgt = Some((diff, first_writers));
+        }
 
         self.recent_updates.push_back((cycle, updated));
-        let span = self.span_supported();
-        let keep = self.config.report_window.max(span) as usize;
+        let keep = self.config.report_window.max(self.span_supported()) as usize;
         while self.recent_updates.len() > keep {
             self.recent_updates.pop_front();
         }
 
         self.next_cycle = cycle.next();
-        // what went off air at the next cycle was superseded `S` cycles
-        // before it (one outside multiversion)
-        let due = self.next_cycle.checked_sub(u64::from(span.max(1)));
-        if let Some((_, items)) = self.recent_updates.iter().find(|(c, _)| Some(*c) == due) {
-            self.db.gc(self.next_cycle, span, items.iter().copied());
-        }
         if self.obs.is_enabled() {
             self.obs.counter_add("server.cycles", 1);
             self.obs.record("bcast.slots", bcast.total_slots());
@@ -680,19 +659,31 @@ mod tests {
         }
     }
 
+    /// Two transactions writing one item in one cycle leave one version:
+    /// the history records the later writer only and the next bcast airs
+    /// it. The earlier value is never current at a cycle boundary, so it
+    /// is neither aired nor kept as an old version.
     #[test]
-    fn gc_bounds_version_storage() {
-        let opts = ServerOptions::multiversion(MultiversionLayout::Overflow);
-        let mut s = BroadcastServer::new(small_config(), opts, 9).unwrap();
-        for _ in 0..30 {
-            s.run_cycle();
-        }
-        // at most span+1-ish versions per item survive GC
-        let total = s.database().total_retained();
-        assert!(
-            total <= 100 * (3 + 1),
-            "GC must bound retention, got {total}"
-        );
+    fn same_cycle_rewrite_replaces() {
+        let (x, y) = (ItemId::new(3), ItemId::new(5));
+        let script = crate::ScriptedWorkload::with_transactions(vec![vec![vec![x, y], vec![x]]]);
+        let opts = ServerOptions {
+            mode: BroadcastMode::Multiversion(MultiversionLayout::Overflow),
+            sgt_info: true,
+        };
+        let mut s = BroadcastServer::new(small_config(), opts, 9)
+            .unwrap()
+            .with_workload(Box::new(script));
+        s.run_cycle();
+        let (earlier, later) = (TxnId::new(Cycle::ZERO, 0), TxnId::new(Cycle::ZERO, 1));
+        assert_eq!(s.history().writes_of(x), [ItemValue::written_by(later)]);
+        assert_eq!(s.history().writes_of(y), [ItemValue::written_by(earlier)]);
+        let b = s.run_cycle();
+        let aired = b.current(x).unwrap();
+        assert_eq!(aired.value(), ItemValue::written_by(later));
+        assert_eq!(aired.last_writer(), Some(later));
+        let old: Vec<ItemValue> = b.old_versions_of(x).iter().map(|&(_, v)| v).collect();
+        assert_eq!(old, [ItemValue::initial()]);
     }
 
     /// The server modes selecting each of the five organizations, for a
@@ -736,30 +727,48 @@ mod tests {
         }
     }
 
+    /// The §3.2 retention rule written out over one item's values
+    /// (initial load first, current last): a superseded value airs at
+    /// `cycle` iff `V` > 1 and its successor's version + `V` > `cycle` + 1.
+    /// Newest first.
+    fn model_old_versions(values: &[ItemValue], cycle: Cycle, span: u32) -> Vec<ItemValue> {
+        values
+            .windows(2)
+            .rev()
+            .filter(|pair| {
+                span > 1 && pair[1].version().number() + u64::from(span) > cycle.number() + 1
+            })
+            .map(|pair| pair[0])
+            .collect()
+    }
+
     /// Runs 32 cycles of a server in `mode` next to the server as it was
     /// before it kept anything across cycles: each bcast assembled from a
-    /// fresh snapshot (`iter_current`), the old versions of every item
-    /// (the `0..D` scan) and a fresh organization fed a `Vec`, over a
-    /// store collected by the full sweep. The augmented report and graph
-    /// diff are the tracker's, not the snapshot's, so the model borrows
-    /// them from the bcast it checks.
+    /// fresh snapshot, the old versions of every item (the `0..D` scan)
+    /// and a fresh organization fed a `Vec`, over a model of its own —
+    /// every item's values, initial load first — that airs old versions
+    /// by [`model_old_versions`]. The model replays each cycle's writes
+    /// from the server's history. The augmented report and graph diff
+    /// are the tracker's, not the snapshot's, so the model borrows them
+    /// from the bcast it checks.
     fn run_against_rebuild(config: &ServerConfig, options: &ServerOptions, seed: u64) {
         let label = format!("{:?} sgt={} {config:?}", options.mode, options.sgt_info);
         let mut s = BroadcastServer::new(config.clone(), options.clone(), seed).unwrap();
         let d = config.broadcast_size;
         let span = s.span_supported();
-        let mut store = MultiversionStore::new(d);
+        let mut model = vec![vec![ItemValue::initial()]; d as usize];
         let mut log: VecDeque<(Cycle, Vec<ItemId>)> = VecDeque::new();
+        let current = |model: &[Vec<ItemValue>], x: ItemId| *model[x.as_usize()].last().unwrap();
         for _ in 0..32 {
             let cycle = s.next_cycle();
-            let records: Vec<ItemRecord> = store
-                .iter_current()
-                .map(|(x, v)| on_air(x, v, options.sgt_info))
+            let records: Vec<ItemRecord> = (0..d)
+                .map(ItemId::new)
+                .map(|x| on_air(x, current(&model, x), options.sgt_info))
                 .collect();
             let old: Vec<OldVersions> = match options.mode {
                 BroadcastMode::Multiversion(_) => (0..d)
                     .map(ItemId::new)
-                    .map(|x| (x, store.on_air_old_versions(x, cycle, span)))
+                    .map(|x| (x, model_old_versions(&model[x.as_usize()], cycle, span)))
                     .filter(|(_, chain)| !chain.is_empty())
                     .collect(),
                 _ => Vec::new(),
@@ -795,7 +804,7 @@ mod tests {
             if let BroadcastMode::Multiversion(_) = options.mode {
                 // exactly the items last written in `c − V + 1 ..= c − 1`:
                 // a wider or stale list airs the same bytes but grows
-                let last_write = |x| store.current(x).version().checked_sub(1);
+                let last_write = |x| current(&model, x).version().checked_sub(1);
                 let window = cycle.next().checked_sub(u64::from(span));
                 let want: Vec<(ItemId, Cycle)> = (0..d)
                     .map(ItemId::new)
@@ -805,21 +814,15 @@ mod tests {
                 assert_eq!(s.on_air, want, "{label}: on-air list at {cycle}");
             }
 
-            // replay the cycle's writes into the model store, then sweep
-            let written: Vec<ItemId> = (0..d)
-                .map(ItemId::new)
-                .filter(|&x| s.database().current(x).version() == cycle.next())
-                .collect();
-            for &x in &written {
-                store.apply_write(x, s.database().current(x).writer().unwrap());
-            }
-            store.gc_sweep(s.next_cycle(), span);
+            // replay the cycle's writes into the model
+            let mut written = Vec::new();
             for x in (0..d).map(ItemId::new) {
-                assert_eq!(
-                    s.database().retained(x),
-                    store.retained(x),
-                    "{label}: {x} after {cycle}"
-                );
+                if let Some(&value) = s.history().writes_of(x).last() {
+                    if value.version() == cycle.next() {
+                        model[x.as_usize()].push(value);
+                        written.push(x);
+                    }
+                }
             }
             log.push_back((cycle, written));
             if log.len() > window as usize {
@@ -832,8 +835,9 @@ mod tests {
         /// Differential test: for every organization, with and without
         /// SGT information, report windows 1 and 3, `V` ∈ {0, 1, 2, 18}
         /// and 1 or 4 items to a bucket, every bcast of the incremental
-        /// server equals the per-cycle rebuild's field by field, and its
-        /// store holds after every cycle what the full sweep leaves.
+        /// server equals the per-cycle rebuild's field by field, old
+        /// versions chosen by the retention rule written out, and its
+        /// on-air list holds exactly the items with old versions on air.
         #[test]
         fn incremental_cycle_matches_the_rebuild(
             seed in 0u64..u64::MAX,
@@ -899,8 +903,7 @@ mod tests {
     }
 
     /// `versions_retained = 0` passes validation and retains nothing old:
-    /// a multiversion server airs no old version and keeps only current
-    /// values, exactly as with `V = 1`.
+    /// a multiversion server airs no old version, exactly as with `V = 1`.
     #[test]
     fn zero_versions_retained_keeps_nothing_old() {
         let config = ServerConfig {
@@ -915,7 +918,6 @@ mod tests {
             assert_eq!(b.overflow_slots(), 0);
             assert!(b.records().all(|r| r.overflow_ptr().is_none()));
         }
-        assert_eq!(s.database().total_retained(), 100);
     }
 
     /// Copy-on-write is safe: every bcast of a multiversion + SGT run,
@@ -941,9 +943,9 @@ mod tests {
         for _ in 0..30 {
             // ... and each was right when it was made, although the
             // column it was patched into was shared with a live bcast
-            let snapshot: Vec<_> = s
-                .database()
-                .iter_current()
+            let snapshot: Vec<_> = (0..100)
+                .map(ItemId::new)
+                .map(|x| (x, s.history().current(x)))
                 .map(|(x, v)| (x, v, v.writer()))
                 .collect();
             let b = s.run_cycle();
