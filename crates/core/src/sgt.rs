@@ -735,6 +735,8 @@ mod tests {
             let mut reference = Sgt::new(config);
             let mut server = bpush_server::ConflictTracker::new(16);
             let mut pending = server.end_cycle(Cycle::ZERO);
+            // each item's last committed writer, as the server airs it
+            let mut last_writer: [Option<TxnId>; 8] = [None; 8];
             let mut slots: [Option<QueryId>; 3] = [None; 3];
             let mut next_query = 0;
             for (n, ((heard, sgt_info), steps, txns)) in (1u64..).zip(&script) {
@@ -776,7 +778,7 @@ mod tests {
                                 windowed.read_directive(q, item, now),
                                 reference.read_directive(q, item, now)
                             );
-                            let candidate = candidate_from(server.last_writer(item));
+                            let candidate = candidate_from(last_writer[item.as_usize()]);
                             proptest::prop_assert_eq!(
                                 windowed.apply_read(q, item, &candidate, now),
                                 reference.apply_read(q, item, &candidate, now)
@@ -796,17 +798,17 @@ mod tests {
                 }
                 for (seq, (reads, mask)) in (0u32..).zip(txns) {
                     let reads: Vec<ItemId> = reads.iter().map(|&i| ItemId::new(i)).collect();
-                    let writes = reads
+                    let writes: Vec<ItemId> = reads
                         .iter()
                         .enumerate()
                         .filter(|&(at, _)| mask >> at & 1 == 1)
                         .map(|(_, &x)| x)
                         .collect();
-                    server.commit(&bpush_server::ServerTxn::new(
-                        TxnId::new(now, seq),
-                        reads,
-                        writes,
-                    ));
+                    let id = TxnId::new(now, seq);
+                    for x in &writes {
+                        last_writer[x.as_usize()] = Some(id);
+                    }
+                    server.commit(&bpush_server::ServerTxn::new(id, reads, writes));
                 }
                 pending = server.end_cycle(now);
             }

@@ -6,7 +6,8 @@
 //! transactions, plus the augmented invalidation report mapping every
 //! updated item to the *first* transaction that wrote it during the cycle
 //! (Claim 2). [`ConflictTracker`] derives both from the committed
-//! transactions as they are fed through it in serial order.
+//! transactions as they are fed through it in serial order: live for SGT
+//! control information, and in the replay of the audit's ground truth.
 //!
 //! Edge rules (standard conflict serializability, with histories strict
 //! and serial):
@@ -157,12 +158,6 @@ impl ConflictTracker {
         }
         (diff, first_writers)
     }
-
-    /// The last committed writer of `item`, if any.
-    pub fn last_writer(&self, item: ItemId) -> Option<TxnId> {
-        let slot = *self.slot_of.get(item.as_usize())?;
-        self.touched.get(slot as usize)?.last_writer
-    }
 }
 
 #[cfg(test)]
@@ -214,7 +209,6 @@ mod tests {
         assert_eq!(d.edges(), &[(id(0, 0), id(0, 1))]);
         // the first writer of the cycle is T0.0, not the last
         assert_eq!(fw, vec![(x(2), id(0, 0))]);
-        assert_eq!(tr.last_writer(x(2)), Some(id(0, 1)));
     }
 
     #[test]
@@ -405,10 +399,6 @@ mod tests {
                 }
                 (diff, first_writers)
             }
-
-            pub(super) fn last_writer(&self, item: ItemId) -> Option<TxnId> {
-                self.last_writer.get(&item).copied()
-            }
         }
     }
 
@@ -420,7 +410,7 @@ mod tests {
         /// Differential test: over random serial streams — duplicate
         /// reads, items rewritten within a cycle, idle cycles, runs much
         /// longer than the horizon — the flat tracker emits the model's
-        /// diffs (edge order included), first writers and last writers.
+        /// diffs (edge order included) and first writers.
         #[test]
         fn flat_tracker_matches_the_ordered_map_model(
             horizon in 1u32..5,
@@ -451,9 +441,6 @@ mod tests {
                 let got = flat.end_cycle(Cycle::new(c));
                 let want = model.end_cycle(Cycle::new(c));
                 proptest::prop_assert_eq!(got, want, "cycle {}", c);
-                for i in 0..10 {
-                    proptest::prop_assert_eq!(flat.last_writer(x(i)), model.last_writer(x(i)));
-                }
             }
         }
     }

@@ -53,11 +53,12 @@ impl WriteHistory {
     }
 
     /// Records a committed write. Writes must arrive in serial order per
-    /// item.
+    /// item. A write of the same cycle as the item's last one replaces
+    /// it: only a cycle-final value is ever aired, read or kept.
     ///
     /// # Panics
-    /// In debug builds, panics if `value` is not newer than the last
-    /// recorded write of `item`.
+    /// In debug builds, panics if `value`'s writer committed before the
+    /// last recorded writer of `item`.
     pub fn record(&mut self, item: ItemId, value: ItemValue) {
         let i = item.as_usize();
         if i >= self.writes.len() {
@@ -66,10 +67,13 @@ impl WriteHistory {
         let log = &mut self.writes[i];
         debug_assert!(
             log.last()
-                .map_or(true, |last| last.writer() < value.writer()),
+                .map_or(true, |last| last.writer() <= value.writer()),
             "writes must be recorded in serial order"
         );
-        log.push(value);
+        match log.last_mut() {
+            Some(last) if last.version() == value.version() => *last = value,
+            _ => log.push(value),
+        }
     }
 
     /// All recorded writes of `item` in serial order (excluding the
@@ -166,6 +170,8 @@ mod tests {
         assert_eq!(h.total_writes(), 0);
     }
 
+    /// Writes chain in serial order, and a later write of the same cycle
+    /// replaces the earlier: `(1,0)` then `(1,2)` keeps only `(1,2)`.
     #[test]
     fn overwrite_chain() {
         let mut h = WriteHistory::new();
@@ -173,12 +179,11 @@ mod tests {
         h.record(x, val(1, 0));
         h.record(x, val(1, 2));
         h.record(x, val(4, 0));
-        assert_eq!(h.next_overwrite(x, ItemValue::initial()), Some(val(1, 0)));
-        assert_eq!(h.next_overwrite(x, val(1, 0)), Some(val(1, 2)));
+        assert_eq!(h.writes_of(x), [val(1, 2), val(4, 0)]);
+        assert_eq!(h.next_overwrite(x, ItemValue::initial()), Some(val(1, 2)));
         assert_eq!(h.next_overwrite(x, val(1, 2)), Some(val(4, 0)));
         assert_eq!(h.next_overwrite(x, val(4, 0)), None);
-        assert_eq!(h.total_writes(), 3);
-        assert_eq!(h.writes_of(x).len(), 3);
+        assert_eq!(h.total_writes(), 2);
     }
 
     /// An item's current value is its last write; an untouched item, one

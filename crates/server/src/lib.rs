@@ -15,10 +15,13 @@
 //!   frequent than writes, Zipf-skewed with an offset against the client
 //!   read pattern),
 //! * [`ConflictTracker`] — derives the conflict edges among committed
-//!   transactions that the SGT method broadcasts (§3.3),
+//!   transactions that the SGT method broadcasts (§3.3), live only when
+//!   the server airs them, and replays the commit log into the audit's
+//!   conflict graph when that is asked for,
 //! * [`BroadcastServer`] — ties everything together and emits one
 //!   [`bpush_broadcast::Bcast`] per cycle, preceded by the control
-//!   information each protocol requires.
+//!   information each protocol requires, and keeps every cycle's
+//!   committed transactions for that replay.
 //!
 //! # Example
 //!

@@ -1,5 +1,6 @@
 //! The broadcast server: snapshot emission plus the commit pipeline.
 
+use std::cell::OnceCell;
 use std::collections::VecDeque;
 
 use bpush_broadcast::organization::{
@@ -10,12 +11,13 @@ use bpush_broadcast::{
     AugmentedReport, Bcast, ControlInfo, InvalidationReport, ItemRecord, RecordColumn,
 };
 use bpush_obs::{Actor, Obs};
-use bpush_sgraph::GraphDiff;
+use bpush_sgraph::{GraphDiff, SerializationGraph};
 use bpush_types::config::MultiversionLayout;
 use bpush_types::{BpushError, Cycle, ItemId, ItemValue, ServerConfig, TxnId};
 
 use crate::conflicts::ConflictTracker;
 use crate::history::WriteHistory;
+use crate::txn::ServerTxn;
 use crate::workload::{WorkloadGenerator, WorkloadSource};
 
 /// What the server puts on air each cycle.
@@ -134,7 +136,10 @@ pub struct BroadcastServer {
     options: ServerOptions,
     history: WriteHistory,
     workload: Box<dyn WorkloadSource>,
-    conflicts: ConflictTracker,
+    /// The live conflict tracker, present only under `sgt_info`.
+    conflicts: Option<ConflictTracker>,
+    /// Every cycle's commits (an idle one's empty), for `conflict_graph`.
+    committed: Vec<Vec<ServerTxn>>,
     next_cycle: Cycle,
     /// The update log: the items each recent cycle wrote, in item order,
     /// oldest cycle first. Windowed invalidation reports (§5.2.2) read
@@ -155,10 +160,8 @@ pub struct BroadcastServer {
     /// SGT control info produced by the previous cycle's commits, kept
     /// only when the server broadcasts it.
     pending_sgt: Option<(GraphDiff, Vec<(ItemId, TxnId)>)>,
-    /// The full conflict serialization graph of all committed server
-    /// transactions — ground truth for the serializability validator
-    /// (never broadcast).
-    validation_graph: bpush_sgraph::SerializationGraph,
+    /// The graph of `committed`, built on first ask, dropped by a cycle.
+    ground_truth: OnceCell<SerializationGraph>,
     /// Observability sink; the no-op handle unless installed via
     /// [`BroadcastServer::with_obs`].
     obs: Obs,
@@ -193,21 +196,22 @@ impl BroadcastServer {
             }
         }
         let workload = WorkloadGenerator::new(&config, seed)?;
-        let horizon = config.versions_retained.max(8) * 2;
+        let horizon = reader_horizon(&config);
         let records: Vec<ItemRecord> = (0..config.broadcast_size)
             .map(|i| on_air(ItemId::new(i), ItemValue::initial(), options.sgt_info))
             .collect();
         Ok(BroadcastServer {
             history: WriteHistory::new(),
             workload: Box::new(workload),
-            conflicts: ConflictTracker::new(horizon),
+            conflicts: options.sgt_info.then(|| ConflictTracker::new(horizon)),
+            committed: Vec::new(),
             next_cycle: Cycle::ZERO,
             recent_updates: VecDeque::new(),
             records: RecordColumn::from(records),
             organization: Organization::new(&options.mode, config.items_per_bucket),
             on_air: Vec::new(),
             pending_sgt: None,
-            validation_graph: bpush_sgraph::SerializationGraph::new(),
+            ground_truth: OnceCell::new(),
             config,
             options,
             obs: Obs::off(),
@@ -267,8 +271,20 @@ impl BroadcastServer {
     /// The full conflict serialization graph of every transaction the
     /// server has committed (for validation; never broadcast). Precedence
     /// edges from readers older than the tracker's horizon are elided.
-    pub fn conflict_graph(&self) -> &bpush_sgraph::SerializationGraph {
-        &self.validation_graph
+    /// Built at the first call after a cycle by replaying the commit log
+    /// through a fresh [`ConflictTracker`] that closes every cycle.
+    pub fn conflict_graph(&self) -> &SerializationGraph {
+        self.ground_truth.get_or_init(|| {
+            let mut tracker = ConflictTracker::new(reader_horizon(&self.config));
+            let mut graph = SerializationGraph::new();
+            for (cycle, txns) in (0..).map(Cycle::new).zip(&self.committed) {
+                for txn in txns {
+                    tracker.commit(txn);
+                }
+                graph.apply_diff(&tracker.end_cycle(cycle).0);
+            }
+            graph
+        })
     }
 
     /// The span bound the server's version retention supports: `S` in
@@ -376,28 +392,26 @@ impl BroadcastServer {
         let bcast = self.organization.assemble(cycle, control, records, old);
         self.records = RecordColumn::from(&bcast);
 
-        // Commit this cycle's update transactions.
+        // Commit this cycle's update transactions: the history keeps each
+        // item's cycle-final value, and the log the updated items.
         let txns = self.workload.generate_cycle(cycle);
+        let mut updated = Vec::new();
         for txn in &txns {
-            self.conflicts.commit(txn);
-        }
-        let (diff, first_writers) = self.conflicts.end_cycle(cycle);
-        // Record history once per item per cycle (the bcast only ever
-        // carries cycle-final values; of two writes in one cycle only the
-        // later is ever aired or read): the first writers name the
-        // updated items in item order, and the tracker's last writer of
-        // each is now its cycle-final one.
-        let mut updated = Vec::with_capacity(first_writers.len());
-        for &(x, _) in &first_writers {
-            if let Some(w) = self.conflicts.last_writer(x) {
-                self.history.record(x, ItemValue::written_by(w));
+            for &x in txn.writes() {
+                self.history.record(x, ItemValue::written_by(txn.id()));
                 updated.push(x);
             }
         }
-        self.validation_graph.apply_diff(&diff);
-        if self.options.sgt_info {
-            self.pending_sgt = Some((diff, first_writers));
+        updated.sort_unstable();
+        updated.dedup();
+        if let Some(tracker) = &mut self.conflicts {
+            for txn in &txns {
+                tracker.commit(txn);
+            }
+            self.pending_sgt = Some(tracker.end_cycle(cycle));
         }
+        self.committed.push(txns);
+        self.ground_truth.take();
 
         self.recent_updates.push_back((cycle, updated));
         let keep = self.config.report_window.max(self.span_supported()) as usize;
@@ -412,6 +426,11 @@ impl BroadcastServer {
         }
         bcast
     }
+}
+
+/// Cycles a tracker keeps readers for, shared by live tracker and replay.
+fn reader_horizon(config: &ServerConfig) -> u32 {
+    config.versions_retained.max(8).saturating_mul(2)
 }
 
 /// `item`'s record as a bcast airs `value`: the last writer rides along
@@ -898,6 +917,156 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// The graph as the server built it before it replayed anything: a
+    /// tracker over `V.max(8) * 2` cycles of readers, fed every cycle's
+    /// commits and closed every cycle, each diff applied as it closes.
+    struct Fold {
+        tracker: ConflictTracker,
+        graph: SerializationGraph,
+    }
+
+    impl Fold {
+        fn new(config: &ServerConfig) -> Self {
+            Fold {
+                tracker: ConflictTracker::new(config.versions_retained.max(8) * 2),
+                graph: SerializationGraph::new(),
+            }
+        }
+
+        fn cycle(&mut self, cycle: Cycle, txns: &[ServerTxn]) {
+            for txn in txns {
+                self.tracker.commit(txn);
+            }
+            self.graph.apply_diff(&self.tracker.end_cycle(cycle).0);
+        }
+    }
+
+    /// Replays fixed transactions, so a script can hold a pure reader,
+    /// which a [`crate::ScriptedWorkload`] transaction never is.
+    #[derive(Debug, Clone)]
+    struct Replayed(Vec<Vec<ServerTxn>>);
+
+    impl WorkloadSource for Replayed {
+        fn generate_cycle(&mut self, cycle: Cycle) -> Vec<ServerTxn> {
+            let at = usize::try_from(cycle.number()).unwrap();
+            self.0.get(at).cloned().unwrap_or_default()
+        }
+    }
+
+    /// The replayed ground truth is the graph the server folded cycle by
+    /// cycle before: for every organization, with and without SGT
+    /// information, report windows 1 and 3, the graph asked for after
+    /// cycles 0, 5 and 23 of one run prints as the fold of a twin
+    /// workload's commits — a cache kept across a cycle would show — and,
+    /// under SGT, as the fold of every aired graph difference. Scripted
+    /// idle cycles run past the reader horizon `H`: a cycle-0 reader still
+    /// precedes a write of cycle `H + 1` and no longer one of `H + 2`, so
+    /// the replay must close idle cycles as the live tracker does.
+    #[test]
+    fn conflict_graph_is_the_fold_of_the_commit_stream() {
+        let d = small_config().broadcast_size;
+        for mode in every_mode(d) {
+            for sgt_info in [false, true] {
+                for report_window in [1u32, 3] {
+                    let label = format!("{mode:?} sgt={sgt_info} window={report_window}");
+                    let config = ServerConfig {
+                        report_window,
+                        ..small_config()
+                    };
+                    let options = ServerOptions {
+                        mode: mode.clone(),
+                        sgt_info,
+                    };
+                    let mut s = BroadcastServer::new(config.clone(), options, 14).unwrap();
+                    let mut twin = WorkloadGenerator::new(&config, 14).unwrap();
+                    let mut fold = Fold::new(&config);
+                    let mut aired = SerializationGraph::new();
+                    let mut asked: Option<String> = None;
+                    for c in (0..25).map(Cycle::new) {
+                        let b = s.run_cycle();
+                        if let Some(diff) = b.control().graph_diff() {
+                            aired.apply_diff(diff);
+                        }
+                        // the graph asked for a cycle ago is aired by now
+                        if let Some(text) = asked.take().filter(|_| sgt_info) {
+                            assert_eq!(text, format!("{aired:?}"), "{label}: aired by {c}");
+                        }
+                        fold.cycle(c, &twin.generate_cycle(c));
+                        if [0, 5, 23].contains(&c.number()) {
+                            let text = format!("{:?}", s.conflict_graph());
+                            assert_eq!(text, format!("{:?}", fold.graph), "{label} after {c}");
+                            asked = Some(text);
+                        }
+                    }
+                    assert!(fold.graph.edge_count() > 0, "{label}: no conflict edges");
+                }
+            }
+        }
+
+        let config = small_config();
+        let h = u64::from(config.versions_retained.max(8) * 2);
+        let x = ItemId::new(9);
+        for (write_at, precedes) in [(h + 1, true), (h + 2, false)] {
+            let mut script = vec![Vec::new(); usize::try_from(write_at).unwrap() + 2];
+            let reader = TxnId::new(Cycle::ZERO, 0);
+            script[0].push(ServerTxn::new(reader, vec![x], vec![]));
+            let writer = TxnId::new(Cycle::new(write_at), 0);
+            script[usize::try_from(write_at).unwrap()].push(ServerTxn::new(
+                writer,
+                vec![x],
+                vec![x],
+            ));
+            let mut s = BroadcastServer::new(config.clone(), ServerOptions::sgt(), 0)
+                .unwrap()
+                .with_workload(Box::new(Replayed(script.clone())));
+            let mut fold = Fold::new(&config);
+            for (c, txns) in (0..).map(Cycle::new).zip(&script) {
+                s.run_cycle();
+                fold.cycle(c, txns);
+                let got = s.conflict_graph();
+                assert_eq!(
+                    format!("{got:?}"),
+                    format!("{:?}", fold.graph),
+                    "write at {write_at}, {c}"
+                );
+            }
+            let edge = s
+                .conflict_graph()
+                .successors(bpush_sgraph::Node::Txn(reader))
+                .any(|n| n == bpush_sgraph::Node::Txn(writer));
+            assert_eq!(edge, precedes, "write at {write_at}");
+        }
+    }
+
+    /// The reader horizon saturates: a `V` whose doubling overflows `u32`
+    /// passes validation, and plain and multiversion SGT servers built
+    /// with it run and answer the conflict graph.
+    #[test]
+    fn huge_versions_retained_saturates_the_reader_horizon() {
+        for versions_retained in [1u32 << 31, (1 << 31) + 1, u32::MAX] {
+            let config = ServerConfig {
+                versions_retained,
+                ..small_config()
+            };
+            assert_eq!(reader_horizon(&config), u32::MAX);
+            for mode in [
+                BroadcastMode::Plain,
+                BroadcastMode::Multiversion(MultiversionLayout::Overflow),
+            ] {
+                let options = ServerOptions {
+                    mode,
+                    sgt_info: true,
+                };
+                let mut s = BroadcastServer::new(config.clone(), options, 15).unwrap();
+                for _ in 0..4 {
+                    s.run_cycle();
+                }
+                let committed = 4 * config.txns_per_cycle as usize;
+                assert_eq!(s.conflict_graph().node_count(), committed, "{config:?}");
             }
         }
     }

@@ -70,15 +70,17 @@ fn all_methods_default_config() {
 
 /// The end-of-run audit against the criterion, on real runs: for one
 /// method of each family at quick scale, every committed readset gets
-/// the same verdict from [`SerializabilityBatch`] (what `Simulation`
-/// runs) and from the §2.2 criterion written out over `path_exists` —
-/// some first overwriter of a value read is, or reaches, the writer of a
-/// value read — over the history and conflict graph of a server replayed
-/// from the same seed for the same number of cycles, and the run itself
-/// reports no violation.
+/// the same verdict from [`SerializabilityBatch`] and from the §2.2
+/// criterion written out over `path_exists` — some first overwriter of a
+/// value read is, or reaches, the writer of a value read — over the
+/// history and conflict graph of a server replayed from the same seed for
+/// the same number of cycles, and the run itself reports no violation.
+/// `Simulation` hands the batch only the readsets the interval check
+/// rejects: every readset of the three snapshot methods passes that
+/// check, and some SGT readset fails it, so the batch leg runs.
 #[test]
 fn audit_verdicts_match_the_criterion() {
-    use bpush_core::validator::SerializabilityBatch;
+    use bpush_core::validator::{SerializabilityBatch, SerializabilityValidator};
     use bpush_sgraph::Node;
     for method in [
         Method::InvalidationOnly,
@@ -112,6 +114,8 @@ fn audit_verdicts_match_the_criterion() {
         }
         let (history, graph) = (server.history(), server.conflict_graph());
         let mut batch = SerializabilityBatch::new(history, graph);
+        let interval = SerializabilityValidator::new(history);
+        let mut interval_rejects = 0;
         for reads in &committed {
             let writers = || reads.iter().filter_map(|r| r.value.writer());
             let violates = reads
@@ -122,6 +126,14 @@ fn audit_verdicts_match_the_criterion() {
                 });
             assert_eq!(batch.check(reads).is_ok(), !violates, "{method}: {reads:?}");
             assert!(!violates, "{method}: {reads:?}");
+            if interval.check(reads).is_err() {
+                interval_rejects += 1;
+            }
+        }
+        if method == Method::Sgt {
+            assert!(interval_rejects > 0, "{method}: the batch leg never ran");
+        } else {
+            assert_eq!(interval_rejects, 0, "{method}: a snapshot readset is torn");
         }
     }
 }
