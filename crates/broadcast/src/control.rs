@@ -7,64 +7,11 @@
 //! [`ControlInfo`] bundles all three and knows its own on-air size.
 
 use std::collections::BTreeMap;
-use std::fmt;
 
 // bpush-lint: sans_io — protocol core: pure control-information computation, no clocks/threads/files/sockets
 
 use bpush_sgraph::GraphDiff;
 use bpush_types::{BpushError, BucketId, Cycle, Granularity, ItemId, TxnId};
-
-/// Widest id span (in 64-bit words) a report's dense bitmap covers:
-/// 1024 words = 65,536 item ids. Reports name items of one broadcast
-/// database, whose ids are assigned contiguously from zero, so real
-/// report windows always fit; the cap only bounds memory against
-/// adversarial (e.g. fuzzed wire-decode) id patterns, which simply fall
-/// back to the galloping probes.
-const DENSE_SPAN_WORDS: usize = 1024;
-
-/// Dense 64-bit bitmap over a report's item-id range: bit `b` of
-/// `words[w]` stands for item `(base_word + w) * 64 + b`. Built once per
-/// report at construction (the server's, and each wire client's decode);
-/// probed with word ANDs on the per-cycle client hot path.
-#[derive(Clone)]
-struct DenseBits {
-    base_word: u32,
-    words: Vec<u64>,
-}
-
-impl DenseBits {
-    /// Builds the bitmap over the (sorted, deduplicated) ids keying
-    /// `entries`; `None` when there are no entries or the id span
-    /// exceeds [`DENSE_SPAN_WORDS`]. Construction only.
-    fn from_entries<T>(entries: &[(ItemId, T)]) -> Option<DenseBits> {
-        let first = entries.first()?.0;
-        let last = entries.last()?.0;
-        let base_word = first.index() >> 6;
-        let span = ((last.index() >> 6) - base_word) as usize + 1;
-        if span > DENSE_SPAN_WORDS {
-            return None;
-        }
-        let mut words = vec![0u64; span];
-        for (x, _) in entries {
-            let off = ((x.index() >> 6) - base_word) as usize;
-            if let Some(w) = words.get_mut(off) {
-                *w |= 1u64 << (x.index() & 63);
-            }
-        }
-        Some(DenseBits { base_word, words })
-    }
-
-    /// Whether any bit is set in both this bitmap and the word block
-    /// `(other_base, other)` — a single pass of word ANDs over the
-    /// overlapping range, short-circuiting on the first hit.
-    // bpush-lint: hot_path — the word-AND kernel behind every *_set report probe
-    fn intersects(&self, other_base: u32, other: &[u64]) -> bool {
-        let lo = self.base_word.max(other_base);
-        let ours = self.words.iter().skip((lo - self.base_word) as usize);
-        let theirs = other.iter().skip((lo - other_base) as usize);
-        ours.zip(theirs).any(|(a, b)| a & b != 0)
-    }
-}
 
 /// Returns the first index `>= start` whose key is `>= key`, galloping:
 /// exponential probe from `start`, then binary search inside the bracket.
@@ -159,7 +106,7 @@ fn any_entry_matching<K: Ord + Copy>(
 /// // item 1 shares bucket 0 with updated item 3 -> conservatively stale
 /// assert!(coarse.invalidates(ItemId::new(1)));
 /// ```
-#[derive(Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InvalidationReport {
     cycle: Cycle,
     window: u32,
@@ -175,48 +122,7 @@ pub struct InvalidationReport {
     items: Vec<(ItemId, Cycle)>,
     /// The items collapsed to buckets, sorted and deduplicated.
     buckets: Vec<(BucketId, Cycle)>,
-    /// Dense bitmap over the updated item ids, built once at
-    /// construction; `None` when the report is empty or its id span
-    /// exceeds the dense cap. Derived state: never rendered, compared,
-    /// or transmitted.
-    item_bits: Option<DenseBits>,
-    /// The earliest per-entry update cycle (`Cycle::ZERO` when empty):
-    /// a membership hit is definitely stale for any state at or below
-    /// this bound, which lets the word-AND fast path answer without
-    /// consulting per-entry cycles in the common window-1 case.
-    min_update: Cycle,
 }
-
-/// Renders exactly like the pre-bitmap derived form: the bitmap and the
-/// min-update bound are cached projections of `items`, and report
-/// renderings feed mc dedup keys and trace snapshots, which must not
-/// change with the representation.
-impl fmt::Debug for InvalidationReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("InvalidationReport")
-            .field("cycle", &self.cycle)
-            .field("window", &self.window)
-            .field("granularity", &self.granularity)
-            .field("items_per_bucket", &self.items_per_bucket)
-            .field("items", &self.items)
-            .field("buckets", &self.buckets)
-            .finish()
-    }
-}
-
-/// Equality is on the transmitted fields alone; the bitmap is derived.
-impl PartialEq for InvalidationReport {
-    fn eq(&self, other: &Self) -> bool {
-        self.cycle == other.cycle
-            && self.window == other.window
-            && self.granularity == other.granularity
-            && self.items_per_bucket == other.items_per_bucket
-            && self.items == other.items
-            && self.buckets == other.buckets
-    }
-}
-
-impl Eq for InvalidationReport {}
 
 impl InvalidationReport {
     /// Builds the report broadcast at the beginning of `cycle`, covering
@@ -324,8 +230,6 @@ impl InvalidationReport {
                 _ => buckets.push((b, c)),
             }
         }
-        let item_bits = DenseBits::from_entries(&items);
-        let min_update = items.iter().map(|&(_, c)| c).min().unwrap_or(Cycle::ZERO);
         Ok(InvalidationReport {
             cycle,
             window,
@@ -333,8 +237,6 @@ impl InvalidationReport {
             items_per_bucket,
             items,
             buckets,
-            item_bits,
-            min_update,
         })
     }
 
@@ -423,57 +325,6 @@ impl InvalidationReport {
         }
     }
 
-    /// Word-AND form of [`InvalidationReport::any_invalidated`]: when
-    /// both the report and the readset have a dense word block, the
-    /// membership answer is a single pass of word ANDs; otherwise it
-    /// falls back to the galloping merge over `readset`, which stays
-    /// the differential oracle. Always answers exactly like
-    /// `any_invalidated`.
-    // bpush-lint: hot_path — per-cycle word-parallel readset probe (PR-8 allocation-freedom contract)
-    pub fn any_invalidated_set(&self, readset: &[ItemId], words: Option<(u32, &[u64])>) -> bool {
-        match self.intersects_words(words) {
-            Some(hit) => hit,
-            None => self.any_invalidated(readset),
-        }
-    }
-
-    /// Word-AND form of [`InvalidationReport::any_stale`]. The bitmap
-    /// only answers *membership*, so a miss is an exact "not stale"; a
-    /// hit is exact only when `state <= min_update` (every recorded
-    /// update is then at or after `state` — the window-1 common case,
-    /// where clients validate against the immediately preceding cycle).
-    /// For a hit with a later `state` the per-entry cycles matter and
-    /// the galloping merge decides. Always answers exactly like
-    /// `any_stale`.
-    // bpush-lint: hot_path — per-cycle word-parallel staleness probe (PR-8 allocation-freedom contract)
-    pub fn any_stale_set(
-        &self,
-        readset: &[ItemId],
-        words: Option<(u32, &[u64])>,
-        state: Cycle,
-    ) -> bool {
-        match self.intersects_words(words) {
-            Some(false) => false,
-            Some(true) if state <= self.min_update => true,
-            _ => self.any_stale(readset, state),
-        }
-    }
-
-    /// Whether the report's item bitmap intersects the word block
-    /// `(base, words)`; `None` when the word-AND path cannot decide —
-    /// bucket granularity, an empty/degraded report bitmap, or no
-    /// caller word block. Exposed so batch screens in `bpush-core` can
-    /// test a whole cohort's union bitmap against one report.
-    // bpush-lint: hot_path — word-AND dispatch shared by the *_set probes and cohort screens
-    pub fn intersects_words(&self, words: Option<(u32, &[u64])>) -> Option<bool> {
-        if self.granularity != Granularity::Item {
-            return None;
-        }
-        let bits = self.item_bits.as_ref()?;
-        let (base, block) = words?;
-        Some(bits.intersects(base, block))
-    }
-
     /// Whether a value of `item` known current at database state `state`
     /// is invalidated by this report: true iff the report records an
     /// update during cycle `state` or later (an update before `state`
@@ -543,37 +394,13 @@ impl InvalidationReport {
 /// assert_eq!(report.first_writer(ItemId::new(1)), Some(TxnId::new(c, 0)));
 /// assert_eq!(report.first_writer(ItemId::new(2)), None);
 /// ```
-#[derive(Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AugmentedReport {
     cycle: Cycle,
     /// `(item, first writer)`, sorted by item and deduplicated (the last
     /// entry wins on duplicates, matching map-collect semantics).
     first_writers: Vec<(ItemId, TxnId)>,
-    /// Dense bitmap over the written item ids (same derived-state rules
-    /// as [`InvalidationReport`]'s: never rendered, compared, or
-    /// transmitted).
-    item_bits: Option<DenseBits>,
 }
-
-/// Renders exactly like the pre-bitmap derived form — augmented-report
-/// renderings feed mc dedup keys and trace snapshots.
-impl fmt::Debug for AugmentedReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("AugmentedReport")
-            .field("cycle", &self.cycle)
-            .field("first_writers", &self.first_writers)
-            .finish()
-    }
-}
-
-/// Equality is on the transmitted fields alone; the bitmap is derived.
-impl PartialEq for AugmentedReport {
-    fn eq(&self, other: &Self) -> bool {
-        self.cycle == other.cycle && self.first_writers == other.first_writers
-    }
-}
-
-impl Eq for AugmentedReport {}
 
 impl AugmentedReport {
     /// Builds the report for updates committed during `cycle` (broadcast
@@ -588,11 +415,9 @@ impl AugmentedReport {
             first_writers.iter().all(|(_, t)| t.cycle() == cycle),
             "first writers must have committed during the covered cycle"
         );
-        let item_bits = DenseBits::from_entries(&first_writers);
         AugmentedReport {
             cycle,
             first_writers,
-            item_bits,
         }
     }
 
@@ -637,36 +462,6 @@ impl AugmentedReport {
             // entries jumped past `target`: gallop the readset forward
             ri = gallop_to(readset, ri, item, |&x| x);
         })
-    }
-
-    /// Word-AND screened form of [`AugmentedReport::matches_in`]: when
-    /// the bitmaps prove the readset and the report are disjoint, the
-    /// merge is skipped entirely (the overwhelmingly common per-cycle
-    /// outcome); otherwise it delegates to the galloping merge, which
-    /// stays the differential oracle. Always yields exactly what
-    /// `matches_in` yields.
-    // bpush-lint: hot_path — per-cycle word-screened SGT readset/report merge (PR-8 allocation-freedom contract)
-    pub fn matches_in_set<'a>(
-        &'a self,
-        readset: &'a [ItemId],
-        words: Option<(u32, &[u64])>,
-    ) -> impl Iterator<Item = (ItemId, TxnId)> + 'a {
-        let screened: &[ItemId] = if self.intersects_words(words) == Some(false) {
-            &[]
-        } else {
-            readset
-        };
-        self.matches_in(screened)
-    }
-
-    /// Whether the report's item bitmap intersects the word block
-    /// `(base, words)`; `None` when the word-AND path cannot decide
-    /// (empty/degraded report bitmap or no caller word block).
-    // bpush-lint: hot_path — word-AND dispatch shared by matches_in_set and cohort screens
-    pub fn intersects_words(&self, words: Option<(u32, &[u64])>) -> Option<bool> {
-        let bits = self.item_bits.as_ref()?;
-        let (base, block) = words?;
-        Some(bits.intersects(base, block))
     }
 
     /// Number of entries.
@@ -923,135 +718,28 @@ mod tests {
         assert!(r.matches_in(&[ItemId::new(41)]).next().is_none());
     }
 
-    /// Builds the dense word block for a sorted item list, mirroring
-    /// `ReadSet::word_blocks` in `bpush-core` (which broadcast cannot
-    /// depend on).
-    fn blocks_of(items: &[ItemId]) -> Option<(u32, Vec<u64>)> {
-        let first = items.first()?;
-        let base = first.index() >> 6;
-        let mut words = Vec::new();
-        for x in items {
-            let off = ((x.index() >> 6) - base) as usize;
-            if off >= words.len() {
-                words.resize(off + 1, 0u64);
-            }
-            words[off] |= 1u64 << (x.index() & 63);
-        }
-        Some((base, words))
-    }
-
-    #[test]
-    fn set_probes_agree_with_galloping() {
-        let r = InvalidationReport::with_dated(
-            Cycle::new(6),
-            4,
-            [
-                (ItemId::new(2), Cycle::new(3)),
-                (ItemId::new(5), Cycle::new(5)),
-                (ItemId::new(70), Cycle::new(4)),
-                (ItemId::new(200), Cycle::new(5)),
-            ],
-            Granularity::Item,
-            4,
-        );
-        let sets: [&[ItemId]; 6] = [
-            &[],
-            &[ItemId::new(0), ItemId::new(1)],
-            &[ItemId::new(2)],
-            &[ItemId::new(3), ItemId::new(5), ItemId::new(7)],
-            &[ItemId::new(64), ItemId::new(70), ItemId::new(199)],
-            &[ItemId::new(201), ItemId::new(500)],
-        ];
-        for set in sets {
-            let blocks = blocks_of(set);
-            let words = blocks.as_ref().map(|(b, w)| (*b, w.as_slice()));
-            assert_eq!(
-                r.any_invalidated_set(set, words),
-                r.any_invalidated(set),
-                "{set:?}"
-            );
-            for state in 0..8 {
-                let state = Cycle::new(state);
-                assert_eq!(
-                    r.any_stale_set(set, words, state),
-                    r.any_stale(set, state),
-                    "{set:?} at {state}"
-                );
-            }
-            // and without a word block the probes still agree (fallback)
-            assert_eq!(r.any_invalidated_set(set, None), r.any_invalidated(set));
-        }
-    }
-
-    #[test]
-    fn set_probes_fall_back_at_bucket_granularity() {
-        let r = InvalidationReport::new(Cycle::new(1), 1, [ItemId::new(5)], Granularity::Bucket, 4);
-        let set = [ItemId::new(4), ItemId::new(6)];
-        let blocks = blocks_of(&set).expect("nonempty");
-        let words = Some((blocks.0, blocks.1.as_slice()));
-        assert_eq!(
-            r.intersects_words(words),
-            None,
-            "bucket reports can't use bits"
-        );
-        // bucket 1 holds 4..8 but items 4 and 6 are not literally listed:
-        // the bitmap would say "disjoint"; the fallback keeps it conservative
-        assert!(r.any_stale_set(&set, words, Cycle::ZERO));
-        assert!(r.any_invalidated_set(&set, words));
-    }
-
+    /// The readset probes over ids at both ends of the id space: every
+    /// gallop crosses a gap of up to `u32::MAX` ids, in the report or in
+    /// the readset.
     #[test]
     fn set_probes_survive_a_wide_id_span() {
-        // id span > DENSE_SPAN_WORDS * 64 -> the report keeps no bitmap
         let r = report(3, &[0, 70_000, u32::MAX]);
-        let set = [ItemId::new(70_000)];
-        let blocks = blocks_of(&set).expect("nonempty");
-        let words = Some((blocks.0, blocks.1.as_slice()));
-        assert_eq!(r.intersects_words(words), None, "degraded report bitmap");
-        assert!(r.any_invalidated_set(&set, words));
-        assert!(!r.any_invalidated_set(&[ItemId::new(1)], None));
-    }
-
-    #[test]
-    fn matches_in_set_agrees_with_matches_in() {
-        let c = Cycle::new(3);
-        let entries: Vec<(ItemId, TxnId)> = (0..60)
-            .filter(|i| i % 3 == 0)
-            .map(|i| (ItemId::new(i), TxnId::new(c, i)))
-            .collect();
-        let r = AugmentedReport::new(c, entries);
-        let readsets: [&[ItemId]; 4] = [
-            &[],
-            &[ItemId::new(1), ItemId::new(2)],
-            &[ItemId::new(15), ItemId::new(44)],
-            &[ItemId::new(61), ItemId::new(100)],
-        ];
-        for readset in readsets {
-            let blocks = blocks_of(readset);
-            let words = blocks.as_ref().map(|(b, w)| (*b, w.as_slice()));
-            let screened: Vec<(ItemId, TxnId)> = r.matches_in_set(readset, words).collect();
-            let oracle: Vec<(ItemId, TxnId)> = r.matches_in(readset).collect();
-            assert_eq!(screened, oracle, "{readset:?}");
-            let unscreened: Vec<(ItemId, TxnId)> = r.matches_in_set(readset, None).collect();
-            assert_eq!(unscreened, oracle, "{readset:?} without a word block");
-        }
-    }
-
-    #[test]
-    fn report_debug_and_eq_ignore_the_bitmap() {
-        let r = report(3, &[1, 5, 9]);
-        let dbg = format!("{r:?}");
-        assert!(dbg.starts_with("InvalidationReport { cycle:"), "{dbg}");
-        assert!(!dbg.contains("item_bits"), "{dbg}");
-        assert!(!dbg.contains("min_update"), "{dbg}");
-        assert_eq!(r, r.clone());
+        assert!(r.any_invalidated(&[ItemId::new(70_000)]));
+        assert!(r.any_invalidated(&[ItemId::new(1), ItemId::new(u32::MAX)]));
+        let misses = [1, 69_999, 70_001, u32::MAX - 1].map(ItemId::new);
+        assert!(!r.any_invalidated(&misses));
+        assert!(r.any_stale(&[ItemId::new(u32::MAX)], Cycle::new(2)));
+        assert!(!r.any_stale(&[ItemId::new(u32::MAX)], Cycle::new(3)));
 
         let c = Cycle::new(3);
-        let aug = AugmentedReport::new(c, [(ItemId::new(1), TxnId::new(c, 0))]);
-        let dbg = format!("{aug:?}");
-        assert!(dbg.starts_with("AugmentedReport { cycle:"), "{dbg}");
-        assert!(!dbg.contains("item_bits"), "{dbg}");
-        assert_eq!(aug, aug.clone());
+        let aug = AugmentedReport::new(
+            c,
+            [0, 70_000, u32::MAX].map(|i| (ItemId::new(i), TxnId::new(c, 0))),
+        );
+        let readset = [5, 70_000, u32::MAX].map(ItemId::new);
+        let hits: Vec<ItemId> = aug.matches_in(&readset).map(|(x, _)| x).collect();
+        assert_eq!(hits, [70_000, u32::MAX].map(ItemId::new));
+        assert!(aug.matches_in(&misses).next().is_none());
     }
 
     #[test]

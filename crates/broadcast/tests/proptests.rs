@@ -4,6 +4,7 @@
 // (mirrors `allow-unwrap-in-tests` in clippy.toml and the `#[cfg(test)]`
 // carve-out in `cargo xtask lint`).
 #![allow(clippy::unwrap_used)]
+use proptest::collection::btree_set as set_of;
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -17,18 +18,16 @@ use bpush_types::{Cycle, ItemId, ItemValue, TxnId};
 /// Random database content: per item, a chain of version cycles
 /// (ascending), the last being current.
 fn contents() -> impl Strategy<Value = Vec<Vec<u64>>> {
-    proptest::collection::vec(proptest::collection::btree_set(1u64..12, 0..4), 1..24).prop_map(
-        |items| {
-            items
-                .into_iter()
-                .map(|set| {
-                    let mut v: Vec<u64> = vec![0];
-                    v.extend(set);
-                    v
-                })
-                .collect()
-        },
-    )
+    proptest::collection::vec(set_of(1u64..12, 0..4), 1..24).prop_map(|items| {
+        items
+            .into_iter()
+            .map(|set| {
+                let mut v: Vec<u64> = vec![0];
+                v.extend(set);
+                v
+            })
+            .collect()
+    })
 }
 
 fn value_at(version: u64) -> ItemValue {

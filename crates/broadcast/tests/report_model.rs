@@ -4,13 +4,20 @@
 //! must build the report a plain `BTreeMap` describes — same entries,
 //! same bucket collapse, same verdicts, same `Debug` rendering (model
 //! checker dedup keys hash it).
+//!
+//! The model is also the one oracle of the readset probes
+//! (`any_stale`, `any_invalidated`, `matches_in`), the galloping merges
+//! every client runs against every report. Report entries and readsets
+//! both reach into a far id range (`100_000..100_008`), so a gallop has
+//! to cross a gap of 100 000 ids in either sequence.
 
 // Integration tests are exempt from the panic-freedom policy
 // (mirrors `allow-unwrap-in-tests` in clippy.toml and the `#[cfg(test)]`
 // carve-out in `cargo xtask lint`).
 #![allow(clippy::unwrap_used)]
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
+use proptest::collection::btree_set as set_of;
 use proptest::prelude::*;
 
 use bpush_broadcast::{AugmentedReport, InvalidationReport};
@@ -60,6 +67,12 @@ fn routes<V: Copy>(
     vec![arbitrary.to_vec(), ascending, reversed, stuttered]
 }
 
+/// A sorted readset of near ids (`0..100`, beside the report's `0..96`)
+/// and far ids (`100_000..100_008`).
+fn readset_of(near: BTreeSet<u32>, far: BTreeSet<u32>) -> Vec<ItemId> {
+    near.into_iter().chain(far).map(ItemId::new).collect()
+}
+
 proptest! {
     #[test]
     fn try_with_dated_equals_the_ordered_map_model(
@@ -67,7 +80,8 @@ proptest! {
         far in proptest::collection::vec((100_000u32..100_008, 0u64..12), 0..3),
         items_per_bucket in 1u32..9,
         bucket in proptest::bool::ANY,
-        readset in proptest::collection::btree_set(0u32..100, 0..12),
+        near_reads in set_of(0u32..100, 0..12),
+        far_reads in set_of(100_000u32..100_008, 0..3),
     ) {
         let granularity = if bucket { Granularity::Bucket } else { Granularity::Item };
         let cycle = Cycle::new(12);
@@ -86,14 +100,7 @@ proptest! {
              items_per_bucket: {items_per_bucket}, items: {model_items:?}, \
              buckets: {model_buckets:?} }}"
         );
-        let readset: Vec<ItemId> = readset.into_iter().map(ItemId::new).collect();
-        // the readset's word-block form (`ReadSet::word_blocks`): ids
-        // below 128, so two words from base 0
-        let mut block = [0u64; 2];
-        for x in &readset {
-            block[(x.index() >> 6) as usize] |= 1u64 << (x.index() & 63);
-        }
-        let words = (!readset.is_empty()).then_some((0u32, block.as_slice()));
+        let readset = readset_of(near_reads, far_reads);
 
         for input in routes(&arbitrary, ascending) {
             let report =
@@ -108,22 +115,25 @@ proptest! {
                 model_buckets.clone()
             );
             prop_assert_eq!(format!("{report:?}"), rendering.clone());
-            // verdicts, `min_update` shortcut included: any state at or
-            // below the earliest date takes it, any later one must not
-            for state in (0..13).map(Cycle::new) {
-                let verdict = |x: ItemId| match granularity {
-                    Granularity::Item => model.items.get(&x),
-                    Granularity::Bucket => {
-                        model.buckets.get(&BucketId::new(x.index() / items_per_bucket))
-                    }
+            // the update date the model records for `x`'s entry
+            // (granularity-aware), if it has one
+            let date = |x: ItemId| match granularity {
+                Granularity::Item => model.items.get(&x),
+                Granularity::Bucket => {
+                    model.buckets.get(&BucketId::new(x.index() / items_per_bucket))
                 }
-                .is_some_and(|&u| u >= state);
+            };
+            prop_assert_eq!(
+                report.any_invalidated(&readset),
+                readset.iter().any(|&x| date(x).is_some())
+            );
+            for state in (0..13).map(Cycle::new) {
+                let verdict = |x: ItemId| date(x).is_some_and(|&u| u >= state);
                 for &x in &readset {
                     prop_assert_eq!(report.stale_at(x, state), verdict(x));
                 }
                 let any = readset.iter().any(|&x| verdict(x));
                 prop_assert_eq!(report.any_stale(&readset, state), any);
-                prop_assert_eq!(report.any_stale_set(&readset, words, state), any);
             }
         }
     }
@@ -131,11 +141,14 @@ proptest! {
     #[test]
     fn augmented_new_equals_the_ordered_map_model(
         raw in proptest::collection::vec((0u32..96, 0u32..8), 0..40),
-        readset in proptest::collection::btree_set(0u32..100, 0..12),
+        far in proptest::collection::vec((100_000u32..100_008, 0u32..8), 0..3),
+        near_reads in set_of(0u32..100, 0..12),
+        far_reads in set_of(100_000u32..100_008, 0..3),
     ) {
         let cycle = Cycle::new(7);
         let arbitrary: Vec<(ItemId, TxnId)> = raw
             .iter()
+            .chain(&far)
             .map(|&(x, seq)| (ItemId::new(x), TxnId::new(cycle, seq)))
             .collect();
         // map-collect semantics: the last entry of an item wins
@@ -144,7 +157,7 @@ proptest! {
         let model_entries = ascending.clone();
         let rendering =
             format!("AugmentedReport {{ cycle: {cycle:?}, first_writers: {model_entries:?} }}");
-        let readset: Vec<ItemId> = readset.into_iter().map(ItemId::new).collect();
+        let readset = readset_of(near_reads, far_reads);
         let matches: Vec<(ItemId, TxnId)> = readset
             .iter()
             .filter_map(|x| model.get(x).map(|&t| (*x, t)))

@@ -7,6 +7,7 @@
 // (mirrors `allow-unwrap-in-tests` in clippy.toml and the `#[cfg(test)]`
 // carve-out in `cargo xtask lint`).
 #![allow(clippy::unwrap_used)]
+use proptest::collection::btree_set as set_of;
 use proptest::prelude::*;
 
 use bpush_broadcast::wire::{
@@ -166,7 +167,7 @@ proptest! {
     #[test]
     fn diff_roundtrip(
         now in 16u64..100,
-        seqs in proptest::collection::btree_set(0u32..16, 0..8),
+        seqs in set_of(0u32..16, 0..8),
         raw_edges in proptest::collection::vec((1u32..16, 0u32..16, 0u32..16), 0..16),
     ) {
         let prev = Cycle::new(now - 1);
@@ -246,7 +247,7 @@ proptest! {
     #[test]
     fn truncated_diff_never_panics(
         now in 16u64..100,
-        seqs in proptest::collection::btree_set(0u32..16, 0..8),
+        seqs in set_of(0u32..16, 0..8),
         raw_edges in proptest::collection::vec((1u32..16, 0u32..16, 0u32..16), 0..16),
         cut in 0usize..4096,
     ) {
@@ -317,41 +318,51 @@ proptest! {
         }
     }
 
-    /// Differential roundtrip across the span cap: ids wide enough that
-    /// the report's dense bitmap degrades (`DENSE_SPAN_WORDS`). The
-    /// decoded report must give the word-parallel probes the same
-    /// verdicts as the original — whether either side kept its bitmap
-    /// or fell back to the galloping merge.
+    /// Differential roundtrip over a wide id span: a few ids a million
+    /// past the rest, in the reports and in the readset. The decoded
+    /// reports must answer the readset probes (`any_stale`,
+    /// `any_invalidated`, `matches_in`) exactly as the sent ones do.
     #[test]
-    fn span_cap_degrade_keeps_word_parallel_verdicts(
+    fn wide_id_span_keeps_probe_verdicts(
         cycle in 1u64..100,
         near in proptest::collection::vec(0u32..512, 0..16),
         far in proptest::collection::vec(1_000_000u32..1_002_000, 0..4),
+        near_reads in proptest::collection::vec(0u32..512, 0..8),
+        far_reads in proptest::collection::vec(1_000_000u32..1_002_000, 0..3),
     ) {
         let p = WireParams::derive(2_000_000, 1, 16, 16);
+        let now = Cycle::new(cycle);
         let items: Vec<ItemId> = near.iter().chain(far.iter()).map(|&i| ItemId::new(i)).collect();
-        let report = InvalidationReport::new(Cycle::new(cycle), 1, items.clone(), Granularity::Item, 4);
+        let report = InvalidationReport::new(now, 1, items.clone(), Granularity::Item, 4);
         let bytes = encode_invalidation(&report, p);
-        let decoded = decode_invalidation(&bytes, p, Cycle::new(cycle), 1, Granularity::Item, 4).unwrap();
+        let decoded = decode_invalidation(&bytes, p, now, 1, Granularity::Item, 4).unwrap();
         prop_assert_eq!(&decoded, &report);
-        // probe with a word block over the low id range
-        let mut words = vec![0u64; 8];
-        for &i in &near {
-            words[(i >> 6) as usize % 8] |= 1u64 << (i & 63);
-        }
-        let block = Some((0u32, words.as_slice()));
-        prop_assert_eq!(decoded.intersects_words(block), report.intersects_words(block));
+        let prev = now.prev();
+        let aug = AugmentedReport::new(
+            prev,
+            items.iter().map(|&x| (x, TxnId::new(prev, x.index() % 16))),
+        );
+        let bytes = encode_augmented(&aug, now, p);
+        let decoded_aug = decode_augmented(&bytes, p, now).unwrap();
+        prop_assert_eq!(&decoded_aug, &aug);
+
         let readset: Vec<ItemId> = {
-            let mut v: Vec<u32> = near.clone();
+            let mut v: Vec<u32> = near_reads.iter().chain(&far_reads).copied().collect();
             v.sort_unstable();
             v.dedup();
             v.into_iter().map(ItemId::new).collect()
         };
-        prop_assert_eq!(
-            decoded.any_invalidated_set(&readset, block),
-            report.any_invalidated_set(&readset, block)
-        );
         prop_assert_eq!(decoded.any_invalidated(&readset), report.any_invalidated(&readset));
+        for state in [Cycle::ZERO, prev, now] {
+            prop_assert_eq!(
+                decoded.any_stale(&readset, state),
+                report.any_stale(&readset, state)
+            );
+        }
+        prop_assert_eq!(
+            decoded_aug.matches_in(&readset).collect::<Vec<_>>(),
+            aug.matches_in(&readset).collect::<Vec<_>>()
+        );
     }
 
     /// Graph diffs with UNCONSTRAINED edge origins: `from` endpoints

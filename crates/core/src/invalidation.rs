@@ -2,12 +2,10 @@
 //! (§4.1, Theorem 4).
 
 use std::collections::BTreeMap;
-use std::fmt;
 
 use bpush_broadcast::ControlInfo;
 use bpush_types::{Cycle, ItemId, QueryId};
 
-use crate::batch::CohortScreen;
 use crate::protocol::{
     AbortReason, CacheMode, ReadCandidate, ReadConstraint, ReadDirective, ReadOnlyProtocol,
     ReadOutcome,
@@ -43,6 +41,7 @@ struct QState {
 /// window (§5.2.2) covers the gap; in versioned-cache mode a gap instead
 /// pins the query, which then proceeds from cache (the cache-based
 /// tolerance the paper describes).
+#[derive(Debug)]
 pub struct InvalidationOnly {
     versioned_cache: bool,
     /// Versioned mode only: permit pinned reads from the broadcast when
@@ -52,23 +51,6 @@ pub struct InvalidationOnly {
     broadcast_fallback: bool,
     queries: BTreeMap<QueryId, QState>,
     last_heard: Option<Cycle>,
-    /// Union bitmap over everything any active query has read: one
-    /// word-AND pass clears the whole cohort on report-disjoint cycles.
-    screen: CohortScreen,
-}
-
-/// Renders exactly like the pre-screen derived form: the screen is
-/// derived validation state, and protocol renderings feed mc state
-/// hashes, which must not change with the representation.
-impl fmt::Debug for InvalidationOnly {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("InvalidationOnly")
-            .field("versioned_cache", &self.versioned_cache)
-            .field("broadcast_fallback", &self.broadcast_fallback)
-            .field("queries", &self.queries)
-            .field("last_heard", &self.last_heard)
-            .finish()
-    }
 }
 
 impl InvalidationOnly {
@@ -79,7 +61,6 @@ impl InvalidationOnly {
             broadcast_fallback: true,
             queries: BTreeMap::new(),
             last_heard: None,
-            screen: CohortScreen::new(),
         }
     }
 
@@ -150,10 +131,6 @@ impl ReadOnlyProtocol for InvalidationOnly {
             None => true, // nothing read before we first tune in
             Some(h) => n.number() <= h.number().saturating_add(u64::from(report.window())),
         };
-        // Batch fast path: one word-AND pass of the cohort's union
-        // bitmap against the report settles every query at once on
-        // report-disjoint cycles — the overwhelmingly common outcome.
-        let cohort_clear = covered && self.screen.is_disjoint_from(report);
         for q in self.queries.values_mut() {
             if q.doomed.is_some() {
                 continue;
@@ -161,10 +138,6 @@ impl ReadOnlyProtocol for InvalidationOnly {
             if q.pinned.is_some() {
                 // Already pinned: the snapshot is fixed; reports (and
                 // gaps) no longer matter.
-                continue;
-            }
-            if cohort_clear {
-                q.verified_state = n;
                 continue;
             }
             if !covered {
@@ -177,11 +150,7 @@ impl ReadOnlyProtocol for InvalidationOnly {
                 }
                 continue;
             }
-            if report.any_stale_set(
-                q.readset.as_slice(),
-                q.readset.word_blocks(),
-                q.verified_state,
-            ) {
+            if report.any_stale(q.readset.as_slice(), q.verified_state) {
                 Self::mark_or_doom(q, self.versioned_cache);
             } else {
                 // Whole readset unchanged through the cycles this report
@@ -253,17 +222,11 @@ impl ReadOnlyProtocol for InvalidationOnly {
             return ReadOutcome::Rejected(reason);
         }
         qs.readset.insert(item);
-        self.screen.note_read(item);
         ReadOutcome::Accepted
     }
 
     fn finish_query(&mut self, q: QueryId) {
         self.queries.remove(&q);
-        if self.queries.is_empty() {
-            // Lingering bits of finished queries only cost fallbacks to
-            // the per-query probes; a drained cohort resets them.
-            self.screen.clear();
-        }
     }
 }
 

@@ -51,7 +51,6 @@
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod batch;
 pub mod conformance;
 pub mod instrument;
 mod invalidation;
@@ -63,7 +62,6 @@ mod readset;
 mod sgt;
 pub mod validator;
 
-pub use batch::CohortScreen;
 pub use invalidation::InvalidationOnly;
 pub use method::Method;
 pub use multiversion::MultiversionBroadcast;

@@ -34,9 +34,9 @@ struct MvState {
 /// missed cycles as long as the needed versions are still on air —
 /// a transaction of span `s` can miss up to `V − s` cycles (§5.2.2).
 ///
-/// Because `on_control` is a no-op by design, this is the one method the
-/// batched word-AND validation engine ([`crate::batch::CohortScreen`])
-/// does not apply to: there is no per-cycle report probe to screen.
+/// Its `on_control` is a no-op by design: unlike the other methods it
+/// never probes a report with its readsets
+/// ([`InvalidationReport::any_stale`](bpush_broadcast::InvalidationReport::any_stale)).
 #[derive(Debug, Default)]
 pub struct MultiversionBroadcast {
     queries: BTreeMap<QueryId, MvState>,

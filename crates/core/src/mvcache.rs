@@ -1,12 +1,10 @@
 //! The multiversion caching method (§4.2, Theorem 5).
 
 use std::collections::BTreeMap;
-use std::fmt;
 
 use bpush_broadcast::ControlInfo;
 use bpush_types::{Cycle, ItemId, QueryId};
 
-use crate::batch::CohortScreen;
 use crate::protocol::{
     AbortReason, CacheMode, ReadCandidate, ReadConstraint, ReadDirective, ReadOnlyProtocol,
     ReadOutcome,
@@ -40,26 +38,11 @@ struct McState {
 ///
 /// Unlike multiversion broadcast, the number of versions retained is a
 /// property of *each client's cache*, not of the server.
+#[derive(Debug)]
 pub struct MultiversionCaching {
     broadcast_fallback: bool,
     queries: BTreeMap<QueryId, McState>,
     last_heard: Option<Cycle>,
-    /// Union bitmap over everything any active query has read: one
-    /// word-AND pass clears the whole cohort on report-disjoint cycles.
-    screen: CohortScreen,
-}
-
-/// Renders exactly like the pre-screen derived form: the screen is
-/// derived validation state, and protocol renderings feed mc state
-/// hashes, which must not change with the representation.
-impl fmt::Debug for MultiversionCaching {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MultiversionCaching")
-            .field("broadcast_fallback", &self.broadcast_fallback)
-            .field("queries", &self.queries)
-            .field("last_heard", &self.last_heard)
-            .finish()
-    }
 }
 
 impl MultiversionCaching {
@@ -70,7 +53,6 @@ impl MultiversionCaching {
             broadcast_fallback: true,
             queries: BTreeMap::new(),
             last_heard: None,
-            screen: CohortScreen::new(),
         }
     }
 
@@ -111,15 +93,8 @@ impl ReadOnlyProtocol for MultiversionCaching {
             None => true,
             Some(h) => n.number() <= h.number().saturating_add(u64::from(report.window())),
         };
-        // Batch fast path: one word-AND pass of the cohort's union
-        // bitmap settles every query at once on report-disjoint cycles.
-        let cohort_clear = covered && self.screen.is_disjoint_from(report);
         for q in self.queries.values_mut() {
             if q.doomed.is_some() || q.pinned.is_some() {
-                continue;
-            }
-            if cohort_clear {
-                q.verified_state = n;
                 continue;
             }
             if !covered {
@@ -128,11 +103,7 @@ impl ReadOnlyProtocol for MultiversionCaching {
                 q.pinned = Some(q.verified_state);
                 continue;
             }
-            if report.any_stale_set(
-                q.readset.as_slice(),
-                q.readset.word_blocks(),
-                q.verified_state,
-            ) {
+            if report.any_stale(q.readset.as_slice(), q.verified_state) {
                 q.pinned = Some(q.verified_state);
             } else {
                 q.verified_state = n;
@@ -199,15 +170,11 @@ impl ReadOnlyProtocol for MultiversionCaching {
             return ReadOutcome::Rejected(reason);
         }
         qs.readset.insert(item);
-        self.screen.note_read(item);
         ReadOutcome::Accepted
     }
 
     fn finish_query(&mut self, q: QueryId) {
         self.queries.remove(&q);
-        if self.queries.is_empty() {
-            self.screen.clear();
-        }
     }
 }
 

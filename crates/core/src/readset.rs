@@ -6,17 +6,9 @@
 //! `Vec<ItemId>` makes that intersection a galloping merge over two
 //! contiguous arrays (`InvalidationReport::any_stale`,
 //! `AugmentedReport::matches_in` in `bpush-broadcast`) instead of one
-//! ordered-set probe per report entry.
-//!
-//! Alongside the sorted slice the set maintains a *dense word-block*
-//! form: one bit per item over the contiguous 64-bit-word range spanned
-//! by the items read so far. Reports carry the matching bitmap over
-//! their own item range, so the per-cycle membership probes collapse to
-//! a handful of word ANDs (`InvalidationReport::any_stale_set`) as long
-//! as the ids stay dense; a readset that spans more than
-//! [`ReadSet::MAX_SPAN_WORDS`] words permanently falls back to the
-//! galloping merge. Both forms always answer identically — the galloping
-//! path is kept as the differential oracle.
+//! ordered-set probe per report entry. The merge is the only probe: it
+//! is linear in the shorter side and logarithmic in the gaps, so a
+//! report disjoint from the readset costs a few gallops, not a scan.
 
 // bpush-lint: sans_io — protocol core: readsets are pure sorted-slice arithmetic, no clocks/threads/files/sockets
 use bpush_types::ItemId;
@@ -28,25 +20,12 @@ use bpush_types::ItemId;
 /// compared to the per-cycle report intersections; the `Vec` keeps the
 /// hot side contiguous and allocation-free. Iteration order is the item
 /// order — fully deterministic, like the `BTreeSet` it replaces.
-#[derive(Clone)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReadSet {
     items: Vec<ItemId>,
-    /// First 64-bit word of the dense block: bit `b` of `words[w]` is
-    /// item `(base_word + w) * 64 + b`. Maintained eagerly on insert.
-    base_word: u32,
-    words: Vec<u64>,
-    /// Cleared permanently once the item span exceeds
-    /// [`ReadSet::MAX_SPAN_WORDS`] words; a pure function of the final
-    /// item set (the span only grows), so insertion order never matters.
-    dense: bool,
 }
 
 impl ReadSet {
-    /// Widest id span (in 64-bit words) the dense word block covers:
-    /// 1024 words = 65,536 item ids, comfortably above every simulated
-    /// database while bounding worst-case memory for adversarial ids.
-    pub const MAX_SPAN_WORDS: usize = 1024;
-
     /// An empty readset.
     pub fn new() -> Self {
         ReadSet::default()
@@ -58,69 +37,8 @@ impl ReadSet {
             Ok(_) => false,
             Err(pos) => {
                 self.items.insert(pos, item);
-                self.note_word(item);
                 true
             }
-        }
-    }
-
-    /// Extends the dense word block to cover `item`, degrading to the
-    /// slice-only form when the span cap is exceeded.
-    fn note_word(&mut self, item: ItemId) {
-        if !self.dense {
-            return;
-        }
-        let w = item.index() >> 6;
-        let bit = 1u64 << (item.index() & 63);
-        if self.words.is_empty() {
-            self.base_word = w;
-            self.words.push(bit);
-            return;
-        }
-        if w < self.base_word {
-            let grow = (self.base_word - w) as usize;
-            if grow + self.words.len() > Self::MAX_SPAN_WORDS {
-                self.degrade();
-                return;
-            }
-            // prepend `grow` zero words
-            let old_len = self.words.len();
-            self.words.resize(old_len + grow, 0);
-            self.words.rotate_right(grow);
-            self.base_word = w;
-        } else {
-            let off = (w - self.base_word) as usize;
-            if off >= Self::MAX_SPAN_WORDS {
-                self.degrade();
-                return;
-            }
-            if off >= self.words.len() {
-                self.words.resize(off + 1, 0);
-            }
-        }
-        let off = (w - self.base_word) as usize;
-        if let Some(slot) = self.words.get_mut(off) {
-            *slot |= bit;
-        }
-    }
-
-    fn degrade(&mut self) {
-        self.dense = false;
-        self.base_word = 0;
-        self.words = Vec::new();
-    }
-
-    /// The dense word-block form, when the items read so far span at most
-    /// [`ReadSet::MAX_SPAN_WORDS`] words: `(base_word, words)` with bit
-    /// `b` of `words[w]` standing for item `(base_word + w) * 64 + b`.
-    /// `None` once the set has degraded to the slice-only form — callers
-    /// then fall back to the galloping probes.
-    // bpush-lint: hot_path — per-cycle accessor feeding the word-AND report probes
-    pub fn word_blocks(&self) -> Option<(u32, &[u64])> {
-        if self.dense && !self.words.is_empty() {
-            Some((self.base_word, self.words.as_slice()))
-        } else {
-            None
         }
     }
 
@@ -150,38 +68,6 @@ impl ReadSet {
         self.items.iter().copied()
     }
 }
-
-impl Default for ReadSet {
-    fn default() -> Self {
-        ReadSet {
-            items: Vec::new(),
-            base_word: 0,
-            words: Vec::new(),
-            dense: true,
-        }
-    }
-}
-
-/// Renders exactly like the pre-word-block derived form (`ReadSet {
-/// items: [...] }`): the word block is a cached projection of `items`,
-/// and protocol state snapshots (mc state hashes) must not change with
-/// the representation.
-impl std::fmt::Debug for ReadSet {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReadSet")
-            .field("items", &self.items)
-            .finish()
-    }
-}
-
-/// Equality is on the item set alone; the word block is derived state.
-impl PartialEq for ReadSet {
-    fn eq(&self, other: &Self) -> bool {
-        self.items == other.items
-    }
-}
-
-impl Eq for ReadSet {}
 
 impl FromIterator<ItemId> for ReadSet {
     fn from_iter<I: IntoIterator<Item = ItemId>>(iter: I) -> Self {
@@ -217,7 +103,6 @@ mod tests {
     fn empty_and_from_iter() {
         let s = ReadSet::new();
         assert!(s.is_empty());
-        assert!(s.word_blocks().is_none(), "no words before the first read");
         let s: ReadSet = [ItemId::new(9), ItemId::new(9), ItemId::new(0)]
             .into_iter()
             .collect();
@@ -227,81 +112,23 @@ mod tests {
         );
     }
 
-    fn bit_set(blocks: (u32, &[u64]), id: u32) -> bool {
-        let (base, words) = blocks;
-        let w = id >> 6;
-        w >= base
-            && words
-                .get((w - base) as usize)
-                .is_some_and(|word| word & (1u64 << (id & 63)) != 0)
-    }
-
+    /// Protocol renderings — mc state hashes, trace snapshots — embed a
+    /// readset's `Debug` text, so it is pinned here; equality is on the
+    /// item set, whatever order the reads arrived in.
     #[test]
-    fn word_blocks_mirror_membership() {
-        let ids = [5u32, 64, 63, 700, 66, 5];
-        let s: ReadSet = ids.iter().copied().map(ItemId::new).collect();
-        let blocks = s.word_blocks().expect("span is narrow, stays dense");
-        for id in 0..800 {
-            assert_eq!(
-                bit_set(blocks, id),
-                s.contains(ItemId::new(id)),
-                "bit for item {id}"
-            );
-        }
-        assert_eq!(blocks.0, 0, "base word follows the smallest item");
-    }
-
-    #[test]
-    fn word_blocks_grow_downward() {
-        let mut s = ReadSet::new();
-        s.insert(ItemId::new(10_000));
-        s.insert(ItemId::new(9_000));
-        let blocks = s.word_blocks().expect("dense");
-        assert_eq!(blocks.0, 9_000 >> 6);
-        assert!(bit_set(blocks, 10_000));
-        assert!(bit_set(blocks, 9_000));
-        assert!(!bit_set(blocks, 9_001));
-    }
-
-    #[test]
-    fn wide_span_degrades_to_slice_only() {
-        let mut s = ReadSet::new();
-        s.insert(ItemId::new(0));
-        s.insert(ItemId::new(u32::MAX));
-        assert!(s.word_blocks().is_none(), "span above the cap degrades");
-        // behavior (membership) is unaffected
-        assert!(s.contains(ItemId::new(0)));
-        assert!(s.contains(ItemId::new(u32::MAX)));
-        // and the degrade is permanent: later narrow inserts stay slice-only
-        s.insert(ItemId::new(1));
-        assert!(s.word_blocks().is_none());
-    }
-
-    #[test]
-    fn degrade_is_insertion_order_independent() {
-        let wide = [0u32, 70_000, 3];
-        let mut fwd = ReadSet::new();
-        for &i in &wide {
-            fwd.insert(ItemId::new(i));
-        }
-        let mut rev = ReadSet::new();
-        for &i in wide.iter().rev() {
-            rev.insert(ItemId::new(i));
-        }
-        assert_eq!(fwd, rev);
-        assert_eq!(fwd.word_blocks().is_none(), rev.word_blocks().is_none());
-    }
-
-    #[test]
-    fn debug_and_eq_ignore_the_word_block() {
-        let a: ReadSet = [ItemId::new(1), ItemId::new(9)].into_iter().collect();
+    fn debug_text_and_insertion_order_equality() {
+        let a: ReadSet = [ItemId::new(1), ItemId::new(70_000), ItemId::new(9)]
+            .into_iter()
+            .collect();
         let mut b = ReadSet::new();
-        b.insert(ItemId::new(9));
-        b.insert(ItemId::new(1));
+        for i in [9, 70_000, 1, 9] {
+            b.insert(ItemId::new(i));
+        }
         assert_eq!(a, b);
-        // the rendering protocol snapshots hash must not mention words
-        let dbg = format!("{a:?}");
-        assert!(dbg.starts_with("ReadSet { items: ["), "{dbg}");
-        assert!(!dbg.contains("words"), "{dbg}");
+        assert_eq!(
+            format!("{a:?}"),
+            "ReadSet { items: [ItemId(1), ItemId(9), ItemId(70000)] }"
+        );
+        assert_ne!(a, [ItemId::new(1)].into_iter().collect());
     }
 }

@@ -1,13 +1,11 @@
 //! Serialization-graph testing at the client (§3.3).
 
 use std::collections::BTreeMap;
-use std::fmt;
 
 use bpush_broadcast::ControlInfo;
 use bpush_sgraph::{Node, SerializationGraph};
 use bpush_types::{Cycle, ItemId, QueryId};
 
-use crate::batch::CohortScreen;
 use crate::protocol::{
     AbortReason, CacheMode, ReadCandidate, ReadConstraint, ReadDirective, ReadOnlyProtocol,
     ReadOutcome,
@@ -54,29 +52,12 @@ struct SgtState {
 /// execution of a *subset* of the transactions committed during their
 /// lifetime — between the invalidation-only method's most-current view
 /// and the multiversion method's oldest view (Table 1).
+#[derive(Debug)]
 pub struct Sgt {
     config: SgtConfig,
     graph: SerializationGraph,
     queries: BTreeMap<QueryId, SgtState>,
     last_heard: Option<Cycle>,
-    /// Union bitmap over everything any active query has read: one
-    /// word-AND pass skips the per-query report loops on
-    /// report-disjoint cycles.
-    screen: CohortScreen,
-}
-
-/// Renders exactly like the pre-screen derived form: the screen is
-/// derived validation state, and protocol renderings feed mc state
-/// hashes, which must not change with the representation.
-impl fmt::Debug for Sgt {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Sgt")
-            .field("config", &self.config)
-            .field("graph", &self.graph)
-            .field("queries", &self.queries)
-            .field("last_heard", &self.last_heard)
-            .finish()
-    }
 }
 
 impl Sgt {
@@ -87,7 +68,6 @@ impl Sgt {
             graph: SerializationGraph::new(),
             queries: BTreeMap::new(),
             last_heard: None,
-            screen: CohortScreen::new(),
         }
     }
 
@@ -109,35 +89,23 @@ impl Sgt {
     /// windowed invalidation lists have no first-writer entry and were
     /// processed when first announced).
     fn match_report(&mut self, ctrl: &ControlInfo) {
-        // Batch fast path: when the cohort's union bitmap is disjoint
-        // from the report, no query can match and the per-query loops
-        // are skipped wholesale.
         if let Some(aug) = ctrl.augmented() {
-            if !self.screen.is_disjoint_from_augmented(aug) {
-                for (q, qs) in self.queries.iter_mut() {
-                    if qs.doomed.is_some() {
-                        continue;
-                    }
-                    for (_, t_f) in
-                        aug.matches_in_set(qs.readset.as_slice(), qs.readset.word_blocks())
-                    {
-                        self.graph.add_edge(Node::Query(*q), Node::Txn(t_f));
-                        let co = qs.c_o.get_or_insert(t_f.cycle());
-                        *co = (*co).min(t_f.cycle());
-                    }
+            for (q, qs) in self.queries.iter_mut() {
+                if qs.doomed.is_some() {
+                    continue;
+                }
+                for (_, t_f) in aug.matches_in(qs.readset.as_slice()) {
+                    self.graph.add_edge(Node::Query(*q), Node::Txn(t_f));
+                    let co = qs.c_o.get_or_insert(t_f.cycle());
+                    *co = (*co).min(t_f.cycle());
                 }
             }
-        } else if !ctrl.invalidation().is_empty()
-            && !self.screen.is_disjoint_from(ctrl.invalidation())
-        {
+        } else {
             // The server is not broadcasting SGT information; without
             // first-writer data, invalidated queries cannot be certified.
+            let report = ctrl.invalidation();
             for qs in self.queries.values_mut() {
-                if qs.doomed.is_none()
-                    && ctrl
-                        .invalidation()
-                        .any_invalidated_set(qs.readset.as_slice(), qs.readset.word_blocks())
-                {
+                if qs.doomed.is_none() && report.any_invalidated(qs.readset.as_slice()) {
                     qs.doomed = Some(AbortReason::Invalidated);
                 }
             }
@@ -289,7 +257,6 @@ impl ReadOnlyProtocol for Sgt {
             None => {
                 // Initial-load value: no writer, no edge, always safe.
                 qs.readset.insert(item);
-                self.screen.note_read(item);
                 ReadOutcome::Accepted
             }
             Some(t_l) => {
@@ -300,7 +267,6 @@ impl ReadOnlyProtocol for Sgt {
                 } else {
                     self.graph.add_edge(Node::Txn(t_l), Node::Query(q));
                     qs.readset.insert(item);
-                    self.screen.note_read(item);
                     ReadOutcome::Accepted
                 }
             }
@@ -311,9 +277,6 @@ impl ReadOnlyProtocol for Sgt {
         self.queries.remove(&q);
         self.graph.remove_query(q);
         self.prune();
-        if self.queries.is_empty() {
-            self.screen.clear();
-        }
     }
 
     fn space_metrics(&self) -> Option<(usize, usize)> {

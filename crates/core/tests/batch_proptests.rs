@@ -1,15 +1,11 @@
-//! Differential property tests for the PR-8 batch validation engine.
-//!
-//! Two layers, each pinned against its PR-3 per-query counterpart:
-//!
-//! * [`bpush_core::batch::stale_verdicts`] — the cohort-screened batch
-//!   probe must return exactly the per-readset `any_stale` verdicts,
-//!   even when the screen carries lingering bits of finished queries.
-//! * The protocols themselves — a cohort of queries validated together
-//!   inside one protocol instance (sharing its [`CohortScreen`] fast
-//!   path) must produce the same directives, outcomes, and
-//!   [`AbortReason`] counters as the same queries driven one-per-
-//!   instance, where the batch screen degenerates to a single query.
+//! Differential property test for cohort validation: a cohort of
+//! queries validated together inside one protocol instance (one
+//! `on_control` pass over every active readset, one shared
+//! `last_heard`, and for SGT one shared graph) must produce the same
+//! directives, outcomes, and [`AbortReason`](bpush_core::AbortReason)
+//! counters as the same queries driven one per instance. Every variant
+//! of the three report-probing methods is covered, SGT both with and
+//! without augmented reports.
 
 // Integration tests are exempt from the panic-freedom policy
 // (mirrors `allow-unwrap-in-tests` in clippy.toml and the `#[cfg(test)]`
@@ -20,10 +16,9 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 
 use bpush_broadcast::{AugmentedReport, ControlInfo, InvalidationReport};
-use bpush_core::batch::stale_verdicts;
 use bpush_core::{
-    CohortScreen, InvalidationOnly, MultiversionCaching, ReadCandidate, ReadDirective,
-    ReadOnlyProtocol, ReadOutcome, ReadSet, Sgt, SgtConfig, Source,
+    InvalidationOnly, MultiversionCaching, ReadCandidate, ReadDirective, ReadOnlyProtocol,
+    ReadOutcome, Sgt, SgtConfig, Source,
 };
 use bpush_types::{Cycle, Granularity, ItemId, ItemValue, QueryId, TxnId};
 
@@ -197,54 +192,9 @@ fn drive(
 }
 
 proptest! {
-    /// The batch `stale_verdicts` pass returns exactly the per-readset
-    /// galloping `any_stale` verdicts — including under a screen that
-    /// carries lingering bits of already-finished queries.
-    #[test]
-    fn batch_stale_verdicts_agree_with_per_query(
-        sets in proptest::collection::vec(
-            (proptest::collection::btree_set(0u32..200, 0..8), 0u64..8),
-            1..6,
-        ),
-        lingering in proptest::collection::btree_set(0u32..200, 0..8),
-        report_items in proptest::collection::vec((0u32..200, 1u64..8), 0..10),
-    ) {
-        let readsets: Vec<(ReadSet, Cycle)> = sets
-            .into_iter()
-            .map(|(s, c)| (s.into_iter().map(ItemId::new).collect(), Cycle::new(c)))
-            .collect();
-        let report = InvalidationReport::with_dated(
-            Cycle::new(8),
-            1,
-            report_items.into_iter().map(|(x, c)| (ItemId::new(x), Cycle::new(c))),
-            Granularity::Item,
-            1,
-        );
-        // the screen is the union of the live cohort plus bits of a
-        // finished query that have not been cleared yet
-        let stale: ReadSet = lingering.into_iter().map(ItemId::new).collect();
-        let mut screen = CohortScreen::for_readsets(
-            readsets.iter().map(|(rs, _)| rs).chain([&stale]),
-        );
-        let cohort: Vec<(&ReadSet, Cycle)> =
-            readsets.iter().map(|(rs, c)| (rs, *c)).collect();
-        let mut out = Vec::new();
-        stale_verdicts(&report, &screen, &cohort, &mut out);
-        let oracle: Vec<bool> = cohort
-            .iter()
-            .map(|(rs, state)| report.any_stale(rs.as_slice(), *state))
-            .collect();
-        prop_assert_eq!(&out, &oracle);
-        // and with an empty screen over an empty cohort
-        screen.clear();
-        stale_verdicts(&report, &screen, &[], &mut out);
-        prop_assert!(out.is_empty());
-    }
-
-    /// Driving a cohort of queries through one protocol instance (the
-    /// batch screen active across the cohort) observes exactly the same
-    /// directives, outcomes, and abort-reason counters as driving each
-    /// query in its own instance.
+    /// Driving a cohort of queries through one protocol instance
+    /// observes exactly the same directives, outcomes, and abort-reason
+    /// counters as driving each query in its own instance.
     #[test]
     fn cohort_validation_matches_isolated_queries(s in script()) {
         let methods: Vec<MethodCase> = vec![
@@ -252,8 +202,19 @@ proptest! {
             ("inv-versioned", false, Box::new(|| {
                 Box::new(InvalidationOnly::with_versioned_cache()) as _
             })),
+            ("inv-strict-versioned", false, Box::new(|| {
+                Box::new(InvalidationOnly::with_strict_versioned_cache()) as _
+            })),
             ("mv-caching", false, Box::new(|| Box::new(MultiversionCaching::new()) as _)),
+            ("mv-caching-strict", false, Box::new(|| {
+                Box::new(MultiversionCaching::strict()) as _
+            })),
             ("sgt", true, Box::new(|| Box::new(Sgt::new(SgtConfig::default())) as _)),
+            // a server that airs no SGT information: the invalidation
+            // report alone dooms every query it names
+            ("sgt-without-augmented", false, Box::new(|| {
+                Box::new(Sgt::new(SgtConfig::default())) as _
+            })),
         ];
         for (name, augmented, factory) in &methods {
             let (cohort_logs, cohort_reasons) = drive(factory, &s, *augmented, true);

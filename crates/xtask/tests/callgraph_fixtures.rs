@@ -295,15 +295,6 @@ fn hot_path_set_covers_the_pr3_hot_functions() {
         "broadcast::take_u32_width",
         "broadcast::take_opt_txn",
         "broadcast::pop",
-        // PR-8 word-parallel report membership + batched cohort screens.
-        "broadcast::intersects",
-        "broadcast::intersects_words",
-        "broadcast::any_stale_set",
-        "broadcast::any_invalidated_set",
-        "broadcast::matches_in_set",
-        "core::word_blocks",
-        "core::is_disjoint_from",
-        "core::is_disjoint_from_augmented",
         // PR-10 monitor feed: every simulation event funnels through here.
         "obs::on_event",
         // Per-read `Bcast` lookups over the dense record / CSR layout.
