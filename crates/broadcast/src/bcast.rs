@@ -1,7 +1,6 @@
 //! A fully assembled broadcast program for one cycle.
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 use bpush_types::{Cycle, ItemId, ItemValue};
@@ -10,6 +9,7 @@ use crate::bucket::{BucketHeader, ItemRecord};
 use crate::control::ControlInfo;
 use crate::directory::Directory;
 use crate::feed::encode_control_segment;
+use crate::organization::OldVersions;
 use crate::wire::WireParams;
 
 /// The current-version records of a broadcast set, sorted by item with
@@ -212,7 +212,7 @@ pub struct Bcast {
     occurrences: Arc<Occurrences>,
     /// Old versions per item, most recent first, with the slot carrying
     /// each (§3.2). Empty outside multiversion organizations.
-    old_versions: BTreeMap<ItemId, Vec<(u64, ItemValue)>>,
+    old_versions: OldVersions,
     /// The on-air directory, present only when positions shift per cycle
     /// (clustered multiversion organization).
     directory: Option<Directory>,
@@ -233,7 +233,7 @@ impl Bcast {
         overflow_slots: u64,
         occurrences: Arc<Occurrences>,
         records: RecordColumn,
-        old_versions: BTreeMap<ItemId, Vec<(u64, ItemValue)>>,
+        old_versions: OldVersions,
         directory: Option<Directory>,
     ) -> Self {
         assert_eq!(occurrences.rows(), records.len(), "one row per record");
@@ -256,7 +256,7 @@ impl Bcast {
             "current versions live in the data segment"
         );
         debug_assert!(
-            old_versions.values().flatten().all(|&(s, _)| s < total),
+            old_versions.entries.iter().all(|&(s, _)| s < total),
             "old versions must fit the bcast"
         );
         Bcast {
@@ -378,7 +378,7 @@ impl Bcast {
     /// slot that carries it.
     // bpush-lint: hot_path — per-read old-version lookup of the multiversion methods
     pub fn old_versions_of(&self, item: ItemId) -> &[(u64, ItemValue)] {
-        self.old_versions.get(&item).map_or(&[], Vec::as_slice)
+        self.old_versions.chain_of(item)
     }
 
     /// The multiversion read rule of §3.2: the value of `item` with the
@@ -444,12 +444,7 @@ mod tests {
         let records: Vec<ItemRecord> = (0..8)
             .map(|i| ItemRecord::new(ItemId::new(i), ItemValue::initial(), None))
             .collect();
-        Flat::new(1).assemble(
-            Cycle::ZERO,
-            ControlInfo::empty(Cycle::ZERO),
-            records,
-            Vec::new(),
-        )
+        Flat::new(1).assemble(Cycle::ZERO, ControlInfo::empty(Cycle::ZERO), records)
     }
 
     #[test]
@@ -484,10 +479,8 @@ mod tests {
             None,
         )];
         records.push(ItemRecord::new(ItemId::new(1), ItemValue::initial(), None));
-        let old = vec![(
-            ItemId::new(0),
-            vec![ItemValue::initial()], // version 0
-        )];
+        let mut old = OldVersions::default();
+        old.add_chain(ItemId::new(0), [ItemValue::initial()]); // version 0
         let b = crate::organization::MultiversionOverflow::new(1).assemble(
             Cycle::new(5),
             ControlInfo::empty(Cycle::new(5)),
@@ -534,7 +527,7 @@ mod tests {
         let records: Vec<ItemRecord> = (0..8)
             .map(|i| ItemRecord::new(ItemId::new(i), ItemValue::initial(), None))
             .collect();
-        let b = Flat::new(1).assemble(c, ctrl, records, Vec::new());
+        let b = Flat::new(1).assemble(c, ctrl, records);
 
         let narrow = WireParams::derive(8, 1, 4, 1);
         let wide = WireParams::derive(1 << 20, 9, 300, 40);

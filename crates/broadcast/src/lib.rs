@@ -34,12 +34,7 @@
 //! let records: Vec<ItemRecord> = (0..10)
 //!     .map(|i| ItemRecord::new(ItemId::new(i), ItemValue::initial(), None))
 //!     .collect();
-//! let bcast = Flat::new(1).assemble(
-//!     Cycle::ZERO,
-//!     ControlInfo::empty(Cycle::ZERO),
-//!     records,
-//!     Vec::new(),
-//! );
+//! let bcast = Flat::new(1).assemble(Cycle::ZERO, ControlInfo::empty(Cycle::ZERO), records);
 //! assert_eq!(bcast.data_slots(), 10);
 //! let slot = bcast.slot_of_current(ItemId::new(3)).expect("item on air");
 //! assert!(slot >= bcast.control_slots());

@@ -24,9 +24,10 @@
 //! many cycles — the server keeps its own for the run — hands every bcast
 //! the same rows and only shifts them, in place, when the control segment
 //! changes length. Clustered multiversion lays its rows out every cycle.
+//! The multiversion two also take the old versions as one [`OldVersions`]
+//! column, write each entry's slot into it in place and store it as is.
 
 use std::cell::Cell;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -37,8 +38,74 @@ use crate::control::ControlInfo;
 use crate::directory::Directory;
 use crate::size_model::SizeParams;
 
-/// Old versions of one item, most recent first.
-pub type OldVersions = (ItemId, Vec<ItemValue>);
+/// The old versions of a bcast as one flat column: items strictly
+/// ascending, chain `i` (most recent first) the entries from `start[i]`
+/// to the next chain's start, each with the slot that airs it once an
+/// organization has laid it out. [`OldVersions::add_chain`] appends
+/// unchecked; the multiversion organizations check the column (see
+/// [`MultiversionOverflow::assemble`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct OldVersions {
+    items: Vec<ItemId>,
+    start: Vec<u32>,
+    pub(crate) entries: Vec<(u64, ItemValue)>,
+}
+
+impl OldVersions {
+    /// An empty column with room for `chains` chains of `entries` in all.
+    pub fn with_capacity(chains: usize, entries: usize) -> Self {
+        OldVersions {
+            items: Vec::with_capacity(chains),
+            start: Vec::with_capacity(chains),
+            entries: Vec::with_capacity(entries),
+        }
+    }
+
+    /// Appends `item`'s chain, most recent first; an empty one adds nothing.
+    pub fn add_chain(&mut self, item: ItemId, chain: impl IntoIterator<Item = ItemValue>) {
+        let first = self.entries.len();
+        self.entries
+            .extend(chain.into_iter().map(|value| (0, value)));
+        if self.entries.len() > first {
+            self.items.push(item);
+            // past 2^32 entries the pointers saturate, as the rows do
+            self.start.push(u32::try_from(first).unwrap_or(u32::MAX));
+        }
+    }
+
+    /// Chain `i`, or `None` past the last chain.
+    fn chain_at(&self, i: usize) -> Option<&[(u64, ItemValue)]> {
+        let lo = *self.start.get(i)? as usize;
+        let next = self.start.get(i.checked_add(1)?);
+        self.entries
+            .get(lo..next.map_or(self.entries.len(), |&hi| hi as usize))
+    }
+
+    /// The chain of `item`: empty when it has no old version.
+    pub(crate) fn chain_of(&self, item: ItemId) -> &[(u64, ItemValue)] {
+        let at = self.items.binary_search(&item).ok();
+        at.and_then(|i| self.chain_at(i)).unwrap_or(&[])
+    }
+
+    /// Checks the column against the records it is laid out with.
+    ///
+    /// # Panics
+    /// Panics unless the items are strictly ascending and on `records`
+    /// and every chain is strictly most recent first.
+    fn check_against(&self, records: &RecordColumn) {
+        let sorted = self.items.windows(2).all(|w| matches!(w, [a, b] if a < b));
+        assert!(sorted, "old versions must be sorted by item id");
+        for (i, &item) in self.items.iter().enumerate() {
+            let on_air = records.position(item).is_some();
+            assert!(on_air, "{item} has old versions but is not on air");
+            let chain = self.chain_at(i).unwrap_or(&[]);
+            let newest_first = chain
+                .windows(2)
+                .all(|w| matches!(w, [(_, a), (_, b)] if a.version() > b.version()));
+            assert!(newest_first, "old-version chains must run newest first");
+        }
+    }
+}
 
 /// CSR row starts (see [`Bcast`]) of a layout airing each of `records`
 /// records exactly once: row `i` is occurrence slot `i`.
@@ -136,23 +203,16 @@ impl Flat {
     }
 
     /// Assembles the bcast for `cycle`. `records` must be sorted by item
-    /// id (fixed positions depend on it); `old_versions` must be empty —
-    /// the flat organization carries no old versions.
+    /// id (fixed positions depend on it).
     ///
     /// # Panics
-    /// Panics if `records` is a `Vec` not sorted by item id, or if old
-    /// versions are supplied.
+    /// Panics if `records` is a `Vec` not sorted by item id.
     pub fn assemble(
         &self,
         cycle: Cycle,
         control: ControlInfo,
         records: impl Into<RecordColumn>,
-        old_versions: Vec<OldVersions>,
     ) -> Bcast {
-        assert!(
-            old_versions.is_empty(),
-            "flat organization cannot carry old versions"
-        );
         let records = records.into();
         let control_slots = control.slots(self.sizes.bucket, self.sizes.key, self.sizes.tid);
         let ipb = u64::from(self.items_per_bucket);
@@ -168,7 +228,7 @@ impl Flat {
             0,
             rows,
             records,
-            BTreeMap::new(),
+            OldVersions::default(),
             None,
         )
     }
@@ -243,23 +303,16 @@ impl IndexedFlat {
     }
 
     /// Assembles the bcast: control, then `m` repetitions of
-    /// (index copy, data chunk). `records` must be sorted by item id;
-    /// old versions are not supported.
+    /// (index copy, data chunk). `records` must be sorted by item id.
     ///
     /// # Panics
-    /// Panics if `records` is an unsorted `Vec` or old versions are
-    /// supplied.
+    /// Panics if `records` is an unsorted `Vec`.
     pub fn assemble(
         &self,
         cycle: Cycle,
         control: ControlInfo,
         records: impl Into<RecordColumn>,
-        old_versions: Vec<OldVersions>,
     ) -> Bcast {
-        assert!(
-            old_versions.is_empty(),
-            "indexed flat organization cannot carry old versions"
-        );
         let records = records.into();
         let control_slots = control.slots(self.sizes.bucket, self.sizes.key, self.sizes.tid);
         let n = records.len();
@@ -281,7 +334,7 @@ impl IndexedFlat {
             0,
             rows,
             records,
-            BTreeMap::new(),
+            OldVersions::default(),
             None,
         )
         .with_index_slots(index_slots)
@@ -320,23 +373,25 @@ impl MultiversionOverflow {
     }
 
     /// Assembles the bcast: fixed-position data segment followed by
-    /// overflow buckets holding `old_versions` (each inner vector most
-    /// recent first), chain after chain in the order given. The records
-    /// of items with old versions gain overflow pointers; no other record
-    /// is touched, so a caller reusing a column clears last cycle's
-    /// pointers itself.
+    /// overflow buckets holding `old_versions`, in item order. The
+    /// records of items with old versions gain overflow pointers; no
+    /// other record is touched, so a caller reusing a column clears last
+    /// cycle's pointers itself.
     ///
     /// # Panics
-    /// Panics if `records` is a `Vec` not sorted by item id or an
-    /// old-version chain is not in reverse chronological order.
+    /// Panics if `records` is a `Vec` not sorted by item id, or if
+    /// `old_versions` has items out of order or twice, a chain for an item
+    /// not on `records` or a chain not strictly newest first; so does
+    /// [`MultiversionClustered::assemble`].
     pub fn assemble(
         &self,
         cycle: Cycle,
         control: ControlInfo,
         records: impl Into<RecordColumn>,
-        old_versions: Vec<OldVersions>,
+        mut old_versions: OldVersions,
     ) -> Bcast {
         let mut records = records.into();
+        old_versions.check_against(&records);
         let control_slots = control.slots(self.sizes.bucket, self.sizes.key, self.sizes.tid);
         let ipb = u64::from(self.items_per_bucket);
         let n = records.len();
@@ -345,28 +400,11 @@ impl MultiversionOverflow {
 
         // Lay out the overflow area, then point every record with old
         // versions at its chain's first entry.
-        let mut old_map: BTreeMap<ItemId, Vec<(u64, ItemValue)>> = BTreeMap::new();
-        let mut next_entry = 0u64;
-        for (item, versions) in &old_versions {
-            assert!(
-                versions.windows(2).all(|w| w[0].version() > w[1].version()),
-                "old versions must be in reverse chronological order"
-            );
-            if versions.is_empty() {
-                continue;
-            }
-            let chain = old_map.entry(*item).or_default();
-            for v in versions {
-                chain.push((overflow_start + next_entry / ipb, *v));
-                next_entry += 1;
-            }
+        for (k, (slot, _)) in (0u64..).zip(&mut old_versions.entries) {
+            *slot = overflow_start + k / ipb;
         }
-        let chains = old_versions.iter().filter(|(_, vs)| !vs.is_empty());
-        records.set_overflow_ptrs(chains.scan(0u64, |next, (item, vs)| {
-            let first = *next;
-            *next += vs.len() as u64;
-            Some((*item, first))
-        }));
+        let ptrs = old_versions.items.iter().zip(&old_versions.start);
+        records.set_overflow_ptrs(ptrs.map(|(&item, &first)| (item, u64::from(first))));
         let rows = self
             .rows
             .rows(n, control_slots, |base| packed(n, ipb, base));
@@ -375,10 +413,10 @@ impl MultiversionOverflow {
             control,
             control_slots,
             data_slots,
-            next_entry.div_ceil(ipb),
+            (old_versions.entries.len() as u64).div_ceil(ipb),
             rows,
             records,
-            old_map,
+            old_versions,
             None,
         )
     }
@@ -415,39 +453,40 @@ impl MultiversionClustered {
     /// to the control segment.
     ///
     /// # Panics
-    /// Panics if `records` is a `Vec` not sorted by item id or an
-    /// old-version chain is out of order.
+    /// Panics on the input [`MultiversionOverflow::assemble`] panics on.
     pub fn assemble(
         &self,
         cycle: Cycle,
         control: ControlInfo,
         records: impl Into<RecordColumn>,
-        old_versions: Vec<OldVersions>,
+        mut old_versions: OldVersions,
     ) -> Bcast {
         let records = records.into();
-        let old_by_item: BTreeMap<ItemId, &Vec<ItemValue>> =
-            old_versions.iter().map(|(x, vs)| (*x, vs)).collect();
-        for vs in old_by_item.values() {
-            assert!(
-                vs.windows(2).all(|w| w[0].version() > w[1].version()),
-                "old versions must be in reverse chronological order"
-            );
-        }
+        old_versions.check_against(&records);
 
         // Positions relative to the start of the data segment first: where
-        // that starts depends on the directory these positions fill.
+        // that starts depends on the directory these positions fill. One
+        // walk pairs the records with the chains, both in item order.
         let mut rel = 0u64;
         let mut dir_entries = Vec::with_capacity(records.len());
-        let mut old_map: BTreeMap<ItemId, Vec<(u64, ItemValue)>> = BTreeMap::new();
         let mut occ_slots = Vec::with_capacity(records.len());
+        let mut chains = old_versions
+            .items
+            .iter()
+            .zip(&old_versions.start)
+            .peekable();
+        let mut old_slots = old_versions.entries.iter_mut().map(|(slot, _)| slot);
         for rec in records.as_slice() {
             dir_entries.push((rec.item(), rel));
             occ_slots.push(rel);
             rel += 1;
-            if let Some(vs) = old_by_item.get(&rec.item()) {
-                let chain = old_map.entry(rec.item()).or_default();
-                for v in vs.iter() {
-                    chain.push((rel, *v));
+            if let Some((_, &first)) = chains.next_if(|&(&item, _)| item == rec.item()) {
+                // the last chain runs to the end of the entries
+                let end = chains
+                    .peek()
+                    .map_or(usize::MAX, |&(_, &next)| next as usize);
+                for slot in old_slots.by_ref().take(end.saturating_sub(first as usize)) {
+                    *slot = rel;
                     rel += 1;
                 }
             }
@@ -461,7 +500,7 @@ impl MultiversionClustered {
         let control_slots = control.slots(self.sizes.bucket, self.sizes.key, self.sizes.tid)
             + directory.slots_on_air(self.sizes.bucket, self.sizes.key, self.sizes.ptr);
 
-        let old_slots = old_map.values_mut().flatten().map(|(slot, _)| slot);
+        let old_slots = old_versions.entries.iter_mut().map(|(slot, _)| slot);
         for slot in occ_slots.iter_mut().chain(old_slots) {
             *slot += control_slots;
         }
@@ -474,7 +513,7 @@ impl MultiversionClustered {
             0,
             Arc::new(rows),
             records,
-            old_map,
+            old_versions,
             Some(directory),
         )
     }
@@ -546,20 +585,14 @@ impl BroadcastDisks {
     /// every disk.
     ///
     /// # Panics
-    /// Panics if `records` is a `Vec` not sorted by item id, does not
-    /// match [`BroadcastDisks::expected_items`], or old versions are
-    /// supplied (the disk organization carries current versions only).
+    /// Panics if `records` is a `Vec` not sorted by item id or does not
+    /// match [`BroadcastDisks::expected_items`].
     pub fn assemble(
         &self,
         cycle: Cycle,
         control: ControlInfo,
         records: impl Into<RecordColumn>,
-        old_versions: Vec<OldVersions>,
     ) -> Bcast {
-        assert!(
-            old_versions.is_empty(),
-            "broadcast disks carry current versions only"
-        );
         let records = records.into();
         assert_eq!(
             records.len(),
@@ -610,7 +643,7 @@ impl BroadcastDisks {
             0,
             rows,
             records,
-            BTreeMap::new(),
+            OldVersions::default(),
             None,
         )
     }
@@ -642,12 +675,7 @@ mod tests {
 
     #[test]
     fn flat_packs_items_per_bucket() {
-        let b = Flat::new(4).assemble(
-            Cycle::ZERO,
-            ControlInfo::empty(Cycle::ZERO),
-            records(10),
-            Vec::new(),
-        );
+        let b = Flat::new(4).assemble(Cycle::ZERO, ControlInfo::empty(Cycle::ZERO), records(10));
         assert_eq!(b.data_slots(), 3);
         assert_eq!(b.slot_of_current(ItemId::new(0)), Some(0));
         assert_eq!(b.slot_of_current(ItemId::new(3)), Some(0));
@@ -660,23 +688,7 @@ mod tests {
     fn flat_rejects_unsorted_records() {
         let mut recs = records(3);
         recs.swap(0, 1);
-        let _ = Flat::new(1).assemble(
-            Cycle::ZERO,
-            ControlInfo::empty(Cycle::ZERO),
-            recs,
-            Vec::new(),
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "old versions")]
-    fn flat_rejects_old_versions() {
-        let _ = Flat::new(1).assemble(
-            Cycle::ZERO,
-            ControlInfo::empty(Cycle::ZERO),
-            records(1),
-            vec![(ItemId::new(0), vec![ItemValue::initial()])],
-        );
+        let _ = Flat::new(1).assemble(Cycle::ZERO, ControlInfo::empty(Cycle::ZERO), recs);
     }
 
     fn old_chain(cycles: &[u64]) -> Vec<ItemValue> {
@@ -692,6 +704,105 @@ mod tests {
             .collect()
     }
 
+    /// The column of `chains`, in the order given, unchecked.
+    fn old_column(chains: &[(u32, &[u64])]) -> OldVersions {
+        let mut old = OldVersions::default();
+        for &(item, cycles) in chains {
+            old.add_chain(ItemId::new(item), old_chain(cycles));
+        }
+        old
+    }
+
+    fn overflow(old: OldVersions) -> Bcast {
+        let c = Cycle::new(5);
+        MultiversionOverflow::new(2).assemble(c, ControlInfo::empty(c), records(5), old)
+    }
+
+    fn clustered(old: OldVersions) -> Bcast {
+        let c = Cycle::new(5);
+        MultiversionClustered::new().assemble(c, ControlInfo::empty(c), records(5), old)
+    }
+
+    // Both multiversion layouts reject the same malformed columns.
+    const UNSORTED: &[(u32, &[u64])] = &[(3, &[2]), (1, &[2])];
+    const TWICE: &[(u32, &[u64])] = &[(1, &[3]), (1, &[2])];
+    const OFF_AIR: &[(u32, &[u64])] = &[(1, &[2]), (7, &[2])];
+    const OLDEST_FIRST: &[(u32, &[u64])] = &[(1, &[0, 2])];
+    const REPEATED: &[(u32, &[u64])] = &[(1, &[2, 2])];
+
+    #[test]
+    #[should_panic(expected = "sorted by item id")]
+    fn overflow_rejects_unsorted_old_versions() {
+        overflow(old_column(UNSORTED));
+    }
+
+    #[test]
+    #[should_panic(expected = "sorted by item id")]
+    fn clustered_rejects_unsorted_old_versions() {
+        clustered(old_column(UNSORTED));
+    }
+
+    #[test]
+    #[should_panic(expected = "sorted by item id")]
+    fn overflow_rejects_two_chains_for_one_item() {
+        overflow(old_column(TWICE));
+    }
+
+    #[test]
+    #[should_panic(expected = "sorted by item id")]
+    fn clustered_rejects_two_chains_for_one_item() {
+        clustered(old_column(TWICE));
+    }
+
+    #[test]
+    #[should_panic(expected = "not on air")]
+    fn overflow_rejects_a_chain_off_the_column() {
+        overflow(old_column(OFF_AIR));
+    }
+
+    #[test]
+    #[should_panic(expected = "not on air")]
+    fn clustered_rejects_a_chain_off_the_column() {
+        clustered(old_column(OFF_AIR));
+    }
+
+    #[test]
+    #[should_panic(expected = "newest first")]
+    fn overflow_rejects_a_chain_oldest_first() {
+        overflow(old_column(OLDEST_FIRST));
+    }
+
+    #[test]
+    #[should_panic(expected = "newest first")]
+    fn clustered_rejects_a_chain_oldest_first() {
+        clustered(old_column(OLDEST_FIRST));
+    }
+
+    #[test]
+    #[should_panic(expected = "newest first")]
+    fn overflow_rejects_a_repeated_version() {
+        overflow(old_column(REPEATED));
+    }
+
+    #[test]
+    #[should_panic(expected = "newest first")]
+    fn clustered_rejects_a_repeated_version() {
+        clustered(old_column(REPEATED));
+    }
+
+    /// An empty chain adds nothing: the item has no old version and no
+    /// overflow pointer, in either layout.
+    #[test]
+    fn an_empty_chain_adds_nothing() {
+        let old = old_column(&[(1, &[]), (2, &[3]), (4, &[])]);
+        assert_eq!(old, old_column(&[(2, &[3])]));
+        for b in [overflow(old.clone()), clustered(old)] {
+            assert!(b.old_versions_of(ItemId::new(1)).is_empty());
+            assert_eq!(b.old_versions_of(ItemId::new(2)).len(), 1);
+            assert_eq!(b.current(ItemId::new(4)).unwrap().overflow_ptr(), None);
+        }
+    }
+
     #[test]
     fn overflow_layout_places_old_versions_at_end() {
         let mut recs = records(5);
@@ -700,10 +811,7 @@ mod tests {
             ItemValue::written_by(TxnId::new(Cycle::new(4), 0)),
             None,
         );
-        let old = vec![
-            (ItemId::new(2), old_chain(&[3, 0])),
-            (ItemId::new(4), old_chain(&[2])),
-        ];
+        let old = old_column(&[(2, &[3, 0]), (4, &[2])]);
         let b = MultiversionOverflow::new(1).assemble(
             Cycle::new(5),
             ControlInfo::empty(Cycle::new(5)),
@@ -734,7 +842,7 @@ mod tests {
             ItemValue::written_by(TxnId::new(Cycle::new(2), 0)),
             None,
         );
-        let old = vec![(ItemId::new(1), old_chain(&[1]))];
+        let old = old_column(&[(1, &[1])]);
         let b = MultiversionClustered::new().assemble(
             Cycle::new(3),
             ControlInfo::empty(Cycle::new(3)),
@@ -770,12 +878,7 @@ mod tests {
             },
         ]);
         assert_eq!(org.expected_items(), 6);
-        let b = org.assemble(
-            Cycle::ZERO,
-            ControlInfo::empty(Cycle::ZERO),
-            records(6),
-            Vec::new(),
-        );
+        let b = org.assemble(Cycle::ZERO, ControlInfo::empty(Cycle::ZERO), records(6));
         // L = 2 minor cycles; hot disk (1 chunk of 2) appears twice; cold
         // disk split into 2 chunks of 2.
         assert_eq!(b.occurrences_of(ItemId::new(0)).len(), 2);
@@ -800,12 +903,7 @@ mod tests {
                 rel_freq: 1,
             },
         ]);
-        let b = org.assemble(
-            Cycle::ZERO,
-            ControlInfo::empty(Cycle::ZERO),
-            records(20),
-            Vec::new(),
-        );
+        let b = org.assemble(Cycle::ZERO, ControlInfo::empty(Cycle::ZERO), records(20));
         let mean_wait = |item: ItemId| -> f64 {
             let occ = b.occurrences_of(item);
             let total = b.total_slots();
@@ -837,24 +935,14 @@ mod tests {
             items: 3,
             rel_freq: 1,
         }]);
-        let _ = org.assemble(
-            Cycle::ZERO,
-            ControlInfo::empty(Cycle::ZERO),
-            records(2),
-            Vec::new(),
-        );
+        let _ = org.assemble(Cycle::ZERO, ControlInfo::empty(Cycle::ZERO), records(2));
     }
 
     #[test]
     fn indexed_flat_interleaves_index_copies() {
         let org = IndexedFlat::new(4, 1);
         assert_eq!(org.segments(), 4);
-        let b = org.assemble(
-            Cycle::ZERO,
-            ControlInfo::empty(Cycle::ZERO),
-            records(20),
-            Vec::new(),
-        );
+        let b = org.assemble(Cycle::ZERO, ControlInfo::empty(Cycle::ZERO), records(20));
         assert_eq!(b.index_slots().len(), 4);
         let idx = org.index_copy_slots(20);
         // segments are evenly spread: chunk of 5 items after each copy
@@ -876,12 +964,7 @@ mod tests {
     #[test]
     fn indexed_flat_single_segment_is_flat_plus_one_index() {
         let org = IndexedFlat::new(1, 1);
-        let b = org.assemble(
-            Cycle::ZERO,
-            ControlInfo::empty(Cycle::ZERO),
-            records(10),
-            Vec::new(),
-        );
+        let b = org.assemble(Cycle::ZERO, ControlInfo::empty(Cycle::ZERO), records(10));
         assert_eq!(b.index_slots().len(), 1);
         assert_eq!(b.total_slots(), 10 + org.index_copy_slots(10));
     }

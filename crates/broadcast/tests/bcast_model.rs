@@ -1,13 +1,18 @@
 //! `Bcast` against a model: every accessor of a bcast assembled by each of
 //! the five organizations is compared with plain `BTreeMap`s the test
 //! lays out itself, slot by slot in on-air order — the obvious way, not
-//! the dense way the crate stores them.
+//! the dense way the crate stores them. The three current-version layouts
+//! run fixed id sets; the two multiversion layouts run proptests over one
+//! strategy of random ids and old-version chains.
 
 // Integration tests are exempt from the panic-freedom policy
 // (mirrors `allow-unwrap-in-tests` in clippy.toml and the `#[cfg(test)]`
 // carve-out in `cargo xtask lint`).
 #![allow(clippy::unwrap_used)]
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+
+use proptest::collection::{btree_set as set_of, vec};
+use proptest::prelude::*;
 
 use bpush_broadcast::organization::{
     BroadcastDisks, DiskSpec, Flat, IndexedFlat, MultiversionClustered, MultiversionOverflow,
@@ -55,22 +60,6 @@ fn records(ids: &[u32]) -> Vec<ItemRecord> {
         .map(|(n, &i)| {
             let value = version(if n % 3 == 0 { NOW - 1 } else { 0 });
             ItemRecord::new(ItemId::new(i), value, None)
-        })
-        .collect()
-}
-
-/// Old-version chains for the rewritten records of [`records`].
-fn old_chains(ids: &[u32]) -> Vec<OldVersions> {
-    ids.iter()
-        .enumerate()
-        .filter(|(n, _)| n % 3 == 0)
-        .map(|(n, &i)| {
-            let chain = if n % 2 == 0 {
-                vec![version(3), version(0)]
-            } else {
-                vec![version(2)]
-            };
-            (ItemId::new(i), chain)
         })
         .collect()
 }
@@ -142,7 +131,7 @@ fn flat_matches_model() {
         (&HOLED[..], 1),
     ] {
         let recs = records(ids);
-        let b = Flat::new(ipb).assemble(Cycle::new(NOW), control(), recs.clone(), Vec::new());
+        let b = Flat::new(ipb).assemble(Cycle::new(NOW), control(), recs.clone());
         let mut model = Model::default();
         for (idx, rec) in recs.iter().enumerate() {
             model.air(*rec, b.data_start() + idx as u64 / u64::from(ipb));
@@ -156,7 +145,7 @@ fn indexed_flat_matches_model() {
     for (ids, segments, ipb) in [(&DENSE[..], 3, 1), (&DENSE[..], 4, 2), (&SPARSE[..], 2, 1)] {
         let recs = records(ids);
         let org = IndexedFlat::new(segments, ipb);
-        let b = org.assemble(Cycle::new(NOW), control(), recs.clone(), Vec::new());
+        let b = org.assemble(Cycle::new(NOW), control(), recs.clone());
         let chunk = recs.len().div_ceil(segments as usize);
         let mut model = Model::default();
         let mut slot = b.data_start();
@@ -175,74 +164,129 @@ fn indexed_flat_matches_model() {
     }
 }
 
-#[test]
-fn overflow_matches_model() {
-    for (ids, ipb) in [
-        (&DENSE[..], 1),
-        (&DENSE[..], 3),
-        (&SPARSE[..], 1),
-        (&HOLED[..], 2),
-    ] {
-        let (recs, old) = (records(ids), old_chains(ids));
-        let org = MultiversionOverflow::new(ipb);
-        let b = org.assemble(Cycle::new(NOW), control(), recs.clone(), old.clone());
-        let overflow_start = b.data_start() + b.data_slots();
-        let mut model = Model::default();
-        let mut entry = 0u64;
-        let mut ptrs = BTreeMap::new();
-        for (item, chain) in &old {
-            ptrs.insert(*item, entry);
-            for v in chain {
-                model.air_old(*item, overflow_start + entry / u64::from(ipb), *v);
-                entry += 1;
-            }
+/// Records for `ids`, and old-version chains for the items whose coin
+/// came up: chain `i` (ascending versions) goes to `ids[i]` newest first,
+/// under a current version one past its newest.
+fn multiversion_parts(
+    ids: &[u32],
+    chains: &[(bool, BTreeSet<u64>)],
+) -> (Vec<ItemRecord>, BTreeMap<ItemId, Vec<ItemValue>>) {
+    let mut recs = Vec::new();
+    let mut old = BTreeMap::new();
+    for (&i, (has_chain, versions)) in ids.iter().zip(chains) {
+        let item = ItemId::new(i);
+        let newest = versions.last().copied().unwrap_or(0);
+        recs.push(ItemRecord::new(item, version(newest + 1), None));
+        if *has_chain {
+            old.insert(item, versions.iter().rev().map(|&v| version(v)).collect());
         }
-        for (idx, rec) in recs.iter().enumerate() {
-            let rec = match ptrs.get(&rec.item()) {
-                Some(&ptr) => rec.with_overflow_ptr(ptr),
-                None => *rec,
-            };
-            model.air(rec, b.data_start() + idx as u64 / u64::from(ipb));
-        }
-        assert_eq!(b.overflow_slots(), entry.div_ceil(u64::from(ipb)));
-        assert!(
-            !model.old_versions.is_empty(),
-            "the layout carries old versions"
-        );
-        assert_matches(&format!("overflow {ids:?}/{ipb}"), &b, &model);
     }
+    (recs, old)
 }
 
-#[test]
-fn clustered_matches_model() {
-    for ids in [&DENSE[..], &SPARSE[..], &HOLED[..]] {
-        let (recs, old) = (records(ids), old_chains(ids));
-        let org = MultiversionClustered::new();
-        let b = org.assemble(Cycle::new(NOW), control(), recs.clone(), old.clone());
-        let old: BTreeMap<ItemId, Vec<ItemValue>> = old.into_iter().collect();
-        let mut model = Model::default();
-        let mut slot = b.data_start();
-        for rec in &recs {
-            model.air(*rec, slot);
+/// The column of the model's chains, in item order.
+fn column(old: &BTreeMap<ItemId, Vec<ItemValue>>) -> OldVersions {
+    let mut column = OldVersions::default();
+    for (item, chain) in old {
+        column.add_chain(*item, chain.iter().copied());
+    }
+    column
+}
+
+/// The overflow layout of `recs` and `old`, `ipb` to a bucket, laid out
+/// slot by slot and compared with `b`.
+fn assert_overflow_layout(
+    b: &Bcast,
+    recs: &[ItemRecord],
+    old: &BTreeMap<ItemId, Vec<ItemValue>>,
+    ipb: u64,
+) {
+    let overflow_start = b.data_start() + (recs.len() as u64).div_ceil(ipb);
+    let mut model = Model::default();
+    let mut entry = 0u64;
+    let mut ptrs = BTreeMap::new();
+    for (item, chain) in old {
+        ptrs.insert(*item, entry);
+        for v in chain {
+            model.air_old(*item, overflow_start + entry / ipb, *v);
+            entry += 1;
+        }
+    }
+    for (idx, rec) in recs.iter().enumerate() {
+        let rec = match ptrs.get(&rec.item()) {
+            Some(&ptr) => rec.with_overflow_ptr(ptr),
+            None => *rec,
+        };
+        model.air(rec, b.data_start() + idx as u64 / ipb);
+    }
+    assert_eq!(b.overflow_slots(), entry.div_ceil(ipb));
+    assert_eq!(b.total_slots(), overflow_start + entry.div_ceil(ipb));
+    assert_matches(&format!("overflow {ipb}"), b, &model);
+}
+
+/// The clustered layout of `recs` and `old`, laid out slot by slot and
+/// compared with `b`, directory included.
+fn assert_clustered_layout(b: &Bcast, recs: &[ItemRecord], old: &BTreeMap<ItemId, Vec<ItemValue>>) {
+    let mut model = Model::default();
+    let mut slot = b.data_start();
+    for rec in recs {
+        model.air(*rec, slot);
+        slot += 1;
+        for v in old.get(&rec.item()).into_iter().flatten() {
+            model.air_old(rec.item(), slot, *v);
             slot += 1;
-            for v in old.get(&rec.item()).into_iter().flatten() {
-                model.air_old(rec.item(), slot, *v);
-                slot += 1;
-            }
         }
-        assert_eq!(b.total_slots(), slot);
-        assert!(
-            !model.old_versions.is_empty(),
-            "the layout carries old versions"
+    }
+    assert_eq!(b.total_slots(), slot);
+    let dir = b.directory().expect("clustered broadcasts a directory");
+    assert_eq!(dir.len(), recs.len());
+    for (item, slots) in &model.occurrences {
+        assert_eq!(
+            dir.slot_of(*item).map(|s| s + b.data_start()),
+            Some(slots[0])
         );
-        let dir = b.directory().expect("clustered broadcasts a directory");
-        for (item, slots) in &model.occurrences {
-            assert_eq!(
-                dir.slot_of(*item).map(|s| s + b.data_start()),
-                Some(slots[0])
-            );
-        }
-        assert_matches(&format!("clustered {ids:?}"), &b, &model);
+    }
+    assert_matches("clustered", b, &model);
+}
+
+/// The inputs both multiversion layouts run on: dense, sparse or holed
+/// ids, and chains of 1–4 strictly descending versions on a random
+/// subset of the items.
+fn multiversion_case() -> impl Strategy<Value = (Vec<ItemRecord>, BTreeMap<ItemId, Vec<ItemValue>>)>
+{
+    (
+        0usize..3,
+        1u32..14,
+        set_of(0u32..2000, 1..14),
+        set_of(0u32..14, 0..5),
+        vec((proptest::bool::ANY, set_of(0u64..NOW - 1, 1..5)), 14..15),
+    )
+        .prop_map(|(shape, n, sparse, holes, chains)| {
+            let ids: Vec<u32> = match shape {
+                0 => (0..n).collect(),
+                1 => sparse.into_iter().collect(),
+                _ => (0..n).filter(|i| !holes.contains(i)).collect(),
+            };
+            multiversion_parts(&ids, &chains)
+        })
+}
+
+proptest! {
+    /// The overflow layout against the model, 1–4 items to a bucket.
+    #[test]
+    fn overflow_matches_model(case in multiversion_case(), ipb in 1u32..5) {
+        let (recs, old) = case;
+        let b = MultiversionOverflow::new(ipb).assemble(Cycle::new(NOW), control(), recs.clone(), column(&old));
+        assert_overflow_layout(&b, &recs, &old, u64::from(ipb));
+    }
+
+    /// The clustered layout against the model; it airs one entry a slot
+    /// whatever the packing.
+    #[test]
+    fn clustered_matches_model(case in multiversion_case()) {
+        let (recs, old) = case;
+        let b = MultiversionClustered::new().assemble(Cycle::new(NOW), control(), recs.clone(), column(&old));
+        assert_clustered_layout(&b, &recs, &old);
     }
 }
 
@@ -260,7 +304,7 @@ fn disks_match_model() {
     for (ids, disks) in cases {
         let recs = records(ids);
         let org = BroadcastDisks::new(disks.clone());
-        let b = org.assemble(Cycle::new(NOW), control(), recs.clone(), Vec::new());
+        let b = org.assemble(Cycle::new(NOW), control(), recs.clone());
 
         // walk the schedule as it airs: minor cycle by minor cycle, one
         // (padded) chunk of every disk each

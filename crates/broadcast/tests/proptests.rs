@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use std::collections::HashMap;
 
 use bpush_broadcast::organization::{
-    BroadcastDisks, DiskSpec, Flat, MultiversionClustered, MultiversionOverflow,
+    BroadcastDisks, DiskSpec, Flat, MultiversionClustered, MultiversionOverflow, OldVersions,
 };
 use bpush_broadcast::size_model::{SizeModel, SizeParams};
 use bpush_broadcast::{ControlInfo, ItemRecord};
@@ -38,22 +38,20 @@ fn value_at(version: u64) -> ItemValue {
     }
 }
 
-fn build_parts(chains: &[Vec<u64>]) -> (Vec<ItemRecord>, Vec<(ItemId, Vec<ItemValue>)>) {
+fn build_parts(chains: &[Vec<u64>]) -> (Vec<ItemRecord>, OldVersions) {
     let mut records = Vec::new();
-    let mut old = Vec::new();
+    let mut old = OldVersions::default();
     for (i, chain) in chains.iter().enumerate() {
         let item = ItemId::new(i as u32);
         let current = *chain.last().expect("nonempty");
         records.push(ItemRecord::new(item, value_at(current), None));
-        if chain.len() > 1 {
-            let mut versions: Vec<ItemValue> = chain[..chain.len() - 1]
-                .iter()
-                .rev()
-                .map(|&v| value_at(v))
-                .collect();
-            versions.dedup();
-            old.push((item, versions));
-        }
+        let mut versions: Vec<ItemValue> = chain[..chain.len() - 1]
+            .iter()
+            .rev()
+            .map(|&v| value_at(v))
+            .collect();
+        versions.dedup();
+        old.add_chain(item, versions);
     }
     (records, old)
 }
@@ -94,7 +92,7 @@ proptest! {
     fn occurrences_are_in_bounds_and_ordered(chains in contents()) {
         let (records, old) = build_parts(&chains);
         let cycle = Cycle::new(14);
-        let flat = Flat::new(1).assemble(cycle, ControlInfo::empty(cycle), records.clone(), Vec::new());
+        let flat = Flat::new(1).assemble(cycle, ControlInfo::empty(cycle), records.clone());
         let over = MultiversionOverflow::new(1).assemble(cycle, ControlInfo::empty(cycle), records.clone(), old.clone());
         for bcast in [&flat, &over] {
             let mut last = None;
@@ -153,7 +151,7 @@ proptest! {
             DiskSpec { items: hot, rel_freq: freq },
             DiskSpec { items: cold, rel_freq: 1 },
         ]);
-        let bcast = org.assemble(Cycle::ZERO, ControlInfo::empty(Cycle::ZERO), records, Vec::new());
+        let bcast = org.assemble(Cycle::ZERO, ControlInfo::empty(Cycle::ZERO), records);
         for i in 0..hot {
             prop_assert_eq!(bcast.occurrences_of(ItemId::new(i)).len(), freq as usize);
         }

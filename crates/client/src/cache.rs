@@ -415,7 +415,6 @@ mod tests {
             Cycle::new(cycle),
             ControlInfo::empty(Cycle::new(cycle)),
             records,
-            Vec::new(),
         )
     }
 

@@ -316,7 +316,9 @@ impl ClientCore {
 mod tests {
     use super::*;
     use crate::cache::CacheParams;
-    use bpush_broadcast::organization::{BroadcastDisks, DiskSpec, Flat, MultiversionOverflow};
+    use bpush_broadcast::organization::{
+        BroadcastDisks, DiskSpec, Flat, MultiversionOverflow, OldVersions,
+    };
     use bpush_broadcast::ItemRecord;
     use bpush_core::Method;
     use bpush_types::{ItemValue, TxnId};
@@ -360,7 +362,7 @@ mod tests {
     fn locate_table() {
         let at = Cycle::new;
         let empty = |c: u64| ControlInfo::empty(at(c));
-        let flat = Flat::new(1).assemble(at(6), empty(6), records(4, &[(2, 5)]), Vec::new());
+        let flat = Flat::new(1).assemble(at(6), empty(6), records(4, &[(2, 5)]));
         // schedule [0,1, 2,3] [0,1, 4,5]: item 0 airs at slots 0 and 4
         let disks = BroadcastDisks::new(vec![
             DiskSpec {
@@ -372,14 +374,12 @@ mod tests {
                 rel_freq: 1,
             },
         ])
-        .assemble(at(6), empty(6), records(6, &[]), Vec::new());
+        .assemble(at(6), empty(6), records(6, &[]));
         // item 1: current since 5, old versions 3 and 1 retained
-        let multi = MultiversionOverflow::new(1).assemble(
-            at(6),
-            empty(6),
-            records(4, &[(1, 5)]),
-            vec![(ItemId::new(1), vec![value(3), value(1)])],
-        );
+        let mut old = OldVersions::default();
+        old.add_chain(ItemId::new(1), [value(3), value(1)]);
+        let multi =
+            MultiversionOverflow::new(1).assemble(at(6), empty(6), records(4, &[(1, 5)]), old);
         let chain = multi.old_versions_of(ItemId::new(1));
         let (old3, old1) = (chain[0].0, chain[1].0);
 
@@ -501,7 +501,6 @@ mod tests {
                 Cycle::new(c),
                 ControlInfo::empty(Cycle::new(c)),
                 records(4, &[]),
-                Vec::new(),
             )
         };
         let mut core = core_with(CacheMode::None);

@@ -64,7 +64,7 @@ impl Oracle {
         let report =
             InvalidationReport::new(cycle, 1, updated.iter().copied(), Granularity::Item, 1);
         let ctrl = ControlInfo::new(cycle, report, None, None);
-        Flat::new(1).assemble(cycle, ctrl, records, Vec::new())
+        Flat::new(1).assemble(cycle, ctrl, records)
     }
 }
 

@@ -93,8 +93,15 @@ impl WriteHistory {
 
     /// The superseded values of `item` that must be broadcast at cycle
     /// `now` by a server retaining `retain` old cycles (see the type-level
-    /// retention rule), most recent first; `retain` ≤ 1 airs none.
-    pub fn on_air_old_versions(&self, item: ItemId, now: Cycle, retain: u32) -> Vec<ItemValue> {
+    /// retention rule), most recent first; `retain` ≤ 1 airs none. Walks
+    /// the item's log lazily, so a caller collects the chain where it
+    /// wants it.
+    pub fn on_air_old_versions(
+        &self,
+        item: ItemId,
+        now: Cycle,
+        retain: u32,
+    ) -> impl Iterator<Item = ItemValue> + '_ {
         let writes = self.writes_of(item);
         // `[initial] ++ writes` newest first, each value beside the one
         // that superseded it
@@ -111,7 +118,7 @@ impl WriteHistory {
             // still needed iff superseded within the last `retain - 1`
             // cycles: successor.version > now - retain + 1; older values
             // were superseded even earlier
-            .take_while(|(successor, _)| {
+            .take_while(move |(successor, _)| {
                 retain > 1
                     && successor
                         .version()
@@ -120,7 +127,6 @@ impl WriteHistory {
                         > now.number().saturating_add(1)
             })
             .map(|(_, value)| value)
-            .collect()
     }
 
     /// The value that superseded `value` on `item`, or `None` if `value`
@@ -209,29 +215,34 @@ mod tests {
         h.record(x, val(3, 0)); // version 4, supersedes v1 at cycle 4
         h.record(x, val(5, 0)); // version 6 (current)
 
+        let chain = |x, now, retain| {
+            h.on_air_old_versions(x, Cycle::new(now), retain)
+                .collect::<Vec<_>>()
+        };
         // At cycle 6 with retain = 3: a value is on air iff its successor's
         // version > 6 - 3 + 1 = 4. v4's successor is v6 (> 4): on air.
         // v1's successor is v4 (not > 4): off air, and so is v0.
-        assert_eq!(h.on_air_old_versions(x, Cycle::new(6), 3), [val(3, 0)]);
+        assert_eq!(chain(x, 6, 3), [val(3, 0)]);
+        // at the window's edge: v1's successor v4 > 7 - 4 + 1 = 4 is not
+        assert_eq!(chain(x, 7, 4), [val(3, 0)]);
+        assert_eq!(chain(x, 6, 4), [val(3, 0), val(0, 0)]);
 
         // With a wide window everything is on air, most recent first,
         // down to the initial load.
         assert_eq!(
-            h.on_air_old_versions(x, Cycle::new(6), 100),
+            chain(x, 6, 100),
             [val(3, 0), val(0, 0), ItemValue::initial()]
         );
 
         // retain ≤ 1 keeps nothing old on air, whatever the cycle.
         for now in [4, 6] {
             for retain in [0, 1] {
-                assert!(h.on_air_old_versions(x, Cycle::new(now), retain).is_empty());
+                assert!(chain(x, now, retain).is_empty());
             }
         }
 
         // an untouched item has no old version
-        assert!(h
-            .on_air_old_versions(ItemId::new(7), Cycle::new(6), 100)
-            .is_empty());
+        assert!(chain(ItemId::new(7), 6, 100).is_empty());
     }
 
     #[test]

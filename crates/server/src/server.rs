@@ -102,19 +102,20 @@ impl Organization {
         }
     }
 
+    /// Lays the cycle out; only the multiversion organizations air `old`.
     fn assemble(
         &self,
         cycle: Cycle,
         control: ControlInfo,
         records: RecordColumn,
-        old: Vec<OldVersions>,
+        old: OldVersions,
     ) -> Bcast {
         match self {
-            Organization::Flat(org) => org.assemble(cycle, control, records, old),
+            Organization::Flat(org) => org.assemble(cycle, control, records),
             Organization::Overflow(org) => org.assemble(cycle, control, records, old),
             Organization::Clustered(org) => org.assemble(cycle, control, records, old),
-            Organization::Disks(org) => org.assemble(cycle, control, records, old),
-            Organization::IndexedFlat(org) => org.assemble(cycle, control, records, old),
+            Organization::Disks(org) => org.assemble(cycle, control, records),
+            Organization::IndexedFlat(org) => org.assemble(cycle, control, records),
         }
     }
 }
@@ -345,9 +346,12 @@ impl BroadcastServer {
     /// is on air, so only the items last written then are asked for
     /// their chains: `on_air` takes in the previous cycle's writes from
     /// the log and lets go of the items last written before that window.
-    fn old_versions(&mut self, cycle: Cycle) -> Vec<OldVersions> {
+    /// Each write the log shows in that window superseded exactly one
+    /// value still on air, so the column is sized exactly up front: three
+    /// allocations a cycle, whatever the number of chains.
+    fn old_versions(&mut self, cycle: Cycle) -> OldVersions {
         let BroadcastMode::Multiversion(_) = self.options.mode else {
-            return Vec::new();
+            return OldVersions::default();
         };
         let span = self.config.versions_retained;
         if let Some((written, items)) = self.recent_updates.back() {
@@ -356,8 +360,8 @@ impl BroadcastServer {
             }
         }
         let horizon = cycle.next().checked_sub(u64::from(span));
-        self.on_air
-            .retain(|&(_, written)| horizon.map_or(true, |h| written >= h));
+        let in_window = |written: Cycle| horizon.map_or(true, |h| written >= h);
+        self.on_air.retain(|&(_, written)| in_window(written));
         // two ascending runs, the newer appended: the stable sort merges
         // them and puts an item's older entry first, which the newer
         // one then overwrites
@@ -369,13 +373,17 @@ impl BroadcastServer {
             }
             same
         });
-        self.on_air
+        let entries = self
+            .recent_updates
             .iter()
-            .filter_map(|&(item, _)| {
-                let chain = self.history.on_air_old_versions(item, cycle, span);
-                (!chain.is_empty()).then_some((item, chain))
-            })
-            .collect()
+            .filter(|(written, _)| in_window(*written))
+            .map(|(_, items)| items.len())
+            .sum();
+        let mut old = OldVersions::with_capacity(self.on_air.len(), entries);
+        for &(item, _) in &self.on_air {
+            old.add_chain(item, self.history.on_air_old_versions(item, cycle, span));
+        }
+        old
     }
 
     /// Emits the bcast for the current cycle, then commits the cycle's
@@ -784,14 +792,12 @@ mod tests {
                 .map(ItemId::new)
                 .map(|x| on_air(x, current(&model, x), options.sgt_info))
                 .collect();
-            let old: Vec<OldVersions> = match options.mode {
-                BroadcastMode::Multiversion(_) => (0..d)
-                    .map(ItemId::new)
-                    .map(|x| (x, model_old_versions(&model[x.as_usize()], cycle, span)))
-                    .filter(|(_, chain)| !chain.is_empty())
-                    .collect(),
-                _ => Vec::new(),
-            };
+            let mut old = OldVersions::default();
+            if let BroadcastMode::Multiversion(_) = options.mode {
+                for x in (0..d).map(ItemId::new) {
+                    old.add_chain(x, model_old_versions(&model[x.as_usize()], cycle, span));
+                }
+            }
             let got = s.run_cycle();
             let window = config.report_window;
             let horizon = cycle.checked_sub(u64::from(window));
