@@ -131,20 +131,6 @@ impl Sgt {
             .min();
         Some(min_co.or(self.last_heard).unwrap_or(Cycle::ZERO))
     }
-
-    /// Lemma-1 pruning: drop the server subgraphs of cycles before
-    /// [`Sgt::window_start`] that are still in the graph — commits heard
-    /// while the window started earlier, and the last writers `T_l` that
-    /// accepted reads interned — or everything if no query is active
-    /// ("if no items are updated, there is no space or processing
-    /// overhead at the client"). A broadcast diff's own stale part never
-    /// gets here: `on_control` does not intern it.
-    fn prune(&mut self) {
-        match self.window_start() {
-            Some(bound) => self.graph.prune_before(bound),
-            None => self.graph.clear(),
-        }
-    }
 }
 
 impl ReadOnlyProtocol for Sgt {
@@ -168,16 +154,15 @@ impl ReadOnlyProtocol for Sgt {
         // 1. Precedence edges and `c_o` from the report. Matching asks no
         //    path question and only appends to query nodes' successor
         //    lists, which step 2 never touches, so it can run first — and
-        //    must: it lowers the `c_o` that bounds step 2.
+        //    must: it lowers the `c_o` that starts the window.
         self.match_report(ctrl);
         self.last_heard = Some(ctrl.cycle());
-        // 2. Integrate the server graph difference (commits of cycle n−1),
-        //    window first: only the subgraphs Lemma 1 keeps are interned.
-        if let (Some(diff), Some(bound)) = (ctrl.graph_diff(), self.window_start()) {
-            self.graph.apply_diff_from(diff, bound);
-        }
-        // 3. Space optimization: retire what the window left behind.
-        self.prune();
+        // 2. Move the Lemma-1 window and integrate the server graph
+        //    difference (commits of cycle n−1) inside it: what fell out of
+        //    the window is retired — commits heard while it started
+        //    earlier, the last writers `T_l` accepted reads interned — and
+        //    only the subgraphs it keeps are interned.
+        self.graph.advance(self.window_start(), ctrl.graph_diff());
     }
 
     fn on_missed_cycle(&mut self, cycle: Cycle) {
@@ -276,7 +261,7 @@ impl ReadOnlyProtocol for Sgt {
     fn finish_query(&mut self, q: QueryId) {
         self.queries.remove(&q);
         self.graph.remove_query(q);
-        self.prune();
+        self.graph.advance(self.window_start(), None);
     }
 
     fn space_metrics(&self) -> Option<(usize, usize)> {
@@ -655,12 +640,10 @@ mod tests {
         /// the whole diff, then match the report, then prune. The
         /// reference the differential test below holds `on_control` to.
         fn on_control_apply_then_prune(&mut self, ctrl: &ControlInfo) {
-            if let Some(diff) = ctrl.graph_diff() {
-                self.graph.apply_diff(diff);
-            }
+            self.graph.advance(Some(Cycle::ZERO), ctrl.graph_diff());
             self.match_report(ctrl);
             self.last_heard = Some(ctrl.cycle());
-            self.prune();
+            self.graph.advance(self.window_start(), None);
         }
     }
 

@@ -17,8 +17,8 @@
 //! * **Serializability** ([`MonitorKind::Serializability`]) — for
 //!   [`MonitorPolicy::Graph`] methods, one windowed graph of server
 //!   transactions per engine (a `bpush_sgraph` graph, fed each broadcast
-//!   diff once and pruned at the least Lemma-1 bound over the active
-//!   lanes). Each lane keeps its query's §3.3 edges as plain data, so
+//!   diff once, in a window starting at the least Lemma-1 bound over the
+//!   active lanes). Each lane keeps its query's §3.3 edges as plain data, so
 //!   both checks are reachability questions on the shared graph: an
 //!   accepted read whose writer a recorded first overwriter is or
 //!   reaches, or a commit after a first overwriter that is or reaches a
@@ -698,28 +698,31 @@ impl MonitorEngine {
     }
 
     /// Integrates a broadcast serialization-graph diff into the shared
-    /// transaction graph. The first lane fed a cycle's diff applies it;
-    /// the graph is first pruned at the least Lemma-1 bound over the
-    /// active lanes (each lane's `c_o`, else its last heard cycle), or
-    /// cleared when no lane is active.
+    /// transaction graph. The first lane fed a cycle's diff applies it,
+    /// through [`SerializationGraph::advance`] with the window starting
+    /// at the least Lemma-1 bound over the active lanes (each lane's
+    /// `c_o`, else its last heard cycle), or with no window when no lane
+    /// is active.
+    ///
+    /// Dropping the diff's part below the bound cannot change a verdict.
+    /// Edges run old → new (the server's tracker emits nothing else), and
+    /// every path question the engine asks starts at a first writer
+    /// `T_f` a lane was fed, so it only visits transactions `≥ T_f`. Such
+    /// a writer's cycle is at least the bound: the bound is at most each
+    /// active lane's `min(c_o, heard)`, and `heard ≤ diff.cycle() =
+    /// T_f.cycle()` for the diff that announces `T_f`.
     pub fn mon_graph_diff(&mut self, diff: &GraphDiff) {
         if self.config.policy != MonitorPolicy::Graph || self.graph_cycle >= Some(diff.cycle()) {
             return;
         }
         self.graph_cycle = Some(diff.cycle());
-        let bound = self
+        let start = self
             .lanes
             .iter()
             .filter(|lane| lane.active)
             .map(|lane| lane.c_o.min(lane.heard))
-            .min()
-            .unwrap_or(NO_CYCLE);
-        if bound == NO_CYCLE {
-            self.graph.clear();
-        } else {
-            self.graph.prune_before(Cycle::new(bound));
-        }
-        self.graph.apply_diff(diff);
+            .min();
+        self.graph.advance(start.map(Cycle::new), Some(diff));
     }
 
     /// Ends the control feed for `cycle`: advances the lane's watermarks.
@@ -1330,17 +1333,20 @@ mod tests {
             Some(t0),
         );
         commit(&mut e, 0, 1, 1);
-        // no lane is active: the graph is cleared before the diff lands
+        // no lane is active: no window, so none of the diff is interned;
+        // T0.0 and T1.0 are exactly what a full apply would hold here
         e.mon_control_begin(0, Cycle::new(2), 1);
         e.mon_graph_diff(&GraphDiff::new(Cycle::new(1), vec![t1], vec![(t0, t1)]));
         e.mon_control_done(0, Cycle::new(2));
-        assert_eq!(e.graph.node_count(), 2);
-        // an active lane with no `c_o` keeps only what it last heard on
+        assert_eq!(e.graph.node_count(), 0);
+        // an active lane with no `c_o` keeps only what it last heard on:
+        // T1.0, the edge's source below that bound and the one node a full
+        // apply would add beyond T2.0, is not interned
         begin(&mut e, 0, 2, 2);
         e.mon_control_begin(0, Cycle::new(3), 1);
         e.mon_graph_diff(&GraphDiff::new(Cycle::new(2), vec![t2], vec![(t1, t2)]));
         e.mon_control_done(0, Cycle::new(3));
-        assert_eq!(e.graph.earliest_cycle(), Some(Cycle::new(1)));
+        assert_eq!(e.graph.earliest_cycle(), Some(Cycle::new(2)));
         let v = e.mon_verdict();
         assert!(v.pass(), "{}", v.render());
         assert_eq!(v.graph_edges, 1);

@@ -296,7 +296,11 @@ impl MirrorModel {
             }
             Op::ControlBegin { .. } => v.controls += 1,
             Op::ReportEntry { .. } => v.checks += 1,
-            Op::Diff { lane, ref diff } => self.lanes[lane as usize].graph.apply_diff(diff),
+            Op::Diff { lane, ref diff } => {
+                self.lanes[lane as usize]
+                    .graph
+                    .advance(Some(Cycle::ZERO), Some(diff));
+            }
             Op::Augmented { lane, item, writer } => {
                 let l = &mut self.lanes[lane as usize];
                 if !l.active || !l.held.contains(&item) {
@@ -314,11 +318,8 @@ impl MirrorModel {
             }
             Op::ControlDone { lane, cycle } => {
                 let l = &mut self.lanes[lane as usize];
-                if !l.active {
-                    l.graph.clear();
-                } else {
-                    l.graph.prune_before(Cycle::new(l.c_o.unwrap_or(cycle)));
-                }
+                let start = l.active.then(|| Cycle::new(l.c_o.unwrap_or(cycle)));
+                l.graph.advance(start, None);
             }
             Op::Read {
                 lane,

@@ -261,8 +261,8 @@ mod tests {
         let (d2, _) = tr.end_cycle(Cycle::new(2));
         // apply both diffs to a graph: path T0.0 -> T1.0 -> T2.0
         let mut g = bpush_sgraph::SerializationGraph::new();
-        g.apply_diff(&d1);
-        g.apply_diff(&d2);
+        g.advance(Some(Cycle::ZERO), Some(&d1));
+        g.advance(Some(Cycle::ZERO), Some(&d2));
         assert!(g.path_exists(
             bpush_sgraph::Node::Txn(id(0, 0)),
             bpush_sgraph::Node::Txn(id(2, 0))

@@ -273,7 +273,8 @@ impl BroadcastServer {
     /// server has committed (for validation; never broadcast). Precedence
     /// edges from readers older than the tracker's horizon are elided.
     /// Built at the first call after a cycle by replaying the commit log
-    /// through a fresh [`ConflictTracker`] that closes every cycle.
+    /// through a fresh [`ConflictTracker`] that closes every cycle: the
+    /// whole-history graph is the window that starts at cycle 0.
     pub fn conflict_graph(&self) -> &SerializationGraph {
         self.ground_truth.get_or_init(|| {
             let mut tracker = ConflictTracker::new(reader_horizon(&self.config));
@@ -282,7 +283,7 @@ impl BroadcastServer {
                 for txn in txns {
                     tracker.commit(txn);
                 }
-                graph.apply_diff(&tracker.end_cycle(cycle).0);
+                graph.advance(Some(Cycle::ZERO), Some(&tracker.end_cycle(cycle).0));
             }
             graph
         })
@@ -947,7 +948,8 @@ mod tests {
             for txn in txns {
                 self.tracker.commit(txn);
             }
-            self.graph.apply_diff(&self.tracker.end_cycle(cycle).0);
+            let diff = self.tracker.end_cycle(cycle).0;
+            self.graph.advance(Some(Cycle::ZERO), Some(&diff));
         }
     }
 
@@ -995,7 +997,7 @@ mod tests {
                     for c in (0..25).map(Cycle::new) {
                         let b = s.run_cycle();
                         if let Some(diff) = b.control().graph_diff() {
-                            aired.apply_diff(diff);
+                            aired.advance(Some(Cycle::ZERO), Some(diff));
                         }
                         // the graph asked for a cycle ago is aired by now
                         if let Some(text) = asked.take().filter(|_| sgt_info) {

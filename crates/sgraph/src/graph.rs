@@ -42,11 +42,13 @@ impl DfsScratch {
 ///
 /// Nodes are committed server transactions plus, in client copies, the
 /// client's active read-only queries. An edge `a → b` means one of `a`'s
-/// operations precedes and conflicts with one of `b`'s. The graph keeps a
-/// per-commit-cycle membership index so the client can implement the
-/// paper's space optimization (Lemma 1): only the subgraphs `SG^k` with
-/// `k ≥ c_o` — the cycle when the oldest active query first had an item
-/// overwritten — need to be retained.
+/// operations precedes and conflicts with one of `b`'s. The sorted node
+/// index is the per-cycle index: transaction ids order by commit cycle
+/// and sort before every query node, so the index lists `SG^0, SG^1, …`
+/// in order. That is what the paper's space optimization (Lemma 1) needs:
+/// only the subgraphs `SG^k` with `k ≥ c_o` — the cycle when the oldest
+/// active query first had an item overwritten — are retained, and
+/// [`SerializationGraph::advance`] is the one place that rule is applied.
 ///
 /// Cycle checks are the paper's acceptance test: a read creating edge
 /// `T_l → R` is accepted iff no path `R →* T_l` exists
@@ -65,8 +67,8 @@ impl DfsScratch {
 /// * [`SerializationGraph::remove_query`] unlinks a node touching only
 ///   its in- and out-neighbors (the reverse index replaces the old
 ///   scan over every adjacency list);
-/// * [`SerializationGraph::prune_before`] drops whole per-cycle subgraphs
-///   the same way, via the by-cycle id index.
+/// * [`SerializationGraph::advance`] drops whole per-cycle subgraphs the
+///   same way, popping the front of the sorted node index.
 ///
 /// Freed ids are recycled LIFO, so long-running clients that steadily
 /// intern new transactions while pruning old ones keep a bounded intern
@@ -83,11 +85,13 @@ impl DfsScratch {
 /// design (each simulated client owns its graph); to share one across
 /// threads, wrap it in a `Mutex` — or `clone()` it, which starts the
 /// clone with fresh scratch.
+#[derive(Default)]
 pub struct SerializationGraph {
     /// Intern table: dense id → node. Entries of freed ids are stale
     /// until the id is reused; `index` is the source of liveness.
     nodes: Vec<Node>,
-    /// Node → dense id, for the live nodes only.
+    /// Node → dense id, for the live nodes only. Sorted, so transactions
+    /// come first in commit-cycle order: the per-cycle index.
     index: BTreeMap<Node, u32>,
     /// Forward adjacency by id (successor ids, in insertion order).
     out_ids: Vec<Vec<u32>>,
@@ -95,18 +99,10 @@ pub struct SerializationGraph {
     in_ids: Vec<Vec<u32>>,
     /// Freed ids available for reuse, LIFO.
     free: Vec<u32>,
-    /// Commit-cycle index of transaction-node ids, for pruning.
-    by_cycle: BTreeMap<Cycle, Vec<u32>>,
     /// Total number of directed edges.
     edge_count: usize,
     /// Search scratch; interior-mutable so `&self` path queries reuse it.
     scratch: RefCell<DfsScratch>,
-}
-
-impl Default for SerializationGraph {
-    fn default() -> Self {
-        SerializationGraph::new()
-    }
 }
 
 impl Clone for SerializationGraph {
@@ -117,7 +113,6 @@ impl Clone for SerializationGraph {
             out_ids: self.out_ids.clone(),
             in_ids: self.in_ids.clone(),
             free: self.free.clone(),
-            by_cycle: self.by_cycle.clone(),
             edge_count: self.edge_count,
             // search scratch is not logical state; the clone starts fresh
             scratch: RefCell::new(DfsScratch::default()),
@@ -153,16 +148,7 @@ impl fmt::Debug for SuccessorList<'_> {
 impl SerializationGraph {
     /// Creates an empty graph.
     pub fn new() -> Self {
-        SerializationGraph {
-            nodes: Vec::new(),
-            index: BTreeMap::new(),
-            out_ids: Vec::new(),
-            in_ids: Vec::new(),
-            free: Vec::new(),
-            by_cycle: BTreeMap::new(),
-            edge_count: 0,
-            scratch: RefCell::new(DfsScratch::default()),
-        }
+        SerializationGraph::default()
     }
 
     /// Number of nodes currently in the graph.
@@ -206,17 +192,12 @@ impl SerializationGraph {
             }
         };
         self.index.insert(node, id);
-        if let Node::Txn(t) = node {
-            self.by_cycle.entry(t.cycle()).or_default().push(id);
-        }
         id
     }
 
     /// Unlinks one live node: detaches its incident edges by walking the
     /// forward and reverse adjacency of the node itself — O(out-degree +
-    /// Σ out-degree of in-neighbors) — and recycles the id. Does *not*
-    /// touch `by_cycle`; callers that remove transaction nodes maintain
-    /// it themselves.
+    /// Σ out-degree of in-neighbors) — and recycles the id.
     fn unlink(&mut self, id: u32) {
         let node = self.nodes[id as usize]; // bpush-lint: allow(panic-reach) — id is a live arena slot < nodes.len() by the free-list invariant
         let outs = std::mem::take(&mut self.out_ids[id as usize]); // bpush-lint: allow(panic-reach) — id is a live arena slot < nodes.len() by the free-list invariant
@@ -240,11 +221,6 @@ impl SerializationGraph {
         self.index.remove(&node);
         // bpush-lint: allow(hot-alloc) — amortized: the free list's capacity is bounded by the intern table and is reused LIFO
         self.free.push(id);
-    }
-
-    /// Inserts a node (idempotent).
-    pub fn add_node(&mut self, node: Node) {
-        self.intern(node);
     }
 
     /// Inserts a directed edge `from → to`, inserting the endpoints if
@@ -356,31 +332,68 @@ impl SerializationGraph {
         true
     }
 
-    /// Applies a broadcast [`GraphDiff`]: inserts the newly committed
-    /// transactions and their conflict edges.
-    pub fn apply_diff(&mut self, diff: &GraphDiff) {
-        self.apply_diff_from(diff, Cycle::ZERO);
+    /// Removes a query node and all its incident edges, in O(out-degree +
+    /// in-degree·neighbor-list-length) via the reverse index.
+    // bpush-lint: hot_path — per-commit/abort cleanup on the client validation path
+    pub fn remove_query(&mut self, query: QueryId) {
+        if let Some(&id) = self.index.get(&Node::Query(query)) {
+            self.unlink(id);
+        }
     }
 
-    /// Applies the part of `diff` inside the Lemma-1 window that starts
-    /// at commit cycle `bound`: what [`SerializationGraph::apply_diff`]
-    /// followed by [`SerializationGraph::prune_before`]`(bound)` would
-    /// leave of it, without interning the transactions and edges that
-    /// prune would unlink again. Nodes already in the graph are not
-    /// touched; pruning them stays the caller's
-    /// [`SerializationGraph::prune_before`].
-    pub fn apply_diff_from(&mut self, diff: &GraphDiff, bound: Cycle) {
+    /// Moves the Lemma-1 window to start at commit cycle `start`, then
+    /// integrates the part of a broadcast [`GraphDiff`] inside it.
+    ///
+    /// With `Some(start)`, every transaction committed before `start` is
+    /// dropped with its incident edges; then a commit or edge endpoint of
+    /// `diff` is interned only if its cycle is `≥ start`, and an edge is
+    /// linked only if both of its ends are. Query nodes are never dropped
+    /// here. `Some(Cycle::ZERO)` keeps everything: the whole-history
+    /// graph is the window that starts at cycle 0.
+    ///
+    /// With `None` the caller has no live query, so nothing is kept: the
+    /// graph returns to an empty one — intern table and search scratch
+    /// included, so a long-lived client returns to zero footprint (the
+    /// paper's "if no items are updated, there is no space or processing
+    /// overhead") — and `diff` is ignored.
+    ///
+    /// Edges between server transactions always point from earlier to
+    /// later commits (Claim 1: strict histories admit no edges *into* a
+    /// previous cycle's subgraph), so cycles through an active query that
+    /// was first invalidated at cycle `c_o` only involve transactions of
+    /// cycles `≥ c_o`; a window starting at or below `min c_o` keeps the
+    /// acceptance test exact. See
+    /// [`SerializationGraph::would_close_cycle`].
+    ///
+    /// Dropping pops the front of the sorted node index, so its work is
+    /// proportional to the dropped subgraphs' own degree and it allocates
+    /// nothing.
+    pub fn advance(&mut self, start: Option<Cycle>, diff: Option<&GraphDiff>) {
+        let Some(start) = start else {
+            *self = SerializationGraph::default();
+            return;
+        };
+        let first_kept = Node::Txn(TxnId::new(start, 0));
+        while let Some((&node, &id)) = self.index.first_key_value() {
+            if node >= first_kept {
+                break;
+            }
+            self.unlink(id);
+        }
+        let Some(diff) = diff else {
+            return;
+        };
         for &t in diff.committed() {
-            if t.cycle() >= bound {
-                self.add_node(Node::Txn(t));
+            if t.cycle() >= start {
+                self.intern(Node::Txn(t));
             }
         }
         // The server emits a commit's edges contiguously, so the target
         // is looked up once per run of equal `to`, not once per edge.
         let mut run: Option<(TxnId, u32)> = None;
         for &(from, to) in diff.edges() {
-            let f = (from.cycle() >= bound).then(|| self.intern(Node::Txn(from)));
-            if to.cycle() < bound {
+            let f = (from.cycle() >= start).then(|| self.intern(Node::Txn(from)));
+            if to.cycle() < start {
                 continue;
             }
             let t = match run {
@@ -394,52 +407,6 @@ impl SerializationGraph {
         }
     }
 
-    /// Removes a query node and all its incident edges, in O(out-degree +
-    /// in-degree·neighbor-list-length) via the reverse index.
-    // bpush-lint: hot_path — per-commit/abort cleanup on the client validation path
-    pub fn remove_query(&mut self, query: QueryId) {
-        if let Some(&id) = self.index.get(&Node::Query(query)) {
-            self.unlink(id);
-        }
-    }
-
-    /// Lemma-1 pruning: drops every transaction committed before `bound`
-    /// together with its incident edges.
-    ///
-    /// Edges between server transactions always point from earlier to
-    /// later commits (Claim 1: strict histories admit no edges *into* a
-    /// previous cycle's subgraph), so cycles through an active query that
-    /// was first invalidated at cycle `c_o` only involve transactions of
-    /// cycles `≥ c_o`; pruning below `min c_o` keeps the acceptance test
-    /// exact. See [`crate::SerializationGraph::would_close_cycle`].
-    ///
-    /// Work is proportional to the pruned subgraphs' own degree (each
-    /// stale node is unlinked through its forward and reverse adjacency),
-    /// not to the size of the retained graph.
-    pub fn prune_before(&mut self, bound: Cycle) {
-        let stale: Vec<u32> = self
-            .by_cycle
-            .range(..bound)
-            .flat_map(|(_, ids)| ids.iter().copied())
-            .collect();
-        if stale.is_empty() {
-            return;
-        }
-        for id in stale {
-            self.unlink(id);
-        }
-        self.by_cycle = self.by_cycle.split_off(&bound);
-    }
-
-    /// Drops the entire graph content — including the intern table and
-    /// search scratch, so a long-lived client returns to zero footprint.
-    /// Equivalent to pruning past the last cycle; used when no query has
-    /// been invalidated (the paper's "if no items are updated, there is
-    /// no space or processing overhead").
-    pub fn clear(&mut self) {
-        *self = SerializationGraph::new();
-    }
-
     /// Iterates over all nodes in unspecified order.
     pub fn nodes(&self) -> impl Iterator<Item = Node> + '_ {
         self.index.keys().copied()
@@ -448,7 +415,7 @@ impl SerializationGraph {
     /// The earliest commit cycle still retained, if any transaction nodes
     /// exist.
     pub fn earliest_cycle(&self) -> Option<Cycle> {
-        self.by_cycle.keys().next().copied()
+        self.index.keys().next()?.as_txn().map(TxnId::cycle)
     }
 }
 
@@ -495,7 +462,7 @@ mod tests {
         g.add_edge(nt(0, 0), nt(1, 0));
         g.add_edge(nt(1, 0), nt(2, 0));
         g.add_edge(nt(2, 0), nt(3, 0));
-        g.add_node(nt(9, 9));
+        g.intern(nt(9, 9));
         assert!(g.path_exists(nt(0, 0), nt(3, 0)));
         assert!(!g.path_exists(nt(3, 0), nt(0, 0)));
         assert!(!g.path_exists(nt(0, 0), nt(9, 9)));
@@ -519,7 +486,7 @@ mod tests {
         assert!(g.would_close_cycle(t_l, r), "dependency edge closes cycle");
         // a writer not reachable from T_f is fine
         let other = nt(4, 1);
-        g.add_node(other);
+        g.intern(other);
         assert!(!g.would_close_cycle(other, r));
     }
 
@@ -564,12 +531,12 @@ mod tests {
     }
 
     #[test]
-    fn prune_before_drops_old_cycles_only() {
+    fn advance_drops_old_cycles_only() {
         let mut g = SerializationGraph::new();
         g.add_edge(nt(0, 0), nt(1, 0));
         g.add_edge(nt(1, 0), nt(2, 0));
         g.add_edge(nt(2, 0), nt(3, 0));
-        g.prune_before(Cycle::new(2));
+        g.advance(Some(Cycle::new(2)), None);
         assert!(!g.contains(nt(0, 0)));
         assert!(!g.contains(nt(1, 0)));
         assert!(g.contains(nt(2, 0)) && g.contains(nt(3, 0)));
@@ -580,11 +547,11 @@ mod tests {
     }
 
     #[test]
-    fn prune_before_noop_when_nothing_old() {
+    fn advance_is_a_noop_when_nothing_is_old() {
         let mut g = SerializationGraph::new();
         g.add_edge(nt(5, 0), nt(6, 0));
         let edges = g.edge_count();
-        g.prune_before(Cycle::new(3));
+        g.advance(Some(Cycle::new(3)), None);
         assert_eq!(g.edge_count(), edges);
         assert_eq!(g.node_count(), 2);
     }
@@ -593,19 +560,42 @@ mod tests {
     fn prune_keeps_query_nodes() {
         let mut g = SerializationGraph::new();
         g.add_edge(nq(0), nt(1, 0));
-        g.prune_before(Cycle::new(5));
+        g.advance(Some(Cycle::new(5)), None);
         assert!(g.contains(nq(0)), "query nodes are never pruned by cycle");
         assert!(!g.contains(nt(1, 0)));
         assert_eq!(g.edge_count(), 0);
     }
 
     #[test]
-    fn clear_resets_everything() {
+    fn no_window_resets_everything() {
+        // no window at all: nothing is kept, not even the diff handed in
         let mut g = SerializationGraph::new();
         g.add_edge(nt(0, 0), nt(1, 0));
-        g.clear();
+        g.add_edge(nq(0), nt(1, 0));
+        let diff = GraphDiff::new(Cycle::new(2), vec![t(2, 0)], vec![(t(1, 0), t(2, 0))]);
+        g.advance(None, Some(&diff));
         assert!(g.is_empty());
         assert_eq!(g.edge_count(), 0);
+        assert_eq!(g.earliest_cycle(), None);
+        assert!(g.nodes.is_empty(), "the intern table goes too");
+    }
+
+    #[test]
+    fn the_window_starts_at_the_first_transaction_of_its_cycle() {
+        // the range key `T(b, 0)`: the last possible id of cycle b − 1 is
+        // dropped, the first of cycle b and every query node stay
+        let mut g = SerializationGraph::new();
+        g.add_edge(nt(2, u32::MAX), nt(3, 0));
+        g.add_edge(nq(0), nt(2, u32::MAX));
+        g.add_edge(nt(3, 0), nq(u64::MAX));
+        g.advance(Some(Cycle::new(3)), None);
+        assert!(!g.contains(nt(2, u32::MAX)));
+        assert!(g.contains(nt(3, 0)) && g.contains(nq(0)) && g.contains(nq(u64::MAX)));
+        assert_eq!(g.edge_count(), 1);
+        assert_eq!(g.earliest_cycle(), Some(Cycle::new(3)));
+        // a window past every transaction leaves the query nodes alone
+        g.advance(Some(Cycle::new(u64::MAX)), None);
+        assert_eq!(g.node_count(), 2);
         assert_eq!(g.earliest_cycle(), None);
     }
 
@@ -617,17 +607,17 @@ mod tests {
             vec![t(2, 0), t(2, 1)],
             vec![(t(1, 0), t(2, 0)), (t(2, 0), t(2, 1))],
         );
-        g.apply_diff(&diff);
+        g.advance(Some(Cycle::ZERO), Some(&diff));
         assert!(g.contains(nt(2, 0)) && g.contains(nt(2, 1)) && g.contains(nt(1, 0)));
         assert_eq!(g.edge_count(), 2);
         assert!(g.path_exists(nt(1, 0), nt(2, 1)));
         // re-applying is idempotent
-        g.apply_diff(&diff);
+        g.advance(Some(Cycle::ZERO), Some(&diff));
         assert_eq!(g.edge_count(), 2);
     }
 
     #[test]
-    fn apply_diff_from_interns_only_the_window() {
+    fn advance_interns_only_the_window() {
         let diff = GraphDiff::new(
             Cycle::new(3),
             vec![t(3, 0), t(3, 1)],
@@ -639,7 +629,7 @@ mod tests {
             ],
         );
         let mut g = SerializationGraph::new();
-        g.apply_diff_from(&diff, Cycle::new(2));
+        g.advance(Some(Cycle::new(2)), Some(&diff));
         assert!(!g.contains(nt(1, 0)), "cycle 1 is before the window");
         assert_eq!(g.node_count(), 4);
         assert_eq!(g.edge_count(), 3);
@@ -647,7 +637,7 @@ mod tests {
         assert_eq!(g.earliest_cycle(), Some(Cycle::new(2)));
         // a window that starts after the diff's cycle takes nothing of it
         let mut h = SerializationGraph::new();
-        h.apply_diff_from(&diff, Cycle::new(4));
+        h.advance(Some(Cycle::new(4)), Some(&diff));
         assert!(h.is_empty());
     }
 
@@ -665,7 +655,7 @@ mod tests {
         let mut g = SerializationGraph::new();
         for round in 0..64u64 {
             g.add_edge(nt(round, 0), nt(round + 1, 0));
-            g.prune_before(Cycle::new(round + 1));
+            g.advance(Some(Cycle::new(round + 1)), None);
         }
         // the intern table stays bounded by the live window, not the
         // total number of transactions ever seen
@@ -687,8 +677,8 @@ mod tests {
         b.add_edge(nq(7), nt(5, 5));
         b.add_edge(nt(0, 0), nt(1, 0));
         b.remove_query(QueryId::new(7));
-        b.prune_before(Cycle::new(0)); // no-op, but exercises bookkeeping
-        b.prune_before(Cycle::new(6));
+        b.advance(Some(Cycle::ZERO), None); // no-op, but exercises bookkeeping
+        b.advance(Some(Cycle::new(6)), None);
         b.add_edge(nt(0, 0), nt(1, 0));
         // b now holds exactly a's content (T5.5 pruned, query removed)
         let _ = b.path_exists(nt(0, 0), nt(1, 0)); // dirty the scratch

@@ -12,11 +12,11 @@
 //! * [`SerializationGraph`] — the graph itself on a dense `u32` node
 //!   interner with one forward and one reverse adjacency list of ids per
 //!   node, with incremental edge insertion, allocation-free cycle/path
-//!   queries, per-cycle subgraph bookkeeping (`SG^i` in the paper), and
-//!   the Lemma-1 window both ways: pruning what fell out of it
-//!   ([`SerializationGraph::prune_before`]) and integrating only the part
-//!   of a broadcast diff inside it
-//!   ([`SerializationGraph::apply_diff_from`]),
+//!   queries, and the Lemma-1 window written once
+//!   ([`SerializationGraph::advance`]): it drops what fell out of the
+//!   window and integrates only the part of a broadcast diff inside it.
+//!   The sorted node index is the per-cycle index (`SG^i` in the paper),
+//!   since transaction ids order by commit cycle and sort before queries,
 //! * [`GraphDiff`] — the per-cycle difference the server broadcasts,
 //! * [`Node`] — graph nodes: committed server transactions or local
 //!   read-only queries.

@@ -83,7 +83,7 @@ proptest! {
             .iter()
             .map(|&a| retained.iter().map(|&b| g.path_exists(a, b)).collect())
             .collect();
-        g.prune_before(bound);
+        g.advance(Some(bound), None);
         // Forward-only edges mean any path between retained (>= bound)
         // nodes only traverses retained nodes, so reachability must match.
         let after: Vec<Vec<bool>> = retained
@@ -115,7 +115,7 @@ proptest! {
                     );
                 }
                 2 => g.remove_query(QueryId::new(q)),
-                _ => g.prune_before(Cycle::new(c)),
+                _ => g.advance(Some(Cycle::new(c)), None),
             }
             // recount ground truth
             let truth: usize = g.nodes().map(|n| g.successors(n).count()).sum();
@@ -132,7 +132,8 @@ proptest! {
     /// Differential test: the interned graph and the original
     /// `BTreeMap`-based [`BaselineGraph`] answer every query identically
     /// under arbitrary interleavings of `add_edge`, `would_close_cycle`,
-    /// `remove_query` and `prune_before`. This is the conformance
+    /// `remove_query` and window moves (`advance` without a diff against
+    /// the baseline's `prune_before`). This is the conformance
     /// argument for the interning rewrite: same operation sequence, same
     /// observable state, edge by edge.
     #[test]
@@ -163,7 +164,7 @@ proptest! {
                     slow.remove_query(QueryId::new(q));
                 }
                 4 => {
-                    fast.prune_before(Cycle::new(c));
+                    fast.advance(Some(Cycle::new(c)), None);
                     slow.prune_before(Cycle::new(c));
                 }
                 _ => {
@@ -194,11 +195,12 @@ proptest! {
     }
 
     /// Window-first integration is apply-then-prune: for random diffs,
-    /// query edges added and removed in between, and bounds that move
-    /// both ways, `apply_diff_from(d, b); prune_before(b)` leaves the
-    /// graph `apply_diff(d); prune_before(b)` leaves — same canonical
-    /// rendering (node set and successor order), same counts — and both
-    /// agree with the [`BaselineGraph`] doing the latter.
+    /// query edges added and removed in between, and window starts that
+    /// move both ways or vanish, `advance(b, Some(d))` leaves the graph
+    /// `advance(Some(ZERO), Some(d)); advance(b, None)` leaves — same
+    /// canonical rendering (node set and successor order), same counts —
+    /// and both agree with the [`BaselineGraph`] doing `apply_diff(d);
+    /// prune_before(b)`, or starting over when there is no window.
     #[test]
     fn windowed_diff_equals_apply_then_prune(
         steps in proptest::collection::vec(
@@ -206,8 +208,9 @@ proptest! {
                 // the diff: its cycle, committed seqs, (from cycle, from seq, to seq) edges
                 (1u64..8, proptest::collection::vec(0u32..4, 0..4)),
                 proptest::collection::vec((0u64..8, 0u32..4, 0u32..4), 0..10),
-                // the bound, and a query-edge operation in between
-                0u64..9,
+                // the window start (9 = no window), and a query-edge
+                // operation in between
+                0u64..10,
                 (0u8..4, 0u64..3, 0u64..8, 0u32..4),
             ),
             0..24,
@@ -225,7 +228,7 @@ proptest! {
                 .filter(|(from, to)| from < to)
                 .collect();
             let diff = GraphDiff::new(cycle, committed, edges);
-            let bound = Cycle::new(bound);
+            let bound = (bound < 9).then(|| Cycle::new(bound));
 
             let query = Node::Query(QueryId::new(q));
             let txn = Node::Txn(TxnId::new(Cycle::new(c), s));
@@ -248,12 +251,16 @@ proptest! {
                 _ => {}
             }
 
-            windowed.apply_diff_from(&diff, bound);
-            windowed.prune_before(bound);
-            reference.apply_diff(&diff);
-            reference.prune_before(bound);
-            baseline.apply_diff(&diff);
-            baseline.prune_before(bound);
+            windowed.advance(bound, Some(&diff));
+            reference.advance(Some(Cycle::ZERO), Some(&diff));
+            reference.advance(bound, None);
+            match bound {
+                Some(bound) => {
+                    baseline.apply_diff(&diff);
+                    baseline.prune_before(bound);
+                }
+                None => baseline = BaselineGraph::new(),
+            }
 
             prop_assert_eq!(format!("{windowed:?}"), format!("{reference:?}"));
             prop_assert_eq!(windowed.node_count(), reference.node_count());
