@@ -221,7 +221,11 @@ impl InvalidationReport {
             }
             items = dedup.into_iter().collect();
         }
-        let mut buckets: Vec<(BucketId, Cycle)> = Vec::new();
+        // At most one bucket per item, in one allocation. Rounding up to a
+        // power of two keeps the block sizes that growth by doubling used:
+        // an exact size raised `update-storm`'s peak RSS by about 3 %.
+        let mut buckets: Vec<(BucketId, Cycle)> =
+            Vec::with_capacity(items.len().next_power_of_two());
         for &(x, c) in &items {
             let b = BucketId::new(x.index() / items_per_bucket); // bpush-lint: allow(panic-reach) — items_per_bucket is validated nonzero above
             match buckets.last_mut() {

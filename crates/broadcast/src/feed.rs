@@ -7,7 +7,8 @@
 //! the protocols consume. The client side is a pure push parser
 //! ([`WireFeed`]): bytes in, complete segments out, no clock, no channel,
 //! and no allocation on the scan path (payload decoding builds the
-//! per-cycle report structures, exactly like the struct-fed path does).
+//! per-cycle report structures, exactly like the struct-fed path does,
+//! reading each field through [`crate::wire::BitReader`]).
 //!
 //! Segment layout (byte-aligned so a socket transport can frame without
 //! bit state): a 13-byte header — kind (1 byte), cycle (8 bytes, big
@@ -28,8 +29,9 @@ use crate::bucket::ItemRecord;
 use crate::control::ControlInfo;
 use crate::directory::Directory;
 use crate::wire::{
-    decode_augmented_from, decode_diff_from, decode_invalidation_from, encode_augmented_into,
-    encode_diff_into, encode_invalidation_into, BitReader, BitWriter, WireParams,
+    capped_capacity, decode_augmented_from, decode_diff_from, decode_invalidation_from,
+    encode_augmented_into, encode_diff_into, encode_invalidation_into, BitReader, BitWriter,
+    WireParams,
 };
 
 /// Bytes in a segment header: kind, cycle, payload length.
@@ -164,9 +166,9 @@ pub fn decode_control_payload(
     cycle: Cycle,
 ) -> Result<ControlInfo, BpushError> {
     let mut r = BitReader::new(payload);
-    let window = take_u32_field(&mut r)?;
+    let window = r.take_u32(32)?;
     let bucket = r.take(1)? == 1;
-    let items_per_bucket = take_u32_field(&mut r)?;
+    let items_per_bucket = r.take_u32(32)?;
     let has_augmented = r.take(1)? == 1;
     let has_diff = r.take(1)? == 1;
     let granularity = if bucket {
@@ -215,13 +217,6 @@ pub fn roundtrip_control(
         .map_err(|_| BpushError::internal("a self-encoded control segment did not decode"))
 }
 
-/// Reads a 32-bit header field out of a payload stream.
-// bpush-lint: hot_path — per-field decode primitive on the broadcast feed path
-fn take_u32_field(r: &mut BitReader<'_>) -> Result<u32, BpushError> {
-    u32::try_from(r.take(32)?)
-        .map_err(|_| BpushError::invalid_config("wire field does not fit in 32 bits"))
-}
-
 /// Encodes data-segment records (current versions with their SGT tags
 /// and overflow pointers) as a complete framed segment. Values carry no
 /// payload bytes in this model — a value is identified by its writer —
@@ -266,11 +261,9 @@ pub fn decode_data_payload(
     let mut r = BitReader::new(payload);
     let count = r.take(32)?;
     // 3 flag bits + the item key is the minimum footprint of one record
-    let min_bits = params.key_bits + 3;
-    let cap = count.min(r.remaining_bits() / u64::from(min_bits.max(1))) as usize; // bpush-lint: allow(panic-reach) — the divisor is clamped to ≥ 1
-    let mut records = Vec::with_capacity(cap);
+    let mut records = Vec::with_capacity(capped_capacity(count, params.key_bits + 3, &r));
     for _ in 0..count {
-        let item = ItemId::new(take_u32_width(&mut r, params.key_bits)?);
+        let item = ItemId::new(r.take_u32(params.key_bits)?);
         let value = match take_opt_txn(&mut r, cycle, params)? {
             Some(writer) => ItemValue::written_by(writer),
             None => ItemValue::initial(),
@@ -285,13 +278,6 @@ pub fn decode_data_payload(
     Ok(records)
 }
 
-/// Reads a `width`-bit field checked-narrowed to `u32`.
-// bpush-lint: hot_path — per-field decode primitive on the broadcast feed path
-fn take_u32_width(r: &mut BitReader<'_>, width: u32) -> Result<u32, BpushError> {
-    u32::try_from(r.take(width)?)
-        .map_err(|_| BpushError::invalid_config("wire field does not fit in 32 bits"))
-}
-
 fn put_opt_txn(w: &mut BitWriter, t: Option<TxnId>, now: Cycle, params: WireParams) {
     match t {
         Some(t) => {
@@ -303,6 +289,7 @@ fn put_opt_txn(w: &mut BitWriter, t: Option<TxnId>, now: Cycle, params: WirePara
 }
 
 // bpush-lint: hot_path — per-record optional-txn decode on the broadcast feed path
+#[inline(always)]
 fn take_opt_txn(
     r: &mut BitReader<'_>,
     now: Cycle,
@@ -341,9 +328,9 @@ pub fn decode_directory_payload(
 ) -> Result<Directory, BpushError> {
     let mut r = BitReader::new(payload);
     let count = r.take(32)?;
-    let mut entries = Vec::new();
+    let mut entries = Vec::with_capacity(capped_capacity(count, params.key_bits + 64, &r));
     for _ in 0..count {
-        let item = ItemId::new(take_u32_width(&mut r, params.key_bits)?);
+        let item = ItemId::new(r.take_u32(params.key_bits)?);
         let slot = r.take(64)?;
         entries.push((item, slot));
     }

@@ -12,7 +12,8 @@
 //! sequence plus `log₂ S` bits of cycle age (§3.3). Each age field
 //! reserves one escape code for cycles outside the relative range (see
 //! [`WireParams`]), so decoding is always *exact* — never a clamped
-//! approximation of what the server put on the air.
+//! approximation of what the server put on the air. Fields are read by
+//! primitives inlined into each report's loop, through [`BitReader`].
 
 // bpush-lint: decode_path — all broadcast-feed input is read through BitReader take_* accessors
 
@@ -88,6 +89,7 @@ fn put_cycle_rel(w: &mut BitWriter, now: Cycle, then: Cycle, width: u32) {
 
 /// Reads a cycle written by [`put_cycle_rel`].
 // bpush-lint: hot_path — per-entry age decode on the broadcast feed path
+#[inline(always)]
 fn take_cycle_rel(r: &mut BitReader<'_>, now: Cycle, width: u32) -> Result<Cycle, BpushError> {
     let age = r.take(width)?;
     if age == age_escape(width) {
@@ -101,7 +103,7 @@ fn take_cycle_rel(r: &mut BitReader<'_>, now: Cycle, width: u32) -> Result<Cycle
 /// many bits past the reader's position, so capacity beyond that bound
 /// only serves adversarial counts (a 24-bit count field can claim 16M
 /// entries on a 3-byte stream).
-fn capped_capacity(count: u64, entry_bits: u32, r: &BitReader<'_>) -> usize {
+pub(crate) fn capped_capacity(count: u64, entry_bits: u32, r: &BitReader<'_>) -> usize {
     // bpush-lint: allow(panic-reach) — the divisor is clamped to ≥ 1
     count.min(r.remaining_bits() / u64::from(entry_bits.max(1))) as usize
 }
@@ -191,75 +193,113 @@ impl BitWriter {
     }
 }
 
-/// A sequential bit-stream reader.
+/// A sequential bit-stream reader over a refill accumulator: the unread
+/// bits wait left-aligned in a `u64`, so a field is a shift and a mask,
+/// and one checked eight-byte load refills it (bytewise near the end).
 #[derive(Debug, Clone)]
 pub struct BitReader<'a> {
     bytes: &'a [u8],
-    pos: u64,
+    /// The first byte not yet loaded into `acc`.
+    next: usize,
+    /// The top `held` bits of `acc` are the next unread ones; below them
+    /// lie zeros or the stream's own bits that follow.
+    acc: u64,
+    held: u32,
 }
 
 impl<'a> BitReader<'a> {
     /// Reads from packed bytes.
     pub fn new(bytes: &'a [u8]) -> Self {
-        BitReader { bytes, pos: 0 }
+        BitReader {
+            bytes,
+            next: 0,
+            acc: 0,
+            held: 0,
+        }
     }
 
-    /// Reads `width` bits, most significant first: one big-endian load
-    /// of the (up to) eight bytes from the one holding the first bit,
-    /// shifted into place. A field that starts `offset` bits into its
-    /// byte with `offset + width > 64` straddles into a ninth byte, whose
-    /// top bits complete it. `take(0)` is `Ok(0)` and consumes nothing.
+    /// Reads `width` bits, most significant first. `take(0)` is `Ok(0)`
+    /// and consumes nothing.
     ///
     /// # Errors
     /// Returns [`BpushError::InvalidConfig`] on stream underflow, or
-    /// when `width` exceeds 64.
+    /// when `width` exceeds 64; the position does not move.
     // bpush-lint: hot_path — per-field decode primitive on the broadcast feed path
+    #[inline(always)]
     pub fn take(&mut self, width: u32) -> Result<u64, BpushError> {
+        if width <= self.held {
+            return Ok(self.take_held(width));
+        }
         if width > 64 {
-            return Err(BpushError::invalid_config("bit field wider than 64 bits"));
+            return Err(malformed("bit field wider than 64 bits"));
         }
-        let underflow = || BpushError::invalid_config("bit stream underflow");
-        if self.pos + u64::from(width) > self.bytes.len() as u64 * 8 {
-            return Err(underflow());
+        if u64::from(width) > self.remaining_bits() {
+            return Err(malformed("bit stream underflow"));
         }
-        if width == 0 {
-            return Ok(0);
+        self.refill();
+        if width <= self.held {
+            return Ok(self.take_held(width));
         }
-        let first = (self.pos / 8) as usize;
-        let offset = self.pos % 8;
-        let end = offset + u64::from(width);
-        let window = match self.bytes.get(first..first + 8).map(<[u8; 8]>::try_from) {
-            Some(Ok(full)) => full,
-            // fewer than eight bytes left: zero-fill past the end
-            _ => {
-                let mut short = [0u8; 8];
-                for (w, b) in short.iter_mut().zip(self.bytes.iter().skip(first)) {
-                    *w = *b;
-                }
-                short
-            }
-        };
-        let mut out = (u64::from_be_bytes(window) << offset) >> (64 - width);
-        if end > 64 {
-            // unreachable `None` given the width check above; kept as a
-            // checked read so truncation can never panic
-            let ninth = *self.bytes.get(first + 8).ok_or_else(underflow)?;
-            out |= u64::from(ninth >> (72 - end));
+        // a 57–64-bit field can outrun one refill: two halves
+        let high = self.take_held(width - 32);
+        self.refill();
+        Ok(high << 32 | self.take_held(32))
+    }
+
+    /// The top `width <= held` bits, consumed; `held < 64` bounds the shifts.
+    // bpush-lint: hot_path — the shift-and-mask of every field read
+    #[inline(always)]
+    fn take_held(&mut self, width: u32) -> u64 {
+        let out = (self.acc >> 1) >> (63 - width);
+        self.acc <<= width;
+        self.held -= width;
+        out
+    }
+
+    /// Loads whole bytes until at least 56 bits are held or none are left.
+    // bpush-lint: hot_path — refill of the per-field decode primitive
+    #[inline(always)]
+    fn refill(&mut self) {
+        let whole = (63 - self.held) / 8;
+        let word = self.bytes.get(self.next..self.next + 8);
+        if let Some(Ok(word)) = word.map(<[u8; 8]>::try_from) {
+            self.acc |= u64::from_be_bytes(word) >> self.held;
+            self.next += whole as usize;
+            self.held += 8 * whole;
+            return;
         }
-        self.pos += u64::from(width);
-        Ok(out)
+        for &byte in self.bytes.iter().skip(self.next).take(whole as usize) {
+            self.acc |= u64::from(byte) << (56 - self.held);
+            self.next += 1;
+            self.held += 8;
+        }
+    }
+
+    /// Reads `width` bits narrowed checked to `u32`: a field that does not
+    /// fit is malformed input, an error rather than truncated.
+    // bpush-lint: hot_path — per-field decode primitive on the broadcast feed path
+    #[inline(always)]
+    pub(crate) fn take_u32(&mut self, width: u32) -> Result<u32, BpushError> {
+        u32::try_from(self.take(width)?)
+            .map_err(|_| malformed("wire field does not fit in 32 bits"))
     }
 
     /// Bits consumed so far.
     pub fn position(&self) -> u64 {
-        self.pos
+        self.next as u64 * 8 - u64::from(self.held)
     }
 
     /// Bits still unread.
     // bpush-lint: hot_path — decode-side budget probe on the broadcast feed path
     pub fn remaining_bits(&self) -> u64 {
-        (self.bytes.len() as u64 * 8).saturating_sub(self.pos)
+        (self.bytes.len() - self.next) as u64 * 8 + u64::from(self.held)
     }
+}
+
+/// Malformed input: cold, so the message's allocation stays off the inlined reads.
+#[cold]
+fn malformed(what: &'static str) -> BpushError {
+    BpushError::invalid_config(what)
 }
 
 /// Encodes an invalidation report: count, then per entry the item key and
@@ -302,6 +342,7 @@ pub fn decode_invalidation(
 }
 
 /// Reads an invalidation report from an open bit stream.
+#[inline(always)]
 pub(crate) fn decode_invalidation_from(
     r: &mut BitReader<'_>,
     params: WireParams,
@@ -314,7 +355,7 @@ pub(crate) fn decode_invalidation_from(
     let cap = capped_capacity(count, params.key_bits + params.age_bits, r);
     let mut entries = Vec::with_capacity(cap);
     for _ in 0..count {
-        let item = ItemId::new(take_u32(r, params.key_bits)?);
+        let item = ItemId::new(r.take_u32(params.key_bits)?);
         let update = take_cycle_rel(r, cycle, params.age_bits)?;
         entries.push((item, update));
     }
@@ -326,23 +367,15 @@ pub(crate) fn put_txn(w: &mut BitWriter, t: TxnId, now: Cycle, params: WireParam
     w.put(u64::from(t.seq()), params.seq_bits);
 }
 
-/// Reads `width` bits and narrows them checked into a `u32`: a wire
-/// field that does not fit is malformed input, reported as an error
-/// rather than truncated.
-// bpush-lint: hot_path — per-field decode primitive on the broadcast feed path
-fn take_u32(r: &mut BitReader<'_>, width: u32) -> Result<u32, BpushError> {
-    u32::try_from(r.take(width)?)
-        .map_err(|_| BpushError::invalid_config("wire field does not fit in 32 bits"))
-}
-
 // bpush-lint: hot_path — per-entry transaction-id decode on the broadcast feed path
+#[inline(always)]
 pub(crate) fn take_txn(
     r: &mut BitReader<'_>,
     now: Cycle,
     params: WireParams,
 ) -> Result<TxnId, BpushError> {
     let cycle = take_cycle_rel(r, now, params.txn_age_bits)?;
-    let seq = take_u32(r, params.seq_bits)?;
+    let seq = r.take_u32(params.seq_bits)?;
     Ok(TxnId::new(cycle, seq))
 }
 
@@ -386,6 +419,7 @@ pub fn decode_augmented(
 }
 
 /// Reads an augmented report from an open bit stream.
+#[inline(always)]
 pub(crate) fn decode_augmented_from(
     r: &mut BitReader<'_>,
     params: WireParams,
@@ -395,10 +429,10 @@ pub(crate) fn decode_augmented_from(
     let entry_bits = params.key_bits + params.txn_age_bits + params.seq_bits;
     let mut entries = Vec::with_capacity(capped_capacity(count, entry_bits, r));
     for _ in 0..count {
-        let item = ItemId::new(take_u32(r, params.key_bits)?);
+        let item = ItemId::new(r.take_u32(params.key_bits)?);
         let txn = take_txn(r, now, params)?;
         if txn.cycle() != now.prev() {
-            return Err(BpushError::invalid_config(
+            return Err(malformed(
                 "augmented-report writer outside the covered cycle",
             ));
         }
@@ -451,6 +485,7 @@ pub fn decode_diff(
 }
 
 /// Reads a graph diff from an open bit stream.
+#[inline(always)]
 pub(crate) fn decode_diff_from(
     r: &mut BitReader<'_>,
     params: WireParams,
@@ -463,9 +498,7 @@ pub(crate) fn decode_diff_from(
     for _ in 0..n_committed {
         let t = take_txn(r, now, params)?;
         if t.cycle() != prev {
-            return Err(BpushError::invalid_config(
-                "graph-diff commit outside the covered cycle",
-            ));
+            return Err(malformed("graph-diff commit outside the covered cycle"));
         }
         committed.push(t);
     }
@@ -475,7 +508,7 @@ pub(crate) fn decode_diff_from(
         let a = take_txn(r, now, params)?;
         let b = take_txn(r, now, params)?;
         if b.cycle() != prev || a >= b {
-            return Err(BpushError::invalid_config(
+            return Err(malformed(
                 "graph-diff edge does not point forward into the covered cycle",
             ));
         }
@@ -574,8 +607,9 @@ mod tests {
     }
 
     /// A 64-bit field (escaped cycles, overflow pointers, directory
-    /// slots) starting at each bit offset of a byte: offsets 1..=7 need
-    /// the ninth byte, on both sides of the codec.
+    /// slots) starting at each bit offset of a byte: the writer puts it
+    /// in two halves, and the reader, whose accumulator holds at most 63
+    /// bits, takes it in two halves across a refill.
     #[test]
     fn full_width_fields_roundtrip_at_every_bit_offset() {
         let value = 0x8123_4567_89AB_CDEF_u64;
@@ -599,7 +633,7 @@ mod tests {
             assert_eq!(r.take(64).unwrap(), value, "offset {offset}");
             assert_eq!(r.take(64).unwrap(), !value, "offset {offset}");
             assert_eq!(r.take(1).unwrap(), 1, "offset {offset}");
-            // the straddling field is refused when its ninth byte is cut
+            // a field that ends past the last byte is refused whole
             let mut cut = BitReader::new(bytes.get(..8).unwrap());
             cut.take(offset).unwrap();
             assert_eq!(cut.take(64).is_err(), offset > 0, "offset {offset}");

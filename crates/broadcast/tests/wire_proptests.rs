@@ -46,9 +46,9 @@ impl BitwiseWriter {
 
 /// The bit-at-a-time reader `BitReader::take` replaced, underflow test
 /// included: `Err(())` and an unmoved position on a field that does not
-/// fit.
+/// fit, or that is wider than the `u64` it would return.
 fn bitwise_take(bytes: &[u8], pos: &mut u64, width: u32) -> Result<u64, ()> {
-    if *pos + u64::from(width) > bytes.len() as u64 * 8 {
+    if width > 64 || *pos + u64::from(width) > bytes.len() as u64 * 8 {
         return Err(());
     }
     let mut out = 0u64;
@@ -86,15 +86,17 @@ proptest! {
     /// A roundtrip cannot see a bug the writer and the reader share, so
     /// both sides are held to the bit-at-a-time codec they replaced: the
     /// same fields give the same bytes, and every field reads the same
-    /// from any prefix of them — value, `Ok`/`Err` and position alike.
+    /// from any prefix of them — value, `Ok`/`Err`, position and bits
+    /// remaining alike. Widths 0 and 65 are never written: `take(0)` is
+    /// `Ok(0)`, `take(65)` is `Err`, and neither moves the reader.
     #[test]
     fn word_codec_matches_the_bitwise_oracle(
-        fields in proptest::collection::vec((0u64..=u64::MAX, 1u32..=64), 0..48),
+        fields in proptest::collection::vec((0u64..=u64::MAX, 0u32..=65), 0..48),
         cut in 0usize..400,
     ) {
         let mut word = BitWriter::new();
         let mut bitwise = BitwiseWriter::default();
-        for &(v, width) in &fields {
+        for &(v, width) in fields.iter().filter(|&&(_, w)| (1..=64).contains(&w)) {
             let v = v & (u64::MAX >> (64 - width));
             word.put(v, width);
             bitwise.put(v, width);
@@ -106,9 +108,16 @@ proptest! {
         let mut r = BitReader::new(heard);
         let mut pos = 0u64;
         for &(_, width) in &fields {
+            let before = pos;
             let got = r.take(width).map_err(|_| ());
             prop_assert_eq!(got, bitwise_take(heard, &mut pos, width));
             prop_assert_eq!(r.position(), pos);
+            prop_assert_eq!(r.remaining_bits(), heard.len() as u64 * 8 - pos);
+            match width {
+                0 => prop_assert_eq!((got, pos), (Ok(0), before)),
+                65 => prop_assert_eq!((got, pos), (Err(()), before)),
+                _ => {}
+            }
         }
     }
 

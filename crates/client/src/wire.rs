@@ -370,4 +370,54 @@ mod tests {
         let mut wire = WireClient::new(Method::InvalidationOnly.build_protocol(), params());
         assert!(wire.push(&[0xFF; 32]).is_err());
     }
+
+    /// Which control payloads decode, and to what, is pinned: every
+    /// truncation and every single-bit flip of two SGT control segments
+    /// (the golden `sgt_control(20)` of `bpush_broadcast::feed` and a
+    /// real SGT server's) folds its outcome — the decoded report's
+    /// `Debug`, or `err` — into one FNV-64 digest. The literal was
+    /// computed with the byte-window reader the refill accumulator
+    /// replaced, so a faster decoder must accept and reject exactly the
+    /// bytes that one did.
+    #[test]
+    fn control_decode_verdicts_are_pinned() {
+        use bpush_broadcast::feed::{decode_control_payload, SEGMENT_HEADER_BYTES};
+        let golden = "0000000000000000140000002d0000000400000002600000401918f80000\
+                      000000000058000008062400000224000003e0000000000000000224";
+        let golden: Vec<u8> = (0..golden.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&golden[i..i + 2], 16).unwrap())
+            .collect();
+        let mut srv = server(true);
+        let bcast = (0..6).map(|_| srv.run_cycle()).last().unwrap();
+        let ctrl = bcast.control();
+        assert!(ctrl.graph_diff().is_some_and(|d| !d.edges().is_empty()));
+        let real = bcast.control_segment(params()).into_owned();
+        let mut digest = 0xcbf2_9ce4_8422_2325_u64;
+        let mut fold = |outcome: String| {
+            for b in outcome.bytes().chain([b'\n']) {
+                digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        let segments = [
+            (golden, WireParams::derive(1000, 4, 10, 8), Cycle::new(20)),
+            (real, params(), ctrl.cycle()),
+        ];
+        for (segment, p, cycle) in segments {
+            let payload = &segment[SEGMENT_HEADER_BYTES..];
+            let mut decode = |bytes: &[u8]| match decode_control_payload(bytes, p, cycle) {
+                Ok(ctrl) => fold(format!("{ctrl:?}")),
+                Err(_) => fold("err".to_owned()),
+            };
+            for len in 0..=payload.len() {
+                decode(&payload[..len]);
+            }
+            for bit in 0..payload.len() * 8 {
+                let mut flipped = payload.to_vec();
+                flipped[bit / 8] ^= 0x80 >> (bit % 8);
+                decode(&flipped);
+            }
+        }
+        assert_eq!(digest, 0x050b_6eb7_e560_fd02);
+    }
 }

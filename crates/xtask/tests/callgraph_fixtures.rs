@@ -285,14 +285,16 @@ fn hot_path_set_covers_the_pr3_hot_functions() {
         "broadcast::any_entry_matching",
         "broadcast::gallop_to",
         "broadcast::lookup",
-        // Broadcast feed decode path.
+        // Broadcast feed decode path: the refill reader and the entry
+        // primitives inlined into the decode loops.
         "broadcast::take",
+        "broadcast::take_held",
+        "broadcast::refill",
         "broadcast::take_u32",
+        "broadcast::take_cycle_rel",
         "broadcast::take_txn",
         // PR-9 sans-IO segment framing: the wire-fed feed path.
         "broadcast::from_byte",
-        "broadcast::take_u32_field",
-        "broadcast::take_u32_width",
         "broadcast::take_opt_txn",
         "broadcast::pop",
         // PR-10 monitor feed: every simulation event funnels through here.
