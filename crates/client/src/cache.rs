@@ -1,6 +1,8 @@
 //! The client cache (§4): LRU pages kept coherent by invalidation +
 //! autoprefetch, with the versioned and multiversion extensions.
 
+use std::collections::BTreeMap;
+
 use bpush_broadcast::{Bcast, InvalidationReport, ItemRecord};
 use bpush_core::{CacheMode, ReadCandidate, Source};
 use bpush_types::{BucketId, Cycle, ItemId, ItemValue, TxnId};
@@ -32,6 +34,68 @@ struct OldEntry {
     valid_from: Cycle,
     /// Exclusive: the state at which the superseding version took over.
     valid_until: Cycle,
+}
+
+impl Entry {
+    /// A coherent entry for `record`, read off the broadcast of `cycle`.
+    fn fetched(record: &ItemRecord, valid_from: Cycle, cycle: Cycle) -> Self {
+        Entry {
+            value: record.value(),
+            last_writer_tag: record.last_writer(),
+            valid_from,
+            valid_through: cycle,
+            coherent: true,
+        }
+    }
+
+    /// This value as an old version, superseded at `until` (§4.2).
+    fn superseded_at(&self, until: Cycle) -> OldEntry {
+        OldEntry {
+            value: self.value,
+            last_writer_tag: self.last_writer_tag,
+            valid_from: self.valid_from,
+            valid_until: until,
+        }
+    }
+}
+
+/// What the continuously heard reports prove about versions (§4.1).
+#[derive(Debug, Default)]
+struct ReportKnowledge {
+    /// State since which the client has heard reports continuously; the
+    /// basis for backdating `valid_from` below the fetch cycle.
+    since: Option<Cycle>,
+    /// Per item, the version floor derived from heard reports: an update
+    /// reported for cycle `u` means a new version current from `u + 1`.
+    /// Items absent from the map are known unchanged since `since`. Not
+    /// kept in multiversion mode, where versions are on air and nothing
+    /// reads it.
+    update_floor: BTreeMap<ItemId, Cycle>,
+}
+
+impl ReportKnowledge {
+    /// The earliest state `item`'s current value is provably current at.
+    fn floor(&self, item: ItemId) -> Option<Cycle> {
+        let since = self.since?;
+        let floor = self.update_floor.get(&item).copied().unwrap_or(since);
+        Some(floor.max(since))
+    }
+
+    /// The earliest state `record`'s value, read at `fetched`, is current at.
+    fn valid_from(&self, mode: CacheMode, record: &ItemRecord, fetched: Cycle) -> Cycle {
+        match mode {
+            // Versions are on air in multiversion mode.
+            CacheMode::Multiversion => record.value().version(),
+            // Otherwise, backdate from the fetch cycle using what the
+            // continuous report stream proves: the value cannot be newer
+            // than the item's last reported update, nor older knowledge
+            // than when we started listening (§4.1 — the client derives
+            // the value's effective version from the reports themselves).
+            CacheMode::None | CacheMode::Plain | CacheMode::Versioned => self
+                .floor(record.item())
+                .map_or(fetched, |floor| floor.min(fetched)),
+        }
+    }
 }
 
 /// Cache configuration resolved for a client.
@@ -70,14 +134,7 @@ pub struct ClientCache {
     old: LruMap<(ItemId, Cycle), OldEntry>,
     /// The last cycle whose report was processed.
     last_heard: Option<Cycle>,
-    /// State since which the client has heard reports continuously; the
-    /// basis for backdating `valid_from` below the fetch cycle.
-    knowledge_since: Option<Cycle>,
-    /// Per item, the version floor derived from heard reports: an update
-    /// reported for cycle `u` means a new version current from `u + 1`.
-    /// Items absent from the map are known unchanged since
-    /// `knowledge_since`.
-    update_floor: std::collections::BTreeMap<ItemId, Cycle>,
+    knowledge: ReportKnowledge,
     stats: CacheStats,
 }
 
@@ -101,8 +158,7 @@ impl ClientCache {
             old: LruMap::new(params.old_capacity as usize),
             params,
             last_heard: None,
-            knowledge_since: None,
-            update_floor: std::collections::BTreeMap::new(),
+            knowledge: ReportKnowledge::default(),
             stats: CacheStats::default(),
         }
     }
@@ -137,36 +193,11 @@ impl ClientCache {
         BucketId::new(item.index() / self.params.items_per_bucket)
     }
 
-    fn valid_from_for(&self, record: &ItemRecord, fetched: Cycle) -> Cycle {
-        match self.params.mode {
-            // Versions are on air in multiversion mode.
-            CacheMode::Multiversion => record.value().version(),
-            // Otherwise, backdate from the fetch cycle using what the
-            // continuous report stream proves: the value cannot be newer
-            // than the item's last reported update, nor older knowledge
-            // than when we started listening (§4.1 — the client derives
-            // the value's effective version from the reports themselves).
-            CacheMode::None | CacheMode::Plain | CacheMode::Versioned => {
-                match self.knowledge_since {
-                    Some(since) => {
-                        let floor = self
-                            .update_floor
-                            .get(&record.item())
-                            .copied()
-                            .unwrap_or(since)
-                            .max(since);
-                        floor.min(fetched)
-                    }
-                    None => fetched,
-                }
-            }
-        }
-    }
-
     /// Processes the invalidation report heard at the beginning of a
     /// cycle. If the report's window does not cover every cycle since the
     /// last one heard, all entries lose coherence (their values may have
-    /// changed silently) and are queued for autoprefetch.
+    /// changed silently) and are queued for autoprefetch. One pass over
+    /// the cached entries either way.
     pub fn on_report(&mut self, report: &InvalidationReport) {
         let n = report.cycle();
         let covered = match self.last_heard {
@@ -178,43 +209,41 @@ impl ClientCache {
                 entry.coherent = false;
             }
             // report knowledge is no longer continuous: reset it
-            self.knowledge_since = Some(n);
-            self.update_floor.clear();
+            self.knowledge.since = Some(n);
+            self.knowledge.update_floor.clear();
         } else {
-            if self.knowledge_since.is_none() {
-                self.knowledge_since = Some(n);
+            self.knowledge.since.get_or_insert(n);
+            let multiversion = self.params.mode == CacheMode::Multiversion;
+            if !multiversion {
+                for (item, update_cycle) in report.dated_items() {
+                    let floor = self
+                        .knowledge
+                        .update_floor
+                        .entry(item)
+                        .or_insert(Cycle::ZERO);
+                    *floor = (*floor).max(update_cycle.next());
+                }
             }
-            for (item, update_cycle) in report.dated_items() {
-                let floor = self.update_floor.entry(item).or_insert(Cycle::ZERO);
-                *floor = (*floor).max(update_cycle.next());
-            }
-            let keys: Vec<ItemId> = self.current.iter().map(|(&k, _)| k).collect();
-            let mut displaced = Vec::new();
-            for item in keys {
-                let bucket = BucketId::new(item.index() / self.params.items_per_bucket);
-                let update = report.bucket_update_cycle(bucket);
-                // lint: allow(panic) — key came from this same map moments ago
-                let entry = self.current.peek_mut(&item).expect("key just listed");
+            for (&item, entry) in self.current.iter_mut() {
                 if !entry.coherent {
                     continue;
                 }
                 // An update recorded at cycle u supersedes the value that
                 // was current at state u; updates before the entry's
                 // verified bound were already reflected in it.
-                let stale = update.is_some_and(|u| u >= entry.valid_through);
-                if stale {
+                let bucket = BucketId::new(item.index() / self.params.items_per_bucket);
+                let update = report.bucket_update_cycle(bucket);
+                if update.is_some_and(|u| u >= entry.valid_through) {
                     entry.coherent = false;
-                    displaced.push((item, *entry));
+                    // Multiversion mode keeps the displaced value as an old
+                    // version, valid through the last state it was verified
+                    // current at (conservative after covered gaps).
+                    if multiversion {
+                        let old = entry.superseded_at(entry.valid_through.next());
+                        self.old.insert((item, entry.valid_from), old);
+                    }
                 } else {
                     entry.valid_through = n;
-                }
-            }
-            // Multiversion mode: keep the displaced values as old
-            // versions, valid through the last state they were verified
-            // current at (conservative after covered gaps).
-            if self.params.mode == CacheMode::Multiversion {
-                for (item, entry) in displaced {
-                    self.retain_old(item, entry, entry.valid_through.next());
                 }
             }
         }
@@ -226,65 +255,35 @@ impl ClientCache {
     /// the next heard report.
     pub fn on_missed_cycle(&mut self, _cycle: Cycle) {}
 
-    fn retain_old(&mut self, item: ItemId, entry: Entry, superseded_at: Cycle) {
-        let old = OldEntry {
-            value: entry.value,
-            last_writer_tag: entry.last_writer_tag,
-            valid_from: entry.valid_from,
-            valid_until: superseded_at,
-        };
-        self.old.insert((item, entry.valid_from), old);
-    }
-
     /// Autoprefetch (§4): refresh every incoherent page whose new value is
-    /// on the given bcast.
+    /// on the given bcast, and drop those no longer broadcast.
     pub fn autoprefetch(&mut self, bcast: &Bcast) {
-        let stale: Vec<ItemId> = self
-            .current
-            .iter()
-            .filter(|(_, e)| !e.coherent)
-            .map(|(&k, _)| k)
-            .collect();
-        for item in stale {
-            if let Some(record) = bcast.current(item) {
-                let record = *record;
-                let fetched = bcast.cycle();
-                let valid_from = self.valid_from_for(&record, fetched);
-                if let Some(e) = self.current.peek_mut(&item) {
-                    *e = Entry {
-                        value: record.value(),
-                        last_writer_tag: record.last_writer(),
-                        valid_from,
-                        valid_through: fetched,
-                        coherent: true,
-                    };
-                    self.stats.autoprefetches += 1;
-                }
-            } else {
-                // no longer broadcast: drop the page
-                self.current.remove(&item);
+        let fetched = bcast.cycle();
+        self.current.retain_mut(|&item, entry| {
+            if !entry.coherent {
+                let Some(record) = bcast.current(item) else {
+                    return false; // no longer broadcast: drop the page
+                };
+                let valid_from = self.knowledge.valid_from(self.params.mode, record, fetched);
+                *entry = Entry::fetched(record, valid_from, fetched);
+                self.stats.autoprefetches += 1;
             }
-        }
+            true
+        });
     }
 
     /// Inserts (demand-caches) a record just read off the broadcast.
     pub fn insert_from_broadcast(&mut self, record: &ItemRecord, cycle: Cycle) {
-        let valid_from = self.valid_from_for(record, cycle);
-        let entry = Entry {
-            value: record.value(),
-            last_writer_tag: record.last_writer(),
-            valid_from,
-            valid_through: cycle,
-            coherent: true,
-        };
+        let valid_from = self.knowledge.valid_from(self.params.mode, record, cycle);
+        let entry = Entry::fetched(record, valid_from, cycle);
         let item = record.item();
         // In multiversion mode, a replaced coherent value moves to the
         // old partition if the new value actually supersedes it.
-        if self.params.mode == CacheMode::Multiversion {
-            if let Some(prev) = self.current.peek(&item).copied() {
-                if prev.value != entry.value && prev.valid_from < entry.valid_from {
-                    self.retain_old(item, prev, entry.valid_from);
-                }
+        let multiversion = self.params.mode == CacheMode::Multiversion;
+        if let Some(prev) = self.current.peek(&item).filter(|_| multiversion) {
+            if prev.value != entry.value && prev.valid_from < entry.valid_from {
+                let old = prev.superseded_at(entry.valid_from);
+                self.old.insert((item, prev.valid_from), old);
             }
         }
         self.current.insert(item, entry);
@@ -295,11 +294,7 @@ impl ClientCache {
             value: entry.value,
             last_writer_tag: entry.last_writer_tag,
             valid_from: entry.valid_from,
-            valid_until: if entry.coherent {
-                None
-            } else {
-                Some(entry.valid_through.next())
-            },
+            valid_until: (!entry.coherent).then(|| entry.valid_through.next()),
             source: if entry.coherent {
                 Source::CacheCurrent
             } else {
@@ -312,7 +307,8 @@ impl ClientCache {
     /// touching LRU recency on a hit and recording hit/miss statistics.
     ///
     /// The current partition is consulted first; in multiversion mode the
-    /// old-version partition is searched next.
+    /// old-version partition is searched next, from `item`'s oldest
+    /// retained version.
     pub fn lookup(&mut self, item: ItemId, state: Cycle) -> Option<ReadCandidate> {
         if let Some(entry) = self.current.peek(&item) {
             let cand = Self::candidate(entry);
@@ -323,27 +319,25 @@ impl ClientCache {
             }
         }
         if self.params.mode == CacheMode::Multiversion {
-            let versions: Vec<(ItemId, Cycle)> = self
+            let hit = self
                 .old
-                .iter()
-                .filter(|(&(i, _), _)| i == item)
-                .map(|(&k, _)| k)
-                .collect();
-            for key in versions {
-                // lint: allow(panic) — key came from this same map moments ago
-                let e = *self.old.peek(&key).expect("key just listed");
-                let cand = ReadCandidate {
-                    value: e.value,
-                    last_writer_tag: e.last_writer_tag,
-                    valid_from: e.valid_from,
-                    valid_until: Some(e.valid_until),
-                    source: Source::CacheOld,
-                };
-                if cand.current_at(state) {
-                    self.old.get(&key); // touch
-                    self.stats.hits += 1;
-                    return Some(cand);
-                }
+                .iter_from(&(item, Cycle::ZERO))
+                .take_while(|(&(i, _), _)| i == item)
+                .map(|(&key, e)| {
+                    let cand = ReadCandidate {
+                        value: e.value,
+                        last_writer_tag: e.last_writer_tag,
+                        valid_from: e.valid_from,
+                        valid_until: Some(e.valid_until),
+                        source: Source::CacheOld,
+                    };
+                    (key, cand)
+                })
+                .find(|(_, cand)| cand.current_at(state));
+            if let Some((key, cand)) = hit {
+                self.old.get(&key); // touch
+                self.stats.hits += 1;
+                return Some(cand);
             }
         }
         self.stats.misses += 1;
@@ -354,16 +348,14 @@ impl ClientCache {
     /// continuously heard invalidation reports) that `item`'s current
     /// value was already current — `None` when report knowledge is not
     /// continuous. Used to certify broadcast reads for pinned queries
-    /// without transmitted version numbers (§4.1).
+    /// without transmitted version numbers (§4.1). Always `None` in
+    /// multiversion mode, which reads versions off the air and keeps no
+    /// floors.
     pub fn provable_floor(&self, item: ItemId) -> Option<Cycle> {
-        let since = self.knowledge_since?;
-        Some(
-            self.update_floor
-                .get(&item)
-                .copied()
-                .unwrap_or(since)
-                .max(since),
-        )
+        if self.params.mode == CacheMode::Multiversion {
+            return None;
+        }
+        self.knowledge.floor(item)
     }
 
     /// Whether `item` has a coherent cached current value (no staleness).
@@ -491,6 +483,26 @@ mod tests {
         p.on_report(&report(5, &[]));
         p.insert_from_broadcast(&record(3, Some(0)), Cycle::new(5));
         assert!(p.lookup(ItemId::new(3), Cycle::new(2)).is_none());
+    }
+
+    #[test]
+    fn provable_floor_only_where_floors_are_kept() {
+        for mode in [CacheMode::Plain, CacheMode::Versioned] {
+            let mut c = ClientCache::new(params(mode));
+            assert_eq!(c.provable_floor(ItemId::new(3)), None, "no reports yet");
+            c.on_report(&report(1, &[]));
+            c.on_report(&report(2, &[3]));
+            // the report heard at 2 lists an update committed during 1
+            assert_eq!(c.provable_floor(ItemId::new(3)), Some(Cycle::new(2)));
+            assert_eq!(c.provable_floor(ItemId::new(4)), Some(Cycle::new(1)));
+        }
+        // Multiversion mode reads versions off the air and keeps no
+        // floors, so it proves none.
+        let mut c = ClientCache::new(params(CacheMode::Multiversion));
+        c.on_report(&report(1, &[]));
+        c.on_report(&report(2, &[3]));
+        assert_eq!(c.provable_floor(ItemId::new(3)), None);
+        assert_eq!(c.provable_floor(ItemId::new(4)), None);
     }
 
     #[test]

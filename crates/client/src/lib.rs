@@ -14,7 +14,8 @@
 //!   the radio loop and asks the session where to tune,
 //! * [`WireClient`] — the sans-IO client: framed broadcast bytes in,
 //!   directives and values out,
-//! * [`lru::LruMap`] — the replacement policy building block.
+//! * [`lru::LruMap`] — the replacement policy building block: one
+//!   key-sorted vector of entries and their last touches.
 //!
 //! One core, three drivers, one wire step: the paper's client (§2.1,
 //! §3–§4) is a single automaton — hear the control segment, ask the

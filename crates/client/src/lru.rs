@@ -2,12 +2,13 @@
 //! replacement policy is LRU").
 
 use std::borrow::Borrow;
-use std::collections::BTreeMap;
 
 /// A bounded map with least-recently-used eviction.
 ///
 /// Reads and writes *touch* the entry; inserting into a full map evicts
-/// the least recently touched one. `O(log n)` per operation.
+/// the least recently touched one. One key-sorted vector: lookups are
+/// binary searches, walks are slice walks in key order, and an insert,
+/// an eviction or a removal is linear in the (small) capacity.
 ///
 /// # Example
 /// ```
@@ -24,11 +25,11 @@ use std::collections::BTreeMap;
 pub struct LruMap<K, V> {
     capacity: usize,
     tick: u64,
-    entries: BTreeMap<K, (u64, V)>,
-    by_tick: BTreeMap<u64, K>,
+    /// `(key, last touch, value)`, sorted by key; touches are unique.
+    entries: Vec<(K, u64, V)>,
 }
 
-impl<K: Ord + Clone, V> LruMap<K, V> {
+impl<K: Ord, V> LruMap<K, V> {
     /// Creates a map holding at most `capacity` entries. A capacity of
     /// zero makes every insert evict the inserted entry immediately
     /// (i.e. the map stays empty), which models a disabled cache.
@@ -36,8 +37,7 @@ impl<K: Ord + Clone, V> LruMap<K, V> {
         LruMap {
             capacity,
             tick: 0,
-            entries: BTreeMap::new(),
-            by_tick: BTreeMap::new(),
+            entries: Vec::new(),
         }
     }
 
@@ -61,22 +61,23 @@ impl<K: Ord + Clone, V> LruMap<K, V> {
         self.tick
     }
 
+    /// Where `key` is, or where it would go.
+    fn find<Q>(&self, key: &Q) -> Result<usize, usize>
+    where
+        K: Borrow<Q>,
+        Q: Ord + ?Sized,
+    {
+        self.entries
+            .binary_search_by(|(k, _, _)| k.borrow().cmp(key))
+    }
+
     /// Looks up and touches an entry.
     pub fn get<Q>(&mut self, key: &Q) -> Option<&V>
     where
         K: Borrow<Q>,
         Q: Ord + ?Sized,
     {
-        let tick = self.next_tick();
-        let (k, (old_tick, _)) = self.entries.get_key_value(key)?;
-        let k = k.clone();
-        let old = *old_tick;
-        self.by_tick.remove(&old);
-        self.by_tick.insert(tick, k.clone());
-        // lint: allow(panic) — caller just found the key in entries; maps move in lockstep
-        let entry = self.entries.get_mut(key).expect("just found");
-        entry.0 = tick;
-        Some(&entry.1)
+        self.get_mut(key).map(|v| &*v)
     }
 
     /// Looks up and touches an entry, mutably.
@@ -85,8 +86,11 @@ impl<K: Ord + Clone, V> LruMap<K, V> {
         K: Borrow<Q>,
         Q: Ord + ?Sized,
     {
-        self.get(key)?;
-        self.entries.get_mut(key).map(|(_, v)| v)
+        let tick = self.next_tick();
+        let at = self.find(key).ok()?;
+        let (_, touched, value) = &mut self.entries[at];
+        *touched = tick;
+        Some(value)
     }
 
     /// Looks up without touching (no recency update).
@@ -95,7 +99,7 @@ impl<K: Ord + Clone, V> LruMap<K, V> {
         K: Borrow<Q>,
         Q: Ord + ?Sized,
     {
-        self.entries.get(key).map(|(_, v)| v)
+        self.find(key).ok().map(|at| &self.entries[at].2)
     }
 
     /// Looks up mutably without touching.
@@ -104,7 +108,7 @@ impl<K: Ord + Clone, V> LruMap<K, V> {
         K: Borrow<Q>,
         Q: Ord + ?Sized,
     {
-        self.entries.get_mut(key).map(|(_, v)| v)
+        self.find(key).ok().map(|at| &mut self.entries[at].2)
     }
 
     /// Whether `key` is present (does not touch).
@@ -113,7 +117,7 @@ impl<K: Ord + Clone, V> LruMap<K, V> {
         K: Borrow<Q>,
         Q: Ord + ?Sized,
     {
-        self.entries.contains_key(key)
+        self.find(key).is_ok()
     }
 
     /// Inserts (or replaces) an entry, touching it, and returns the
@@ -124,25 +128,27 @@ impl<K: Ord + Clone, V> LruMap<K, V> {
             return Some((key, value));
         }
         let tick = self.next_tick();
-        if let Some((old_tick, _)) = self.entries.get(&key) {
-            self.by_tick.remove(old_tick);
+        let at = match self.find(&key) {
+            Ok(at) => {
+                (self.entries[at].1, self.entries[at].2) = (tick, value);
+                return None;
+            }
+            Err(at) => at,
+        };
+        if self.entries.len() < self.capacity {
+            self.entries.insert(at, (key, tick, value));
+            return None;
         }
-        self.by_tick.insert(tick, key.clone());
-        self.entries.insert(key, (tick, value));
-        if self.entries.len() > self.capacity {
-            let (&oldest, _) = self
-                .by_tick
-                .iter()
-                .next()
-                // lint: allow(panic) — guarded by the overflow check above
-                .expect("overflow implies nonempty");
-            // lint: allow(panic) — oldest was just read out of by_tick
-            let victim = self.by_tick.remove(&oldest).expect("just seen");
-            // lint: allow(panic) — entries and by_tick are kept in lockstep by every mutation
-            let (_, v) = self.entries.remove(&victim).expect("indexed");
-            return Some((victim, v));
+        // Full: the new entry takes the least recent touch's slot, and the
+        // slots between the two rotate to keep the keys sorted.
+        let (victim, _) = self.entries.iter().enumerate().min_by_key(|(_, e)| e.1)?;
+        let (k, _, v) = std::mem::replace(&mut self.entries[victim], (key, tick, value));
+        if victim < at {
+            self.entries[victim..at].rotate_left(1);
+        } else {
+            self.entries[at..=victim].rotate_right(1);
         }
-        None
+        Some((k, v))
     }
 
     /// Removes an entry.
@@ -151,27 +157,43 @@ impl<K: Ord + Clone, V> LruMap<K, V> {
         K: Borrow<Q>,
         Q: Ord + ?Sized,
     {
-        let (tick, v) = self.entries.remove(key)?;
-        self.by_tick.remove(&tick);
-        Some(v)
+        self.find(key).ok().map(|at| self.entries.remove(at).2)
     }
 
     /// Drops all entries.
     pub fn clear(&mut self) {
         self.entries.clear();
-        self.by_tick.clear();
     }
 
-    /// Iterates over `(key, value)` in unspecified order, without
-    /// touching.
+    /// Iterates over `(key, value)` in key order, without touching.
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.entries.iter().map(|(k, (_, v))| (k, v))
+        self.entries.iter().map(|(k, _, v)| (k, v))
     }
 
-    /// Iterates mutably over values in unspecified order, without
-    /// touching.
+    /// Like [`iter`](Self::iter), from the first key at or after `from`.
+    pub fn iter_from<Q>(&self, from: &Q) -> impl Iterator<Item = (&K, &V)>
+    where
+        K: Borrow<Q>,
+        Q: Ord + ?Sized,
+    {
+        let at = self.find(from).unwrap_or_else(|at| at);
+        self.entries[at..].iter().map(|(k, _, v)| (k, v))
+    }
+
+    /// Like [`iter`](Self::iter), with the values mutable.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = (&K, &mut V)> {
+        self.entries.iter_mut().map(|(k, _, v)| (&*k, v))
+    }
+
+    /// Keeps the entries `keep` approves, visiting them in key order with
+    /// the values mutable, without touching.
+    pub fn retain_mut(&mut self, mut keep: impl FnMut(&K, &mut V) -> bool) {
+        self.entries.retain_mut(|(k, _, v)| keep(k, v));
+    }
+
+    /// Iterates mutably over values in key order, without touching.
     pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
-        self.entries.values_mut().map(|(_, v)| v)
+        self.entries.iter_mut().map(|(_, _, v)| v)
     }
 }
 
@@ -242,7 +264,7 @@ mod tests {
         assert_eq!(m.len(), 1);
         m.clear();
         assert!(m.is_empty());
-        // internal index cleared too: inserts work normally after
+        // inserts work normally after a clear
         m.insert(3, "c");
         assert_eq!(m.len(), 1);
     }
@@ -263,14 +285,187 @@ mod tests {
     }
 
     #[test]
+    fn iter_is_in_key_order_from_any_key() {
+        let mut m = LruMap::new(8);
+        for k in [5, 1, 7, 3] {
+            m.insert(k, k * 10);
+        }
+        let keys: Vec<i32> = m.iter().map(|(&k, _)| k).collect();
+        assert_eq!(keys, [1, 3, 5, 7]);
+        let from: Vec<i32> = m.iter_from(&4).map(|(&k, _)| k).collect();
+        assert_eq!(from, [5, 7]);
+        assert_eq!(m.iter_from(&3).next(), Some((&3, &30)));
+        assert_eq!(m.iter_from(&8).next(), None);
+        for (&k, v) in m.iter_mut() {
+            *v += k;
+        }
+        assert_eq!(m.peek(&7), Some(&77));
+    }
+
+    #[test]
     fn heavy_churn_respects_capacity() {
         let mut m = LruMap::new(8);
         for i in 0..1000 {
             m.insert(i % 50, i);
             assert!(m.len() <= 8);
         }
-        // index and map stay in sync
-        let indexed: usize = m.iter().count();
-        assert_eq!(indexed, m.len());
+        assert_eq!(m.iter().count(), m.len());
+    }
+
+    /// The map this module shipped before the sorted vector — entries and
+    /// a by-touch index in two ordered maps kept in lockstep — kept as the
+    /// model the differential test below holds the vector to.
+    mod model {
+        use std::collections::BTreeMap;
+
+        #[derive(Debug)]
+        pub(super) struct ModelLru<K, V> {
+            capacity: usize,
+            tick: u64,
+            entries: BTreeMap<K, (u64, V)>,
+            by_tick: BTreeMap<u64, K>,
+        }
+
+        impl<K: Ord + Clone, V> ModelLru<K, V> {
+            pub(super) fn new(capacity: usize) -> Self {
+                ModelLru {
+                    capacity,
+                    tick: 0,
+                    entries: BTreeMap::new(),
+                    by_tick: BTreeMap::new(),
+                }
+            }
+
+            pub(super) fn get(&mut self, key: &K) -> Option<&V> {
+                self.tick += 1;
+                let (old, _) = *self.entries.get(key)?;
+                self.by_tick.remove(&old);
+                self.by_tick.insert(self.tick, key.clone());
+                let entry = self.entries.get_mut(key).unwrap();
+                entry.0 = self.tick;
+                Some(&entry.1)
+            }
+
+            pub(super) fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+                self.get(key)?;
+                self.entries.get_mut(key).map(|(_, v)| v)
+            }
+
+            pub(super) fn peek(&self, key: &K) -> Option<&V> {
+                self.entries.get(key).map(|(_, v)| v)
+            }
+
+            pub(super) fn peek_mut(&mut self, key: &K) -> Option<&mut V> {
+                self.entries.get_mut(key).map(|(_, v)| v)
+            }
+
+            pub(super) fn insert(&mut self, key: K, value: V) -> Option<(K, V)> {
+                if self.capacity == 0 {
+                    return Some((key, value));
+                }
+                self.tick += 1;
+                if let Some((old, _)) = self.entries.get(&key) {
+                    self.by_tick.remove(old);
+                }
+                self.by_tick.insert(self.tick, key.clone());
+                self.entries.insert(key, (self.tick, value));
+                if self.entries.len() > self.capacity {
+                    let (_, victim) = self.by_tick.pop_first().unwrap();
+                    let (_, v) = self.entries.remove(&victim).unwrap();
+                    return Some((victim, v));
+                }
+                None
+            }
+
+            pub(super) fn remove(&mut self, key: &K) -> Option<V> {
+                let (tick, v) = self.entries.remove(key)?;
+                self.by_tick.remove(&tick);
+                Some(v)
+            }
+
+            pub(super) fn clear(&mut self) {
+                self.entries.clear();
+                self.by_tick.clear();
+            }
+
+            pub(super) fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
+                self.entries.iter().map(|(k, (_, v))| (k, v))
+            }
+        }
+    }
+
+    /// One step of the differential test: the operation and its key.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Get(u8),
+        GetMut(u8),
+        Peek(u8),
+        PeekMut(u8),
+        Insert(u8),
+        Remove(u8),
+        Clear,
+    }
+
+    /// Reads and inserts dominate, and a clear is rare enough that the
+    /// map fills between clears.
+    fn op() -> impl proptest::Strategy<Value = Op> {
+        proptest::Strategy::prop_map((0u8..32, 0u8..12), |(code, k)| match code {
+            0..=7 => Op::Get(k),
+            8..=9 => Op::GetMut(k),
+            10..=11 => Op::Peek(k),
+            12..=13 => Op::PeekMut(k),
+            14..=26 => Op::Insert(k),
+            27..=30 => Op::Remove(k),
+            _ => Op::Clear,
+        })
+    }
+
+    proptest::proptest! {
+        /// Differential test: over random operation sequences at
+        /// capacities 0–8, the sorted vector returns what the two-map
+        /// model returns, evicts the same pairs, and iterates the same
+        /// entries in the same key order after every step. Values are
+        /// the step number, and `get_mut` / `peek_mut` write it, so a
+        /// wrong entry or a lost write shows in the next read.
+        #[test]
+        fn lru_matches_the_two_map_model(
+            capacity in 0usize..=8,
+            ops in proptest::collection::vec(op(), 0..200),
+        ) {
+            let mut lru = LruMap::new(capacity);
+            let mut model = model::ModelLru::new(capacity);
+            for (step, op) in (0u32..).zip(ops) {
+                match op {
+                    Op::Get(k) => proptest::prop_assert_eq!(lru.get(&k), model.get(&k)),
+                    Op::GetMut(k) => {
+                        let (got, want) = (lru.get_mut(&k), model.get_mut(&k));
+                        proptest::prop_assert_eq!(got.is_some(), want.is_some());
+                        if let (Some(got), Some(want)) = (got, want) {
+                            proptest::prop_assert_eq!(*got, *want);
+                            (*got, *want) = (step, step);
+                        }
+                    }
+                    Op::Peek(k) => proptest::prop_assert_eq!(lru.peek(&k), model.peek(&k)),
+                    Op::PeekMut(k) => {
+                        let (got, want) = (lru.peek_mut(&k), model.peek_mut(&k));
+                        proptest::prop_assert_eq!(got.is_some(), want.is_some());
+                        if let (Some(got), Some(want)) = (got, want) {
+                            proptest::prop_assert_eq!(*got, *want);
+                            (*got, *want) = (step, step);
+                        }
+                    }
+                    Op::Insert(k) => {
+                        proptest::prop_assert_eq!(lru.insert(k, step), model.insert(k, step));
+                    }
+                    Op::Remove(k) => proptest::prop_assert_eq!(lru.remove(&k), model.remove(&k)),
+                    Op::Clear => {
+                        lru.clear();
+                        model.clear();
+                    }
+                }
+                proptest::prop_assert!(lru.len() <= capacity);
+                proptest::prop_assert!(lru.iter().eq(model.iter()), "step {}: {:?}", step, op);
+            }
+        }
     }
 }
