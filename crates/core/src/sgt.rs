@@ -760,4 +760,89 @@ mod tests {
             }
         }
     }
+
+    /// Malformed graph diffs — which `GraphDiff::new` only rejects under
+    /// `debug_assertions`, and which a decoded segment could still carry —
+    /// cost neither a panic nor a divergence: window-first `on_control`
+    /// leaves the session exactly where apply-then-prune leaves it, with
+    /// queries reading, invalidated and finishing around them. The cases:
+    /// a new → old edge, a duplicate edge, a target missing from the
+    /// commits, and a target of another cycle than the diff's. Release
+    /// builds run every case; debug builds the ones `GraphDiff::new`
+    /// admits.
+    #[test]
+    fn malformed_diffs_leave_on_control_where_apply_then_prune_does() {
+        type Malformed = fn(u64) -> Vec<(TxnId, TxnId)>;
+        let cases: [(&str, bool, Malformed); 4] = [
+            ("new -> old edge", false, |c| {
+                vec![(txn(c, 1), txn(c, 0)), (txn(c, 0), txn(c - 1, 0))]
+            }),
+            ("duplicate edge", true, |c| {
+                vec![(txn(c - 1, 0), txn(c, 0)), (txn(c - 1, 0), txn(c, 0))]
+            }),
+            ("target missing from the commits", true, |c| {
+                vec![(txn(c - 1, 0), txn(c, 2))]
+            }),
+            ("target of another cycle", false, |c| {
+                vec![
+                    (txn(c - 1, 0), txn(c + 2, 0)),
+                    (txn(c - 1, 1), txn(c - 2, 0)),
+                ]
+            }),
+        ];
+        for (label, admitted_in_debug, edges) in cases {
+            if cfg!(debug_assertions) && !admitted_in_debug {
+                continue;
+            }
+            let mut windowed = Sgt::new(SgtConfig::default());
+            let mut reference = Sgt::new(SgtConfig::default());
+            let (q0, q1) = (QueryId::new(0), QueryId::new(1));
+            for p in [&mut windowed, &mut reference] {
+                p.begin_query(q0, Cycle::new(1));
+                p.apply_read(
+                    q0,
+                    ItemId::new(7),
+                    &candidate_from(Some(txn(0, 0))),
+                    Cycle::new(1),
+                );
+            }
+            for (n, item) in (3..9).zip(13..) {
+                let c = n - 1;
+                // item 7 is overwritten once, at cycle 2, then item 8 each cycle
+                let overwritten = if n == 3 { 7 } else { 8 };
+                let control = ctrl(
+                    n,
+                    &[(overwritten, txn(c, 0))],
+                    &[txn(c, 0), txn(c, 1)],
+                    &edges(c),
+                );
+                windowed.on_control(&control);
+                reference.on_control_apply_then_prune(&control);
+                assert_eq!(
+                    windowed.debug_snapshot(),
+                    reference.debug_snapshot(),
+                    "{label}, cycle {n}"
+                );
+                let now = Cycle::new(n);
+                let live = if n < 6 { q0 } else { q1 };
+                for p in [&mut windowed, &mut reference] {
+                    if n == 6 {
+                        p.finish_query(q0);
+                        p.begin_query(q1, now);
+                    }
+                    p.apply_read(
+                        live,
+                        ItemId::new(item),
+                        &candidate_from(Some(txn(c, 1))),
+                        now,
+                    );
+                }
+                assert_eq!(
+                    windowed.debug_snapshot(),
+                    reference.debug_snapshot(),
+                    "{label}, reads of cycle {n}"
+                );
+            }
+        }
+    }
 }

@@ -6,12 +6,12 @@ use bpush_core::validator::{ConsistencyViolation, SerializabilityBatch};
 use bpush_types::{BpushError, Cycle, ItemId};
 
 use crate::exec::{monitors_for_spec, run_client_obs, run_schedule, ClientChoices, FeedMode};
-use crate::fnv64;
 use crate::ground::GroundTruth;
 use crate::minimize::minimize;
 use crate::schedule::{ReadSpec, Schedule};
 use crate::scope::Scope;
 use crate::spec::ProtocolSpec;
+use crate::{fnv64, fnv64_fold, FNV64_OFFSET};
 
 /// A minimized, replayable counterexample.
 #[derive(Debug, Clone)]
@@ -36,6 +36,10 @@ pub struct McReport {
     /// Distinct canonical states (database version vector × protocol
     /// snapshot × query progress) encountered across all executions.
     pub distinct_states: u64,
+    /// Every execution's per-cycle canonical state hashes folded, in
+    /// enumeration order, into one FNV-1a digest: where
+    /// `distinct_states` counts the states, this pins them.
+    pub state_digest: u64,
     /// Committed readsets skipped because an identical (commit script,
     /// readset) pair had already been validated.
     pub deduped_validations: u64,
@@ -91,6 +95,7 @@ pub fn check_spec_with(
         committed: 0,
         aborted: 0,
         distinct_states: 0,
+        state_digest: FNV64_OFFSET,
         deduped_validations: 0,
         violation: None,
     };
@@ -109,6 +114,10 @@ pub fn check_spec_with(
             let exec = run_client_obs(spec, choice, &gt, obs, feed);
             report.executions += 1;
             states.extend(exec.state_hashes.iter().copied());
+            report.state_digest = exec
+                .state_hashes
+                .iter()
+                .fold(report.state_digest, |h, &s| fnv64_fold(h, s));
             if !exec.committed {
                 report.aborted += 1;
                 continue;

@@ -55,12 +55,20 @@ pub use spec::ProtocolSpec;
 /// unspecified), and collision-safe enough for counting distinct states
 /// in a space of at most a few million.
 pub(crate) fn fnv64(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
+    s.bytes().fold(FNV64_OFFSET, fnv64_byte)
+}
+
+/// The FNV-1a 64-bit offset basis: the hash of nothing.
+pub(crate) const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One FNV-1a step.
+fn fnv64_byte(h: u64, b: u8) -> u64 {
+    (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+}
+
+/// Continues FNV-1a hash `h` over the little-endian bytes of `x`.
+pub(crate) fn fnv64_fold(h: u64, x: u64) -> u64 {
+    x.to_le_bytes().into_iter().fold(h, fnv64_byte)
 }
 
 #[cfg(test)]

@@ -53,6 +53,8 @@ pub struct ConflictTracker {
     cycle_edges: Vec<(TxnId, TxnId)>,
     cycle_committed: Vec<TxnId>,
     cycle_first_writers: Vec<(ItemId, TxnId)>,
+    /// The committing transaction's edge sources, for deduplication.
+    sources: Sources,
 }
 
 /// The entry of `x`, made on first touch.
@@ -69,12 +71,80 @@ fn entry<'a>(slot_of: &mut Vec<u32>, touched: &'a mut Vec<Touched>, x: ItemId) -
     &mut touched[*slot as usize]
 }
 
-/// Records `from → to` among the edges of the commit that start at
-/// `first`: every edge of a commit ends at the committing transaction, so
-/// those are all a duplicate can hide among.
-fn push_edge(edges: &mut Vec<(TxnId, TxnId)>, first: usize, from: TxnId, to: TxnId) {
+/// The sources of the committing transaction's edges so far: an
+/// open-addressed set emptied per commit by a new stamp, so deduplicating
+/// an edge costs a probe, not a scan of the commit's edges.
+#[derive(Debug, Clone, Default)]
+struct Sources {
+    /// `(stamp, source)`, probed linearly from the source's hash; a slot
+    /// holds a member only while its stamp is the current one.
+    slots: Vec<(u32, TxnId)>,
+    /// Never 0 once a commit has begun, so zero-filled slots are empty.
+    stamp: u32,
+    len: usize,
+    /// `64 − log2(slots.len())`.
+    shift: u32,
+}
+
+impl Sources {
+    /// Empties the set for the next commit.
+    fn begin(&mut self) {
+        self.len = 0;
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.slots.iter_mut().for_each(|slot| slot.0 = 0);
+            self.stamp = 1;
+        }
+    }
+
+    /// Adds `t`; `false` if it was already a member. Only after
+    /// [`Sources::begin`]: under stamp 0 every zero-filled slot would look
+    /// taken.
+    fn insert(&mut self, t: TxnId) -> bool {
+        debug_assert_ne!(self.stamp, 0, "a commit's sources are added after `begin`");
+        if 2 * (self.len + 1) > self.slots.len() {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        // Fibonacci hashing: the product's top bits index the table
+        let key = t.cycle().number().wrapping_mul(0x0100_0000_01b3) ^ u64::from(t.seq());
+        let mut at = (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize & mask;
+        while let Some(slot) = self.slots.get_mut(at) {
+            if slot.0 != self.stamp {
+                *slot = (self.stamp, t);
+                self.len += 1;
+                return true;
+            }
+            if slot.1 == t {
+                return false;
+            }
+            at = (at + 1) & mask;
+        }
+        false
+    }
+
+    /// Doubles the table (at least 16 slots), re-adding the members.
+    fn grow(&mut self) {
+        let size = (2 * self.slots.len()).max(16);
+        let old = std::mem::replace(&mut self.slots, vec![(0, TxnId::new(Cycle::ZERO, 0)); size]);
+        self.shift = 64 - size.trailing_zeros();
+        self.len = 0;
+        for (stamp, t) in old {
+            if stamp == self.stamp {
+                self.insert(t);
+            }
+        }
+    }
+}
+
+/// Records `from → to` among the edges of the committing transaction
+/// `to`, unless it is a self edge or `from` is already one of its
+/// sources: every edge of a commit ends at the committing transaction, so
+/// a duplicate is a repeated source. Edges keep their first-occurrence
+/// order.
+fn push_edge(edges: &mut Vec<(TxnId, TxnId)>, sources: &mut Sources, from: TxnId, to: TxnId) {
     debug_assert!(from <= to, "a serial history's edges run old -> new");
-    if from != to && !edges[first..].iter().any(|&(f, _)| f == from) {
+    if from != to && sources.insert(from) {
         edges.push((from, to));
     }
 }
@@ -96,6 +166,7 @@ impl ConflictTracker {
             cycle_edges: Vec::new(),
             cycle_committed: Vec::new(),
             cycle_first_writers: Vec::new(),
+            sources: Sources::default(),
         }
     }
 
@@ -104,12 +175,12 @@ impl ConflictTracker {
     /// before [`ConflictTracker::end_cycle`] is called for it.
     pub fn commit(&mut self, txn: &ServerTxn) {
         let id = txn.id();
-        let first = self.cycle_edges.len();
+        self.sources.begin();
         self.cycle_committed.push(id);
         for &x in txn.reads() {
             let e = entry(&mut self.slot_of, &mut self.touched, x);
             if let Some(w) = e.last_writer {
-                push_edge(&mut self.cycle_edges, first, w, id);
+                push_edge(&mut self.cycle_edges, &mut self.sources, w, id);
             }
             // The stream is serial, so a list is sorted and a repeated
             // read can only repeat its last entry.
@@ -127,10 +198,10 @@ impl ConflictTracker {
         for &x in txn.writes() {
             let e = entry(&mut self.slot_of, &mut self.touched, x);
             for &r in e.readers.iter().filter(|r| r.cycle() >= self.floor) {
-                push_edge(&mut self.cycle_edges, first, r, id);
+                push_edge(&mut self.cycle_edges, &mut self.sources, r, id);
             }
             if let Some(w) = e.last_writer.replace(id) {
-                push_edge(&mut self.cycle_edges, first, w, id);
+                push_edge(&mut self.cycle_edges, &mut self.sources, w, id);
             }
             e.readers.clear();
             e.readers.push(id);
@@ -309,6 +380,26 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_horizon_rejected() {
         let _ = ConflictTracker::new(0);
+    }
+
+    #[test]
+    fn sources_are_forgotten_at_each_commit_and_across_a_stamp_wrap() {
+        let mut s = Sources::default();
+        s.begin();
+        // more members than the first table holds, each once
+        for seq in 0..40 {
+            assert!(s.insert(id(3, seq)));
+            assert!(!s.insert(id(3, seq)));
+        }
+        assert!(s.insert(id(4, 0)) && !s.insert(id(3, 17)));
+        s.begin();
+        assert!(s.insert(id(3, 17)), "a new commit starts empty");
+        s.stamp = u32::MAX;
+        assert!(s.insert(id(5, 5)));
+        s.begin();
+        assert_eq!(s.stamp, 1, "the stamp skips 0, which marks empty slots");
+        assert!(s.slots.iter().all(|&(stamp, _)| stamp == 0));
+        assert!(s.insert(id(5, 5)) && !s.insert(id(5, 5)));
     }
 
     /// The tracker this module shipped before the flat one — ordered maps

@@ -1,13 +1,39 @@
 //! The serialization graph proper, on a dense node interner.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 use bpush_types::{Cycle, QueryId, TxnId};
 
 use crate::diff::GraphDiff;
 use crate::node::Node;
+
+/// A slot no live transaction holds.
+const VACANT: u32 = u32::MAX;
+
+/// How many cycles from the window base the slots reach. A transaction
+/// further out — only a hand-built graph or a whole-history replay that
+/// long names one — lives in the side table.
+const SLOT_CYCLES: u64 = 1 << 16;
+
+/// How many transactions of one cycle the slots hold (`seq <
+/// SLOT_SEQS`); a later one lives in the side table.
+const SLOT_SEQS: u32 = 1 << 10;
+
+/// Whether the edge `from → to` keeps a reverse entry at `to`. An edge
+/// between two transactions that runs old → new does not: the window
+/// only ever drops a prefix of the transaction order, so by the time
+/// `to` leaves it `from` has left too — in the same [`advance`] — and
+/// nobody reads `to`'s list of such predecessors. Every edge with a
+/// query end keeps one (`remove_query` drops a query alone), and so does
+/// a new → old or self edge, which only `add_edge` or a malformed diff
+/// supplies.
+///
+/// [`advance`]: SerializationGraph::advance
+fn keeps_reverse(from: Node, to: Node) -> bool {
+    !matches!((from, to), (Node::Txn(a), Node::Txn(b)) if a < b)
+}
 
 /// Reusable depth-first-search state: an epoch-stamped visited array plus
 /// an explicit stack, so path queries allocate nothing once the graph has
@@ -19,6 +45,13 @@ struct DfsScratch {
     /// Bumped once per search; wraps by zero-filling `visited`.
     epoch: u32,
     stack: Vec<u32>,
+}
+
+/// Search scratch is not logical state: a clone starts fresh.
+impl Clone for DfsScratch {
+    fn clone(&self) -> Self {
+        DfsScratch::default()
+    }
 }
 
 impl DfsScratch {
@@ -42,13 +75,13 @@ impl DfsScratch {
 ///
 /// Nodes are committed server transactions plus, in client copies, the
 /// client's active read-only queries. An edge `a → b` means one of `a`'s
-/// operations precedes and conflicts with one of `b`'s. The sorted node
-/// index is the per-cycle index: transaction ids order by commit cycle
-/// and sort before every query node, so the index lists `SG^0, SG^1, …`
-/// in order. That is what the paper's space optimization (Lemma 1) needs:
-/// only the subgraphs `SG^k` with `k ≥ c_o` — the cycle when the oldest
-/// active query first had an item overwritten — are retained, and
-/// [`SerializationGraph::advance`] is the one place that rule is applied.
+/// operations precedes and conflicts with one of `b`'s. Transaction ids
+/// order by commit cycle and sort before every query node, so the nodes
+/// in order list `SG^0, SG^1, …` and then the queries. That is what the
+/// paper's space optimization (Lemma 1) needs: only the subgraphs `SG^k`
+/// with `k ≥ c_o` — the cycle when the oldest active query first had an
+/// item overwritten — are retained, and [`SerializationGraph::advance`]
+/// is the one place that rule is applied.
 ///
 /// Cycle checks are the paper's acceptance test: a read creating edge
 /// `T_l → R` is accepted iff no path `R →* T_l` exists
@@ -56,24 +89,35 @@ impl DfsScratch {
 ///
 /// # Representation
 ///
-/// Nodes are interned to dense `u32` ids; forward *and* reverse adjacency
+/// Nodes are interned to dense `u32` ids; forward and reverse adjacency
 /// are `Vec`-indexed by id and hold ids only, so the validation hot paths
 /// run on integer arrays rather than tree lookups:
 ///
+/// * a transaction of the window finds its id in a per-cycle slot
+///   vector (`seq → id`), held in a deque that starts at the window base
+///   — the `start` of the last [`SerializationGraph::advance`]. A small
+///   ordered side table holds the transactions the slots do not cover:
+///   the last writers `T_l` below the base that accepted reads intern,
+///   and anything out of the slots' reach. Query nodes have a table of
+///   their own;
 /// * [`SerializationGraph::path_exists`] /
 ///   [`SerializationGraph::would_close_cycle`] walk id-based successor
 ///   lists with an epoch-stamped visited array — no per-call allocation
 ///   and no ordered-set probes;
 /// * [`SerializationGraph::remove_query`] unlinks a node touching only
-///   its in- and out-neighbors (the reverse index replaces the old
-///   scan over every adjacency list);
+///   its in- and out-neighbors;
 /// * [`SerializationGraph::advance`] drops whole per-cycle subgraphs the
-///   same way, popping the front of the sorted node index.
+///   same way: the side table's front and the slot vectors in front of
+///   the new start, which are cleared and kept for the cycles to come.
+///   An edge between two transactions that runs old → new keeps no
+///   reverse entry, since the window drops a prefix of the transaction
+///   order and so drops its source no later than its target.
 ///
-/// Freed ids are recycled LIFO, so long-running clients that steadily
-/// intern new transactions while pruning old ones keep a bounded intern
-/// table. Every structure is insertion-ordered or key-sorted — behavior
-/// is a pure function of the operation sequence, which keeps replay-based
+/// Freed ids are recycled LIFO with their adjacency buffers, so
+/// long-running clients that steadily intern new transactions while
+/// pruning old ones keep a bounded intern table and stop allocating.
+/// Every structure is insertion-ordered or key-sorted — behavior is a
+/// pure function of the operation sequence, which keeps replay-based
 /// checking (`cargo xtask mc`) exact.
 ///
 /// # Thread safety
@@ -85,51 +129,47 @@ impl DfsScratch {
 /// design (each simulated client owns its graph); to share one across
 /// threads, wrap it in a `Mutex` — or `clone()` it, which starts the
 /// clone with fresh scratch.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct SerializationGraph {
     /// Intern table: dense id → node. Entries of freed ids are stale
-    /// until the id is reused; `index` is the source of liveness.
+    /// until the id is reused; the slots and the two tables are the
+    /// source of liveness.
     nodes: Vec<Node>,
-    /// Node → dense id, for the live nodes only. Sorted, so transactions
-    /// come first in commit-cycle order: the per-cycle index.
-    index: BTreeMap<Node, u32>,
     /// Forward adjacency by id (successor ids, in insertion order).
     out_ids: Vec<Vec<u32>>,
-    /// Reverse adjacency by id (predecessor ids).
+    /// Reverse adjacency by id (predecessor ids), except for old → new
+    /// transaction edges ([`keeps_reverse`]).
     in_ids: Vec<Vec<u32>>,
     /// Freed ids available for reuse, LIFO.
     free: Vec<u32>,
     /// Total number of directed edges.
     edge_count: usize,
+    /// The commit cycle of `slots[0]`; `None` until the first
+    /// [`SerializationGraph::advance`] places the window.
+    base: Option<Cycle>,
+    /// `slots[k][seq]` is the id of transaction `(base + k, seq)`, or
+    /// `VACANT`.
+    slots: VecDeque<Vec<u32>>,
+    /// Slot vectors dropped off the front, cleared, for reuse.
+    spare: Vec<Vec<u32>>,
+    /// The live transactions the slots do not cover, sorted.
+    side: BTreeMap<TxnId, u32>,
+    /// The live query nodes, sorted.
+    queries: BTreeMap<QueryId, u32>,
     /// Search scratch; interior-mutable so `&self` path queries reuse it.
     scratch: RefCell<DfsScratch>,
-}
-
-impl Clone for SerializationGraph {
-    fn clone(&self) -> Self {
-        SerializationGraph {
-            nodes: self.nodes.clone(),
-            index: self.index.clone(),
-            out_ids: self.out_ids.clone(),
-            in_ids: self.in_ids.clone(),
-            free: self.free.clone(),
-            edge_count: self.edge_count,
-            // search scratch is not logical state; the clone starts fresh
-            scratch: RefCell::new(DfsScratch::default()),
-        }
-    }
 }
 
 impl fmt::Debug for SerializationGraph {
     /// Prints the *logical* graph only — nodes in sorted order with their
     /// successor lists in insertion order. Scratch state and interning
-    /// accidents (id values, free-list contents) are deliberately
-    /// excluded so equal graphs always print equally; the model checker
-    /// deduplicates states by this text.
+    /// accidents (id values, free-list contents, which nodes sit in the
+    /// slots) are deliberately excluded so equal graphs always print
+    /// equally; the model checker deduplicates states by this text.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut map = f.debug_map();
-        for &node in self.index.keys() {
-            map.entry(&node, &SuccessorList(self, node));
+        for (node, id) in self.entries() {
+            map.entry(&node, &SuccessorList(self, id));
         }
         map.finish()
     }
@@ -137,11 +177,13 @@ impl fmt::Debug for SerializationGraph {
 
 /// One node's successors, printed as the `[a, b]` list a `Vec<Node>`
 /// prints.
-struct SuccessorList<'a>(&'a SerializationGraph, Node);
+struct SuccessorList<'a>(&'a SerializationGraph, u32);
 
 impl fmt::Debug for SuccessorList<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(self.0.successors(self.1)).finish()
+        f.debug_list()
+            .entries(self.0.successor_nodes(self.1))
+            .finish()
     }
 }
 
@@ -153,7 +195,7 @@ impl SerializationGraph {
 
     /// Number of nodes currently in the graph.
     pub fn node_count(&self) -> usize {
-        self.index.len()
+        self.nodes.len() - self.free.len()
     }
 
     /// Number of directed edges currently in the graph.
@@ -163,62 +205,186 @@ impl SerializationGraph {
 
     /// Whether the graph has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.node_count() == 0
     }
 
     /// Whether `node` is present.
     pub fn contains(&self, node: Node) -> bool {
-        self.index.contains_key(&node)
+        self.id_of(node).is_some()
+    }
+
+    /// The node an id was last interned for.
+    fn node(&self, id: u32) -> Option<Node> {
+        self.nodes.get(id as usize).copied()
+    }
+
+    /// The id of a live node.
+    fn id_of(&self, node: Node) -> Option<u32> {
+        match node {
+            Node::Txn(t) => self.txn_id(t),
+            Node::Query(q) => self.queries.get(&q).copied(),
+        }
+    }
+
+    /// Where the slots would hold `t`: its cycle's offset from the base
+    /// and its seq, if it is within their reach.
+    fn reach(&self, t: TxnId) -> Option<(usize, usize)> {
+        let k = t.cycle().number().checked_sub(self.base?.number())?;
+        (k < SLOT_CYCLES && t.seq() < SLOT_SEQS).then_some((k as usize, t.seq() as usize))
+    }
+
+    /// The id of a live transaction: in its slot if the slots cover its
+    /// cycle, else in the side table.
+    fn txn_id(&self, t: TxnId) -> Option<u32> {
+        match self.reach(t) {
+            Some((k, seq)) if k < self.slots.len() => {
+                let id = self.slots.get(k)?.get(seq).copied();
+                id.filter(|&id| id != VACANT)
+            }
+            _ => self.side.get(&t).copied(),
+        }
+    }
+
+    /// The slot of `t`, made if `t` is within the slots' reach (they grow
+    /// to its cycle); `None` when `t` belongs in the side table.
+    fn slot_mut(&mut self, t: TxnId) -> Option<&mut u32> {
+        let (k, seq) = self.reach(t)?;
+        if k >= self.slots.len() {
+            self.grow(k);
+        }
+        let ids = self.slots.get_mut(k)?;
+        if ids.len() <= seq {
+            ids.resize(seq + 1, VACANT);
+        }
+        ids.get_mut(seq)
+    }
+
+    /// Extends the slots through offset `k` from the base and moves into
+    /// them every side-table transaction they now cover.
+    fn grow(&mut self, k: usize) {
+        let Some(base) = self.base else {
+            return;
+        };
+        let first = base.plus(self.slots.len() as u64);
+        let last = base.plus(k as u64);
+        while self.slots.len() <= k {
+            let ids = self.spare.pop().unwrap_or_default();
+            self.slots.push_back(ids);
+        }
+        let covered = TxnId::new(first, 0)..=TxnId::new(last, SLOT_SEQS - 1);
+        let moving: Vec<(TxnId, u32)> = self
+            .side
+            .range(covered)
+            .filter(|(t, _)| t.seq() < SLOT_SEQS)
+            .map(|(&t, &id)| (t, id))
+            .collect();
+        for (t, id) in moving {
+            self.side.remove(&t);
+            if let Some(slot) = self.slot_mut(t) {
+                *slot = id;
+            }
+        }
     }
 
     /// Interns `node`, returning its dense id (idempotent).
     fn intern(&mut self, node: Node) -> u32 {
-        if let Some(&id) = self.index.get(&node) {
+        match node {
+            Node::Txn(t) => self.intern_txn(t),
+            Node::Query(q) => match self.queries.get(&q) {
+                Some(&id) => id,
+                None => {
+                    let id = self.alloc(node);
+                    self.queries.insert(q, id);
+                    id
+                }
+            },
+        }
+    }
+
+    /// Interns a transaction: in its slot when the slots reach it, else
+    /// in the side table.
+    fn intern_txn(&mut self, t: TxnId) -> u32 {
+        if let Some(id) = self.txn_id(t) {
             return id;
         }
-        let id = match self.free.pop() {
-            Some(id) => {
-                self.nodes[id as usize] = node; // bpush-lint: allow(panic-reach) — id came off the free list, always a live arena slot < nodes.len()
-                id
-            }
+        let id = self.alloc(Node::Txn(t));
+        match self.slot_mut(t) {
+            Some(slot) => *slot = id,
             None => {
-                let id = u32::try_from(self.nodes.len())
-                    // lint: allow(panic) — a graph of 2^32 live nodes exceeds any Lemma-1 window
-                    .expect("node interner overflow");
-                self.nodes.push(node);
-                self.out_ids.push(Vec::new());
-                self.in_ids.push(Vec::new());
-                id
+                self.side.insert(t, id);
             }
-        };
-        self.index.insert(node, id);
+        }
+        id
+    }
+
+    /// A fresh id for `node`: a freed one if any, with the adjacency
+    /// buffers it kept.
+    fn alloc(&mut self, node: Node) -> u32 {
+        if let Some(id) = self.free.pop() {
+            if let Some(slot) = self.nodes.get_mut(id as usize) {
+                *slot = node;
+                return id;
+            }
+        }
+        let id = u32::try_from(self.nodes.len())
+            .ok()
+            .filter(|&id| id != VACANT)
+            // lint: allow(panic) — a graph of 2^32 − 1 live nodes exceeds any Lemma-1 window
+            .expect("node interner overflow");
+        self.nodes.push(node);
+        self.out_ids.push(Vec::new());
+        self.in_ids.push(Vec::new());
         id
     }
 
     /// Unlinks one live node: detaches its incident edges by walking the
     /// forward and reverse adjacency of the node itself — O(out-degree +
-    /// Σ out-degree of in-neighbors) — and recycles the id.
+    /// Σ out-degree of in-neighbors) — and recycles the id. Its adjacency
+    /// buffers are cleared in place, so the id's next node reuses them.
+    /// The caller has taken the node out of the slots or its table.
     fn unlink(&mut self, id: u32) {
-        let node = self.nodes[id as usize]; // bpush-lint: allow(panic-reach) — id is a live arena slot < nodes.len() by the free-list invariant
-        let outs = std::mem::take(&mut self.out_ids[id as usize]); // bpush-lint: allow(panic-reach) — id is a live arena slot < nodes.len() by the free-list invariant
+        let Some(node) = self.node(id) else {
+            return;
+        };
+        let at = id as usize;
+        let mut outs = self
+            .out_ids
+            .get_mut(at)
+            .map(std::mem::take)
+            .unwrap_or_default();
         self.edge_count -= outs.len();
-        for s in outs {
-            if s != id {
-                self.in_ids[s as usize].retain(|&p| p != id); // bpush-lint: allow(panic-reach) — s is a recorded neighbor id, always a live arena slot
+        for &s in &outs {
+            // an old → new source leaves no entry at its target, which
+            // may already have been dropped in the same window move
+            let reverse = s != id && self.node(s).is_some_and(|to| keeps_reverse(node, to));
+            if let Some(preds) = self.in_ids.get_mut(s as usize).filter(|_| reverse) {
+                preds.retain(|&p| p != id);
             }
         }
-        let ins = std::mem::take(&mut self.in_ids[id as usize]); // bpush-lint: allow(panic-reach) — id is a live arena slot < nodes.len() by the free-list invariant
-        for p in ins {
+        outs.clear();
+        let mut ins = self
+            .in_ids
+            .get_mut(at)
+            .map(std::mem::take)
+            .unwrap_or_default();
+        for &p in &ins {
             if p == id {
                 continue; // the self-loop was accounted with the out edges
             }
-            let succ_ids = &mut self.out_ids[p as usize]; // bpush-lint: allow(panic-reach) — p is a recorded neighbor id, always a live arena slot
-            if let Some(pos) = succ_ids.iter().position(|&s| s == id) {
-                succ_ids.remove(pos);
-                self.edge_count -= 1;
+            if let Some(succ_ids) = self.out_ids.get_mut(p as usize) {
+                if let Some(pos) = succ_ids.iter().position(|&s| s == id) {
+                    succ_ids.remove(pos);
+                    self.edge_count -= 1;
+                }
             }
         }
-        self.index.remove(&node);
+        ins.clear();
+        if let Some(buffer) = self.out_ids.get_mut(at) {
+            *buffer = outs;
+        }
+        if let Some(buffer) = self.in_ids.get_mut(at) {
+            *buffer = ins;
+        }
         // bpush-lint: allow(hot-alloc) — amortized: the free list's capacity is bounded by the intern table and is reused LIFO
         self.free.push(id);
     }
@@ -228,32 +394,38 @@ impl SerializationGraph {
     pub fn add_edge(&mut self, from: Node, to: Node) -> bool {
         let f = self.intern(from);
         let t = self.intern(to);
-        self.link(f, t)
+        self.link(f, t, keeps_reverse(from, to))
     }
 
-    /// Appends the edge between two interned ids unless it exists.
-    /// Returns `true` if the edge is new.
-    fn link(&mut self, f: u32, t: u32) -> bool {
-        // bpush-lint: allow(panic-reach) — f is an interned id, so f < nodes.len()
-        if self.out_ids[f as usize].contains(&t) {
+    /// Appends the edge between two interned ids unless it exists, with
+    /// a reverse entry if `reverse`. Returns `true` if the edge is new.
+    fn link(&mut self, f: u32, t: u32, reverse: bool) -> bool {
+        let Some(succ_ids) = self.out_ids.get_mut(f as usize) else {
+            return false;
+        };
+        if succ_ids.contains(&t) {
             return false;
         }
-        self.out_ids[f as usize].push(t); // bpush-lint: allow(panic-reach) — f is an interned id, so f < nodes.len()
-        self.in_ids[t as usize].push(f); // bpush-lint: allow(panic-reach) — t is an interned id, so t < nodes.len()
+        succ_ids.push(t);
+        if let Some(preds) = self.in_ids.get_mut(t as usize).filter(|_| reverse) {
+            preds.push(f);
+        }
         self.edge_count += 1;
         true
+    }
+
+    /// The successors of id `id`, in insertion order.
+    fn successor_nodes(&self, id: u32) -> impl Iterator<Item = Node> + '_ {
+        let ids = self.out_ids.get(id as usize);
+        ids.into_iter().flatten().filter_map(|&s| self.node(s))
     }
 
     /// The successors of `node` in insertion order; none for unknown
     /// nodes.
     pub fn successors(&self, node: Node) -> impl Iterator<Item = Node> + '_ {
-        let ids = self
-            .index
-            .get(&node)
-            .and_then(|&id| self.out_ids.get(id as usize));
-        ids.into_iter()
-            .flatten()
-            .filter_map(|&s| self.nodes.get(s as usize).copied())
+        self.id_of(node)
+            .into_iter()
+            .flat_map(|id| self.successor_nodes(id))
     }
 
     /// Whether a directed path `from →* to` exists (including the trivial
@@ -261,25 +433,29 @@ impl SerializationGraph {
     /// i.e. `path_exists(n, n)` is `true` only when `n` lies on a cycle).
     // bpush-lint: hot_path — per-read SGT acceptance probe (PR-3 allocation-freedom contract)
     pub fn path_exists(&self, from: Node, to: Node) -> bool {
-        let (from, to) = match (self.index.get(&from), self.index.get(&to)) {
-            (Some(&f), Some(&t)) => (f, t),
-            _ => return false,
+        let (Some(from), Some(to)) = (self.id_of(from), self.id_of(to)) else {
+            return false;
         };
         let mut scratch = self.scratch.borrow_mut();
         let epoch = scratch.begin(self.nodes.len());
         let DfsScratch { visited, stack, .. } = &mut *scratch;
-        // bpush-lint: allow(hot-alloc) — amortized: the reusable scratch stack grows to its high-water mark once
-        stack.extend_from_slice(&self.out_ids[from as usize]); // bpush-lint: allow(panic-reach) — from is an interned id < nodes.len()
+        if let Some(succ_ids) = self.out_ids.get(from as usize) {
+            // bpush-lint: allow(hot-alloc) — amortized: the reusable scratch stack grows to its high-water mark once
+            stack.extend_from_slice(succ_ids);
+        }
         while let Some(id) = stack.pop() {
             if id == to {
                 return true;
             }
-            // bpush-lint: allow(panic-reach) — visited is sized to nodes.len() by scratch.begin
-            if visited[id as usize] != epoch {
-                // bpush-lint: allow(panic-reach) — visited is sized to nodes.len() by scratch.begin
-                visited[id as usize] = epoch;
-                // bpush-lint: allow(hot-alloc, panic-reach) — amortized reusable scratch stack; id is always a live arena slot
-                stack.extend_from_slice(&self.out_ids[id as usize]);
+            let Some(seen) = visited.get_mut(id as usize) else {
+                continue;
+            };
+            if *seen != epoch {
+                *seen = epoch;
+                if let Some(succ_ids) = self.out_ids.get(id as usize) {
+                    // bpush-lint: allow(hot-alloc) — amortized: the reusable scratch stack grows to its high-water mark once
+                    stack.extend_from_slice(succ_ids);
+                }
             }
         }
         false
@@ -303,7 +479,7 @@ impl SerializationGraph {
         const GRAY: u8 = 1;
         const BLACK: u8 = 2;
         let mut color = vec![WHITE; self.nodes.len()];
-        for &start in self.index.values() {
+        for (_, start) in self.entries() {
             if color[start as usize] != WHITE {
                 continue;
             }
@@ -336,7 +512,7 @@ impl SerializationGraph {
     /// in-degree·neighbor-list-length) via the reverse index.
     // bpush-lint: hot_path — per-commit/abort cleanup on the client validation path
     pub fn remove_query(&mut self, query: QueryId) {
-        if let Some(&id) = self.index.get(&Node::Query(query)) {
+        if let Some(id) = self.queries.remove(&query) {
             self.unlink(id);
         }
     }
@@ -352,10 +528,11 @@ impl SerializationGraph {
     /// graph is the window that starts at cycle 0.
     ///
     /// With `None` the caller has no live query, so nothing is kept: the
-    /// graph returns to an empty one — intern table and search scratch
-    /// included, so a long-lived client returns to zero footprint (the
-    /// paper's "if no items are updated, there is no space or processing
-    /// overhead") — and `diff` is ignored.
+    /// graph returns to an empty one — intern table, adjacency buffers,
+    /// slot vectors and search scratch included, so a long-lived client
+    /// returns to zero footprint (the paper's "if no items are updated,
+    /// there is no space or processing overhead") — and `diff` is
+    /// ignored.
     ///
     /// Edges between server transactions always point from earlier to
     /// later commits (Claim 1: strict histories admit no edges *into* a
@@ -365,57 +542,97 @@ impl SerializationGraph {
     /// acceptance test exact. See
     /// [`SerializationGraph::would_close_cycle`].
     ///
-    /// Dropping pops the front of the sorted node index, so its work is
-    /// proportional to the dropped subgraphs' own degree and it allocates
-    /// nothing.
+    /// Dropping takes the transactions below `start` off the front of the
+    /// side table and pops the slot vectors in front of `start`, so its
+    /// work is proportional to the dropped subgraphs' own degree; the
+    /// popped vectors are cleared and kept for the cycles the slots reach
+    /// next. `start` becomes the slots' base unless it lies below a base
+    /// they still hold cycles from; the diff's transactions then find
+    /// their slots by offset, so integrating a diff costs its edges, not
+    /// a search per endpoint.
     pub fn advance(&mut self, start: Option<Cycle>, diff: Option<&GraphDiff>) {
         let Some(start) = start else {
             *self = SerializationGraph::default();
             return;
         };
-        let first_kept = Node::Txn(TxnId::new(start, 0));
-        while let Some((&node, &id)) = self.index.first_key_value() {
-            if node >= first_kept {
+        let first_kept = TxnId::new(start, 0);
+        while let Some(entry) = self.side.first_entry() {
+            if *entry.key() >= first_kept {
                 break;
             }
+            let id = entry.remove();
             self.unlink(id);
+        }
+        while self.base.is_some_and(|base| base < start) {
+            let Some(mut ids) = self.slots.pop_front() else {
+                break;
+            };
+            for &id in &ids {
+                if id != VACANT {
+                    self.unlink(id);
+                }
+            }
+            ids.clear();
+            self.spare.push(ids);
+            self.base = self.base.map(Cycle::next);
+        }
+        if self.slots.is_empty() {
+            self.base = Some(start);
         }
         let Some(diff) = diff else {
             return;
         };
         for &t in diff.committed() {
             if t.cycle() >= start {
-                self.intern(Node::Txn(t));
+                self.intern_txn(t);
             }
         }
-        // The server emits a commit's edges contiguously, so the target
-        // is looked up once per run of equal `to`, not once per edge.
-        let mut run: Option<(TxnId, u32)> = None;
         for &(from, to) in diff.edges() {
-            let f = (from.cycle() >= start).then(|| self.intern(Node::Txn(from)));
-            if to.cycle() < start {
-                continue;
-            }
-            let t = match run {
-                Some((txn, id)) if txn == to => id,
-                _ => self.intern(Node::Txn(to)),
-            };
-            run = Some((to, t));
-            if let Some(f) = f {
-                self.link(f, t);
+            let f = (from.cycle() >= start).then(|| self.intern_txn(from));
+            let t = (to.cycle() >= start).then(|| self.intern_txn(to));
+            if let (Some(f), Some(t)) = (f, t) {
+                self.link(f, t, from >= to);
             }
         }
     }
 
-    /// Iterates over all nodes in unspecified order.
+    /// Every live node with its id, in node order: the transactions of
+    /// the side table and the slots merged by id, then the queries.
+    fn entries(&self) -> impl Iterator<Item = (Node, u32)> + '_ {
+        let base = self.base.unwrap_or(Cycle::ZERO);
+        let mut slotted = self
+            .slots
+            .iter()
+            .zip(0..)
+            .flat_map(move |(ids, k)| {
+                let cycle = base.plus(k);
+                ids.iter()
+                    .zip(0..)
+                    .filter(|&(&id, _)| id != VACANT)
+                    .map(move |(&id, seq)| (TxnId::new(cycle, seq), id))
+            })
+            .peekable();
+        let mut side = self.side.iter().map(|(&t, &id)| (t, id)).peekable();
+        let txns = std::iter::from_fn(move || match (side.peek(), slotted.peek()) {
+            (Some(a), Some(b)) if b.0 < a.0 => slotted.next(),
+            (Some(_), _) => side.next(),
+            (None, _) => slotted.next(),
+        });
+        txns.map(|(t, id)| (Node::Txn(t), id))
+            .chain(self.queries.iter().map(|(&q, &id)| (Node::Query(q), id)))
+    }
+
+    /// Iterates over all nodes in sorted order: transactions by commit
+    /// cycle and in-cycle position, then queries — the order `Debug`
+    /// prints them in.
     pub fn nodes(&self) -> impl Iterator<Item = Node> + '_ {
-        self.index.keys().copied()
+        self.entries().map(|(node, _)| node)
     }
 
     /// The earliest commit cycle still retained, if any transaction nodes
     /// exist.
     pub fn earliest_cycle(&self) -> Option<Cycle> {
-        self.index.keys().next()?.as_txn().map(TxnId::cycle)
+        self.nodes().next()?.as_txn().map(TxnId::cycle)
     }
 }
 
@@ -715,5 +932,144 @@ mod tests {
         c.add_edge(nt(1, 0), nt(2, 0));
         assert_eq!(g.edge_count(), 2);
         assert_eq!(c.edge_count(), 3);
+    }
+
+    #[test]
+    fn slots_and_side_table_print_in_node_order() {
+        // a last writer below the base and a sequence number past the
+        // slots' reach live in the side table, the window's commits in
+        // the slots; `Debug` and `nodes()` merge them in node order
+        let mut g = SerializationGraph::new();
+        g.add_edge(nt(1, 0), nq(0));
+        let diff = GraphDiff::new(
+            Cycle::new(3),
+            vec![t(3, 0), t(3, SLOT_SEQS), t(3, 1)],
+            vec![
+                (t(2, 0), t(3, SLOT_SEQS)),
+                (t(3, 0), t(3, 1)),
+                (t(2, 0), t(3, 0)),
+            ],
+        );
+        g.advance(Some(Cycle::new(2)), Some(&diff));
+        g.add_edge(nt(1, 0), nq(0)); // below the window: back in the side table
+        g.add_edge(nq(0), nt(3, 1));
+        assert_eq!(g.base, Some(Cycle::new(2)));
+        assert_eq!(
+            g.side.keys().copied().collect::<Vec<_>>(),
+            vec![t(1, 0), t(3, SLOT_SEQS)]
+        );
+        let model: BTreeMap<Node, Vec<Node>> = [
+            (nt(1, 0), vec![nq(0)]),
+            (nt(2, 0), vec![nt(3, SLOT_SEQS), nt(3, 0)]),
+            (nt(3, 0), vec![nt(3, 1)]),
+            (nt(3, 1), vec![]),
+            (nt(3, SLOT_SEQS), vec![]),
+            (nq(0), vec![nt(3, 1)]),
+        ]
+        .into();
+        assert_eq!(format!("{g:?}"), format!("{model:?}"));
+        assert!(g.nodes().eq(model.keys().copied()));
+        assert_eq!(g.earliest_cycle(), Some(Cycle::new(1)));
+        assert_eq!(g.node_count(), 6);
+    }
+
+    #[test]
+    fn side_table_entries_move_into_the_slots_that_reach_them() {
+        // interned before any window exists, T3.0 sits in the side table;
+        // once the slots grow to cycle 3 the diff must find it there, not
+        // intern it twice
+        let mut g = SerializationGraph::new();
+        g.add_edge(nt(3, 0), nq(0));
+        assert_eq!(g.side.len(), 1);
+        let diff = GraphDiff::new(Cycle::new(4), vec![t(4, 0)], vec![(t(3, 0), t(4, 0))]);
+        g.advance(Some(Cycle::new(2)), Some(&diff));
+        assert!(g.side.is_empty(), "T3.0 moved into its slot");
+        assert_eq!(g.node_count(), 3);
+        assert!(g.path_exists(nt(3, 0), nt(4, 0)));
+        // a window start moving back below a base the slots still hold
+        // cycles from leaves the base; what is interned below it goes to
+        // the side table and is found there
+        g.advance(
+            Some(Cycle::new(1)),
+            Some(&GraphDiff::new(Cycle::new(1), vec![t(1, 0)], vec![])),
+        );
+        assert_eq!(g.base, Some(Cycle::new(2)));
+        assert_eq!(g.side.keys().copied().collect::<Vec<_>>(), vec![t(1, 0)]);
+        assert!(!g.add_edge(nt(3, 0), nt(4, 0)), "found in its slot");
+        g.advance(Some(Cycle::new(4)), None);
+        assert!(g.side.is_empty());
+        assert_eq!(g.node_count(), 2);
+    }
+
+    #[test]
+    fn popped_slot_vectors_are_cleared_and_reused() {
+        let mut g = SerializationGraph::new();
+        for n in 1..6u64 {
+            let diff = GraphDiff::new(
+                Cycle::new(n),
+                vec![t(n, 0), t(n, 1)],
+                vec![(t(n - 1, 0), t(n, 0)), (t(n, 0), t(n, 1))],
+            );
+            g.advance(Some(Cycle::new(n.saturating_sub(1))), Some(&diff));
+            assert!(
+                g.spare.iter().all(Vec::is_empty),
+                "spare slot vectors hold no ids"
+            );
+        }
+        // two cycles of slots live; earlier vectors were recycled, not
+        // grown anew
+        assert_eq!(g.slots.len(), 2);
+        assert!(g.slots.len() + g.spare.len() <= 3);
+        assert_eq!(g.node_count(), 4);
+        assert_eq!(g.edge_count(), 3);
+    }
+
+    #[test]
+    fn freed_ids_keep_their_adjacency_buffers() {
+        let mut g = SerializationGraph::new();
+        g.advance(Some(Cycle::ZERO), None);
+        g.add_edge(nt(0, 0), nt(1, 0));
+        g.add_edge(nq(0), nt(0, 0));
+        g.advance(Some(Cycle::new(1)), None);
+        let freed = g.free.clone();
+        assert!(!freed.is_empty());
+        for id in freed {
+            assert!(g.out_ids[id as usize].is_empty() && g.in_ids[id as usize].is_empty());
+        }
+        assert!(
+            g.out_ids
+                .iter()
+                .chain(&g.in_ids)
+                .any(|ids| ids.is_empty() && ids.capacity() > 0),
+            "a freed id keeps the capacity its node grew"
+        );
+        // no window at all still returns to zero footprint
+        g.advance(None, None);
+        assert!(
+            g.out_ids.is_empty() && g.in_ids.is_empty() && g.slots.is_empty() && g.spare.is_empty()
+        );
+    }
+
+    #[test]
+    fn old_to_new_transaction_edges_keep_no_reverse_entry() {
+        let mut g = SerializationGraph::new();
+        g.add_edge(nt(1, 0), nt(2, 0)); // old -> new: none
+        g.add_edge(nt(2, 1), nt(2, 0)); // new -> old: kept
+        g.add_edge(nq(0), nt(2, 0)); // query end: kept
+        g.add_edge(nt(2, 0), nt(2, 0)); // self edge: kept
+        let id = |n: Node| g.id_of(n).unwrap();
+        let preds: Vec<Node> = g.in_ids[id(nt(2, 0)) as usize]
+            .iter()
+            .map(|&p| g.nodes[p as usize])
+            .collect();
+        assert_eq!(preds, vec![nt(2, 1), nq(0), nt(2, 0)]);
+        // dropping the old source still detaches the edge, and dropping
+        // the new -> old edge's target detaches it through the entry it
+        // kept
+        g.advance(Some(Cycle::new(2)), None);
+        assert_eq!(g.edge_count(), 3);
+        g.remove_query(QueryId::new(0));
+        assert_eq!(g.edge_count(), 2);
+        assert!(g.successors(nt(2, 1)).eq([nt(2, 0)]));
     }
 }

@@ -11,12 +11,15 @@
 //!
 //! * [`SerializationGraph`] — the graph itself on a dense `u32` node
 //!   interner with one forward and one reverse adjacency list of ids per
-//!   node, with incremental edge insertion, allocation-free cycle/path
-//!   queries, and the Lemma-1 window written once
-//!   ([`SerializationGraph::advance`]): it drops what fell out of the
-//!   window and integrates only the part of a broadcast diff inside it.
-//!   The sorted node index is the per-cycle index (`SG^i` in the paper),
-//!   since transaction ids order by commit cycle and sort before queries,
+//!   node (no reverse entry for an old → new transaction edge, which the
+//!   window never needs), with incremental edge insertion,
+//!   allocation-free cycle/path queries, and the Lemma-1 window written
+//!   once ([`SerializationGraph::advance`]): it drops what fell out of
+//!   the window and integrates only the part of a broadcast diff inside
+//!   it. A window transaction finds its id in a per-cycle slot vector
+//!   (`SG^i` in the paper is one slot vector) kept in a deque from the
+//!   window start; a small sorted side table holds the transactions
+//!   below it and the query nodes have their own,
 //! * [`GraphDiff`] — the per-cycle difference the server broadcasts,
 //! * [`Node`] — graph nodes: committed server transactions or local
 //!   read-only queries.

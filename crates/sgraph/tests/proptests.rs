@@ -7,10 +7,12 @@
 use proptest::prelude::*;
 
 mod baseline;
+mod indexed;
 
 use baseline::BaselineGraph;
 use bpush_sgraph::{GraphDiff, Node, SerializationGraph};
 use bpush_types::{Cycle, QueryId, TxnId};
+use indexed::IndexedGraph;
 
 /// Strategy: a random "server history" of edges that always point from an
 /// earlier transaction to a later one — strict histories can produce
@@ -273,6 +275,206 @@ proptest! {
             prop_assert_eq!(&nodes, &baseline.nodes().collect::<Vec<Node>>());
             for n in nodes {
                 prop_assert_eq!(windowed.successors(n).collect::<Vec<Node>>(), baseline.successors(n));
+            }
+        }
+    }
+
+    /// Differential test of the per-cycle slots: the graph and the
+    /// `BTreeMap`-indexed [`IndexedGraph`] it replaced stay
+    /// indistinguishable under random sequences of `add_edge` (both
+    /// directions, duplicates, query ↔ transaction), window moves with a
+    /// diff (`start` forward, backward and past every node), `advance(None,
+    /// _)` and `remove_query`. Transaction ids now and then fall outside the
+    /// slots' reach (a sequence number past it, a cycle far beyond the
+    /// base); in release builds the diffs may also be malformed — new →
+    /// old, duplicate or off-cycle edges, targets missing from the commits
+    /// — which `GraphDiff::new` only rejects under `debug_assertions`.
+    #[test]
+    fn slotted_graph_agrees_with_the_indexed_model(
+        steps in proptest::collection::vec(step(), 0..40),
+    ) {
+        let mut fast = SerializationGraph::new();
+        let mut model = IndexedGraph::new();
+        for step in steps {
+            match step {
+                Step::Edge(from, to) => {
+                    prop_assert_eq!(fast.add_edge(from, to), model.add_edge(from, to));
+                }
+                Step::Advance(start, diff) => {
+                    fast.advance(start, Some(&diff));
+                    model.advance(start, Some(&diff));
+                }
+                Step::RemoveQuery(q) => {
+                    fast.remove_query(q);
+                    model.remove_query(q);
+                }
+            }
+            assert_same(&fast, &model)?;
+        }
+    }
+}
+
+/// One operation of [`slotted_graph_agrees_with_the_indexed_model`].
+#[derive(Debug, Clone)]
+enum Step {
+    Edge(Node, Node),
+    Advance(Option<Cycle>, GraphDiff),
+    RemoveQuery(QueryId),
+}
+
+/// A transaction of cycles 0–7, now and then one the slots cannot hold:
+/// a sequence number past their reach, or a cycle far past any base.
+fn txn_id() -> impl Strategy<Value = TxnId> {
+    (0u8..10, 0u64..8, 0u8..10, 0u32..4).prop_map(|(far, c, big, s)| {
+        let cycle = if far == 0 { 100_000 } else { c };
+        let seq = match big {
+            0 => 5_000,
+            1 => u32::MAX,
+            _ => s,
+        };
+        TxnId::new(Cycle::new(cycle), seq)
+    })
+}
+
+fn node() -> impl Strategy<Value = Node> {
+    (0u8..4, txn_id(), 0u64..3).prop_map(|(kind, t, q)| match kind {
+        0 => Node::Query(QueryId::new(q)),
+        _ => Node::Txn(t),
+    })
+}
+
+/// A diff of a cycle 0–7: its commits, and edges into them or — as a
+/// malformed diff may carry — anywhere. Debug builds keep only what
+/// `GraphDiff::new` admits there.
+fn diff() -> impl Strategy<Value = GraphDiff> {
+    (
+        0u64..8,
+        proptest::collection::vec(0u32..4, 0..4),
+        proptest::collection::vec((txn_id(), 0u32..4, 0u8..5, txn_id()), 0..8),
+    )
+        .prop_map(|(cycle, seqs, raw)| {
+            let cycle = Cycle::new(cycle);
+            let committed = seqs.into_iter().map(|s| TxnId::new(cycle, s)).collect();
+            let mut edges: Vec<(TxnId, TxnId)> = raw
+                .into_iter()
+                .map(|(from, seq, anywhere, to)| match anywhere {
+                    0 => (from, to),
+                    _ => (from, TxnId::new(cycle, seq)),
+                })
+                .collect();
+            if cfg!(debug_assertions) {
+                edges.retain(|&(from, to)| from < to && to.cycle() == cycle);
+            }
+            GraphDiff::new(cycle, committed, edges)
+        })
+}
+
+fn step() -> impl Strategy<Value = Step> {
+    (0u8..10, node(), node(), 0u8..11, diff()).prop_map(|(op, a, b, start, diff)| {
+        // a window start of cycle 0–8, one past every node, or none at all
+        let start = match start {
+            9 => Some(Cycle::new(100_001)),
+            10 => None,
+            c => Some(Cycle::new(u64::from(c))),
+        };
+        match (op, b) {
+            (0..=4, _) => Step::Edge(a, b),
+            (5..=8, _) => Step::Advance(start, diff),
+            (_, Node::Query(q)) => Step::RemoveQuery(q),
+            _ => Step::RemoveQuery(QueryId::new(0)),
+        }
+    })
+}
+
+/// Everything observable about the two graphs is equal: the canonical
+/// `Debug` text (what mc hashes), the counts, the node order, and
+/// reachability between every pair of live nodes.
+fn assert_same(fast: &SerializationGraph, model: &IndexedGraph) -> Result<(), TestCaseError> {
+    prop_assert_eq!(format!("{fast:?}"), format!("{model:?}"));
+    prop_assert_eq!(fast.node_count(), model.node_count());
+    prop_assert_eq!(fast.edge_count(), model.edge_count());
+    prop_assert_eq!(fast.is_empty(), model.is_empty());
+    prop_assert_eq!(fast.earliest_cycle(), model.earliest_cycle());
+    prop_assert_eq!(fast.is_acyclic(), model.is_acyclic());
+    let nodes: Vec<Node> = fast.nodes().collect();
+    prop_assert_eq!(&nodes, &model.nodes().collect::<Vec<Node>>());
+    for &a in &nodes {
+        prop_assert!(fast.contains(a));
+        for &b in &nodes {
+            prop_assert_eq!(
+                fast.path_exists(a, b),
+                model.path_exists(a, b),
+                "{} ->* {}",
+                a,
+                b
+            );
+        }
+    }
+    Ok(())
+}
+
+/// Malformed diffs — which only `debug_assertions` keep out of
+/// `GraphDiff::new`, and which a decoded segment could still carry — move
+/// the graph exactly as they move the model, without a panic: a new → old
+/// edge (whose target is then dropped while its source stays, so only
+/// the reverse entry the edge keeps can detach it), a duplicate edge, a
+/// target missing from the commits, and a target of another cycle than
+/// the diff's. Release builds run every case; debug builds the ones
+/// `GraphDiff::new` admits.
+#[test]
+fn malformed_diffs_match_the_model() {
+    let t = |c: u64, s: u32| TxnId::new(Cycle::new(c), s);
+    let c3 = Cycle::new(3);
+    // (what is wrong, whether `GraphDiff::new` admits it in debug builds,
+    // commits, edges) — built only where it is admitted
+    let cases = [
+        (
+            "new -> old edge",
+            false,
+            vec![t(3, 0), t(3, 1)],
+            vec![(t(3, 1), t(3, 0)), (t(3, 0), t(2, 0))],
+        ),
+        (
+            "duplicate edge",
+            true,
+            vec![t(3, 0)],
+            vec![(t(2, 0), t(3, 0)), (t(2, 0), t(3, 0))],
+        ),
+        (
+            "target missing from the commits",
+            true,
+            vec![t(3, 0)],
+            vec![(t(2, 0), t(3, 1))],
+        ),
+        (
+            "target of another cycle",
+            false,
+            vec![t(3, 0)],
+            vec![(t(2, 0), t(5, 0)), (t(2, 1), t(1, 0))],
+        ),
+    ];
+    for (label, admitted_in_debug, committed, edges) in cases {
+        if cfg!(debug_assertions) && !admitted_in_debug {
+            continue;
+        }
+        let diff = GraphDiff::new(c3, committed, edges);
+        let mut fast = SerializationGraph::new();
+        let mut model = IndexedGraph::new();
+        let query = Node::Query(QueryId::new(0));
+        let script: [(Option<u64>, Option<&GraphDiff>); 5] = [
+            (Some(1), None),
+            (Some(1), Some(&diff)),
+            (Some(3), None),
+            (Some(2), Some(&diff)),
+            (Some(4), None),
+        ];
+        for (start, diff) in script {
+            fast.add_edge(query, Node::Txn(t(2, 0)));
+            model.add_edge(query, Node::Txn(t(2, 0)));
+            fast.advance(start.map(Cycle::new), diff);
+            model.advance(start.map(Cycle::new), diff);
+            if let Err(e) = assert_same(&fast, &model) {
+                panic!("{label}: {e:?}");
             }
         }
     }
