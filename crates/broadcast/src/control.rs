@@ -7,6 +7,7 @@
 //! [`ControlInfo`] bundles all three and knows its own on-air size.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 // bpush-lint: sans_io — protocol core: pure control-information computation, no clocks/threads/files/sockets
 
@@ -491,7 +492,9 @@ pub struct ControlInfo {
     cycle: Cycle,
     invalidation: InvalidationReport,
     augmented: Option<AugmentedReport>,
-    graph_diff: Option<GraphDiff>,
+    /// Shared: every struct-fed SGT client keeps this one diff as its
+    /// chunk of the cycle.
+    graph_diff: Option<Arc<GraphDiff>>,
 }
 
 impl ControlInfo {
@@ -548,7 +551,7 @@ impl ControlInfo {
             cycle,
             invalidation,
             augmented,
-            graph_diff,
+            graph_diff: graph_diff.map(Arc::new),
         })
     }
 
@@ -574,6 +577,12 @@ impl ControlInfo {
 
     /// The SGT serialization-graph difference, when broadcast.
     pub fn graph_diff(&self) -> Option<&GraphDiff> {
+        self.graph_diff.as_deref()
+    }
+
+    /// The SGT serialization-graph difference as the shared handle an
+    /// SGT client keeps in its window, when broadcast.
+    pub fn shared_graph_diff(&self) -> Option<&Arc<GraphDiff>> {
         self.graph_diff.as_ref()
     }
 

@@ -471,10 +471,9 @@ pub(crate) fn encode_diff_into(
 ///
 /// # Errors
 /// Returns [`BpushError::InvalidConfig`] on a truncated stream, or when
-/// the decoded diff violates the [`bpush_sgraph::GraphDiff`] invariants
-/// (committed transactions outside the covered cycle, edges not pointing
-/// forward into it) — honest encoders never produce such streams, so
-/// they are malformed input, not panics.
+/// the decoded diff is not one an SGT client's window can keep as it is
+/// (see [`decode_diff_from`]) — honest encoders never produce such
+/// streams, so they are malformed input, not panics.
 pub fn decode_diff(
     bytes: &[u8],
     params: WireParams,
@@ -484,7 +483,82 @@ pub fn decode_diff(
     decode_diff_from(&mut r, params, now)
 }
 
-/// Reads a graph diff from an open bit stream.
+/// A target's in-edge run longer than this is checked for a repeated
+/// source by sorting it in place; a shorter one through a [`RunFilter`].
+/// The server's runs are about 25 edges long, nearly all under 64.
+const FILTERED_RUN: usize = 64;
+
+/// A 256-bit filter over the sources of one target's run: a source
+/// whose bit is set already is compared against the run so far, which a
+/// run of 25 sources needs about once. A shared bit costs a scan, never
+/// a wrong answer.
+#[derive(Default)]
+struct RunFilter([u64; 4]);
+
+impl RunFilter {
+    /// Marks `from`; `true` if its bit was set already.
+    #[inline(always)]
+    fn mark(&mut self, from: TxnId) -> bool {
+        let key = from.cycle().number() << 32 ^ u64::from(from.seq());
+        let bit = key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56;
+        let Some(word) = self.0.get_mut((bit >> 6) as usize) else {
+            return false;
+        };
+        let mask = 1u64 << (bit & 63);
+        let seen = *word & mask != 0;
+        *word |= mask;
+        seen
+    }
+}
+
+/// Whether a run longer than [`FILTERED_RUN`], `edges[start..]`, names a
+/// source twice: the run is sorted in place, checked, and re-read in the
+/// order it was sent. `mark` is a reader at edge `mark.0 <= start`; it is
+/// moved to the run's start first, so over a whole diff the re-reads cost
+/// O(edges). No allocation.
+fn long_run_repeats(
+    edges: &mut [(TxnId, TxnId)],
+    start: usize,
+    mark: &mut (usize, BitReader<'_>),
+    now: Cycle,
+    params: WireParams,
+) -> Result<bool, BpushError> {
+    let Some(run) = edges
+        .get_mut(start..)
+        .filter(|run| run.len() > FILTERED_RUN)
+    else {
+        return Ok(false);
+    };
+    let (at, reader) = mark;
+    while *at < start {
+        take_txn(reader, now, params)?;
+        take_txn(reader, now, params)?;
+        *at += 1;
+    }
+    run.sort_unstable();
+    let repeats = run.windows(2).any(|w| w.first() == w.last());
+    for edge in run.iter_mut() {
+        *edge = (
+            take_txn(reader, now, params)?,
+            take_txn(reader, now, params)?,
+        );
+        *at += 1;
+    }
+    Ok(repeats)
+}
+
+/// Reads a graph diff from an open bit stream, admitting only a diff an
+/// SGT client's window can keep as it is, in O(edges) and without
+/// allocating beyond the diff itself:
+///
+/// * commits of the covered cycle, strictly ascending;
+/// * edges pointing forward into the covered cycle, grouped by ascending
+///   target — the order the server's conflict tracker emits them in;
+/// * every target a listed commit, found by one merge walk along the
+///   commits;
+/// * no edge twice: within a target's run, through a [`RunFilter`] of its
+///   sources, or for a run longer than [`FILTERED_RUN`] by sorting it in
+///   place and re-reading it.
 #[inline(always)]
 pub(crate) fn decode_diff_from(
     r: &mut BitReader<'_>,
@@ -494,17 +568,27 @@ pub(crate) fn decode_diff_from(
     let prev = now.prev();
     let txn_bits = params.txn_age_bits + params.seq_bits;
     let n_committed = r.take(params.count_bits)?;
-    let mut committed = Vec::with_capacity(capped_capacity(n_committed, txn_bits, r));
+    let mut committed: Vec<TxnId> = Vec::with_capacity(capped_capacity(n_committed, txn_bits, r));
     for _ in 0..n_committed {
         let t = take_txn(r, now, params)?;
         if t.cycle() != prev {
             return Err(malformed("graph-diff commit outside the covered cycle"));
         }
+        if committed.last().is_some_and(|&last| last >= t) {
+            return Err(malformed("graph-diff commits not strictly ascending"));
+        }
         committed.push(t);
     }
     let n_edges = r.take(params.count_bits)?;
-    let mut edges = Vec::with_capacity(capped_capacity(n_edges, 2 * txn_bits, r));
-    for _ in 0..n_edges {
+    let mut edges: Vec<(TxnId, TxnId)> =
+        Vec::with_capacity(capped_capacity(n_edges, 2 * txn_bits, r));
+    // the current run: its target's seq (every target is of the covered
+    // cycle), its first edge, and its sources' filter; `listed` walks the
+    // commits alongside the targets, `mark` the edges behind the runs
+    let (mut target, mut start, mut filter) = (u64::MAX, 0, RunFilter::default());
+    let mut listed = 0;
+    let mut mark = (0, r.clone());
+    for at in 0..n_edges as usize {
         let a = take_txn(r, now, params)?;
         let b = take_txn(r, now, params)?;
         if b.cycle() != prev || a >= b {
@@ -512,7 +596,35 @@ pub(crate) fn decode_diff_from(
                 "graph-diff edge does not point forward into the covered cycle",
             ));
         }
+        if u64::from(b.seq()) != target {
+            if target != u64::MAX && target > u64::from(b.seq()) {
+                return Err(malformed(
+                    "graph-diff edges not grouped by ascending target",
+                ));
+            }
+            if at - start > FILTERED_RUN
+                && long_run_repeats(&mut edges, start, &mut mark, now, params)?
+            {
+                return Err(malformed("graph-diff edge listed twice"));
+            }
+            (target, start, filter) = (u64::from(b.seq()), at, RunFilter::default());
+            while committed.get(listed).is_some_and(|&t| t < b) {
+                listed += 1;
+            }
+            if committed.get(listed) != Some(&b) {
+                return Err(malformed("graph-diff edge target is not a listed commit"));
+            }
+        }
+        if filter.mark(a) && at - start < FILTERED_RUN {
+            let run = edges.get(start..).unwrap_or_default();
+            if run.iter().any(|&(other, _)| other == a) {
+                return Err(malformed("graph-diff edge listed twice"));
+            }
+        }
         edges.push((a, b));
+    }
+    if long_run_repeats(&mut edges, start, &mut mark, now, params)? {
+        return Err(malformed("graph-diff edge listed twice"));
     }
     Ok(bpush_sgraph::GraphDiff::new(prev, committed, edges))
 }

@@ -18,6 +18,24 @@ use bpush_broadcast::{AugmentedReport, InvalidationReport};
 use bpush_sgraph::GraphDiff;
 use bpush_types::{Cycle, Granularity, ItemId, TxnId};
 
+/// The diff of `cycle` a server would send with these commits and edges:
+/// commits ascending and holding every target, edges grouped by ascending
+/// target (in their order within a group), none twice.
+fn well_formed(
+    cycle: Cycle,
+    seqs: impl IntoIterator<Item = u32>,
+    mut edges: Vec<(TxnId, TxnId)>,
+) -> GraphDiff {
+    let mut committed: Vec<TxnId> = seqs.into_iter().map(|s| TxnId::new(cycle, s)).collect();
+    committed.extend(edges.iter().map(|&(_, to)| to));
+    committed.sort_unstable();
+    committed.dedup();
+    edges.sort_by_key(|&(_, to)| to);
+    let mut seen = std::collections::BTreeSet::new();
+    edges.retain(|&e| seen.insert(e));
+    GraphDiff::new(cycle, committed, edges)
+}
+
 fn params() -> WireParams {
     WireParams::derive(1024, 8, 16, 16)
 }
@@ -180,7 +198,6 @@ proptest! {
         raw_edges in proptest::collection::vec((1u32..16, 0u32..16, 0u32..16), 0..16),
     ) {
         let prev = Cycle::new(now - 1);
-        let committed: Vec<TxnId> = seqs.iter().map(|&s| TxnId::new(prev, s)).collect();
         let edges: Vec<(TxnId, TxnId)> = raw_edges
             .iter()
             .map(|&(age, s1, s2)| {
@@ -191,7 +208,7 @@ proptest! {
             })
             .filter(|(a, b)| a < b)
             .collect();
-        let diff = GraphDiff::new(prev, committed, edges);
+        let diff = well_formed(prev, seqs.iter().copied(), edges);
         let bytes = encode_diff(&diff, Cycle::new(now), params());
         let decoded = decode_diff(&bytes, params(), Cycle::new(now)).unwrap();
         prop_assert_eq!(decoded, diff);
@@ -261,7 +278,6 @@ proptest! {
         cut in 0usize..4096,
     ) {
         let prev = Cycle::new(now - 1);
-        let committed: Vec<TxnId> = seqs.iter().map(|&s| TxnId::new(prev, s)).collect();
         let edges: Vec<(TxnId, TxnId)> = raw_edges
             .iter()
             .map(|&(age, s1, s2)| {
@@ -272,7 +288,7 @@ proptest! {
             })
             .filter(|(a, b)| a < b)
             .collect();
-        let diff = GraphDiff::new(prev, committed, edges);
+        let diff = well_formed(prev, seqs.iter().copied(), edges);
         let bytes = encode_diff(&diff, Cycle::new(now), params());
         let cut = cut.min(bytes.len());
         let _ = decode_diff(&bytes[..cut], params(), Cycle::new(now));
@@ -384,7 +400,6 @@ proptest! {
         raw_edges in proptest::collection::vec((0u64..200, 0u32..16, 0u32..16), 0..16),
     ) {
         let prev = Cycle::new(now.saturating_sub(1));
-        let committed: Vec<TxnId> = (0..4).map(|s| TxnId::new(prev, s)).collect();
         let edges: Vec<(TxnId, TxnId)> = raw_edges
             .iter()
             .map(|&(from_cycle, s1, s2)| {
@@ -392,7 +407,7 @@ proptest! {
             })
             .filter(|(a, b)| a < b)
             .collect();
-        let diff = GraphDiff::new(prev, committed, edges);
+        let diff = well_formed(prev, 0..4, edges);
         let bytes = encode_diff(&diff, Cycle::new(now), params());
         let decoded = decode_diff(&bytes, params(), Cycle::new(now)).unwrap();
         prop_assert_eq!(decoded, diff);

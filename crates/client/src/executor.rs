@@ -154,6 +154,32 @@ impl QueryExecutor {
         queries_budget: u32,
         seed: u64,
     ) -> Result<Self, BpushError> {
+        let pattern = QueryExecutor::read_pattern(&config)?;
+        QueryExecutor::with_read_pattern(
+            client,
+            config,
+            protocol,
+            cache,
+            queries_budget,
+            seed,
+            pattern,
+        )
+    }
+
+    /// The read pattern a client of `config` draws its readsets from: a
+    /// Zipf(θ) table over the read range. Clones share the table, so a
+    /// simulation builds it once for all its clients.
+    ///
+    /// # Errors
+    /// Returns [`BpushError::InvalidConfig`] if the client configuration
+    /// is inconsistent (empty read range, excessive query size, ...).
+    pub fn read_pattern(config: &ClientConfig) -> Result<AccessPattern, BpushError> {
+        QueryExecutor::check_config(config)?;
+        AccessPattern::new(config.read_range, config.theta, 0)
+    }
+
+    /// Rejects a configuration no client can run.
+    fn check_config(config: &ClientConfig) -> Result<(), BpushError> {
         if config.read_range == 0 {
             return Err(BpushError::invalid_config("read_range must be > 0"));
         }
@@ -162,7 +188,34 @@ impl QueryExecutor {
                 "reads_per_query must be in 1..=read_range",
             ));
         }
-        let pattern = AccessPattern::new(config.read_range, config.theta, 0)?;
+        Ok(())
+    }
+
+    /// [`QueryExecutor::new`] with the read pattern built already — by
+    /// [`QueryExecutor::read_pattern`] for the same configuration, or a
+    /// clone of one, which shares its table.
+    ///
+    /// # Errors
+    /// Returns [`BpushError::InvalidConfig`] if the client configuration
+    /// is inconsistent, or `pattern` is not the one it reads with.
+    pub fn with_read_pattern(
+        client: ClientId,
+        config: ClientConfig,
+        protocol: Box<dyn ReadOnlyProtocol>,
+        cache: Option<ClientCache>,
+        queries_budget: u32,
+        seed: u64,
+        pattern: AccessPattern,
+    ) -> Result<Self, BpushError> {
+        QueryExecutor::check_config(&config)?;
+        let same = pattern.range_len() == config.read_range
+            && pattern.theta().to_bits() == config.theta.to_bits()
+            && pattern.offset() == 0;
+        if !same {
+            return Err(BpushError::invalid_config(
+                "the read pattern does not match the client configuration",
+            ));
+        }
         Ok(QueryExecutor {
             client,
             config,
@@ -174,6 +227,11 @@ impl QueryExecutor {
             queries_budget,
             obs: Obs::off(),
         })
+    }
+
+    /// The pattern this client draws its readsets from.
+    pub fn pattern(&self) -> &AccessPattern {
+        &self.pattern
     }
 
     /// Routes this client's activity into `obs`: the protocol is
@@ -541,6 +599,57 @@ mod tests {
             start = start.plus(bcast.total_slots());
         }
         outcomes
+    }
+
+    /// A client built on a shared read pattern draws exactly the queries
+    /// one built by `QueryExecutor::new` draws for the same seed, and a
+    /// pattern of another configuration is refused.
+    #[test]
+    fn a_shared_read_pattern_draws_the_same_queries() {
+        let shared = QueryExecutor::read_pattern(&client_config()).unwrap();
+        let mut own = executor_for(Method::Sgt, 12);
+        let mut borrowed = QueryExecutor::with_read_pattern(
+            ClientId::new(0),
+            client_config(),
+            Method::Sgt.build_protocol(),
+            None,
+            12,
+            7,
+            shared.clone(),
+        )
+        .unwrap();
+        assert!(borrowed.pattern().shares_table_with(&shared));
+        assert!(!own.pattern().shares_table_with(&shared));
+        let mut server = BroadcastServer::new(
+            server_config(),
+            Method::Sgt.server_options(MultiversionLayout::Overflow),
+            3,
+        )
+        .unwrap();
+        let mut start = Slot::ZERO;
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        for _ in 0..60 {
+            let bcast = server.run_cycle();
+            a.extend(own.run_cycle(&bcast, start, true).unwrap());
+            b.extend(borrowed.run_cycle(&bcast, start, true).unwrap());
+            start = start.plus(bcast.total_slots());
+        }
+        assert_eq!(a.len(), 12);
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        let other = ClientConfig {
+            theta: 0.5,
+            ..client_config()
+        };
+        let refused = QueryExecutor::with_read_pattern(
+            ClientId::new(0),
+            other,
+            Method::Sgt.build_protocol(),
+            None,
+            12,
+            7,
+            shared,
+        );
+        assert!(refused.is_err());
     }
 
     #[test]

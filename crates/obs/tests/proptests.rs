@@ -12,7 +12,9 @@ use bpush_obs::{
     Actor, CoverageRule, EventKind, Log2Histogram, MonitorConfig, MonitorPolicy, MonitorVerdict,
     RingBuffer, Violation,
 };
-use bpush_sgraph::{GraphDiff, Node, SerializationGraph};
+use std::collections::{BTreeMap, BTreeSet};
+
+use bpush_sgraph::{GraphDiff, Node};
 use bpush_types::{Cycle, ItemId, QueryId, TxnId};
 
 proptest! {
@@ -184,11 +186,77 @@ fn drive(engine: &mut MonitorEngine, op: &Op) {
     }
 }
 
+/// A mirrored serialization graph with query nodes: the sorted map of
+/// successor lists a client's copy of the graph is, linked edge by edge.
+#[derive(Debug, Default)]
+struct MirrorGraph(BTreeMap<Node, Vec<Node>>);
+
+impl MirrorGraph {
+    fn add_edge(&mut self, from: Node, to: Node) {
+        self.0.entry(to).or_default();
+        let succ = self.0.entry(from).or_default();
+        if !succ.contains(&to) {
+            succ.push(to);
+        }
+    }
+
+    fn unlink(&mut self, gone: impl Fn(&Node) -> bool) {
+        self.0.retain(|n, _| !gone(n));
+        for succ in self.0.values_mut() {
+            succ.retain(|n| !gone(n));
+        }
+    }
+
+    fn remove_query(&mut self, q: QueryId) {
+        self.unlink(|n| *n == Node::Query(q));
+    }
+
+    /// Whether adding `from → to` closes a cycle: `to →* from`.
+    fn would_close_cycle(&self, from: Node, to: Node) -> bool {
+        if from == to {
+            return true;
+        }
+        if !self.0.contains_key(&from) {
+            return false;
+        }
+        let mut seen = BTreeSet::new();
+        let mut stack = self.0.get(&to).cloned().unwrap_or_default();
+        while let Some(n) = stack.pop() {
+            if n == from {
+                return true;
+            }
+            if seen.insert(n) {
+                stack.extend(self.0.get(&n).into_iter().flatten());
+            }
+        }
+        false
+    }
+
+    /// Drops the transactions before `start`, then links the diff's edges
+    /// inside the window; `None` empties the graph.
+    fn advance(&mut self, start: Option<Cycle>, diff: Option<&GraphDiff>) {
+        let Some(start) = start else {
+            self.0.clear();
+            return;
+        };
+        self.unlink(|n| n.as_txn().is_some_and(|t| t.cycle() < start));
+        let Some(diff) = diff else { return };
+        for &t in diff.committed().iter().filter(|t| t.cycle() >= start) {
+            self.0.entry(Node::Txn(t)).or_default();
+        }
+        for &(from, to) in diff.edges() {
+            if from.cycle() >= start && to.cycle() >= start {
+                self.add_edge(Node::Txn(from), Node::Txn(to));
+            }
+        }
+    }
+}
+
 /// One lane of [`MirrorModel`]: the query's state plus its own mirrored
 /// serialization graph.
 #[derive(Debug, Default)]
 struct MirrorLane {
-    graph: SerializationGraph,
+    graph: MirrorGraph,
     active: bool,
     query: u64,
     /// StrictGap doom: the missed cycle that doomed the query.
@@ -395,7 +463,7 @@ impl Gen {
 /// A random commit-ordered feed: each cycle a few server transactions
 /// commit, each conflicting with the previous writer of every item it
 /// writes and sometimes with an older transaction (so every edge runs
-/// old → new); every lane hears each control (or, with `miss_pct`,
+/// old → new, grouped by target, none twice — a well-formed diff); every lane hears each control (or, with `miss_pct`,
 /// misses it) in lane order, then begins, reads, commits or aborts.
 fn feed(seed: u64, lanes: u32, cycles: u64, items: u32, miss_pct: u64) -> Vec<Op> {
     let mut g = Gen(seed);
@@ -481,7 +549,9 @@ fn feed(seed: u64, lanes: u32, cycles: u64, items: u32, miss_pct: u64) -> Vec<Op
             for _ in 0..=g.below(2) {
                 let item = g.below(u64::from(items)) as u32;
                 if let Some(prev) = writer_of[item as usize].filter(|&p| p != t) {
-                    edges.push((prev, t));
+                    if !edges.contains(&(prev, t)) {
+                        edges.push((prev, t));
+                    }
                 }
                 writer_of[item as usize] = Some(t);
                 if !first_writers.iter().any(|&(i, _)| i == item) {
@@ -489,7 +559,10 @@ fn feed(seed: u64, lanes: u32, cycles: u64, items: u32, miss_pct: u64) -> Vec<Op
                 }
             }
             if !committed.is_empty() && g.chance(30) {
-                edges.push((committed[g.below(committed.len() as u64) as usize], t));
+                let older = committed[g.below(committed.len() as u64) as usize];
+                if !edges.contains(&(older, t)) {
+                    edges.push((older, t));
+                }
             }
             txns.push(t);
             committed.push(t);

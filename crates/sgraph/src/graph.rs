@@ -4,7 +4,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
-use bpush_types::{Cycle, QueryId, TxnId};
+use bpush_types::{Cycle, TxnId};
 
 use crate::diff::GraphDiff;
 use crate::node::Node;
@@ -22,17 +22,15 @@ const SLOT_CYCLES: u64 = 1 << 16;
 const SLOT_SEQS: u32 = 1 << 10;
 
 /// Whether the edge `from → to` keeps a reverse entry at `to`. An edge
-/// between two transactions that runs old → new does not: the window
-/// only ever drops a prefix of the transaction order, so by the time
-/// `to` leaves it `from` has left too — in the same [`advance`] — and
-/// nobody reads `to`'s list of such predecessors. Every edge with a
-/// query end keeps one (`remove_query` drops a query alone), and so does
-/// a new → old or self edge, which only `add_edge` or a malformed diff
-/// supplies.
+/// that runs old → new does not: the window only ever drops a prefix of
+/// the transaction order, so by the time `to` leaves it `from` has left
+/// too — in the same [`advance`] — and nobody reads `to`'s list of such
+/// predecessors. A new → old or self edge, which only `add_edge` or a
+/// malformed diff supplies, keeps one.
 ///
 /// [`advance`]: SerializationGraph::advance
-fn keeps_reverse(from: Node, to: Node) -> bool {
-    !matches!((from, to), (Node::Txn(a), Node::Txn(b)) if a < b)
+fn keeps_reverse(from: TxnId, to: TxnId) -> bool {
+    from >= to
 }
 
 /// Reusable depth-first-search state: an epoch-stamped visited array plus
@@ -71,21 +69,17 @@ impl DfsScratch {
     }
 }
 
-/// A conflict serialization graph (§3.3).
+/// A conflict serialization graph (§3.3) over committed server
+/// transactions, linked.
 ///
-/// Nodes are committed server transactions plus, in client copies, the
-/// client's active read-only queries. An edge `a → b` means one of `a`'s
-/// operations precedes and conflicts with one of `b`'s. Transaction ids
-/// order by commit cycle and sort before every query node, so the nodes
-/// in order list `SG^0, SG^1, …` and then the queries. That is what the
-/// paper's space optimization (Lemma 1) needs: only the subgraphs `SG^k`
-/// with `k ≥ c_o` — the cycle when the oldest active query first had an
-/// item overwritten — are retained, and [`SerializationGraph::advance`]
-/// is the one place that rule is applied.
-///
-/// Cycle checks are the paper's acceptance test: a read creating edge
-/// `T_l → R` is accepted iff no path `R →* T_l` exists
-/// ([`SerializationGraph::would_close_cycle`]).
+/// An edge `a → b` means one of `a`'s operations precedes and conflicts
+/// with one of `b`'s. Transaction ids order by commit cycle, so the nodes
+/// in order list `SG^0, SG^1, …`, and [`SerializationGraph::advance`] is
+/// the one place the Lemma-1 window is applied. This is the graph the
+/// server replays for the end-of-run audit and the monitors keep; an SGT
+/// client keeps the diffs it heard as a [`crate::Window`] instead, with
+/// its query nodes. Query nodes have no place here: an edge with a query
+/// end is not added.
 ///
 /// # Representation
 ///
@@ -97,18 +91,15 @@ impl DfsScratch {
 ///   vector (`seq → id`), held in a deque that starts at the window base
 ///   — the `start` of the last [`SerializationGraph::advance`]. A small
 ///   ordered side table holds the transactions the slots do not cover:
-///   the last writers `T_l` below the base that accepted reads intern,
-///   and anything out of the slots' reach. Query nodes have a table of
-///   their own;
-/// * [`SerializationGraph::path_exists`] /
-///   [`SerializationGraph::would_close_cycle`] walk id-based successor
-///   lists with an epoch-stamped visited array — no per-call allocation
-///   and no ordered-set probes;
-/// * [`SerializationGraph::remove_query`] unlinks a node touching only
-///   its in- and out-neighbors;
-/// * [`SerializationGraph::advance`] drops whole per-cycle subgraphs the
-///   same way: the side table's front and the slot vectors in front of
-///   the new start, which are cleared and kept for the cycles to come.
+///   transactions interned below the base and anything out of the slots'
+///   reach;
+/// * [`SerializationGraph::path_exists`] walks id-based successor lists
+///   with an epoch-stamped visited array — no per-call allocation and no
+///   ordered-set probes;
+/// * [`SerializationGraph::advance`] drops whole per-cycle subgraphs,
+///   touching only the dropped nodes' in- and out-neighbors: the side
+///   table's front and the slot vectors in front of the new start, which
+///   are cleared and kept for the cycles to come.
 ///   An edge between two transactions that runs old → new keeps no
 ///   reverse entry, since the window drops a prefix of the transaction
 ///   order and so drops its source no later than its target.
@@ -131,10 +122,10 @@ impl DfsScratch {
 /// clone with fresh scratch.
 #[derive(Clone, Default)]
 pub struct SerializationGraph {
-    /// Intern table: dense id → node. Entries of freed ids are stale
-    /// until the id is reused; the slots and the two tables are the
+    /// Intern table: dense id → transaction. Entries of freed ids are
+    /// stale until the id is reused; the slots and the side table are the
     /// source of liveness.
-    nodes: Vec<Node>,
+    nodes: Vec<TxnId>,
     /// Forward adjacency by id (successor ids, in insertion order).
     out_ids: Vec<Vec<u32>>,
     /// Reverse adjacency by id (predecessor ids), except for old → new
@@ -154,8 +145,6 @@ pub struct SerializationGraph {
     spare: Vec<Vec<u32>>,
     /// The live transactions the slots do not cover, sorted.
     side: BTreeMap<TxnId, u32>,
-    /// The live query nodes, sorted.
-    queries: BTreeMap<QueryId, u32>,
     /// Search scratch; interior-mutable so `&self` path queries reuse it.
     scratch: RefCell<DfsScratch>,
 }
@@ -168,8 +157,8 @@ impl fmt::Debug for SerializationGraph {
     /// equally; the model checker deduplicates states by this text.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut map = f.debug_map();
-        for (node, id) in self.entries() {
-            map.entry(&node, &SuccessorList(self, id));
+        for (t, id) in self.entries() {
+            map.entry(&Node::Txn(t), &SuccessorList(self, id));
         }
         map.finish()
     }
@@ -213,17 +202,14 @@ impl SerializationGraph {
         self.id_of(node).is_some()
     }
 
-    /// The node an id was last interned for.
-    fn node(&self, id: u32) -> Option<Node> {
+    /// The transaction an id was last interned for.
+    fn node(&self, id: u32) -> Option<TxnId> {
         self.nodes.get(id as usize).copied()
     }
 
     /// The id of a live node.
     fn id_of(&self, node: Node) -> Option<u32> {
-        match node {
-            Node::Txn(t) => self.txn_id(t),
-            Node::Query(q) => self.queries.get(&q).copied(),
-        }
+        self.txn_id(node.as_txn()?)
     }
 
     /// Where the slots would hold `t`: its cycle's offset from the base
@@ -286,28 +272,13 @@ impl SerializationGraph {
         }
     }
 
-    /// Interns `node`, returning its dense id (idempotent).
-    fn intern(&mut self, node: Node) -> u32 {
-        match node {
-            Node::Txn(t) => self.intern_txn(t),
-            Node::Query(q) => match self.queries.get(&q) {
-                Some(&id) => id,
-                None => {
-                    let id = self.alloc(node);
-                    self.queries.insert(q, id);
-                    id
-                }
-            },
-        }
-    }
-
     /// Interns a transaction: in its slot when the slots reach it, else
     /// in the side table.
     fn intern_txn(&mut self, t: TxnId) -> u32 {
         if let Some(id) = self.txn_id(t) {
             return id;
         }
-        let id = self.alloc(Node::Txn(t));
+        let id = self.alloc(t);
         match self.slot_mut(t) {
             Some(slot) => *slot = id,
             None => {
@@ -319,7 +290,7 @@ impl SerializationGraph {
 
     /// A fresh id for `node`: a freed one if any, with the adjacency
     /// buffers it kept.
-    fn alloc(&mut self, node: Node) -> u32 {
+    fn alloc(&mut self, node: TxnId) -> u32 {
         if let Some(id) = self.free.pop() {
             if let Some(slot) = self.nodes.get_mut(id as usize) {
                 *slot = node;
@@ -341,7 +312,7 @@ impl SerializationGraph {
     /// forward and reverse adjacency of the node itself — O(out-degree +
     /// Σ out-degree of in-neighbors) — and recycles the id. Its adjacency
     /// buffers are cleared in place, so the id's next node reuses them.
-    /// The caller has taken the node out of the slots or its table.
+    /// The caller has taken the node out of the slots or the side table.
     fn unlink(&mut self, id: u32) {
         let Some(node) = self.node(id) else {
             return;
@@ -389,11 +360,15 @@ impl SerializationGraph {
         self.free.push(id);
     }
 
-    /// Inserts a directed edge `from → to`, inserting the endpoints if
-    /// needed. Returns `true` if the edge is new.
+    /// Inserts a directed edge `from → to` between two transactions,
+    /// inserting the endpoints if needed. Returns `true` if the edge is
+    /// new; an edge with a query end is not added.
     pub fn add_edge(&mut self, from: Node, to: Node) -> bool {
-        let f = self.intern(from);
-        let t = self.intern(to);
+        let (Node::Txn(from), Node::Txn(to)) = (from, to) else {
+            return false;
+        };
+        let f = self.intern_txn(from);
+        let t = self.intern_txn(to);
         self.link(f, t, keeps_reverse(from, to))
     }
 
@@ -417,7 +392,9 @@ impl SerializationGraph {
     /// The successors of id `id`, in insertion order.
     fn successor_nodes(&self, id: u32) -> impl Iterator<Item = Node> + '_ {
         let ids = self.out_ids.get(id as usize);
-        ids.into_iter().flatten().filter_map(|&s| self.node(s))
+        ids.into_iter()
+            .flatten()
+            .filter_map(|&s| self.node(s).map(Node::Txn))
     }
 
     /// The successors of `node` in insertion order; none for unknown
@@ -461,16 +438,6 @@ impl SerializationGraph {
         false
     }
 
-    /// Whether inserting the edge `from → to` would close a cycle —
-    /// the SGT acceptance test. The edge is *not* inserted.
-    // bpush-lint: hot_path — the SGT acceptance test itself (PR-3 allocation-freedom contract)
-    pub fn would_close_cycle(&self, from: Node, to: Node) -> bool {
-        if from == to {
-            return true;
-        }
-        self.path_exists(to, from)
-    }
-
     /// Whether the whole graph is acyclic (serialization theorem check).
     pub fn is_acyclic(&self) -> bool {
         // Iterative three-color DFS over ids. Not a validation hot path;
@@ -508,39 +475,24 @@ impl SerializationGraph {
         true
     }
 
-    /// Removes a query node and all its incident edges, in O(out-degree +
-    /// in-degree·neighbor-list-length) via the reverse index.
-    // bpush-lint: hot_path — per-commit/abort cleanup on the client validation path
-    pub fn remove_query(&mut self, query: QueryId) {
-        if let Some(id) = self.queries.remove(&query) {
-            self.unlink(id);
-        }
-    }
-
     /// Moves the Lemma-1 window to start at commit cycle `start`, then
     /// integrates the part of a broadcast [`GraphDiff`] inside it.
     ///
     /// With `Some(start)`, every transaction committed before `start` is
     /// dropped with its incident edges; then a commit or edge endpoint of
     /// `diff` is interned only if its cycle is `≥ start`, and an edge is
-    /// linked only if both of its ends are. Query nodes are never dropped
-    /// here. `Some(Cycle::ZERO)` keeps everything: the whole-history
-    /// graph is the window that starts at cycle 0.
+    /// linked only if both of its ends are. `Some(Cycle::ZERO)` keeps
+    /// everything: the whole-history graph is the window that starts at
+    /// cycle 0.
     ///
-    /// With `None` the caller has no live query, so nothing is kept: the
-    /// graph returns to an empty one — intern table, adjacency buffers,
-    /// slot vectors and search scratch included, so a long-lived client
-    /// returns to zero footprint (the paper's "if no items are updated,
-    /// there is no space or processing overhead") — and `diff` is
-    /// ignored.
+    /// With `None` nothing is kept: the graph returns to an empty one —
+    /// intern table, adjacency buffers, slot vectors and search scratch
+    /// included — and `diff` is ignored.
     ///
     /// Edges between server transactions always point from earlier to
     /// later commits (Claim 1: strict histories admit no edges *into* a
-    /// previous cycle's subgraph), so cycles through an active query that
-    /// was first invalidated at cycle `c_o` only involve transactions of
-    /// cycles `≥ c_o`; a window starting at or below `min c_o` keeps the
-    /// acceptance test exact. See
-    /// [`SerializationGraph::would_close_cycle`].
+    /// previous cycle's subgraph), so a window starting at `start` keeps
+    /// every path between the transactions it holds.
     ///
     /// Dropping takes the transactions below `start` off the front of the
     /// side table and pops the slot vectors in front of `start`, so its
@@ -597,8 +549,8 @@ impl SerializationGraph {
     }
 
     /// Every live node with its id, in node order: the transactions of
-    /// the side table and the slots merged by id, then the queries.
-    fn entries(&self) -> impl Iterator<Item = (Node, u32)> + '_ {
+    /// the side table and the slots merged by id.
+    fn entries(&self) -> impl Iterator<Item = (TxnId, u32)> + '_ {
         let base = self.base.unwrap_or(Cycle::ZERO);
         let mut slotted = self
             .slots
@@ -613,32 +565,30 @@ impl SerializationGraph {
             })
             .peekable();
         let mut side = self.side.iter().map(|(&t, &id)| (t, id)).peekable();
-        let txns = std::iter::from_fn(move || match (side.peek(), slotted.peek()) {
+        std::iter::from_fn(move || match (side.peek(), slotted.peek()) {
             (Some(a), Some(b)) if b.0 < a.0 => slotted.next(),
             (Some(_), _) => side.next(),
             (None, _) => slotted.next(),
-        });
-        txns.map(|(t, id)| (Node::Txn(t), id))
-            .chain(self.queries.iter().map(|(&q, &id)| (Node::Query(q), id)))
+        })
     }
 
     /// Iterates over all nodes in sorted order: transactions by commit
-    /// cycle and in-cycle position, then queries — the order `Debug`
-    /// prints them in.
+    /// cycle and in-cycle position — the order `Debug` prints them in.
     pub fn nodes(&self) -> impl Iterator<Item = Node> + '_ {
-        self.entries().map(|(node, _)| node)
+        self.entries().map(|(t, _)| Node::Txn(t))
     }
 
     /// The earliest commit cycle still retained, if any transaction nodes
     /// exist.
     pub fn earliest_cycle(&self) -> Option<Cycle> {
-        self.nodes().next()?.as_txn().map(TxnId::cycle)
+        self.entries().next().map(|(t, _)| t.cycle())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bpush_types::QueryId;
 
     fn t(cycle: u64, seq: u32) -> TxnId {
         TxnId::new(Cycle::new(cycle), seq)
@@ -646,10 +596,6 @@ mod tests {
 
     fn nt(cycle: u64, seq: u32) -> Node {
         Node::Txn(t(cycle, seq))
-    }
-
-    fn nq(q: u64) -> Node {
-        Node::Query(QueryId::new(q))
     }
 
     #[test]
@@ -674,54 +620,39 @@ mod tests {
     }
 
     #[test]
+    fn query_ends_are_not_added() {
+        // an SGT client keeps its query nodes in a `Window`, not here
+        let mut g = SerializationGraph::new();
+        let q = Node::Query(QueryId::new(0));
+        assert!(!g.add_edge(nt(0, 0), q));
+        assert!(!g.add_edge(q, nt(0, 0)));
+        assert!(g.is_empty());
+        assert!(!g.contains(q));
+        assert!(!g.path_exists(q, nt(0, 0)));
+    }
+
+    #[test]
     fn path_queries() {
         let mut g = SerializationGraph::new();
         g.add_edge(nt(0, 0), nt(1, 0));
         g.add_edge(nt(1, 0), nt(2, 0));
         g.add_edge(nt(2, 0), nt(3, 0));
-        g.intern(nt(9, 9));
+        g.intern_txn(t(9, 9));
         assert!(g.path_exists(nt(0, 0), nt(3, 0)));
         assert!(!g.path_exists(nt(3, 0), nt(0, 0)));
         assert!(!g.path_exists(nt(0, 0), nt(9, 9)));
         // no self-path without a cycle
         assert!(!g.path_exists(nt(1, 0), nt(1, 0)));
-    }
-
-    #[test]
-    fn would_close_cycle_matches_paper_scenario() {
-        // Figure 3: R read x from T_k; T_f (cycle o) overwrote an item R
-        // had read; a conflict path T_f ->* T_l exists; reading from T_l
-        // must be rejected.
-        let mut g = SerializationGraph::new();
-        let r = nq(0);
-        let t_f = nt(2, 0);
-        let mid = nt(3, 1);
-        let t_l = nt(4, 0);
-        g.add_edge(t_f, mid);
-        g.add_edge(mid, t_l);
-        g.add_edge(r, t_f); // precedence: T_f overwrote an item R read
-        assert!(g.would_close_cycle(t_l, r), "dependency edge closes cycle");
-        // a writer not reachable from T_f is fine
-        let other = nt(4, 1);
-        g.intern(other);
-        assert!(!g.would_close_cycle(other, r));
+        g.add_edge(nt(3, 0), nt(1, 0));
+        assert!(g.path_exists(nt(1, 0), nt(1, 0)));
     }
 
     #[test]
     fn self_edge_is_a_cycle() {
-        let g = SerializationGraph::new();
-        assert!(g.would_close_cycle(nt(0, 0), nt(0, 0)));
-    }
-
-    #[test]
-    fn would_close_cycle_rejects_and_preserves() {
         let mut g = SerializationGraph::new();
-        g.add_edge(nt(0, 0), nt(1, 0));
-        assert!(g.would_close_cycle(nt(1, 0), nt(0, 0)));
-        assert_eq!(g.edge_count(), 1);
-        assert!(!g.would_close_cycle(nt(0, 0), nt(2, 0)));
-        assert!(g.add_edge(nt(0, 0), nt(2, 0)));
-        assert!(g.is_acyclic());
+        g.add_edge(nt(0, 0), nt(0, 0));
+        assert!(g.path_exists(nt(0, 0), nt(0, 0)));
+        assert!(!g.is_acyclic());
     }
 
     #[test]
@@ -732,19 +663,6 @@ mod tests {
         assert!(g.is_acyclic());
         g.add_edge(nt(2, 0), nt(0, 0));
         assert!(!g.is_acyclic());
-    }
-
-    #[test]
-    fn remove_query_drops_incident_edges() {
-        let mut g = SerializationGraph::new();
-        g.add_edge(nq(1), nt(1, 0));
-        g.add_edge(nt(0, 0), nq(1));
-        g.add_edge(nt(0, 0), nt(1, 0));
-        assert_eq!(g.edge_count(), 3);
-        g.remove_query(QueryId::new(1));
-        assert_eq!(g.edge_count(), 1);
-        assert!(!g.contains(nq(1)));
-        assert!(g.contains(nt(0, 0)) && g.contains(nt(1, 0)));
     }
 
     #[test]
@@ -774,21 +692,10 @@ mod tests {
     }
 
     #[test]
-    fn prune_keeps_query_nodes() {
-        let mut g = SerializationGraph::new();
-        g.add_edge(nq(0), nt(1, 0));
-        g.advance(Some(Cycle::new(5)), None);
-        assert!(g.contains(nq(0)), "query nodes are never pruned by cycle");
-        assert!(!g.contains(nt(1, 0)));
-        assert_eq!(g.edge_count(), 0);
-    }
-
-    #[test]
     fn no_window_resets_everything() {
         // no window at all: nothing is kept, not even the diff handed in
         let mut g = SerializationGraph::new();
         g.add_edge(nt(0, 0), nt(1, 0));
-        g.add_edge(nq(0), nt(1, 0));
         let diff = GraphDiff::new(Cycle::new(2), vec![t(2, 0)], vec![(t(1, 0), t(2, 0))]);
         g.advance(None, Some(&diff));
         assert!(g.is_empty());
@@ -800,19 +707,18 @@ mod tests {
     #[test]
     fn the_window_starts_at_the_first_transaction_of_its_cycle() {
         // the range key `T(b, 0)`: the last possible id of cycle b − 1 is
-        // dropped, the first of cycle b and every query node stay
+        // dropped, the first of cycle b stays
         let mut g = SerializationGraph::new();
         g.add_edge(nt(2, u32::MAX), nt(3, 0));
-        g.add_edge(nq(0), nt(2, u32::MAX));
-        g.add_edge(nt(3, 0), nq(u64::MAX));
+        g.add_edge(nt(3, 0), nt(3, 1));
         g.advance(Some(Cycle::new(3)), None);
         assert!(!g.contains(nt(2, u32::MAX)));
-        assert!(g.contains(nt(3, 0)) && g.contains(nq(0)) && g.contains(nq(u64::MAX)));
+        assert!(g.contains(nt(3, 0)) && g.contains(nt(3, 1)));
         assert_eq!(g.edge_count(), 1);
         assert_eq!(g.earliest_cycle(), Some(Cycle::new(3)));
-        // a window past every transaction leaves the query nodes alone
+        // a window past every transaction leaves nothing
         g.advance(Some(Cycle::new(u64::MAX)), None);
-        assert_eq!(g.node_count(), 2);
+        assert!(g.is_empty());
         assert_eq!(g.earliest_cycle(), None);
     }
 
@@ -861,10 +767,8 @@ mod tests {
     #[test]
     fn nodes_iterator_covers_all() {
         let mut g = SerializationGraph::new();
-        g.add_edge(nt(0, 0), nq(0));
-        let mut nodes: Vec<Node> = g.nodes().collect();
-        nodes.sort();
-        assert_eq!(nodes, vec![nt(0, 0), nq(0)]);
+        g.add_edge(nt(1, 0), nt(0, 0));
+        assert_eq!(g.nodes().collect::<Vec<_>>(), vec![nt(0, 0), nt(1, 0)]);
     }
 
     #[test]
@@ -889,16 +793,17 @@ mod tests {
         // two graphs with the same logical content but different
         // interning histories print identically
         let mut a = SerializationGraph::new();
-        a.add_edge(nt(0, 0), nt(1, 0));
+        a.add_edge(nt(6, 0), nt(7, 0));
         let mut b = SerializationGraph::new();
-        b.add_edge(nq(7), nt(5, 5));
-        b.add_edge(nt(0, 0), nt(1, 0));
-        b.remove_query(QueryId::new(7));
+        b.add_edge(nt(5, 5), nt(6, 1));
+        b.add_edge(nt(6, 0), nt(7, 0));
         b.advance(Some(Cycle::ZERO), None); // no-op, but exercises bookkeeping
         b.advance(Some(Cycle::new(6)), None);
-        b.add_edge(nt(0, 0), nt(1, 0));
-        // b now holds exactly a's content (T5.5 pruned, query removed)
-        let _ = b.path_exists(nt(0, 0), nt(1, 0)); // dirty the scratch
+        b.add_edge(nt(6, 0), nt(7, 0));
+        // b now holds a's content and T6.1 (T5.5 pruned)
+        a.add_edge(nt(6, 1), nt(7, 0));
+        b.add_edge(nt(6, 1), nt(7, 0));
+        let _ = b.path_exists(nt(6, 0), nt(7, 0)); // dirty the scratch
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
@@ -910,12 +815,12 @@ mod tests {
         let mut g = SerializationGraph::new();
         g.add_edge(nt(1, 0), nt(3, 0));
         g.add_edge(nt(1, 0), nt(2, 0));
-        g.add_edge(nq(4), nt(1, 0));
+        g.add_edge(nt(4, 0), nt(1, 0));
         let model: BTreeMap<Node, Vec<Node>> = [
             (nt(1, 0), vec![nt(3, 0), nt(2, 0)]),
             (nt(2, 0), vec![]),
             (nt(3, 0), vec![]),
-            (nq(4), vec![nt(1, 0)]),
+            (nt(4, 0), vec![nt(1, 0)]),
         ]
         .into();
         assert_eq!(format!("{g:?}"), format!("{model:?}"));
@@ -926,7 +831,7 @@ mod tests {
     fn clone_is_independent_and_equal() {
         let mut g = SerializationGraph::new();
         g.add_edge(nt(0, 0), nt(1, 0));
-        g.add_edge(nq(1), nt(0, 0));
+        g.add_edge(nt(2, 0), nt(0, 0));
         let mut c = g.clone();
         assert_eq!(format!("{g:?}"), format!("{c:?}"));
         c.add_edge(nt(1, 0), nt(2, 0));
@@ -936,41 +841,38 @@ mod tests {
 
     #[test]
     fn slots_and_side_table_print_in_node_order() {
-        // a last writer below the base and a sequence number past the
+        // a transaction below the base and a sequence number past the
         // slots' reach live in the side table, the window's commits in
         // the slots; `Debug` and `nodes()` merge them in node order
         let mut g = SerializationGraph::new();
-        g.add_edge(nt(1, 0), nq(0));
         let diff = GraphDiff::new(
             Cycle::new(3),
-            vec![t(3, 0), t(3, SLOT_SEQS), t(3, 1)],
+            vec![t(3, 0), t(3, 1), t(3, SLOT_SEQS)],
             vec![
-                (t(2, 0), t(3, SLOT_SEQS)),
-                (t(3, 0), t(3, 1)),
                 (t(2, 0), t(3, 0)),
+                (t(3, 0), t(3, 1)),
+                (t(2, 0), t(3, SLOT_SEQS)),
             ],
         );
         g.advance(Some(Cycle::new(2)), Some(&diff));
-        g.add_edge(nt(1, 0), nq(0)); // below the window: back in the side table
-        g.add_edge(nq(0), nt(3, 1));
+        g.add_edge(nt(1, 0), nt(3, 1)); // below the window: in the side table
         assert_eq!(g.base, Some(Cycle::new(2)));
         assert_eq!(
             g.side.keys().copied().collect::<Vec<_>>(),
             vec![t(1, 0), t(3, SLOT_SEQS)]
         );
         let model: BTreeMap<Node, Vec<Node>> = [
-            (nt(1, 0), vec![nq(0)]),
-            (nt(2, 0), vec![nt(3, SLOT_SEQS), nt(3, 0)]),
+            (nt(1, 0), vec![nt(3, 1)]),
+            (nt(2, 0), vec![nt(3, 0), nt(3, SLOT_SEQS)]),
             (nt(3, 0), vec![nt(3, 1)]),
             (nt(3, 1), vec![]),
             (nt(3, SLOT_SEQS), vec![]),
-            (nq(0), vec![nt(3, 1)]),
         ]
         .into();
         assert_eq!(format!("{g:?}"), format!("{model:?}"));
         assert!(g.nodes().eq(model.keys().copied()));
         assert_eq!(g.earliest_cycle(), Some(Cycle::new(1)));
-        assert_eq!(g.node_count(), 6);
+        assert_eq!(g.node_count(), 5);
     }
 
     #[test]
@@ -979,11 +881,11 @@ mod tests {
         // once the slots grow to cycle 3 the diff must find it there, not
         // intern it twice
         let mut g = SerializationGraph::new();
-        g.add_edge(nt(3, 0), nq(0));
-        assert_eq!(g.side.len(), 1);
+        g.add_edge(nt(3, 0), nt(3, 1));
+        assert_eq!(g.side.len(), 2);
         let diff = GraphDiff::new(Cycle::new(4), vec![t(4, 0)], vec![(t(3, 0), t(4, 0))]);
         g.advance(Some(Cycle::new(2)), Some(&diff));
-        assert!(g.side.is_empty(), "T3.0 moved into its slot");
+        assert!(g.side.is_empty(), "T3.0 and T3.1 moved into their slots");
         assert_eq!(g.node_count(), 3);
         assert!(g.path_exists(nt(3, 0), nt(4, 0)));
         // a window start moving back below a base the slots still hold
@@ -998,7 +900,7 @@ mod tests {
         assert!(!g.add_edge(nt(3, 0), nt(4, 0)), "found in its slot");
         g.advance(Some(Cycle::new(4)), None);
         assert!(g.side.is_empty());
-        assert_eq!(g.node_count(), 2);
+        assert_eq!(g.node_count(), 1);
     }
 
     #[test]
@@ -1029,7 +931,7 @@ mod tests {
         let mut g = SerializationGraph::new();
         g.advance(Some(Cycle::ZERO), None);
         g.add_edge(nt(0, 0), nt(1, 0));
-        g.add_edge(nq(0), nt(0, 0));
+        g.add_edge(nt(0, 1), nt(0, 0));
         g.advance(Some(Cycle::new(1)), None);
         let freed = g.free.clone();
         assert!(!freed.is_empty());
@@ -1055,21 +957,20 @@ mod tests {
         let mut g = SerializationGraph::new();
         g.add_edge(nt(1, 0), nt(2, 0)); // old -> new: none
         g.add_edge(nt(2, 1), nt(2, 0)); // new -> old: kept
-        g.add_edge(nq(0), nt(2, 0)); // query end: kept
         g.add_edge(nt(2, 0), nt(2, 0)); // self edge: kept
         let id = |n: Node| g.id_of(n).unwrap();
-        let preds: Vec<Node> = g.in_ids[id(nt(2, 0)) as usize]
+        let preds: Vec<TxnId> = g.in_ids[id(nt(2, 0)) as usize]
             .iter()
             .map(|&p| g.nodes[p as usize])
             .collect();
-        assert_eq!(preds, vec![nt(2, 1), nq(0), nt(2, 0)]);
+        assert_eq!(preds, vec![t(2, 1), t(2, 0)]);
         // dropping the old source still detaches the edge, and dropping
         // the new -> old edge's target detaches it through the entry it
         // kept
         g.advance(Some(Cycle::new(2)), None);
-        assert_eq!(g.edge_count(), 3);
-        g.remove_query(QueryId::new(0));
         assert_eq!(g.edge_count(), 2);
         assert!(g.successors(nt(2, 1)).eq([nt(2, 0)]));
+        g.advance(Some(Cycle::new(3)), None);
+        assert!(g.is_empty() && g.edge_count() == 0);
     }
 }

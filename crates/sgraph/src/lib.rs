@@ -9,17 +9,21 @@
 //!
 //! This crate provides:
 //!
-//! * [`SerializationGraph`] — the graph itself on a dense `u32` node
-//!   interner with one forward and one reverse adjacency list of ids per
-//!   node (no reverse entry for an old → new transaction edge, which the
-//!   window never needs), with incremental edge insertion,
-//!   allocation-free cycle/path queries, and the Lemma-1 window written
-//!   once ([`SerializationGraph::advance`]): it drops what fell out of
-//!   the window and integrates only the part of a broadcast diff inside
-//!   it. A window transaction finds its id in a per-cycle slot vector
-//!   (`SG^i` in the paper is one slot vector) kept in a deque from the
-//!   window start; a small sorted side table holds the transactions
-//!   below it and the query nodes have their own,
+//! * [`Window`] — the client's copy: the Lemma-1 window kept as the diffs
+//!   the client heard, one shared chunk per cycle with the floor it was
+//!   admitted under, plus a small overlay of the query edges `R → T_f`
+//!   and `T_l → R`. Nothing is linked per offered edge; the acceptance
+//!   test ([`Window::would_close_cycle`]) searches backward from `T_l`
+//!   over the chunks' in-edges when a read asks,
+//! * [`SerializationGraph`] — the linked graph over committed
+//!   transactions that the server replays for the audit and the monitors
+//!   keep: a dense `u32` node interner with one forward and one reverse
+//!   adjacency list of ids per node (no reverse entry for an old → new
+//!   edge, which the window never needs), allocation-free path queries,
+//!   and the Lemma-1 window written once ([`SerializationGraph::advance`]).
+//!   A window transaction finds its id in a per-cycle slot vector (`SG^i`
+//!   in the paper is one slot vector) kept in a deque from the window
+//!   start; a small sorted side table holds the transactions below it,
 //! * [`GraphDiff`] — the per-cycle difference the server broadcasts,
 //! * [`Node`] — graph nodes: committed server transactions or local
 //!   read-only queries.
@@ -27,22 +31,25 @@
 //! # Example
 //!
 //! ```
-//! use bpush_sgraph::{Node, SerializationGraph};
+//! use std::sync::Arc;
+//! use bpush_sgraph::{GraphDiff, Window};
 //! use bpush_types::{Cycle, QueryId, TxnId};
 //!
-//! let mut g = SerializationGraph::new();
-//! let t1 = TxnId::new(Cycle::new(1), 0);
-//! let t2 = TxnId::new(Cycle::new(2), 0);
+//! let (c1, c2) = (Cycle::new(1), Cycle::new(2));
+//! let (t1, t2) = (TxnId::new(c1, 0), TxnId::new(c2, 0));
 //! let r = QueryId::new(0);
 //!
-//! g.add_edge(Node::Txn(t1), Node::Txn(t2)); // server conflict t1 -> t2
-//! g.add_edge(Node::Query(r), Node::Txn(t1)); // t1 overwrote something r read
+//! let mut w = Window::new();
+//! w.add_precedence(r, t1); // t1 overwrote something r read
+//! w.advance(Some(c1), Some(&Arc::new(GraphDiff::new(c1, vec![t1], vec![]))));
+//! // server conflict t1 -> t2, heard in the next cycle's diff
+//! w.advance(Some(c1), Some(&Arc::new(GraphDiff::new(c2, vec![t2], vec![(t1, t2)]))));
 //!
 //! // r now wants to read a value written by t2: edge t2 -> r would close
 //! // the cycle r -> t1 -> t2 -> r, so the read must be rejected.
-//! assert!(g.would_close_cycle(Node::Txn(t2), Node::Query(r)));
+//! assert!(w.would_close_cycle(t2, r));
 //! // and reading from t1 directly closes r -> t1 -> r as well.
-//! assert!(g.would_close_cycle(Node::Txn(t1), Node::Query(r)));
+//! assert!(w.would_close_cycle(t1, r));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -52,7 +59,9 @@
 mod diff;
 mod graph;
 mod node;
+mod window;
 
 pub use diff::GraphDiff;
 pub use graph::SerializationGraph;
 pub use node::Node;
+pub use window::Window;

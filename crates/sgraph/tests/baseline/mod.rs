@@ -205,6 +205,12 @@ impl BaselineGraph {
         self.by_cycle = self.by_cycle.split_off(&bound);
     }
 
+    /// The graph as `SerializationGraph`'s `Debug` prints it: the sorted
+    /// map of successor lists.
+    pub(crate) fn rendering(&self) -> String {
+        format!("{:?}", self.out_edges)
+    }
+
     /// Iterates over all nodes in sorted order.
     pub(crate) fn nodes(&self) -> impl Iterator<Item = Node> + '_ {
         self.out_edges.keys().copied()

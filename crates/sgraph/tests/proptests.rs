@@ -10,7 +10,9 @@ mod baseline;
 mod indexed;
 
 use baseline::BaselineGraph;
-use bpush_sgraph::{GraphDiff, Node, SerializationGraph};
+use std::sync::Arc;
+
+use bpush_sgraph::{GraphDiff, Node, SerializationGraph, Window};
 use bpush_types::{Cycle, QueryId, TxnId};
 use indexed::IndexedGraph;
 
@@ -46,9 +48,9 @@ proptest! {
         prop_assert!(g.is_acyclic());
     }
 
-    /// Adding only the edges `would_close_cycle` clears never lets the
-    /// graph become cyclic, whatever edges are attempted (including
-    /// backward ones).
+    /// Adding only the edges that close no cycle (`b` does not reach
+    /// `a`) never lets the graph become cyclic, whatever edges are
+    /// attempted (including backward ones).
     #[test]
     fn guarded_add_edge_preserves_acyclicity(
         raw in proptest::collection::vec((0u64..6, 0u32..3, 0u64..6, 0u32..3), 0..64),
@@ -57,7 +59,7 @@ proptest! {
         for (c1, s1, c2, s2) in raw {
             let a = Node::Txn(TxnId::new(Cycle::new(c1), s1));
             let b = Node::Txn(TxnId::new(Cycle::new(c2), s2));
-            if !g.would_close_cycle(a, b) {
+            if a != b && !g.path_exists(b, a) {
                 g.add_edge(a, b);
             }
             prop_assert!(g.is_acyclic());
@@ -96,27 +98,22 @@ proptest! {
     }
 
     /// Edge and node counts stay consistent under arbitrary interleavings
-    /// of inserts, query removals and prunes.
+    /// of inserts (both directions) and prunes.
     #[test]
     fn counts_stay_consistent(
-        ops in proptest::collection::vec((0u8..4, 0u64..6, 0u32..3, 0u64..6), 0..80),
+        ops in proptest::collection::vec((0u8..3, 0u64..6, 0u32..3, 0u64..6), 0..80),
     ) {
         let mut g = SerializationGraph::new();
-        for (op, c, s, q) in ops {
+        for (op, c, s, d) in ops {
+            let a = Node::Txn(TxnId::new(Cycle::new(c), s));
+            let b = Node::Txn(TxnId::new(Cycle::new(d), s));
             match op {
                 0 => {
-                    g.add_edge(
-                        Node::Txn(TxnId::new(Cycle::new(c), s)),
-                        Node::Query(QueryId::new(q)),
-                    );
+                    g.add_edge(a, b);
                 }
                 1 => {
-                    g.add_edge(
-                        Node::Query(QueryId::new(q)),
-                        Node::Txn(TxnId::new(Cycle::new(c), s)),
-                    );
+                    g.add_edge(b, a);
                 }
-                2 => g.remove_query(QueryId::new(q)),
                 _ => g.advance(Some(Cycle::new(c)), None),
             }
             // recount ground truth
@@ -133,47 +130,39 @@ proptest! {
 
     /// Differential test: the interned graph and the original
     /// `BTreeMap`-based [`BaselineGraph`] answer every query identically
-    /// under arbitrary interleavings of `add_edge`, `would_close_cycle`,
-    /// `remove_query` and window moves (`advance` without a diff against
-    /// the baseline's `prune_before`). This is the conformance
-    /// argument for the interning rewrite: same operation sequence, same
-    /// observable state, edge by edge.
+    /// under arbitrary interleavings of `add_edge` (both directions, and
+    /// a refused query end), path queries and window moves (`advance`
+    /// without a diff against the baseline's `prune_before`). This is the
+    /// conformance argument for the interning rewrite: same operation
+    /// sequence, same observable state, edge by edge.
     #[test]
     fn interned_graph_agrees_with_baseline(
-        ops in proptest::collection::vec((0u8..6, 0u64..6, 0u32..3, 0u64..6), 0..100),
+        ops in proptest::collection::vec((0u8..5, 0u64..6, 0u32..3, 0u64..6), 0..100),
     ) {
         let mut fast = SerializationGraph::new();
         let mut slow = BaselineGraph::new();
-        for (op, c, s, q) in ops {
+        for (op, c, s, d) in ops {
             let txn = Node::Txn(TxnId::new(Cycle::new(c), s));
-            let query = Node::Query(QueryId::new(q));
+            // possibly backward: both must agree even on edges a real
+            // history can't produce
+            let other = Node::Txn(TxnId::new(Cycle::new(d), s));
             match op {
                 0 => {
-                    prop_assert_eq!(fast.add_edge(txn, query), slow.add_edge(txn, query));
-                }
-                1 => {
-                    prop_assert_eq!(fast.add_edge(query, txn), slow.add_edge(query, txn));
-                }
-                2 => {
-                    // server-to-server conflict edge (possibly backward —
-                    // both must agree even on edges a real history can't
-                    // produce)
-                    let other = Node::Txn(TxnId::new(Cycle::new(q), s));
                     prop_assert_eq!(fast.add_edge(txn, other), slow.add_edge(txn, other));
                 }
-                3 => {
-                    fast.remove_query(QueryId::new(q));
-                    slow.remove_query(QueryId::new(q));
+                1 => {
+                    prop_assert_eq!(fast.add_edge(other, txn), slow.add_edge(other, txn));
                 }
-                4 => {
+                2 => {
+                    // the graph holds transactions only
+                    prop_assert!(!fast.add_edge(txn, Node::Query(QueryId::new(d))));
+                }
+                3 => {
                     fast.advance(Some(Cycle::new(c)), None);
                     slow.prune_before(Cycle::new(c));
                 }
                 _ => {
-                    prop_assert_eq!(
-                        fast.would_close_cycle(txn, query),
-                        slow.would_close_cycle(txn, query)
-                    );
+                    prop_assert_eq!(fast.path_exists(other, txn), slow.path_exists(other, txn));
                 }
             }
             // observable state matches after every step
@@ -197,8 +186,8 @@ proptest! {
     }
 
     /// Window-first integration is apply-then-prune: for random diffs,
-    /// query edges added and removed in between, and window starts that
-    /// move both ways or vanish, `advance(b, Some(d))` leaves the graph
+    /// transaction edges added in between, and window starts that move
+    /// both ways or vanish, `advance(b, Some(d))` leaves the graph
     /// `advance(Some(ZERO), Some(d)); advance(b, None)` leaves — same
     /// canonical rendering (node set and successor order), same counts —
     /// and both agree with the [`BaselineGraph`] doing `apply_diff(d);
@@ -223,32 +212,26 @@ proptest! {
         let mut baseline = BaselineGraph::new();
         for ((cycle, seqs), raw_edges, bound, (op, q, c, s)) in steps {
             let cycle = Cycle::new(cycle);
-            let committed: Vec<TxnId> = seqs.into_iter().map(|s| TxnId::new(cycle, s)).collect();
             let edges: Vec<(TxnId, TxnId)> = raw_edges
                 .into_iter()
                 .map(|(fc, fs, ts)| (TxnId::new(Cycle::new(fc), fs), TxnId::new(cycle, ts)))
                 .filter(|(from, to)| from < to)
                 .collect();
-            let diff = GraphDiff::new(cycle, committed, edges);
+            let diff = well_formed(cycle, seqs, edges);
             let bound = (bound < 9).then(|| Cycle::new(bound));
 
-            let query = Node::Query(QueryId::new(q));
+            let other = Node::Txn(TxnId::new(Cycle::new(q), s));
             let txn = Node::Txn(TxnId::new(Cycle::new(c), s));
             match op {
                 0 => {
-                    windowed.add_edge(query, txn);
-                    reference.add_edge(query, txn);
-                    baseline.add_edge(query, txn);
+                    windowed.add_edge(other, txn);
+                    reference.add_edge(other, txn);
+                    baseline.add_edge(other, txn);
                 }
                 1 => {
-                    windowed.add_edge(txn, query);
-                    reference.add_edge(txn, query);
-                    baseline.add_edge(txn, query);
-                }
-                2 => {
-                    windowed.remove_query(QueryId::new(q));
-                    reference.remove_query(QueryId::new(q));
-                    baseline.remove_query(QueryId::new(q));
+                    windowed.add_edge(txn, other);
+                    reference.add_edge(txn, other);
+                    baseline.add_edge(txn, other);
                 }
                 _ => {}
             }
@@ -282,12 +265,12 @@ proptest! {
     /// Differential test of the per-cycle slots: the graph and the
     /// `BTreeMap`-indexed [`IndexedGraph`] it replaced stay
     /// indistinguishable under random sequences of `add_edge` (both
-    /// directions, duplicates, query ↔ transaction), window moves with a
-    /// diff (`start` forward, backward and past every node), `advance(None,
-    /// _)` and `remove_query`. Transaction ids now and then fall outside the
-    /// slots' reach (a sequence number past it, a cycle far beyond the
-    /// base); in release builds the diffs may also be malformed — new →
-    /// old, duplicate or off-cycle edges, targets missing from the commits
+    /// directions, duplicates), window moves with a diff (`start` forward,
+    /// backward and past every node) and `advance(None, _)`. Transaction
+    /// ids now and then fall outside the slots' reach (a sequence number
+    /// past it, a cycle far beyond the base); in release builds the diffs
+    /// may also be malformed — new → old, duplicate or off-cycle edges,
+    /// targets missing from the commits, commits and targets out of order
     /// — which `GraphDiff::new` only rejects under `debug_assertions`.
     #[test]
     fn slotted_graph_agrees_with_the_indexed_model(
@@ -304,12 +287,119 @@ proptest! {
                     fast.advance(start, Some(&diff));
                     model.advance(start, Some(&diff));
                 }
-                Step::RemoveQuery(q) => {
-                    fast.remove_query(q);
-                    model.remove_query(q);
-                }
             }
             assert_same(&fast, &model)?;
+        }
+    }
+}
+
+/// One cycle of [`window_agrees_with_the_linked_baseline`]: whether the
+/// client misses the cycle's diff, the commits' sequence numbers, the
+/// edges `(source pick, target seq)`, the window start, and the query
+/// operations `(kind, query, transaction pick)` before the diff arrives.
+type WindowStep = (bool, Vec<u32>, Vec<(usize, u32)>, u8, Vec<(u8, u64, usize)>);
+
+proptest! {
+    /// Differential test of the SGT client's window: the [`Window`] of
+    /// shared chunks and the linked [`BaselineGraph`] doing `apply_diff;
+    /// prune_before` (or starting over when there is no window) stay
+    /// indistinguishable — `Debug` text, counts, and the acceptance test
+    /// for every live transaction against every query — under a server
+    /// stream of well-formed diffs whose sources are earlier commits,
+    /// missed cycles, window starts that move both ways, vanish or pass
+    /// every node, and query edges to transactions inside, below, above
+    /// and beside the window (a missed cycle's, or one whose chunk has not
+    /// come yet).
+    #[test]
+    fn window_agrees_with_the_linked_baseline(
+        steps in proptest::collection::vec(
+            (
+                proptest::bool::weighted(0.2),
+                proptest::collection::vec(0u32..4, 0..4),
+                proptest::collection::vec((0usize..64, 0u32..4), 0..8),
+                0u8..8,
+                proptest::collection::vec((0u8..5, 0u64..3, 0usize..64), 0..4),
+            ),
+            0..24,
+        ),
+    ) {
+        let steps: Vec<WindowStep> = steps;
+        let mut window = Window::new();
+        let mut baseline = BaselineGraph::new();
+        // every commit the server made, heard or not
+        let mut history: Vec<TxnId> = Vec::new();
+        for (n, (missed, mut seqs, raw_edges, start, ops)) in (1u64..).zip(steps) {
+            let cycle = Cycle::new(n);
+            let mut edges = Vec::new();
+            for (pick, ts) in raw_edges {
+                let to = TxnId::new(cycle, ts);
+                let from = if pick % 5 == 0 && ts > 0 {
+                    TxnId::new(cycle, ts - 1) // a same-cycle source
+                } else if let Some(&from) = history.get(pick % history.len().max(1)) {
+                    from
+                } else {
+                    continue;
+                };
+                seqs.extend([from, to].iter().filter(|t| t.cycle() == cycle).map(|t| t.seq()));
+                edges.push((from, to));
+            }
+            let diff = well_formed(cycle, seqs, edges);
+            let named: Vec<TxnId> = history.iter().chain(diff.committed()).copied().collect();
+            for (kind, q, pick) in ops {
+                let query = QueryId::new(q);
+                let Some(&t) = named.get(pick % named.len().max(1)) else {
+                    continue;
+                };
+                match kind {
+                    0 => prop_assert_eq!(
+                        window.add_precedence(query, t),
+                        baseline.add_edge(Node::Query(query), Node::Txn(t))
+                    ),
+                    1 => prop_assert_eq!(
+                        window.add_dependency(t, query),
+                        baseline.add_edge(Node::Txn(t), Node::Query(query))
+                    ),
+                    2 => {
+                        window.remove_query(query);
+                        baseline.remove_query(query);
+                    }
+                    _ => prop_assert_eq!(
+                        window.would_close_cycle(t, query),
+                        baseline.would_close_cycle(Node::Txn(t), Node::Query(query))
+                    ),
+                }
+            }
+            history.extend_from_slice(diff.committed());
+            if !missed {
+                let start = match start {
+                    0..=4 => Some(Cycle::new(n.saturating_sub(u64::from(start)))),
+                    5 => Some(Cycle::new(n + 1)),
+                    6 => Some(Cycle::ZERO),
+                    _ => None,
+                };
+                window.advance(start, Some(&Arc::new(diff.clone())));
+                match start {
+                    Some(start) => {
+                        baseline.apply_diff(&diff);
+                        baseline.prune_before(start);
+                    }
+                    None => baseline = BaselineGraph::new(),
+                }
+            }
+            prop_assert_eq!(format!("{window:?}"), baseline.rendering());
+            prop_assert_eq!(window.node_count(), baseline.node_count());
+            prop_assert_eq!(window.edge_count(), baseline.edge_count());
+            for t in baseline.nodes().filter_map(Node::as_txn) {
+                for q in (0..3).map(QueryId::new) {
+                    prop_assert_eq!(
+                        window.would_close_cycle(t, q),
+                        baseline.would_close_cycle(Node::Txn(t), Node::Query(q)),
+                        "{} -> {}",
+                        t,
+                        q
+                    );
+                }
+            }
         }
     }
 }
@@ -319,7 +409,6 @@ proptest! {
 enum Step {
     Edge(Node, Node),
     Advance(Option<Cycle>, GraphDiff),
-    RemoveQuery(QueryId),
 }
 
 /// A transaction of cycles 0–7, now and then one the slots cannot hold:
@@ -337,15 +426,26 @@ fn txn_id() -> impl Strategy<Value = TxnId> {
 }
 
 fn node() -> impl Strategy<Value = Node> {
-    (0u8..4, txn_id(), 0u64..3).prop_map(|(kind, t, q)| match kind {
-        0 => Node::Query(QueryId::new(q)),
-        _ => Node::Txn(t),
-    })
+    txn_id().prop_map(Node::Txn)
+}
+
+/// The diff of `cycle` a server would send with these commits and
+/// edges: commits ascending and holding every target, edges grouped by
+/// ascending target (in their order within a group), none twice.
+fn well_formed(cycle: Cycle, seqs: Vec<u32>, mut edges: Vec<(TxnId, TxnId)>) -> GraphDiff {
+    let mut committed: Vec<TxnId> = seqs.into_iter().map(|s| TxnId::new(cycle, s)).collect();
+    committed.extend(edges.iter().map(|&(_, to)| to));
+    committed.sort_unstable();
+    committed.dedup();
+    edges.sort_by_key(|&(_, to)| to);
+    let mut seen = std::collections::BTreeSet::new();
+    edges.retain(|&e| seen.insert(e));
+    GraphDiff::new(cycle, committed, edges)
 }
 
 /// A diff of a cycle 0–7: its commits, and edges into them or — as a
-/// malformed diff may carry — anywhere. Debug builds keep only what
-/// `GraphDiff::new` admits there.
+/// malformed diff may carry — anywhere, in any order. Debug builds keep
+/// only what `GraphDiff::new` admits there.
 fn diff() -> impl Strategy<Value = GraphDiff> {
     (
         0u64..8,
@@ -354,7 +454,6 @@ fn diff() -> impl Strategy<Value = GraphDiff> {
     )
         .prop_map(|(cycle, seqs, raw)| {
             let cycle = Cycle::new(cycle);
-            let committed = seqs.into_iter().map(|s| TxnId::new(cycle, s)).collect();
             let mut edges: Vec<(TxnId, TxnId)> = raw
                 .into_iter()
                 .map(|(from, seq, anywhere, to)| match anywhere {
@@ -364,24 +463,24 @@ fn diff() -> impl Strategy<Value = GraphDiff> {
                 .collect();
             if cfg!(debug_assertions) {
                 edges.retain(|&(from, to)| from < to && to.cycle() == cycle);
+                return well_formed(cycle, seqs, edges);
             }
+            let committed = seqs.into_iter().map(|s| TxnId::new(cycle, s)).collect();
             GraphDiff::new(cycle, committed, edges)
         })
 }
 
 fn step() -> impl Strategy<Value = Step> {
-    (0u8..10, node(), node(), 0u8..11, diff()).prop_map(|(op, a, b, start, diff)| {
+    (0u8..9, node(), node(), 0u8..11, diff()).prop_map(|(op, a, b, start, diff)| {
         // a window start of cycle 0–8, one past every node, or none at all
         let start = match start {
             9 => Some(Cycle::new(100_001)),
             10 => None,
             c => Some(Cycle::new(u64::from(c))),
         };
-        match (op, b) {
-            (0..=4, _) => Step::Edge(a, b),
-            (5..=8, _) => Step::Advance(start, diff),
-            (_, Node::Query(q)) => Step::RemoveQuery(q),
-            _ => Step::RemoveQuery(QueryId::new(0)),
+        match op {
+            0..=4 => Step::Edge(a, b),
+            _ => Step::Advance(start, diff),
         }
     })
 }
@@ -419,48 +518,43 @@ fn assert_same(fast: &SerializationGraph, model: &IndexedGraph) -> Result<(), Te
 /// edge (whose target is then dropped while its source stays, so only
 /// the reverse entry the edge keeps can detach it), a duplicate edge, a
 /// target missing from the commits, and a target of another cycle than
-/// the diff's. Release builds run every case; debug builds the ones
-/// `GraphDiff::new` admits.
+/// the diff's. `GraphDiff::new` admits none of them under
+/// `debug_assertions`, so the cases run in release builds.
 #[test]
 fn malformed_diffs_match_the_model() {
     let t = |c: u64, s: u32| TxnId::new(Cycle::new(c), s);
     let c3 = Cycle::new(3);
-    // (what is wrong, whether `GraphDiff::new` admits it in debug builds,
-    // commits, edges) — built only where it is admitted
+    // (what is wrong, commits, edges)
     let cases = [
         (
             "new -> old edge",
-            false,
             vec![t(3, 0), t(3, 1)],
             vec![(t(3, 1), t(3, 0)), (t(3, 0), t(2, 0))],
         ),
         (
             "duplicate edge",
-            true,
             vec![t(3, 0)],
             vec![(t(2, 0), t(3, 0)), (t(2, 0), t(3, 0))],
         ),
         (
             "target missing from the commits",
-            true,
             vec![t(3, 0)],
             vec![(t(2, 0), t(3, 1))],
         ),
         (
             "target of another cycle",
-            false,
             vec![t(3, 0)],
             vec![(t(2, 0), t(5, 0)), (t(2, 1), t(1, 0))],
         ),
     ];
-    for (label, admitted_in_debug, committed, edges) in cases {
-        if cfg!(debug_assertions) && !admitted_in_debug {
+    for (label, committed, edges) in cases {
+        if cfg!(debug_assertions) {
             continue;
         }
         let diff = GraphDiff::new(c3, committed, edges);
         let mut fast = SerializationGraph::new();
         let mut model = IndexedGraph::new();
-        let query = Node::Query(QueryId::new(0));
+        let older = Node::Txn(t(1, 0));
         let script: [(Option<u64>, Option<&GraphDiff>); 5] = [
             (Some(1), None),
             (Some(1), Some(&diff)),
@@ -469,8 +563,8 @@ fn malformed_diffs_match_the_model() {
             (Some(4), None),
         ];
         for (start, diff) in script {
-            fast.add_edge(query, Node::Txn(t(2, 0)));
-            model.add_edge(query, Node::Txn(t(2, 0)));
+            fast.add_edge(older, Node::Txn(t(2, 0)));
+            model.add_edge(older, Node::Txn(t(2, 0)));
             fast.advance(start.map(Cycle::new), diff);
             model.advance(start.map(Cycle::new), diff);
             if let Err(e) = assert_same(&fast, &model) {

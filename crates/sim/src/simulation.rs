@@ -303,6 +303,8 @@ impl Simulation {
             method.server_options(layout),
             seeds.derive(&["server"]),
         )?;
+        // one Zipf table for every client: each holds a clone
+        let pattern = QueryExecutor::read_pattern(&config.client)?;
         let mut built = Vec::with_capacity(clients.len());
         for i in clients {
             let cache = match method.cache_mode() {
@@ -326,13 +328,14 @@ impl Simulation {
                     }
                 }
             };
-            built.push(QueryExecutor::new(
+            built.push(QueryExecutor::with_read_pattern(
                 ClientId::new(i),
                 config.client.clone(),
                 method.build_protocol(),
                 cache,
                 config.queries_per_client,
                 seeds.derive(&["client", &i.to_string()]),
+                pattern.clone(),
             )?);
         }
         Ok(Simulation {
@@ -712,6 +715,34 @@ mod tests {
             max_cycles: 20_000,
             seed: 99,
         }
+    }
+
+    /// A simulation builds its Zipf read table once: every client, of
+    /// the whole run or of a shard, draws from the one table.
+    #[test]
+    fn every_client_shares_one_zipf_table() {
+        let sim = Simulation::new(quick_config(), Method::Sgt).unwrap();
+        let first = sim.clients[0].pattern();
+        assert_eq!(sim.clients.len(), 3);
+        assert!(sim
+            .clients
+            .iter()
+            .all(|c| c.pattern().shares_table_with(first)));
+        let own = QueryExecutor::read_pattern(&quick_config().client).unwrap();
+        assert!(!own.shares_table_with(first));
+        assert_eq!(&own, first);
+        let shard = Simulation::with_client_range(
+            quick_config(),
+            Method::Sgt,
+            MultiversionLayout::Overflow,
+            1..3,
+        )
+        .unwrap();
+        let first = shard.clients[0].pattern();
+        assert!(shard
+            .clients
+            .iter()
+            .all(|c| c.pattern().shares_table_with(first)));
     }
 
     /// The tentpole acceptance check at the simulation level: attaching

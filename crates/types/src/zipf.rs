@@ -10,6 +10,8 @@
 //! [`AccessPattern`] maps sampled ranks onto item identifiers within a
 //! range and applies the offset shift.
 
+use std::sync::Arc;
+
 use rand::Rng;
 
 use crate::error::BpushError;
@@ -20,7 +22,8 @@ use crate::ids::ItemId;
 /// Probability of rank `i` is proportional to `1 / (i + 1)^θ`. `θ = 0`
 /// degenerates to the uniform distribution; the paper's default is
 /// `θ = 0.95`. Sampling is `O(log n)` by binary search over the
-/// precomputed CDF.
+/// precomputed CDF. The CDF is shared: a clone costs a reference count,
+/// so every client of a simulation draws from one table.
 ///
 /// # Example
 /// ```
@@ -36,7 +39,7 @@ use crate::ids::ItemId;
 #[derive(Debug, Clone, PartialEq)]
 pub struct ZipfSampler {
     /// Cumulative distribution; `cdf[i]` is `P(rank <= i)`, `cdf[n-1] == 1`.
-    cdf: Vec<f64>,
+    cdf: Arc<[f64]>,
     theta: f64,
 }
 
@@ -66,7 +69,10 @@ impl ZipfSampler {
         for p in &mut cdf {
             *p /= total;
         }
-        Ok(ZipfSampler { cdf, theta })
+        Ok(ZipfSampler {
+            cdf: cdf.into(),
+            theta,
+        })
     }
 
     /// Number of ranks.
@@ -82,6 +88,11 @@ impl ZipfSampler {
     /// The skew parameter θ.
     pub fn theta(&self) -> f64 {
         self.theta
+    }
+
+    /// Whether `self` and `other` draw from one shared CDF table.
+    pub fn shares_table_with(&self, other: &ZipfSampler) -> bool {
+        Arc::ptr_eq(&self.cdf, &other.cdf)
     }
 
     /// Probability mass of `rank`.
@@ -171,6 +182,17 @@ impl AccessPattern {
     /// The configured hot-spot shift.
     pub fn offset(&self) -> u32 {
         self.offset
+    }
+
+    /// The skew parameter θ.
+    pub fn theta(&self) -> f64 {
+        self.zipf.theta()
+    }
+
+    /// Whether `self` and `other` draw from one shared Zipf table (see
+    /// [`ZipfSampler::shares_table_with`]).
+    pub fn shares_table_with(&self, other: &AccessPattern) -> bool {
+        self.zipf.shares_table_with(&other.zipf)
     }
 
     /// Probability that a single access hits `item`.
