@@ -159,7 +159,7 @@ impl ReadOnlyProtocol for Instrumented {
             for (item, wc) in report.dated_items() {
                 mon.report_entry(c, item, wc);
             }
-            if let Some(diff) = ctrl.graph_diff() {
+            if let Some(diff) = ctrl.shared_graph_diff() {
                 mon.graph_diff(diff);
             }
             if let Some(aug) = ctrl.augmented() {

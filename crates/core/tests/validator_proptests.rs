@@ -11,7 +11,7 @@ use std::collections::HashMap;
 
 use bpush_core::validator::{ReadRecord, SerializabilityBatch, SerializabilityValidator};
 use bpush_server::WriteHistory;
-use bpush_sgraph::{Node, SerializationGraph};
+use bpush_sgraph::{GraphDiff, Node, SerializationGraph};
 use bpush_types::{Cycle, ItemId, ItemValue, TxnId};
 
 const N_ITEMS: u32 = 6;
@@ -44,10 +44,26 @@ fn build_history(writes: &[(u32, u32)]) -> (WriteHistory, HashMap<ItemId, Vec<It
     (h, chains)
 }
 
-/// The conflict-graph node of the transaction `build_history` commits at
-/// serial position `pos`.
-fn txn_node(pos: u64) -> Node {
-    Node::Txn(TxnId::new(Cycle::new(pos), 0))
+/// The transaction `build_history` commits at serial position `pos`.
+fn txn(pos: u64) -> TxnId {
+    TxnId::new(Cycle::new(pos), 0)
+}
+
+/// The graph a server replay of these conflict edges builds: one diff
+/// per target, committing it with its in-edges, pushed in target order.
+/// A back edge makes its diff malformed, which `GraphDiff::new` admits
+/// only in release builds.
+fn replayed(mut edges: Vec<(TxnId, TxnId)>) -> SerializationGraph {
+    edges.sort_unstable_by_key(|&(from, to)| (to, from));
+    edges.dedup();
+    let mut graph = SerializationGraph::new();
+    let mut rest = edges.as_slice();
+    while let Some(&(_, to)) = rest.first() {
+        let (into, tail) = rest.split_at(rest.iter().take_while(|e| e.1 == to).count());
+        graph.push(&GraphDiff::new(to.cycle(), vec![to], into.to_vec()));
+        rest = tail;
+    }
+    graph
 }
 
 /// Brute-force oracle: a readset is prefix-consistent iff there is a
@@ -160,20 +176,17 @@ proptest! {
     ) {
         let (h, chains) = build_history(&writes);
         let n = writes.len() as u64;
-        let mut graph = SerializationGraph::new();
-        for &(a, b) in &edges {
-            let (a, b) = (a % n, b % n);
-            if a != b {
-                graph.add_edge(txn_node(a.min(b)), txn_node(a.max(b)));
-            }
-        }
+        let edges = edges.iter().map(|&(a, b)| (a % n, b % n)).filter(|(a, b)| a != b);
+        let graph = replayed(edges.map(|(a, b)| (txn(a.min(b)), txn(a.max(b)))).collect());
         let readsets = build_readsets(&chains, &picks);
         assert_batch_matches_criterion(&h, &graph, &readsets, &shuffle)?;
     }
 
     /// Batch vs criterion on arbitrary graphs — back edges, cycles and
     /// transactions the history never mentions included — for which the
-    /// batch has no order to lean on and must traverse unbounded.
+    /// batch has no order to lean on and must traverse unbounded. The
+    /// back edges come in malformed diffs, so debug builds keep only the
+    /// forward ones.
     #[test]
     fn batch_matches_criterion_on_arbitrary_graphs(
         writes in proptest::collection::vec((0u32..N_ITEMS, 0u32..2), 1..24),
@@ -183,12 +196,8 @@ proptest! {
         shuffle in proptest::collection::vec(0usize..64, 0..16),
     ) {
         let (h, chains) = build_history(&writes);
-        let mut graph = SerializationGraph::new();
-        for &(a, b) in &edges {
-            if a != b {
-                graph.add_edge(txn_node(a), txn_node(b));
-            }
-        }
+        let edges = edges.iter().filter(|(a, b)| a < b || (a > b && !cfg!(debug_assertions)));
+        let graph = replayed(edges.map(|&(a, b)| (txn(a), txn(b))).collect());
         let readsets = build_readsets(&chains, &picks);
         assert_batch_matches_criterion(&h, &graph, &readsets, &shuffle)?;
     }
@@ -276,14 +285,11 @@ proptest! {
             .collect();
         // build the *full* serial-order conflict graph: an edge between
         // consecutive writers of the same item
-        let mut graph = SerializationGraph::new();
-        for chain in chains.values() {
-            for w in chain.windows(2) {
-                if let (Some(a), Some(b)) = (w[0].writer(), w[1].writer()) {
-                    graph.add_edge(Node::Txn(a), Node::Txn(b));
-                }
-            }
-        }
+        let edges = chains
+            .values()
+            .flat_map(|chain| chain.windows(2))
+            .filter_map(|w| Some((w[0].writer()?, w[1].writer()?)));
+        let graph = replayed(edges.collect());
         prop_assert!(validator.check(&reads).is_ok());
         prop_assert!(satisfies_criterion(&h, &graph, &reads));
         prop_assert!(SerializabilityBatch::new(&h, &graph).check(&reads).is_ok());

@@ -16,9 +16,9 @@
 //!   optional staleness bound caps commit-time currency distance.
 //! * **Serializability** ([`MonitorKind::Serializability`]) — for
 //!   [`MonitorPolicy::Graph`] methods, one windowed graph of server
-//!   transactions per engine (a `bpush_sgraph` graph, fed each broadcast
-//!   diff once, in a window starting at the least Lemma-1 bound over the
-//!   active lanes). Each lane keeps its query's §3.3 edges as plain data, so
+//!   transactions per engine (a `bpush_sgraph::Window` of the shared
+//!   diffs, each kept once, from the least Lemma-1 bound over the active
+//!   lanes). Each lane keeps its query's §3.3 edges as plain data, so
 //!   both checks are reachability questions on the shared graph: an
 //!   accepted read whose writer a recorded first overwriter is or
 //!   reaches, or a commit after a first overwriter that is or reaches a
@@ -42,7 +42,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use bpush_sgraph::{GraphDiff, Node, SerializationGraph};
+use bpush_sgraph::{GraphDiff, Window};
 use bpush_types::{AbortReason, Cycle, ItemId, TxnId};
 
 use crate::event::{Actor, EventKind};
@@ -373,8 +373,8 @@ impl Lane {
 }
 
 /// Whether `from` is, or reaches, `to` in the transaction graph.
-fn reaches(graph: &SerializationGraph, from: TxnId, to: TxnId) -> bool {
-    from == to || graph.path_exists(Node::Txn(from), Node::Txn(to))
+fn reaches(graph: &Window, from: TxnId, to: TxnId) -> bool {
+    from == to || graph.path_exists(from, to)
 }
 
 /// Appends `txn` unless it is already listed.
@@ -404,9 +404,9 @@ pub struct MonitorEngine {
     config: MonitorConfig,
     lanes: Box<[Lane]>,
     streams: Box<[StreamLane]>,
-    /// Graph policy: the server transactions of every heard diff inside
-    /// the least Lemma-1 window over the active lanes.
-    graph: SerializationGraph,
+    /// Graph policy: the heard diffs inside the least Lemma-1 window over
+    /// the active lanes.
+    graph: Window,
     /// Commit cycle of the newest diff applied to `graph`.
     graph_cycle: Option<Cycle>,
     violations: Box<[Violation]>,
@@ -438,7 +438,7 @@ impl MonitorEngine {
                 .collect::<Vec<_>>()
                 .into_boxed_slice(),
             streams: vec![StreamLane::EMPTY; clients.saturating_add(2)].into_boxed_slice(),
-            graph: SerializationGraph::new(),
+            graph: Window::new(),
             graph_cycle: None,
             violations: vec![Violation::EMPTY; config.max_violations as usize].into_boxed_slice(),
             nviol: 0,
@@ -697,12 +697,11 @@ impl MonitorEngine {
         }
     }
 
-    /// Integrates a broadcast serialization-graph diff into the shared
-    /// transaction graph. The first lane fed a cycle's diff applies it,
-    /// through [`SerializationGraph::advance`] with the window starting
-    /// at the least Lemma-1 bound over the active lanes (each lane's
-    /// `c_o`, else its last heard cycle), or with no window when no lane
-    /// is active.
+    /// Keeps a broadcast graph diff, the handle the control shares, in
+    /// the engine's window. The first lane fed a cycle's diff keeps it,
+    /// through [`Window::advance`] with the window starting at the least
+    /// Lemma-1 bound over the active lanes (each lane's `c_o`, else its
+    /// last heard cycle), or with no window when no lane is active.
     ///
     /// Dropping the diff's part below the bound cannot change a verdict.
     /// Edges run old → new (the server's tracker emits nothing else), and
@@ -711,7 +710,7 @@ impl MonitorEngine {
     /// a writer's cycle is at least the bound: the bound is at most each
     /// active lane's `min(c_o, heard)`, and `heard ≤ diff.cycle() =
     /// T_f.cycle()` for the diff that announces `T_f`.
-    pub fn mon_graph_diff(&mut self, diff: &GraphDiff) {
+    pub fn mon_graph_diff(&mut self, diff: &Arc<GraphDiff>) {
         if self.config.policy != MonitorPolicy::Graph || self.graph_cycle >= Some(diff.cycle()) {
             return;
         }
@@ -1072,8 +1071,8 @@ impl Monitors {
         self.inner.lock().mon_augmented_entry(client, item, writer);
     }
 
-    /// Typed feed: a broadcast serialization-graph diff.
-    pub fn graph_diff(&self, diff: &GraphDiff) {
+    /// Typed feed: a broadcast graph diff, as the control shares it.
+    pub fn graph_diff(&self, diff: &Arc<GraphDiff>) {
         self.inner.lock().mon_graph_diff(diff);
     }
 
@@ -1292,11 +1291,15 @@ mod tests {
             Some(t0),
         );
         e.mon_control_begin(0, Cycle::new(2), 1);
-        e.mon_graph_diff(&GraphDiff::new(Cycle::new(1), vec![t1], vec![]));
+        e.mon_graph_diff(&Arc::new(GraphDiff::new(Cycle::new(1), vec![t1], vec![])));
         e.mon_augmented_entry(0, ItemId::new(7), t1);
         e.mon_control_done(0, Cycle::new(2));
         e.mon_control_begin(0, Cycle::new(3), 1);
-        e.mon_graph_diff(&GraphDiff::new(Cycle::new(2), vec![t2], vec![(t1, t2)]));
+        e.mon_graph_diff(&Arc::new(GraphDiff::new(
+            Cycle::new(2),
+            vec![t2],
+            vec![(t1, t2)],
+        )));
         e.mon_control_done(0, Cycle::new(3));
         // the genuine method rejects this read; accepting it diverges
         e.mon_read_meta(
@@ -1336,7 +1339,11 @@ mod tests {
         // no lane is active: no window, so none of the diff is interned;
         // T0.0 and T1.0 are exactly what a full apply would hold here
         e.mon_control_begin(0, Cycle::new(2), 1);
-        e.mon_graph_diff(&GraphDiff::new(Cycle::new(1), vec![t1], vec![(t0, t1)]));
+        e.mon_graph_diff(&Arc::new(GraphDiff::new(
+            Cycle::new(1),
+            vec![t1],
+            vec![(t0, t1)],
+        )));
         e.mon_control_done(0, Cycle::new(2));
         assert_eq!(e.graph.node_count(), 0);
         // an active lane with no `c_o` keeps only what it last heard on:
@@ -1344,9 +1351,14 @@ mod tests {
         // apply would add beyond T2.0, is not interned
         begin(&mut e, 0, 2, 2);
         e.mon_control_begin(0, Cycle::new(3), 1);
-        e.mon_graph_diff(&GraphDiff::new(Cycle::new(2), vec![t2], vec![(t1, t2)]));
+        e.mon_graph_diff(&Arc::new(GraphDiff::new(
+            Cycle::new(2),
+            vec![t2],
+            vec![(t1, t2)],
+        )));
         e.mon_control_done(0, Cycle::new(3));
-        assert_eq!(e.graph.earliest_cycle(), Some(Cycle::new(2)));
+        assert_eq!((e.graph.node_count(), e.graph.edge_count()), (1, 0));
+        assert!(!e.graph.path_exists(t1, t2), "T1.0 is not a node");
         let v = e.mon_verdict();
         assert!(v.pass(), "{}", v.render());
         assert_eq!(v.graph_edges, 1);
@@ -1361,8 +1373,8 @@ mod tests {
         let t0 = TxnId::new(Cycle::ZERO, 0);
         let t1 = TxnId::new(Cycle::new(1), 0);
         let t2 = TxnId::new(Cycle::new(2), 0);
-        let d1 = GraphDiff::new(Cycle::new(1), vec![t1], vec![]);
-        let d2 = GraphDiff::new(Cycle::new(2), vec![t2], vec![(t1, t2)]);
+        let d1 = Arc::new(GraphDiff::new(Cycle::new(1), vec![t1], vec![]));
+        let d2 = Arc::new(GraphDiff::new(Cycle::new(2), vec![t2], vec![(t1, t2)]));
         for lane in 0..2 {
             begin(&mut e, lane, 1, 1);
             e.mon_read_meta(
@@ -1419,7 +1431,7 @@ mod tests {
             Some(t0),
         );
         e.mon_control_begin(0, Cycle::new(2), 1);
-        e.mon_graph_diff(&GraphDiff::new(Cycle::new(1), vec![t1], vec![]));
+        e.mon_graph_diff(&Arc::new(GraphDiff::new(Cycle::new(1), vec![t1], vec![])));
         e.mon_augmented_entry(0, ItemId::new(7), t1);
         e.mon_control_done(0, Cycle::new(2));
         e.mon_read_meta(
@@ -1468,7 +1480,11 @@ mod tests {
         let t0 = TxnId::new(Cycle::ZERO, 0);
         let t1 = TxnId::new(Cycle::new(1), 0);
         let t2 = TxnId::new(Cycle::new(2), 0);
-        e.mon_graph_diff(&GraphDiff::new(Cycle::new(2), vec![t2], vec![(t1, t2)]));
+        e.mon_graph_diff(&Arc::new(GraphDiff::new(
+            Cycle::new(2),
+            vec![t2],
+            vec![(t1, t2)],
+        )));
         let read = |e: &mut MonitorEngine, query, item, writer| {
             e.mon_read_meta(
                 0,

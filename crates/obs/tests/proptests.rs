@@ -13,6 +13,7 @@ use bpush_obs::{
     RingBuffer, Violation,
 };
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use bpush_sgraph::{GraphDiff, Node};
 use bpush_types::{Cycle, ItemId, QueryId, TxnId};
@@ -110,7 +111,7 @@ enum Op {
     },
     Diff {
         lane: u32,
-        diff: GraphDiff,
+        diff: Arc<GraphDiff>,
     },
     Augmented {
         lane: u32,
@@ -367,7 +368,7 @@ impl MirrorModel {
             Op::Diff { lane, ref diff } => {
                 self.lanes[lane as usize]
                     .graph
-                    .advance(Some(Cycle::ZERO), Some(diff));
+                    .advance(Some(Cycle::ZERO), Some(&**diff));
             }
             Op::Augmented { lane, item, writer } => {
                 let l = &mut self.lanes[lane as usize];
@@ -460,6 +461,10 @@ impl Gen {
     }
 }
 
+/// A cycle's diff with the first writer of each item it wrote, as the
+/// next cycle's control carries them.
+type Aired = (Arc<GraphDiff>, Vec<(u32, TxnId)>);
+
 /// A random commit-ordered feed: each cycle a few server transactions
 /// commit, each conflicting with the previous writer of every item it
 /// writes and sometimes with an older transaction (so every edge runs
@@ -472,7 +477,7 @@ fn feed(seed: u64, lanes: u32, cycles: u64, items: u32, miss_pct: u64) -> Vec<Op
     let mut committed: Vec<TxnId> = Vec::new();
     let mut active: Vec<Option<u64>> = vec![None; lanes as usize];
     let mut next_query = 0u64;
-    let mut last: Option<(GraphDiff, Vec<(u32, TxnId)>)> = None;
+    let mut last: Option<Aired> = None;
     for n in 0..cycles {
         for lane in 0..lanes {
             if n > 0 && g.chance(miss_pct) {
@@ -489,7 +494,7 @@ fn feed(seed: u64, lanes: u32, cycles: u64, items: u32, miss_pct: u64) -> Vec<Op
                     }
                     ops.push(Op::Diff {
                         lane,
-                        diff: diff.clone(),
+                        diff: Arc::clone(diff),
                     });
                     for &(item, writer) in first_writers {
                         ops.push(Op::Augmented { lane, item, writer });
@@ -568,7 +573,8 @@ fn feed(seed: u64, lanes: u32, cycles: u64, items: u32, miss_pct: u64) -> Vec<Op
             committed.push(t);
         }
         first_writers.sort_unstable();
-        last = Some((GraphDiff::new(Cycle::new(n), txns, edges), first_writers));
+        let diff = GraphDiff::new(Cycle::new(n), txns, edges);
+        last = Some((Arc::new(diff), first_writers));
     }
     ops
 }

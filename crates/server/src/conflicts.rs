@@ -332,13 +332,11 @@ mod tests {
         let (d2, _) = tr.end_cycle(Cycle::new(2));
         // apply both diffs to a graph: path T0.0 -> T1.0 -> T2.0
         let mut g = bpush_sgraph::SerializationGraph::new();
-        g.advance(Some(Cycle::ZERO), Some(&d1));
-        g.advance(Some(Cycle::ZERO), Some(&d2));
-        assert!(g.path_exists(
-            bpush_sgraph::Node::Txn(id(0, 0)),
-            bpush_sgraph::Node::Txn(id(2, 0))
-        ));
-        assert!(g.is_acyclic());
+        g.push(&d1);
+        g.push(&d2);
+        let path = |a, b| g.path_exists(bpush_sgraph::Node::Txn(a), bpush_sgraph::Node::Txn(b));
+        assert!(path(id(0, 0), id(2, 0)));
+        assert!(!path(id(2, 0), id(0, 0)), "edges run old -> new");
     }
 
     #[test]

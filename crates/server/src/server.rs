@@ -273,8 +273,8 @@ impl BroadcastServer {
     /// server has committed (for validation; never broadcast). Precedence
     /// edges from readers older than the tracker's horizon are elided.
     /// Built at the first call after a cycle by replaying the commit log
-    /// through a fresh [`ConflictTracker`] that closes every cycle: the
-    /// whole-history graph is the window that starts at cycle 0.
+    /// through a fresh [`ConflictTracker`] that closes every cycle, each
+    /// cycle's diff pushed onto an append-only graph.
     pub fn conflict_graph(&self) -> &SerializationGraph {
         self.ground_truth.get_or_init(|| {
             let mut tracker = ConflictTracker::new(reader_horizon(&self.config));
@@ -283,7 +283,7 @@ impl BroadcastServer {
                 for txn in txns {
                     tracker.commit(txn);
                 }
-                graph.advance(Some(Cycle::ZERO), Some(&tracker.end_cycle(cycle).0));
+                graph.push(&tracker.end_cycle(cycle).0);
             }
             graph
         })
@@ -949,7 +949,7 @@ mod tests {
                 self.tracker.commit(txn);
             }
             let diff = self.tracker.end_cycle(cycle).0;
-            self.graph.advance(Some(Cycle::ZERO), Some(&diff));
+            self.graph.push(&diff);
         }
     }
 
@@ -997,7 +997,7 @@ mod tests {
                     for c in (0..25).map(Cycle::new) {
                         let b = s.run_cycle();
                         if let Some(diff) = b.control().graph_diff() {
-                            aired.advance(Some(Cycle::ZERO), Some(diff));
+                            aired.push(diff);
                         }
                         // the graph asked for a cycle ago is aired by now
                         if let Some(text) = asked.take().filter(|_| sgt_info) {

@@ -9,21 +9,18 @@
 //!
 //! This crate provides:
 //!
-//! * [`Window`] — the client's copy: the Lemma-1 window kept as the diffs
-//!   the client heard, one shared chunk per cycle with the floor it was
-//!   admitted under, plus a small overlay of the query edges `R → T_f`
-//!   and `T_l → R`. Nothing is linked per offered edge; the acceptance
-//!   test ([`Window::would_close_cycle`]) searches backward from `T_l`
-//!   over the chunks' in-edges when a read asks,
-//! * [`SerializationGraph`] — the linked graph over committed
-//!   transactions that the server replays for the audit and the monitors
-//!   keep: a dense `u32` node interner with one forward and one reverse
-//!   adjacency list of ids per node (no reverse entry for an old → new
-//!   edge, which the window never needs), allocation-free path queries,
-//!   and the Lemma-1 window written once ([`SerializationGraph::advance`]).
-//!   A window transaction finds its id in a per-cycle slot vector (`SG^i`
-//!   in the paper is one slot vector) kept in a deque from the window
-//!   start; a small sorted side table holds the transactions below it,
+//! * [`Window`] — the Lemma-1 window an SGT client and the monitors'
+//!   graph lane keep: the diffs they heard, one shared chunk per cycle
+//!   with the floor it was admitted under, plus a small overlay of the
+//!   query edges `R → T_f` and `T_l → R`. Nothing is linked per offered
+//!   edge; the acceptance test ([`Window::would_close_cycle`]) and the
+//!   monitors' [`Window::path_exists`] search backward over the chunks'
+//!   in-edges when a read asks,
+//! * [`SerializationGraph`] — the server's whole-history graph over
+//!   committed transactions, linked and append-only
+//!   ([`SerializationGraph::push`] once per cycle's diff): a dense `u32`
+//!   node interner with one forward adjacency list of ids per node, the
+//!   graph the end-of-run audit replays and the judge reads,
 //! * [`GraphDiff`] — the per-cycle difference the server broadcasts,
 //! * [`Node`] — graph nodes: committed server transactions or local
 //!   read-only queries.

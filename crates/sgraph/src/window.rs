@@ -1,5 +1,5 @@
-//! The Lemma-1 window of an SGT client: the diffs it heard, kept as they
-//! arrived.
+//! The Lemma-1 window of an SGT client, or of the monitors' graph lane:
+//! the diffs heard, kept as they arrived.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
@@ -155,7 +155,9 @@ impl Search {
 /// It runs **backward** from `T_l` — over the in-edges of its chunk, by
 /// binary search, and the overlay — until it meets `R` or runs out of
 /// window. So a client pays for the graph only when a read asks, and
-/// nothing per offered edge.
+/// nothing per offered edge. The monitors' graph lane keeps a window
+/// too, with no query node, and asks [`Window::path_exists`] — the same
+/// search with a transaction to meet.
 ///
 /// The window is observationally the linked graph it replaces — an
 /// interned graph that interns the part of each diff inside the window,
@@ -336,54 +338,76 @@ impl Window {
 
     /// Whether adding the dependency edge `T_l → R` would close a cycle,
     /// that is whether `R →* T_l` — the SGT acceptance test. The edge is
-    /// not added.
-    ///
-    /// The search runs backward from `T_l`: over the in-edges its chunk
-    /// lists from sources at or above the chunk's floor, and the overlay's
-    /// edges into it, until it meets an edge out of `R` or runs out of
-    /// window. A diff malformed across cycles (a source no chunk lists)
-    /// can name more nodes than the scratch was sized for; the search then
-    /// answers `true` — an abort, never an unsound accept.
+    /// not added. `false` if `R` is not a node.
     // bpush-lint: hot_path — the SGT acceptance test itself (PR-3 allocation-freedom contract)
     pub fn would_close_cycle(&self, t_l: TxnId, query: QueryId) -> bool {
-        if self.queries.binary_search(&query).is_err() {
-            return false; // R has no edge, so no path leaves it
-        }
+        // R has no edge, so no path leaves it
+        self.queries.binary_search(&query).is_ok() && self.reaches_back(Node::Query(query), t_l)
+    }
+
+    /// Whether a directed path `from →* to` exists between two
+    /// transactions (`path_exists(t, t)` only if `t` lies on a cycle):
+    /// the monitors' reachability question. `false` if either end is not
+    /// a node.
+    // bpush-lint: hot_path — per-read reachability probe of the monitors' graph lane
+    pub fn path_exists(&self, from: TxnId, to: TxnId) -> bool {
+        self.holds(from) && self.holds(to) && self.reaches_back(Node::Txn(from), to)
+    }
+
+    /// Whether `t` is a transaction node.
+    fn holds(&self, t: TxnId) -> bool {
+        self.listed(t) || self.orphans.binary_search(&t).is_ok()
+    }
+
+    /// The nodes with an edge into `node`: overlay edges first, then, for
+    /// a transaction, the in-edges its chunk lists from sources at or
+    /// above the chunk's floor.
+    fn predecessors(&self, node: Node) -> impl Iterator<Item = Node> + '_ {
+        let overlay = self.overlay.iter().map(QueryEdge::ends);
+        let chunk = node
+            .as_txn()
+            .and_then(|x| Some((self.chunk_of(x.cycle())?, x)));
+        let chunk_edges = chunk.into_iter().flat_map(|(chunk, x)| {
+            let live = chunk.diff.in_edges(x).iter();
+            live.filter(move |(from, _)| from.cycle() >= chunk.floor)
+                .map(|&(from, _)| Node::Txn(from))
+        });
+        overlay
+            .filter(move |&(_, to)| to == node)
+            .map(|(from, _)| from)
+            .chain(chunk_edges)
+    }
+
+    /// Whether `target` reaches `to` over at least one edge. The search
+    /// runs backward from `to` over [`Window::predecessors`] until it
+    /// meets `target` or runs out of window. A diff malformed across
+    /// cycles (a source its cycle's chunk does not list) can name more
+    /// nodes than the scratch was sized for; the search then answers
+    /// `true` — for the acceptance test an abort, never an unsound
+    /// accept; for the monitors a path reported.
+    fn reaches_back(&self, target: Node, to: TxnId) -> bool {
+        // With no query edge every edge is a chunk edge, which runs old →
+        // new (the server emits no other and the wire admits no other),
+        // so no node older than a transaction lies on a path from it:
+        // the search skips them.
+        let floor = match target {
+            Node::Txn(from) if self.overlay.is_empty() => from,
+            _ => TxnId::new(Cycle::ZERO, 0),
+        };
         let mut search = self.search.borrow_mut();
         search.open_epoch();
-        if search.reach(Node::Txn(t_l)).is_none() {
-            return true;
-        }
-        while let Some(node) = search.take_next() {
-            let reached = match node {
-                Node::Txn(x) => {
-                    let mut reached = Some(());
-                    for e in self.overlay.iter().filter(|e| !e.into_query && e.txn == x) {
-                        if e.query == query {
-                            return true;
-                        }
-                        reached = reached.and(search.reach(Node::Query(e.query)));
-                    }
-                    if let Some(chunk) = self.chunk_of(x.cycle()) {
-                        for &(from, _) in chunk.diff.in_edges(x) {
-                            if from.cycle() >= chunk.floor {
-                                reached = reached.and(search.reach(Node::Txn(from)));
-                            }
-                        }
-                    }
-                    reached
+        let mut full = search.reach(Node::Txn(to)).is_none();
+        while let Some(node) = search.take_next().filter(|_| !full) {
+            for pred in self.predecessors(node) {
+                if pred == target {
+                    return true;
                 }
-                Node::Query(r) => self
-                    .overlay
-                    .iter()
-                    .filter(|e| e.into_query && e.query == r)
-                    .try_for_each(|e| search.reach(Node::Txn(e.txn))),
-            };
-            if reached.is_none() {
-                return true;
+                if pred >= Node::Txn(floor) {
+                    full |= search.reach(pred).is_none();
+                }
             }
         }
-        false
+        full
     }
 
     /// Removes a query node and every edge with it as an end. The
@@ -678,6 +702,114 @@ mod tests {
             );
         }
         assert!(!c.would_close_cycle(t(2, 1), q(0)));
+    }
+
+    #[test]
+    fn advance_drops_old_cycles_only() {
+        let mut w = Window::new();
+        w.advance(at(0), Some(&diff(0, &[t(0, 0)], &[])));
+        for n in 1..4 {
+            w.advance(at(0), Some(&diff(n, &[t(n, 0)], &[(t(n - 1, 0), t(n, 0))])));
+        }
+        assert!(w.path_exists(t(0, 0), t(3, 0)));
+        w.advance(at(2), None);
+        assert_eq!((w.node_count(), w.edge_count()), (2, 1));
+        // a path inside the window is unaffected; one from a dropped
+        // transaction is gone with it
+        assert!(w.path_exists(t(2, 0), t(3, 0)));
+        assert!(!w.path_exists(t(1, 0), t(3, 0)));
+    }
+
+    #[test]
+    fn advance_is_a_noop_when_nothing_is_old() {
+        let mut w = Window::new();
+        w.advance(at(5), Some(&diff(6, &[t(6, 0)], &[(t(5, 0), t(6, 0))])));
+        let before = format!("{w:?}");
+        w.advance(at(3), None);
+        assert_eq!(format!("{w:?}"), before);
+        assert_eq!((w.node_count(), w.edge_count()), (2, 1));
+    }
+
+    #[test]
+    fn advance_interns_only_the_window() {
+        let d = diff(
+            3,
+            &[t(3, 0), t(3, 1)],
+            &[
+                (t(1, 0), t(3, 0)),
+                (t(2, 0), t(3, 0)),
+                (t(3, 0), t(3, 1)),
+                (t(2, 1), t(3, 1)),
+            ],
+        );
+        let mut w = Window::new();
+        w.advance(at(2), Some(&d));
+        assert!(!w.holds(t(1, 0)), "cycle 1 is before the window");
+        assert_eq!((w.node_count(), w.edge_count()), (4, 3));
+        assert!(w.path_exists(t(2, 0), t(3, 1)));
+        assert!(!w.path_exists(t(1, 0), t(3, 0)));
+        // a window that starts after the diff's cycle takes nothing of it
+        let mut v = Window::new();
+        v.advance(at(4), Some(&d));
+        assert!(v.is_empty());
+    }
+
+    #[test]
+    fn the_window_starts_at_the_first_transaction_of_its_cycle() {
+        // the last possible id of cycle b − 1 is dropped, the first of
+        // cycle b stays
+        let mut w = Window::new();
+        let d = diff(
+            3,
+            &[t(3, 0), t(3, 1)],
+            &[(t(2, u32::MAX), t(3, 0)), (t(3, 0), t(3, 1))],
+        );
+        w.advance(at(2), Some(&d));
+        assert!(w.path_exists(t(2, u32::MAX), t(3, 1)));
+        w.advance(at(3), None);
+        assert!(!w.holds(t(2, u32::MAX)) && w.holds(t(3, 0)) && w.holds(t(3, 1)));
+        assert_eq!(w.edge_count(), 1);
+        // a window past every transaction leaves nothing
+        w.advance(Some(Cycle::new(u64::MAX)), None);
+        assert!(w.is_empty());
+    }
+
+    #[test]
+    fn path_exists_needs_both_ends_as_nodes() {
+        // an empty window, never sized, has no node to search from: the
+        // search scratch's overflow answer must not leak out
+        let mut w = Window::new();
+        assert!(!w.path_exists(t(1, 0), t(1, 0)));
+        w.advance(at(1), Some(&diff(1, &[t(1, 0)], &[])));
+        w.advance(at(1), Some(&diff(2, &[t(2, 0)], &[(t(1, 0), t(2, 0))])));
+        assert!(w.path_exists(t(1, 0), t(2, 0)));
+        assert!(!w.path_exists(t(2, 0), t(1, 0)));
+        // no self-path without a cycle
+        assert!(!w.path_exists(t(2, 0), t(2, 0)));
+        // an endpoint that is not a node
+        assert!(!w.path_exists(t(0, 0), t(2, 0)));
+        assert!(!w.path_exists(t(1, 0), t(2, 1)));
+        // no window at all
+        w.advance(None, Some(&diff(3, &[t(3, 0)], &[(t(2, 0), t(3, 0))])));
+        assert!(!w.path_exists(t(2, 0), t(3, 0)));
+        assert!(!w.path_exists(t(3, 0), t(3, 0)));
+    }
+
+    #[test]
+    fn a_diff_malformed_across_cycles_answers_true() {
+        // cycle 2's diff names sources of cycle 1 that cycle 1's chunk
+        // does not list, so they are not nodes: a backward search reaches
+        // more transactions than the window holds, and the documented
+        // answer on overflowing the scratch is `true` — an abort for the
+        // acceptance test, a reported path for the monitors
+        let mut w = Window::new();
+        w.add_precedence(q(0), t(1, 0));
+        w.advance(at(1), Some(&diff(1, &[t(1, 0)], &[])));
+        let sources: Vec<(TxnId, TxnId)> = (1..9).map(|s| (t(1, s), t(2, 0))).collect();
+        w.advance(at(1), Some(&diff(2, &[t(2, 0)], &sources)));
+        assert_eq!(w.node_count(), 3, "the unlisted sources are not nodes");
+        assert!(w.would_close_cycle(t(2, 0), q(0)));
+        assert!(w.path_exists(t(1, 0), t(2, 0)));
     }
 
     #[test]

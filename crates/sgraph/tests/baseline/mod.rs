@@ -1,10 +1,11 @@
 //! The pre-interning `BTreeMap`-based serialization graph.
 //!
-//! This is the original implementation of
-//! [`bpush_sgraph::SerializationGraph`], kept as the **differential
-//! oracle**: the property tests in `proptests.rs` replay random operation
-//! sequences against both graphs and require identical answers. Nothing
-//! outside those tests uses it.
+//! This is the original linked serialization graph, query nodes and
+//! Lemma-1 pruning included, kept as the **differential oracle**: the
+//! property tests in `proptests.rs` replay random diff streams against it
+//! and both [`bpush_sgraph::SerializationGraph`] (the append-only history
+//! graph) and [`bpush_sgraph::Window`] (the client's window), and require
+//! identical answers. Nothing outside those tests uses it.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -12,8 +13,7 @@ use bpush_sgraph::{GraphDiff, Node};
 use bpush_types::{Cycle, QueryId, TxnId};
 
 /// A conflict serialization graph (§3.3) on ordered maps — the reference
-/// implementation. See [`bpush_sgraph::SerializationGraph`] for the
-/// semantics; the two are observationally identical.
+/// implementation the history graph and the window are held to.
 ///
 /// `remove_query` and `prune_before` scan every adjacency list
 /// (O(V·E)); `path_exists` allocates a fresh visited set per call. Those
@@ -111,46 +111,6 @@ impl BaselineGraph {
         self.path_exists(to, from)
     }
 
-    /// Whether the whole graph is acyclic (serialization theorem check).
-    pub(crate) fn is_acyclic(&self) -> bool {
-        // Iterative three-color DFS.
-        #[derive(Clone, Copy, PartialEq)]
-        enum Color {
-            White,
-            Gray,
-            Black,
-        }
-        let mut color: BTreeMap<Node, Color> =
-            self.out_edges.keys().map(|&n| (n, Color::White)).collect();
-        for &start in self.out_edges.keys() {
-            if color[&start] != Color::White {
-                continue;
-            }
-            // stack of (node, next-successor-index)
-            let mut stack: Vec<(Node, usize)> = vec![(start, 0)];
-            color.insert(start, Color::Gray);
-            while let Some(&mut (n, ref mut idx)) = stack.last_mut() {
-                let succ = self.successors(n);
-                if *idx < succ.len() {
-                    let next = succ[*idx];
-                    *idx += 1;
-                    match color[&next] {
-                        Color::Gray => return false,
-                        Color::White => {
-                            color.insert(next, Color::Gray);
-                            stack.push((next, 0));
-                        }
-                        Color::Black => {}
-                    }
-                } else {
-                    color.insert(n, Color::Black);
-                    stack.pop();
-                }
-            }
-        }
-        true
-    }
-
     /// Applies a broadcast [`GraphDiff`]: inserts the newly committed
     /// transactions and their conflict edges.
     pub(crate) fn apply_diff(&mut self, diff: &GraphDiff) {
@@ -215,12 +175,6 @@ impl BaselineGraph {
     pub(crate) fn nodes(&self) -> impl Iterator<Item = Node> + '_ {
         self.out_edges.keys().copied()
     }
-
-    /// The earliest commit cycle still retained, if any transaction nodes
-    /// exist.
-    pub(crate) fn earliest_cycle(&self) -> Option<Cycle> {
-        self.by_cycle.keys().next().copied()
-    }
 }
 
 #[cfg(test)]
@@ -248,7 +202,9 @@ mod tests {
         assert_eq!(g.edge_count(), 1);
         g.prune_before(Cycle::new(1));
         assert_eq!(g.node_count(), 1);
-        assert_eq!(g.earliest_cycle(), Some(Cycle::new(1)));
-        assert!(g.is_acyclic());
+        assert_eq!(
+            g.rendering(),
+            "{Txn(TxnId { cycle: Cycle(1), seq: 0 }): []}"
+        );
     }
 }

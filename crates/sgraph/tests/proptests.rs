@@ -1,4 +1,6 @@
-//! Property tests for the serialization graph.
+//! Property tests for the serialization graphs: the server's
+//! append-only history graph and the client's window, each against the
+//! linked `BTreeMap` baseline.
 
 // Integration tests are exempt from the panic-freedom policy
 // (mirrors `allow-unwrap-in-tests` in clippy.toml and the `#[cfg(test)]`
@@ -7,14 +9,12 @@
 use proptest::prelude::*;
 
 mod baseline;
-mod indexed;
 
 use baseline::BaselineGraph;
 use std::sync::Arc;
 
 use bpush_sgraph::{GraphDiff, Node, SerializationGraph, Window};
 use bpush_types::{Cycle, QueryId, TxnId};
-use indexed::IndexedGraph;
 
 /// Strategy: a random "server history" of edges that always point from an
 /// earlier transaction to a later one — strict histories can produce
@@ -36,206 +36,243 @@ fn forward_edges() -> impl Strategy<Value = Vec<(TxnId, TxnId)>> {
 }
 
 proptest! {
-    /// A pure server graph (edges only from older to newer transactions)
-    /// is always acyclic — the serialization-theorem precondition the SGT
-    /// method relies on.
+    /// A pure server graph (one well-formed diff per cycle, every edge
+    /// from an older to a newer transaction) puts no node on a cycle —
+    /// the serialization-theorem precondition the SGT method relies on.
     #[test]
     fn forward_only_graphs_are_acyclic(edges in forward_edges()) {
         let mut g = SerializationGraph::new();
-        for (a, b) in edges {
-            g.add_edge(Node::Txn(a), Node::Txn(b));
+        for cycle in (0..8).map(Cycle::new) {
+            let into = edges.iter().filter(|(_, to)| to.cycle() == cycle).copied();
+            g.push(&well_formed(cycle, Vec::new(), into.collect()));
         }
-        prop_assert!(g.is_acyclic());
+        for n in g.nodes() {
+            prop_assert!(!g.path_exists(n, n), "{} lies on a cycle", n);
+        }
     }
 
-    /// Adding only the edges that close no cycle (`b` does not reach
-    /// `a`) never lets the graph become cyclic, whatever edges are
-    /// attempted (including backward ones).
+    /// Differential test of the append-only history graph: pushing a
+    /// stream of diffs leaves it indistinguishable from the linked
+    /// [`BaselineGraph`] applying the same diffs — `Debug` text, counts,
+    /// node order, successor lists and reachability between every pair of
+    /// nodes, after every diff. The diffs come in any cycle order and now
+    /// and then name a transaction far from the rest (a sequence number
+    /// of 5 000 or `u32::MAX`, or in release builds a cycle of 100 000),
+    /// so new nodes land anywhere in the sorted table; in release builds
+    /// the diffs may also be malformed — new → old,
+    /// self, duplicate or off-cycle edges, targets missing from the
+    /// commits, commits and targets out of order — which `GraphDiff::new`
+    /// only rejects under `debug_assertions`.
     #[test]
-    fn guarded_add_edge_preserves_acyclicity(
-        raw in proptest::collection::vec((0u64..6, 0u32..3, 0u64..6, 0u32..3), 0..64),
-    ) {
-        let mut g = SerializationGraph::new();
-        for (c1, s1, c2, s2) in raw {
-            let a = Node::Txn(TxnId::new(Cycle::new(c1), s1));
-            let b = Node::Txn(TxnId::new(Cycle::new(c2), s2));
-            if a != b && !g.path_exists(b, a) {
-                g.add_edge(a, b);
-            }
-            prop_assert!(g.is_acyclic());
+    fn interned_graph_agrees_with_baseline(diffs in proptest::collection::vec(diff(), 0..24)) {
+        let mut fast = SerializationGraph::new();
+        let mut slow = BaselineGraph::new();
+        for diff in diffs {
+            fast.push(&diff);
+            slow.apply_diff(&diff);
+            assert_same(&fast, &slow)?;
         }
     }
 
-    /// Pruning below the earliest cycle touched by any path query never
-    /// changes the outcome of path queries within the retained window.
+    /// The counts are the graph's: after every pushed diff of an
+    /// arbitrary stream (malformed diffs included in release builds),
+    /// `edge_count` is the total length of the successor lists and
+    /// `node_count` the length of `nodes()`, which lists each node once in
+    /// ascending order; every successor is a node, and neither count ever
+    /// falls — the history graph drops nothing.
+    #[test]
+    fn counts_stay_consistent(diffs in proptest::collection::vec(diff(), 0..24)) {
+        let mut g = SerializationGraph::new();
+        let (mut nodes_before, mut edges_before) = (0, 0);
+        for diff in diffs {
+            g.push(&diff);
+            let nodes: Vec<Node> = g.nodes().collect();
+            prop_assert!(nodes.windows(2).all(|w| w[0] < w[1]), "nodes out of order");
+            prop_assert_eq!(g.node_count(), nodes.len());
+            let truth: usize = nodes.iter().map(|&n| g.successors(n).count()).sum();
+            prop_assert_eq!(g.edge_count(), truth);
+            for &n in &nodes {
+                for m in g.successors(n) {
+                    prop_assert!(nodes.binary_search(&m).is_ok(), "dangling edge target {}", m);
+                }
+            }
+            for &t in diff.committed() {
+                prop_assert!(nodes.binary_search(&Node::Txn(t)).is_ok(), "commit {} lost", t);
+            }
+            prop_assert!(g.node_count() >= nodes_before && g.edge_count() >= edges_before);
+            (nodes_before, edges_before) = (g.node_count(), g.edge_count());
+        }
+    }
+
+    /// Differential test of the per-cycle `firsts` slots, the one-guess
+    /// lookup of a replay in cycle order: pushed diffs of cycles that rise
+    /// by gaps of up to 80 — so the slots now extend and now stop short of
+    /// a cycle past `FIRSTS_GAP` — with now and then a diff of an earlier
+    /// cycle or a transaction far from the rest (see `txn_id`), leave the
+    /// graph indistinguishable from the `BTreeMap`-indexed
+    /// [`BaselineGraph`] applying the same diffs: `Debug` text, counts,
+    /// node order, successor lists and reachability, after every diff.
+    #[test]
+    fn slotted_graph_agrees_with_the_indexed_model(
+        steps in proptest::collection::vec(
+            (
+                0u8..10,
+                0u64..80,
+                proptest::collection::vec(0u32..4, 0..4),
+                proptest::collection::vec((txn_id(), 0u32..4, 0u8..5, txn_id()), 0..8),
+            ),
+            0..24,
+        ),
+    ) {
+        let mut fast = SerializationGraph::new();
+        let mut model = BaselineGraph::new();
+        let mut last = 0u64;
+        for (kind, gap, seqs, raw) in steps {
+            let cycle = match kind {
+                0 => gap % 8, // maybe earlier than the last
+                1..=5 => last + 1,
+                _ => last + gap,
+            };
+            last = last.max(cycle);
+            // sources of cycles 0–7 count back from the diff's cycle
+            let back = |t: TxnId| match t.cycle().number() {
+                c if c < 8 => TxnId::new(Cycle::new(cycle.saturating_sub(c)), t.seq()),
+                _ => t,
+            };
+            let raw = raw.into_iter().map(|(from, seq, anywhere, to)| (back(from), seq, anywhere, to));
+            let diff = diff_of(Cycle::new(cycle), seqs, raw.collect());
+            fast.push(&diff);
+            model.apply_diff(&diff);
+            assert_same(&fast, &model)?;
+        }
+    }
+}
+
+proptest! {
+    /// Lemma-1 pruning keeps what the window's queries need: in the
+    /// client's [`Window`] over a history of forward-only edges (one
+    /// well-formed diff per cycle, listing every transaction of its cycle
+    /// the history names), moving the window start to `bound` changes no
+    /// answer of `path_exists` between transactions at or after `bound` —
+    /// a path between them only passes through newer transactions — and
+    /// before the move every answer is the history graph's.
     #[test]
     fn prune_preserves_window_reachability(
         edges in forward_edges(),
         bound in 0u64..8,
     ) {
-        let mut g = SerializationGraph::new();
-        for (a, b) in &edges {
-            g.add_edge(Node::Txn(*a), Node::Txn(*b));
+        let mut window = Window::new();
+        let mut history = SerializationGraph::new();
+        let mut named: Vec<TxnId> = edges.iter().flat_map(|&(a, b)| [a, b]).collect();
+        named.sort_unstable();
+        named.dedup();
+        for cycle in (0..8).map(Cycle::new) {
+            let seqs = named.iter().filter(|t| t.cycle() == cycle).map(|t| t.seq()).collect();
+            let into = edges.iter().filter(|(_, to)| to.cycle() == cycle).copied();
+            let diff = well_formed(cycle, seqs, into.collect());
+            history.push(&diff);
+            window.advance(Some(Cycle::ZERO), Some(&Arc::new(diff)));
         }
-        // record all pairwise reachability among retained nodes
         let bound = Cycle::new(bound);
-        let retained: Vec<Node> = g
-            .nodes()
-            .filter(|n| n.as_txn().map_or(true, |t| t.cycle() >= bound))
-            .collect();
-        let before: Vec<Vec<bool>> = retained
+        let retained: Vec<TxnId> = named.into_iter().filter(|t| t.cycle() >= bound).collect();
+        let reach = |w: &Window| -> Vec<Vec<bool>> {
+            retained
+                .iter()
+                .map(|&a| retained.iter().map(|&b| w.path_exists(a, b)).collect())
+                .collect()
+        };
+        let before = reach(&window);
+        let truth: Vec<Vec<bool>> = retained
             .iter()
-            .map(|&a| retained.iter().map(|&b| g.path_exists(a, b)).collect())
+            .map(|&a| {
+                retained
+                    .iter()
+                    .map(|&b| history.path_exists(Node::Txn(a), Node::Txn(b)))
+                    .collect()
+            })
             .collect();
-        g.advance(Some(bound), None);
-        // Forward-only edges mean any path between retained (>= bound)
-        // nodes only traverses retained nodes, so reachability must match.
-        let after: Vec<Vec<bool>> = retained
-            .iter()
-            .map(|&a| retained.iter().map(|&b| g.path_exists(a, b)).collect())
-            .collect();
-        prop_assert_eq!(before, after);
+        prop_assert_eq!(&before, &truth);
+        window.advance(Some(bound), None);
+        prop_assert_eq!(reach(&window), before);
     }
 
-    /// Edge and node counts stay consistent under arbitrary interleavings
-    /// of inserts (both directions) and prunes.
-    #[test]
-    fn counts_stay_consistent(
-        ops in proptest::collection::vec((0u8..3, 0u64..6, 0u32..3, 0u64..6), 0..80),
-    ) {
-        let mut g = SerializationGraph::new();
-        for (op, c, s, d) in ops {
-            let a = Node::Txn(TxnId::new(Cycle::new(c), s));
-            let b = Node::Txn(TxnId::new(Cycle::new(d), s));
-            match op {
-                0 => {
-                    g.add_edge(a, b);
-                }
-                1 => {
-                    g.add_edge(b, a);
-                }
-                _ => g.advance(Some(Cycle::new(c)), None),
-            }
-            // recount ground truth
-            let truth: usize = g.nodes().map(|n| g.successors(n).count()).sum();
-            prop_assert_eq!(g.edge_count(), truth);
-            // no dangling successors
-            for n in g.nodes() {
-                for m in g.successors(n) {
-                    prop_assert!(g.contains(m), "dangling edge target {m}");
-                }
-            }
-        }
-    }
-
-    /// Differential test: the interned graph and the original
-    /// `BTreeMap`-based [`BaselineGraph`] answer every query identically
-    /// under arbitrary interleavings of `add_edge` (both directions, and
-    /// a refused query end), path queries and window moves (`advance`
-    /// without a diff against the baseline's `prune_before`). This is the
-    /// conformance argument for the interning rewrite: same operation
-    /// sequence, same observable state, edge by edge.
-    #[test]
-    fn interned_graph_agrees_with_baseline(
-        ops in proptest::collection::vec((0u8..5, 0u64..6, 0u32..3, 0u64..6), 0..100),
-    ) {
-        let mut fast = SerializationGraph::new();
-        let mut slow = BaselineGraph::new();
-        for (op, c, s, d) in ops {
-            let txn = Node::Txn(TxnId::new(Cycle::new(c), s));
-            // possibly backward: both must agree even on edges a real
-            // history can't produce
-            let other = Node::Txn(TxnId::new(Cycle::new(d), s));
-            match op {
-                0 => {
-                    prop_assert_eq!(fast.add_edge(txn, other), slow.add_edge(txn, other));
-                }
-                1 => {
-                    prop_assert_eq!(fast.add_edge(other, txn), slow.add_edge(other, txn));
-                }
-                2 => {
-                    // the graph holds transactions only
-                    prop_assert!(!fast.add_edge(txn, Node::Query(QueryId::new(d))));
-                }
-                3 => {
-                    fast.advance(Some(Cycle::new(c)), None);
-                    slow.prune_before(Cycle::new(c));
-                }
-                _ => {
-                    prop_assert_eq!(fast.path_exists(other, txn), slow.path_exists(other, txn));
-                }
-            }
-            // observable state matches after every step
-            prop_assert_eq!(fast.node_count(), slow.node_count());
-            prop_assert_eq!(fast.edge_count(), slow.edge_count());
-            prop_assert_eq!(fast.earliest_cycle(), slow.earliest_cycle());
-            prop_assert_eq!(fast.is_acyclic(), slow.is_acyclic());
-            let fast_nodes: Vec<Node> = fast.nodes().collect();
-            let slow_nodes: Vec<Node> = slow.nodes().collect();
-            prop_assert_eq!(&fast_nodes, &slow_nodes, "node sets diverged");
-            for n in fast_nodes {
-                prop_assert_eq!(
-                    fast.successors(n).collect::<Vec<Node>>(),
-                    slow.successors(n),
-                    "successor lists diverged at {}",
-                    n
-                );
-                prop_assert_eq!(fast.path_exists(n, txn), slow.path_exists(n, txn));
-            }
-        }
-    }
-
-    /// Window-first integration is apply-then-prune: for random diffs,
-    /// transaction edges added in between, and window starts that move
-    /// both ways or vanish, `advance(b, Some(d))` leaves the graph
-    /// `advance(Some(ZERO), Some(d)); advance(b, None)` leaves — same
-    /// canonical rendering (node set and successor order), same counts —
-    /// and both agree with the [`BaselineGraph`] doing `apply_diff(d);
-    /// prune_before(b)`, or starting over when there is no window.
+    /// Window-first integration is apply-then-prune: for a server stream
+    /// of well-formed diffs of rising cycles (sources are earlier
+    /// commits), query edges added in between, and window starts that
+    /// move both ways, pass every node or vanish, `advance(b, Some(d))`
+    /// leaves the [`Window`] that `advance(Some(ZERO), Some(d));
+    /// advance(b, None)` leaves — same canonical rendering, same counts,
+    /// same reachability — and both agree with the [`BaselineGraph`]
+    /// doing `apply_diff(d); prune_before(b)`, or starting over when there
+    /// is no window.
     #[test]
     fn windowed_diff_equals_apply_then_prune(
         steps in proptest::collection::vec(
             (
-                // the diff: its cycle, committed seqs, (from cycle, from seq, to seq) edges
-                (1u64..8, proptest::collection::vec(0u32..4, 0..4)),
-                proptest::collection::vec((0u64..8, 0u32..4, 0u32..4), 0..10),
-                // the window start (9 = no window), and a query-edge
-                // operation in between
-                0u64..10,
-                (0u8..4, 0u64..3, 0u64..8, 0u32..4),
+                // the diff: its cycle's rise, committed seqs, (source
+                // pick, target seq) edges
+                (1u64..3, proptest::collection::vec(0u32..4, 0..4)),
+                proptest::collection::vec((0usize..64, 0u32..4), 0..8),
+                // the window start back from the diff's cycle (5 = past
+                // it, 6 = no window), and a query-edge operation
+                // (kind, query, transaction pick) before the diff arrives
+                0u64..7,
+                (0u8..3, 0u64..3, 0usize..64),
             ),
             0..24,
         ),
     ) {
-        let mut windowed = SerializationGraph::new();
-        let mut reference = SerializationGraph::new();
+        let mut windowed = Window::new();
+        let mut reference = Window::new();
         let mut baseline = BaselineGraph::new();
-        for ((cycle, seqs), raw_edges, bound, (op, q, c, s)) in steps {
-            let cycle = Cycle::new(cycle);
-            let edges: Vec<(TxnId, TxnId)> = raw_edges
-                .into_iter()
-                .map(|(fc, fs, ts)| (TxnId::new(Cycle::new(fc), fs), TxnId::new(cycle, ts)))
-                .filter(|(from, to)| from < to)
-                .collect();
-            let diff = well_formed(cycle, seqs, edges);
-            let bound = (bound < 9).then(|| Cycle::new(bound));
-
-            let other = Node::Txn(TxnId::new(Cycle::new(q), s));
-            let txn = Node::Txn(TxnId::new(Cycle::new(c), s));
-            match op {
-                0 => {
-                    windowed.add_edge(other, txn);
-                    reference.add_edge(other, txn);
-                    baseline.add_edge(other, txn);
-                }
-                1 => {
-                    windowed.add_edge(txn, other);
-                    reference.add_edge(txn, other);
-                    baseline.add_edge(txn, other);
-                }
-                _ => {}
+        // every commit the server made
+        let mut history: Vec<TxnId> = Vec::new();
+        let mut n = 0u64;
+        for ((rise, mut seqs), raw_edges, back, (op, q, pick)) in steps {
+            n += rise;
+            let cycle = Cycle::new(n);
+            let mut edges = Vec::new();
+            for (from_pick, ts) in raw_edges {
+                let to = TxnId::new(cycle, ts);
+                let from = if from_pick % 5 == 0 && ts > 0 {
+                    TxnId::new(cycle, ts - 1) // a same-cycle source
+                } else if let Some(&from) = history.get(from_pick % history.len().max(1)) {
+                    from
+                } else {
+                    continue;
+                };
+                seqs.extend([from, to].iter().filter(|t| t.cycle() == cycle).map(|t| t.seq()));
+                edges.push((from, to));
             }
+            let diff = well_formed(cycle, seqs, edges);
+            let bound = match back {
+                0..=4 => Some(Cycle::new(n.saturating_sub(back))),
+                5 => Some(Cycle::new(n + 1)),
+                _ => None,
+            };
 
+            let named: Vec<TxnId> = history.iter().chain(diff.committed()).copied().collect();
+            let query = QueryId::new(q);
+            if let Some(&txn) = named.get(pick % named.len().max(1)) {
+                match op {
+                    0 => {
+                        let added = windowed.add_precedence(query, txn);
+                        prop_assert_eq!(added, reference.add_precedence(query, txn));
+                        let edge = (Node::Query(query), Node::Txn(txn));
+                        prop_assert_eq!(added, baseline.add_edge(edge.0, edge.1));
+                    }
+                    1 => {
+                        let added = windowed.add_dependency(txn, query);
+                        prop_assert_eq!(added, reference.add_dependency(txn, query));
+                        let edge = (Node::Txn(txn), Node::Query(query));
+                        prop_assert_eq!(added, baseline.add_edge(edge.0, edge.1));
+                    }
+                    _ => {}
+                }
+            }
+            history.extend_from_slice(diff.committed());
+
+            let diff = Arc::new(diff);
             windowed.advance(bound, Some(&diff));
             reference.advance(Some(Cycle::ZERO), Some(&diff));
             reference.advance(bound, None);
@@ -248,47 +285,19 @@ proptest! {
             }
 
             prop_assert_eq!(format!("{windowed:?}"), format!("{reference:?}"));
+            prop_assert_eq!(format!("{windowed:?}"), baseline.rendering());
             prop_assert_eq!(windowed.node_count(), reference.node_count());
             prop_assert_eq!(windowed.edge_count(), reference.edge_count());
-            prop_assert_eq!(windowed.earliest_cycle(), reference.earliest_cycle());
             prop_assert_eq!(windowed.node_count(), baseline.node_count());
             prop_assert_eq!(windowed.edge_count(), baseline.edge_count());
-            prop_assert_eq!(windowed.earliest_cycle(), baseline.earliest_cycle());
-            let nodes: Vec<Node> = windowed.nodes().collect();
-            prop_assert_eq!(&nodes, &baseline.nodes().collect::<Vec<Node>>());
-            for n in nodes {
-                prop_assert_eq!(windowed.successors(n).collect::<Vec<Node>>(), baseline.successors(n));
-            }
-        }
-    }
-
-    /// Differential test of the per-cycle slots: the graph and the
-    /// `BTreeMap`-indexed [`IndexedGraph`] it replaced stay
-    /// indistinguishable under random sequences of `add_edge` (both
-    /// directions, duplicates), window moves with a diff (`start` forward,
-    /// backward and past every node) and `advance(None, _)`. Transaction
-    /// ids now and then fall outside the slots' reach (a sequence number
-    /// past it, a cycle far beyond the base); in release builds the diffs
-    /// may also be malformed — new → old, duplicate or off-cycle edges,
-    /// targets missing from the commits, commits and targets out of order
-    /// — which `GraphDiff::new` only rejects under `debug_assertions`.
-    #[test]
-    fn slotted_graph_agrees_with_the_indexed_model(
-        steps in proptest::collection::vec(step(), 0..40),
-    ) {
-        let mut fast = SerializationGraph::new();
-        let mut model = IndexedGraph::new();
-        for step in steps {
-            match step {
-                Step::Edge(from, to) => {
-                    prop_assert_eq!(fast.add_edge(from, to), model.add_edge(from, to));
-                }
-                Step::Advance(start, diff) => {
-                    fast.advance(start, Some(&diff));
-                    model.advance(start, Some(&diff));
+            let live: Vec<TxnId> = baseline.nodes().filter_map(Node::as_txn).collect();
+            for &a in &live {
+                for &b in &live {
+                    let truth = baseline.path_exists(Node::Txn(a), Node::Txn(b));
+                    prop_assert_eq!(windowed.path_exists(a, b), truth, "{} ->* {}", a, b);
+                    prop_assert_eq!(reference.path_exists(a, b), truth, "{} ->* {}", a, b);
                 }
             }
-            assert_same(&fast, &model)?;
         }
     }
 }
@@ -303,8 +312,9 @@ proptest! {
     /// Differential test of the SGT client's window: the [`Window`] of
     /// shared chunks and the linked [`BaselineGraph`] doing `apply_diff;
     /// prune_before` (or starting over when there is no window) stay
-    /// indistinguishable — `Debug` text, counts, and the acceptance test
-    /// for every live transaction against every query — under a server
+    /// indistinguishable — `Debug` text, counts, the acceptance test for
+    /// every live transaction against every query, and reachability
+    /// between every ordered pair of live transactions — under a server
     /// stream of well-formed diffs whose sources are earlier commits,
     /// missed cycles, window starts that move both ways, vanish or pass
     /// every node, and query edges to transactions inside, below, above
@@ -389,7 +399,17 @@ proptest! {
             prop_assert_eq!(format!("{window:?}"), baseline.rendering());
             prop_assert_eq!(window.node_count(), baseline.node_count());
             prop_assert_eq!(window.edge_count(), baseline.edge_count());
-            for t in baseline.nodes().filter_map(Node::as_txn) {
+            let live: Vec<TxnId> = baseline.nodes().filter_map(Node::as_txn).collect();
+            for &t in &live {
+                for &u in &live {
+                    prop_assert_eq!(
+                        window.path_exists(t, u),
+                        baseline.path_exists(Node::Txn(t), Node::Txn(u)),
+                        "{} ->* {}",
+                        t,
+                        u
+                    );
+                }
                 for q in (0..3).map(QueryId::new) {
                     prop_assert_eq!(
                         window.would_close_cycle(t, q),
@@ -404,15 +424,8 @@ proptest! {
     }
 }
 
-/// One operation of [`slotted_graph_agrees_with_the_indexed_model`].
-#[derive(Debug, Clone)]
-enum Step {
-    Edge(Node, Node),
-    Advance(Option<Cycle>, GraphDiff),
-}
-
-/// A transaction of cycles 0–7, now and then one the slots cannot hold:
-/// a sequence number past their reach, or a cycle far past any base.
+/// A transaction of cycles 0–7, now and then one far past them: a
+/// sequence number of 5 000 or `u32::MAX`, or a cycle of 100 000.
 fn txn_id() -> impl Strategy<Value = TxnId> {
     (0u8..10, 0u64..8, 0u8..10, 0u32..4).prop_map(|(far, c, big, s)| {
         let cycle = if far == 0 { 100_000 } else { c };
@@ -423,10 +436,6 @@ fn txn_id() -> impl Strategy<Value = TxnId> {
         };
         TxnId::new(Cycle::new(cycle), seq)
     })
-}
-
-fn node() -> impl Strategy<Value = Node> {
-    txn_id().prop_map(Node::Txn)
 }
 
 /// The diff of `cycle` a server would send with these commits and
@@ -443,66 +452,54 @@ fn well_formed(cycle: Cycle, seqs: Vec<u32>, mut edges: Vec<(TxnId, TxnId)>) -> 
     GraphDiff::new(cycle, committed, edges)
 }
 
-/// A diff of a cycle 0–7: its commits, and edges into them or — as a
-/// malformed diff may carry — anywhere, in any order. Debug builds keep
-/// only what `GraphDiff::new` admits there.
+/// A diff of a cycle 0–7: see [`diff_of`].
 fn diff() -> impl Strategy<Value = GraphDiff> {
     (
         0u64..8,
         proptest::collection::vec(0u32..4, 0..4),
         proptest::collection::vec((txn_id(), 0u32..4, 0u8..5, txn_id()), 0..8),
     )
-        .prop_map(|(cycle, seqs, raw)| {
-            let cycle = Cycle::new(cycle);
-            let mut edges: Vec<(TxnId, TxnId)> = raw
-                .into_iter()
-                .map(|(from, seq, anywhere, to)| match anywhere {
-                    0 => (from, to),
-                    _ => (from, TxnId::new(cycle, seq)),
-                })
-                .collect();
-            if cfg!(debug_assertions) {
-                edges.retain(|&(from, to)| from < to && to.cycle() == cycle);
-                return well_formed(cycle, seqs, edges);
-            }
-            let committed = seqs.into_iter().map(|s| TxnId::new(cycle, s)).collect();
-            GraphDiff::new(cycle, committed, edges)
-        })
+        .prop_map(|(cycle, seqs, raw)| diff_of(Cycle::new(cycle), seqs, raw))
 }
 
-fn step() -> impl Strategy<Value = Step> {
-    (0u8..9, node(), node(), 0u8..11, diff()).prop_map(|(op, a, b, start, diff)| {
-        // a window start of cycle 0–8, one past every node, or none at all
-        let start = match start {
-            9 => Some(Cycle::new(100_001)),
-            10 => None,
-            c => Some(Cycle::new(u64::from(c))),
-        };
-        match op {
-            0..=4 => Step::Edge(a, b),
-            _ => Step::Advance(start, diff),
-        }
-    })
+/// The diff of `cycle` committing `seqs`, with an edge per
+/// `(from, seq, anywhere, to)`: into the commit `seq` of `cycle`, or when
+/// `anywhere` is 0 — as a malformed diff may carry — into `to`, in any
+/// order. Debug builds keep only what `GraphDiff::new` admits there.
+fn diff_of(cycle: Cycle, seqs: Vec<u32>, raw: Vec<(TxnId, u32, u8, TxnId)>) -> GraphDiff {
+    let mut edges: Vec<(TxnId, TxnId)> = raw
+        .into_iter()
+        .map(|(from, seq, anywhere, to)| match anywhere {
+            0 => (from, to),
+            _ => (from, TxnId::new(cycle, seq)),
+        })
+        .collect();
+    if cfg!(debug_assertions) {
+        edges.retain(|&(from, to)| from < to && to.cycle() == cycle);
+        return well_formed(cycle, seqs, edges);
+    }
+    let committed = seqs.into_iter().map(|s| TxnId::new(cycle, s)).collect();
+    GraphDiff::new(cycle, committed, edges)
 }
 
 /// Everything observable about the two graphs is equal: the canonical
-/// `Debug` text (what mc hashes), the counts, the node order, and
-/// reachability between every pair of live nodes.
-fn assert_same(fast: &SerializationGraph, model: &IndexedGraph) -> Result<(), TestCaseError> {
-    prop_assert_eq!(format!("{fast:?}"), format!("{model:?}"));
-    prop_assert_eq!(fast.node_count(), model.node_count());
-    prop_assert_eq!(fast.edge_count(), model.edge_count());
-    prop_assert_eq!(fast.is_empty(), model.is_empty());
-    prop_assert_eq!(fast.earliest_cycle(), model.earliest_cycle());
-    prop_assert_eq!(fast.is_acyclic(), model.is_acyclic());
+/// `Debug` text (what mc hashes), the counts, the node order, each
+/// node's successors, and reachability between every pair of nodes.
+fn assert_same(fast: &SerializationGraph, slow: &BaselineGraph) -> Result<(), TestCaseError> {
+    prop_assert_eq!(format!("{fast:?}"), slow.rendering());
+    prop_assert_eq!(fast.node_count(), slow.node_count());
+    prop_assert_eq!(fast.edge_count(), slow.edge_count());
     let nodes: Vec<Node> = fast.nodes().collect();
-    prop_assert_eq!(&nodes, &model.nodes().collect::<Vec<Node>>());
+    prop_assert_eq!(&nodes, &slow.nodes().collect::<Vec<Node>>());
     for &a in &nodes {
-        prop_assert!(fast.contains(a));
+        prop_assert_eq!(
+            fast.successors(a).collect::<Vec<Node>>(),
+            slow.successors(a)
+        );
         for &b in &nodes {
             prop_assert_eq!(
                 fast.path_exists(a, b),
-                model.path_exists(a, b),
+                slow.path_exists(a, b),
                 "{} ->* {}",
                 a,
                 b
@@ -514,12 +511,10 @@ fn assert_same(fast: &SerializationGraph, model: &IndexedGraph) -> Result<(), Te
 
 /// Malformed diffs — which only `debug_assertions` keep out of
 /// `GraphDiff::new`, and which a decoded segment could still carry — move
-/// the graph exactly as they move the model, without a panic: a new → old
-/// edge (whose target is then dropped while its source stays, so only
-/// the reverse entry the edge keeps can detach it), a duplicate edge, a
-/// target missing from the commits, and a target of another cycle than
-/// the diff's. `GraphDiff::new` admits none of them under
-/// `debug_assertions`, so the cases run in release builds.
+/// the graph exactly as they move the baseline, without a panic: a new →
+/// old edge, a duplicate edge, a target missing from the commits, and a
+/// target of another cycle than the diff's. `GraphDiff::new` admits none of them
+/// under `debug_assertions`, so the cases run in release builds.
 #[test]
 fn malformed_diffs_match_the_model() {
     let t = |c: u64, s: u32| TxnId::new(Cycle::new(c), s);
@@ -552,21 +547,12 @@ fn malformed_diffs_match_the_model() {
             continue;
         }
         let diff = GraphDiff::new(c3, committed, edges);
+        let older = GraphDiff::new(Cycle::new(2), vec![t(2, 0)], vec![(t(1, 0), t(2, 0))]);
         let mut fast = SerializationGraph::new();
-        let mut model = IndexedGraph::new();
-        let older = Node::Txn(t(1, 0));
-        let script: [(Option<u64>, Option<&GraphDiff>); 5] = [
-            (Some(1), None),
-            (Some(1), Some(&diff)),
-            (Some(3), None),
-            (Some(2), Some(&diff)),
-            (Some(4), None),
-        ];
-        for (start, diff) in script {
-            fast.add_edge(older, Node::Txn(t(2, 0)));
-            model.add_edge(older, Node::Txn(t(2, 0)));
-            fast.advance(start.map(Cycle::new), diff);
-            model.advance(start.map(Cycle::new), diff);
+        let mut model = BaselineGraph::new();
+        for diff in [&older, &diff, &diff] {
+            fast.push(diff);
+            model.apply_diff(diff);
             if let Err(e) = assert_same(&fast, &model) {
                 panic!("{label}: {e:?}");
             }
