@@ -540,19 +540,47 @@ impl ControlInfo {
                 ));
             }
         }
-        if let Some(diff) = &graph_diff {
-            if diff.cycle().next() != cycle {
-                return Err(BpushError::invalid_config(
-                    "graph diff must describe the previous cycle",
-                ));
-            }
-        }
-        Ok(ControlInfo {
+        let head = ControlInfo {
             cycle,
             invalidation,
             augmented,
-            graph_diff: graph_diff.map(Arc::new),
-        })
+            graph_diff: None,
+        };
+        match graph_diff {
+            Some(diff) => head.try_with_graph_diff(diff),
+            None => Ok(head),
+        }
+    }
+
+    /// Attaches the SGT graph difference to control info that has none:
+    /// the wire decoder reads the diff, the last field of a control
+    /// payload, only after the reports before it.
+    ///
+    /// # Errors
+    /// Returns [`BpushError::InvalidConfig`] if `diff` does not describe
+    /// the previous cycle.
+    pub fn try_with_graph_diff(mut self, diff: GraphDiff) -> Result<Self, BpushError> {
+        if diff.cycle().next() != self.cycle {
+            return Err(BpushError::invalid_config(
+                "graph diff must describe the previous cycle",
+            ));
+        }
+        self.graph_diff = Some(Arc::new(diff));
+        Ok(self)
+    }
+
+    /// Whether this is what a receiver hears of `sent`: the same control
+    /// information, except that a graph diff the receiver left unread
+    /// (see [`crate::feed::decode_control_with`]) is absent.
+    pub fn is_heard_of(&self, sent: &ControlInfo) -> bool {
+        match self.graph_diff {
+            Some(_) => self == sent,
+            None => {
+                self.cycle == sent.cycle
+                    && self.invalidation == sent.invalidation
+                    && self.augmented == sent.augmented
+            }
+        }
     }
 
     /// Control info carrying an empty invalidation report and nothing else.

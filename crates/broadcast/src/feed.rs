@@ -154,7 +154,7 @@ fn append_control_segment(out: Vec<u8>, ctrl: &ControlInfo, params: WireParams) 
     })
 }
 
-/// Decodes a control-segment payload for `cycle`.
+/// Decodes a control-segment payload for `cycle`, graph diff included.
 ///
 /// # Errors
 /// Returns [`BpushError::InvalidConfig`] on a truncated or malformed
@@ -164,6 +164,29 @@ pub fn decode_control_payload(
     payload: &[u8],
     params: WireParams,
     cycle: Cycle,
+) -> Result<ControlInfo, BpushError> {
+    decode_control_with(payload, params, cycle, &mut |_| true)
+}
+
+/// Decodes a control-segment payload for `cycle`, reading its graph diff
+/// only if `read_diff` asks for it.
+///
+/// The invalidation and augmented reports are decoded first, into
+/// control information without a diff; `read_diff` sees that head when
+/// the payload carries a diff. The diff is the payload's last field, so
+/// when `read_diff` answers `false` its bits are left unread — neither
+/// decoded nor checked — and the head is returned as it is. When it
+/// answers `true` the diff is decoded under every admission rule of
+/// [`crate::wire::decode_diff`] and attached.
+///
+/// # Errors
+/// Returns [`BpushError::InvalidConfig`] on a truncated or malformed
+/// payload, within the fields it reads.
+pub fn decode_control_with(
+    payload: &[u8],
+    params: WireParams,
+    cycle: Cycle,
+    read_diff: &mut dyn FnMut(&ControlInfo) -> bool,
 ) -> Result<ControlInfo, BpushError> {
     let mut r = BitReader::new(payload);
     let window = r.take_u32(32)?;
@@ -183,12 +206,12 @@ pub fn decode_control_payload(
     } else {
         None
     };
-    let graph_diff = if has_diff {
-        Some(decode_diff_from(&mut r, params, cycle)?)
+    let head = ControlInfo::try_new(cycle, invalidation, augmented, None)?;
+    if has_diff && read_diff(&head) {
+        head.try_with_graph_diff(decode_diff_from(&mut r, params, cycle)?)
     } else {
-        None
-    };
-    ControlInfo::try_new(cycle, invalidation, augmented, graph_diff)
+        Ok(head)
+    }
 }
 
 /// What a wire-fed client hears of `ctrl`: the report encoded as a
@@ -203,6 +226,20 @@ pub fn roundtrip_control(
     ctrl: &ControlInfo,
     params: WireParams,
 ) -> Result<ControlInfo, BpushError> {
+    roundtrip_control_with(ctrl, params, &mut |_| true)
+}
+
+/// [`roundtrip_control`] for a receiver that reads the graph diff only
+/// when `read_diff` asks for it ([`decode_control_with`]). A faithful
+/// codec returns a report that [`ControlInfo::is_heard_of`] `ctrl`.
+///
+/// # Errors
+/// As [`roundtrip_control`].
+pub fn roundtrip_control_with(
+    ctrl: &ControlInfo,
+    params: WireParams,
+    read_diff: &mut dyn FnMut(&ControlInfo) -> bool,
+) -> Result<ControlInfo, BpushError> {
     let mut feed = WireFeed::new();
     feed.push(&encode_control_segment(ctrl, params));
     let seg = feed
@@ -213,7 +250,7 @@ pub fn roundtrip_control(
         .ok_or(BpushError::internal(
             "a self-encoded control segment did not frame",
         ))?;
-    decode_control_payload(seg.payload, params, seg.cycle)
+    decode_control_with(seg.payload, params, seg.cycle, read_diff)
         .map_err(|_| BpushError::internal("a self-encoded control segment did not decode"))
 }
 
@@ -526,6 +563,72 @@ mod tests {
     fn roundtrip_control_hears_what_was_sent() {
         let ctrl = sgt_control(20);
         assert_eq!(roundtrip_control(&ctrl, params()).unwrap(), ctrl);
+    }
+
+    /// The diff is read only when asked for, after the reports: the
+    /// question sees the head, an unread diff leaves the head as the
+    /// decode, and its bits are not looked at — a payload cut inside the
+    /// diff decodes to the same head, and to an error when the diff is
+    /// read. A control without a diff asks nothing.
+    #[test]
+    fn an_unread_diff_is_left_unread() {
+        let ctrl = sgt_control(20);
+        let bytes = encode_control_segment(&ctrl, params());
+        let payload = bytes.get(SEGMENT_HEADER_BYTES..).unwrap();
+        let cut = payload.get(..payload.len() - 1).unwrap();
+        let mut asked = None;
+        let head = decode_control_with(payload, params(), ctrl.cycle(), &mut |head| {
+            asked = Some(head.clone());
+            false
+        })
+        .unwrap();
+        assert_eq!(head.graph_diff(), None);
+        assert!(head.is_heard_of(&ctrl) && head != ctrl);
+        assert_eq!(asked.as_ref(), Some(&head));
+        let read =
+            |bytes, read: bool| decode_control_with(bytes, params(), ctrl.cycle(), &mut |_| read);
+        assert_eq!(read(cut, false).unwrap(), head);
+        assert!(read(cut, true).is_err());
+        assert_eq!(read(payload, true).unwrap(), ctrl);
+
+        let bare = ControlInfo::new(ctrl.cycle(), ctrl.invalidation().clone(), None, None);
+        let bytes = encode_control_segment(&bare, params());
+        let decoded = decode_control_with(
+            bytes.get(SEGMENT_HEADER_BYTES..).unwrap(),
+            params(),
+            bare.cycle(),
+            &mut |_| unreachable!("no diff to ask about"),
+        );
+        assert_eq!(decoded.unwrap(), bare);
+    }
+
+    /// Cycle zero has no previous cycle for an augmented report or a
+    /// graph diff to cover: a control segment there carrying either is
+    /// malformed input, an error and not a panic. A diff left unread is
+    /// not looked at, so alone it costs nothing.
+    #[test]
+    fn previous_cycle_reports_at_cycle_zero_are_rejected() {
+        let p = params();
+        for (augmented, diff) in [(1, 0), (0, 1), (1, 1)] {
+            let mut w = BitWriter::new();
+            w.put(1, 32); // window
+            w.put(0, 1); // item granularity
+            w.put(1, 32); // items per bucket
+            w.put(augmented, 1);
+            w.put(diff, 1);
+            for _ in 0..3 {
+                w.put(0, p.count_bits); // empty report bodies
+            }
+            let payload = w.into_bytes();
+            for read in [false, true] {
+                let decoded = decode_control_with(&payload, p, Cycle::ZERO, &mut |_| read);
+                if augmented == 0 && !read {
+                    assert_eq!(decoded.unwrap(), ControlInfo::empty(Cycle::ZERO));
+                } else {
+                    assert!(decoded.is_err(), "flags {augmented}{diff}, read {read}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -405,8 +405,9 @@ pub(crate) fn encode_augmented_into(
 /// Decodes an augmented report describing the cycle before `now`.
 ///
 /// # Errors
-/// Returns [`BpushError::InvalidConfig`] on a truncated stream, or when
-/// a decoded first writer did not commit during the covered cycle (the
+/// Returns [`BpushError::InvalidConfig`] on a truncated stream, when
+/// `now` is cycle zero, or when a decoded first writer did not commit
+/// during the covered cycle (the
 /// [`AugmentedReport`] invariant — honest encoders never produce such a
 /// stream, so it is malformed input, not a panic).
 pub fn decode_augmented(
@@ -425,20 +426,30 @@ pub(crate) fn decode_augmented_from(
     params: WireParams,
     now: Cycle,
 ) -> Result<AugmentedReport, BpushError> {
+    let covered = covered_cycle(now)?;
     let count = r.take(params.count_bits)?;
     let entry_bits = params.key_bits + params.txn_age_bits + params.seq_bits;
     let mut entries = Vec::with_capacity(capped_capacity(count, entry_bits, r));
     for _ in 0..count {
         let item = ItemId::new(r.take_u32(params.key_bits)?);
         let txn = take_txn(r, now, params)?;
-        if txn.cycle() != now.prev() {
+        if txn.cycle() != covered {
             return Err(malformed(
                 "augmented-report writer outside the covered cycle",
             ));
         }
         entries.push((item, txn));
     }
-    Ok(AugmentedReport::new(now.prev(), entries))
+    Ok(AugmentedReport::new(covered, entries))
+}
+
+/// The cycle an augmented report or graph diff airing at `now` covers,
+/// the one before it. Cycle zero has none, so such a report there is
+/// malformed input.
+#[inline(always)]
+fn covered_cycle(now: Cycle) -> Result<Cycle, BpushError> {
+    now.checked_sub(1)
+        .ok_or_else(|| malformed("a report of the previous cycle at cycle zero"))
 }
 
 /// Encodes a graph diff (§3.3): the committed transactions, then the
@@ -470,10 +481,12 @@ pub(crate) fn encode_diff_into(
 /// Decodes a graph diff describing the cycle before `now`.
 ///
 /// # Errors
-/// Returns [`BpushError::InvalidConfig`] on a truncated stream, or when
-/// the decoded diff is not one an SGT client's window can keep as it is
-/// (see [`decode_diff_from`]) — honest encoders never produce such
-/// streams, so they are malformed input, not panics.
+/// Returns [`BpushError::InvalidConfig`] on a truncated stream, when
+/// `now` is cycle zero, or when the decoded diff is not one an SGT
+/// client's window can keep as it is (commits strictly ascending, edges
+/// grouped by ascending target, every target a listed commit, no edge
+/// twice) — honest encoders never produce such streams, so they are
+/// malformed input, not panics.
 pub fn decode_diff(
     bytes: &[u8],
     params: WireParams,
@@ -565,7 +578,7 @@ pub(crate) fn decode_diff_from(
     params: WireParams,
     now: Cycle,
 ) -> Result<bpush_sgraph::GraphDiff, BpushError> {
-    let prev = now.prev();
+    let prev = covered_cycle(now)?;
     let txn_bits = params.txn_age_bits + params.seq_bits;
     let n_committed = r.take(params.count_bits)?;
     let mut committed: Vec<TxnId> = Vec::with_capacity(capped_capacity(n_committed, txn_bits, r));

@@ -7,7 +7,9 @@
 //! of the same automaton: a core with a wire link hears its control
 //! segments out of a [`WireFeed`], whoever produced the bytes.
 
-use bpush_broadcast::feed::{decode_segment, DecodedSegment, WireFeed};
+use bpush_broadcast::feed::{
+    decode_control_with, decode_segment, DecodedSegment, SegmentKind, WireFeed,
+};
 use bpush_broadcast::wire::WireParams;
 use bpush_broadcast::{Bcast, ControlInfo};
 use bpush_core::validator::ReadRecord;
@@ -139,14 +141,32 @@ impl ClientCore {
     /// when more bytes are needed. A control segment is heard here
     /// ([`ClientCore::hear_control`]); every segment is handed back
     /// decoded so the driver can keep what the core has no use for.
+    ///
+    /// A control segment's graph diff is decoded only when the method
+    /// will use it ([`ReadOnlyProtocol::needs_graph_diff`], asked of the
+    /// reports decoded before it); otherwise its bits are left unread
+    /// and the control is heard, and handed back, without a diff.
     pub(crate) fn next_segment(&mut self) -> Result<Option<DecodedSegment>, BpushError> {
-        let Some((params, feed)) = &mut self.wire else {
+        let ClientCore {
+            wire: Some((params, feed)),
+            protocol,
+            ..
+        } = self
+        else {
             return Ok(None);
         };
         let Some(seg) = feed.pop()? else {
             return Ok(None);
         };
-        let decoded = decode_segment(seg, *params)?;
+        let decoded = match seg.kind {
+            SegmentKind::Control => {
+                decode_control_with(seg.payload, *params, seg.cycle, &mut |head| {
+                    protocol.needs_graph_diff(head)
+                })
+                .map(DecodedSegment::Control)?
+            }
+            SegmentKind::Data | SegmentKind::Directory => decode_segment(seg, *params)?,
+        };
         if let DecodedSegment::Control(ctrl) = &decoded {
             self.hear_control(ctrl);
         }
@@ -157,7 +177,8 @@ impl ClientCore {
     /// what the report invalidated. With a wire link the control
     /// information takes the byte path — the bcast's one encoding of
     /// it, framed and decoded by this client for itself — and only the
-    /// decoded report is heard.
+    /// decoded report is heard, with its graph diff when the method reads
+    /// it ([`ClientCore::next_segment`]).
     ///
     /// # Errors
     /// Returns [`BpushError::Internal`] if the bcast's own bytes do not
@@ -173,7 +194,10 @@ impl ClientCore {
                         "the bcast's own control segment did not frame and decode",
                     ));
                 };
-                debug_assert_eq!(&decoded, ctrl, "wire roundtrip changed the control report");
+                debug_assert!(
+                    decoded.is_heard_of(ctrl),
+                    "wire roundtrip changed the control report"
+                );
             }
         }
         if let Some(cache) = &mut self.cache {

@@ -105,11 +105,16 @@ impl WireClient {
     /// Feeds transport bytes (any chunk size) and processes every
     /// segment that completes: control segments drive the protocol,
     /// data segments refresh the current-version table, directory
-    /// segments replace the cached directory.
+    /// segments replace the cached directory. A control segment's graph
+    /// diff is decoded only when the protocol will use it
+    /// ([`ReadOnlyProtocol::needs_graph_diff`]); otherwise its bytes are
+    /// skipped unread.
     ///
     /// # Errors
     /// Returns [`BpushError::InvalidConfig`] on a malformed stream; the
-    /// transport must resynchronize before feeding more bytes.
+    /// transport must resynchronize before feeding more bytes. Bytes the
+    /// client skips unread are not checked, so a malformed graph diff
+    /// the protocol does not need is not an error.
     pub fn push(&mut self, chunk: &[u8]) -> Result<(), BpushError> {
         self.core.push(chunk);
         while let Some(seg) = self.core.next_segment()? {

@@ -15,14 +15,17 @@
 // carve-out in `cargo xtask lint`).
 #![allow(clippy::unwrap_used)]
 
+use std::collections::BTreeSet;
+
 use proptest::collection::btree_set as set_of;
 use proptest::prelude::*;
 
-use bpush_broadcast::feed::SegmentKind;
+use bpush_broadcast::feed::{encode_control_segment, encode_data_segment, SegmentKind};
 use bpush_broadcast::wire::{decode_diff, BitWriter, WireParams};
+use bpush_broadcast::{ControlInfo, ItemRecord};
 use bpush_client::WireClient;
 use bpush_core::{Sgt, SgtConfig};
-use bpush_types::{Cycle, TxnId};
+use bpush_types::{Cycle, ItemId, ItemValue, TxnId};
 
 fn params() -> WireParams {
     WireParams::derive(1000, 4, 16, 8)
@@ -57,14 +60,40 @@ fn diff_bytes(now: Cycle, committed: &[TxnId], edges: &[(TxnId, TxnId)]) -> Vec<
 /// A framed control segment for `now`: an empty invalidation report, no
 /// augmented report, and the diff.
 fn control_segment(now: Cycle, committed: &[TxnId], edges: &[(TxnId, TxnId)]) -> Vec<u8> {
+    sgt_control_segment(now, None, committed, edges)
+}
+
+/// A framed control segment for `now` with the diff. With `augmented`,
+/// its items are invalidated in the cycle before and the augmented
+/// report names their first writers; without, the invalidation report
+/// is empty and there is no augmented report.
+fn sgt_control_segment(
+    now: Cycle,
+    augmented: Option<&[(u32, TxnId)]>,
+    committed: &[TxnId],
+    edges: &[(TxnId, TxnId)],
+) -> Vec<u8> {
     let p = params();
+    let first_writers = augmented.unwrap_or_default();
     let mut w = BitWriter::new();
     w.put(1, 32); // window
     w.put(0, 1); // item granularity
     w.put(1, 32); // items per bucket
-    w.put(0, 1); // no augmented report
+    w.put(u64::from(augmented.is_some()), 1);
     w.put(1, 1); // a graph diff
-    w.put(0, p.count_bits); // no invalidated item
+    w.put(first_writers.len() as u64, p.count_bits);
+    for &(item, _) in first_writers {
+        w.put(u64::from(item), p.key_bits);
+        w.put(1, p.age_bits); // updated in the cycle before
+    }
+    if augmented.is_some() {
+        w.put(first_writers.len() as u64, p.count_bits);
+        for &(item, t_f) in first_writers {
+            w.put(u64::from(item), p.key_bits);
+            w.put(now.number() - t_f.cycle().number(), p.txn_age_bits);
+            w.put(u64::from(t_f.seq()), p.seq_bits);
+        }
+    }
     put_diff(&mut w, now, committed, edges);
     let payload = w.into_bytes();
     let mut segment = vec![SegmentKind::Control.to_byte()];
@@ -155,5 +184,130 @@ proptest! {
         let mut client = sgt_client();
         prop_assert!(client.push(&control_segment(now, &committed, &edges)).is_err(), "{label}");
         prop_assert_eq!(client.now(), None, "{label}: the segment was heard");
+    }
+}
+
+/// An SGT wire client that heard cycle `now − 2`, then `now − 1` unless
+/// it `missed` it, with one query per readset of `early` begun and read
+/// at `now − 2` and one per readset of `late` begun and read after
+/// `now − 1`. Cycle `now − 1`'s augmented report names the items of
+/// `middle`, so each early query that read one of them has a `c_o`;
+/// missing the cycle dooms every early query instead.
+fn prepared_client(
+    now: Cycle,
+    early: &[BTreeSet<u32>],
+    middle: &BTreeSet<u32>,
+    missed: bool,
+    late: &[BTreeSet<u32>],
+) -> WireClient {
+    let p = params();
+    let (first, second) = (Cycle::new(now.number() - 2), now.prev());
+    let mut records: Vec<ItemRecord> = (0..8)
+        .map(|i| {
+            let w = TxnId::new(first.prev(), i);
+            ItemRecord::new(ItemId::new(i), ItemValue::written_by(w), Some(w))
+        })
+        .collect();
+    let mut client = sgt_client();
+    client
+        .push(&encode_control_segment(&ControlInfo::empty(first), p))
+        .unwrap();
+    client
+        .push(&encode_data_segment(first, &records, p))
+        .unwrap();
+    let read_all = |client: &mut WireClient, readsets: &[BTreeSet<u32>]| {
+        for readset in readsets {
+            let t = client.begin();
+            for &x in readset {
+                client.read(t, ItemId::new(x)).unwrap();
+            }
+        }
+    };
+    read_all(&mut client, early);
+    if missed {
+        client.missed_cycle(second);
+    } else {
+        let writers: Vec<(u32, TxnId)> = (0..)
+            .zip(middle)
+            .map(|(seq, &x)| (x, TxnId::new(first, seq)))
+            .collect();
+        let commits: Vec<TxnId> = writers.iter().map(|&(_, t)| t).collect();
+        client
+            .push(&sgt_control_segment(second, Some(&writers), &commits, &[]))
+            .unwrap();
+        for (x, t) in writers {
+            let x = ItemId::new(x);
+            records[x.as_usize()] = ItemRecord::new(x, ItemValue::written_by(t), Some(t));
+        }
+        client
+            .push(&encode_data_segment(second, &records, p))
+            .unwrap();
+    }
+    read_all(&mut client, late);
+    client
+}
+
+proptest! {
+    /// A wire-fed SGT client reads a graph diff only when its window will
+    /// keep it. Each case hears an SGT control segment — an augmented
+    /// report over random items and a diff — well formed by one client
+    /// and with one admission rule broken by its twin, both carrying
+    /// random live, invalidated and doomed queries. The diff is needed
+    /// iff some undoomed query has a `c_o` or reads an item the report
+    /// names. If it is, the malformed segment is an error and is not
+    /// heard; if not, its bytes are never interpreted, and the twin ends
+    /// exactly where the client fed the well-formed diff does.
+    #[test]
+    fn a_diff_no_window_keeps_is_never_interpreted(
+        now in 10u64..60,
+        early in proptest::collection::vec(set_of(0u32..8, 0..3), 0..3),
+        middle in set_of(0u32..8, 0..4),
+        missed in proptest::bool::weighted(0.3),
+        late in proptest::collection::vec(set_of(0u32..8, 0..3), 0..3),
+        named in set_of(0u32..8, 0..4),
+        seqs in set_of(0u32..16, 2..6),
+        sources in proptest::collection::vec(set_of((1u64..5, 0u32..16), 1..4), 6..7),
+        drop_a_target in proptest::bool::ANY,
+    ) {
+        let now = Cycle::new(now);
+        let prev = now.prev();
+        let committed: Vec<TxnId> = seqs.iter().map(|&s| TxnId::new(prev, s)).collect();
+        let mut edges = Vec::new();
+        for (&to, from) in committed.iter().zip(&sources) {
+            for &(age, seq) in from {
+                edges.push((TxnId::new(Cycle::new(prev.number() - age), seq), to));
+            }
+        }
+        let mut broken = committed.clone();
+        if drop_a_target {
+            broken.remove(0);
+        } else {
+            broken.insert(0, committed[0]);
+        }
+        let first_writers: Vec<(u32, TxnId)> =
+            named.iter().map(|&x| (x, committed[0])).collect();
+        let live = late
+            .iter()
+            .chain(early.iter().filter(|_| !missed))
+            .collect::<Vec<_>>();
+        let has_c_o = |r: &BTreeSet<u32>| !missed && early.contains(r) && !r.is_disjoint(&middle);
+        let needed = live.iter().any(|r| !r.is_disjoint(&named))
+            || early.iter().any(has_c_o);
+
+        let mut fed = prepared_client(now, &early, &middle, missed, &late);
+        let mut twin = prepared_client(now, &early, &middle, missed, &late);
+        let heard = twin.now();
+        let well_formed = sgt_control_segment(now, Some(&first_writers), &committed, &edges);
+        let malformed = sgt_control_segment(now, Some(&first_writers), &broken, &edges);
+        prop_assert!(fed.push(&well_formed).is_ok());
+        let pushed = twin.push(&malformed);
+        if needed {
+            prop_assert!(pushed.is_err());
+            prop_assert_eq!(twin.now(), heard, "the segment was heard");
+        } else {
+            prop_assert!(pushed.is_ok(), "{pushed:?}");
+            prop_assert_eq!(twin.now(), Some(now));
+            prop_assert_eq!(twin.protocol().debug_snapshot(), fed.protocol().debug_snapshot());
+        }
     }
 }

@@ -187,6 +187,13 @@ impl ReadOnlyProtocol for Instrumented {
         }
     }
 
+    /// With monitors attached every diff is read: their graph lane
+    /// keeps its own window of each one. Otherwise the inner method
+    /// decides.
+    fn needs_graph_diff(&self, head: &ControlInfo) -> bool {
+        self.obs.monitors().is_some() || self.inner.needs_graph_diff(head)
+    }
+
     fn on_missed_cycle(&mut self, cycle: Cycle) {
         self.update(|s| s.missed_cycles += 1);
         self.last_cycle.set(cycle);
@@ -508,6 +515,29 @@ mod tests {
                 wrapped.debug_snapshot(),
                 "{method}: wrapping must not change the hashed state"
             );
+        }
+    }
+
+    /// Which graph diffs are read: every one while monitors are attached
+    /// (their graph lane keeps each), else what the inner method asks
+    /// for — an SGT client without queries asks for none.
+    #[test]
+    fn monitors_read_every_graph_diff() {
+        use bpush_broadcast::{AugmentedReport, InvalidationReport};
+        use bpush_obs::{MonitorConfig, Monitors};
+        let cycle = Cycle::new(4);
+        let head = ControlInfo::new(
+            cycle,
+            InvalidationReport::empty(cycle),
+            Some(AugmentedReport::new(cycle.prev(), [])),
+            None,
+        );
+        let (policy, coverage) = Method::Sgt.monitor_policy();
+        let monitored =
+            Obs::off().with_monitors(Monitors::new(MonitorConfig::new(1, policy, coverage)));
+        for (obs, reads) in [(Obs::off(), false), (monitored, true)] {
+            let p = Instrumented::with_obs(Method::Sgt.build_protocol(), obs, Actor::Client(0));
+            assert_eq!(p.needs_graph_diff(&head), reads);
         }
     }
 

@@ -183,6 +183,17 @@ pub trait ReadOnlyProtocol: fmt::Debug {
     /// Processes the control information at the beginning of a cycle.
     fn on_control(&mut self, ctrl: &ControlInfo);
 
+    /// Whether [`ReadOnlyProtocol::on_control`] of a control segment
+    /// with `head`'s reports, heard next, would use the segment's graph
+    /// diff. `head` carries no diff: a wire-fed client asks this after
+    /// decoding the reports and reads the diff only on `true`, so a
+    /// method that answers `false` must then behave as if the diff had
+    /// been heard. The default reads every diff.
+    fn needs_graph_diff(&self, head: &ControlInfo) -> bool {
+        let _ = head;
+        true
+    }
+
     /// The client missed `cycle` entirely (disconnection, §5.2.2).
     fn on_missed_cycle(&mut self, cycle: Cycle);
 

@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 
 use bpush_broadcast::ControlInfo;
 use bpush_sgraph::Window;
-use bpush_types::{Cycle, ItemId, QueryId};
+use bpush_types::{Cycle, ItemId, QueryId, TxnId};
 
 use crate::protocol::{
     AbortReason, CacheMode, ReadCandidate, ReadConstraint, ReadDirective, ReadOnlyProtocol,
@@ -93,27 +93,38 @@ impl Sgt {
     /// windowed invalidation lists have no first-writer entry and were
     /// processed when first announced).
     fn match_report(&mut self, ctrl: &ControlInfo) {
-        if let Some(aug) = ctrl.augmented() {
-            for (q, qs) in self.queries.iter_mut() {
-                if qs.doomed.is_some() {
-                    continue;
-                }
-                for (_, t_f) in aug.matches_in(qs.readset.as_slice()) {
-                    self.graph.add_precedence(*q, t_f);
-                    let co = qs.c_o.get_or_insert(t_f.cycle());
-                    *co = (*co).min(t_f.cycle());
-                }
+        for (q, qs) in self.queries.iter_mut() {
+            if qs.doomed.is_some() {
+                continue;
             }
-        } else {
-            // The server is not broadcasting SGT information; without
-            // first-writer data, invalidated queries cannot be certified.
-            let report = ctrl.invalidation();
-            for qs in self.queries.values_mut() {
-                if qs.doomed.is_none() && report.any_invalidated(qs.readset.as_slice()) {
-                    qs.doomed = Some(AbortReason::Invalidated);
+            match first_writers(ctrl, &qs.readset) {
+                Ok(writers) => {
+                    for t_f in writers {
+                        self.graph.add_precedence(*q, t_f);
+                        let co = qs.c_o.get_or_insert(t_f.cycle());
+                        *co = (*co).min(t_f.cycle());
+                    }
                 }
+                Err(reason) => qs.doomed = Some(reason),
             }
         }
+    }
+
+    /// Hears `ctrl` and returns whether its graph diff was kept.
+    fn hear(&mut self, ctrl: &ControlInfo) -> bool {
+        // 1. Precedence edges and `c_o` from the report. Matching asks no
+        //    path question and only adds query nodes' out-edges, which
+        //    step 2 never touches, so it can run first — and must: it
+        //    lowers the `c_o` that starts the window.
+        self.match_report(ctrl);
+        self.last_heard = Some(ctrl.cycle());
+        // 2. Move the Lemma-1 window and keep the server graph difference
+        //    (commits of cycle n−1) as its newest chunk: what fell out of
+        //    the window is retired — chunks of older cycles, the last
+        //    writers `T_l` accepted reads named — and the chunks it keeps
+        //    have their floors raised.
+        self.graph
+            .advance(self.window_start(), ctrl.shared_graph_diff())
     }
 
     /// The first commit cycle Lemma 1 keeps: the earliest `c_o` of any
@@ -137,6 +148,26 @@ impl Sgt {
     }
 }
 
+/// How `ctrl`'s report meets one live query's readset — the one rule
+/// [`Sgt::match_report`] applies and [`Sgt::needs_graph_diff`] predicts
+/// with: the first writers `T_f` the augmented report names for readset
+/// items, or, when the server is not broadcasting SGT information, the
+/// abort of a query whose readset the report invalidates (without
+/// first-writer data an invalidated query cannot be certified).
+fn first_writers<'a>(
+    ctrl: &'a ControlInfo,
+    readset: &'a ReadSet,
+) -> Result<impl Iterator<Item = TxnId> + 'a, AbortReason> {
+    let aug = ctrl.augmented();
+    if aug.is_none() && ctrl.invalidation().any_invalidated(readset.as_slice()) {
+        return Err(AbortReason::Invalidated);
+    }
+    Ok(aug
+        .into_iter()
+        .flat_map(|aug| aug.matches_in(readset.as_slice()))
+        .map(|(_, t_f)| t_f))
+}
+
 impl ReadOnlyProtocol for Sgt {
     fn name(&self) -> &'static str {
         if self.config.use_cache {
@@ -155,19 +186,34 @@ impl ReadOnlyProtocol for Sgt {
     }
 
     fn on_control(&mut self, ctrl: &ControlInfo) {
-        // 1. Precedence edges and `c_o` from the report. Matching asks no
-        //    path question and only adds query nodes' out-edges, which
-        //    step 2 never touches, so it can run first — and must: it
-        //    lowers the `c_o` that starts the window.
-        self.match_report(ctrl);
-        self.last_heard = Some(ctrl.cycle());
-        // 2. Move the Lemma-1 window and keep the server graph difference
-        //    (commits of cycle n−1) as its newest chunk: what fell out of
-        //    the window is retired — chunks of older cycles, the last
-        //    writers `T_l` accepted reads named — and the chunks it keeps
-        //    have their floors raised.
-        self.graph
-            .advance(self.window_start(), ctrl.shared_graph_diff());
+        let predicted = cfg!(debug_assertions) && self.needs_graph_diff(ctrl);
+        let kept = self.hear(ctrl);
+        debug_assert!(
+            predicted || !kept,
+            "the window kept a graph diff needs_graph_diff would have left unread"
+        );
+    }
+
+    /// Lemma 1 from the head alone: the window keeps the diff, of cycle
+    /// `n−1`, iff it starts at or before `n−1` after this report's
+    /// matches — iff some live query's `c_o`, lowered by the first
+    /// writers the report names for it, is at or before `n−1`
+    /// (`window_start` otherwise starts at `n`, or keeps nothing).
+    /// A diff without an augmented report is not what an SGT server airs
+    /// (it airs both or neither), so such a diff is always read.
+    fn needs_graph_diff(&self, head: &ControlInfo) -> bool {
+        let (Some(_), Some(diff_cycle)) = (head.augmented(), head.cycle().checked_sub(1)) else {
+            return true;
+        };
+        self.queries
+            .values()
+            .filter(|qs| qs.doomed.is_none())
+            .any(|qs| {
+                first_writers(head, &qs.readset).is_ok_and(|mut writers| {
+                    qs.c_o.is_some_and(|co| co <= diff_cycle)
+                        || writers.any(|t_f| t_f.cycle() <= diff_cycle)
+                })
+            })
     }
 
     fn on_missed_cycle(&mut self, cycle: Cycle) {
@@ -638,6 +684,89 @@ mod tests {
             ));
             assert_eq!(p.graph_size(), (2, 0), "cycle {n}");
         }
+    }
+
+    /// `needs_graph_diff` answers exactly whether the window keeps the
+    /// diff, at every control of a real SGT server's stream heard
+    /// struct-fed: with no query, with live queries before and after
+    /// their first invalidation (no `c_o`, then one), and with queries
+    /// doomed by a missed cycle or a detected cycle but not yet ended.
+    #[test]
+    fn needs_graph_diff_predicts_what_the_window_keeps() {
+        use bpush_server::{BroadcastServer, ServerOptions};
+        use bpush_types::ServerConfig;
+        let config = ServerConfig {
+            broadcast_size: 40,
+            update_range: 20,
+            server_read_range: 40,
+            updates_per_cycle: 5,
+            txns_per_cycle: 5,
+            offset: 0,
+            ..ServerConfig::default()
+        };
+        let mut server = BroadcastServer::new(config, ServerOptions::sgt(), 9).unwrap();
+        let mut p = Sgt::new(SgtConfig::default());
+        let mut active: Vec<(QueryId, u64)> = Vec::new();
+        let mut next = 0;
+        let mut answers = [0usize; 2];
+        let mut doomed_at_control = 0;
+        for n in 0u32..90 {
+            let bcast = server.run_cycle();
+            let now = bcast.cycle();
+            if n % 13 == 7 {
+                p.on_missed_cycle(now);
+                continue;
+            }
+            let ctrl = bcast.control();
+            // the decoder asks only of a control that carries a diff; the
+            // server's first one carries neither SGT report
+            assert_eq!(ctrl.augmented().is_some(), n > 0);
+            if ctrl.graph_diff().is_none() {
+                p.hear(ctrl);
+            } else {
+                doomed_at_control += p.queries.values().filter(|q| q.doomed.is_some()).count();
+                let predicted = p.needs_graph_diff(ctrl);
+                assert_eq!(predicted, p.hear(ctrl), "cycle {now}");
+                answers[usize::from(predicted)] += 1;
+            }
+            // a query begins every third cycle (none for a stretch, so the
+            // client idles); doomed queries end every fourth cycle, live
+            // ones after six reads, each reading one item a cycle
+            if n % 3 == 0 && !(40..50).contains(&n) {
+                p.begin_query(QueryId::new(next), now);
+                active.push((QueryId::new(next), 0));
+                next += 1;
+            }
+            let mut ended = Vec::new();
+            for (q, reads) in &mut active {
+                let item = ItemId::new(u32::try_from((q.number() * 7 + *reads * 3) % 40).unwrap());
+                match p.read_directive(*q, item, now) {
+                    ReadDirective::Doom(_) => {
+                        if n % 4 == 0 {
+                            ended.push(*q);
+                        }
+                    }
+                    ReadDirective::Read(_) => {
+                        let candidate = ReadCandidate::from_broadcast(bcast.current(item).unwrap());
+                        *reads += 1;
+                        let rejected =
+                            p.apply_read(*q, item, &candidate, now) != ReadOutcome::Accepted;
+                        if *reads >= 6 && !rejected {
+                            ended.push(*q);
+                        }
+                    }
+                }
+            }
+            for q in ended {
+                p.finish_query(q);
+                active.retain(|(a, _)| *a != q);
+            }
+        }
+        assert!(
+            answers[0] > 0 && answers[1] > 0,
+            "both answers: {answers:?}"
+        );
+        assert!(doomed_at_control > 0, "doomed queries heard controls");
     }
 
     /// The SGT client as it was before its graph became a [`Window`]:

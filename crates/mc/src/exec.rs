@@ -1,7 +1,7 @@
 //! Deterministic execution of one bounded schedule against the real
 //! protocol implementations.
 
-use bpush_broadcast::feed::roundtrip_control;
+use bpush_broadcast::feed::roundtrip_control_with;
 use bpush_core::instrument::Instrumented;
 use bpush_core::validator::{ConsistencyViolation, ReadRecord, SerializabilityBatch};
 use bpush_core::{
@@ -25,10 +25,13 @@ pub enum FeedMode {
     Struct,
     /// Wire-format segments: every control report is encoded, framed,
     /// byte-buffered and decoded before the protocol sees it
-    /// ([`bpush_broadcast::feed::roundtrip_control`]). A faithful codec
-    /// makes this mode bit-identical to [`FeedMode::Struct`] — same
-    /// fates, same readsets, same canonical state hashes — which the
-    /// conformance battery asserts for every method.
+    /// ([`bpush_broadcast::feed::roundtrip_control_with`]), its graph
+    /// diff only when the protocol asks for it
+    /// ([`ReadOnlyProtocol::needs_graph_diff`]), as a wire-fed client
+    /// hears it. A faithful codec and a truthful answer make this mode
+    /// bit-identical to [`FeedMode::Struct`] — same fates, same
+    /// readsets, same canonical state hashes — which the conformance
+    /// battery asserts for every method.
     Wire,
 }
 
@@ -101,10 +104,16 @@ pub(crate) fn run_client_obs(
             let ctrl = match feed {
                 FeedMode::Struct => bcast.control().clone(),
                 FeedMode::Wire => {
-                    let heard = roundtrip_control(bcast.control(), gt.wire_params)
+                    let heard =
+                        roundtrip_control_with(bcast.control(), gt.wire_params, &mut |head| {
+                            protocol.needs_graph_diff(head)
+                        })
                         // lint: allow(panic) — divergence detector by design
                         .expect("a wire-encoded control report must decode");
-                    debug_assert_eq!(&heard, bcast.control(), "the wire changed the report");
+                    debug_assert!(
+                        heard.is_heard_of(bcast.control()),
+                        "the wire changed the report"
+                    );
                     heard
                 }
             };

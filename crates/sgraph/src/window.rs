@@ -436,10 +436,12 @@ impl Window {
     /// window returns to an empty one, search scratch included (the
     /// paper's "if no items are updated, there is no space or processing
     /// overhead"), and `diff` is ignored.
-    pub fn advance(&mut self, start: Option<Cycle>, diff: Option<&Arc<GraphDiff>>) {
+    ///
+    /// Returns whether `diff` was kept.
+    pub fn advance(&mut self, start: Option<Cycle>, diff: Option<&Arc<GraphDiff>>) -> bool {
         let Some(start) = start else {
             *self = Window::default();
-            return;
+            return false;
         };
         while let Some(chunk) = self.chunks.front() {
             if chunk.diff.cycle() >= start {
@@ -458,15 +460,16 @@ impl Window {
         self.overlay.retain(|e| e.txn.cycle() >= start);
         let below = self.orphans.partition_point(|t| t.cycle() < start);
         self.orphans.drain(..below);
-        if let Some(diff) = diff {
-            let newer = match self.chunks.back() {
-                Some(newest) => newest.diff.cycle() < diff.cycle(),
-                None => true,
-            };
-            if diff.cycle() >= start && newer {
-                self.push_chunk(diff, start);
-            }
+        let Some(diff) = diff else { return false };
+        let newer = match self.chunks.back() {
+            Some(newest) => newest.diff.cycle() < diff.cycle(),
+            None => true,
+        };
+        let keep = diff.cycle() >= start && newer;
+        if keep {
+            self.push_chunk(diff, start);
         }
+        keep
     }
 
     /// Pushes `diff` as the newest chunk with floor `start`.
