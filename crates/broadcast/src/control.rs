@@ -355,9 +355,9 @@ impl InvalidationReport {
         self.items.iter().map(|&(x, _)| x)
     }
 
-    /// Updated items with their latest update cycle.
-    pub fn dated_items(&self) -> impl ExactSizeIterator<Item = (ItemId, Cycle)> + '_ {
-        self.items.iter().copied()
+    /// Updated items with their latest update cycle, sorted by item.
+    pub fn dated_items(&self) -> &[(ItemId, Cycle)] {
+        &self.items
     }
 
     /// The updated buckets.
@@ -436,9 +436,9 @@ impl AugmentedReport {
         lookup(&self.first_writers, item)
     }
 
-    /// All `(item, first writer)` entries.
-    pub fn entries(&self) -> impl Iterator<Item = (ItemId, TxnId)> + '_ {
-        self.first_writers.iter().copied()
+    /// All `(item, first writer)` entries, sorted by item.
+    pub fn entries(&self) -> &[(ItemId, TxnId)] {
+        &self.first_writers
     }
 
     /// The entries whose item appears in the sorted `readset`, in item
@@ -751,8 +751,12 @@ mod tests {
         let r = AugmentedReport::new(c, entries);
         let readset: Vec<ItemId> = (0..40).filter(|i| i % 5 == 0).map(ItemId::new).collect();
         let merged: Vec<(ItemId, TxnId)> = r.matches_in(&readset).collect();
-        let naive: Vec<(ItemId, TxnId)> =
-            r.entries().filter(|(x, _)| readset.contains(x)).collect();
+        let naive: Vec<(ItemId, TxnId)> = r
+            .entries()
+            .iter()
+            .copied()
+            .filter(|(x, _)| readset.contains(x))
+            .collect();
         assert_eq!(merged, naive);
         assert_eq!(merged.len(), 3, "multiples of 15 in 0..40");
         assert!(r.matches_in(&[]).next().is_none());
@@ -798,7 +802,7 @@ mod tests {
         assert_eq!(r.len(), 2);
         assert!(!r.is_empty());
         assert_eq!(r.size_units(1, 1), 4);
-        assert_eq!(r.entries().count(), 2);
+        assert_eq!(r.entries().len(), 2);
     }
 
     #[test]

@@ -318,7 +318,7 @@ pub(crate) fn encode_invalidation_into(
     params: WireParams,
 ) {
     w.put(report.dated_items().len() as u64, params.count_bits);
-    for (item, update_cycle) in report.dated_items() {
+    for &(item, update_cycle) in report.dated_items() {
         w.put(u64::from(item.index()), params.key_bits);
         put_cycle_rel(w, report.cycle(), update_cycle, params.age_bits);
     }
@@ -396,7 +396,7 @@ pub(crate) fn encode_augmented_into(
     params: WireParams,
 ) {
     w.put(report.len() as u64, params.count_bits);
-    for (item, txn) in report.entries() {
+    for &(item, txn) in report.entries() {
         w.put(u64::from(item.index()), params.key_bits);
         put_txn(w, txn, now, params);
     }

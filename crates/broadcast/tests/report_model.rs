@@ -106,7 +106,7 @@ proptest! {
             let report =
                 InvalidationReport::try_with_dated(cycle, 4, input, granularity, items_per_bucket)
                     .unwrap();
-            prop_assert_eq!(report.dated_items().collect::<Vec<_>>(), model_items.clone());
+            prop_assert_eq!(report.dated_items().to_vec(), model_items.clone());
             prop_assert_eq!(
                 report
                     .buckets()
@@ -165,7 +165,7 @@ proptest! {
 
         for input in routes(&arbitrary, ascending) {
             let report = AugmentedReport::new(cycle, input);
-            prop_assert_eq!(report.entries().collect::<Vec<_>>(), model_entries.clone());
+            prop_assert_eq!(report.entries().to_vec(), model_entries.clone());
             prop_assert_eq!(format!("{report:?}"), rendering.clone());
             prop_assert_eq!(report.matches_in(&readset).collect::<Vec<_>>(), matches.clone());
             for &x in &readset {

@@ -215,7 +215,7 @@ impl ClientCache {
             self.knowledge.since.get_or_insert(n);
             let multiversion = self.params.mode == CacheMode::Multiversion;
             if !multiversion {
-                for (item, update_cycle) in report.dated_items() {
+                for &(item, update_cycle) in report.dated_items() {
                     let floor = self
                         .knowledge
                         .update_floor

@@ -150,24 +150,18 @@ impl ReadOnlyProtocol for Instrumented {
         self.inner.on_control(ctrl);
         self.obs
             .emit(ctrl.cycle(), self.actor, EventKind::ControlProcessed);
-        // Typed monitor feed: the per-entry control information the
-        // event stream compresses away, in the same order the genuine
-        // methods consume it (diff before augmented entries, §3.3).
+        // Typed monitor feed: the control information the event stream
+        // compresses away, whole, in one call.
         if let (Some(mon), Actor::Client(c)) = (self.obs.monitors(), self.actor) {
             let report = ctrl.invalidation();
-            mon.control_begin(c, ctrl.cycle(), report.window());
-            for (item, wc) in report.dated_items() {
-                mon.report_entry(c, item, wc);
-            }
-            if let Some(diff) = ctrl.shared_graph_diff() {
-                mon.graph_diff(diff);
-            }
-            if let Some(aug) = ctrl.augmented() {
-                for (item, writer) in aug.entries() {
-                    mon.augmented_entry(c, item, writer);
-                }
-            }
-            mon.control_done(c, ctrl.cycle());
+            mon.control(
+                c,
+                ctrl.cycle(),
+                report.window(),
+                report.dated_items(),
+                ctrl.shared_graph_diff(),
+                ctrl.augmented().map_or(&[], |aug| aug.entries()),
+            );
         }
         // Surface prunes of the validation structure (SGT's graph) by
         // observing the node/edge counts shrink across the control step.
@@ -471,6 +465,7 @@ mod tests {
             let v = monitors.verdict();
             assert!(v.pass(), "{method}: {}", v.render());
             assert_eq!(v.controls, 2, "{method}");
+            assert_eq!(v.checks, 1, "{method}: the report reached the lane whole");
             assert_eq!(v.commits, 1, "{method}");
         }
     }
@@ -490,9 +485,14 @@ mod tests {
             EventKind::QueryBegun { query: 0 },
         );
         monitors.read_meta(0, 0, ItemId::new(1), Cycle::ZERO, Cycle::ZERO, None, None);
-        monitors.control_begin(0, Cycle::new(1), 1);
-        monitors.report_entry(0, ItemId::new(1), Cycle::ZERO);
-        monitors.control_done(0, Cycle::new(1));
+        monitors.control(
+            0,
+            Cycle::new(1),
+            1,
+            &[(ItemId::new(1), Cycle::ZERO)],
+            None,
+            &[],
+        );
         // a genuine protocol would doom; the broken one reads on
         monitors.read_meta(0, 0, ItemId::new(2), Cycle::new(1), Cycle::ZERO, None, None);
         let v = monitors.verdict();

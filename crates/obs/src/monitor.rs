@@ -32,8 +32,9 @@
 //! * **Stream** ([`MonitorKind::Stream`]) — span balance and per-lane
 //!   cycle monotonicity of the event stream itself.
 //!
-//! The typed feed ([`Monitors::report_entry`] and friends) carries the
-//! per-entry control information the event stream compresses away; it is
+//! The typed feed carries what the event stream compresses away: each
+//! heard control whole, in one call ([`Monitors::control`]), and each
+//! accepted read's validity metadata ([`Monitors::read_meta`]). It is
 //! driven by the `Instrumented` protocol decorator in `bpush-core`.
 
 // bpush-lint: sans_io — monitor feed path: pure state machines over integers, no clocks/threads/files/sockets
@@ -294,13 +295,23 @@ struct DoomExpect {
     detail: u64,
 }
 
+impl DoomExpect {
+    /// A gap the method must not read across, found at cycle `n`.
+    const fn coverage(n: u64) -> DoomExpect {
+        DoomExpect {
+            kind: MonitorKind::Coverage,
+            item: NO_ITEM,
+            write_cycle: NO_CYCLE,
+            detail: n,
+        }
+    }
+}
+
 /// Per-client protocol monitor state.
 #[derive(Debug, Clone)]
 struct Lane {
     /// Last heard control cycle ([`NO_CYCLE`] = never).
     heard: u64,
-    /// Control cycle currently being fed ([`NO_CYCLE`] = none).
-    feeding: u64,
     active: bool,
     query: u64,
     /// The query's verified database state (§3.1 `verified_state`).
@@ -327,7 +338,6 @@ impl Lane {
     fn with_capacity(slots: usize) -> Lane {
         Lane {
             heard: NO_CYCLE,
-            feeding: NO_CYCLE,
             active: false,
             query: 0,
             verified: 0,
@@ -343,10 +353,76 @@ impl Lane {
         }
     }
 
-    /// Whether `item` is in the mirrored readset.
-    fn holds(&self, item: u32) -> bool {
+    /// Screens the mirrored readset against a report's dated entries.
+    /// Current (§3.1): the first held entry in item order written at or
+    /// after the verified state dooms the query. Snapshot: a version
+    /// current no later than an entry's write cycle `wc` was superseded
+    /// by the write, so its validity ends at `wc + 1` at the latest.
+    // bpush-lint: hot_path — report screen: runs once per heard control on every active lane of a monitored run
+    fn screen(&mut self, policy: MonitorPolicy, report: u64, dated: &[(ItemId, Cycle)]) {
         let n = self.nreads as usize;
-        self.reads.iter().take(n).any(|s| s.item == item)
+        match policy {
+            MonitorPolicy::Current if self.doom.is_none() => {
+                self.doom = self
+                    .reads
+                    .iter()
+                    .take(n)
+                    .filter_map(|s| Some((s.item, lookup(dated, s.item)?.number())))
+                    .filter(|&(_, wc)| wc >= self.verified)
+                    .min()
+                    .map(|(item, write_cycle)| DoomExpect {
+                        kind: MonitorKind::Currency,
+                        item,
+                        write_cycle,
+                        detail: report,
+                    });
+            }
+            MonitorPolicy::Snapshot => {
+                for slot in self.reads.iter_mut().take(n) {
+                    let wc = lookup(dated, slot.item).map(Cycle::number);
+                    if let Some(wc) = wc.filter(|&wc| slot.valid_from <= wc) {
+                        slot.valid_until = slot.valid_until.min(wc.saturating_add(1));
+                    }
+                }
+            }
+            MonitorPolicy::Current | MonitorPolicy::Graph => {}
+        }
+    }
+
+    /// Hears an augmented report's first writers: each held item, once
+    /// however often it was read, lowers `c_o` and records the
+    /// precedence edge `R → T_f` (Claim 2: one edge to the first writer
+    /// suffices). The edge closes a cycle iff `T_f` is, or reaches, a
+    /// writer the query read; the first such entry in item order arms
+    /// the commit check. Returns the edges judged.
+    fn hear_first_writers(&mut self, graph: &Window, first_writers: &[(ItemId, TxnId)]) -> u64 {
+        let n = self.nreads as usize;
+        let mut edges = 0u64;
+        let mut closing: Option<DoomExpect> = None;
+        for (i, slot) in self.reads.iter().take(n).enumerate() {
+            let Some(writer) = lookup(first_writers, slot.item) else {
+                continue;
+            };
+            if self.reads.iter().take(i).any(|s| s.item == slot.item) {
+                continue;
+            }
+            let wc = writer.cycle().number();
+            self.c_o = self.c_o.min(wc);
+            note_once(&mut self.overwriters, writer);
+            edges = edges.saturating_add(1);
+            let first =
+                self.pending_cycle.is_none() && closing.map_or(true, |c| slot.item < c.item);
+            if first && self.writers.iter().any(|&w| reaches(graph, writer, w)) {
+                closing = Some(DoomExpect {
+                    kind: MonitorKind::Serializability,
+                    item: slot.item,
+                    write_cycle: wc,
+                    detail: u64::from(writer.seq()),
+                });
+            }
+        }
+        self.pending_cycle = self.pending_cycle.or(closing);
+        edges
     }
 
     fn begin(&mut self, query: u64, cycle: u64) {
@@ -370,6 +446,13 @@ impl Lane {
         self.doom_reported = false;
         self.pending_cycle = None;
     }
+}
+
+/// The value of `item`'s entry in `entries`, sorted by item.
+// bpush-lint: hot_path — per-slot report probe of the monitors' screen
+fn lookup<V: Copy>(entries: &[(ItemId, V)], item: u32) -> Option<V> {
+    let i = entries.binary_search_by_key(&item, |e| e.0.index()).ok()?;
+    entries.get(i).map(|e| e.1)
 }
 
 /// Whether `from` is, or reaches, `to` in the transaction graph.
@@ -560,12 +643,7 @@ impl MonitorEngine {
                     lane.begin(query, n);
                 }
                 EventKind::MissedCycle if strict_gap && lane.active && lane.doom.is_none() => {
-                    lane.doom = Some(DoomExpect {
-                        kind: MonitorKind::Coverage,
-                        item: NO_ITEM,
-                        write_cycle: NO_CYCLE,
-                        detail: n,
-                    });
+                    lane.doom = Some(DoomExpect::coverage(n));
                 }
                 EventKind::QueryCommitted { query, .. } => {
                     self.commits = self.commits.saturating_add(1);
@@ -599,142 +677,71 @@ impl MonitorEngine {
         }
     }
 
-    /// Begins feeding the control information of `cycle` (window from
-    /// the invalidation report) into the client's lane.
-    pub fn mon_control_begin(&mut self, client: u32, cycle: Cycle, window: u32) {
+    /// Feeds the control of `cycle` that `client` heard, whole: the
+    /// invalidation report's window and dated entries and, under SGT, the
+    /// shared graph diff and the augmented report's first writers, both
+    /// entry lists sorted by item. The steps run in the order the genuine
+    /// methods consume a control (diff before first writers, §3.3). A
+    /// lane screens its own readset slots against the entries, so an
+    /// inactive lane costs O(1). Only the screen is allocation-free: a
+    /// kept diff may grow the window, a new first overwriter a lane's list.
+    pub fn mon_control(
+        &mut self,
+        client: u32,
+        cycle: Cycle,
+        window: u32,
+        dated: &[(ItemId, Cycle)],
+        diff: Option<&Arc<GraphDiff>>,
+        first_writers: &[(ItemId, TxnId)],
+    ) {
         self.controls = self.controls.saturating_add(1);
+        self.checks = self.checks.saturating_add(dated.len() as u64);
         let n = cycle.number();
-        let window_gap = self.config.coverage == CoverageRule::WindowGap;
-        if let Some(lane) = self.lanes.get_mut(client as usize) {
-            lane.feeding = n;
-            if window_gap && lane.active && lane.doom.is_none() && lane.heard != NO_CYCLE {
-                let covered = n <= lane.heard.saturating_add(u64::from(window));
-                if !covered {
-                    lane.doom = Some(DoomExpect {
-                        kind: MonitorKind::Coverage,
-                        item: NO_ITEM,
-                        write_cycle: NO_CYCLE,
-                        detail: n,
-                    });
-                }
-            }
-        }
-    }
-
-    /// Feeds one dated invalidation-report entry: `item` was updated
-    /// during `write_cycle`.
-    pub fn mon_report_entry(&mut self, client: u32, item: ItemId, write_cycle: Cycle) {
-        self.checks = self.checks.saturating_add(1);
-        let idx = item.index();
-        let wc = write_cycle.number();
         let policy = self.config.policy;
         if let Some(lane) = self.lanes.get_mut(client as usize) {
-            if !lane.active {
-                return;
+            if self.config.coverage == CoverageRule::WindowGap
+                && lane.active
+                && lane.doom.is_none()
+                && lane.heard != NO_CYCLE
+                && n > lane.heard.saturating_add(u64::from(window))
+            {
+                lane.doom = Some(DoomExpect::coverage(n));
             }
-            match policy {
-                MonitorPolicy::Current => {
-                    if lane.doom.is_none() && wc >= lane.verified && lane.holds(idx) {
-                        let report = lane.feeding;
-                        lane.doom = Some(DoomExpect {
-                            kind: MonitorKind::Currency,
-                            item: idx,
-                            write_cycle: wc,
-                            detail: report,
-                        });
-                    }
-                }
-                MonitorPolicy::Snapshot => {
-                    // A version current no later than `wc` was superseded
-                    // by the write: its validity ends at `wc + 1`
-                    // (exclusive) at the latest.
-                    let bound = wc.saturating_add(1);
-                    let nreads = lane.nreads as usize;
-                    for slot in lane.reads.iter_mut().take(nreads) {
-                        if slot.item == idx && slot.valid_from <= wc && bound < slot.valid_until {
-                            slot.valid_until = bound;
-                        }
-                    }
-                }
-                MonitorPolicy::Graph => {}
+            if lane.active {
+                lane.screen(policy, n, dated);
             }
         }
-    }
-
-    /// Feeds one augmented-report entry: `item` was first overwritten by
-    /// `writer` (announced in the control info currently being fed).
-    pub fn mon_augmented_entry(&mut self, client: u32, item: ItemId, writer: TxnId) {
-        if self.config.policy != MonitorPolicy::Graph {
-            return;
+        // The first lane fed a cycle's diff keeps it, the window starting
+        // at the least Lemma-1 bound over the active lanes (`c_o`, else the
+        // last heard cycle; no window when none is active). The part below
+        // the bound cannot change a verdict: edges run old → new, and every
+        // path question starts at a first writer `T_f` a lane was fed, so
+        // it visits only transactions `≥ T_f`, whose cycle is at least the
+        // bound (at most each active lane's `min(c_o, heard)`, and `heard ≤
+        // diff.cycle() = T_f.cycle()` for the diff announcing `T_f`).
+        if let (MonitorPolicy::Graph, Some(diff)) = (policy, diff) {
+            if self.graph_cycle < Some(diff.cycle()) {
+                self.graph_cycle = Some(diff.cycle());
+                let start = self
+                    .lanes
+                    .iter()
+                    .filter(|lane| lane.active)
+                    .map(|lane| lane.c_o.min(lane.heard))
+                    .min();
+                self.graph.advance(start.map(Cycle::new), Some(diff));
+            }
         }
-        let idx = item.index();
-        let wc = writer.cycle().number();
-        let Some(lane) = self.lanes.get_mut(client as usize) else {
-            return;
-        };
-        if !lane.active || !lane.holds(idx) {
-            return;
-        }
-        if wc < lane.c_o {
-            lane.c_o = wc;
-        }
-        // Claim 2: one precedence edge `R → T_f` to the first writer
-        // suffices. It closes a cycle iff `T_f` is, or reaches, a writer
-        // the query read; the query must then abort before committing.
-        let closes = lane
-            .writers
-            .iter()
-            .any(|&w| reaches(&self.graph, writer, w));
-        note_once(&mut lane.overwriters, writer);
-        self.graph_edges = self.graph_edges.saturating_add(1);
-        if closes && lane.pending_cycle.is_none() {
-            lane.pending_cycle = Some(DoomExpect {
-                kind: MonitorKind::Serializability,
-                item: idx,
-                write_cycle: wc,
-                detail: u64::from(writer.seq()),
-            });
-        }
-    }
-
-    /// Keeps a broadcast graph diff, the handle the control shares, in
-    /// the engine's window. The first lane fed a cycle's diff keeps it,
-    /// through [`Window::advance`] with the window starting at the least
-    /// Lemma-1 bound over the active lanes (each lane's `c_o`, else its
-    /// last heard cycle), or with no window when no lane is active.
-    ///
-    /// Dropping the diff's part below the bound cannot change a verdict.
-    /// Edges run old → new (the server's tracker emits nothing else), and
-    /// every path question the engine asks starts at a first writer
-    /// `T_f` a lane was fed, so it only visits transactions `≥ T_f`. Such
-    /// a writer's cycle is at least the bound: the bound is at most each
-    /// active lane's `min(c_o, heard)`, and `heard ≤ diff.cycle() =
-    /// T_f.cycle()` for the diff that announces `T_f`.
-    pub fn mon_graph_diff(&mut self, diff: &Arc<GraphDiff>) {
-        if self.config.policy != MonitorPolicy::Graph || self.graph_cycle >= Some(diff.cycle()) {
-            return;
-        }
-        self.graph_cycle = Some(diff.cycle());
-        let start = self
-            .lanes
-            .iter()
-            .filter(|lane| lane.active)
-            .map(|lane| lane.c_o.min(lane.heard))
-            .min();
-        self.graph.advance(start.map(Cycle::new), Some(diff));
-    }
-
-    /// Ends the control feed for `cycle`: advances the lane's watermarks.
-    pub fn mon_control_done(&mut self, client: u32, cycle: Cycle) {
-        let n = cycle.number();
         if let Some(lane) = self.lanes.get_mut(client as usize) {
+            if policy == MonitorPolicy::Graph && lane.active {
+                let edges = lane.hear_first_writers(&self.graph, first_writers);
+                self.graph_edges = self.graph_edges.saturating_add(edges);
+            }
             if lane.active && lane.doom.is_none() {
                 // Whole readset screened clean through this report: the
                 // readset is current at the state this bcast carries.
                 lane.verified = n;
             }
             lane.heard = n;
-            lane.feeding = NO_CYCLE;
         }
     }
 
@@ -1034,8 +1041,8 @@ impl MonitorVerdict {
 /// A cheaply cloneable handle over a shared [`MonitorEngine`]. Attached
 /// to an [`Obs`](crate::Obs) via
 /// [`Obs::with_monitors`](crate::Obs::with_monitors), it receives every
-/// emitted event; the typed feed methods carry the per-entry control
-/// information the event stream does not.
+/// emitted event; the typed feed methods carry the control information
+/// and read metadata the event stream does not.
 #[derive(Debug, Clone)]
 pub struct Monitors {
     inner: Arc<Mutex<MonitorEngine>>,
@@ -1054,31 +1061,19 @@ impl Monitors {
         self.inner.lock().on_event(cycle, actor, kind);
     }
 
-    /// Typed feed: a control feed for `client` begins at `cycle`.
-    pub fn control_begin(&self, client: u32, cycle: Cycle, window: u32) {
-        self.inner.lock().mon_control_begin(client, cycle, window);
-    }
-
-    /// Typed feed: a dated invalidation-report entry.
-    pub fn report_entry(&self, client: u32, item: ItemId, write_cycle: Cycle) {
+    /// Typed feed: one heard control ([`MonitorEngine::mon_control`]).
+    pub fn control(
+        &self,
+        client: u32,
+        cycle: Cycle,
+        window: u32,
+        dated: &[(ItemId, Cycle)],
+        diff: Option<&Arc<GraphDiff>>,
+        first_writers: &[(ItemId, TxnId)],
+    ) {
         self.inner
             .lock()
-            .mon_report_entry(client, item, write_cycle);
-    }
-
-    /// Typed feed: an augmented-report first-writer entry.
-    pub fn augmented_entry(&self, client: u32, item: ItemId, writer: TxnId) {
-        self.inner.lock().mon_augmented_entry(client, item, writer);
-    }
-
-    /// Typed feed: a broadcast graph diff, as the control shares it.
-    pub fn graph_diff(&self, diff: &Arc<GraphDiff>) {
-        self.inner.lock().mon_graph_diff(diff);
-    }
-
-    /// Typed feed: the control feed for `cycle` is complete.
-    pub fn control_done(&self, client: u32, cycle: Cycle) {
-        self.inner.lock().mon_control_done(client, cycle);
+            .mon_control(client, cycle, window, dated, diff, first_writers);
     }
 
     /// Typed feed: an accepted read with its validity metadata.
@@ -1142,6 +1137,36 @@ mod tests {
         );
     }
 
+    /// Feeds `client` the whole control of `cycle`: the report's dated
+    /// entries, then the diff and the first writers, entries in item
+    /// order.
+    fn control(
+        e: &mut MonitorEngine,
+        client: u32,
+        cycle: u64,
+        window: u32,
+        dated: &[(u32, u64)],
+        diff: Option<&Arc<GraphDiff>>,
+        first_writers: &[(u32, TxnId)],
+    ) {
+        let dated: Vec<_> = dated
+            .iter()
+            .map(|&(item, wc)| (ItemId::new(item), Cycle::new(wc)))
+            .collect();
+        let first_writers: Vec<_> = first_writers
+            .iter()
+            .map(|&(item, writer)| (ItemId::new(item), writer))
+            .collect();
+        e.mon_control(
+            client,
+            Cycle::new(cycle),
+            window,
+            &dated,
+            diff,
+            &first_writers,
+        );
+    }
+
     fn commit(e: &mut MonitorEngine, client: u32, query: u64, cycle: u64) {
         e.on_event(
             Cycle::new(cycle),
@@ -1158,9 +1183,7 @@ mod tests {
         let mut e = engine(MonitorPolicy::Current, CoverageRule::WindowGap);
         begin(&mut e, 0, 1, 0);
         accept_read(&mut e, 0, 1, 7, 0);
-        e.mon_control_begin(0, Cycle::new(1), 1);
-        e.mon_report_entry(0, ItemId::new(9), Cycle::ZERO); // unrelated item
-        e.mon_control_done(0, Cycle::new(1));
+        control(&mut e, 0, 1, 1, &[(9, 0)], None, &[]); // unrelated item
         accept_read(&mut e, 0, 1, 8, 1);
         commit(&mut e, 0, 1, 1);
         let v = e.mon_verdict();
@@ -1176,9 +1199,7 @@ mod tests {
         accept_read(&mut e, 0, 1, 7, 0);
         // item 7 updated during cycle 0 (>= verified state 0): the
         // method must doom the query; a further accepted read diverges.
-        e.mon_control_begin(0, Cycle::new(1), 1);
-        e.mon_report_entry(0, ItemId::new(7), Cycle::ZERO);
-        e.mon_control_done(0, Cycle::new(1));
+        control(&mut e, 0, 1, 1, &[(7, 0)], None, &[]);
         accept_read(&mut e, 0, 1, 8, 1);
         commit(&mut e, 0, 1, 1);
         let v = e.mon_verdict();
@@ -1197,9 +1218,7 @@ mod tests {
         let mut e = engine(MonitorPolicy::Current, CoverageRule::WindowGap);
         begin(&mut e, 0, 1, 0);
         accept_read(&mut e, 0, 1, 7, 0);
-        e.mon_control_begin(0, Cycle::new(1), 1);
-        e.mon_report_entry(0, ItemId::new(7), Cycle::ZERO);
-        e.mon_control_done(0, Cycle::new(1));
+        control(&mut e, 0, 1, 1, &[(7, 0)], None, &[]);
         commit(&mut e, 0, 1, 1);
         assert!(e.mon_verdict().pass());
     }
@@ -1209,9 +1228,7 @@ mod tests {
         let mut e = engine(MonitorPolicy::Current, CoverageRule::WindowGap);
         begin(&mut e, 0, 1, 0);
         accept_read(&mut e, 0, 1, 7, 0);
-        e.mon_control_begin(0, Cycle::new(1), 1);
-        e.mon_report_entry(0, ItemId::new(7), Cycle::ZERO);
-        e.mon_control_done(0, Cycle::new(1));
+        control(&mut e, 0, 1, 1, &[(7, 0)], None, &[]);
         e.on_event(
             Cycle::new(1),
             Actor::Client(0),
@@ -1227,12 +1244,10 @@ mod tests {
     fn uncovered_gap_then_accepted_read_is_a_coverage_violation() {
         let mut e = engine(MonitorPolicy::Current, CoverageRule::WindowGap);
         begin(&mut e, 0, 1, 0);
-        e.mon_control_begin(0, Cycle::new(0), 1);
-        e.mon_control_done(0, Cycle::new(0));
+        control(&mut e, 0, 0, 1, &[], None, &[]);
         accept_read(&mut e, 0, 1, 7, 0);
         // cycles 1..2 missed; window-1 report at cycle 3 cannot cover
-        e.mon_control_begin(0, Cycle::new(3), 1);
-        e.mon_control_done(0, Cycle::new(3));
+        control(&mut e, 0, 3, 1, &[], None, &[]);
         accept_read(&mut e, 0, 1, 8, 3);
         commit(&mut e, 0, 1, 3);
         let v = e.mon_verdict();
@@ -1246,12 +1261,10 @@ mod tests {
     fn covered_gap_is_fine() {
         let mut e = engine(MonitorPolicy::Current, CoverageRule::WindowGap);
         begin(&mut e, 0, 1, 0);
-        e.mon_control_begin(0, Cycle::new(0), 3);
-        e.mon_control_done(0, Cycle::new(0));
+        control(&mut e, 0, 0, 3, &[], None, &[]);
         accept_read(&mut e, 0, 1, 7, 0);
         // window-3 report at cycle 3 covers the gap
-        e.mon_control_begin(0, Cycle::new(3), 3);
-        e.mon_control_done(0, Cycle::new(3));
+        control(&mut e, 0, 3, 3, &[], None, &[]);
         accept_read(&mut e, 0, 1, 8, 3);
         commit(&mut e, 0, 1, 3);
         assert!(e.mon_verdict().pass());
@@ -1290,17 +1303,10 @@ mod tests {
             None,
             Some(t0),
         );
-        e.mon_control_begin(0, Cycle::new(2), 1);
-        e.mon_graph_diff(&Arc::new(GraphDiff::new(Cycle::new(1), vec![t1], vec![])));
-        e.mon_augmented_entry(0, ItemId::new(7), t1);
-        e.mon_control_done(0, Cycle::new(2));
-        e.mon_control_begin(0, Cycle::new(3), 1);
-        e.mon_graph_diff(&Arc::new(GraphDiff::new(
-            Cycle::new(2),
-            vec![t2],
-            vec![(t1, t2)],
-        )));
-        e.mon_control_done(0, Cycle::new(3));
+        let d1 = Arc::new(GraphDiff::new(Cycle::new(1), vec![t1], vec![]));
+        control(&mut e, 0, 2, 1, &[], Some(&d1), &[(7, t1)]);
+        let d2 = Arc::new(GraphDiff::new(Cycle::new(2), vec![t2], vec![(t1, t2)]));
+        control(&mut e, 0, 3, 1, &[], Some(&d2), &[]);
         // the genuine method rejects this read; accepting it diverges
         e.mon_read_meta(
             0,
@@ -1338,25 +1344,15 @@ mod tests {
         commit(&mut e, 0, 1, 1);
         // no lane is active: no window, so none of the diff is interned;
         // T0.0 and T1.0 are exactly what a full apply would hold here
-        e.mon_control_begin(0, Cycle::new(2), 1);
-        e.mon_graph_diff(&Arc::new(GraphDiff::new(
-            Cycle::new(1),
-            vec![t1],
-            vec![(t0, t1)],
-        )));
-        e.mon_control_done(0, Cycle::new(2));
+        let d1 = Arc::new(GraphDiff::new(Cycle::new(1), vec![t1], vec![(t0, t1)]));
+        control(&mut e, 0, 2, 1, &[], Some(&d1), &[]);
         assert_eq!(e.graph.node_count(), 0);
         // an active lane with no `c_o` keeps only what it last heard on:
         // T1.0, the edge's source below that bound and the one node a full
         // apply would add beyond T2.0, is not interned
         begin(&mut e, 0, 2, 2);
-        e.mon_control_begin(0, Cycle::new(3), 1);
-        e.mon_graph_diff(&Arc::new(GraphDiff::new(
-            Cycle::new(2),
-            vec![t2],
-            vec![(t1, t2)],
-        )));
-        e.mon_control_done(0, Cycle::new(3));
+        let d2 = Arc::new(GraphDiff::new(Cycle::new(2), vec![t2], vec![(t1, t2)]));
+        control(&mut e, 0, 3, 1, &[], Some(&d2), &[]);
         assert_eq!((e.graph.node_count(), e.graph.edge_count()), (1, 0));
         assert!(!e.graph.path_exists(t1, t2), "T1.0 is not a node");
         let v = e.mon_verdict();
@@ -1388,14 +1384,9 @@ mod tests {
             );
         }
         for lane in 0..2 {
-            e.mon_control_begin(lane, Cycle::new(2), 1);
-            e.mon_graph_diff(&d1);
-            e.mon_augmented_entry(lane, ItemId::new(7), t1);
-            e.mon_control_done(lane, Cycle::new(2));
+            control(&mut e, lane, 2, 1, &[], Some(&d1), &[(7, t1)]);
         }
-        e.mon_control_begin(0, Cycle::new(3), 1);
-        e.mon_graph_diff(&d2);
-        e.mon_control_done(0, Cycle::new(3));
+        control(&mut e, 0, 3, 1, &[], Some(&d2), &[]);
         e.on_event(Cycle::new(3), Actor::Client(1), EventKind::MissedCycle);
         e.mon_read_meta(
             1,
@@ -1430,10 +1421,8 @@ mod tests {
             None,
             Some(t0),
         );
-        e.mon_control_begin(0, Cycle::new(2), 1);
-        e.mon_graph_diff(&Arc::new(GraphDiff::new(Cycle::new(1), vec![t1], vec![])));
-        e.mon_augmented_entry(0, ItemId::new(7), t1);
-        e.mon_control_done(0, Cycle::new(2));
+        let d1 = Arc::new(GraphDiff::new(Cycle::new(1), vec![t1], vec![]));
+        control(&mut e, 0, 2, 1, &[], Some(&d1), &[(7, t1)]);
         e.mon_read_meta(
             0,
             1,
@@ -1463,7 +1452,7 @@ mod tests {
                 Some(writer),
             );
         }
-        e.mon_augmented_entry(0, ItemId::new(7), t1);
+        control(&mut e, 0, 2, 1, &[], None, &[(7, t1)]);
         commit(&mut e, 0, 1, 2);
         let v = e.mon_verdict();
         let viol = v.violations.first().expect("violation");
@@ -1480,11 +1469,8 @@ mod tests {
         let t0 = TxnId::new(Cycle::ZERO, 0);
         let t1 = TxnId::new(Cycle::new(1), 0);
         let t2 = TxnId::new(Cycle::new(2), 0);
-        e.mon_graph_diff(&Arc::new(GraphDiff::new(
-            Cycle::new(2),
-            vec![t2],
-            vec![(t1, t2)],
-        )));
+        let d2 = Arc::new(GraphDiff::new(Cycle::new(2), vec![t2], vec![(t1, t2)]));
+        control(&mut e, 0, 3, 1, &[], Some(&d2), &[]);
         let read = |e: &mut MonitorEngine, query, item, writer| {
             e.mon_read_meta(
                 0,
@@ -1501,7 +1487,7 @@ mod tests {
         commit(&mut e, 0, 1, 3);
         begin(&mut e, 0, 2, 3);
         read(&mut e, 2, 2, t0);
-        e.mon_augmented_entry(0, ItemId::new(2), t1);
+        control(&mut e, 0, 3, 1, &[], None, &[(2, t1)]);
         commit(&mut e, 0, 2, 3);
         begin(&mut e, 0, 3, 3);
         read(&mut e, 3, 3, t2);
@@ -1549,9 +1535,7 @@ mod tests {
         // read of a version from state 0, open-ended
         accept_read(&mut e, 0, 1, 7, 0);
         // item 7 updated during cycle 2: the slot's validity ends at 3
-        e.mon_control_begin(0, Cycle::new(3), 1);
-        e.mon_report_entry(0, ItemId::new(7), Cycle::new(2));
-        e.mon_control_done(0, Cycle::new(3));
+        control(&mut e, 0, 3, 1, &[(7, 2)], None, &[]);
         // a read pinned at state 5 can no longer share a snapshot
         e.mon_read_meta(
             0,
@@ -1647,9 +1631,7 @@ mod tests {
         let mut e = engine(MonitorPolicy::Current, CoverageRule::WindowGap);
         begin(&mut e, 0, 1, 0);
         accept_read(&mut e, 0, 1, 7, 0);
-        e.mon_control_begin(0, Cycle::new(1), 1);
-        e.mon_report_entry(0, ItemId::new(7), Cycle::ZERO);
-        e.mon_control_done(0, Cycle::new(1));
+        control(&mut e, 0, 1, 1, &[(7, 0)], None, &[]);
         accept_read(&mut e, 0, 1, 8, 1);
         commit(&mut e, 0, 1, 1);
         let v = e.mon_verdict();
@@ -1662,9 +1644,7 @@ mod tests {
         let mut e2 = engine(MonitorPolicy::Current, CoverageRule::WindowGap);
         begin(&mut e2, 0, 1, 0);
         accept_read(&mut e2, 0, 1, 7, 0);
-        e2.mon_control_begin(0, Cycle::new(1), 1);
-        e2.mon_report_entry(0, ItemId::new(7), Cycle::ZERO);
-        e2.mon_control_done(0, Cycle::new(1));
+        control(&mut e2, 0, 1, 1, &[(7, 0)], None, &[]);
         accept_read(&mut e2, 0, 1, 8, 1);
         commit(&mut e2, 0, 1, 1);
         assert_eq!(text, e2.mon_verdict().render());
@@ -1724,9 +1704,14 @@ mod tests {
             EventKind::QueryBegun { query: 1 },
         );
         clone.read_meta(0, 1, ItemId::new(7), Cycle::ZERO, Cycle::ZERO, None, None);
-        m.control_begin(0, Cycle::new(1), 1);
-        m.report_entry(0, ItemId::new(7), Cycle::ZERO);
-        m.control_done(0, Cycle::new(1));
+        m.control(
+            0,
+            Cycle::new(1),
+            1,
+            &[(ItemId::new(7), Cycle::ZERO)],
+            None,
+            &[],
+        );
         clone.read_meta(0, 1, ItemId::new(8), Cycle::new(1), Cycle::ZERO, None, None);
         let v = m.verdict();
         assert_eq!(v.violations.len(), 1);

@@ -100,33 +100,23 @@ enum Op {
         query: u64,
         cycle: u64,
     },
-    ControlBegin {
+    /// One whole heard control; `dated` and `first_writers` in item
+    /// order.
+    Control {
         lane: u32,
         cycle: u64,
-    },
-    ReportEntry {
-        lane: u32,
-        item: u32,
-        write_cycle: u64,
-    },
-    Diff {
-        lane: u32,
-        diff: Arc<GraphDiff>,
-    },
-    Augmented {
-        lane: u32,
-        item: u32,
-        writer: TxnId,
-    },
-    ControlDone {
-        lane: u32,
-        cycle: u64,
+        window: u32,
+        dated: Vec<(u32, u64)>,
+        diff: Option<Arc<GraphDiff>>,
+        first_writers: Vec<(u32, TxnId)>,
     },
     Read {
         lane: u32,
         query: u64,
         item: u32,
         now: u64,
+        valid_from: u64,
+        valid_until: Option<u64>,
         writer: Option<TxnId>,
     },
 }
@@ -158,30 +148,46 @@ fn drive(engine: &mut MonitorEngine, op: &Op) {
                 reason: bpush_types::AbortReason::CycleDetected,
             },
         ),
-        Op::ControlBegin { lane, cycle } => engine.mon_control_begin(lane, Cycle::new(cycle), 1),
-        Op::ReportEntry {
+        Op::Control {
             lane,
-            item,
-            write_cycle,
-        } => engine.mon_report_entry(lane, ItemId::new(item), Cycle::new(write_cycle)),
-        Op::Diff { ref diff, .. } => engine.mon_graph_diff(diff),
-        Op::Augmented { lane, item, writer } => {
-            engine.mon_augmented_entry(lane, ItemId::new(item), writer);
+            cycle,
+            window,
+            ref dated,
+            ref diff,
+            ref first_writers,
+        } => {
+            let dated: Vec<_> = dated
+                .iter()
+                .map(|&(item, wc)| (ItemId::new(item), Cycle::new(wc)))
+                .collect();
+            let first_writers: Vec<_> = first_writers
+                .iter()
+                .map(|&(item, writer)| (ItemId::new(item), writer))
+                .collect();
+            engine.mon_control(
+                lane,
+                Cycle::new(cycle),
+                window,
+                &dated,
+                diff.as_ref(),
+                &first_writers,
+            );
         }
-        Op::ControlDone { lane, cycle } => engine.mon_control_done(lane, Cycle::new(cycle)),
         Op::Read {
             lane,
             query,
             item,
             now,
+            valid_from,
+            valid_until,
             writer,
         } => engine.mon_read_meta(
             lane,
             query,
             ItemId::new(item),
             Cycle::new(now),
-            Cycle::ZERO,
-            None,
+            Cycle::new(valid_from),
+            valid_until.map(Cycle::new),
             writer,
         ),
     }
@@ -282,6 +288,24 @@ impl MirrorLane {
     }
 }
 
+/// A verdict with nothing counted yet.
+fn empty_verdict() -> MonitorVerdict {
+    MonitorVerdict {
+        events: 0,
+        controls: 0,
+        commits: 0,
+        aborts: 0,
+        checks: 0,
+        graph_edges: 0,
+        overflows: 0,
+        unknown_actors: 0,
+        violations: Vec::new(),
+        violations_dropped: 0,
+        watch_hits: Vec::new(),
+        watch_dropped: 0,
+    }
+}
+
 /// The graph-policy monitor as it stood with one mirrored graph per
 /// lane: every lane applies each diff it hears, prunes at its own
 /// Lemma-1 bound, and keeps its query as a node of its graph.
@@ -299,20 +323,7 @@ impl MirrorModel {
             strict_gap,
             cap,
             lanes: (0..lanes).map(|_| MirrorLane::default()).collect(),
-            verdict: MonitorVerdict {
-                events: 0,
-                controls: 0,
-                commits: 0,
-                aborts: 0,
-                checks: 0,
-                graph_edges: 0,
-                overflows: 0,
-                unknown_actors: 0,
-                violations: Vec::new(),
-                violations_dropped: 0,
-                watch_hits: Vec::new(),
-                watch_dropped: 0,
-            },
+            verdict: empty_verdict(),
         }
     }
 
@@ -363,30 +374,34 @@ impl MirrorModel {
                     l.retire();
                 }
             }
-            Op::ControlBegin { .. } => v.controls += 1,
-            Op::ReportEntry { .. } => v.checks += 1,
-            Op::Diff { lane, ref diff } => {
-                self.lanes[lane as usize]
-                    .graph
-                    .advance(Some(Cycle::ZERO), Some(&**diff));
-            }
-            Op::Augmented { lane, item, writer } => {
+            Op::Control {
+                lane,
+                cycle,
+                ref dated,
+                ref diff,
+                ref first_writers,
+                ..
+            } => {
+                v.controls += 1;
+                v.checks += dated.len() as u64;
                 let l = &mut self.lanes[lane as usize];
-                if !l.active || !l.held.contains(&item) {
-                    return;
+                if let Some(diff) = diff {
+                    l.graph.advance(Some(Cycle::ZERO), Some(&**diff));
                 }
-                let wc = writer.cycle().number();
-                l.c_o = Some(l.c_o.map_or(wc, |c| c.min(wc)));
-                let q = Node::Query(QueryId::new(l.query));
-                let closes = l.graph.would_close_cycle(q, Node::Txn(writer));
-                l.graph.add_edge(q, Node::Txn(writer));
-                v.graph_edges += 1;
-                if closes && l.pending.is_none() {
-                    l.pending = Some((item, wc, u64::from(writer.seq())));
+                for &(item, writer) in first_writers {
+                    if !l.active || !l.held.contains(&item) {
+                        continue;
+                    }
+                    let wc = writer.cycle().number();
+                    l.c_o = Some(l.c_o.map_or(wc, |c| c.min(wc)));
+                    let q = Node::Query(QueryId::new(l.query));
+                    let closes = l.graph.would_close_cycle(q, Node::Txn(writer));
+                    l.graph.add_edge(q, Node::Txn(writer));
+                    v.graph_edges += 1;
+                    if closes && l.pending.is_none() {
+                        l.pending = Some((item, wc, u64::from(writer.seq())));
+                    }
                 }
-            }
-            Op::ControlDone { lane, cycle } => {
-                let l = &mut self.lanes[lane as usize];
                 let start = l.active.then(|| Cycle::new(l.c_o.unwrap_or(cycle)));
                 l.graph.advance(start, None);
             }
@@ -396,6 +411,7 @@ impl MirrorModel {
                 item,
                 now,
                 writer,
+                ..
             } => {
                 let l = &mut self.lanes[lane as usize];
                 if !l.active || l.query != query {
@@ -483,24 +499,25 @@ fn feed(seed: u64, lanes: u32, cycles: u64, items: u32, miss_pct: u64) -> Vec<Op
             if n > 0 && g.chance(miss_pct) {
                 ops.push(Op::Missed { lane, cycle: n });
             } else {
-                ops.push(Op::ControlBegin { lane, cycle: n });
-                if let Some((diff, first_writers)) = &last {
-                    for &(item, _) in first_writers {
-                        ops.push(Op::ReportEntry {
-                            lane,
-                            item,
-                            write_cycle: n - 1,
-                        });
-                    }
-                    ops.push(Op::Diff {
-                        lane,
-                        diff: Arc::clone(diff),
-                    });
-                    for &(item, writer) in first_writers {
-                        ops.push(Op::Augmented { lane, item, writer });
-                    }
-                }
-                ops.push(Op::ControlDone { lane, cycle: n });
+                let (dated, diff, first_writers) = match &last {
+                    Some((diff, first_writers)) => (
+                        first_writers
+                            .iter()
+                            .map(|&(item, _)| (item, n - 1))
+                            .collect(),
+                        Some(Arc::clone(diff)),
+                        first_writers.clone(),
+                    ),
+                    None => (Vec::new(), None, Vec::new()),
+                };
+                ops.push(Op::Control {
+                    lane,
+                    cycle: n,
+                    window: 1,
+                    dated,
+                    diff,
+                    first_writers,
+                });
             }
             let slot = &mut active[lane as usize];
             if (slot.is_none() || g.chance(10)) && g.chance(60) {
@@ -527,6 +544,8 @@ fn feed(seed: u64, lanes: u32, cycles: u64, items: u32, miss_pct: u64) -> Vec<Op
                     query,
                     item,
                     now: n,
+                    valid_from: 0,
+                    valid_until: None,
                     writer,
                 });
             }
@@ -646,5 +665,431 @@ proptest! {
                 ops
             );
         }
+    }
+}
+
+/// One lane of [`EntryModel`].
+#[derive(Debug, Default)]
+struct EntryLane {
+    heard: Option<u64>,
+    /// The control cycle being fed.
+    feeding: u64,
+    active: bool,
+    query: u64,
+    verified: u64,
+    /// `(kind, item, write cycle, detail)` of an armed doom.
+    doom: Option<(MonitorKind, u32, u64, u64)>,
+    doom_reported: bool,
+    pending: Option<(u32, u64, u64)>,
+    /// `(item, valid_from, valid_until)` per accepted read.
+    reads: Vec<(u32, u64, u64)>,
+    overflow: bool,
+    writers: Vec<TxnId>,
+    overwriters: Vec<TxnId>,
+}
+
+impl EntryLane {
+    fn holds(&self, item: u32) -> bool {
+        self.reads.iter().any(|r| r.0 == item)
+    }
+
+    fn retire(&mut self) {
+        self.active = false;
+        self.doom = None;
+        self.doom_reported = false;
+        self.pending = None;
+    }
+}
+
+/// The monitor engine without diffs as it stood when a lane heard a
+/// control entry by entry: begin (window-gap rule), each dated report
+/// entry, each first writer, done (watermarks). Its graph is empty, so
+/// a first writer reaches a writer iff it is that writer.
+#[derive(Debug)]
+struct EntryModel {
+    policy: MonitorPolicy,
+    coverage: CoverageRule,
+    staleness_bound: Option<u64>,
+    cap: usize,
+    lanes: Vec<EntryLane>,
+    verdict: MonitorVerdict,
+}
+
+impl EntryModel {
+    fn new(lanes: u32, config: MonitorConfig) -> Self {
+        EntryModel {
+            policy: config.policy,
+            coverage: config.coverage,
+            staleness_bound: config.staleness_bound,
+            cap: config.reads_per_query as usize,
+            lanes: (0..lanes).map(|_| EntryLane::default()).collect(),
+            verdict: empty_verdict(),
+        }
+    }
+
+    fn violation(
+        kind: MonitorKind,
+        client: u32,
+        query: u64,
+        cycle: u64,
+        (item, write_cycle, detail): (u32, u64, u64),
+    ) -> Violation {
+        Violation {
+            kind,
+            client,
+            query,
+            cycle,
+            item,
+            write_cycle,
+            detail,
+        }
+    }
+
+    fn control_begin(&mut self, lane: u32, n: u64, window: u32) {
+        self.verdict.controls += 1;
+        let window_gap = self.coverage == CoverageRule::WindowGap;
+        let Some(l) = self.lanes.get_mut(lane as usize) else {
+            return;
+        };
+        l.feeding = n;
+        if let (true, true, None, Some(heard)) = (window_gap, l.active, l.doom, l.heard) {
+            if n > heard + u64::from(window) {
+                l.doom = Some((MonitorKind::Coverage, NO_ITEM, NO_CYCLE, n));
+            }
+        }
+    }
+
+    fn report_entry(&mut self, lane: u32, item: u32, wc: u64) {
+        self.verdict.checks += 1;
+        let Some(l) = self.lanes.get_mut(lane as usize) else {
+            return;
+        };
+        if !l.active {
+            return;
+        }
+        match self.policy {
+            MonitorPolicy::Current => {
+                if l.doom.is_none() && wc >= l.verified && l.holds(item) {
+                    l.doom = Some((MonitorKind::Currency, item, wc, l.feeding));
+                }
+            }
+            MonitorPolicy::Snapshot => {
+                for r in l.reads.iter_mut().filter(|r| r.0 == item) {
+                    if r.1 <= wc && wc + 1 < r.2 {
+                        r.2 = wc + 1;
+                    }
+                }
+            }
+            MonitorPolicy::Graph => {}
+        }
+    }
+
+    fn first_writer(&mut self, lane: u32, item: u32, writer: TxnId) {
+        if self.policy != MonitorPolicy::Graph {
+            return;
+        }
+        let Some(l) = self.lanes.get_mut(lane as usize) else {
+            return;
+        };
+        if !l.active || !l.holds(item) {
+            return;
+        }
+        let closes = l.writers.contains(&writer);
+        if !l.overwriters.contains(&writer) {
+            l.overwriters.push(writer);
+        }
+        self.verdict.graph_edges += 1;
+        if closes && l.pending.is_none() {
+            let wc = writer.cycle().number();
+            l.pending = Some((item, wc, u64::from(writer.seq())));
+        }
+    }
+
+    fn control_done(&mut self, lane: u32, n: u64) {
+        let Some(l) = self.lanes.get_mut(lane as usize) else {
+            return;
+        };
+        if l.active && l.doom.is_none() {
+            l.verified = n;
+        }
+        l.heard = Some(n);
+    }
+
+    fn commit(&mut self, lane: u32, query: u64, n: u64) {
+        let snapshot = self.policy == MonitorPolicy::Snapshot;
+        let l = &mut self.lanes[lane as usize];
+        if !l.active || l.query != query {
+            return;
+        }
+        let mut found = l.pending.map(|at| (MonitorKind::Serializability, at));
+        if found.is_none() && snapshot && !l.overflow && !l.reads.is_empty() {
+            let (mut max_from, mut from_item) = (0, NO_ITEM);
+            let (mut min_until, mut until_item) = (NO_CYCLE, NO_ITEM);
+            for &(item, from, until) in &l.reads {
+                if from >= max_from {
+                    (max_from, from_item) = (from, item);
+                }
+                if until < min_until {
+                    (min_until, until_item) = (until, item);
+                }
+            }
+            if max_from >= min_until {
+                let at = (from_item, min_until, u64::from(until_item));
+                found = Some((MonitorKind::Serializability, at));
+            }
+        }
+        if let (None, Some(bound)) = (found, self.staleness_bound) {
+            let staleness = n.saturating_sub(l.verified);
+            if staleness > bound {
+                found = Some((MonitorKind::Currency, (NO_ITEM, NO_CYCLE, staleness)));
+            }
+        }
+        if let Some((kind, at)) = found {
+            let v = Self::violation(kind, lane, query, n, at);
+            self.verdict.violations.push(v);
+        }
+        l.retire();
+    }
+
+    fn read(
+        &mut self,
+        lane: u32,
+        query: u64,
+        item: u32,
+        slot: (u64, u64),
+        writer: Option<TxnId>,
+        n: u64,
+    ) {
+        let graph = self.policy == MonitorPolicy::Graph;
+        let Some(l) = self.lanes.get_mut(lane as usize) else {
+            return;
+        };
+        if !l.active || l.query != query {
+            return;
+        }
+        if let (Some((kind, doomed, wc, detail)), false) = (l.doom, l.doom_reported) {
+            l.doom_reported = true;
+            let v = Self::violation(kind, lane, query, n, (doomed, wc, detail));
+            self.verdict.violations.push(v);
+        }
+        if l.reads.len() < self.cap {
+            l.reads.push((item, slot.0, slot.1));
+        } else if !l.overflow {
+            l.overflow = true;
+            self.verdict.overflows += 1;
+        }
+        let (true, Some(t)) = (graph, writer) else {
+            return;
+        };
+        if !l.writers.contains(&t) {
+            l.writers.push(t);
+        }
+        self.verdict.graph_edges += 1;
+        if l.overwriters.contains(&t) {
+            let at = (item, t.cycle().number(), u64::from(t.seq()));
+            let v = Self::violation(MonitorKind::Serializability, lane, query, n, at);
+            self.verdict.violations.push(v);
+        }
+    }
+
+    fn apply(&mut self, op: &Op) {
+        match *op {
+            Op::Begin { lane, query, cycle } => {
+                self.verdict.events += 1;
+                let l = &mut self.lanes[lane as usize];
+                *l = EntryLane {
+                    heard: l.heard,
+                    active: true,
+                    query,
+                    verified: cycle,
+                    ..EntryLane::default()
+                };
+            }
+            Op::Missed { lane, cycle } => {
+                self.verdict.events += 1;
+                let strict_gap = self.coverage == CoverageRule::StrictGap;
+                let l = &mut self.lanes[lane as usize];
+                if strict_gap && l.active && l.doom.is_none() {
+                    l.doom = Some((MonitorKind::Coverage, NO_ITEM, NO_CYCLE, cycle));
+                }
+            }
+            Op::Commit { lane, query, cycle } => {
+                self.verdict.events += 1;
+                self.verdict.commits += 1;
+                self.commit(lane, query, cycle);
+            }
+            Op::Abort { lane, query, .. } => {
+                self.verdict.events += 1;
+                self.verdict.aborts += 1;
+                let l = &mut self.lanes[lane as usize];
+                if l.active && l.query == query {
+                    l.retire();
+                }
+            }
+            Op::Control {
+                lane,
+                cycle,
+                window,
+                ref dated,
+                ref first_writers,
+                ..
+            } => {
+                self.control_begin(lane, cycle, window);
+                for &(item, wc) in dated {
+                    self.report_entry(lane, item, wc);
+                }
+                for &(item, writer) in first_writers {
+                    self.first_writer(lane, item, writer);
+                }
+                self.control_done(lane, cycle);
+            }
+            Op::Read {
+                lane,
+                query,
+                item,
+                now,
+                valid_from,
+                valid_until,
+                writer,
+            } => {
+                let slot = (valid_from, valid_until.unwrap_or(NO_CYCLE));
+                self.read(lane, query, item, slot, writer, now);
+            }
+        }
+    }
+}
+
+/// A random feed for the report screen: `lanes` lanes plus one out of
+/// range, each hearing (or, in range, sometimes missing) every cycle's
+/// control. A control carries a random window, dated entries and first
+/// writers, both sorted by item; reads repeat items, carry random
+/// validity intervals and writers from the pool of three transactions
+/// the first writers come from, so entries hit held items, items held
+/// twice and the query's own writers, often several in one control.
+fn screen_feed(seed: u64, lanes: u32, cycles: u64, items: u32) -> Vec<Op> {
+    let mut g = Gen(seed);
+    let mut ops = Vec::new();
+    let mut active: Vec<Option<u64>> = vec![None; lanes as usize];
+    let mut next_query = 0u64;
+    let pool = |g: &mut Gen| TxnId::new(Cycle::new(g.below(3)), 0);
+    for n in 0..cycles {
+        for lane in 0..=lanes {
+            let in_range = lane < lanes;
+            if in_range && n > 0 && g.chance(15) {
+                ops.push(Op::Missed { lane, cycle: n });
+            } else {
+                let mut dated = Vec::new();
+                let mut first_writers = Vec::new();
+                for item in 0..items {
+                    if g.chance(50) {
+                        dated.push((item, n.saturating_sub(1 + g.below(2))));
+                    }
+                    if g.chance(60) {
+                        first_writers.push((item, pool(&mut g)));
+                    }
+                }
+                ops.push(Op::Control {
+                    lane,
+                    cycle: n,
+                    window: 1 + g.below(3) as u32,
+                    dated,
+                    diff: None,
+                    first_writers,
+                });
+            }
+            let query = if in_range {
+                let slot = &mut active[lane as usize];
+                if (slot.is_none() || g.chance(10)) && g.chance(60) {
+                    next_query += 1;
+                    *slot = Some(next_query);
+                    ops.push(Op::Begin {
+                        lane,
+                        query: next_query,
+                        cycle: n,
+                    });
+                }
+                match *slot {
+                    Some(query) => query,
+                    None => continue,
+                }
+            } else {
+                next_query
+            };
+            for _ in 0..=g.below(4) {
+                let valid_from = n.saturating_sub(g.below(2));
+                ops.push(Op::Read {
+                    lane,
+                    query,
+                    item: g.below(u64::from(items)) as u32,
+                    now: n,
+                    valid_from,
+                    valid_until: g.chance(50).then(|| valid_from + 1 + g.below(4)),
+                    writer: g.chance(80).then(|| pool(&mut g)),
+                });
+            }
+            if !in_range {
+                continue;
+            }
+            if g.chance(25) {
+                ops.push(Op::Commit {
+                    lane,
+                    query,
+                    cycle: n,
+                });
+                active[lane as usize] = None;
+            } else if g.chance(10) {
+                ops.push(Op::Abort {
+                    lane,
+                    query,
+                    cycle: n,
+                });
+                active[lane as usize] = None;
+            }
+        }
+    }
+    ops
+}
+
+/// The policy and gap rule pairs the screen proptest draws from.
+const SCREENED: [(MonitorPolicy, CoverageRule); 4] = [
+    (MonitorPolicy::Current, CoverageRule::WindowGap),
+    (MonitorPolicy::Snapshot, CoverageRule::Ignore),
+    (MonitorPolicy::Graph, CoverageRule::Ignore),
+    (MonitorPolicy::Graph, CoverageRule::StrictGap),
+];
+
+proptest! {
+    /// A lane screening its own slots against a whole report, in one
+    /// call per control, renders exactly the verdict of the entry-by-entry
+    /// feed: the first held entry in item order dooms a `Current` query,
+    /// a `Snapshot` slot's validity tightens to `wc + 1`, and under
+    /// `Graph` an item held twice is one edge and the first closing
+    /// entry in item order arms the commit check. Inactive and
+    /// out-of-range lanes count their controls and entries, and a lane
+    /// verifies its readset only through a report that left it undoomed
+    /// (what a staleness bound reads at commit).
+    #[test]
+    fn one_call_screen_equals_the_entry_by_entry_feed(
+        seed in 0u64..u64::MAX,
+        lanes in 1u32..4,
+        cycles in 2u64..16,
+        items in 2u32..10,
+        which in 0usize..SCREENED.len(),
+        cap in 2u32..8,
+        staleness in 0u64..5,
+    ) {
+        let (policy, coverage) = SCREENED[which];
+        let ops = screen_feed(seed, lanes, cycles, items);
+        let mut config = MonitorConfig::new(lanes, policy, coverage);
+        config.reads_per_query = cap;
+        config.max_violations = 4096;
+        config.staleness_bound = (staleness < 4).then_some(staleness);
+        let mut engine = MonitorEngine::new(config);
+        let mut model = EntryModel::new(lanes, config);
+        for op in &ops {
+            drive(&mut engine, op);
+            model.apply(op);
+        }
+        prop_assert_eq!(engine.mon_verdict().render(), model.verdict.render(), "feed {:?}", ops);
     }
 }

@@ -1222,6 +1222,97 @@ mod tests {
         );
     }
 
+    /// SGT blind to the graph: it asks for no diff and its method hears
+    /// each control without one, so its window never links the server's
+    /// conflicts and it commits what the §3.3 test would abort.
+    #[derive(Debug)]
+    struct DiffBlindSgt(Box<dyn ReadOnlyProtocol>);
+
+    impl ReadOnlyProtocol for DiffBlindSgt {
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+
+        fn cache_mode(&self) -> CacheMode {
+            self.0.cache_mode()
+        }
+
+        fn on_control(&mut self, ctrl: &bpush_broadcast::ControlInfo) {
+            let blind = bpush_broadcast::ControlInfo::new(
+                ctrl.cycle(),
+                ctrl.invalidation().clone(),
+                ctrl.augmented().cloned(),
+                None,
+            );
+            self.0.on_control(&blind);
+        }
+
+        fn needs_graph_diff(&self, _head: &bpush_broadcast::ControlInfo) -> bool {
+            false
+        }
+
+        fn on_missed_cycle(&mut self, cycle: Cycle) {
+            self.0.on_missed_cycle(cycle);
+        }
+
+        fn begin_query(&mut self, q: bpush_types::QueryId, now: Cycle) {
+            self.0.begin_query(q, now);
+        }
+
+        fn read_directive(
+            &self,
+            q: bpush_types::QueryId,
+            item: bpush_types::ItemId,
+            now: Cycle,
+        ) -> bpush_core::ReadDirective {
+            self.0.read_directive(q, item, now)
+        }
+
+        fn apply_read(
+            &mut self,
+            q: bpush_types::QueryId,
+            item: bpush_types::ItemId,
+            candidate: &bpush_core::ReadCandidate,
+            now: Cycle,
+        ) -> bpush_core::ReadOutcome {
+            self.0.apply_read(q, item, candidate, now)
+        }
+
+        fn finish_query(&mut self, q: bpush_types::QueryId) {
+            self.0.finish_query(q);
+        }
+    }
+
+    /// The monitors keep every diff themselves, so a diff-blind SGT is
+    /// flagged whether its reports arrive as structs or through the wire
+    /// codec, where a diff no protocol asks for stays unread.
+    #[test]
+    fn monitors_flag_a_diff_blind_sgt_on_either_feed() {
+        let run = |wire: bool| {
+            let monitors = monitors_for(&quick_config(), Method::Sgt);
+            let sim = Simulation::new(quick_config(), Method::Sgt)
+                .unwrap()
+                .with_protocol_factory(|| Box::new(DiffBlindSgt(Method::Sgt.build_protocol())));
+            let sim = if wire { sim.with_wire_feed() } else { sim };
+            let metrics = sim.with_monitors(monitors.clone()).run().unwrap();
+            assert!(
+                metrics.violations > 0,
+                "the audit must see the blind commits"
+            );
+            monitors.verdict()
+        };
+        let (struct_fed, wire_fed) = (run(false), run(true));
+        assert!(
+            struct_fed
+                .violations
+                .iter()
+                .any(|v| v.kind == bpush_obs::monitor::MonitorKind::Serializability),
+            "{}",
+            struct_fed.render()
+        );
+        assert_eq!(struct_fed.render(), wire_fed.render());
+    }
+
     #[test]
     fn capture_slot_is_write_once() {
         let slot = CaptureSlot::new();

@@ -299,6 +299,9 @@ fn hot_path_set_covers_the_pr3_hot_functions() {
         "broadcast::pop",
         // PR-10 monitor feed: every simulation event funnels through here.
         "obs::on_event",
+        // Monitor report screen: every heard control of an active lane.
+        "obs::screen",
+        "obs::lookup",
         // Per-read `Bcast` lookups over the dense record / CSR layout.
         "broadcast::current",
         "broadcast::next_slot_of_current",
