@@ -238,7 +238,8 @@ impl QueryExecutor {
     /// wrapped in an [`Instrumented`] decorator emitting per-operation
     /// events, and the executor itself emits cache hit/miss and query
     /// commit/abort events, all attributed to this client's
-    /// [`Actor`] lane.
+    /// [`Actor`] lane. Monitors attached to `obs` hear each query's fate
+    /// from the executor, which decides it.
     #[must_use]
     pub fn with_obs(mut self, obs: Obs) -> Self {
         let actor = Actor::Client(self.client.index());
@@ -351,6 +352,9 @@ impl QueryExecutor {
         let now = self.cursor;
         self.cursor = now.plus(1);
         let reads = self.core.end(aq.id);
+        if let Some(mon) = self.obs.monitors() {
+            mon.finish(self.client.index(), aq.id.number(), cycle, aborted);
+        }
         if self.obs.is_enabled() {
             let actor = Actor::Client(self.client.index());
             match aborted {

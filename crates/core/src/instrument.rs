@@ -6,7 +6,8 @@
 //! implementors; the conformance battery accepts the wrapped protocol
 //! iff it accepts the inner one). With [`Instrumented::with_obs`] the
 //! decorator additionally streams typed events into a
-//! [`bpush_obs::Obs`] sink, giving every protocol tracing for free.
+//! [`bpush_obs::Obs`] sink, giving every protocol tracing for free, and
+//! feeds the sink's attached monitors, if any, their typed calls.
 //!
 //! Transparency is load-bearing in two ways. First, all counters live
 //! in [`Cell`]s so even `&self` calls ([`ReadOnlyProtocol::read_directive`])
@@ -19,7 +20,7 @@
 use std::cell::Cell;
 
 use bpush_broadcast::ControlInfo;
-use bpush_obs::{Actor, EventKind, Obs};
+use bpush_obs::{Actor, EventKind, Monitors, Obs};
 use bpush_types::{AbortReason, Cycle, ItemId, QueryId};
 
 use crate::protocol::{CacheMode, ReadCandidate, ReadDirective, ReadOnlyProtocol, ReadOutcome};
@@ -132,6 +133,15 @@ impl Instrumented {
         f(&mut s);
         self.stats.set(s);
     }
+
+    /// The attached monitors and this client's lane, when a client is
+    /// monitored.
+    fn lane(&self) -> Option<(&Monitors, u32)> {
+        match (self.obs.monitors(), self.actor) {
+            (Some(mon), Actor::Client(c)) => Some((mon, c)),
+            _ => None,
+        }
+    }
 }
 
 impl ReadOnlyProtocol for Instrumented {
@@ -150,9 +160,8 @@ impl ReadOnlyProtocol for Instrumented {
         self.inner.on_control(ctrl);
         self.obs
             .emit(ctrl.cycle(), self.actor, EventKind::ControlProcessed);
-        // Typed monitor feed: the control information the event stream
-        // compresses away, whole, in one call.
-        if let (Some(mon), Actor::Client(c)) = (self.obs.monitors(), self.actor) {
+        // Typed monitor feed: the control, whole, in one call.
+        if let Some((mon, c)) = self.lane() {
             let report = ctrl.invalidation();
             mon.control(
                 c,
@@ -193,6 +202,9 @@ impl ReadOnlyProtocol for Instrumented {
         self.last_cycle.set(cycle);
         self.inner.on_missed_cycle(cycle);
         self.obs.emit(cycle, self.actor, EventKind::MissedCycle);
+        if let Some((mon, c)) = self.lane() {
+            mon.missed(c, cycle);
+        }
     }
 
     fn begin_query(&mut self, q: QueryId, now: Cycle) {
@@ -200,6 +212,9 @@ impl ReadOnlyProtocol for Instrumented {
         self.inner.begin_query(q, now);
         self.obs
             .emit(now, self.actor, EventKind::QueryBegun { query: q.number() });
+        if let Some((mon, c)) = self.lane() {
+            mon.begin(c, q.number(), now);
+        }
     }
 
     fn read_directive(&self, q: QueryId, item: ItemId, now: Cycle) -> ReadDirective {
@@ -240,7 +255,7 @@ impl ReadOnlyProtocol for Instrumented {
                     self.actor,
                     EventKind::ReadAccepted { item: item.index() },
                 );
-                if let (Some(mon), Actor::Client(c)) = (self.obs.monitors(), self.actor) {
+                if let Some((mon, c)) = self.lane() {
                     mon.read_meta(
                         c,
                         q.number(),
@@ -422,12 +437,12 @@ mod tests {
 
     #[test]
     fn monitors_ride_the_obs_handle_and_genuine_runs_pass() {
-        use bpush_obs::{MonitorConfig, Monitors};
+        use bpush_obs::MonitorConfig;
         for method in [Method::InvalidationOnly, Method::Sgt] {
             let (policy, coverage) = method.monitor_policy();
             let monitors = Monitors::new(MonitorConfig::new(1, policy, coverage));
             let obs = Obs::off().with_monitors(monitors.clone());
-            assert!(obs.is_enabled(), "monitors alone enable the sink");
+            assert!(!obs.is_enabled(), "monitors alone do not enable the sink");
             let mut p =
                 Instrumented::with_obs(method.build_protocol(), obs.clone(), Actor::Client(0));
             let q = QueryId::new(0);
@@ -453,14 +468,7 @@ mod tests {
                 1,
             );
             p.on_control(&ControlInfo::new(Cycle::new(1), report, None, None));
-            obs.emit(
-                Cycle::new(1),
-                Actor::Client(0),
-                EventKind::QueryCommitted {
-                    query: 0,
-                    latency_slots: 4,
-                },
-            );
+            monitors.finish(0, 0, Cycle::new(1), None);
             p.finish_query(q);
             let v = monitors.verdict();
             assert!(v.pass(), "{method}: {}", v.render());
@@ -472,18 +480,13 @@ mod tests {
 
     #[test]
     fn monitors_catch_a_read_accepted_past_an_invalidation() {
-        use bpush_obs::{MonitorConfig, MonitorPolicy, Monitors};
+        use bpush_obs::{MonitorConfig, MonitorPolicy};
         // Drive the monitor the way a *broken* inv-only would behave:
         // accept a read after a report entry hit the readset.
         let (policy, coverage) = Method::InvalidationOnly.monitor_policy();
         assert_eq!(policy, MonitorPolicy::Current);
         let monitors = Monitors::new(MonitorConfig::new(1, policy, coverage));
-        let obs = Obs::off().with_monitors(monitors.clone());
-        obs.emit(
-            Cycle::ZERO,
-            Actor::Client(0),
-            EventKind::QueryBegun { query: 0 },
-        );
+        monitors.begin(0, 0, Cycle::ZERO);
         monitors.read_meta(0, 0, ItemId::new(1), Cycle::ZERO, Cycle::ZERO, None, None);
         monitors.control(
             0,
@@ -524,7 +527,7 @@ mod tests {
     #[test]
     fn monitors_read_every_graph_diff() {
         use bpush_broadcast::{AugmentedReport, InvalidationReport};
-        use bpush_obs::{MonitorConfig, Monitors};
+        use bpush_obs::MonitorConfig;
         let cycle = Cycle::new(4);
         let head = ControlInfo::new(
             cycle,

@@ -67,11 +67,11 @@ pub(crate) struct ClientChoices {
 /// feeding every interaction through the [`ProtocolStep`] replay seam so
 /// the transcript is exactly what a serialized counterexample replays.
 ///
-/// When `obs` is enabled, the protocol runs wrapped in the
-/// [`Instrumented`] decorator (whose `debug_snapshot` delegates, so
-/// state hashes stay bit-identical to the bare run) and the query's
-/// final fate is emitted as a `QueryCommitted` / `QueryAborted` event.
-/// With a disabled [`Obs`] instrumentation costs one `Option` check.
+/// When `obs` records or carries monitors, the protocol runs wrapped in
+/// the [`Instrumented`] decorator (whose `debug_snapshot` delegates, so
+/// state hashes stay bit-identical to the bare run), and the query's
+/// final fate goes to the monitors and, when recording, out as a
+/// `QueryCommitted` / `QueryAborted` event.
 pub(crate) fn run_client_obs(
     spec: ProtocolSpec,
     choices: &ClientChoices,
@@ -79,7 +79,7 @@ pub(crate) fn run_client_obs(
     obs: &Obs,
     feed: FeedMode,
 ) -> Execution {
-    let mut protocol: Box<dyn ReadOnlyProtocol> = if obs.is_enabled() {
+    let mut protocol: Box<dyn ReadOnlyProtocol> = if obs.is_enabled() || obs.monitors().is_some() {
         Box::new(Instrumented::with_obs(
             spec.build(),
             obs.clone(),
@@ -167,21 +167,26 @@ pub(crate) fn run_client_obs(
     if begun && !finished {
         protocol.step(&ProtocolStep::FinishQuery(q));
     }
-    if begun && obs.is_enabled() {
+    if begun {
         let last = gt.bcasts.last().map_or(Cycle::ZERO, |b| b.cycle());
-        let kind = if committed {
-            EventKind::QueryCommitted {
-                query: q.number(),
-                // The model has no slot clock; latency is whole cycles.
-                latency_slots: last.number().saturating_sub(choices.begin.number()),
-            }
-        } else {
-            EventKind::QueryAborted {
-                query: q.number(),
-                reason: abort.unwrap_or(AbortReason::VersionUnavailable),
-            }
-        };
-        obs.emit(last, Actor::Client(0), kind);
+        let aborted = (!committed).then(|| abort.unwrap_or(AbortReason::VersionUnavailable));
+        if let Some(mon) = obs.monitors() {
+            mon.finish(0, q.number(), last, aborted);
+        }
+        if obs.is_enabled() {
+            let kind = match aborted {
+                None => EventKind::QueryCommitted {
+                    query: q.number(),
+                    // The model has no slot clock; latency is whole cycles.
+                    latency_slots: last.number().saturating_sub(choices.begin.number()),
+                },
+                Some(reason) => EventKind::QueryAborted {
+                    query: q.number(),
+                    reason,
+                },
+            };
+            obs.emit(last, Actor::Client(0), kind);
+        }
     }
     Execution {
         committed,
@@ -326,11 +331,11 @@ pub fn monitors_for_spec(spec: ProtocolSpec, reads: usize) -> Monitors {
 }
 
 /// [`run_schedule`] with fresh online monitors attached: the replay
-/// streams through the instrumentation decorator into a single-lane
-/// monitor engine, and the verdict comes back alongside the execution.
-/// A fresh engine per replay matters — mc executions restart at cycle
-/// zero, which a reused engine's stream monitor would rightly flag as a
-/// cycle regression.
+/// feeds a single-lane monitor engine through the instrumentation
+/// decorator, and the verdict comes back alongside the execution. A
+/// fresh engine per replay matters — mc executions restart at cycle
+/// zero, and a reused engine's graph window would refuse the replay's
+/// diffs as already heard.
 ///
 /// # Errors
 /// Returns [`BpushError`] when the schedule fails validation or the

@@ -111,10 +111,11 @@ impl Obs {
         }
     }
 
-    /// Attaches an online monitor set: every event emitted through this
-    /// handle (and its clones) is also streamed through the monitors. A
-    /// handle may carry monitors without a recorder — invariants are
-    /// then checked online with no event retention at all.
+    /// Attaches an online monitor set, carried to the instrumentation
+    /// decorator and the client driver, which feed it typed calls
+    /// ([`Monitors`]). The monitors read no events: a handle with
+    /// monitors and no recorder emits nothing, and
+    /// [`Obs::is_enabled`] stays false.
     #[must_use]
     pub fn with_monitors(mut self, monitors: Monitors) -> Self {
         self.monitors = Some(monitors);
@@ -126,20 +127,16 @@ impl Obs {
         self.monitors.as_ref()
     }
 
-    /// Whether this handle records or monitors anything.
+    /// Whether this handle records: the gate of every site that builds
+    /// an event only to emit it.
     pub fn is_enabled(&self) -> bool {
-        self.inner.is_some() || self.monitors.is_some()
+        self.inner.is_some()
     }
 
-    /// Records one event (and bumps its canonical counters), then
-    /// streams it through the attached monitors, if any.
+    /// Records one event and bumps its canonical counters.
     pub fn emit(&self, cycle: Cycle, actor: Actor, kind: EventKind) {
         if let Some(rec) = &self.inner {
-            // bpush-lint: allow(lock-order) — recorder guard is a statement temporary, released before the monitor engine locks; the recorder→engine order is the only one in the workspace
             rec.lock().record_event(cycle, actor, kind);
-        }
-        if let Some(mon) = &self.monitors {
-            mon.feed_event(cycle, actor, kind);
         }
     }
 

@@ -21,10 +21,10 @@
 //!   chrome://tracing `trace_event` array ([`export::chrome_trace`])
 //!   that opens directly in Perfetto, and a compact terminal summary
 //!   ([`export::text_summary`]).
-//! * **Online monitors** — deterministic invariant state machines over
-//!   the event stream ([`monitor::Monitors`]): currency/staleness,
-//!   commit-implies-serializable, report coverage, and stream sanity,
-//!   each producing an all-integer [`monitor::MonitorVerdict`].
+//! * **Online monitors** — deterministic invariant state machines fed
+//!   typed calls, not events ([`monitor::Monitors`]): currency/staleness,
+//!   commit-implies-serializable and report coverage, producing an
+//!   all-integer [`monitor::MonitorVerdict`].
 //! * **Flight recorder** — a bounded ring of recent wire-format frames
 //!   ([`flight::FlightRecorder`]) that freezes into a replayable
 //!   `bpush-capture-v1` [`flight::Capture`] when a monitor fires.

@@ -1,8 +1,9 @@
-//! Online invariant monitors over the [`Obs`](crate::Obs) event stream.
+//! Online invariant monitors over a typed feed of what each client hears
+//! and does.
 //!
 //! Each monitor is a small deterministic state machine over integers:
-//! fed the same same-seed event stream, it produces byte-identical
-//! verdicts ([`MonitorVerdict::render`]). The engine mirrors the
+//! fed the same same-seed calls, it produces byte-identical verdicts
+//! ([`MonitorVerdict::render`]). The engine mirrors the
 //! *published rules* of the processing methods (§3 of the paper) rather
 //! than their implementations, so a protocol that diverges from its own
 //! rule — such as the seeded `BrokenInvalidation` mutant — is caught
@@ -29,13 +30,15 @@
 //!   was screened against every overlapping report: an uncovered report
 //!   gap (window rule, §5.2.2) or a missed cycle under a strict-gap
 //!   method must doom the query before any further read is accepted.
-//! * **Stream** ([`MonitorKind::Stream`]) — span balance and per-lane
-//!   cycle monotonicity of the event stream itself.
 //!
-//! The typed feed carries what the event stream compresses away: each
-//! heard control whole, in one call ([`Monitors::control`]), and each
-//! accepted read's validity metadata ([`Monitors::read_meta`]). It is
-//! driven by the `Instrumented` protocol decorator in `bpush-core`.
+//! The feed is five typed calls, one per lane transition: a query begun
+//! ([`Monitors::begin`]), each heard control whole ([`Monitors::control`]),
+//! each missed cycle ([`Monitors::missed`]), each accepted read with its
+//! validity metadata ([`Monitors::read_meta`]), and the query's fate
+//! ([`Monitors::finish`]). The first four are driven by the
+//! `Instrumented` protocol decorator in `bpush-core`, the fate by the
+//! client driver that decides it. The monitors read no events: a
+//! monitored run without a recorder builds none.
 
 // bpush-lint: sans_io — monitor feed path: pure state machines over integers, no clocks/threads/files/sockets
 
@@ -45,8 +48,6 @@ use parking_lot::Mutex;
 
 use bpush_sgraph::{GraphDiff, Window};
 use bpush_types::{AbortReason, Cycle, ItemId, TxnId};
-
-use crate::event::{Actor, EventKind};
 
 /// Sentinel for "no item" in an all-integer [`Violation`].
 pub const NO_ITEM: u32 = u32::MAX;
@@ -87,8 +88,6 @@ pub enum MonitorKind {
     Serializability,
     /// A readset escaped screening against an overlapping report.
     Coverage,
-    /// The event stream itself was malformed (spans, cycle order).
-    Stream,
     /// Not a violation: an [`AbortReason`] watch filter matched.
     AbortWatch,
 }
@@ -100,7 +99,6 @@ impl MonitorKind {
             MonitorKind::Currency => "currency",
             MonitorKind::Serializability => "serializability",
             MonitorKind::Coverage => "coverage",
-            MonitorKind::Stream => "stream",
             MonitorKind::AbortWatch => "abort-watch",
         }
     }
@@ -111,7 +109,6 @@ impl MonitorKind {
             "currency" => Some(MonitorKind::Currency),
             "serializability" => Some(MonitorKind::Serializability),
             "coverage" => Some(MonitorKind::Coverage),
-            "stream" => Some(MonitorKind::Stream),
             "abort-watch" => Some(MonitorKind::AbortWatch),
             _ => None,
         }
@@ -124,7 +121,7 @@ impl MonitorKind {
 pub struct Violation {
     /// Which monitor fired.
     pub kind: MonitorKind,
-    /// The client lane ([`Actor::Client`] index).
+    /// The client lane (the client's dense index).
     pub client: u32,
     /// The query id involved.
     pub query: u64,
@@ -135,14 +132,14 @@ pub struct Violation {
     /// The conflicting write's cycle ([`NO_CYCLE`] when n/a).
     pub write_cycle: u64,
     /// Kind-specific detail: the report cycle that should have doomed
-    /// the query (currency/coverage), the conflicting writer's sequence
-    /// number (serializability), or the stream lane's last cycle.
+    /// the query (currency/coverage), or the conflicting writer's
+    /// sequence number (serializability).
     pub detail: u64,
 }
 
 impl Violation {
     const EMPTY: Violation = Violation {
-        kind: MonitorKind::Stream,
+        kind: MonitorKind::Currency,
         client: 0,
         query: 0,
         cycle: 0,
@@ -425,7 +422,8 @@ impl Lane {
         edges
     }
 
-    fn begin(&mut self, query: u64, cycle: u64) {
+    /// Starts `query` at `cycle`, dropping the last query's state.
+    fn reset(&mut self, query: u64, cycle: u64) {
         self.active = true;
         self.query = query;
         self.verified = cycle;
@@ -460,6 +458,16 @@ fn reaches(graph: &Window, from: TxnId, to: TxnId) -> bool {
     from == to || graph.path_exists(from, to)
 }
 
+/// `client`'s lane. A call from a client beyond the lane table is
+/// counted in `unknown`, and a verdict with any does not pass.
+fn lane_of<'a>(lanes: &'a mut [Lane], unknown: &mut u64, client: u32) -> Option<&'a mut Lane> {
+    let lane = lanes.get_mut(client as usize);
+    if lane.is_none() {
+        *unknown = unknown.saturating_add(1);
+    }
+    lane
+}
+
 /// Appends `txn` unless it is already listed.
 fn note_once(list: &mut Vec<TxnId>, txn: TxnId) {
     if !list.contains(&txn) {
@@ -467,26 +475,11 @@ fn note_once(list: &mut Vec<TxnId>, txn: TxnId) {
     }
 }
 
-/// Per-actor event-stream sanity state.
-#[derive(Debug, Clone, Copy)]
-struct StreamLane {
-    depth: u64,
-    last_cycle: u64,
-}
-
-impl StreamLane {
-    const EMPTY: StreamLane = StreamLane {
-        depth: 0,
-        last_cycle: 0,
-    };
-}
-
 /// The monitor engine: all state machines plus the bounded verdict.
 #[derive(Debug)]
 pub struct MonitorEngine {
     config: MonitorConfig,
     lanes: Box<[Lane]>,
-    streams: Box<[StreamLane]>,
     /// Graph policy: the heard diffs inside the least Lemma-1 window over
     /// the active lanes.
     graph: Window,
@@ -498,14 +491,13 @@ pub struct MonitorEngine {
     watch_hits: Box<[WatchHit]>,
     nwatch: u32,
     watch_dropped: u64,
-    events: u64,
     controls: u64,
     commits: u64,
     aborts: u64,
     checks: u64,
     graph_edges: u64,
     overflows: u64,
-    unknown_actors: u64,
+    unknown_clients: u64,
     triggers: u64,
 }
 
@@ -520,7 +512,6 @@ impl MonitorEngine {
                 .map(|_| Lane::with_capacity(slots))
                 .collect::<Vec<_>>()
                 .into_boxed_slice(),
-            streams: vec![StreamLane::EMPTY; clients.saturating_add(2)].into_boxed_slice(),
             graph: Window::new(),
             graph_cycle: None,
             violations: vec![Violation::EMPTY; config.max_violations as usize].into_boxed_slice(),
@@ -529,14 +520,13 @@ impl MonitorEngine {
             watch_hits: vec![WatchHit::EMPTY; config.max_violations as usize].into_boxed_slice(),
             nwatch: 0,
             watch_dropped: 0,
-            events: 0,
             controls: 0,
             commits: 0,
             aborts: 0,
             checks: 0,
             graph_edges: 0,
             overflows: 0,
-            unknown_actors: 0,
+            unknown_clients: 0,
             triggers: 0,
         }
     }
@@ -568,112 +558,70 @@ impl MonitorEngine {
         }
     }
 
-    /// Streams one event through every monitor. This is the per-event
-    /// hot path: pure integer state-machine updates, no allocation, no
-    /// graph work (that belongs to the typed feed).
-    // bpush-lint: hot_path — monitor feed: runs once per emitted event on every instrumented run
-    pub fn on_event(&mut self, cycle: Cycle, actor: Actor, kind: EventKind) {
-        self.events = self.events.saturating_add(1);
-        let n = cycle.number();
-        let tid = actor.tid() as usize;
-        let stream_client = match actor {
-            Actor::Client(i) => i,
-            _ => NO_ITEM,
-        };
-        let mut regressed: Option<u64> = None;
-        let mut unbalanced = false;
-        match self.streams.get_mut(tid) {
-            None => self.unknown_actors = self.unknown_actors.saturating_add(1),
-            Some(stream) => {
-                if n < stream.last_cycle {
-                    regressed = Some(stream.last_cycle);
-                } else {
-                    stream.last_cycle = n;
-                }
-                match kind {
-                    EventKind::SpanBegin { .. } => {
-                        stream.depth = stream.depth.saturating_add(1);
-                    }
-                    EventKind::SpanEnd { .. } => {
-                        if stream.depth == 0 {
-                            unbalanced = true;
-                        } else {
-                            stream.depth = stream.depth.saturating_sub(1);
-                        }
-                    }
-                    _ => {}
-                }
-            }
+    /// `client` begins `query` at `cycle`: its lane drops the last
+    /// query's readset and edges and holds the readset verified from
+    /// `cycle` on.
+    pub fn mon_begin(&mut self, client: u32, query: u64, cycle: Cycle) {
+        if let Some(lane) = lane_of(&mut self.lanes, &mut self.unknown_clients, client) {
+            lane.reset(query, cycle.number());
         }
-        if let Some(last) = regressed {
-            self.mon_note_violation(Violation {
-                kind: MonitorKind::Stream,
-                client: stream_client,
-                query: 0,
-                cycle: n,
-                item: NO_ITEM,
-                write_cycle: NO_CYCLE,
-                detail: last,
-            });
-        }
-        if unbalanced {
-            self.mon_note_violation(Violation {
-                kind: MonitorKind::Stream,
-                client: stream_client,
-                query: 0,
-                cycle: n,
-                item: NO_ITEM,
-                write_cycle: NO_CYCLE,
-                detail: 0,
-            });
-        }
-        let client = match actor {
-            Actor::Client(i) => i,
-            _ => return,
-        };
+    }
+
+    /// `client` missed the control of `cycle`: under
+    /// [`CoverageRule::StrictGap`] the gap dooms its active query.
+    pub fn mon_missed(&mut self, client: u32, cycle: Cycle) {
         let strict_gap = self.config.coverage == CoverageRule::StrictGap;
-        let policy = self.config.policy;
-        let staleness_bound = self.config.staleness_bound;
-        let watch = self.config.watch;
-        let mut fire: Option<Violation> = None;
-        let mut watch_fire: Option<WatchHit> = None;
-        if let Some(lane) = self.lanes.get_mut(client as usize) {
-            match kind {
-                EventKind::QueryBegun { query } => {
-                    lane.begin(query, n);
-                }
-                EventKind::MissedCycle if strict_gap && lane.active && lane.doom.is_none() => {
-                    lane.doom = Some(DoomExpect::coverage(n));
-                }
-                EventKind::QueryCommitted { query, .. } => {
-                    self.commits = self.commits.saturating_add(1);
-                    if lane.active && lane.query == query {
-                        fire = Lane::commit_verdict(lane, policy, staleness_bound, client, n);
-                        lane.retire();
-                    }
-                }
-                EventKind::QueryAborted { query, reason } => {
-                    self.aborts = self.aborts.saturating_add(1);
-                    if watch == Some(reason) {
-                        watch_fire = Some(WatchHit {
-                            client,
-                            query,
-                            cycle: n,
-                            reason,
-                        });
-                    }
-                    if lane.active && lane.query == query {
-                        lane.retire();
-                    }
-                }
-                _ => {}
+        if let Some(lane) = lane_of(&mut self.lanes, &mut self.unknown_clients, client) {
+            if strict_gap && lane.active && lane.doom.is_none() {
+                lane.doom = Some(DoomExpect::coverage(cycle.number()));
             }
+        }
+    }
+
+    /// `client`'s `query` ends at `cycle`, committed when `aborted` is
+    /// `None`. A commit of the lane's query runs the commit-time checks,
+    /// an abort for the watched reason is a [`WatchHit`], and either
+    /// way the lane retires the query.
+    pub fn mon_finish(
+        &mut self,
+        client: u32,
+        query: u64,
+        cycle: Cycle,
+        aborted: Option<AbortReason>,
+    ) {
+        let n = cycle.number();
+        let Some(lane) = lane_of(&mut self.lanes, &mut self.unknown_clients, client) else {
+            return;
+        };
+        let current = lane.active && lane.query == query;
+        let fire = match aborted {
+            None => {
+                self.commits = self.commits.saturating_add(1);
+                let (policy, bound) = (self.config.policy, self.config.staleness_bound);
+                if current {
+                    Lane::commit_verdict(lane, policy, bound, client, n)
+                } else {
+                    None
+                }
+            }
+            Some(_) => {
+                self.aborts = self.aborts.saturating_add(1);
+                None
+            }
+        };
+        if current {
+            lane.retire();
         }
         if let Some(v) = fire {
             self.mon_note_violation(v);
         }
-        if let Some(hit) = watch_fire {
-            self.mon_note_watch(hit);
+        if let Some(reason) = aborted.filter(|&r| self.config.watch == Some(r)) {
+            self.mon_note_watch(WatchHit {
+                client,
+                query,
+                cycle: n,
+                reason,
+            });
         }
     }
 
@@ -698,7 +646,7 @@ impl MonitorEngine {
         self.checks = self.checks.saturating_add(dated.len() as u64);
         let n = cycle.number();
         let policy = self.config.policy;
-        if let Some(lane) = self.lanes.get_mut(client as usize) {
+        if let Some(lane) = lane_of(&mut self.lanes, &mut self.unknown_clients, client) {
             if self.config.coverage == CoverageRule::WindowGap
                 && lane.active
                 && lane.doom.is_none()
@@ -768,7 +716,7 @@ impl MonitorEngine {
         let graph_policy = self.config.policy == MonitorPolicy::Graph;
         let mut fire = None;
         let mut cyclic = None;
-        if let Some(lane) = self.lanes.get_mut(client as usize) {
+        if let Some(lane) = lane_of(&mut self.lanes, &mut self.unknown_clients, client) {
             if !lane.active || lane.query != query {
                 return;
             }
@@ -865,14 +813,13 @@ impl MonitorEngine {
     /// Copies out the verdict.
     pub fn mon_verdict(&self) -> MonitorVerdict {
         MonitorVerdict {
-            events: self.events,
             controls: self.controls,
             commits: self.commits,
             aborts: self.aborts,
             checks: self.checks,
             graph_edges: self.graph_edges,
             overflows: self.overflows,
-            unknown_actors: self.unknown_actors,
+            unknown_clients: self.unknown_clients,
             violations: self
                 .violations
                 .iter()
@@ -893,7 +840,6 @@ impl MonitorEngine {
 
 impl Lane {
     /// The commit-time checks; returns the violation to record, if any.
-    /// Pure integer logic — safe on the event hot path.
     fn commit_verdict(
         lane: &Lane,
         policy: MonitorPolicy,
@@ -966,8 +912,6 @@ impl Lane {
 /// ([`MonitorVerdict::render`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MonitorVerdict {
-    /// Events streamed through the engine.
-    pub events: u64,
     /// Control feeds processed.
     pub controls: u64,
     /// Commits observed.
@@ -981,8 +925,9 @@ pub struct MonitorVerdict {
     pub graph_edges: u64,
     /// Queries whose readset overflowed the mirror capacity.
     pub overflows: u64,
-    /// Events from actors beyond the configured lane count.
-    pub unknown_actors: u64,
+    /// Typed calls from clients beyond the lane table: those clients
+    /// went unchecked, so a verdict with any does not pass.
+    pub unknown_clients: u64,
     /// Retained violations, in detection order.
     pub violations: Vec<Violation>,
     /// Violations beyond the retention bound.
@@ -994,9 +939,9 @@ pub struct MonitorVerdict {
 }
 
 impl MonitorVerdict {
-    /// Whether the run upheld every invariant.
+    /// Whether the run upheld every invariant, on every client.
     pub fn pass(&self) -> bool {
-        self.violations.is_empty() && self.violations_dropped == 0
+        self.violations.is_empty() && self.violations_dropped == 0 && self.unknown_clients == 0
     }
 
     /// Canonical multi-line rendering: byte-identical across same-seed
@@ -1006,10 +951,9 @@ impl MonitorVerdict {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "monitor-verdict pass={} events={} controls={} commits={} aborts={} checks={} \
-             edges={} violations={} dropped={} watch={} overflows={} unknown={}",
+            "monitor-verdict pass={} controls={} commits={} aborts={} checks={} edges={} \
+             violations={} dropped={} watch={} overflows={} unknown={}",
             u8::from(self.pass()),
-            self.events,
             self.controls,
             self.commits,
             self.aborts,
@@ -1019,7 +963,7 @@ impl MonitorVerdict {
             self.violations_dropped,
             self.watch_hits.len(),
             self.overflows,
-            self.unknown_actors,
+            self.unknown_clients,
         );
         for v in &self.violations {
             let _ = writeln!(out, "{}", v.render());
@@ -1038,11 +982,10 @@ impl MonitorVerdict {
     }
 }
 
-/// A cheaply cloneable handle over a shared [`MonitorEngine`]. Attached
-/// to an [`Obs`](crate::Obs) via
-/// [`Obs::with_monitors`](crate::Obs::with_monitors), it receives every
-/// emitted event; the typed feed methods carry the control information
-/// and read metadata the event stream does not.
+/// A cheaply cloneable handle over a shared [`MonitorEngine`]: the
+/// typed feed's entry points, one lock each. It rides an
+/// [`Obs`](crate::Obs) handle ([`Obs::with_monitors`](crate::Obs::with_monitors))
+/// to the decorator and the client driver that call it.
 #[derive(Debug, Clone)]
 pub struct Monitors {
     inner: Arc<Mutex<MonitorEngine>>,
@@ -1056,9 +999,19 @@ impl Monitors {
         }
     }
 
-    /// Streams one event (called by [`Obs::emit`](crate::Obs::emit)).
-    pub fn feed_event(&self, cycle: Cycle, actor: Actor, kind: EventKind) {
-        self.inner.lock().on_event(cycle, actor, kind);
+    /// Typed feed: a query begun ([`MonitorEngine::mon_begin`]).
+    pub fn begin(&self, client: u32, query: u64, cycle: Cycle) {
+        self.inner.lock().mon_begin(client, query, cycle);
+    }
+
+    /// Typed feed: a missed cycle ([`MonitorEngine::mon_missed`]).
+    pub fn missed(&self, client: u32, cycle: Cycle) {
+        self.inner.lock().mon_missed(client, cycle);
+    }
+
+    /// Typed feed: a query's fate ([`MonitorEngine::mon_finish`]).
+    pub fn finish(&self, client: u32, query: u64, cycle: Cycle, aborted: Option<AbortReason>) {
+        self.inner.lock().mon_finish(client, query, cycle, aborted);
     }
 
     /// Typed feed: one heard control ([`MonitorEngine::mon_control`]).
@@ -1118,11 +1071,7 @@ mod tests {
     }
 
     fn begin(e: &mut MonitorEngine, client: u32, query: u64, cycle: u64) {
-        e.on_event(
-            Cycle::new(cycle),
-            Actor::Client(client),
-            EventKind::QueryBegun { query },
-        );
+        e.mon_begin(client, query, Cycle::new(cycle));
     }
 
     fn accept_read(e: &mut MonitorEngine, client: u32, query: u64, item: u32, now: u64) {
@@ -1168,14 +1117,7 @@ mod tests {
     }
 
     fn commit(e: &mut MonitorEngine, client: u32, query: u64, cycle: u64) {
-        e.on_event(
-            Cycle::new(cycle),
-            Actor::Client(client),
-            EventKind::QueryCommitted {
-                query,
-                latency_slots: 1,
-            },
-        );
+        e.mon_finish(client, query, Cycle::new(cycle), None);
     }
 
     #[test]
@@ -1229,14 +1171,7 @@ mod tests {
         begin(&mut e, 0, 1, 0);
         accept_read(&mut e, 0, 1, 7, 0);
         control(&mut e, 0, 1, 1, &[(7, 0)], None, &[]);
-        e.on_event(
-            Cycle::new(1),
-            Actor::Client(0),
-            EventKind::QueryAborted {
-                query: 1,
-                reason: AbortReason::Invalidated,
-            },
-        );
+        e.mon_finish(0, 1, Cycle::new(1), Some(AbortReason::Invalidated));
         assert!(e.mon_verdict().pass());
     }
 
@@ -1275,7 +1210,7 @@ mod tests {
         let mut e = engine(MonitorPolicy::Graph, CoverageRule::StrictGap);
         begin(&mut e, 0, 1, 0);
         accept_read(&mut e, 0, 1, 7, 0);
-        e.on_event(Cycle::new(1), Actor::Client(0), EventKind::MissedCycle);
+        e.mon_missed(0, Cycle::new(1));
         accept_read(&mut e, 0, 1, 8, 2);
         commit(&mut e, 0, 1, 2);
         let v = e.mon_verdict();
@@ -1387,7 +1322,7 @@ mod tests {
             control(&mut e, lane, 2, 1, &[], Some(&d1), &[(7, t1)]);
         }
         control(&mut e, 0, 3, 1, &[], Some(&d2), &[]);
-        e.on_event(Cycle::new(3), Actor::Client(1), EventKind::MissedCycle);
+        e.mon_missed(1, Cycle::new(3));
         e.mon_read_meta(
             1,
             1,
@@ -1591,17 +1526,16 @@ mod tests {
     }
 
     #[test]
-    fn stream_monitor_flags_unbalanced_spans_and_cycle_regression() {
+    fn a_client_without_a_lane_fails_the_verdict() {
         let mut e = engine(MonitorPolicy::Current, CoverageRule::WindowGap);
-        e.on_event(
-            Cycle::new(2),
-            Actor::Server,
-            EventKind::SpanEnd { name: "x" },
-        );
-        e.on_event(Cycle::new(1), Actor::Server, EventKind::ControlProcessed);
+        begin(&mut e, 2, 1, 0);
+        accept_read(&mut e, 2, 1, 7, 0);
+        control(&mut e, 2, 1, 1, &[(7, 0)], None, &[]);
+        e.mon_missed(2, Cycle::new(2));
+        commit(&mut e, 2, 1, 2);
         let v = e.mon_verdict();
-        assert_eq!(v.violations.len(), 2);
-        assert!(v.violations.iter().all(|v| v.kind == MonitorKind::Stream));
+        assert!(!v.pass(), "{}", v.render());
+        assert_eq!((v.unknown_clients, v.controls, v.commits), (5, 1, 0));
     }
 
     #[test]
@@ -1610,14 +1544,7 @@ mod tests {
         cfg.watch = Some(AbortReason::Invalidated);
         let mut e = MonitorEngine::new(cfg);
         begin(&mut e, 0, 1, 0);
-        e.on_event(
-            Cycle::new(1),
-            Actor::Client(0),
-            EventKind::QueryAborted {
-                query: 1,
-                reason: AbortReason::Invalidated,
-            },
-        );
+        e.mon_finish(0, 1, Cycle::new(1), Some(AbortReason::Invalidated));
         let v = e.mon_verdict();
         assert!(v.pass());
         assert_eq!(v.watch_hits.len(), 1);
@@ -1698,11 +1625,7 @@ mod tests {
             CoverageRule::WindowGap,
         ));
         let clone = m.clone();
-        m.feed_event(
-            Cycle::ZERO,
-            Actor::Client(0),
-            EventKind::QueryBegun { query: 1 },
-        );
+        m.begin(0, 1, Cycle::ZERO);
         clone.read_meta(0, 1, ItemId::new(7), Cycle::ZERO, Cycle::ZERO, None, None);
         m.control(
             0,

@@ -9,8 +9,8 @@ use proptest::prelude::*;
 
 use bpush_obs::monitor::{MonitorEngine, MonitorKind, NO_CYCLE, NO_ITEM};
 use bpush_obs::{
-    Actor, CoverageRule, EventKind, Log2Histogram, MonitorConfig, MonitorPolicy, MonitorVerdict,
-    RingBuffer, Violation,
+    CoverageRule, Log2Histogram, MonitorConfig, MonitorPolicy, MonitorVerdict, RingBuffer,
+    Violation,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -122,31 +122,17 @@ enum Op {
 }
 
 fn drive(engine: &mut MonitorEngine, op: &Op) {
-    let event = |engine: &mut MonitorEngine, lane: u32, cycle: u64, kind: EventKind| {
-        engine.on_event(Cycle::new(cycle), Actor::Client(lane), kind);
-    };
     match *op {
-        Op::Begin { lane, query, cycle } => {
-            event(engine, lane, cycle, EventKind::QueryBegun { query });
+        Op::Begin { lane, query, cycle } => engine.mon_begin(lane, query, Cycle::new(cycle)),
+        Op::Missed { lane, cycle } => engine.mon_missed(lane, Cycle::new(cycle)),
+        Op::Commit { lane, query, cycle } => {
+            engine.mon_finish(lane, query, Cycle::new(cycle), None);
         }
-        Op::Missed { lane, cycle } => event(engine, lane, cycle, EventKind::MissedCycle),
-        Op::Commit { lane, query, cycle } => event(
-            engine,
+        Op::Abort { lane, query, cycle } => engine.mon_finish(
             lane,
-            cycle,
-            EventKind::QueryCommitted {
-                query,
-                latency_slots: 1,
-            },
-        ),
-        Op::Abort { lane, query, cycle } => event(
-            engine,
-            lane,
-            cycle,
-            EventKind::QueryAborted {
-                query,
-                reason: bpush_types::AbortReason::CycleDetected,
-            },
+            query,
+            Cycle::new(cycle),
+            Some(bpush_types::AbortReason::CycleDetected),
         ),
         Op::Control {
             lane,
@@ -291,14 +277,13 @@ impl MirrorLane {
 /// A verdict with nothing counted yet.
 fn empty_verdict() -> MonitorVerdict {
     MonitorVerdict {
-        events: 0,
         controls: 0,
         commits: 0,
         aborts: 0,
         checks: 0,
         graph_edges: 0,
         overflows: 0,
-        unknown_actors: 0,
+        unknown_clients: 0,
         violations: Vec::new(),
         violations_dropped: 0,
         watch_hits: Vec::new(),
@@ -331,7 +316,6 @@ impl MirrorModel {
         let v = &mut self.verdict;
         match *op {
             Op::Begin { lane, query, .. } => {
-                v.events += 1;
                 let l = &mut self.lanes[lane as usize];
                 l.retire();
                 l.active = true;
@@ -341,14 +325,12 @@ impl MirrorModel {
                 l.overflow = false;
             }
             Op::Missed { lane, cycle } => {
-                v.events += 1;
                 let l = &mut self.lanes[lane as usize];
                 if self.strict_gap && l.active && l.doom.is_none() {
                     l.doom = Some(cycle);
                 }
             }
             Op::Commit { lane, query, cycle } => {
-                v.events += 1;
                 v.commits += 1;
                 let l = &mut self.lanes[lane as usize];
                 if l.active && l.query == query {
@@ -367,7 +349,6 @@ impl MirrorModel {
                 }
             }
             Op::Abort { lane, query, .. } => {
-                v.events += 1;
                 v.aborts += 1;
                 let l = &mut self.lanes[lane as usize];
                 if l.active && l.query == query {
@@ -749,6 +730,7 @@ impl EntryModel {
         self.verdict.controls += 1;
         let window_gap = self.coverage == CoverageRule::WindowGap;
         let Some(l) = self.lanes.get_mut(lane as usize) else {
+            self.verdict.unknown_clients += 1;
             return;
         };
         l.feeding = n;
@@ -862,6 +844,7 @@ impl EntryModel {
     ) {
         let graph = self.policy == MonitorPolicy::Graph;
         let Some(l) = self.lanes.get_mut(lane as usize) else {
+            self.verdict.unknown_clients += 1;
             return;
         };
         if !l.active || l.query != query {
@@ -895,7 +878,6 @@ impl EntryModel {
     fn apply(&mut self, op: &Op) {
         match *op {
             Op::Begin { lane, query, cycle } => {
-                self.verdict.events += 1;
                 let l = &mut self.lanes[lane as usize];
                 *l = EntryLane {
                     heard: l.heard,
@@ -906,7 +888,6 @@ impl EntryModel {
                 };
             }
             Op::Missed { lane, cycle } => {
-                self.verdict.events += 1;
                 let strict_gap = self.coverage == CoverageRule::StrictGap;
                 let l = &mut self.lanes[lane as usize];
                 if strict_gap && l.active && l.doom.is_none() {
@@ -914,12 +895,10 @@ impl EntryModel {
                 }
             }
             Op::Commit { lane, query, cycle } => {
-                self.verdict.events += 1;
                 self.verdict.commits += 1;
                 self.commit(lane, query, cycle);
             }
             Op::Abort { lane, query, .. } => {
-                self.verdict.events += 1;
                 self.verdict.aborts += 1;
                 let l = &mut self.lanes[lane as usize];
                 if l.active && l.query == query {
@@ -1065,7 +1044,8 @@ proptest! {
     /// a `Snapshot` slot's validity tightens to `wc + 1`, and under
     /// `Graph` an item held twice is one edge and the first closing
     /// entry in item order arms the commit check. Inactive and
-    /// out-of-range lanes count their controls and entries, and a lane
+    /// out-of-range lanes count their controls and entries, every call
+    /// of an out-of-range lane is counted unknown, and a lane
     /// verifies its readset only through a report that left it undoomed
     /// (what a staleness bound reads at commit).
     #[test]

@@ -380,12 +380,12 @@ impl Simulation {
         }
     }
 
-    /// Attaches online invariant monitors: every client's event stream
-    /// (and typed monitor feed) is routed into `monitors`, which check
-    /// the method's published consistency rules *during* the run — see
+    /// Attaches online invariant monitors: every client's typed monitor
+    /// feed is routed into `monitors`, which check the method's
+    /// published consistency rules *during* the run — see
     /// [`monitors_for`] for a handle matched to the method. Composes
-    /// with an existing [`Obs`]; attaching monitors alone enables event
-    /// emission without a recording sink.
+    /// with an existing [`Obs`]; monitors alone emit no events, since
+    /// they read none.
     #[must_use]
     pub fn with_monitors(self, monitors: Monitors) -> Self {
         let obs = self.obs.clone().with_monitors(monitors);
@@ -1170,6 +1170,62 @@ mod tests {
         let text = capture.render();
         let back = bpush_obs::Capture::parse(&text).expect("capture roundtrips");
         assert_eq!(back, capture);
+    }
+
+    /// A lane table smaller than the client population does not pass a
+    /// run it could not check: each typed call from a client without a
+    /// lane is counted unknown, so the seeded bug fails the verdict even
+    /// with no lane at all.
+    #[test]
+    fn an_undersized_lane_table_does_not_pass_a_broken_run() {
+        let (policy, coverage) = Method::InvalidationOnly.monitor_policy();
+        for lanes in [0, 1] {
+            let mut config = MonitorConfig::new(lanes, policy, coverage);
+            config.reads_per_query = quick_config().client.reads_per_query;
+            let monitors = Monitors::new(config);
+            Simulation::new(quick_config(), Method::InvalidationOnly)
+                .unwrap()
+                .with_protocol_factory(|| Box::new(bpush_mc::BrokenInvalidation::new()))
+                .with_monitors(monitors.clone())
+                .run()
+                .unwrap();
+            let verdict = monitors.verdict();
+            assert!(!verdict.pass(), "{lanes} lanes: {}", verdict.render());
+            assert!(verdict.unknown_clients > 0, "{lanes} lanes");
+        }
+    }
+
+    /// Every fate the run records reaches the monitors once: with no
+    /// warm-up, their commit and abort counts are the run's, and each
+    /// `Invalidated` abort is a watch hit, retained or dropped.
+    #[test]
+    fn monitors_hear_every_fate_the_run_records() {
+        let mut config = quick_config();
+        config.warmup_cycles = 0;
+        for method in [Method::InvalidationOnly, Method::MultiversionCaching] {
+            let (policy, coverage) = method.monitor_policy();
+            let mut watched = MonitorConfig::new(config.n_clients, policy, coverage);
+            watched.reads_per_query = config.client.reads_per_query;
+            watched.watch = Some(AbortReason::Invalidated);
+            let monitors = Monitors::new(watched);
+            let metrics = Simulation::new(config.clone(), method)
+                .unwrap()
+                .with_monitors(monitors.clone())
+                .run()
+                .unwrap();
+            let verdict = monitors.verdict();
+            assert!(verdict.pass(), "{method}: {}", verdict.render());
+            let aborted = metrics.aborts.hits();
+            assert_eq!(verdict.commits, metrics.queries - aborted, "{method}");
+            assert_eq!(verdict.aborts, aborted, "{method}");
+            let invalidated = metrics
+                .abort_reasons
+                .iter()
+                .find(|(r, _)| *r == AbortReason::Invalidated)
+                .map_or(0, |&(_, n)| n);
+            let hits = verdict.watch_hits.len() as u64 + verdict.watch_dropped;
+            assert_eq!(hits, invalidated, "{method}");
+        }
     }
 
     /// Same-seed monitored runs produce byte-identical verdicts and

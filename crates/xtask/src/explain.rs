@@ -252,10 +252,6 @@ fn rule_of(method: &str, kind: MonitorKind) -> String {
             "§5.2.2 window rule: a gap past the report window leaves the \
              readset unscreened — the query must abort, not commit"
         }
-        (MonitorKind::Stream, _) => {
-            "event-stream integrity: spans must balance and cycle numbers \
-             must not regress"
-        }
         (MonitorKind::AbortWatch, _) => {
             "abort-reason watch: a watched AbortReason fired (capture \
              trigger, not a violation)"

@@ -220,6 +220,51 @@ mod tests {
         );
     }
 
+    /// Each traced method's event stream is well formed per actor:
+    /// cycle numbers never go back, and spans close in the reverse order
+    /// they opened, each by its own name, none left open at the end.
+    #[test]
+    fn quick_traces_are_well_formed_per_actor() {
+        use bpush_obs::EventKind;
+        use std::collections::BTreeMap;
+        for method in [
+            Method::Sgt,
+            Method::InvalidationOnly,
+            Method::MultiversionBroadcast,
+        ] {
+            let report = run_trace(method, true).unwrap();
+            assert_eq!(report.snapshot.dropped, 0, "{method}: events were evicted");
+            let mut actors = BTreeMap::new();
+            for e in &report.snapshot.events {
+                let (last, open) = actors
+                    .entry(e.actor.label())
+                    .or_insert_with(|| (e.cycle, Vec::new()));
+                assert!(
+                    e.cycle >= *last,
+                    "{method}: {} went back to {} at tick {}",
+                    e.actor.label(),
+                    e.cycle,
+                    e.tick
+                );
+                *last = e.cycle;
+                match e.kind {
+                    EventKind::SpanBegin { name } => open.push(name),
+                    EventKind::SpanEnd { name } => assert_eq!(
+                        open.pop(),
+                        Some(name),
+                        "{method}: {} closed {name} at tick {}",
+                        e.actor.label(),
+                        e.tick
+                    ),
+                    _ => {}
+                }
+            }
+            for (actor, (_, open)) in &actors {
+                assert!(open.is_empty(), "{method}: {actor} left {open:?} open");
+            }
+        }
+    }
+
     /// The chrome export is structurally a trace_event document: a
     /// `traceEvents` array with thread-name metadata and balanced B/E
     /// span pairs.

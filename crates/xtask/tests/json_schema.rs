@@ -588,14 +588,8 @@ fn explain_capture_json_matches_the_documented_schema() {
     assert_eq!(root.get("schema").as_str(), "bpush-explain-v1");
     assert_eq!(root.get("input").as_str(), "capture");
     assert_eq!(root.get("method").as_str(), "inv-only");
-    assert!([
-        "currency",
-        "serializability",
-        "coverage",
-        "stream",
-        "abort-watch"
-    ]
-    .contains(&root.get("kind").as_str()));
+    assert!(["currency", "serializability", "coverage", "abort-watch"]
+        .contains(&root.get("kind").as_str()));
     let _ = root.get("seed").as_u64();
     let _ = root.get("clients").as_u64();
     let _ = root.get("client").as_u64();
