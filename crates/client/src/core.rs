@@ -20,7 +20,6 @@ use bpush_core::{
 use bpush_types::{BpushError, Cycle, ItemId, QueryId};
 
 use crate::cache::ClientCache;
-use crate::executor::CacheDecision;
 
 /// How the next read of a transaction is to be served.
 #[derive(Debug, Clone, Copy)]
@@ -39,12 +38,11 @@ pub(crate) enum ReadPlan {
     },
 }
 
-/// Protocol + cache + cache decider + the in-flight transaction table.
+/// Protocol + cache + the in-flight transaction table.
 #[derive(Debug)]
 pub(crate) struct ClientCore {
     protocol: Box<dyn ReadOnlyProtocol>,
     cache: Option<ClientCache>,
-    decider: Option<Box<dyn CacheDecision>>,
     /// The wire link: the deployment's widths and the one byte buffer
     /// every segment this client hears is framed out of.
     wire: Option<(WireParams, WireFeed)>,
@@ -60,7 +58,6 @@ impl ClientCore {
         ClientCore {
             protocol,
             cache,
-            decider: None,
             wire: None,
             heard: None,
             next_id: QueryId::new(0),
@@ -78,10 +75,6 @@ impl ClientCore {
             protocol: f(self.protocol),
             ..self
         }
-    }
-
-    pub(crate) fn set_decider(&mut self, decider: Box<dyn CacheDecision>) {
-        self.decider = Some(decider);
     }
 
     /// From here on control segments are heard off the wire, decoded
@@ -231,18 +224,13 @@ impl ClientCore {
         self.protocol.read_directive(q, item, self.now())
     }
 
-    /// Directive, then the cache (unless the injected decision point
-    /// routes this read to the air).
+    /// Directive, then the cache.
     pub(crate) fn plan(&mut self, q: QueryId, item: ItemId) -> ReadPlan {
         let constraint = match self.directive(q, item) {
             ReadDirective::Doom(reason) => return ReadPlan::Doom(reason),
             ReadDirective::Read(c) => c,
         };
-        let allowed = match &mut self.decider {
-            Some(d) => d.allow_cache(item, constraint.state),
-            None => true,
-        };
-        let cache = self.cache.as_mut().filter(|_| allowed);
+        let cache = self.cache.as_mut();
         let probed = cache.is_some();
         match cache.and_then(|c| c.lookup(item, constraint.state)) {
             Some(candidate) => ReadPlan::Cached(candidate),

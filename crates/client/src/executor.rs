@@ -63,45 +63,6 @@ impl QueryOutcome {
     }
 }
 
-/// Decides, read by read, whether the local cache may serve a lookup.
-///
-/// The executor consults the decider *before* probing the cache; a `false`
-/// answer forces the read onto the broadcast path even when the cache
-/// holds a suitable entry. The default (no decider installed) allows
-/// every lookup. Injecting a decider makes cache hit/miss behaviour a
-/// controlled input instead of an emergent one — deterministic
-/// experiments can pin it, and the `bpush-mc` model checker branches on
-/// exactly this decision point when it enumerates executions of the
-/// caching methods.
-pub trait CacheDecision: std::fmt::Debug {
-    /// Whether the cache may serve `item` for a read that must observe
-    /// the database state `state`.
-    fn allow_cache(&mut self, item: ItemId, state: Cycle) -> bool;
-}
-
-/// A [`CacheDecision`] replaying a fixed per-read script of answers;
-/// reads beyond the script allow the cache (the default behaviour).
-#[derive(Debug, Clone)]
-pub struct ScriptedCacheDecision {
-    script: Vec<bool>,
-    next: usize,
-}
-
-impl ScriptedCacheDecision {
-    /// One answer per cache-eligible read, in read order.
-    pub fn new(script: Vec<bool>) -> Self {
-        ScriptedCacheDecision { script, next: 0 }
-    }
-}
-
-impl CacheDecision for ScriptedCacheDecision {
-    fn allow_cache(&mut self, _item: ItemId, _state: Cycle) -> bool {
-        let allow = self.script.get(self.next).copied().unwrap_or(true);
-        self.next += 1;
-        allow
-    }
-}
-
 #[derive(Debug)]
 struct ActiveQuery {
     id: QueryId,
@@ -262,10 +223,10 @@ impl QueryExecutor {
         self
     }
 
-    /// Replaces the inner protocol — the fault-injection seam the
-    /// monitor-layer tests use to run a broken mutant under an otherwise
-    /// identical workload. Call before [`QueryExecutor::with_obs`] so
-    /// the instrumentation wraps the replacement.
+    /// Replaces the protocol the executor holds, an instrumentation
+    /// decorator included — the fault-injection seam the monitor-layer
+    /// tests use to run a broken mutant under an otherwise identical
+    /// workload.
     #[must_use]
     pub fn with_protocol(mut self, protocol: Box<dyn ReadOnlyProtocol>) -> Self {
         self.core = self.core.wrap(|_| protocol);
@@ -287,14 +248,6 @@ impl QueryExecutor {
     /// The client this executor simulates.
     pub fn client(&self) -> ClientId {
         self.client
-    }
-
-    /// Installs a [`CacheDecision`] gate consulted before every cache
-    /// lookup. Without one, every lookup is allowed.
-    #[must_use]
-    pub fn with_cache_decider(mut self, decider: Box<dyn CacheDecision>) -> Self {
-        self.core.set_decider(decider);
-        self
     }
 
     /// Whether the query budget is exhausted and no query is in flight.
@@ -745,44 +698,6 @@ mod tests {
         );
         let cached_total: u32 = with_cache.iter().map(|o| o.cache_reads).sum();
         assert!(cached_total > 0, "cache reads happen");
-    }
-
-    #[test]
-    fn cache_decider_forces_broadcast_reads() {
-        let run_with = |deny_cache: bool| -> (u32, u32) {
-            let mut server =
-                BroadcastServer::new(server_config(), ServerOptions::plain(), 3).unwrap();
-            let mut exec = executor_for(Method::InvalidationCache, 20);
-            if deny_cache {
-                exec = exec
-                    .with_cache_decider(Box::new(ScriptedCacheDecision::new(vec![false; 1000])));
-            }
-            let mut outcomes = Vec::new();
-            let mut start = Slot::ZERO;
-            for _ in 0..80 {
-                let bcast = server.run_cycle();
-                outcomes.extend(exec.run_cycle(&bcast, start, true).unwrap());
-                start = start.plus(bcast.total_slots());
-            }
-            (
-                outcomes.iter().map(|o| o.cache_reads).sum(),
-                outcomes.iter().map(|o| o.broadcast_reads).sum(),
-            )
-        };
-        let (hits_allowed, _) = run_with(false);
-        let (hits_denied, bcast_denied) = run_with(true);
-        assert!(hits_allowed > 0, "control run must see cache hits");
-        assert_eq!(hits_denied, 0, "denied decider forces every read on air");
-        assert!(bcast_denied > 0);
-    }
-
-    #[test]
-    fn scripted_cache_decision_defaults_to_allow_past_script() {
-        let mut d = ScriptedCacheDecision::new(vec![false, true]);
-        let x = ItemId::new(0);
-        assert!(!d.allow_cache(x, Cycle::ZERO));
-        assert!(d.allow_cache(x, Cycle::ZERO));
-        assert!(d.allow_cache(x, Cycle::ZERO), "exhausted script allows");
     }
 
     #[test]

@@ -75,6 +75,6 @@ pub mod session;
 pub mod wire;
 
 pub use cache::{CacheParams, CacheStats, ClientCache};
-pub use executor::{CacheDecision, QueryExecutor, QueryOutcome, ScriptedCacheDecision};
+pub use executor::{QueryExecutor, QueryOutcome};
 pub use session::{BroadcastSession, ReadStep, TxnHandle};
 pub use wire::WireClient;

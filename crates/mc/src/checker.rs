@@ -201,7 +201,7 @@ pub fn audit_monitors(spec: ProtocolSpec, scope: &Scope) -> Result<MonitorAudit,
         let mut batch = SerializabilityBatch::new(gt.server.history(), gt.server.conflict_graph());
         for choice in &choices {
             let bare = run_client_obs(spec, choice, &gt, &bpush_obs::Obs::off(), FeedMode::Struct);
-            let monitors = monitors_for_spec(spec, scope.reads_per_query);
+            let monitors = monitors_for_spec(spec);
             let obs = bpush_obs::Obs::off().with_monitors(monitors.clone());
             let watched = run_client_obs(spec, choice, &gt, &obs, FeedMode::Struct);
             audit.executions += 1;

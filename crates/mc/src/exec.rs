@@ -319,15 +319,13 @@ pub fn run_schedule_with(
 /// Single-lane online monitors matched to `spec`'s published invariant
 /// family ([`Method::monitor_policy`]): the broken fixture is audited
 /// against the rules of the genuine method it corrupts.
-pub fn monitors_for_spec(spec: ProtocolSpec, reads: usize) -> Monitors {
+pub fn monitors_for_spec(spec: ProtocolSpec) -> Monitors {
     let method = match spec {
         ProtocolSpec::Genuine(m) => m,
         ProtocolSpec::BrokenInvalidation => Method::InvalidationOnly,
     };
     let (policy, coverage) = method.monitor_policy();
-    let mut cfg = MonitorConfig::new(1, policy, coverage);
-    cfg.reads_per_query = u32::try_from(reads).unwrap_or(u32::MAX).max(1);
-    Monitors::new(cfg)
+    Monitors::new(MonitorConfig::new(1, policy, coverage))
 }
 
 /// [`run_schedule`] with fresh online monitors attached: the replay
@@ -344,7 +342,7 @@ pub fn run_schedule_monitored(
     spec: ProtocolSpec,
     schedule: &Schedule,
 ) -> Result<(Execution, MonitorVerdict), BpushError> {
-    let monitors = monitors_for_spec(spec, schedule.reads.len());
+    let monitors = monitors_for_spec(spec);
     let obs = Obs::off().with_monitors(monitors.clone());
     let exec = run_schedule_with(spec, schedule, &obs, FeedMode::Struct)?;
     Ok((exec, monitors.verdict()))

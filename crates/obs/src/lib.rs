@@ -22,9 +22,9 @@
 //!   that opens directly in Perfetto, and a compact terminal summary
 //!   ([`export::text_summary`]).
 //! * **Online monitors** — deterministic invariant state machines fed
-//!   typed calls, not events ([`monitor::Monitors`]): currency/staleness,
-//!   commit-implies-serializable and report coverage, producing an
-//!   all-integer [`monitor::MonitorVerdict`].
+//!   typed calls, not events ([`monitor::Monitors`], the one monitor
+//!   type): currency, commit-implies-serializable and report coverage,
+//!   producing an all-integer [`monitor::MonitorVerdict`].
 //! * **Flight recorder** — a bounded ring of recent wire-format frames
 //!   ([`flight::FlightRecorder`]) that freezes into a replayable
 //!   `bpush-capture-v1` [`flight::Capture`] when a monitor fires.

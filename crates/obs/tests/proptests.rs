@@ -7,10 +7,10 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use bpush_obs::monitor::{MonitorEngine, MonitorKind, NO_CYCLE, NO_ITEM};
+use bpush_obs::monitor::{MonitorKind, NO_CYCLE, NO_ITEM};
 use bpush_obs::{
-    CoverageRule, Log2Histogram, MonitorConfig, MonitorPolicy, MonitorVerdict, RingBuffer,
-    Violation,
+    CoverageRule, Log2Histogram, MonitorConfig, MonitorPolicy, MonitorVerdict, Monitors,
+    RingBuffer, Violation,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -121,14 +121,14 @@ enum Op {
     },
 }
 
-fn drive(engine: &mut MonitorEngine, op: &Op) {
+fn drive(monitors: &Monitors, op: &Op) {
     match *op {
-        Op::Begin { lane, query, cycle } => engine.mon_begin(lane, query, Cycle::new(cycle)),
-        Op::Missed { lane, cycle } => engine.mon_missed(lane, Cycle::new(cycle)),
+        Op::Begin { lane, query, cycle } => monitors.begin(lane, query, Cycle::new(cycle)),
+        Op::Missed { lane, cycle } => monitors.missed(lane, Cycle::new(cycle)),
         Op::Commit { lane, query, cycle } => {
-            engine.mon_finish(lane, query, Cycle::new(cycle), None);
+            monitors.finish(lane, query, Cycle::new(cycle), None);
         }
-        Op::Abort { lane, query, cycle } => engine.mon_finish(
+        Op::Abort { lane, query, cycle } => monitors.finish(
             lane,
             query,
             Cycle::new(cycle),
@@ -150,7 +150,7 @@ fn drive(engine: &mut MonitorEngine, op: &Op) {
                 .iter()
                 .map(|&(item, writer)| (ItemId::new(item), writer))
                 .collect();
-            engine.mon_control(
+            monitors.control(
                 lane,
                 Cycle::new(cycle),
                 window,
@@ -167,7 +167,7 @@ fn drive(engine: &mut MonitorEngine, op: &Op) {
             valid_from,
             valid_until,
             writer,
-        } => engine.mon_read_meta(
+        } => monitors.read_meta(
             lane,
             query,
             ItemId::new(item),
@@ -259,7 +259,6 @@ struct MirrorLane {
     pending: Option<(u32, u64, u64)>,
     c_o: Option<u64>,
     held: Vec<u32>,
-    overflow: bool,
 }
 
 impl MirrorLane {
@@ -282,7 +281,6 @@ fn empty_verdict() -> MonitorVerdict {
         aborts: 0,
         checks: 0,
         graph_edges: 0,
-        overflows: 0,
         unknown_clients: 0,
         violations: Vec::new(),
         violations_dropped: 0,
@@ -297,16 +295,14 @@ fn empty_verdict() -> MonitorVerdict {
 #[derive(Debug)]
 struct MirrorModel {
     strict_gap: bool,
-    cap: usize,
     lanes: Vec<MirrorLane>,
     verdict: MonitorVerdict,
 }
 
 impl MirrorModel {
-    fn new(lanes: u32, strict_gap: bool, cap: usize) -> Self {
+    fn new(lanes: u32, strict_gap: bool) -> Self {
         MirrorModel {
             strict_gap,
-            cap,
             lanes: (0..lanes).map(|_| MirrorLane::default()).collect(),
             verdict: empty_verdict(),
         }
@@ -322,7 +318,6 @@ impl MirrorModel {
                 l.query = query;
                 l.c_o = None;
                 l.held.clear();
-                l.overflow = false;
             }
             Op::Missed { lane, cycle } => {
                 let l = &mut self.lanes[lane as usize];
@@ -410,12 +405,7 @@ impl MirrorModel {
                         detail: missed,
                     });
                 }
-                if l.held.len() < self.cap {
-                    l.held.push(item);
-                } else if !l.overflow {
-                    l.overflow = true;
-                    v.overflows += 1;
-                }
+                l.held.push(item);
                 let Some(t) = writer else { return };
                 let q = Node::Query(QueryId::new(query));
                 let closes = l.graph.would_close_cycle(Node::Txn(t), q);
@@ -579,22 +569,16 @@ fn feed(seed: u64, lanes: u32, cycles: u64, items: u32, miss_pct: u64) -> Vec<Op
     ops
 }
 
-fn run_both(
-    ops: &[Op],
-    lanes: u32,
-    coverage: CoverageRule,
-    cap: u32,
-) -> (MonitorVerdict, MonitorVerdict) {
+fn run_both(ops: &[Op], lanes: u32, coverage: CoverageRule) -> (MonitorVerdict, MonitorVerdict) {
     let mut config = MonitorConfig::new(lanes, MonitorPolicy::Graph, coverage);
-    config.reads_per_query = cap;
     config.max_violations = 4096;
-    let mut engine = MonitorEngine::new(config);
-    let mut model = MirrorModel::new(lanes, coverage == CoverageRule::StrictGap, cap as usize);
+    let monitors = Monitors::new(config);
+    let mut model = MirrorModel::new(lanes, coverage == CoverageRule::StrictGap);
     for op in ops {
-        drive(&mut engine, op);
+        drive(&monitors, op);
         model.apply(op);
     }
-    (engine.mon_verdict(), model.verdict)
+    (monitors.verdict(), model.verdict)
 }
 
 fn coverage_of(strict: bool) -> CoverageRule {
@@ -616,10 +600,9 @@ proptest! {
         cycles in 2u64..12,
         items in 2u32..8,
         strict in proptest::bool::ANY,
-        cap in 2u32..8,
     ) {
         let ops = feed(seed, lanes, cycles, items, 0);
-        let (engine, model) = run_both(&ops, lanes, coverage_of(strict), cap);
+        let (engine, model) = run_both(&ops, lanes, coverage_of(strict));
         prop_assert_eq!(engine.render(), model.render(), "feed {:?}", ops);
     }
 
@@ -632,10 +615,9 @@ proptest! {
         cycles in 2u64..12,
         items in 2u32..8,
         strict in proptest::bool::ANY,
-        cap in 2u32..8,
     ) {
         let ops = feed(seed, lanes, cycles, items, 30);
-        let (engine, model) = run_both(&ops, lanes, coverage_of(strict), cap);
+        let (engine, model) = run_both(&ops, lanes, coverage_of(strict));
         let key = |v: &Violation| (v.kind.label(), v.client, v.query, v.cycle);
         for v in &model.violations {
             prop_assert!(
@@ -664,7 +646,6 @@ struct EntryLane {
     pending: Option<(u32, u64, u64)>,
     /// `(item, valid_from, valid_until)` per accepted read.
     reads: Vec<(u32, u64, u64)>,
-    overflow: bool,
     writers: Vec<TxnId>,
     overwriters: Vec<TxnId>,
 }
@@ -690,8 +671,6 @@ impl EntryLane {
 struct EntryModel {
     policy: MonitorPolicy,
     coverage: CoverageRule,
-    staleness_bound: Option<u64>,
-    cap: usize,
     lanes: Vec<EntryLane>,
     verdict: MonitorVerdict,
 }
@@ -701,8 +680,6 @@ impl EntryModel {
         EntryModel {
             policy: config.policy,
             coverage: config.coverage,
-            staleness_bound: config.staleness_bound,
-            cap: config.reads_per_query as usize,
             lanes: (0..lanes).map(|_| EntryLane::default()).collect(),
             verdict: empty_verdict(),
         }
@@ -804,7 +781,7 @@ impl EntryModel {
             return;
         }
         let mut found = l.pending.map(|at| (MonitorKind::Serializability, at));
-        if found.is_none() && snapshot && !l.overflow && !l.reads.is_empty() {
+        if found.is_none() && snapshot && !l.reads.is_empty() {
             let (mut max_from, mut from_item) = (0, NO_ITEM);
             let (mut min_until, mut until_item) = (NO_CYCLE, NO_ITEM);
             for &(item, from, until) in &l.reads {
@@ -818,12 +795,6 @@ impl EntryModel {
             if max_from >= min_until {
                 let at = (from_item, min_until, u64::from(until_item));
                 found = Some((MonitorKind::Serializability, at));
-            }
-        }
-        if let (None, Some(bound)) = (found, self.staleness_bound) {
-            let staleness = n.saturating_sub(l.verified);
-            if staleness > bound {
-                found = Some((MonitorKind::Currency, (NO_ITEM, NO_CYCLE, staleness)));
             }
         }
         if let Some((kind, at)) = found {
@@ -855,12 +826,7 @@ impl EntryModel {
             let v = Self::violation(kind, lane, query, n, (doomed, wc, detail));
             self.verdict.violations.push(v);
         }
-        if l.reads.len() < self.cap {
-            l.reads.push((item, slot.0, slot.1));
-        } else if !l.overflow {
-            l.overflow = true;
-            self.verdict.overflows += 1;
-        }
+        l.reads.push((item, slot.0, slot.1));
         let (true, Some(t)) = (graph, writer) else {
             return;
         };
@@ -1047,7 +1013,7 @@ proptest! {
     /// out-of-range lanes count their controls and entries, every call
     /// of an out-of-range lane is counted unknown, and a lane
     /// verifies its readset only through a report that left it undoomed
-    /// (what a staleness bound reads at commit).
+    /// (what a `Current` lane's next screen compares against).
     #[test]
     fn one_call_screen_equals_the_entry_by_entry_feed(
         seed in 0u64..u64::MAX,
@@ -1055,21 +1021,17 @@ proptest! {
         cycles in 2u64..16,
         items in 2u32..10,
         which in 0usize..SCREENED.len(),
-        cap in 2u32..8,
-        staleness in 0u64..5,
     ) {
         let (policy, coverage) = SCREENED[which];
         let ops = screen_feed(seed, lanes, cycles, items);
         let mut config = MonitorConfig::new(lanes, policy, coverage);
-        config.reads_per_query = cap;
         config.max_violations = 4096;
-        config.staleness_bound = (staleness < 4).then_some(staleness);
-        let mut engine = MonitorEngine::new(config);
+        let monitors = Monitors::new(config);
         let mut model = EntryModel::new(lanes, config);
         for op in &ops {
-            drive(&mut engine, op);
+            drive(&monitors, op);
             model.apply(op);
         }
-        prop_assert_eq!(engine.mon_verdict().render(), model.verdict.render(), "feed {:?}", ops);
+        prop_assert_eq!(monitors.verdict().render(), model.verdict.render(), "feed {:?}", ops);
     }
 }

@@ -180,7 +180,11 @@ pub struct Simulation {
     method: Method,
     server: BroadcastServer,
     clients: Vec<QueryExecutor>,
+    /// The sink [`Simulation::run`] routes the server and every client
+    /// into, once.
     obs: Obs,
+    /// The monitors [`Simulation::run`] attaches to `obs`.
+    monitors: Option<Monitors>,
     flight: Option<FlightState>,
 }
 
@@ -191,9 +195,7 @@ pub struct Simulation {
 /// sharded and unsharded runs.
 pub fn monitors_for(config: &SimConfig, method: Method) -> Monitors {
     let (policy, coverage) = method.monitor_policy();
-    let mut mc = MonitorConfig::new(config.n_clients, policy, coverage);
-    mc.reads_per_query = config.client.reads_per_query.max(1);
-    Monitors::new(mc)
+    Monitors::new(MonitorConfig::new(config.n_clients, policy, coverage))
 }
 
 /// A shared write-once mailbox for the first [`Capture`] of a run: the
@@ -344,13 +346,14 @@ impl Simulation {
             server,
             clients: built,
             obs: Obs::off(),
+            monitors: None,
             flight: None,
         })
     }
 
-    /// Routes the whole simulation into `obs`: the server gets a
-    /// per-cycle span and size histogram, every client's protocol is
-    /// wrapped in an instrumentation decorator streaming per-operation
+    /// Routes the whole simulation into `obs` when it runs: the server
+    /// gets a per-cycle span and size histogram, every client's protocol
+    /// is wrapped in an instrumentation decorator streaming per-operation
     /// events, and the end-of-run validation pass is bracketed by a
     /// `validator.check` span. After the run, the aggregated
     /// [`bpush_core::instrument::ProtocolStats`] of all clients are
@@ -358,38 +361,21 @@ impl Simulation {
     /// event-derived counters can be reconciled against the decorator's
     /// independent tally.
     #[must_use]
-    pub fn with_obs(self, obs: Obs) -> Self {
-        let Simulation {
-            config,
-            method,
-            server,
-            clients,
-            flight,
-            ..
-        } = self;
-        Simulation {
-            config,
-            method,
-            server: server.with_obs(obs.clone()),
-            clients: clients
-                .into_iter()
-                .map(|c| c.with_obs(obs.clone()))
-                .collect(),
-            obs,
-            flight,
-        }
+    pub fn with_obs(mut self, obs: Obs) -> Self {
+        self.obs = obs;
+        self
     }
 
     /// Attaches online invariant monitors: every client's typed monitor
     /// feed is routed into `monitors`, which check the method's
     /// published consistency rules *during* the run — see
     /// [`monitors_for`] for a handle matched to the method. Composes
-    /// with an existing [`Obs`]; monitors alone emit no events, since
-    /// they read none.
+    /// with [`Simulation::with_obs`] in either order; monitors alone
+    /// emit no events, since they read none.
     #[must_use]
-    pub fn with_monitors(self, monitors: Monitors) -> Self {
-        let obs = self.obs.clone().with_monitors(monitors);
-        self.with_obs(obs)
+    pub fn with_monitors(mut self, monitors: Monitors) -> Self {
+        self.monitors = Some(monitors);
+        self
     }
 
     /// Retains the last `frames` broadcast cycles as wire-format bytes
@@ -410,9 +396,8 @@ impl Simulation {
     /// `factory` — the fault-injection seam: the monitors' detection
     /// claims are tested by seeding deliberately broken protocols (e.g.
     /// `bpush-mc`'s `BrokenInvalidation`) into an otherwise genuine
-    /// simulation. Call before [`Simulation::with_obs`] /
-    /// [`Simulation::with_monitors`] so instrumentation wraps the
-    /// replacement.
+    /// simulation. The instrumentation [`Simulation::run`] attaches
+    /// wraps the replacement, whatever the builder order.
     #[must_use]
     pub fn with_protocol_factory(
         mut self,
@@ -490,6 +475,22 @@ impl Simulation {
         mut self,
         mut observer: impl FnMut(&QueryOutcome),
     ) -> Result<MethodMetrics, BpushError> {
+        // Wire what the builders collected, once: the monitors ride the
+        // sink, the server reports into it, and each client's protocol,
+        // as the last factory left it, gets one instrumentation decorator.
+        if let Some(monitors) = self.monitors.take() {
+            self.obs = self.obs.with_monitors(monitors);
+        }
+        if self.obs.is_enabled() || self.obs.monitors().is_some() {
+            let obs = self.obs.clone();
+            self.clients = self
+                .clients
+                .into_iter()
+                .map(|c| c.with_obs(obs.clone()))
+                .collect();
+        }
+        self.server = self.server.with_obs(self.obs.clone());
+
         let warmup = Cycle::new(u64::from(self.config.warmup_cycles));
         let mut start = Slot::ZERO;
         let mut outcomes: Vec<QueryOutcome> = Vec::new();
@@ -532,7 +533,7 @@ impl Simulation {
             // capture, fingerprinting the affected client's protocol
             // state at the end of the triggering cycle.
             if let (Some(flight), Some(mon)) = (self.flight.as_ref(), self.obs.monitors()) {
-                if !flight.slot.is_filled() && mon.triggers() > 0 {
+                if !flight.slot.is_filled() {
                     if let Some(trigger) = mon.first_trigger() {
                         let fingerprint = self
                             .clients
@@ -1156,7 +1157,7 @@ mod tests {
             .unwrap();
         let verdict = monitors.verdict();
         assert!(!verdict.pass(), "the seeded bug must be flagged online");
-        assert!(monitors.triggers() >= 1);
+        assert!(monitors.first_trigger().is_some());
         let first = verdict.violations.first().expect("a retained violation");
         assert_eq!(first.kind, bpush_obs::monitor::MonitorKind::Currency);
 
@@ -1180,9 +1181,7 @@ mod tests {
     fn an_undersized_lane_table_does_not_pass_a_broken_run() {
         let (policy, coverage) = Method::InvalidationOnly.monitor_policy();
         for lanes in [0, 1] {
-            let mut config = MonitorConfig::new(lanes, policy, coverage);
-            config.reads_per_query = quick_config().client.reads_per_query;
-            let monitors = Monitors::new(config);
+            let monitors = Monitors::new(MonitorConfig::new(lanes, policy, coverage));
             Simulation::new(quick_config(), Method::InvalidationOnly)
                 .unwrap()
                 .with_protocol_factory(|| Box::new(bpush_mc::BrokenInvalidation::new()))
@@ -1205,7 +1204,6 @@ mod tests {
         for method in [Method::InvalidationOnly, Method::MultiversionCaching] {
             let (policy, coverage) = method.monitor_policy();
             let mut watched = MonitorConfig::new(config.n_clients, policy, coverage);
-            watched.reads_per_query = config.client.reads_per_query;
             watched.watch = Some(AbortReason::Invalidated);
             let monitors = Monitors::new(watched);
             let metrics = Simulation::new(config.clone(), method)
@@ -1278,13 +1276,29 @@ mod tests {
         );
     }
 
-    /// SGT blind to the graph: it asks for no diff and its method hears
-    /// each control without one, so its window never links the server's
-    /// conflicts and it commits what the §3.3 test would abort.
-    #[derive(Debug)]
-    struct DiffBlindSgt(Box<dyn ReadOnlyProtocol>);
+    /// A sense an [`ImpairedSgt`] lacks.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Impairment {
+        /// It asks for no diff and hears each control without one, so
+        /// its window never links the server's conflicts and it commits
+        /// what the §3.3 test would abort.
+        DiffBlind,
+        /// It ignores `on_missed_cycle`, so a query reads on across a
+        /// gap that plain SGT must abort it for (§5.2.2).
+        MissDeaf,
+    }
 
-    impl ReadOnlyProtocol for DiffBlindSgt {
+    /// SGT with one [`Impairment`], for the monitors to catch.
+    #[derive(Debug)]
+    struct ImpairedSgt(Box<dyn ReadOnlyProtocol>, Impairment);
+
+    impl ImpairedSgt {
+        fn factory(impairment: Impairment) -> impl Fn() -> Box<dyn ReadOnlyProtocol> {
+            move || Box::new(ImpairedSgt(Method::Sgt.build_protocol(), impairment))
+        }
+    }
+
+    impl ReadOnlyProtocol for ImpairedSgt {
         fn name(&self) -> &'static str {
             self.0.name()
         }
@@ -1294,21 +1308,27 @@ mod tests {
         }
 
         fn on_control(&mut self, ctrl: &bpush_broadcast::ControlInfo) {
-            let blind = bpush_broadcast::ControlInfo::new(
-                ctrl.cycle(),
-                ctrl.invalidation().clone(),
-                ctrl.augmented().cloned(),
-                None,
-            );
-            self.0.on_control(&blind);
+            if self.1 == Impairment::DiffBlind {
+                let blind = bpush_broadcast::ControlInfo::new(
+                    ctrl.cycle(),
+                    ctrl.invalidation().clone(),
+                    ctrl.augmented().cloned(),
+                    None,
+                );
+                self.0.on_control(&blind);
+            } else {
+                self.0.on_control(ctrl);
+            }
         }
 
-        fn needs_graph_diff(&self, _head: &bpush_broadcast::ControlInfo) -> bool {
-            false
+        fn needs_graph_diff(&self, head: &bpush_broadcast::ControlInfo) -> bool {
+            self.1 != Impairment::DiffBlind && self.0.needs_graph_diff(head)
         }
 
         fn on_missed_cycle(&mut self, cycle: Cycle) {
-            self.0.on_missed_cycle(cycle);
+            if self.1 != Impairment::MissDeaf {
+                self.0.on_missed_cycle(cycle);
+            }
         }
 
         fn begin_query(&mut self, q: bpush_types::QueryId, now: Cycle) {
@@ -1348,7 +1368,7 @@ mod tests {
             let monitors = monitors_for(&quick_config(), Method::Sgt);
             let sim = Simulation::new(quick_config(), Method::Sgt)
                 .unwrap()
-                .with_protocol_factory(|| Box::new(DiffBlindSgt(Method::Sgt.build_protocol())));
+                .with_protocol_factory(ImpairedSgt::factory(Impairment::DiffBlind));
             let sim = if wire { sim.with_wire_feed() } else { sim };
             let metrics = sim.with_monitors(monitors.clone()).run().unwrap();
             assert!(
@@ -1367,6 +1387,107 @@ mod tests {
             struct_fed.render()
         );
         assert_eq!(struct_fed.render(), wire_fed.render());
+    }
+
+    /// A query that reads on across a missed cycle under plain SGT is a
+    /// coverage violation, whichever feed brought the controls it heard.
+    #[test]
+    fn monitors_flag_an_sgt_deaf_to_missed_cycles_on_either_feed() {
+        let mut dozing = quick_config();
+        dozing.client.disconnect_prob = 0.3;
+        let run = |wire: bool| {
+            let monitors = monitors_for(&dozing, Method::Sgt);
+            let sim = Simulation::new(dozing.clone(), Method::Sgt)
+                .unwrap()
+                .with_protocol_factory(ImpairedSgt::factory(Impairment::MissDeaf));
+            let sim = if wire { sim.with_wire_feed() } else { sim };
+            sim.with_monitors(monitors.clone()).run().unwrap();
+            monitors.verdict()
+        };
+        let (struct_fed, wire_fed) = (run(false), run(true));
+        assert!(
+            struct_fed
+                .violations
+                .iter()
+                .any(|v| v.kind == bpush_obs::monitor::MonitorKind::Coverage),
+            "{}",
+            struct_fed.render()
+        );
+        assert_eq!(struct_fed.render(), wire_fed.render());
+    }
+
+    /// Observation is wired once, when the run starts: a recording sink
+    /// and monitors attached in either order record each protocol event
+    /// once, so the counters reconcile with the decorator's tally and the
+    /// trace is the one a recording-only run writes.
+    #[test]
+    fn recorded_and_monitored_runs_reconcile_in_either_order() {
+        for method in [Method::InvalidationOnly, Method::Sgt] {
+            let recorded_only = Obs::recording(1 << 14);
+            Simulation::new(quick_config(), method)
+                .unwrap()
+                .with_obs(recorded_only.clone())
+                .run()
+                .unwrap();
+            let alone = recorded_only.snapshot().expect("recording");
+            for obs_first in [true, false] {
+                let obs = Obs::recording(1 << 14);
+                let monitors = monitors_for(&quick_config(), method);
+                let sim = Simulation::new(quick_config(), method).unwrap();
+                let sim = if obs_first {
+                    sim.with_obs(obs.clone()).with_monitors(monitors.clone())
+                } else {
+                    sim.with_monitors(monitors.clone()).with_obs(obs.clone())
+                };
+                sim.run().unwrap();
+                let snap = obs.snapshot().expect("recording");
+                for (events, tally) in [
+                    ("reads.accepted", "stats.accepts"),
+                    ("reads.rejected", "stats.rejects"),
+                    ("control.processed", "stats.controls"),
+                ] {
+                    assert_eq!(
+                        snap.counter(events),
+                        snap.counter(tally),
+                        "{method} obs_first={obs_first}: {events} vs {tally}"
+                    );
+                }
+                assert_eq!(
+                    bpush_obs::export::ndjson(&snap),
+                    bpush_obs::export::ndjson(&alone),
+                    "{method} obs_first={obs_first}"
+                );
+                let verdict = monitors.verdict();
+                assert!(verdict.pass(), "{method}: {}", verdict.render());
+                assert_eq!(verdict.controls, snap.counter("stats.controls"));
+            }
+        }
+    }
+
+    /// A protocol factory applied after the monitors still runs under
+    /// them: the seeded bug is flagged, with the verdict of the other
+    /// builder order.
+    #[test]
+    fn a_factory_after_the_monitors_is_still_watched() {
+        let run = |factory_first: bool| {
+            let monitors = monitors_for(&quick_config(), Method::InvalidationOnly);
+            let broken =
+                || -> Box<dyn ReadOnlyProtocol> { Box::new(bpush_mc::BrokenInvalidation::new()) };
+            let sim = Simulation::new(quick_config(), Method::InvalidationOnly).unwrap();
+            let sim = if factory_first {
+                sim.with_protocol_factory(broken)
+                    .with_monitors(monitors.clone())
+            } else {
+                sim.with_monitors(monitors.clone())
+                    .with_protocol_factory(broken)
+            };
+            sim.run().unwrap();
+            monitors.verdict()
+        };
+        let late = run(false);
+        assert!(!late.pass(), "{}", late.render());
+        assert!(late.controls > 0);
+        assert_eq!(late.render(), run(true).render());
     }
 
     #[test]

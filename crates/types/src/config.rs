@@ -80,8 +80,6 @@ pub struct ServerConfig {
     pub report_window: u32,
     /// Granularity of invalidation/version control information.
     pub granularity: Granularity,
-    /// On-air layout for old versions in multiversion mode.
-    pub mv_layout: MultiversionLayout,
     /// Size of an item key in abstract units (`k`). Default 1.
     pub key_size: u32,
     /// Size of the non-key attributes (`d`). Default 5 (= 5k).
@@ -102,7 +100,6 @@ impl Default for ServerConfig {
             items_per_bucket: 1,
             report_window: 1,
             granularity: Granularity::Item,
-            mv_layout: MultiversionLayout::Overflow,
             key_size: 1,
             data_size: 5,
         }
