@@ -12,11 +12,13 @@ use bpush_broadcast::feed::{
 };
 use bpush_broadcast::wire::WireParams;
 use bpush_broadcast::{Bcast, ControlInfo};
+use bpush_core::instrument::Instrumented;
 use bpush_core::validator::ReadRecord;
 use bpush_core::{
     AbortReason, CacheMode, ReadCandidate, ReadConstraint, ReadDirective, ReadOnlyProtocol,
     ReadOutcome, Source,
 };
+use bpush_obs::{Actor, Obs};
 use bpush_types::{BpushError, Cycle, ItemId, QueryId};
 
 use crate::cache::ClientCache;
@@ -38,10 +40,34 @@ pub(crate) enum ReadPlan {
     },
 }
 
+/// The method a core drives: bare, or under the one instrumentation
+/// decorator it was routed through.
+#[derive(Debug)]
+enum Held {
+    Bare(Box<dyn ReadOnlyProtocol>),
+    Observed(Box<Instrumented>),
+}
+
+impl Held {
+    fn get(&self) -> &dyn ReadOnlyProtocol {
+        match self {
+            Held::Bare(p) => &**p,
+            Held::Observed(p) => &**p,
+        }
+    }
+
+    fn get_mut(&mut self) -> &mut dyn ReadOnlyProtocol {
+        match self {
+            Held::Bare(p) => &mut **p,
+            Held::Observed(p) => &mut **p,
+        }
+    }
+}
+
 /// Protocol + cache + the in-flight transaction table.
 #[derive(Debug)]
 pub(crate) struct ClientCore {
-    protocol: Box<dyn ReadOnlyProtocol>,
+    protocol: Held,
     cache: Option<ClientCache>,
     /// The wire link: the deployment's widths and the one byte buffer
     /// every segment this client hears is framed out of.
@@ -56,7 +82,7 @@ pub(crate) struct ClientCore {
 impl ClientCore {
     pub(crate) fn new(protocol: Box<dyn ReadOnlyProtocol>, cache: Option<ClientCache>) -> Self {
         ClientCore {
-            protocol,
+            protocol: Held::Bare(protocol),
             cache,
             wire: None,
             heard: None,
@@ -65,14 +91,30 @@ impl ClientCore {
         }
     }
 
-    /// Replaces the protocol by `f(protocol)` — the one seam through
-    /// which decorators wrap it and fault injection swaps it.
-    pub(crate) fn wrap(
-        self,
-        f: impl FnOnce(Box<dyn ReadOnlyProtocol>) -> Box<dyn ReadOnlyProtocol>,
-    ) -> Self {
+    /// Routes the method into `obs` as `actor` under one
+    /// [`Instrumented`] decorator, replacing the one it had, if any.
+    pub(crate) fn observe(self, obs: Obs, actor: Actor) -> Self {
+        let bare = match self.protocol {
+            Held::Bare(p) => p,
+            Held::Observed(d) => d.into_inner(),
+        };
+        let decorated = Instrumented::with_obs(bare, obs, actor);
         ClientCore {
-            protocol: f(self.protocol),
+            protocol: Held::Observed(Box::new(decorated)),
+            ..self
+        }
+    }
+
+    /// Whether the method runs under an instrumentation decorator.
+    pub(crate) fn is_observed(&self) -> bool {
+        matches!(self.protocol, Held::Observed(_))
+    }
+
+    /// Replaces the method by a bare `protocol` — the fault-injection
+    /// seam.
+    pub(crate) fn with_protocol(self, protocol: Box<dyn ReadOnlyProtocol>) -> Self {
+        ClientCore {
+            protocol: Held::Bare(protocol),
             ..self
         }
     }
@@ -84,7 +126,7 @@ impl ClientCore {
     }
 
     pub(crate) fn protocol(&self) -> &dyn ReadOnlyProtocol {
-        &*self.protocol
+        self.protocol.get()
     }
 
     pub(crate) fn cache(&self) -> Option<&ClientCache> {
@@ -115,7 +157,7 @@ impl ClientCore {
     /// Hears a control segment: the method validates its queries, the
     /// cache invalidates.
     fn hear_control(&mut self, ctrl: &ControlInfo) {
-        self.protocol.on_control(ctrl);
+        self.protocol.get_mut().on_control(ctrl);
         if let Some(cache) = &mut self.cache {
             cache.on_report(ctrl.invalidation());
         }
@@ -154,7 +196,7 @@ impl ClientCore {
         let decoded = match seg.kind {
             SegmentKind::Control => {
                 decode_control_with(seg.payload, *params, seg.cycle, &mut |head| {
-                    protocol.needs_graph_diff(head)
+                    protocol.get().needs_graph_diff(head)
                 })
                 .map(DecodedSegment::Control)?
             }
@@ -201,7 +243,7 @@ impl ClientCore {
 
     /// The client missed `cycle` entirely.
     pub(crate) fn missed(&mut self, cycle: Cycle) {
-        self.protocol.on_missed_cycle(cycle);
+        self.protocol.get_mut().on_missed_cycle(cycle);
         if let Some(cache) = &mut self.cache {
             cache.on_missed_cycle(cycle);
         }
@@ -212,7 +254,7 @@ impl ClientCore {
         let now = self.now();
         let id = self.next_id;
         self.next_id = id.next();
-        self.protocol.begin_query(id, now);
+        self.protocol.get_mut().begin_query(id, now);
         self.active.push((id, Vec::new()));
         id
     }
@@ -221,7 +263,7 @@ impl ClientCore {
     /// an unknown handle.
     pub(crate) fn directive(&self, q: QueryId, item: ItemId) -> ReadDirective {
         self.txn_index(q);
-        self.protocol.read_directive(q, item, self.now())
+        self.protocol.get().read_directive(q, item, self.now())
     }
 
     /// Directive, then the cache.
@@ -299,7 +341,7 @@ impl ClientCore {
     ) -> ReadOutcome {
         let idx = self.txn_index(q);
         let now = self.now();
-        let outcome = self.protocol.apply_read(q, item, cand, now);
+        let outcome = self.protocol.get_mut().apply_read(q, item, cand, now);
         if outcome == ReadOutcome::Accepted {
             if let Some((_, reads)) = self.active.get_mut(idx) {
                 reads.push(ReadRecord::new(item, cand.value));
@@ -319,7 +361,7 @@ impl ClientCore {
     /// Panics on an unknown handle.
     pub(crate) fn end(&mut self, q: QueryId) -> Vec<ReadRecord> {
         let (id, reads) = self.active.remove(self.txn_index(q));
-        self.protocol.finish_query(id);
+        self.protocol.get_mut().finish_query(id);
         reads
     }
 }

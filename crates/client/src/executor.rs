@@ -7,7 +7,7 @@ use rand::Rng;
 use rand::SeedableRng;
 
 use bpush_broadcast::Bcast;
-use bpush_core::instrument::{Instrumented, ProtocolStats};
+use bpush_core::instrument::ProtocolStats;
 use bpush_core::validator::ReadRecord;
 use bpush_core::{AbortReason, ReadOnlyProtocol, ReadOutcome};
 use bpush_obs::{Actor, EventKind, Obs};
@@ -66,6 +66,8 @@ impl QueryOutcome {
 #[derive(Debug)]
 struct ActiveQuery {
     id: QueryId,
+    /// The cycle whose bcast the query began under.
+    began: Cycle,
     items: Vec<ItemId>,
     next: usize,
     started: Slot,
@@ -196,19 +198,25 @@ impl QueryExecutor {
     }
 
     /// Routes this client's activity into `obs`: the protocol is
-    /// wrapped in an [`Instrumented`] decorator emitting per-operation
-    /// events, and the executor itself emits cache hit/miss and query
+    /// wrapped in an [`Instrumented`](bpush_core::instrument::Instrumented)
+    /// decorator emitting per-operation events, and the executor itself
+    /// emits cache hit/miss and query
     /// commit/abort events, all attributed to this client's
     /// [`Actor`] lane. Monitors attached to `obs` hear each query's fate
-    /// from the executor, which decides it.
+    /// from the executor, which decides it. A second call replaces the
+    /// sink: the protocol keeps one decorator, whose counters start again
+    /// with the new sink.
     #[must_use]
     pub fn with_obs(mut self, obs: Obs) -> Self {
-        let actor = Actor::Client(self.client.index());
-        self.core = self
-            .core
-            .wrap(|p| Box::new(Instrumented::with_obs(p, obs.clone(), actor)));
+        let actor = self.actor();
+        self.core = self.core.observe(obs.clone(), actor);
         self.obs = obs;
         self
+    }
+
+    /// This client's lane in traces and monitors.
+    fn actor(&self) -> Actor {
+        Actor::Client(self.client.index())
     }
 
     /// Feeds this client's control reports through the wire codec:
@@ -223,13 +231,19 @@ impl QueryExecutor {
         self
     }
 
-    /// Replaces the protocol the executor holds, an instrumentation
-    /// decorator included — the fault-injection seam the monitor-layer
-    /// tests use to run a broken mutant under an otherwise identical
-    /// workload.
+    /// Replaces the protocol the executor holds — the fault-injection
+    /// seam the monitor-layer tests use to run a broken mutant under an
+    /// otherwise identical workload. An executor routed into a sink by
+    /// [`QueryExecutor::with_obs`] wraps the replacement in a fresh
+    /// decorator over the same sink.
     #[must_use]
     pub fn with_protocol(mut self, protocol: Box<dyn ReadOnlyProtocol>) -> Self {
-        self.core = self.core.wrap(|_| protocol);
+        let observed = self.core.is_observed();
+        self.core = self.core.with_protocol(protocol);
+        if observed {
+            let actor = self.actor();
+            self.core = self.core.observe(self.obs.clone(), actor);
+        }
         self
     }
 
@@ -248,6 +262,12 @@ impl QueryExecutor {
     /// The client this executor simulates.
     pub fn client(&self) -> ClientId {
         self.client
+    }
+
+    /// The cycle the query in flight began in, if one is: no value it
+    /// reads comes off a bcast older than that one.
+    pub fn live_since(&self) -> Option<Cycle> {
+        self.active.as_ref().map(|aq| aq.began)
     }
 
     /// Whether the query budget is exhausted and no query is in flight.
@@ -282,6 +302,7 @@ impl QueryExecutor {
         }
         ActiveQuery {
             id: self.core.begin(),
+            began: bcast.cycle(),
             items,
             next: 0,
             started: self.cursor,
@@ -309,7 +330,7 @@ impl QueryExecutor {
             mon.finish(self.client.index(), aq.id.number(), cycle, aborted);
         }
         if self.obs.is_enabled() {
-            let actor = Actor::Client(self.client.index());
+            let actor = self.actor();
             match aborted {
                 None => self.obs.emit(
                     cycle,
@@ -835,6 +856,66 @@ mod tests {
         // candidate the protocol then rejects stays a hit, hence >=).
         assert!(snap.counter("cache.hits") >= u64::from(cache));
         assert!(cache > 0, "the caching method must see hits here");
+    }
+
+    /// Runs `exec` for 60 cycles of a plain server.
+    fn drive(exec: &mut QueryExecutor) {
+        let mut server = BroadcastServer::new(server_config(), ServerOptions::plain(), 3).unwrap();
+        let mut start = Slot::ZERO;
+        for _ in 0..60 {
+            let b = server.run_cycle();
+            exec.run_cycle(&b, start, true).unwrap();
+            start = start.plus(b.total_slots());
+        }
+    }
+
+    /// A second `with_obs` replaces the sink of the one decorator: the
+    /// same sink given twice records each event once, and a sink given
+    /// first and then replaced records nothing.
+    #[test]
+    fn a_second_with_obs_replaces_the_sink() {
+        for same_sink in [true, false] {
+            let (first, obs) = (Obs::recording(1 << 14), Obs::recording(1 << 14));
+            let earlier = if same_sink {
+                obs.clone()
+            } else {
+                first.clone()
+            };
+            let mut exec = executor_for(Method::InvalidationCache, 15)
+                .with_obs(earlier)
+                .with_obs(obs.clone());
+            drive(&mut exec);
+            let stats = exec.protocol_stats().expect("instrumented");
+            let snap = obs.snapshot().expect("recording");
+            assert!(stats.accepts > 0);
+            assert_eq!(snap.counter("reads.accepted"), stats.accepts, "{same_sink}");
+            assert_eq!(snap.counter("queries.begun"), stats.queries, "{same_sink}");
+            if !same_sink {
+                let replaced = first.snapshot().expect("recording");
+                assert_eq!(replaced.counter("reads.accepted"), 0);
+            }
+        }
+    }
+
+    /// A protocol swapped in after `with_obs` runs under a decorator over
+    /// the same sink, so its monitors still hear it.
+    #[test]
+    fn a_protocol_swapped_in_after_with_obs_is_still_observed() {
+        let method = Method::InvalidationCache;
+        let (policy, coverage) = method.monitor_policy();
+        let monitors = bpush_obs::Monitors::new(bpush_obs::MonitorConfig::new(1, policy, coverage));
+        let obs = Obs::recording(1 << 14).with_monitors(monitors.clone());
+        let mut exec = executor_for(method, 15)
+            .with_obs(obs.clone())
+            .with_protocol(method.build_protocol());
+        drive(&mut exec);
+        let stats = exec.protocol_stats().expect("still instrumented");
+        let snap = obs.snapshot().expect("recording");
+        assert!(stats.accepts > 0);
+        assert_eq!(snap.counter("reads.accepted"), stats.accepts);
+        let verdict = monitors.verdict();
+        assert!(verdict.pass(), "{}", verdict.render());
+        assert_eq!(verdict.controls, stats.controls);
     }
 
     fn exec_cache_totals(outcomes: &[QueryOutcome]) -> u32 {

@@ -17,9 +17,11 @@
 //! pattern.
 
 use std::fmt;
+use std::sync::Arc;
 
 use bpush_server::WriteHistory;
-use bpush_types::{ItemId, ItemValue, TxnId};
+use bpush_sgraph::{GraphDiff, Window};
+use bpush_types::{BpushError, Cycle, ItemId, ItemValue, TxnId};
 
 /// One read of a committed query: the item and the exact value observed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -234,10 +236,181 @@ impl<'a> SerializabilityBatch<'a> {
     }
 }
 
+/// The paper's criterion (§2.2) applied to each committed readset when
+/// its query finishes, over the graph differences the server already put
+/// on air: the online form of the end-of-run audit.
+///
+/// A readset first gets the interval check
+/// ([`SerializabilityValidator::check`]) against the history as it stands
+/// when the query finishes. Every later write overwrites a value still
+/// current then, so it commits after every writer read, and neither the
+/// interval check's verdict nor the batch's (see [`SerializabilityBatch`])
+/// can change after that point.
+///
+/// Only a readset the interval check rejects asks the graph question:
+/// does some first overwriter `o` of a value read equal, or reach, the
+/// writer `w` of a value read? An SGT server airs each cycle's conflict
+/// edges as a [`GraphDiff`] a cycle later (§3.3), and [`Judge::air`]
+/// keeps them in a [`Window`] that starts at the bound the caller proves:
+/// no overwriter of a value a live query can read is older. The bcast of
+/// the cycle a query finishes in carries every diff up to the cycle
+/// before, the newest value read is no newer, and an overwriter newer
+/// than the newest writer reaches no writer (every conflict edge runs
+/// from an older transaction to a newer one), so the window holds every
+/// edge a path can use. An overwriter the window does not reach back to,
+/// or a writer it does not reach forward to, is a broken bound: the
+/// judge answers [`BpushError::Internal`], since [`Window::path_exists`]
+/// would answer `false` for it and pass the readset silently.
+///
+/// A server that airs no diff builds none, so a judge made with
+/// `airs_diffs` unset keeps the rejected readsets and answers them at
+/// [`Judge::tally`] from the conflict graph replayed once. Only a broken
+/// method commits a readset that gets there.
+#[derive(Debug)]
+pub struct Judge {
+    /// The aired diffs, when the server airs them.
+    aired: Option<AiredGraph>,
+    /// Readsets the interval check rejected that wait for the replayed
+    /// graph.
+    deferred: Vec<Vec<ReadRecord>>,
+    /// Violations found so far.
+    violations: u64,
+    /// Scratch: the readset's sorted writers.
+    writers: Vec<TxnId>,
+}
+
+/// The window of aired diffs a [`Judge`] searches, and its extent.
+#[derive(Debug, Default)]
+struct AiredGraph {
+    window: Window,
+    /// The cycle the window starts at.
+    start: Cycle,
+    /// The newest cycle whose diff the window keeps.
+    newest: Option<Cycle>,
+}
+
+impl Judge {
+    /// A judge with no readset judged yet. `airs_diffs` says whether the
+    /// server puts its graph differences on air, for [`Judge::air`] to
+    /// keep.
+    pub fn new(airs_diffs: bool) -> Self {
+        Judge {
+            aired: airs_diffs.then(AiredGraph::default),
+            deferred: Vec::new(),
+            violations: 0,
+            writers: Vec::new(),
+        }
+    }
+
+    /// Moves the window to start at `start` and keeps `diff`, the
+    /// graph difference the cycle's bcast airs. Call it once per cycle,
+    /// before judging that cycle's readsets, with a `start` that never
+    /// falls. A judge of a server that airs no diff ignores the call.
+    pub fn air(&mut self, start: Cycle, diff: Option<&Arc<GraphDiff>>) {
+        if let Some(aired) = &mut self.aired {
+            if aired.window.advance(Some(start), diff) {
+                aired.newest = diff.map(|d| d.cycle());
+            }
+            aired.start = start;
+        }
+    }
+
+    /// Judges one committed readset against `history` as it stands when
+    /// the query finishes.
+    ///
+    /// # Errors
+    /// Returns [`BpushError::Internal`] if the graph question needs a
+    /// transaction outside the window: an overwriter older than its
+    /// start, or a writer newer than its newest diff.
+    ///
+    /// # Panics
+    /// Panics if a read value was never committed according to the
+    /// history, as [`SerializabilityValidator::check`] does.
+    pub fn judge(
+        &mut self,
+        history: &WriteHistory,
+        reads: &[ReadRecord],
+    ) -> Result<(), BpushError> {
+        if SerializabilityValidator::new(history).check(reads).is_ok() {
+            return Ok(());
+        }
+        match &self.aired {
+            None => self.deferred.push(reads.to_vec()),
+            Some(aired) => {
+                if aired.closes_cycle(history, reads, &mut self.writers)? {
+                    self.violations += 1;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The number of violating readsets judged. The rejected readsets of
+    /// a server that airs no diff are answered here, by one
+    /// [`SerializabilityBatch`] over `graph()`, which is called only if
+    /// there is one.
+    pub fn tally<'g>(
+        self,
+        history: &'g WriteHistory,
+        graph: impl FnOnce() -> &'g bpush_sgraph::SerializationGraph,
+    ) -> u64 {
+        if self.deferred.is_empty() {
+            return self.violations;
+        }
+        let mut batch = SerializabilityBatch::new(history, graph());
+        let late = self.deferred.iter().filter(|r| batch.check(r).is_err());
+        self.violations + late.count() as u64
+    }
+}
+
+impl AiredGraph {
+    /// Whether a first overwriter of a value in `reads` is, or reaches, a
+    /// writer of one.
+    fn closes_cycle(
+        &self,
+        history: &WriteHistory,
+        reads: &[ReadRecord],
+        writers: &mut Vec<TxnId>,
+    ) -> Result<bool, BpushError> {
+        writers.clear();
+        writers.extend(reads.iter().filter_map(|r| r.value.writer()));
+        writers.sort_unstable();
+        writers.dedup();
+        let Some(&newest) = writers.last() else {
+            return Ok(false);
+        };
+        if self.newest.map_or(true, |aired| newest.cycle() > aired) {
+            return Err(BpushError::internal(
+                "a value read was written in a cycle whose graph diff is not aired yet",
+            ));
+        }
+        for r in reads {
+            // committed overwrites always carry a writer
+            let over = history.next_overwrite(r.item, r.value);
+            let Some(o) = over.and_then(|v| v.writer()) else {
+                continue;
+            };
+            // nothing past the newest writer leads back to a writer
+            if o > newest {
+                continue;
+            }
+            if o.cycle() < self.start {
+                return Err(BpushError::internal(
+                    "an overwriter fell below the judge's window",
+                ));
+            }
+            let mut later = writers.iter().filter(|&&w| w > o);
+            if writers.binary_search(&o).is_ok() || later.any(|&w| self.window.path_exists(o, w)) {
+                return Ok(true);
+            }
+        }
+        Ok(false)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bpush_types::Cycle;
 
     fn t(cycle: u64, seq: u32) -> TxnId {
         TxnId::new(Cycle::new(cycle), seq)
@@ -412,6 +585,107 @@ mod tests {
             .check(&torn)
             .unwrap_err();
         assert_eq!((err.fresh_writer, err.stale_overwrite), (t(1, 0), t(1, 0)));
+    }
+
+    /// History and aired diffs for the judge: x0 loses its initial value
+    /// to T1.0, T2.0 writes x1 and T2.1 writes x2; the only conflict edge
+    /// is T1.0 → T2.0, aired with cycle 2's diff.
+    fn judged_world() -> (WriteHistory, [Arc<GraphDiff>; 2]) {
+        let mut h = WriteHistory::new();
+        h.record(x(0), v(t(1, 0)));
+        h.record(x(1), v(t(2, 0)));
+        h.record(x(2), v(t(2, 1)));
+        let d1 = GraphDiff::new(Cycle::new(1), vec![t(1, 0)], vec![]);
+        let d2 = GraphDiff::new(
+            Cycle::new(2),
+            vec![t(2, 0), t(2, 1)],
+            vec![(t(1, 0), t(2, 0))],
+        );
+        (h, [Arc::new(d1), Arc::new(d2)])
+    }
+
+    /// Both readsets fail the interval check: the initial x0 was
+    /// overwritten by T1.0, before the writers of x1 and x2 committed.
+    /// Only the first closes a cycle, over the aired edge T1.0 → T2.0.
+    fn torn_readsets() -> [Vec<ReadRecord>; 2] {
+        let initial_x0 = ReadRecord::new(x(0), ItemValue::initial());
+        [
+            vec![initial_x0, ReadRecord::new(x(1), v(t(2, 0)))],
+            vec![initial_x0, ReadRecord::new(x(2), v(t(2, 1)))],
+        ]
+    }
+
+    /// The judge over the aired diffs agrees with the batch over the
+    /// graph they fold into: of two readsets the interval check rejects,
+    /// the one with a path from an overwriter to a writer is a
+    /// violation and the other is not. A judge that skipped the graph
+    /// question, either way, would count 0 or 2.
+    #[test]
+    fn judge_asks_the_aired_diffs_only_for_rejected_readsets() {
+        let (h, [d1, d2]) = judged_world();
+        let mut judge = Judge::new(true);
+        judge.air(Cycle::new(1), Some(&d1));
+        judge.air(Cycle::new(1), Some(&d2));
+        let [closes, passes] = torn_readsets();
+        let mut graph = bpush_sgraph::SerializationGraph::new();
+        graph.push(&d1);
+        graph.push(&d2);
+        let mut batch = SerializabilityBatch::new(&h, &graph);
+        assert!(batch.check(&closes).is_err() && batch.check(&passes).is_ok());
+        judge.judge(&h, &closes).unwrap();
+        assert_eq!(judge.violations, 1);
+        judge.judge(&h, &passes).unwrap();
+        // an interval-clean readset never reaches the graph
+        judge
+            .judge(&h, &[ReadRecord::new(x(1), v(t(2, 0)))])
+            .unwrap();
+        assert_eq!(judge.tally(&h, || unreachable!("no readset deferred")), 1);
+    }
+
+    /// A window that starts one cycle after an overwriter the question
+    /// needs cannot answer it: the judge says so instead of passing the
+    /// readset, which `Window::path_exists` on a non-node would do. So
+    /// does a writer newer than every aired diff.
+    #[test]
+    fn a_transaction_outside_the_window_is_internal() {
+        let (h, [d1, d2]) = judged_world();
+        let [closes, passes] = torn_readsets();
+        let mut late = Judge::new(true);
+        late.air(Cycle::new(2), Some(&d1));
+        late.air(Cycle::new(2), Some(&d2));
+        for reads in [&closes, &passes] {
+            assert!(matches!(
+                late.judge(&h, reads),
+                Err(BpushError::Internal(_))
+            ));
+        }
+        let mut early = Judge::new(true);
+        early.air(Cycle::new(1), Some(&d1));
+        assert!(matches!(
+            early.judge(&h, &closes),
+            Err(BpushError::Internal(_))
+        ));
+        // the same window answers once the newest writer's diff is on air
+        early.air(Cycle::new(1), Some(&d2));
+        early.judge(&h, &closes).unwrap();
+        assert_eq!(early.violations, 1);
+    }
+
+    /// With no diff on air the rejected readsets wait for the end of
+    /// run, where one batch over the replayed graph answers them.
+    #[test]
+    fn a_judge_without_aired_diffs_defers_to_the_replayed_graph() {
+        let (h, [d1, d2]) = judged_world();
+        let mut judge = Judge::new(false);
+        judge.air(Cycle::new(1), Some(&d1));
+        for reads in torn_readsets() {
+            judge.judge(&h, &reads).unwrap();
+        }
+        assert_eq!((judge.violations, judge.deferred.len()), (0, 2));
+        let mut graph = bpush_sgraph::SerializationGraph::new();
+        graph.push(&d1);
+        graph.push(&d2);
+        assert_eq!(judge.tally(&h, || &graph), 1);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use bpush_broadcast::ControlInfo;
 use bpush_core::{
-    AbortReason, CacheMode, ReadCandidate, ReadConstraint, ReadDirective, ReadOnlyProtocol,
+    AbortReason, CacheMode, Method, ReadCandidate, ReadConstraint, ReadDirective, ReadOnlyProtocol,
     ReadOutcome,
 };
 use bpush_types::{Cycle, ItemId, QueryId};
@@ -132,6 +132,97 @@ impl ReadOnlyProtocol for BrokenInvalidation {
 
     fn finish_query(&mut self, q: QueryId) {
         self.queries.remove(&q);
+    }
+}
+
+/// A sense an [`ImpairedSgt`] lacks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Impairment {
+    /// It asks for no diff and hears each control without one, so its
+    /// window never links the server's conflicts and it commits what the
+    /// §3.3 test would abort.
+    DiffBlind,
+    /// It ignores `on_missed_cycle`, so a query reads on across a gap
+    /// that plain SGT must abort it for (§5.2.2).
+    MissDeaf,
+}
+
+/// SGT with one [`Impairment`] — a seeded bug that commits readsets no
+/// serial execution explains.
+#[derive(Debug)]
+pub struct ImpairedSgt {
+    inner: Box<dyn ReadOnlyProtocol>,
+    impairment: Impairment,
+}
+
+impl ImpairedSgt {
+    /// Plain SGT with `impairment`.
+    pub fn new(impairment: Impairment) -> Self {
+        ImpairedSgt {
+            inner: Method::Sgt.build_protocol(),
+            impairment,
+        }
+    }
+
+    /// A factory of fresh instances, one per client.
+    pub fn factory(impairment: Impairment) -> impl Fn() -> Box<dyn ReadOnlyProtocol> {
+        move || Box::new(ImpairedSgt::new(impairment))
+    }
+}
+
+impl ReadOnlyProtocol for ImpairedSgt {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn cache_mode(&self) -> CacheMode {
+        self.inner.cache_mode()
+    }
+
+    fn on_control(&mut self, ctrl: &ControlInfo) {
+        if self.impairment == Impairment::DiffBlind {
+            let blind = ControlInfo::new(
+                ctrl.cycle(),
+                ctrl.invalidation().clone(),
+                ctrl.augmented().cloned(),
+                None,
+            );
+            self.inner.on_control(&blind);
+        } else {
+            self.inner.on_control(ctrl);
+        }
+    }
+
+    fn needs_graph_diff(&self, head: &ControlInfo) -> bool {
+        self.impairment != Impairment::DiffBlind && self.inner.needs_graph_diff(head)
+    }
+
+    fn on_missed_cycle(&mut self, cycle: Cycle) {
+        if self.impairment != Impairment::MissDeaf {
+            self.inner.on_missed_cycle(cycle);
+        }
+    }
+
+    fn begin_query(&mut self, q: QueryId, now: Cycle) {
+        self.inner.begin_query(q, now);
+    }
+
+    fn read_directive(&self, q: QueryId, item: ItemId, now: Cycle) -> ReadDirective {
+        self.inner.read_directive(q, item, now)
+    }
+
+    fn apply_read(
+        &mut self,
+        q: QueryId,
+        item: ItemId,
+        candidate: &ReadCandidate,
+        now: Cycle,
+    ) -> ReadOutcome {
+        self.inner.apply_read(q, item, candidate, now)
+    }
+
+    fn finish_query(&mut self, q: QueryId) {
+        self.inner.finish_query(q);
     }
 }
 

@@ -37,7 +37,7 @@ mod schedule;
 mod scope;
 mod spec;
 
-pub use broken::BrokenInvalidation;
+pub use broken::{BrokenInvalidation, ImpairedSgt, Impairment};
 pub use checker::{
     audit_monitors, check_all, check_spec, check_spec_with, McReport, McViolation, MonitorAudit,
 };

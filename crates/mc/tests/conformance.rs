@@ -9,7 +9,8 @@
 //! checker finds for this same fixture at CI scope.
 //!
 //! (This file is also the `L4/conformance` evidence `cargo xtask lint`
-//! scans for: it names `BrokenInvalidation` next to the battery run.)
+//! scans for: it names `BrokenInvalidation` and `ImpairedSgt` next to
+//! the battery run.)
 
 // Integration tests are exempt from the panic-freedom policy
 // (mirrors `allow-unwrap-in-tests` in clippy.toml and the `#[cfg(test)]`
@@ -35,4 +36,17 @@ fn broken_invalidation_passes_the_conformance_battery() {
             .collect::<Vec<_>>()
             .join("\n")
     );
+}
+
+/// Neither impaired SGT is caught by the battery either: it probes one
+/// control step at a time, and a diff-blind or gap-deaf SGT goes wrong
+/// only across cycles — the monitors and the simulation's judge catch
+/// them (`bpush-sim`).
+#[test]
+fn impaired_sgt_passes_the_conformance_battery() {
+    use bpush_mc::{ImpairedSgt, Impairment};
+    for impairment in [Impairment::DiffBlind, Impairment::MissDeaf] {
+        let violations = conformance::check(&|| Box::new(ImpairedSgt::new(impairment)));
+        assert!(violations.is_empty(), "{impairment:?}: {violations:?}");
+    }
 }

@@ -274,9 +274,17 @@ impl BroadcastServer {
     /// edges from readers older than the tracker's horizon are elided.
     /// Built at the first call after a cycle by replaying the commit log
     /// through a fresh [`ConflictTracker`] that closes every cycle, each
-    /// cycle's diff pushed onto an append-only graph.
+    /// cycle's diff pushed onto an append-only graph; each replay adds
+    /// one to the `server.graph_replays` counter.
+    ///
+    /// A simulation's judge does not ask for it when the server airs its
+    /// diffs (SGT): it searches those. Its callers are the judge of a
+    /// server that airs none, which asks only for readsets the interval
+    /// check rejects (no genuine method commits one), the model checker,
+    /// tests, and the benchmark's traced run.
     pub fn conflict_graph(&self) -> &SerializationGraph {
         self.ground_truth.get_or_init(|| {
+            self.obs.counter_add("server.graph_replays", 1);
             let mut tracker = ConflictTracker::new(reader_horizon(&self.config));
             let mut graph = SerializationGraph::new();
             for (cycle, txns) in (0..).map(Cycle::new).zip(&self.committed) {
@@ -895,8 +903,8 @@ mod tests {
     /// Every conflict graph the server builds is commit-ordered — each
     /// edge runs from an older to a newer transaction — for every
     /// organization, with and without SGT information, report windows 1
-    /// and 3. The end-of-run audit cuts its traversal at a readset's
-    /// newest writer only on such a graph.
+    /// and 3. The judges cut their traversal at a readset's newest
+    /// writer only on such a graph.
     #[test]
     fn conflict_graph_is_commit_ordered() {
         let d = small_config().broadcast_size;

@@ -17,11 +17,12 @@ const FIRSTS_GAP: u64 = 64;
 /// transactions, linked and append-only.
 ///
 /// An edge `a → b` means one of `a`'s operations precedes and conflicts
-/// with one of `b`'s. This is the graph the server replays for the
-/// end-of-run audit ([`SerializationGraph::push`] once per cycle's diff),
-/// and the graph the judge reads; it never drops anything. An SGT client
-/// and the monitors keep a Lemma-1 window of the diffs they heard as a
-/// [`crate::Window`] instead.
+/// with one of `b`'s. This is the graph the server replays from its
+/// commit log ([`SerializationGraph::push`] once per cycle's diff) for
+/// the model checker, the tests and a simulation whose server airs no
+/// diff; it never drops anything. An SGT client, the monitors and the
+/// simulation's judge of an SGT server keep a window of the diffs they
+/// heard as a [`crate::Window`] instead.
 ///
 /// # Representation
 ///

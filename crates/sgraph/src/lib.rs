@@ -20,7 +20,7 @@
 //!   committed transactions, linked and append-only
 //!   ([`SerializationGraph::push`] once per cycle's diff): a dense `u32`
 //!   node interner with one forward adjacency list of ids per node, the
-//!   graph the end-of-run audit replays and the judge reads,
+//!   graph the server replays from its commit log,
 //! * [`GraphDiff`] — the per-cycle difference the server broadcasts,
 //! * [`Node`] — graph nodes: committed server transactions or local
 //!   read-only queries.

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use bpush_broadcast::feed::encode_bcast_segments;
 use bpush_client::{CacheParams, ClientCache, QueryExecutor, QueryOutcome};
-use bpush_core::validator::{SerializabilityBatch, SerializabilityValidator};
+use bpush_core::validator::Judge;
 use bpush_core::{AbortReason, CacheMode, Method, ReadOnlyProtocol};
 use bpush_obs::flight::fnv64;
 use bpush_obs::{Actor, Capture, FlightRecorder, MonitorConfig, Monitors, Obs};
@@ -354,12 +354,14 @@ impl Simulation {
     /// Routes the whole simulation into `obs` when it runs: the server
     /// gets a per-cycle span and size histogram, every client's protocol
     /// is wrapped in an instrumentation decorator streaming per-operation
-    /// events, and the end-of-run validation pass is bracketed by a
-    /// `validator.check` span. After the run, the aggregated
-    /// [`bpush_core::instrument::ProtocolStats`] of all clients are
-    /// published into the registry as `stats.*` counters, so the
-    /// event-derived counters can be reconciled against the decorator's
-    /// independent tally.
+    /// events, and a `validator.check` span at the end of the run
+    /// brackets the read of the judge's tally (each readset is judged in
+    /// the cycle its query finishes; only a server that airs no graph
+    /// diff has its conflict graph replayed there). After the run, the
+    /// aggregated [`bpush_core::instrument::ProtocolStats`] of all
+    /// clients are published into the registry as `stats.*` counters, so
+    /// the event-derived counters can be reconciled against the
+    /// decorator's independent tally.
     #[must_use]
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
@@ -498,6 +500,10 @@ impl Simulation {
         let mut cycles = 0u64;
         let mut peak_graph = (0usize, 0usize);
         let mut validation_ns = Summary::new();
+        let mut judge = Judge::new(self.server.options().sgt_info);
+        // an old version on air at cycle `c` was overwritten in `c − S +
+        // 1` or later (`WriteHistory`'s retention rule)
+        let old_on_air = u64::from(self.server.span_supported()).saturating_sub(1);
 
         while self.clients.iter().any(|c| !c.is_done()) {
             if cycles >= self.config.max_cycles {
@@ -513,6 +519,22 @@ impl Simulation {
             total_slots += bcast.total_slots();
             cycles += 1;
             let measured = bcast.cycle() >= warmup;
+            // The judge's window starts at the oldest overwriter a live
+            // query can meet. A query reads only values aired since the
+            // cycle it began in (`live_since`; one beginning now begins at
+            // this cycle): a current value on air at `c`, or cached
+            // coherent at `c`, is overwritten in `c` or later, an old
+            // version on air in `c − S + 1` or later. Only a
+            // multiversion-caching client caches old versions, and no SGT
+            // method is one.
+            let oldest = self
+                .clients
+                .iter()
+                .filter_map(QueryExecutor::live_since)
+                .fold(bcast.cycle(), Cycle::min);
+            let window_start = oldest.checked_sub(old_on_air).unwrap_or(Cycle::ZERO);
+            judge.air(window_start, bcast.control().shared_graph_diff());
+            let judged = outcomes.len();
             // Wall-time the client side of the cycle — the validation
             // work whose cost the interned data structures target. The
             // clock lives here in `bpush-sim`; protocol crates are
@@ -528,6 +550,11 @@ impl Simulation {
                 }
             }
             validation_ns.record(cycle_started.elapsed().as_nanos() as f64);
+            // Each readset is judged when its query finishes, against the
+            // history as it stands now.
+            for o in outcomes.iter().skip(judged).filter(|o| o.committed()) {
+                judge.judge(self.server.history(), &o.reads)?;
+            }
             // Flight-recorder trigger: the first monitor violation (or
             // watched abort) freezes the retained wire window into a
             // capture, fingerprinting the affected client's protocol
@@ -583,30 +610,13 @@ impl Simulation {
             }
         }
 
-        // Validate every committed readset against the ground truth,
-        // using the paper's exact criterion (readset = a state of *some*
-        // serializable execution, checked against the full conflict
-        // graph). A readset the interval check accepts has only
-        // overwriters newer than its newest writer, which on the server's
-        // commit-ordered graph reach no writer: only a rejected readset
-        // goes to the batch, so the graph is replayed only for one.
+        // The judge has answered every committed readset but those of a
+        // server that airs no graph diff, which wait for one replay of
+        // its conflict graph.
         let _validator_span =
             self.obs
                 .span("validator.check", Cycle::new(cycles), Actor::Validator);
-        let interval = SerializabilityValidator::new(self.server.history());
-        let mut batch = None;
-        let mut violations = 0;
-        for o in outcomes
-            .iter()
-            .filter(|o| o.committed() && interval.check(&o.reads).is_err())
-        {
-            let batch = batch.get_or_insert_with(|| {
-                SerializabilityBatch::new(self.server.history(), self.server.conflict_graph())
-            });
-            if batch.check(&o.reads).is_err() {
-                violations += 1;
-            }
-        }
+        let violations = judge.tally(self.server.history(), || self.server.conflict_graph());
         drop(_validator_span);
 
         let mean_bcast_slots = total_slots as f64 / cycles.max(1) as f64;
@@ -1276,89 +1286,6 @@ mod tests {
         );
     }
 
-    /// A sense an [`ImpairedSgt`] lacks.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    enum Impairment {
-        /// It asks for no diff and hears each control without one, so
-        /// its window never links the server's conflicts and it commits
-        /// what the §3.3 test would abort.
-        DiffBlind,
-        /// It ignores `on_missed_cycle`, so a query reads on across a
-        /// gap that plain SGT must abort it for (§5.2.2).
-        MissDeaf,
-    }
-
-    /// SGT with one [`Impairment`], for the monitors to catch.
-    #[derive(Debug)]
-    struct ImpairedSgt(Box<dyn ReadOnlyProtocol>, Impairment);
-
-    impl ImpairedSgt {
-        fn factory(impairment: Impairment) -> impl Fn() -> Box<dyn ReadOnlyProtocol> {
-            move || Box::new(ImpairedSgt(Method::Sgt.build_protocol(), impairment))
-        }
-    }
-
-    impl ReadOnlyProtocol for ImpairedSgt {
-        fn name(&self) -> &'static str {
-            self.0.name()
-        }
-
-        fn cache_mode(&self) -> CacheMode {
-            self.0.cache_mode()
-        }
-
-        fn on_control(&mut self, ctrl: &bpush_broadcast::ControlInfo) {
-            if self.1 == Impairment::DiffBlind {
-                let blind = bpush_broadcast::ControlInfo::new(
-                    ctrl.cycle(),
-                    ctrl.invalidation().clone(),
-                    ctrl.augmented().cloned(),
-                    None,
-                );
-                self.0.on_control(&blind);
-            } else {
-                self.0.on_control(ctrl);
-            }
-        }
-
-        fn needs_graph_diff(&self, head: &bpush_broadcast::ControlInfo) -> bool {
-            self.1 != Impairment::DiffBlind && self.0.needs_graph_diff(head)
-        }
-
-        fn on_missed_cycle(&mut self, cycle: Cycle) {
-            if self.1 != Impairment::MissDeaf {
-                self.0.on_missed_cycle(cycle);
-            }
-        }
-
-        fn begin_query(&mut self, q: bpush_types::QueryId, now: Cycle) {
-            self.0.begin_query(q, now);
-        }
-
-        fn read_directive(
-            &self,
-            q: bpush_types::QueryId,
-            item: bpush_types::ItemId,
-            now: Cycle,
-        ) -> bpush_core::ReadDirective {
-            self.0.read_directive(q, item, now)
-        }
-
-        fn apply_read(
-            &mut self,
-            q: bpush_types::QueryId,
-            item: bpush_types::ItemId,
-            candidate: &bpush_core::ReadCandidate,
-            now: Cycle,
-        ) -> bpush_core::ReadOutcome {
-            self.0.apply_read(q, item, candidate, now)
-        }
-
-        fn finish_query(&mut self, q: bpush_types::QueryId) {
-            self.0.finish_query(q);
-        }
-    }
-
     /// The monitors keep every diff themselves, so a diff-blind SGT is
     /// flagged whether its reports arrive as structs or through the wire
     /// codec, where a diff no protocol asks for stays unread.
@@ -1368,7 +1295,9 @@ mod tests {
             let monitors = monitors_for(&quick_config(), Method::Sgt);
             let sim = Simulation::new(quick_config(), Method::Sgt)
                 .unwrap()
-                .with_protocol_factory(ImpairedSgt::factory(Impairment::DiffBlind));
+                .with_protocol_factory(bpush_mc::ImpairedSgt::factory(
+                    bpush_mc::Impairment::DiffBlind,
+                ));
             let sim = if wire { sim.with_wire_feed() } else { sim };
             let metrics = sim.with_monitors(monitors.clone()).run().unwrap();
             assert!(
@@ -1399,7 +1328,9 @@ mod tests {
             let monitors = monitors_for(&dozing, Method::Sgt);
             let sim = Simulation::new(dozing.clone(), Method::Sgt)
                 .unwrap()
-                .with_protocol_factory(ImpairedSgt::factory(Impairment::MissDeaf));
+                .with_protocol_factory(bpush_mc::ImpairedSgt::factory(
+                    bpush_mc::Impairment::MissDeaf,
+                ));
             let sim = if wire { sim.with_wire_feed() } else { sim };
             sim.with_monitors(monitors.clone()).run().unwrap();
             monitors.verdict()
@@ -1414,6 +1345,56 @@ mod tests {
             struct_fed.render()
         );
         assert_eq!(struct_fed.render(), wire_fed.render());
+    }
+
+    /// The judge answers an SGT server's readsets from the diffs it
+    /// aired: a genuine SGT run never replays the server's conflict
+    /// graph, on either feed, though the interval check rejects some of
+    /// its readsets; a broken method on a plain server, whose torn
+    /// readsets need the graph, replays it once.
+    #[test]
+    fn only_a_server_that_airs_no_diff_replays_its_graph() {
+        use bpush_core::validator::SerializabilityValidator;
+        let config = quick_config();
+        for wire in [false, true] {
+            let obs = Obs::recording(1 << 16);
+            let mut committed = Vec::new();
+            let sim = Simulation::new(config.clone(), Method::Sgt).unwrap();
+            let sim = if wire { sim.with_wire_feed() } else { sim };
+            let metrics = sim
+                .with_obs(obs.clone())
+                .run_with_observer(|o| {
+                    if o.committed() {
+                        committed.push(o.reads.clone());
+                    }
+                })
+                .unwrap();
+            assert_eq!(metrics.violations, 0);
+            let snap = obs.snapshot().expect("recording");
+            assert_eq!(snap.counter("server.graph_replays"), 0, "wire={wire}");
+            let mut replay = BroadcastServer::new(
+                config.server.clone(),
+                Method::Sgt.server_options(MultiversionLayout::Overflow),
+                SeedSequence::new(config.seed).derive(&["server"]),
+            )
+            .unwrap();
+            for _ in 0..metrics.cycles {
+                replay.run_cycle();
+            }
+            let interval = SerializabilityValidator::new(replay.history());
+            let torn = committed.iter().filter(|r| interval.check(r).is_err());
+            assert!(torn.count() > 0, "no readset asked the graph question");
+        }
+        let obs = Obs::recording(1 << 16);
+        let metrics = Simulation::new(config, Method::InvalidationOnly)
+            .unwrap()
+            .with_protocol_factory(|| Box::new(bpush_mc::BrokenInvalidation::new()))
+            .with_obs(obs.clone())
+            .run()
+            .unwrap();
+        assert!(metrics.violations > 0);
+        let snap = obs.snapshot().expect("recording");
+        assert_eq!(snap.counter("server.graph_replays"), 1);
     }
 
     /// Observation is wired once, when the run starts: a recording sink

@@ -75,9 +75,11 @@ fn all_methods_default_config() {
 /// value read is, or reaches, the writer of a value read — over the
 /// history and conflict graph of a server replayed from the same seed for
 /// the same number of cycles, and the run itself reports no violation.
-/// `Simulation` hands the batch only the readsets the interval check
-/// rejects: every readset of the three snapshot methods passes that
-/// check, and some SGT readset fails it, so the batch leg runs.
+/// Only the readsets the interval check rejects ask a graph: every
+/// readset of the three snapshot methods passes that check, and some SGT
+/// readset fails it, so the batch leg runs. The run's own verdicts come
+/// from its online judge ([`judge_matches_the_end_of_run_replay`]
+/// compares the two).
 #[test]
 fn audit_verdicts_match_the_criterion() {
     use bpush_core::validator::{SerializabilityBatch, SerializabilityValidator};
@@ -134,6 +136,128 @@ fn audit_verdicts_match_the_criterion() {
             assert!(interval_rejects > 0, "{method}: the batch leg never ran");
         } else {
             assert_eq!(interval_rejects, 0, "{method}: a snapshot readset is torn");
+        }
+    }
+}
+
+/// The eight genuine methods: the paper's seven and SGT with versions.
+const GENUINE: [Method; 8] = [
+    Method::InvalidationOnly,
+    Method::InvalidationCache,
+    Method::InvalidationVersionedCache,
+    Method::MultiversionBroadcast,
+    Method::Sgt,
+    Method::SgtCache,
+    Method::MultiversionCaching,
+    Method::SgtVersionedItems,
+];
+
+/// What one run and its replay say about its committed readsets.
+#[derive(Debug, PartialEq, Eq)]
+struct Judged {
+    /// The run's `violations`: the judge's tally.
+    judged: u64,
+    /// The committed readsets [`SerializabilityBatch`] rejects over the
+    /// conflict graph of the server replayed to the run's last cycle.
+    replayed: u64,
+    /// The committed readsets the interval check rejects: those the
+    /// judge asked the graph about.
+    torn: u64,
+}
+
+/// A seeded bug's protocol factory.
+type Factory = fn() -> Box<dyn bpush_core::ReadOnlyProtocol>;
+
+/// Runs `method` (its protocol replaced by `factory`'s, if given) and
+/// judges its committed readsets again at the end, the way the
+/// end-of-run audit did.
+fn judge_against_replay(
+    config: &SimConfig,
+    method: Method,
+    factory: Option<Factory>,
+    wire: bool,
+) -> Judged {
+    use bpush_core::validator::{SerializabilityBatch, SerializabilityValidator};
+    let mut sim = Simulation::new(config.clone(), method).unwrap();
+    if let Some(factory) = factory {
+        sim = sim.with_protocol_factory(factory);
+    }
+    if wire {
+        sim = sim.with_wire_feed();
+    }
+    let mut committed = Vec::new();
+    let metrics = sim
+        .run_with_observer(|o| {
+            if o.committed() {
+                committed.push(o.reads.clone());
+            }
+        })
+        .unwrap();
+    let mut server = bpush_server::BroadcastServer::new(
+        config.server.clone(),
+        method.server_options(MultiversionLayout::Overflow),
+        bpush_types::seed::SeedSequence::new(config.seed).derive(&["server"]),
+    )
+    .unwrap();
+    for _ in 0..metrics.cycles {
+        server.run_cycle();
+    }
+    let mut batch = SerializabilityBatch::new(server.history(), server.conflict_graph());
+    let interval = SerializabilityValidator::new(server.history());
+    let count = |f: &mut dyn FnMut(&Vec<_>) -> bool| committed.iter().filter(|r| f(r)).count();
+    Judged {
+        judged: metrics.violations,
+        replayed: count(&mut |r| batch.check(r).is_err()) as u64,
+        torn: count(&mut |r| interval.check(r).is_err()) as u64,
+    }
+}
+
+/// The quick configuration of [`judge_matches_the_end_of_run_replay`],
+/// and a dozing one whose reports cover four cycles.
+fn quick_and_dozing(method: Method) -> [(&'static str, SimConfig); 2] {
+    let quick =
+        bpush_sim::experiments::config_for(method, bpush_sim::experiments::quick_defaults());
+    let mut dozing = quick.clone();
+    dozing.server.report_window = 4;
+    dozing.client.disconnect_prob = 0.2;
+    [("quick", quick), ("dozing", dozing)]
+}
+
+/// The judge's `violations` equal a replay of the run's committed
+/// readsets through [`SerializabilityBatch`] over the conflict graph
+/// rebuilt at the end: for every genuine method, struct- and wire-fed,
+/// on a quick and a dozing configuration; and for two seeded bugs, each
+/// with violations — `BrokenInvalidation`, answered from the replayed
+/// graph of a server that airs no diff, and a diff-blind SGT, answered
+/// from the window of aired diffs. Every SGT case asks the window some
+/// question (the interval check rejects some readset), so the window's
+/// start is under test: one cycle later and the judge fails the run.
+#[test]
+fn judge_matches_the_end_of_run_replay() {
+    use bpush_mc::{BrokenInvalidation, ImpairedSgt, Impairment};
+    let broken: Factory = || Box::new(BrokenInvalidation::new());
+    let blind: Factory = || Box::new(ImpairedSgt::new(Impairment::DiffBlind));
+    let cases = GENUINE.map(|m| (m, None)).into_iter().chain([
+        (Method::InvalidationOnly, Some(broken)),
+        (Method::Sgt, Some(blind)),
+    ]);
+    for (method, factory) in cases {
+        let mut torn = 0;
+        for (name, config) in quick_and_dozing(method) {
+            for wire in [false, true] {
+                let label = format!("{method} {name} wire={wire} seeded={}", factory.is_some());
+                let got = judge_against_replay(&config, method, factory, wire);
+                assert_eq!(got.judged, got.replayed, "{label}: {got:?}");
+                if factory.is_some() {
+                    assert!(got.judged > 0, "{label}: the seeded bug went unseen");
+                } else {
+                    assert_eq!(got.judged, 0, "{label}");
+                }
+                torn += got.torn;
+            }
+        }
+        if method.server_options(MultiversionLayout::Overflow).sgt_info {
+            assert!(torn > 0, "{method}: the window was never asked");
         }
     }
 }
