@@ -189,7 +189,8 @@ impl WorkloadGenerator {
             // Reads: the writes (read-before-write) plus 4 extra reads per
             // write from the server read pattern.
             let extra_reads = writes.len() * READS_PER_WRITE;
-            let mut reads = writes.clone();
+            let mut reads = Vec::with_capacity(writes.len() + extra_reads);
+            reads.extend_from_slice(&writes);
             for _ in 0..extra_reads {
                 reads.push(self.read_pattern.sample(&mut self.rng));
             }

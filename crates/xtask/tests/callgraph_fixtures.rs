@@ -1,10 +1,10 @@
 //! Proves the interprocedural rules (L8–L15) against a fixture workspace
 //! with one passing and one violating case per rule, then self-checks the
 //! real workspace's contract surfaces: the hot-path set must cover the
-//! PR-3 hot functions, the sans-IO surface must cover the protocol core,
-//! the protocol-enum and decode-path surfaces must cover the wire
-//! vocabulary, and the escape-hatch budget must stay within its pinned
-//! ceiling.
+//! pinned hot functions, the workload samplers among them, the sans-IO
+//! surface must cover the protocol core, the protocol-enum and
+//! decode-path surfaces must cover the wire vocabulary, and the
+//! escape-hatch budget must stay within its pinned ceiling.
 
 use std::path::{Path, PathBuf};
 
@@ -305,6 +305,9 @@ fn hot_path_set_covers_the_pr3_hot_functions() {
         "broadcast::next_slot_of_current",
         "broadcast::occurrences_of",
         "broadcast::old_versions_of",
+        // Workload draws: `ZipfSampler::sample` and
+        // `AccessPattern::sample` (one name for both; see below).
+        "types::sample",
     ];
     for name in REQUIRED {
         assert!(
@@ -313,6 +316,20 @@ fn hot_path_set_covers_the_pr3_hot_functions() {
             report.hot_functions
         );
     }
+}
+
+/// The hot set names functions `crate::fn`, so `types::sample` stands
+/// for both samplers of `zipf.rs`: each must carry its own marker.
+#[test]
+fn both_zipf_samplers_carry_the_hot_path_contract() {
+    let source = std::fs::read_to_string(real_root().join("crates/types/src/zipf.rs"))
+        .expect("zipf.rs is readable");
+    let lines: Vec<&str> = source.lines().map(str::trim).collect();
+    let marked = lines
+        .windows(2)
+        .filter(|w| w[0] == "// bpush-lint: hot_path" && w[1].starts_with("pub fn sample<"))
+        .count();
+    assert_eq!(marked, 2, "ZipfSampler::sample and AccessPattern::sample");
 }
 
 /// The sans-IO surface covers the protocol core — the ROADMAP item-1
